@@ -2,9 +2,9 @@
 """Recompute the frozen oracle values used in the test suite.
 
 Each block prints an expected value alongside the package's answer so a
-drift in either is visible.  Closed forms use scipy.special directly and
-the noise stream is rebuilt with an explicit recurrence, not the package
-generator, so the two sides are independent code paths.
+drift in either is visible.  Closed forms use math.erf and math.atan
+directly and the noise stream is rebuilt with an explicit recurrence, not
+the package generator, so the two sides are independent code paths.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from fecampaign.campaign import RunOptions, run_system, CampaignMode
 from fecampaign.engine import PilotConfig, generation_count, slots
@@ -28,11 +27,11 @@ from fecampaign.synth import (
 
 
 def closed_form_integral(curve) -> float:
-    """Unit-interval integral of the bump presets via special functions."""
+    """Unit-interval integral of the bump presets via closed forms."""
     c, w, a, b = curve.center, curve.width, curve.amplitude, curve.baseline_slope
     if curve.preset is CurvePreset.GAUSS_BUMP:
         bump = a * w * math.sqrt(math.pi / 2.0) * (
-            erf((1.0 - c) / (w * math.sqrt(2.0))) - erf((0.0 - c) / (w * math.sqrt(2.0)))
+            math.erf((1.0 - c) / (w * math.sqrt(2.0))) - math.erf((0.0 - c) / (w * math.sqrt(2.0)))
         )
     elif curve.preset is CurvePreset.RATIONAL:
         bump = a * w * (math.atan((1.0 - c) / w) + math.atan(c / w))

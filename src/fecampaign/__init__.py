@@ -25,6 +25,7 @@ from .stats import (
     bootstrap_delta_g_stderr,
     checkpoint_estimate,
     convergence_check,
+    estimate_delta_g,
     window_estimate,
 )
 from .synth import (

@@ -16,8 +16,8 @@ generated here, deterministically from (campaign seed, window, replica).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from .engine import PipelineRun, StagePlan
 from .errors import ContractError
@@ -29,23 +29,17 @@ from .protocols import (
     StageKind,
     simulation_stage,
 )
-from .quadrature import (
-    FreeEnergyEstimate,
-    canonical_lambda,
-    integrate_with_error,
-    propose_refinements,
-)
+from .quadrature import FreeEnergyEstimate, canonical_lambda, propose_refinements
 from .stats import (
     DEFAULT_DISCARD_FRACTION,
     CheckpointHistory,
     DuDlSeries,
-    bootstrap_delta_g_stderr,
     checkpoint_estimate,
     convergence_check,
-    replica_means,
+    estimate_delta_g,
     window_estimate,
 )
-from .synth import SyntheticSystem, du_dl_series
+from .synth import NoiseStream, SyntheticSystem, drift_curve, grow_streams, open_stream
 
 
 def samples_per_substage(substage_timesteps: int, dt_ps: float) -> int:
@@ -57,11 +51,14 @@ def samples_per_substage(substage_timesteps: int, dt_ps: float) -> int:
 
 
 class SyntheticSampler:
-    """Deterministic per-(window, replica) series, cached at full horizon.
+    """Deterministic per-(window, replica) series, grown on demand up to a horizon.
 
-    Generating the full horizon once and slicing prefixes guarantees a
-    window's early samples never change as its series grows across
-    sub-stages, regardless of when the window was created.
+    Every stream keeps its generator and a horizon-sized buffer and is
+    generated only as far as a caller reads it.  Growth continues the same
+    stream, so a window's early samples never change as its series grows
+    across sub-stages, regardless of when the window was created, and each
+    prefix is bit-identical to a one-shot series of that length.  Series
+    are read-only views of the buffers.
     """
 
     def __init__(self, system: SyntheticSystem, seed: int, dt_ps: float, horizon_samples: int):
@@ -69,28 +66,54 @@ class SyntheticSampler:
         self.seed = int(seed)
         self.dt_ps = dt_ps
         self.horizon_samples = horizon_samples
-        self._cache: dict[tuple[float, int], DuDlSeries] = {}
+        self._drift = drift_curve(system.noise, horizon_samples, dt_ps)
+        self._streams: dict[tuple[float, int], NoiseStream] = {}
+        self._full: dict[tuple[float, int], DuDlSeries] = {}
+
+    def _grow(self, requests: Iterable[tuple[tuple[float, int], int]]) -> None:
+        """Grow each ``(lambda, replica)`` stream to its requested length.
+
+        Streams that grow by the same number of samples share one AR(1) pass.
+        """
+        batches: dict[int, list[NoiseStream]] = {}
+        for (lam, replica), n_samples in requests:
+            if n_samples > self.horizon_samples:
+                raise ContractError(
+                    f"requested {n_samples} samples beyond the {self.horizon_samples}-sample horizon"
+                )
+            stream = self._streams.get((lam, replica))
+            if stream is None:
+                stream = open_stream(
+                    self.system.curve, lam, self.horizon_samples, self.seed, replica
+                )
+                self._streams[(lam, replica)] = stream
+            if n_samples > stream.fill:
+                batches.setdefault(n_samples - stream.fill, []).append(stream)
+        for n_new, streams in batches.items():
+            grow_streams(self.system.noise, streams, n_new, self._drift)
 
     def series(self, lam: float, replica: int, n_samples: int) -> DuDlSeries:
-        if n_samples > self.horizon_samples:
-            raise ContractError(
-                f"requested {n_samples} samples beyond the {self.horizon_samples}-sample horizon"
-            )
         key = (canonical_lambda(lam), replica)
-        full = self._cache.get(key)
-        if full is None:
-            full = du_dl_series(
-                self.system.curve, self.system.noise, key[0],
-                n_samples=self.horizon_samples, dt_ps=self.dt_ps,
-                seed=self.seed, replica_index=replica,
-            )
-            self._cache[key] = full
+        if n_samples == self.horizon_samples and key in self._full:
+            return self._full[key]
+        self._grow([(key, n_samples)])
+        values = self._streams[key].values[:n_samples]
+        values.flags.writeable = False
+        series = DuDlSeries(lam=key[0], replica_index=replica, dt_ps=self.dt_ps, values=values)
         if n_samples == self.horizon_samples:
-            return full
-        return DuDlSeries(
-            lam=full.lam, replica_index=replica, dt_ps=self.dt_ps,
-            values=full.values[:n_samples].copy(),
-        )
+            self._full[key] = series
+        return series
+
+    def window_series(
+        self, lengths: Mapping[float, int], replicas: int
+    ) -> dict[float, list[DuDlSeries]]:
+        """Every replica series of every window, each window at its requested length."""
+        lengths = {canonical_lambda(lam): n for lam, n in lengths.items()}
+        self._grow(((lam, r), n) for lam, n in lengths.items() for r in range(replicas))
+        return {
+            lam: [self.series(lam, r, n) for r in range(replicas)]
+            for lam, n in sorted(lengths.items())
+        }
 
 
 @dataclass
@@ -126,8 +149,12 @@ def _equilibration_chain(spec: ProtocolSpec, pipeline_id: str, cycle: int, lams,
     return stages
 
 
-class AdaptiveQuadratureEvaluator:
-    """Grows the lambda-window set where the integration error concentrates."""
+def _stage_windows(stage: Stage) -> list[float]:
+    return sorted({canonical_lambda(t.lam) for t in stage.tasks if t.lam is not None})
+
+
+class _SyntheticEvaluator:
+    """Settings, sampler and estimation shared by the two evaluators."""
 
     def __init__(
         self,
@@ -149,68 +176,70 @@ class AdaptiveQuadratureEvaluator:
         self.discard_fraction = discard_fraction
         self.bootstrap_resamples = bootstrap_resamples
         self._spc = samples_per_substage(adaptive.substage_timesteps, dt_ps)
-        horizon = adaptive.production_substages * self._spc
-        self.sampler = SyntheticSampler(system, seed, dt_ps, horizon)
-        self._substages_done: dict[str, dict[float, int]] = {}
-        self._cycles_done: dict[str, int] = {}
+        self.horizon_samples = adaptive.production_substages * self._spc
+        self.sampler = SyntheticSampler(system, seed, dt_ps, self.horizon_samples)
         self.results: dict[str, AdaptiveRunResult] = {}
 
-    def _window_series(self, lam: float, n_substages: int) -> list[DuDlSeries]:
-        n = n_substages * self._spc
-        return [self.sampler.series(lam, r, n) for r in range(self.replicas)]
+    def _series(self, substages: Mapping[float, int]) -> dict[float, list[DuDlSeries]]:
+        """Replica series of each window after its number of production sub-stages."""
+        return self.sampler.window_series(
+            {lam: k * self._spc for lam, k in substages.items()}, self.replicas
+        )
 
-    def _points(self, counts: dict[float, int]):
-        return [
-            window_estimate(self._window_series(lam, counts[lam]), self.discard_fraction)
-            for lam in sorted(counts)
-        ]
+    def _estimate(self, series: Mapping[float, list[DuDlSeries]]) -> FreeEnergyEstimate:
+        return estimate_delta_g(
+            series, self.discard_fraction, self.bootstrap_resamples, seed=self.seed
+        )
+
+    def _production_stage(self, pipeline: PipelineRun, index: int, lams) -> Stage:
+        prod = _production_spec(pipeline.spec)  # type: ignore[arg-type]
+        return simulation_stage(
+            pipeline.id, f"{prod.label}.{index}", StageKind.PRODUCTION,
+            self.adaptive.substage_timesteps, self.replicas, lams, self.cores_per_task,
+        )
+
+
+class AdaptiveQuadratureEvaluator(_SyntheticEvaluator):
+    """Grows the lambda-window set where the integration error concentrates."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._substages_done: dict[str, dict[float, int]] = {}
+        self._cycles_done: dict[str, int] = {}
 
     def on_stage_complete(self, pipeline: PipelineRun, stage: Stage) -> StagePlan:
         if stage.kind is not StageKind.PRODUCTION:
             return StagePlan.proceed()
         counts = self._substages_done.setdefault(pipeline.id, {})
-        for lam in sorted({canonical_lambda(t.lam) for t in stage.tasks if t.lam is not None}):
+        for lam in _stage_windows(stage):
             counts[lam] = counts.get(lam, 0) + 1
         cycle = self._cycles_done.get(pipeline.id, 0) + 1
         self._cycles_done[pipeline.id] = cycle
-
-        points = self._points(counts)
-        spec: ProtocolSpec = pipeline.spec  # type: ignore[assignment]
-        prod = _production_spec(spec)
+        series = self._series(counts)
 
         if cycle < self.adaptive.production_substages:
+            points = [window_estimate(s, self.discard_fraction) for s in series.values()]
             new_lams = propose_refinements(
                 points,
                 self.adaptive.error_threshold_epsilon,
                 max_total_windows=self.adaptive.max_total_windows,
             )
-            all_lams = sorted(set(counts) | set(new_lams))
             stages = []
             if new_lams:
                 stages.extend(
                     _equilibration_chain(
-                        spec, pipeline.id, cycle + 1, new_lams, self.replicas, self.cores_per_task
+                        pipeline.spec, pipeline.id, cycle + 1, new_lams,  # type: ignore[arg-type]
+                        self.replicas, self.cores_per_task,
                     )
                 )
-            stages.append(
-                simulation_stage(
-                    pipeline.id, f"{prod.label}.{cycle + 1}", StageKind.PRODUCTION,
-                    self.adaptive.substage_timesteps, self.replicas, all_lams,
-                    self.cores_per_task,
-                )
-            )
+            all_lams = sorted(set(counts) | set(new_lams))
+            stages.append(self._production_stage(pipeline, cycle + 1, all_lams))
             return StagePlan.append(stages)
 
         # Final sub-stage: integrate and record the run's estimate.
-        means = {
-            lam: replica_means(self._window_series(lam, counts[lam]), self.discard_fraction)
-            for lam in sorted(counts)
-        }
-        boot = bootstrap_delta_g_stderr(means, self.bootstrap_resamples, seed=self.seed)
-        estimate = integrate_with_error(points, bootstrap_stderr=boot)
         simulated_ns = self.adaptive.production_substages * self._spc * self.dt_ps / 1000.0
         self.results[pipeline.id] = AdaptiveRunResult(
-            estimate=estimate,
+            estimate=self._estimate(series),
             windows=tuple(sorted(counts)),
             substages_by_window=dict(sorted(counts.items())),
             simulated_ns=simulated_ns,
@@ -218,7 +247,7 @@ class AdaptiveQuadratureEvaluator:
         return StagePlan.proceed()
 
 
-class AdaptiveTerminationEvaluator:
+class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
     """Stops production once consecutive checkpoint estimates agree.
 
     A non-positive termination threshold disables early termination (the
@@ -226,60 +255,23 @@ class AdaptiveTerminationEvaluator:
     full horizon.
     """
 
-    def __init__(
-        self,
-        system: SyntheticSystem,
-        adaptive: AdaptiveConfig,
-        seed: int,
-        replicas: int = 5,
-        dt_ps: float = 1.0,
-        cores_per_task: int = 32,
-        discard_fraction: float = DEFAULT_DISCARD_FRACTION,
-        bootstrap_resamples: int = 1000,
-    ):
-        self.system = system
-        self.adaptive = adaptive
-        self.seed = int(seed)
-        self.replicas = replicas
-        self.dt_ps = dt_ps
-        self.cores_per_task = cores_per_task
-        self.discard_fraction = discard_fraction
-        self.bootstrap_resamples = bootstrap_resamples
-        self._spc = samples_per_substage(adaptive.substage_timesteps, dt_ps)
-        substage_ns = self._spc * dt_ps / 1000.0
-        if abs(substage_ns - adaptive.termination_tau_ns) > 1e-9:
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        substage_ns = self._spc * self.dt_ps / 1000.0
+        if abs(substage_ns - self.adaptive.termination_tau_ns) > 1e-9:
             raise ContractError(
                 f"sub-stage spans {substage_ns} ns but termination_tau_ns is "
-                f"{adaptive.termination_tau_ns}; checkpoints must fall on sub-stage boundaries"
+                f"{self.adaptive.termination_tau_ns}; checkpoints must fall on sub-stage boundaries"
             )
-        self.horizon_samples = adaptive.production_substages * self._spc
-        self.sampler = SyntheticSampler(system, seed, dt_ps, self.horizon_samples)
         self._substages: dict[str, int] = {}
         self.histories: dict[str, CheckpointHistory] = {}
-        self.results: dict[str, AdaptiveRunResult] = {}
 
-    def _all_series(self, lams) -> list[DuDlSeries]:
-        return [
-            self.sampler.series(lam, r, self.horizon_samples)
-            for lam in lams
-            for r in range(self.replicas)
-        ]
-
-    def _final_result(self, pipeline: PipelineRun, lams, k: int, terminated: bool) -> None:
+    def _record(self, pipeline: PipelineRun, series, k: int, terminated: bool) -> None:
         time_ns = k * self.adaptive.termination_tau_ns
-        n = k * self._spc
-        points = []
-        means = {}
-        for lam in lams:
-            series = [self.sampler.series(lam, r, n) for r in range(self.replicas)]
-            points.append(window_estimate(series, self.discard_fraction))
-            means[lam] = replica_means(series, self.discard_fraction)
-        boot = bootstrap_delta_g_stderr(means, self.bootstrap_resamples, seed=self.seed)
-        estimate = integrate_with_error(points, bootstrap_stderr=boot)
         self.results[pipeline.id] = AdaptiveRunResult(
-            estimate=estimate,
-            windows=tuple(lams),
-            substages_by_window={lam: k for lam in lams},
+            estimate=self._estimate(series),
+            windows=tuple(series),
+            substages_by_window={lam: k for lam in series},
             simulated_ns=time_ns,
             terminated_ns=time_ns if terminated else None,
             history=self.histories[pipeline.id],
@@ -290,9 +282,13 @@ class AdaptiveTerminationEvaluator:
             return StagePlan.proceed()
         k = self._substages.get(pipeline.id, 0) + 1
         self._substages[pipeline.id] = k
-        lams = sorted({canonical_lambda(t.lam) for t in stage.tasks if t.lam is not None})
+        lams = _stage_windows(stage)
+        # Only the samples up to this checkpoint are generated.
+        series = self._series({lam: k for lam in lams})
         time_ns = k * self.adaptive.termination_tau_ns
-        estimate = checkpoint_estimate(self._all_series(lams), time_ns, self.discard_fraction)
+        estimate = checkpoint_estimate(
+            [s for window in series.values() for s in window], time_ns, self.discard_fraction
+        )
         history = self.histories.setdefault(
             pipeline.id, CheckpointHistory(self.adaptive.termination_tau_ns, [])
         )
@@ -302,21 +298,11 @@ class AdaptiveTerminationEvaluator:
         if threshold > 0.0 and convergence_check(
             history, threshold, self.adaptive.min_checkpoints_before_termination
         ):
-            self._final_result(pipeline, lams, k, terminated=True)
+            self._record(pipeline, series, k, terminated=True)
             return StagePlan.terminate(
                 f"converged at {time_ns:.1f} ns: last two estimates within {threshold}"
             )
         if k < self.adaptive.production_substages:
-            spec: ProtocolSpec = pipeline.spec  # type: ignore[assignment]
-            prod = _production_spec(spec)
-            return StagePlan.append(
-                [
-                    simulation_stage(
-                        pipeline.id, f"{prod.label}.{k + 1}", StageKind.PRODUCTION,
-                        self.adaptive.substage_timesteps, self.replicas, lams,
-                        self.cores_per_task,
-                    )
-                ]
-            )
-        self._final_result(pipeline, lams, k, terminated=False)
+            return StagePlan.append([self._production_stage(pipeline, k + 1, lams)])
+        self._record(pipeline, series, k, terminated=False)
         return StagePlan.proceed()

@@ -42,8 +42,8 @@ from .protocols import (
     ties_protocol,
     timesteps_to_ns,
 )
-from .quadrature import FreeEnergyEstimate, integrate_with_error
-from .stats import DEFAULT_DISCARD_FRACTION, bootstrap_delta_g_stderr, replica_means, window_estimate
+from .quadrature import FreeEnergyEstimate
+from .stats import DEFAULT_DISCARD_FRACTION, estimate_delta_g
 from .synth import SyntheticSystem
 
 #: Window counts forced by the two non-adaptive modes.
@@ -159,14 +159,9 @@ def _static_estimate(
     prod = [s for s in spec.sim_stages if s.kind is StageKind.PRODUCTION][0]
     n_samples = samples_per_substage(prod.timesteps, opts.dt_ps)
     sampler = SyntheticSampler(system, seed, opts.dt_ps, n_samples)
-    points = []
-    means = {}
-    for lam in spec.windows:
-        series = [sampler.series(lam, r, n_samples) for r in range(opts.replicas)]
-        points.append(window_estimate(series, opts.discard_fraction))
-        means[lam] = replica_means(series, opts.discard_fraction)
-    boot = bootstrap_delta_g_stderr(means, seed=seed)
-    return integrate_with_error(points, bootstrap_stderr=boot), timesteps_to_ns(prod.timesteps)
+    series = sampler.window_series({lam: n_samples for lam in spec.windows}, opts.replicas)
+    estimate = estimate_delta_g(series, opts.discard_fraction, seed=seed)
+    return estimate, timesteps_to_ns(prod.timesteps)
 
 
 def run_system(

@@ -273,6 +273,10 @@ class _RunTask:
     is_retry: bool = False
 
 
+def _windows_of(stages: Iterable[Stage]) -> set[float]:
+    return {canonical_lambda(t.lam) for s in stages for t in s.tasks if t.lam is not None}
+
+
 @dataclass
 class PipelineRun:
     """Mutable per-pipeline execution state, also handed to evaluators."""
@@ -282,11 +286,20 @@ class PipelineRun:
     stages: list[Stage]
     cursor: int = 0
     terminated_reason: str | None = None
+    #: Canonical lambdas of every stage's tasks, kept up to date by
+    #: :meth:`insert_stage` so that plan validation never rescans the stages.
+    window_set: set[float] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.window_set = _windows_of(self.stages)
+
+    def insert_stage(self, index: int, stage: Stage) -> None:
+        self.stages.insert(index, stage)
+        self.window_set |= _windows_of([stage])
 
     @property
     def windows(self) -> tuple[float, ...]:
-        lams = {canonical_lambda(t.lam) for s in self.stages for t in s.tasks if t.lam is not None}
-        return tuple(sorted(lams))
+        return tuple(sorted(self.window_set))
 
     @property
     def done(self) -> bool:
@@ -325,7 +338,7 @@ class CampaignOutcome:
 def _validate_plan(plan: StagePlan, pipeline: PipelineRun) -> None:
     if plan.kind is not PlanKind.APPEND:
         return
-    known = set(pipeline.windows)
+    known = pipeline.window_set
     introduced: set[float] = set()
     for stage in plan.stages:
         for task in stage.tasks:
@@ -534,7 +547,7 @@ def run_campaign(
             if plan.kind is PlanKind.APPEND:
                 _validate_plan(plan, pl)
                 for offset, new_stage in enumerate(plan.stages):
-                    pl.stages.insert(pl.cursor + 1 + offset, new_stage)
+                    pl.insert_stage(pl.cursor + 1 + offset, new_stage)
                     for t in new_stage.tasks:
                         if t.id in timeline.task_records:
                             raise PlanRejectedError(

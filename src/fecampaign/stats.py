@@ -9,13 +9,20 @@ within every window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ContractError
-from .quadrature import WindowPoint, canonical_lambda, trapezoid_integrate, trapezoid_weights
+from .quadrature import (
+    FreeEnergyEstimate,
+    WindowPoint,
+    canonical_lambda,
+    integrate_with_error,
+    trapezoid_integrate,
+    trapezoid_weights,
+)
 
 #: Default fraction of each series discarded as burn-in.
 DEFAULT_DISCARD_FRACTION = 0.1
@@ -49,7 +56,7 @@ class DuDlSeries:
         return len(self.values) * self.dt_ps / 1000.0
 
     def truncated_to(self, checkpoint_ns: float) -> "DuDlSeries":
-        """Return the prefix of this series up to ``checkpoint_ns``.
+        """Return the prefix of this series up to ``checkpoint_ns``, as a read-only view.
 
         Only samples with timestamps <= the checkpoint survive; samples
         after it can never influence a checkpoint estimate.
@@ -64,7 +71,9 @@ class DuDlSeries:
                 f"series at lambda {self.lam} spans {self.duration_ns} ns, "
                 f"cannot checkpoint at {checkpoint_ns} ns"
             )
-        return replace(self, values=self.values[:n_keep].copy())
+        values = self.values[:n_keep]
+        values.flags.writeable = False
+        return DuDlSeries(self.lam, self.replica_index, self.dt_ps, values)
 
 
 @dataclass
@@ -109,6 +118,21 @@ def replica_means(
     return np.array([float(np.mean(_burned_in(s, discard_fraction))) for s in series_set])
 
 
+def _window_point(
+    series: Sequence[DuDlSeries], discard_fraction: float
+) -> tuple[WindowPoint, np.ndarray]:
+    """A window's point and the replica means it was computed from."""
+    if len(series) < 2:
+        raise ContractError("window_estimate needs at least two replica series")
+    lams = {canonical_lambda(s.lam) for s in series}
+    if len(lams) != 1:
+        raise ContractError(f"series mix different lambda windows: {sorted(lams)}")
+    means = replica_means(series, discard_fraction)
+    sem = float(np.std(means, ddof=1) / math.sqrt(len(means)))
+    point = WindowPoint(lam=canonical_lambda(series[0].lam), mean_dudl=float(np.mean(means)), sem=sem)
+    return point, means
+
+
 def window_estimate(
     series_set: Sequence[DuDlSeries], discard_fraction: float = DEFAULT_DISCARD_FRACTION
 ) -> WindowPoint:
@@ -128,15 +152,7 @@ def window_estimate(
         Mean of replica means; SEM is the sample standard deviation of
         the replica means divided by sqrt(R).
     """
-    series = list(series_set)
-    if len(series) < 2:
-        raise ContractError("window_estimate needs at least two replica series")
-    lams = {canonical_lambda(s.lam) for s in series}
-    if len(lams) != 1:
-        raise ContractError(f"series mix different lambda windows: {sorted(lams)}")
-    means = replica_means(series, discard_fraction)
-    sem = float(np.std(means, ddof=1) / math.sqrt(len(means)))
-    return WindowPoint(lam=canonical_lambda(series[0].lam), mean_dudl=float(np.mean(means)), sem=sem)
+    return _window_point(list(series_set), discard_fraction)[0]
 
 
 def bootstrap_delta_g_stderr(
@@ -179,6 +195,30 @@ def bootstrap_delta_g_stderr(
     weights = np.array(trapezoid_weights(lams))
     integrals = weights @ resampled
     return float(np.std(integrals, ddof=1))
+
+
+def estimate_delta_g(
+    series_by_lambda: Mapping[float, Sequence[DuDlSeries]],
+    discard_fraction: float = DEFAULT_DISCARD_FRACTION,
+    n_resamples: int = 1000,
+    seed: int = 0,
+) -> FreeEnergyEstimate:
+    """Free-energy estimate of a window set, with its bootstrapped error.
+
+    Each window's replica means are computed once and serve both its
+    :class:`WindowPoint` (as in :func:`window_estimate`) and the bootstrap
+    (as in :func:`bootstrap_delta_g_stderr`, with ``n_resamples`` and
+    ``seed``).  The points are integrated with
+    :func:`integrate_with_error`.
+    """
+    points = []
+    means = {}
+    for lam in sorted(series_by_lambda):
+        point, window_means = _window_point(list(series_by_lambda[lam]), discard_fraction)
+        points.append(point)
+        means[point.lam] = window_means
+    boot = bootstrap_delta_g_stderr(means, n_resamples, seed=seed)
+    return integrate_with_error(points, bootstrap_stderr=boot)
 
 
 def checkpoint_estimate(

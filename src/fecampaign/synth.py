@@ -12,6 +12,13 @@ so that ``sigma`` is the stationary standard deviation of the noise.
 Streams are seeded per (campaign seed, rounded lambda, replica index), so a
 window added mid-campaign reproduces the same data no matter when it was
 created.
+
+A stream can be grown in chunks: :func:`grow_streams` continues each
+stream's generator and its last noise value, and runs the recurrence over
+many streams at once, one vectorised step per sample.  Every step rounds
+the product and the sum once, as a direct-form IIR filter does, so a series
+grown in any number of chunks is bit-identical to a one-shot series of the
+same length.
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ContractError, ValidationError
 from .quadrature import canonical_lambda
@@ -136,6 +143,9 @@ class NoiseModel:
     drift_timescale_ps: float = 100.0
 
     def __post_init__(self):
+        for name in ("sigma", "ar1_phi", "drift_amplitude", "drift_timescale_ps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"noise.{name} must be finite")
         if self.sigma < 0.0:
             raise ValidationError("noise.sigma must be >= 0")
         if not 0.0 <= self.ar1_phi < 1.0:
@@ -156,6 +166,74 @@ def _stream_seed(seed: int, lam: float, replica_index: int) -> np.random.SeedSeq
     # (campaign seed, lambda in milli-units, replica index).
     lam_milli = int(round(canonical_lambda(lam) * 1000))
     return np.random.SeedSequence([int(seed), lam_milli, int(replica_index)])
+
+
+@dataclass(eq=False)
+class NoiseStream:
+    """Growth state of one (campaign seed, lambda, replica) series.
+
+    ``values`` holds the stream's whole capacity; its first ``fill``
+    samples are final.  ``level`` is f(lambda) and ``last`` the AR(1) noise
+    value of the last final sample.
+    """
+
+    level: float
+    rng: np.random.Generator
+    values: np.ndarray
+    fill: int = 0
+    last: float = 0.0
+
+
+def open_stream(
+    curve: GroundTruthCurve, lam: float, capacity: int, seed: int = 0, replica_index: int = 0
+) -> NoiseStream:
+    """An empty stream at window ``lam`` with room for ``capacity`` samples."""
+    if not 0.0 <= lam <= 1.0:
+        raise ContractError(f"lambda {lam} outside [0, 1]")
+    if seed < 0 or replica_index < 0:
+        raise ContractError("seed and replica_index must be >= 0")
+    rng = np.random.default_rng(_stream_seed(seed, lam, replica_index))
+    return NoiseStream(level=curve.evaluate(lam), rng=rng, values=np.empty(capacity))
+
+
+def drift_curve(noise: NoiseModel, n_samples: int, dt_ps: float) -> np.ndarray:
+    """Equilibration drift of the first ``n_samples`` samples."""
+    t = np.arange(n_samples)
+    return noise.drift_amplitude * np.exp(-t * dt_ps / noise.drift_timescale_ps)
+
+
+def grow_streams(
+    noise: NoiseModel, streams: Sequence[NoiseStream], n_new: int, drift: np.ndarray
+) -> None:
+    """Append ``n_new`` samples to every stream in one AR(1) pass.
+
+    The new noise of all streams forms one block, and the recurrence
+    ``eps[t] = eta[t] + phi * eps[t-1]`` walks its time columns: one
+    vectorised step per sample, whatever the number of streams.  The block
+    is stored stream-major, so that draws and the final writes run over
+    contiguous rows.  ``drift`` must cover every stream's capacity.
+    """
+    eps = np.zeros((len(streams), n_new))
+    eta_sd = noise.sigma * math.sqrt(1.0 - noise.ar1_phi ** 2)
+    if eta_sd > 0.0:
+        for row, stream in zip(eps, streams):
+            stream.rng.standard_normal(out=row)
+        # The roundings of Generator.normal(0.0, eta_sd): loc + scale * z.
+        eps *= eta_sd
+        eps += 0.0
+    if noise.ar1_phi > 0.0:
+        prev = np.array([stream.last for stream in streams])
+        step = np.empty(len(streams))
+        for column in eps.T:
+            np.multiply(prev, noise.ar1_phi, out=step)
+            np.add(column, step, out=column)
+            prev = column
+    for row, stream in zip(eps, streams):
+        lo, hi = stream.fill, stream.fill + n_new
+        segment = stream.values[lo:hi]
+        np.add(stream.level, drift[lo:hi], out=segment)
+        segment += row
+        stream.fill, stream.last = hi, float(row[-1])
 
 
 def du_dl_series(
@@ -186,21 +264,11 @@ def du_dl_series(
         raise ContractError("n_samples must be >= 1")
     if not dt_ps > 0.0:
         raise ContractError("dt_ps must be > 0")
-    if not 0.0 <= lam <= 1.0:
-        raise ContractError(f"lambda {lam} outside [0, 1]")
-    if seed < 0 or replica_index < 0:
-        raise ContractError("seed and replica_index must be >= 0")
-    rng = np.random.default_rng(_stream_seed(seed, lam, replica_index))
-    eta_sd = noise.sigma * math.sqrt(1.0 - noise.ar1_phi ** 2)
-    eta = rng.normal(0.0, eta_sd, size=n_samples) if eta_sd > 0.0 else np.zeros(n_samples)
-    if noise.ar1_phi > 0.0:
-        eps = lfilter([1.0], [1.0, -noise.ar1_phi], eta)
-    else:
-        eps = eta
-    t = np.arange(n_samples)
-    drift = noise.drift_amplitude * np.exp(-t * dt_ps / noise.drift_timescale_ps)
-    values = curve.evaluate(lam) + drift + eps
-    return DuDlSeries(lam=canonical_lambda(lam), replica_index=replica_index, dt_ps=dt_ps, values=values)
+    stream = open_stream(curve, lam, n_samples, seed, replica_index)
+    grow_streams(noise, [stream], n_samples, drift_curve(noise, n_samples, dt_ps))
+    return DuDlSeries(
+        lam=canonical_lambda(lam), replica_index=replica_index, dt_ps=dt_ps, values=stream.values
+    )
 
 
 def analytic_integral(curve: GroundTruthCurve) -> float:

@@ -124,6 +124,20 @@ def test_run_without_systems_is_a_config_error(tmp_path):
     assert "config.systems" in result.stderr
 
 
+@pytest.mark.parametrize("field", ["sigma", "ar1_phi", "drift_amplitude", "drift_timescale_ps"])
+def test_non_finite_noise_is_a_config_error(tmp_path, field):
+    # json writes and reads NaN; without the check a NaN sigma ran silently
+    # with zero noise and exited 0.
+    cfg_path = write_config(tmp_path, systems=(NOISY,))
+    obj = json.loads(cfg_path.read_text())
+    obj["systems"][0]["noise"][field] = float("nan")
+    cfg_path.write_text(json.dumps(obj))
+    result = invoke("run", "--config", cfg_path)
+    assert result.exit_code == 2
+    assert f"config.systems[0].noise: noise.{field} must be finite" in result.stderr
+    assert not (tmp_path / "out" / "noisy-pair_nonadaptive.json").exists()
+
+
 def test_walltime_exhaustion_maps_to_exit_3(tmp_path):
     cfg_path = write_config(tmp_path, pilot=PilotConfig(total_cores=2_080, walltime_s=1.0))
     result = invoke("run", "--config", cfg_path)

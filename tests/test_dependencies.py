@@ -1,0 +1,67 @@
+"""The declared runtime dependencies are exactly what the package imports."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fecampaign"
+
+
+def declared_dependencies() -> set[str]:
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    return {
+        re.match(r"[A-Za-z0-9._-]+", spec).group(0).lower().replace("-", "_")
+        for spec in project["dependencies"]
+    }
+
+
+def third_party_imports() -> dict[str, str]:
+    """Top-level third-party module -> first package file that imports it."""
+    found: dict[str, str] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top != "fecampaign":
+                    found.setdefault(top, path.name)
+    return found
+
+
+def test_every_third_party_import_is_declared():
+    undeclared = {
+        name: where for name, where in third_party_imports().items()
+        if name not in declared_dependencies()
+    }
+    assert not undeclared, f"imported but not in pyproject.toml dependencies: {undeclared}"
+
+
+def test_every_declared_dependency_is_imported():
+    unused = declared_dependencies() - set(third_party_imports())
+    assert not unused, f"declared in pyproject.toml but never imported: {sorted(unused)}"
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    probe = (
+        "import sys, fecampaign.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

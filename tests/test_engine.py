@@ -6,6 +6,7 @@ from fecampaign.engine import (
     DurationModel,
     OverheadModel,
     PilotConfig,
+    PipelineRun,
     StagePlan,
     TaskOutcome,
     generation_count,
@@ -246,6 +247,37 @@ def test_evaluator_append_inserts_and_runs_stage():
     assert summary.completed_stages == ("S1", "S1b", "S2")
     assert 0.5 in summary.windows
     assert "two/S1b/l0.500/r0" in outcome.timeline.task_records
+
+
+class _ScriptedEvaluator:
+    """Returns its plans in order, one per completed stage, then proceeds."""
+
+    def __init__(self, *plans):
+        self.plans = list(plans)
+
+    def on_stage_complete(self, pipeline, stage):
+        return self.plans.pop(0) if self.plans else StagePlan.proceed()
+
+
+def test_pipeline_window_set_tracks_inserted_stages():
+    (pipeline,) = compile_protocol(two_stage_spec()).pipelines
+    run = PipelineRun(id=pipeline.id, spec=pipeline.spec, stages=list(pipeline.stages))
+    assert run.windows == (0.0, 1.0)
+    run.insert_stage(1, simulation_stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.25]))
+    assert [s.label for s in run.stages] == ["S1", "S1b", "S2"]
+    assert run.windows == (0.0, 0.25, 1.0)
+
+
+def test_production_accepted_at_window_added_by_earlier_plan():
+    # The second plan's production lambda is known only through the stage
+    # the first plan inserted.
+    equil = simulation_stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
+    prod = simulation_stage("two", "S1c", StageKind.PRODUCTION, 1_000, 2, [0.5])
+    ev = _ScriptedEvaluator(StagePlan.append([equil]), StagePlan.append([prod]))
+    outcome = run_campaign(compile_protocol(two_stage_spec()), quiet_pilot(4_160), evaluator=ev)
+    summary = outcome.results["two"]
+    assert summary.completed_stages == ("S1", "S1b", "S1c", "S2")
+    assert summary.windows == (0.0, 0.5, 1.0)
 
 
 def test_plan_rejected_for_unseen_production_lambda():

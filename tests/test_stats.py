@@ -12,9 +12,11 @@ from fecampaign.stats import (
     bootstrap_delta_g_stderr,
     checkpoint_estimate,
     convergence_check,
+    estimate_delta_g,
     replica_means,
     window_estimate,
 )
+from fecampaign.quadrature import integrate_with_error
 
 
 def series(values, lam=0.5, replica=0, dt_ps=1.0):
@@ -32,6 +34,15 @@ def test_truncation_keeps_prefix():
     assert len(t.values) == 1500
     assert t.values[-1] == 1499.0
     assert t.lam == s.lam and t.dt_ps == s.dt_ps
+
+
+def test_truncation_is_a_read_only_view():
+    s = series(np.arange(4000.0))
+    t = s.truncated_to(1.5)
+    assert np.shares_memory(t.values, s.values)
+    with pytest.raises(ValueError):
+        t.values[0] = -1.0
+    assert s.values.flags.writeable
 
 
 def test_truncation_rejects_overrun_and_nonpositive():
@@ -152,3 +163,18 @@ def test_history_rejects_non_increasing_times():
         h.append(0.5, 3.0)
     h.append(1.5, 3.0)
     assert h.values == [1.0, 2.0, 3.0]
+
+
+def test_estimate_delta_g_matches_the_separate_steps_bit_for_bit():
+    rng = np.random.default_rng(4)
+    by_lam = {
+        lam: [series(rng.normal(lam * 3.0, 1.0, 200), lam=lam, replica=r) for r in range(4)]
+        for lam in (0.0, 0.25, 0.5, 1.0)
+    }
+    points = [window_estimate(by_lam[lam], 0.2) for lam in sorted(by_lam)]
+    means = {lam: replica_means(s, 0.2) for lam, s in by_lam.items()}
+    boot = bootstrap_delta_g_stderr(means, 300, seed=9)
+    expected = integrate_with_error(points, bootstrap_stderr=boot)
+    # Window order in the mapping does not matter.
+    shuffled = {lam: by_lam[lam] for lam in (0.5, 1.0, 0.0, 0.25)}
+    assert estimate_delta_g(shuffled, 0.2, 300, seed=9) == expected

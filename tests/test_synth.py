@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
 
+from fecampaign.adaptive import SyntheticSampler
 from fecampaign.errors import ContractError, ValidationError
 from fecampaign.synth import (
     CurvePreset,
     GroundTruthCurve,
     NoiseModel,
     analytic_integral,
+    drift_curve,
     du_dl_series,
+    grow_streams,
     named_system,
     named_systems,
+    open_stream,
 )
 
 
@@ -22,7 +25,7 @@ def closed_form(curve):
     c, w, a, b = curve.center, curve.width, curve.amplitude, curve.baseline_slope
     if curve.preset is CurvePreset.GAUSS_BUMP:
         bump = a * w * math.sqrt(math.pi / 2.0) * (
-            erf((1.0 - c) / (w * math.sqrt(2.0))) + erf(c / (w * math.sqrt(2.0)))
+            math.erf((1.0 - c) / (w * math.sqrt(2.0))) + math.erf(c / (w * math.sqrt(2.0)))
         )
     else:
         bump = a * w * (math.atan((1.0 - c) / w) + math.atan(c / w))
@@ -69,6 +72,13 @@ def test_noise_model_validation():
         NoiseModel(drift_timescale_ps=0.0)
 
 
+@pytest.mark.parametrize("field", ["sigma", "ar1_phi", "drift_amplitude", "drift_timescale_ps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_noise_model_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValidationError, match=f"noise.{field} must be finite"):
+        NoiseModel(**{field: value})
+
+
 def test_series_is_deterministic_per_stream():
     system = named_system("TYK2 L7-L8")
     a = du_dl_series(system.curve, system.noise, 0.25, 500, seed=9, replica_index=2)
@@ -94,6 +104,73 @@ def test_series_matches_independent_recurrence():
     assert float(s.values[400:].mean()) == pytest.approx(-7.430984881491, abs=1e-9)
     s2 = du_dl_series(system.curve, system.noise, 0.25, 4000, 1.0, seed=7, replica_index=3)
     assert float(s2.values[400:].mean()) == pytest.approx(-3.722947661995, abs=1e-9)
+
+
+def oracle_series(system, lam, n, seed, replica, dt_ps=1.0):
+    """One series rebuilt with an explicit per-sample AR(1) loop.
+
+    Independent of the package generator: one ``Generator.normal`` call for
+    the whole innovation sequence and plain float arithmetic for the
+    recurrence.
+    """
+    noise = system.noise
+    lam_milli = int(round(round(lam, 3) * 1000))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, lam_milli, replica]))
+    eta = rng.normal(0.0, noise.sigma * math.sqrt(1.0 - noise.ar1_phi ** 2), size=n)
+    eps = np.empty(n)
+    prev = 0.0
+    for i in range(n):
+        prev = float(eta[i]) + noise.ar1_phi * prev
+        eps[i] = prev
+    drift = noise.drift_amplitude * np.exp(-np.arange(n) * dt_ps / noise.drift_timescale_ps)
+    return system.curve.evaluate(lam) + drift + eps
+
+
+@pytest.mark.parametrize("label", sorted(named_systems()))
+def test_series_bit_identical_to_explicit_loop(label):
+    system = named_system(label)
+    for lam, replica, n, dt_ps in ((0.0, 0, 1500, 1.0), (0.5, 3, 2000, 2.0), (0.938, 1, 700, 1.0)):
+        expected = oracle_series(system, lam, n, 31, replica, dt_ps).tobytes()
+        one_shot = du_dl_series(system.curve, system.noise, lam, n, dt_ps, 31, replica)
+        assert one_shot.values.tobytes() == expected
+
+
+@pytest.mark.parametrize("label", sorted(named_systems()))
+def test_batched_sampler_bit_identical_to_explicit_loop(label):
+    # Windows of different lengths grow in separate batches; every window
+    # grows from a partial fill in the second request.
+    system = named_system(label)
+    sampler = SyntheticSampler(system, seed=17, dt_ps=1.0, horizon_samples=1200)
+    sampler.window_series({0.0: 300, 0.25: 700, 0.5: 300}, replicas=3)
+    grown = sampler.window_series({0.0: 1200, 0.25: 900, 0.5: 1000}, replicas=3)
+    for lam, series in grown.items():
+        for replica, s in enumerate(series):
+            expected = oracle_series(system, lam, len(s.values), 17, replica)
+            assert s.values.tobytes() == expected.tobytes()
+
+
+def test_chunked_growth_equals_one_shot_series():
+    system = named_system("TYK2 L4-L9")
+    one_shot = du_dl_series(system.curve, system.noise, 0.25, 400, seed=3, replica_index=1)
+    stream = open_stream(system.curve, 0.25, 400, seed=3, replica_index=1)
+    drift = drift_curve(system.noise, 400, 1.0)
+    grow_streams(system.noise, [stream], 100, drift)
+    grow_streams(system.noise, [stream], 300, drift)
+    assert stream.values.tobytes() == one_shot.values.tobytes()
+    sampler = SyntheticSampler(system, seed=3, dt_ps=1.0, horizon_samples=400)
+    short = sampler.series(0.25, 1, 100)
+    assert sampler.series(0.25, 1, 400).values.tobytes() == one_shot.values.tobytes()
+    assert short.values.tobytes() == one_shot.values[:100].tobytes()
+
+
+def test_sampler_series_are_read_only_views():
+    system = named_system("TYK2 L7-L8")
+    sampler = SyntheticSampler(system, seed=3, dt_ps=1.0, horizon_samples=400)
+    short = sampler.series(0.5, 0, 100)
+    full = sampler.series(0.5, 0, 400)
+    assert np.shares_memory(short.values, full.values)
+    with pytest.raises(ValueError):
+        short.values[0] = 0.0
 
 
 def test_zero_noise_series_is_pure_ground_truth():
