@@ -47,7 +47,6 @@ from .protocols import (
     StageKind,
     StageSpec,
     Task,
-    TaskState,
     WorkflowGraph,
     compile_protocol,
     default_timestep_schedule,
@@ -67,7 +66,6 @@ from .engine import (
     generation_count,
     measure_overheads,
     run_campaign,
-    run_local,
     slots,
     write_overhead_csv,
     write_timeline_csv,

@@ -3,7 +3,8 @@
 Subcommands: ``run``, ``sweep``, ``compare``, ``validate``, ``term-report``.
 Every table goes to standard output as aligned text and to ``--out`` as a
 CSV.  Exit codes: 0 on success, 2 for configuration problems, 3 for
-campaign failures; nothing else.
+campaign failures (``run`` still writes the partial timeline of the
+failed system); nothing else.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,6 +49,7 @@ def _guarded(fn):
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
         except Exception as exc:  # anything unplanned is a runtime failure
+            traceback.print_exc()
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
 
@@ -107,9 +110,15 @@ def run(config_path, seed, out, mode):
     opts = _options(cfg)
     overhead_rows = []
     for system in cfg.systems:
-        res = run_system(system, campaign_mode, opts)
         slug = _slug(system.label)
         tag = campaign_mode.value.lower()
+        timeline_path = out_dir / f"{slug}_{tag}_timeline.csv"
+        try:
+            res = run_system(system, campaign_mode, opts)
+        except CampaignError as exc:
+            if exc.timeline is not None:
+                write_timeline_csv(exc.timeline, timeline_path)
+            raise
         result = {
             "system": system.label,
             "mode": campaign_mode.value,
@@ -124,7 +133,7 @@ def run(config_path, seed, out, mode):
         (out_dir / f"{slug}_{tag}.json").write_text(
             json.dumps(result, indent=2) + "\n", encoding="utf-8"
         )
-        write_timeline_csv(res.outcome.timeline, out_dir / f"{slug}_{tag}_timeline.csv")
+        write_timeline_csv(res.outcome.timeline, timeline_path)
         row = overhead_row(f"{slug}-{tag}", 1, cfg.pilot.total_cores, res.outcome.overheads)
         row["system"] = system.label
         row["mode"] = campaign_mode.value

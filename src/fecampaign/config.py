@@ -16,15 +16,7 @@ from typing import Any
 from .campaign import CampaignMode, SweepRung
 from .engine import PilotConfig
 from .errors import ValidationError
-from .protocols import (
-    AdaptiveConfig,
-    LambdaSchedule,
-    ProtocolKind,
-    ProtocolSpec,
-    ScheduleMode,
-    StageKind,
-    StageSpec,
-)
+from .protocols import AdaptiveConfig, LambdaSchedule, ProtocolKind, ScheduleMode
 from .synth import CurvePreset, GroundTruthCurve, NoiseModel, SyntheticSystem
 
 _CURVE_FIELDS = {
@@ -61,7 +53,6 @@ class CampaignConfig:
     pilot: PilotConfig = field(default_factory=lambda: PilotConfig(total_cores=2080))
     adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
     systems: tuple[SyntheticSystem, ...] = ()
-    protocols: tuple[ProtocolSpec, ...] = ()
     sweep: SweepPlan | None = None
     replicas_per_window: int = 5
     sample_interval_ps: float = 1.0
@@ -70,8 +61,9 @@ class CampaignConfig:
     schedule_mode: ScheduleMode = ScheduleMode.PRODUCTION
 
     def __post_init__(self):
-        if self.replicas_per_window < 1:
-            raise ValidationError("replicas_per_window must be >= 1")
+        if self.replicas_per_window < 2:
+            # a window's standard error is the spread of its replica means
+            raise ValidationError("replicas_per_window must be >= 2")
         if not self.sample_interval_ps > 0.0:
             raise ValidationError("sample_interval_ps must be > 0")
         if not 0.0 <= self.discard_fraction < 1.0:
@@ -84,6 +76,11 @@ class CampaignConfig:
             if s.label == label:
                 return s
         raise ValidationError(f"no system labelled {label!r} in config")
+
+
+#: Accepted JSON value types of integer fields, keyed by annotation.  JSON
+#: booleans are Python ``bool``, a subclass of ``int``, hence the exact types.
+_INTEGER_TYPES = {"int": (int,), "int | None": (int, type(None))}
 
 
 def _require(obj: dict, key: str, path: str) -> Any:
@@ -100,6 +97,10 @@ def _dataclass_from(cls, obj: Any, path: str, casts: dict | None = None):
     unknown = set(obj) - fields
     if unknown:
         raise ValidationError(f"{path}: unknown keys {sorted(unknown)}")
+    for f in cls.__dataclass_fields__.values():  # type: ignore[attr-defined]
+        allowed = _INTEGER_TYPES.get(f.type)
+        if allowed and f.name in obj and type(obj[f.name]) not in allowed:
+            raise ValidationError(f"{path}.{f.name} must be an integer, got {obj[f.name]!r}")
     kwargs = dict(obj)
     for key, cast in (casts or {}).items():
         if key in kwargs:
@@ -184,67 +185,14 @@ def adaptive_to_dict(adaptive: AdaptiveConfig) -> dict:
     }
 
 
-def _schedule_cast(path: str, key: str):
-    def cast(v):
+def adaptive_from_dict(obj: dict, path: str = "adaptive") -> AdaptiveConfig:
+    def schedule(v):
         try:
             return LambdaSchedule(tuple(v))
         except ValidationError as exc:
-            raise ValidationError(f"{path}.{key}: {exc}") from None
+            raise ValidationError(f"{path}.initial_lambdas: {exc}") from None
 
-    return cast
-
-
-def adaptive_from_dict(obj: dict, path: str = "adaptive") -> AdaptiveConfig:
-    return _dataclass_from(
-        AdaptiveConfig, obj, path,
-        casts={"initial_lambdas": _schedule_cast(path, "initial_lambdas")},
-    )
-
-
-def stage_to_dict(stage: StageSpec) -> dict:
-    out: dict[str, Any] = {"label": stage.label, "kind": stage.kind.value}
-    if stage.timesteps:
-        out["timesteps"] = stage.timesteps
-    if stage.task_width is not None:
-        out["task_width"] = stage.task_width
-    return out
-
-
-def stage_from_dict(obj: dict, path: str) -> StageSpec:
-    return _dataclass_from(StageSpec, obj, path, casts={"kind": StageKind})
-
-
-def protocol_to_dict(spec: ProtocolSpec) -> dict:
-    out: dict[str, Any] = {
-        "name": spec.name,
-        "kind": spec.kind.value,
-        "physical_system": spec.physical_system,
-        "sim_stages": [stage_to_dict(s) for s in spec.sim_stages],
-        "analysis_stages": [stage_to_dict(s) for s in spec.analysis_stages],
-        "replicas_per_member": spec.replicas_per_member,
-    }
-    if spec.lambda_schedule is not None:
-        out["lambda_schedule"] = list(spec.lambda_schedule.lambdas)
-    if spec.adaptive is not None:
-        out["adaptive"] = adaptive_to_dict(spec.adaptive)
-    return out
-
-
-def protocol_from_dict(obj: dict, path: str = "protocol") -> ProtocolSpec:
-    return _dataclass_from(
-        ProtocolSpec, obj, path,
-        casts={
-            "kind": ProtocolKind,
-            "sim_stages": lambda v: tuple(
-                stage_from_dict(s, f"{path}.sim_stages[{i}]") for i, s in enumerate(v)
-            ),
-            "analysis_stages": lambda v: tuple(
-                stage_from_dict(s, f"{path}.analysis_stages[{i}]") for i, s in enumerate(v)
-            ),
-            "lambda_schedule": _schedule_cast(path, "lambda_schedule"),
-            "adaptive": lambda v: adaptive_from_dict(v, f"{path}.adaptive"),
-        },
-    )
+    return _dataclass_from(AdaptiveConfig, obj, path, casts={"initial_lambdas": schedule})
 
 
 def sweep_to_dict(plan: SweepPlan) -> dict:
@@ -292,8 +240,6 @@ def config_to_dict(cfg: CampaignConfig) -> dict:
         "reproducibility_threshold": cfg.reproducibility_threshold,
         "schedule_mode": cfg.schedule_mode.value,
     }
-    if cfg.protocols:
-        out["protocols"] = [protocol_to_dict(p) for p in cfg.protocols]
     if cfg.sweep is not None:
         out["sweep"] = sweep_to_dict(cfg.sweep)
     return out
@@ -308,9 +254,6 @@ def config_from_dict(obj: dict, path: str = "config") -> CampaignConfig:
             "adaptive": lambda v: adaptive_from_dict(v, f"{path}.adaptive"),
             "systems": lambda v: tuple(
                 system_from_dict(s, f"{path}.systems[{i}]") for i, s in enumerate(v)
-            ),
-            "protocols": lambda v: tuple(
-                protocol_from_dict(p, f"{path}.protocols[{i}]") for i, p in enumerate(v)
             ),
             "sweep": lambda v: sweep_from_dict(v, f"{path}.sweep"),
             "schedule_mode": ScheduleMode,

@@ -22,18 +22,21 @@ reports:
 
 Total time to completion is the exact sum of the four categories, and
 equals the virtual clock at the final event.
+
+The engine stores one :class:`TaskRecord` per task, one
+:class:`GenerationSummary` per wave and the few stage marks; nothing else
+is kept per task.  The event log (``CampaignTimeline.events``) is derived
+from them when something reads it, such as :func:`write_timeline_csv`.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import subprocess
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -87,6 +90,13 @@ class OverheadModel:
     framework_per_protocol: float = 0.15
     framework_quadratic: float = 0.015
     runtime_per_task: float = 0.012
+
+    def __post_init__(self):
+        # The event log is derived on the premise that the clock never runs
+        # backwards.
+        coefficients = (self.framework_per_protocol, self.framework_quadratic, self.runtime_per_task)
+        if not all(c >= 0.0 for c in coefficients):
+            raise ValidationError("overhead coefficients must be >= 0")
 
     def framework_seconds(self, n_protocols: int) -> float:
         return self.framework_per_protocol * n_protocols + self.framework_quadratic * n_protocols ** 2
@@ -162,7 +172,7 @@ class TaskOutcome(str, Enum):
     FAILED_THEN_RETRIED = "FAILED_THEN_RETRIED"
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRecord:
     """Execution record of one task across its (at most two) attempts."""
 
@@ -175,8 +185,7 @@ class TaskRecord:
     outcome: TaskOutcome = TaskOutcome.DONE
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
+class TimelineEvent(NamedTuple):
     time_s: float
     event: str
     task_id: str
@@ -187,23 +196,102 @@ class TimelineEvent:
 
 @dataclass(frozen=True)
 class GenerationSummary:
+    """One wave: its tasks in launch order, submitted together at one clock."""
+
     index: int
-    width: int
-    n_failed: int
+    submit_time_s: float
+    tasks: tuple[TaskRecord, ...]
+    #: positions in ``tasks`` of the tasks that failed at launch
+    failed: tuple[int, ...]
     is_retry: bool
-    exec_window_s: float
+    exec_window_s: float = 0.0
+
+    @property
+    def width(self) -> int:
+        return len(self.tasks)
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failed)
+
+    def started(self) -> list[TaskRecord]:
+        """The wave's tasks that did not fail at launch, in launch order."""
+        failed = set(self.failed)
+        return [rec for i, rec in enumerate(self.tasks) if i not in failed]
+
+
+def _task_event(time_s: float, event: str, task: Task, generation: int) -> TimelineEvent:
+    return TimelineEvent(time_s, event, task.id, task.protocol_id, task.stage_label, generation)
+
+
+def _launch_events(gen: GenerationSummary) -> Iterator[TimelineEvent]:
+    for rec in gen.tasks:
+        yield _task_event(gen.submit_time_s, "task_submit", rec.task, gen.index)
+    for i in gen.failed:
+        yield _task_event(gen.submit_time_s, "task_fail", gen.tasks[i].task, gen.index)
+
+
+def _run_events(gen: GenerationSummary) -> Iterator[TimelineEvent]:
+    started = gen.started()
+    for rec in started:
+        yield _task_event(gen.submit_time_s, "task_start", rec.task, gen.index)
+    # Sort by the stored end time, not by duration: two durations can round
+    # to the same ``start + duration``, and ties keep launch order.
+    for rec in sorted(started, key=attrgetter("end_time_s")):
+        yield _task_event(rec.end_time_s, "task_end", rec.task, gen.index)
+
+
+class TimelineEvents:
+    """Read-only view of a timeline's event log, rendered on iteration.
+
+    The virtual clock never decreases, and within a wave the events go
+    submits, launch failures, starts, ends, then the stage marks of the
+    barrier that follows.  Rendering the waves in order therefore yields
+    the events sorted by time, ties in the order they happened.
+    """
+
+    def __init__(self, timeline: "CampaignTimeline"):
+        self._timeline = timeline
+
+    def __len__(self) -> int:
+        tl = self._timeline
+        aborted = tl.aborted_wave
+        never_started = aborted.width - aborted.n_failed if aborted is not None else 0
+        started = tl.n_attempts - tl.n_retries - never_started
+        return 2 + tl.n_attempts + tl.n_retries + 2 * started + len(tl.marks) + tl.complete
+
+    def __iter__(self) -> Iterator[TimelineEvent]:
+        tl = self._timeline
+        yield TimelineEvent(0.0, "campaign_start", "", "", "", -1)
+        yield TimelineEvent(tl.framework_s, "framework_ready", "", "", "", -1)
+        marks = iter(tl.marks)
+        mark = next(marks, None)
+        for gen in tl.generations:
+            yield from _launch_events(gen)
+            yield from _run_events(gen)
+            while mark is not None and mark.generation == gen.index:
+                yield mark
+                mark = next(marks, None)
+        if tl.aborted_wave is not None:
+            yield from _launch_events(tl.aborted_wave)
+        if tl.complete:
+            yield TimelineEvent(tl.end_time_s, "campaign_end", "", "", "", -1)
 
 
 @dataclass
 class CampaignTimeline:
-    """Ordered event log plus the aggregates the accounting needs."""
+    """Task records, wave summaries and stage marks of one campaign, plus
+    the aggregates the accounting needs; ``events`` derives the event log."""
 
     pilot: PilotConfig
     overhead_model: OverheadModel
     n_protocols: int
-    events: list[TimelineEvent] = field(default_factory=list)
     task_records: dict[str, TaskRecord] = field(default_factory=dict)
     generations: list[GenerationSummary] = field(default_factory=list)
+    #: ``stage_complete`` and ``pipeline_terminated`` events, in order
+    marks: list[TimelineEvent] = field(default_factory=list)
+    #: the wave an abort interrupted after its launch, never started
+    aborted_wave: GenerationSummary | None = None
     end_time_s: float = 0.0
     complete: bool = False
     # accounting accumulators (seconds)
@@ -214,6 +302,10 @@ class CampaignTimeline:
     n_attempts: int = 0
     n_retries: int = 0
     sum_task_seconds: float = 0.0
+
+    @property
+    def events(self) -> TimelineEvents:
+        return TimelineEvents(self)
 
     def peak_concurrency(self) -> int:
         """Maximum number of simultaneously running tasks in the log."""
@@ -264,13 +356,6 @@ def measure_overheads(timeline: CampaignTimeline) -> OverheadBreakdown:
         runtime_overhead_s=timeline.runtime_s,
         launch_overhead_s=timeline.launch_s,
     )
-
-
-@dataclass
-class _RunTask:
-    task: Task
-    record: TaskRecord
-    is_retry: bool = False
 
 
 def _windows_of(stages: Iterable[Stage]) -> set[float]:
@@ -392,58 +477,55 @@ def run_campaign(
                     )
 
     timeline = CampaignTimeline(pilot=pilot, overhead_model=overheads, n_protocols=n_protocols)
-    events = timeline.events
     clock = 0.0
-    generation = 0
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFA17]))
 
     pipelines = [
         PipelineRun(id=p.id, spec=p.spec, stages=list(p.stages)) for p in workflows.pipelines
     ]
-    pending: dict[str, list[_RunTask]] = {}  # pipeline id -> not yet launched tasks of its current stage
-    remaining: dict[str, int] = {}  # pipeline id -> unfinished tasks of its current stage
+    # pipeline id -> not yet launched tasks of its current stage
+    pending: dict[str, list[TaskRecord]] = {pl.id: [] for pl in pipelines}
+    # pipeline id -> unfinished tasks of its current stage, including those
+    # waiting for a retry
+    remaining: dict[str, int] = {}
 
-    def fail(message: str) -> CampaignError:
+    def fail(message: str, aborted_wave: GenerationSummary | None = None) -> CampaignError:
         timeline.end_time_s = clock
-        events.sort(key=lambda e: e.time_s)  # stable: ties keep insertion order
+        timeline.aborted_wave = aborted_wave
         return CampaignError(message, timeline=timeline)
 
     def enter_stage(pl: PipelineRun) -> None:
         stage = pl.current_stage()
         if stage is None:
             return
-        runs = []
+        queue = pending[pl.id]
         for t in stage.tasks:
             rec = TaskRecord(task=t)
             timeline.task_records[t.id] = rec
-            runs.append(_RunTask(task=t, record=rec))
-        pending[pl.id] = runs
-        remaining[pl.id] = len(runs)
+            queue.append(rec)
+        remaining[pl.id] = len(stage.tasks)
 
-    events.append(TimelineEvent(0.0, "campaign_start", "", "", "", -1))
     # Framework overhead (compilation plus evaluator bookkeeping) is charged
     # up front from the protocol count.
     timeline.framework_s = overheads.framework_seconds(n_protocols)
     clock += timeline.framework_s
-    events.append(TimelineEvent(clock, "framework_ready", "", "", "", -1))
 
     for pl in pipelines:
         enter_stage(pl)
 
-    retry_queue: list[_RunTask] = []
+    retry_queue: list[TaskRecord] = []
 
     while True:
-        if retry_queue:
-            wave = list(retry_queue)
-            retry_queue = []
-            is_retry_wave = True
+        is_retry_wave = bool(retry_queue)
+        if is_retry_wave:
+            wave, retry_queue = retry_queue, []
         else:
             wave = []
             for pl in pipelines:
-                queue = pending.get(pl.id, [])
-                while queue and len(wave) < capacity:
-                    wave.append(queue.pop(0))
-            is_retry_wave = False
+                queue = pending[pl.id]
+                take = capacity - len(wave)
+                wave += queue[:take]
+                del queue[:take]
         if not wave:
             break
 
@@ -461,55 +543,38 @@ def run_campaign(
         clock += launch
         timeline.n_attempts += width
 
-        for rt in wave:
-            rt.record.attempts += 1
-            if math.isnan(rt.record.submit_time_s):
-                rt.record.submit_time_s = clock
-            events.append(
-                TimelineEvent(clock, "task_submit", rt.task.id, rt.task.protocol_id,
-                              rt.task.stage_label, generation)
-            )
+        for rec in wave:
+            rec.attempts += 1
+            if not is_retry_wave:
+                rec.submit_time_s = clock
 
         # Launch failures: only generations wider than the launcher cap are
         # at risk, and then every task in the generation rolls the dice.
+        failed: tuple[int, ...] = ()
         if width > pilot.concurrency_cap and pilot.failure_probability_over_cap > 0.0:
-            failed_mask = rng.random(width) < pilot.failure_probability_over_cap
-        else:
-            failed_mask = np.zeros(width, dtype=bool)
+            failed = tuple(np.flatnonzero(rng.random(width) < pilot.failure_probability_over_cap).tolist())
+        gen = GenerationSummary(len(timeline.generations), clock, tuple(wave), failed, is_retry_wave)
+        if failed and is_retry_wave:
+            # The first repeated failure aborts before any failure is logged.
+            raise fail(
+                f"task {wave[failed[0]].task.id} failed twice; campaign aborted",
+                replace(gen, failed=()),
+            )
+        for i in failed:
+            wave[i].outcome = TaskOutcome.FAILED_THEN_RETRIED
+            retry_queue.append(wave[i])
+        timeline.n_retries += len(failed)
 
-        running: list[_RunTask] = []
-        for rt, failed in zip(wave, failed_mask):
-            if failed:
-                if rt.is_retry:
-                    raise fail(f"task {rt.task.id} failed twice; campaign aborted")
-                events.append(
-                    TimelineEvent(clock, "task_fail", rt.task.id, rt.task.protocol_id,
-                                  rt.task.stage_label, generation)
-                )
-                rt.record.outcome = TaskOutcome.FAILED_THEN_RETRIED
-                timeline.n_retries += 1
-                retry_queue.append(_RunTask(task=rt.task, record=rt.record, is_retry=True))
-            else:
-                running.append(rt)
-
-        window = max((durations(rt.task) for rt in running), default=0.0)
-        if window < 0.0 or not math.isfinite(window):
-            raise fail("duration model returned a negative or non-finite duration")
-        for rt in running:
-            d = durations(rt.task)
-            rt.record.start_time_s = clock
-            rt.record.end_time_s = clock + d
-            rt.record.duration_s = d
+        running = gen.started()
+        run_times = [durations(rec.task) for rec in running]
+        if not all(0.0 <= d < math.inf for d in run_times):
+            raise fail("duration model returned a negative or non-finite duration", gen)
+        window = max(run_times, default=0.0)
+        for rec, d in zip(running, run_times):
+            rec.start_time_s = clock
+            rec.end_time_s = clock + d
+            rec.duration_s = d
             timeline.sum_task_seconds += d
-            events.append(
-                TimelineEvent(clock, "task_start", rt.task.id, rt.task.protocol_id,
-                              rt.task.stage_label, generation)
-            )
-        for rt in running:
-            events.append(
-                TimelineEvent(rt.record.end_time_s, "task_end", rt.task.id, rt.task.protocol_id,
-                              rt.task.stage_label, generation)
-            )
         # The execution window of a retry generation is relaunch cost, not
         # task-execution time.
         if is_retry_wave:
@@ -517,13 +582,7 @@ def run_campaign(
         else:
             timeline.primary_exec_s += window
         clock += window
-        timeline.generations.append(
-            GenerationSummary(
-                index=generation, width=width, n_failed=int(failed_mask.sum()),
-                is_retry=is_retry_wave, exec_window_s=window,
-            )
-        )
-        generation += 1
+        timeline.generations.append(replace(gen, exec_window_s=window))
 
         if clock > pilot.walltime_s:
             raise fail(
@@ -531,16 +590,13 @@ def run_campaign(
             )
 
         # Stage barriers: advance pipelines whose current stage fully finished.
-        completed = [rt for rt in running]
-        for rt in completed:
-            remaining[rt.task.protocol_id] -= 1
+        for rec in running:
+            remaining[rec.task.protocol_id] -= 1
         for pl in pipelines:
-            if pl.done or remaining.get(pl.id, 0) != 0 or pending.get(pl.id):
-                continue
-            if retry_queue and any(rt.task.protocol_id == pl.id for rt in retry_queue):
+            if pl.done or remaining[pl.id]:
                 continue
             stage = pl.stages[pl.cursor]
-            events.append(TimelineEvent(clock, "stage_complete", "", pl.id, stage.label, generation - 1))
+            timeline.marks.append(TimelineEvent(clock, "stage_complete", "", pl.id, stage.label, gen.index))
             plan = StagePlan.proceed()
             if evaluator is not None:
                 plan = evaluator.on_stage_complete(pl, stage)
@@ -555,15 +611,15 @@ def run_campaign(
                             )
             elif plan.kind is PlanKind.TERMINATE:
                 pl.terminated_reason = plan.reason or "terminated by evaluator"
-                events.append(TimelineEvent(clock, "pipeline_terminated", "", pl.id, stage.label, generation - 1))
+                timeline.marks.append(
+                    TimelineEvent(clock, "pipeline_terminated", "", pl.id, stage.label, gen.index)
+                )
             pl.cursor += 1
             if not pl.done:
                 enter_stage(pl)
 
     timeline.end_time_s = clock
     timeline.complete = True
-    events.append(TimelineEvent(clock, "campaign_end", "", "", "", -1))
-    events.sort(key=lambda e: e.time_s)  # stable: ties keep insertion order
 
     results = {
         pl.id: PipelineSummary(
@@ -615,60 +671,3 @@ def write_overhead_csv(rows: Iterable[Mapping[str, str]], path, extra_columns: S
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-
-
-@dataclass
-class LocalTaskResult:
-    task_id: str
-    returncode: int
-    attempts: int
-    start_time_s: float
-    end_time_s: float
-
-
-def run_local(
-    workflows: WorkflowGraph,
-    pilot: PilotConfig,
-    command_for: Callable[[Task], Sequence[str]],
-) -> dict[str, LocalTaskResult]:
-    """Run real task commands behind the same generation scheduling.
-
-    Tasks of each wave run concurrently (up to the slot bound) as
-    subprocesses; a non-zero exit is retried exactly once.  Timestamps are
-    wall clock, relative to the call.  Intended for small genuine
-    workloads, not for the simulated experiments.
-    """
-    capacity = slots(pilot)
-    t0 = time.monotonic()
-    results: dict[str, LocalTaskResult] = {}
-
-    def execute(task: Task) -> LocalTaskResult:
-        attempts = 0
-        start = time.monotonic() - t0
-        while True:
-            attempts += 1
-            proc = subprocess.run(command_for(task), capture_output=True)
-            if proc.returncode == 0 or attempts >= 2:
-                break
-        end = time.monotonic() - t0
-        if proc.returncode != 0:
-            raise CampaignError(f"task {task.id} failed twice (exit {proc.returncode})")
-        return LocalTaskResult(task.id, proc.returncode, attempts, start, end)
-
-    cursors = {p.id: 0 for p in workflows.pipelines}
-    with ThreadPoolExecutor(max_workers=max(capacity, 1)) as pool:
-        while True:
-            ready: list[Task] = []
-            for p in workflows.pipelines:
-                if cursors[p.id] < len(p.stages):
-                    ready.extend(p.stages[cursors[p.id]].tasks)
-            if not ready:
-                break
-            for i in range(0, len(ready), capacity):
-                wave = ready[i : i + capacity]
-                for task, res in zip(wave, pool.map(execute, wave)):
-                    results[task.id] = res
-            for p in workflows.pipelines:
-                if cursors[p.id] < len(p.stages):
-                    cursors[p.id] += 1
-    return results

@@ -28,7 +28,6 @@ def timesteps_to_ns(timesteps: int) -> float:
 class ProtocolKind(str, Enum):
     ESMACS = "ESMACS"
     TIES = "TIES"
-    CUSTOM = "CUSTOM"
 
 
 class StageKind(str, Enum):
@@ -43,13 +42,6 @@ SIMULATION_KINDS = frozenset(
     {StageKind.MINIMIZATION, StageKind.EQUILIBRATION, StageKind.PRODUCTION}
 )
 ANALYSIS_KINDS = frozenset({StageKind.ANALYSIS, StageKind.GLOBAL_ANALYSIS})
-
-
-class TaskState(str, Enum):
-    PENDING = "PENDING"
-    RUNNING = "RUNNING"
-    DONE = "DONE"
-    FAILED = "FAILED"
 
 
 class ScheduleMode(str, Enum):
@@ -212,7 +204,6 @@ class Task:
     replica_index: int
     cores: int
     timesteps: int
-    state: TaskState = TaskState.PENDING
 
 
 @dataclass(frozen=True)
@@ -340,13 +331,6 @@ def compile_protocol(
                     pid, f"{st.label}.1", st.kind,
                     spec.adaptive.substage_timesteps, spec.replicas_per_member,
                     lam_values, cores_per_task,
-                )
-            )
-        elif st.kind in SIMULATION_KINDS and st.task_width is not None and spec.kind is ProtocolKind.CUSTOM:
-            # CUSTOM protocols size their own stages.
-            stages.append(
-                simulation_stage(
-                    pid, st.label, st.kind, st.timesteps, st.task_width, None, cores_per_task
                 )
             )
         else:

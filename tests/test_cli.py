@@ -143,6 +143,50 @@ def test_walltime_exhaustion_maps_to_exit_3(tmp_path):
     result = invoke("run", "--config", cfg_path)
     assert result.exit_code == 3
     assert "walltime" in result.stderr
+    # the partial timeline survives the failure
+    rows = (tmp_path / "out" / "quiet-pair_nonadaptive_timeline.csv").read_text().splitlines()
+    events = [row.split(",")[1] for row in rows[1:]]
+    assert "task_end" in events
+    assert "campaign_end" not in events
+
+
+def test_unplanned_exception_prints_traceback_and_exits_3(tmp_path, monkeypatch):
+    def explode(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("fecampaign.cli.run_system", explode)
+    result = invoke("run", "--config", write_config(tmp_path))
+    assert result.exit_code == 3
+    assert "Traceback (most recent call last)" in result.stderr
+    assert "RuntimeError: boom" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "keys,value,message",
+    [
+        (("seed",), 1.5, "config.seed must be an integer, got 1.5"),
+        (("pilot", "total_cores"), 2080.5, "config.pilot.total_cores must be an integer"),
+        (("pilot", "concurrency_cap"), True, "config.pilot.concurrency_cap must be an integer, got True"),
+        (("sweep", "rungs", 0, "n_protocols"), 2.0, "config.sweep.rungs[0].n_protocols must be an integer"),
+        (("replicas_per_window",), 1, "config: replicas_per_window must be >= 2"),
+        (("sweep", "protocol_kind"), "CUSTOM", "config.sweep.protocol_kind"),
+    ],
+)
+def test_bad_field_fails_at_load(tmp_path, keys, value, message):
+    plan = SweepPlan(
+        kind="WEAK", protocol_kind=ProtocolKind.TIES, physical_system="demo pair",
+        rungs=(SweepRung(2, 4_160),),
+    )
+    cfg_path = write_config(tmp_path, sweep=plan)
+    obj = json.loads(cfg_path.read_text())
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    cfg_path.write_text(json.dumps(obj))
+    result = invoke("sweep", "--config", cfg_path)
+    assert result.exit_code == 2
+    assert message in result.stderr
 
 
 def test_sweep_requires_plan(tmp_path):

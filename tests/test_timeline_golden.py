@@ -1,0 +1,156 @@
+"""Frozen timeline digests.
+
+Each case writes a timeline with ``write_timeline_csv`` and compares the
+SHA-256 of the file with a digest recorded from the event-list engine that
+sorted every stored event by time.  The cases cover a retry wave, an
+evaluator that terminates pipelines, event times that tie across waves, and
+each way a campaign aborts with a partial timeline.
+"""
+
+import hashlib
+
+import pytest
+
+from fecampaign.campaign import CampaignMode, RunOptions, run_system
+from fecampaign.engine import OverheadModel, PilotConfig, run_campaign, write_timeline_csv
+from fecampaign.errors import CampaignError
+from fecampaign.protocols import (
+    AdaptiveConfig,
+    LambdaSchedule,
+    ProtocolKind,
+    ProtocolSpec,
+    ScheduleMode,
+    StageKind,
+    StageSpec,
+    compile_protocol,
+    merge_graphs,
+)
+from fecampaign.synth import ZERO_NOISE, GroundTruthCurve, SyntheticSystem
+
+
+def _ties(name, stages, replicas=5, n_windows=13):
+    return ProtocolSpec(
+        name=name,
+        kind=ProtocolKind.TIES,
+        physical_system="synthetic",
+        sim_stages=tuple(StageSpec(label, kind, steps) for label, kind, steps in stages),
+        replicas_per_member=replicas,
+        lambda_schedule=LambdaSchedule.uniform(n_windows),
+    )
+
+
+def _batch_graph(stages=(("S1", StageKind.MINIMIZATION, 50_000),)):
+    """The 520-task batch: 8 pipelines of 65 tasks per stage."""
+    return merge_graphs([compile_protocol(_ties(f"t{i}", stages)) for i in range(8)])
+
+
+def _mixed_graph():
+    """Pipelines of unequal stage lengths, so waves mix durations and stages end apart."""
+    return merge_graphs(
+        [
+            compile_protocol(
+                _ties(
+                    f"m{i}",
+                    [
+                        ("S1", StageKind.MINIMIZATION, 1_000 + 333 * i),
+                        ("S2", StageKind.EQUILIBRATION, 2_000 + 777 * (i % 3)),
+                        ("S3", StageKind.PRODUCTION, 3_000 + 111 * i),
+                    ],
+                    replicas=3,
+                    n_windows=5,
+                )
+            )
+            for i in range(6)
+        ]
+    )
+
+
+def retry_wave():
+    return run_campaign(_batch_graph(), PilotConfig(total_cores=16_640), seed=0).timeline
+
+
+def adaptive_termination():
+    settled = SyntheticSystem("Settled Pair", GroundTruthCurve.constant(2.0), ZERO_NOISE)
+    opts = RunOptions(
+        pilot=PilotConfig(total_cores=2_080),
+        adaptive=AdaptiveConfig(),
+        seed=5,
+        replicas=2,
+        schedule_mode=ScheduleMode.SCALING,
+    )
+    return run_system(settled, CampaignMode.ADAPTIVE_TERMINATION, opts).outcome.timeline
+
+
+def tied_times():
+    pilot = PilotConfig(
+        total_cores=1_280, launch_delay_per_task=0.0, concurrency_cap=30,
+        failure_probability_over_cap=0.2,
+    )
+    overheads = OverheadModel(runtime_per_task=0.0)
+    return run_campaign(_mixed_graph(), pilot, seed=4, overhead_model=overheads).timeline
+
+
+def _partial_timeline(graph, pilot, seed, reason):
+    with pytest.raises(CampaignError, match=reason) as err:
+        run_campaign(graph, pilot, seed=seed)
+    assert not err.value.timeline.complete
+    return err.value.timeline
+
+
+def walltime_abort():
+    pilot = PilotConfig(total_cores=1_280, concurrency_cap=30, walltime_s=20.0)
+    return _partial_timeline(_mixed_graph(), pilot, 2, "walltime")
+
+
+def failed_twice_abort():
+    pilot = PilotConfig(total_cores=16_640, concurrency_cap=20, failure_probability_over_cap=0.5)
+    return _partial_timeline(_batch_graph(), pilot, 1, "failed twice")
+
+
+def bad_duration_abort():
+    def durations(task):
+        return -1.0 if task.stage_label == "S2" else 50.0
+
+    graph = _batch_graph((("S1", StageKind.MINIMIZATION, 1_000), ("S2", StageKind.EQUILIBRATION, 1_000)))
+    with pytest.raises(CampaignError, match="negative or non-finite duration") as err:
+        run_campaign(graph, PilotConfig(total_cores=16_640), duration_model=durations, seed=3)
+    return err.value.timeline
+
+
+GOLDEN = {
+    "retry_wave": (
+        retry_wave,
+        "eaa0ae6333fd56d9e1ee1788ff469f411c9cfdf2f26c3d61c990e92855f2fa1f",
+    ),
+    "adaptive_termination": (
+        adaptive_termination,
+        "bb7b3abb3a4e988b206c272cfed6102635bdafca824be3665c93cd178d0227d0",
+    ),
+    "tied_times": (
+        tied_times,
+        "89095be1fb8f53249d3840f967c4cf4d48c4d902b0987ee021b8eb4e5667c43f",
+    ),
+    "walltime_abort": (
+        walltime_abort,
+        "c0bc0c4d69b82a748f6b33ff2fb8a2287d31287a32409e4ce8b1c524d0904516",
+    ),
+    "bad_duration_abort": (
+        bad_duration_abort,
+        "2b232ce632d0a224d1212c2c95c311a29484280e96bae4eca9562372edc7073d",
+    ),
+    "failed_twice_abort": (
+        failed_twice_abort,
+        "6fcb5a6d4ce8372090586fab1315513e78cdab48e854a68c7d53cca5bdc084f2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_timeline_matches_frozen_digest(case, tmp_path):
+    build, digest = GOLDEN[case]
+    timeline = build()
+    path = tmp_path / "timeline.csv"
+    write_timeline_csv(timeline, path)
+    data = path.read_bytes()
+    assert len(timeline.events) == data.count(b"\n") - 1
+    assert hashlib.sha256(data).hexdigest() == digest
