@@ -27,7 +27,7 @@ from .engine import (
     PilotConfig,
     run_campaign,
 )
-from .errors import ValidationError
+from .errors import CampaignError, ValidationError
 from .protocols import (
     MD_TIMESTEP_PS,
     AdaptiveConfig,
@@ -152,6 +152,11 @@ def _slug(label: str) -> str:
     return "".join(c.lower() if c.isalnum() else "-" for c in label).strip("-")
 
 
+def run_label(system: SyntheticSystem, mode: CampaignMode) -> str:
+    """``<slug>_<mode>``, the stem of a system run's output files."""
+    return f"{_slug(system.label)}_{mode.value.lower()}"
+
+
 def _static_estimate(
     system: SyntheticSystem, spec: ProtocolSpec, seed: int, opts: RunOptions
 ) -> tuple[FreeEnergyEstimate, float]:
@@ -184,12 +189,16 @@ def run_system(
             cores_per_task=opts.cores_per_task, discard_fraction=opts.discard_fraction,
         )
 
-    outcome = run_campaign(
-        graph, opts.pilot,
-        duration_model=opts.duration_model or DurationModel(),
-        evaluator=evaluator, seed=seed,
-        overhead_model=opts.overhead_model or OverheadModel(),
-    )
+    try:
+        outcome = run_campaign(
+            graph, opts.pilot,
+            duration_model=opts.duration_model or DurationModel(),
+            evaluator=evaluator, seed=seed,
+            overhead_model=opts.overhead_model or OverheadModel(),
+        )
+    except CampaignError as exc:
+        exc.run_label = run_label(system, mode)
+        raise
 
     if evaluator is None:
         estimate, simulated_ns = _static_estimate(system, spec, seed, opts)

@@ -3,8 +3,10 @@
 Subcommands: ``run``, ``sweep``, ``compare``, ``validate``, ``term-report``.
 Every table goes to standard output as aligned text and to ``--out`` as a
 CSV.  Exit codes: 0 on success, 2 for configuration problems, 3 for
-campaign failures (``run`` still writes the partial timeline of the
-failed system); nothing else.
+campaign failures; nothing else.  On a campaign failure every command
+still writes the partial timeline of the campaign that failed:
+``run``, ``compare`` and ``term-report`` to ``<slug>_<mode>_timeline.csv``,
+``sweep`` to ``sweep_<kind>_failed_timeline.csv``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import functools
 import json
 import sys
 import traceback
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +27,7 @@ from .campaign import (
     RunOptions,
     _slug,
     compare_system,
+    run_label,
     run_sweep,
     run_system,
     run_termination,
@@ -54,6 +58,19 @@ def _guarded(fn):
             sys.exit(3)
 
     return wrapper
+
+
+@contextmanager
+def _partial_timeline(out_dir: Path, stem: str | None = None):
+    """On a campaign failure, write the partial timeline it carries to
+    ``<stem>_timeline.csv`` (by default the failed system run's label)."""
+    try:
+        yield
+    except CampaignError as exc:
+        stem = stem or exc.run_label
+        if exc.timeline is not None and stem is not None:
+            write_timeline_csv(exc.timeline, out_dir / f"{stem}_timeline.csv")
+        raise
 
 
 def _load(config_path: str, seed: int | None, out: str | None) -> tuple[CampaignConfig, Path]:
@@ -110,15 +127,9 @@ def run(config_path, seed, out, mode):
     opts = _options(cfg)
     overhead_rows = []
     for system in cfg.systems:
-        slug = _slug(system.label)
-        tag = campaign_mode.value.lower()
-        timeline_path = out_dir / f"{slug}_{tag}_timeline.csv"
-        try:
+        label = run_label(system, campaign_mode)
+        with _partial_timeline(out_dir):
             res = run_system(system, campaign_mode, opts)
-        except CampaignError as exc:
-            if exc.timeline is not None:
-                write_timeline_csv(exc.timeline, timeline_path)
-            raise
         result = {
             "system": system.label,
             "mode": campaign_mode.value,
@@ -130,11 +141,12 @@ def run(config_path, seed, out, mode):
             "simulated_ns": res.simulated_ns,
             "terminated_ns": res.terminated_ns,
         }
-        (out_dir / f"{slug}_{tag}.json").write_text(
+        (out_dir / f"{label}.json").write_text(
             json.dumps(result, indent=2) + "\n", encoding="utf-8"
         )
-        write_timeline_csv(res.outcome.timeline, timeline_path)
-        row = overhead_row(f"{slug}-{tag}", 1, cfg.pilot.total_cores, res.outcome.overheads)
+        write_timeline_csv(res.outcome.timeline, out_dir / f"{label}_timeline.csv")
+        run_id = f"{_slug(system.label)}-{campaign_mode.value.lower()}"
+        row = overhead_row(run_id, 1, cfg.pilot.total_cores, res.outcome.overheads)
         row["system"] = system.label
         row["mode"] = campaign_mode.value
         overhead_rows.append(row)
@@ -157,15 +169,16 @@ def sweep(config_path, seed, out):
     if cfg.sweep is None:
         raise ValidationError("config.sweep section is required for the sweep command")
     plan = cfg.sweep
-    results = run_sweep(
-        kind=plan.kind,
-        rungs=list(plan.rungs),
-        protocol_kind=plan.protocol_kind,
-        physical_system=plan.physical_system,
-        pilot_defaults=cfg.pilot,
-        seed=cfg.seed,
-        replicas=plan.replicas,
-    )
+    with _partial_timeline(out_dir, f"sweep_{plan.kind.lower()}_failed"):
+        results = run_sweep(
+            kind=plan.kind,
+            rungs=list(plan.rungs),
+            protocol_kind=plan.protocol_kind,
+            physical_system=plan.physical_system,
+            pilot_defaults=cfg.pilot,
+            seed=cfg.seed,
+            replicas=plan.replicas,
+        )
     rows = [
         overhead_row(r.run_id, r.n_protocols, r.total_cores, r.outcome.overheads)
         for r in results
@@ -186,7 +199,8 @@ def compare(config_path, seed, out):
     cfg, out_dir = _load(config_path, seed, out)
     _require_systems(cfg)
     opts = _options(cfg)
-    rows = [reports.comparison_row(compare_system(s, opts)) for s in cfg.systems]
+    with _partial_timeline(out_dir):
+        rows = [reports.comparison_row(compare_system(s, opts)) for s in cfg.systems]
     click.echo(reports.render_comparison_table(rows))
     (out_dir / "comparison.csv").write_text(reports.comparison_csv(rows), encoding="utf-8")
     click.echo(f"wrote comparison.csv to {out_dir}")
@@ -215,7 +229,8 @@ def term_report(config_path, seed, out):
     cfg, out_dir = _load(config_path, seed, out)
     _require_systems(cfg)
     opts = _options(cfg)
-    rows = [reports.termination_row(run_termination(s, opts)) for s in cfg.systems]
+    with _partial_timeline(out_dir):
+        rows = [reports.termination_row(run_termination(s, opts)) for s in cfg.systems]
     click.echo(reports.render_termination_table(rows))
     (out_dir / "termination.csv").write_text(reports.termination_csv(rows), encoding="utf-8")
     click.echo(f"wrote termination.csv to {out_dir}")

@@ -61,6 +61,9 @@ class CampaignConfig:
     schedule_mode: ScheduleMode = ScheduleMode.PRODUCTION
 
     def __post_init__(self):
+        # also guards the CLI's --seed override, which bypasses the loader
+        if self.seed < 0:
+            raise ValidationError(f"config.seed must be >= 0, got {self.seed}")
         if self.replicas_per_window < 2:
             # a window's standard error is the spread of its replica means
             raise ValidationError("replicas_per_window must be >= 2")
@@ -78,9 +81,20 @@ class CampaignConfig:
         raise ValidationError(f"no system labelled {label!r} in config")
 
 
-#: Accepted JSON value types of integer fields, keyed by annotation.  JSON
-#: booleans are Python ``bool``, a subclass of ``int``, hence the exact types.
-_INTEGER_TYPES = {"int": (int,), "int | None": (int, type(None))}
+#: Accepted JSON value types of numeric fields, keyed by annotation, and what
+#: the error asks for.  JSON booleans are Python ``bool``, a subclass of
+#: ``int``, hence the exact types.
+_NUMBER_TYPES = {
+    "int": ((int,), "an integer"),
+    "int | None": ((int, type(None)), "an integer"),
+    "float": ((int, float), "a number"),
+}
+
+
+def _check_number(annotation: str, value: Any, where: str) -> None:
+    accepted = _NUMBER_TYPES.get(annotation)
+    if accepted and type(value) not in accepted[0]:
+        raise ValidationError(f"{where} must be {accepted[1]}, got {value!r}")
 
 
 def _require(obj: dict, key: str, path: str) -> Any:
@@ -98,9 +112,8 @@ def _dataclass_from(cls, obj: Any, path: str, casts: dict | None = None):
     if unknown:
         raise ValidationError(f"{path}: unknown keys {sorted(unknown)}")
     for f in cls.__dataclass_fields__.values():  # type: ignore[attr-defined]
-        allowed = _INTEGER_TYPES.get(f.type)
-        if allowed and f.name in obj and type(obj[f.name]) not in allowed:
-            raise ValidationError(f"{path}.{f.name} must be an integer, got {obj[f.name]!r}")
+        if f.name in obj:
+            _check_number(f.type, obj[f.name], f"{path}.{f.name}")
     kwargs = dict(obj)
     for key, cast in (casts or {}).items():
         if key in kwargs:
@@ -138,8 +151,11 @@ def curve_from_dict(obj: dict, path: str = "curve") -> GroundTruthCurve:
     unknown = set(obj) - allowed - {"preset"}
     if unknown:
         raise ValidationError(f"{path}: unknown keys {sorted(unknown)} for preset {preset.value}")
+    values = {k: obj[k] for k in allowed if k in obj}
+    for k, v in values.items():
+        _check_number("float", v, f"{path}.{k}")
     try:
-        return GroundTruthCurve(preset, **{k: float(obj[k]) for k in allowed if k in obj})
+        return GroundTruthCurve(preset, **{k: float(v) for k, v in values.items()})
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

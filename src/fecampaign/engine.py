@@ -25,8 +25,10 @@ equals the virtual clock at the final event.
 
 The engine stores one :class:`TaskRecord` per task, one
 :class:`GenerationSummary` per wave and the few stage marks; nothing else
-is kept per task.  The event log (``CampaignTimeline.events``) is derived
-from them when something reads it, such as :func:`write_timeline_csv`.
+is kept per task.  The event log is derived from them when something
+reads it.  One walk over the waves sets its order and yields the task
+events as segments that share a time; ``CampaignTimeline.events`` expands
+them into events and :func:`write_timeline_csv` into CSV rows.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
@@ -220,25 +223,48 @@ class GenerationSummary:
         return [rec for i, rec in enumerate(self.tasks) if i not in failed]
 
 
-def _task_event(time_s: float, event: str, task: Task, generation: int) -> TimelineEvent:
-    return TimelineEvent(time_s, event, task.id, task.protocol_id, task.stage_label, generation)
+class _Segment(NamedTuple):
+    """A run of task events that share a time, an event name and a wave."""
+
+    time_s: float
+    event: str
+    records: Sequence[TaskRecord]
+    generation: int
 
 
-def _launch_events(gen: GenerationSummary) -> Iterator[TimelineEvent]:
-    for rec in gen.tasks:
-        yield _task_event(gen.submit_time_s, "task_submit", rec.task, gen.index)
-    for i in gen.failed:
-        yield _task_event(gen.submit_time_s, "task_fail", gen.tasks[i].task, gen.index)
+def _launch_segments(gen: GenerationSummary) -> Iterator[_Segment]:
+    yield _Segment(gen.submit_time_s, "task_submit", gen.tasks, gen.index)
+    yield _Segment(gen.submit_time_s, "task_fail", [gen.tasks[i] for i in gen.failed], gen.index)
 
 
-def _run_events(gen: GenerationSummary) -> Iterator[TimelineEvent]:
-    started = gen.started()
-    for rec in started:
-        yield _task_event(gen.submit_time_s, "task_start", rec.task, gen.index)
-    # Sort by the stored end time, not by duration: two durations can round
-    # to the same ``start + duration``, and ties keep launch order.
-    for rec in sorted(started, key=attrgetter("end_time_s")):
-        yield _task_event(rec.end_time_s, "task_end", rec.task, gen.index)
+def _wave_walk(tl: "CampaignTimeline") -> Iterator[TimelineEvent | _Segment]:
+    """The event log in order: campaign and stage marks as they are, task
+    events as segments.
+
+    A wave yields its submits, launch failures and starts at its submit
+    time, then its ends grouped by the stored end time, then the stage
+    marks of the barrier that follows.  Ends are sorted by the stored end
+    time, not by duration: two durations can round to the same
+    ``start + duration``, and a stable sort keeps launch order on ties.
+    """
+    yield TimelineEvent(0.0, "campaign_start", "", "", "", -1)
+    yield TimelineEvent(tl.framework_s, "framework_ready", "", "", "", -1)
+    marks = iter(tl.marks)
+    mark = next(marks, None)
+    for gen in tl.generations:
+        yield from _launch_segments(gen)
+        started = gen.started()
+        yield _Segment(gen.submit_time_s, "task_start", started, gen.index)
+        ends = sorted(started, key=attrgetter("end_time_s"))
+        for end_s, records in groupby(ends, attrgetter("end_time_s")):
+            yield _Segment(end_s, "task_end", list(records), gen.index)
+        while mark is not None and mark.generation == gen.index:
+            yield mark
+            mark = next(marks, None)
+    if tl.aborted_wave is not None:
+        yield from _launch_segments(tl.aborted_wave)
+    if tl.complete:
+        yield TimelineEvent(tl.end_time_s, "campaign_end", "", "", "", -1)
 
 
 class TimelineEvents:
@@ -247,7 +273,9 @@ class TimelineEvents:
     The virtual clock never decreases, and within a wave the events go
     submits, launch failures, starts, ends, then the stage marks of the
     barrier that follows.  Rendering the waves in order therefore yields
-    the events sorted by time, ties in the order they happened.
+    the events sorted by time, ties in the order they happened.  The order
+    lives in one walk over the waves, which both this view and
+    :func:`write_timeline_csv` expand.
     """
 
     def __init__(self, timeline: "CampaignTimeline"):
@@ -261,21 +289,14 @@ class TimelineEvents:
         return 2 + tl.n_attempts + tl.n_retries + 2 * started + len(tl.marks) + tl.complete
 
     def __iter__(self) -> Iterator[TimelineEvent]:
-        tl = self._timeline
-        yield TimelineEvent(0.0, "campaign_start", "", "", "", -1)
-        yield TimelineEvent(tl.framework_s, "framework_ready", "", "", "", -1)
-        marks = iter(tl.marks)
-        mark = next(marks, None)
-        for gen in tl.generations:
-            yield from _launch_events(gen)
-            yield from _run_events(gen)
-            while mark is not None and mark.generation == gen.index:
-                yield mark
-                mark = next(marks, None)
-        if tl.aborted_wave is not None:
-            yield from _launch_events(tl.aborted_wave)
-        if tl.complete:
-            yield TimelineEvent(tl.end_time_s, "campaign_end", "", "", "", -1)
+        for seg in _wave_walk(self._timeline):
+            if isinstance(seg, TimelineEvent):
+                yield seg
+                continue
+            time_s, event, records, generation = seg
+            for rec in records:
+                t = rec.task
+                yield TimelineEvent(time_s, event, t.id, t.protocol_id, t.stage_label, generation)
 
 
 @dataclass
@@ -359,7 +380,9 @@ def measure_overheads(timeline: CampaignTimeline) -> OverheadBreakdown:
 
 
 def _windows_of(stages: Iterable[Stage]) -> set[float]:
-    return {canonical_lambda(t.lam) for s in stages for t in s.tasks if t.lam is not None}
+    # Many tasks share a window, so canonicalise each distinct raw lambda once.
+    raw = {t.lam for s in stages for t in s.tasks}
+    return {canonical_lambda(lam) for lam in raw if lam is not None}
 
 
 @dataclass
@@ -634,16 +657,49 @@ def run_campaign(
     return CampaignOutcome(timeline=timeline, overheads=measure_overheads(timeline), results=results)
 
 
+#: Task rows assembled per ``write`` call when a timeline is written.
+_CHUNK_ROWS = 4096
+
+
+def _plain(text: str, rows: int) -> bool:
+    """Whether assembled rows hold no field that ``csv`` would quote: no
+    ``"`` and no separator or line break beyond the row's own."""
+    return (
+        text.count(",") == (len(TIMELINE_COLUMNS) - 1) * rows
+        and text.count("\n") == rows
+        and text.count("\r") == rows
+        and '"' not in text
+    )
+
+
 def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
-    """Write the event log with the stable column set."""
+    """Write the event log with the stable column set.
+
+    Task rows are assembled as text a chunk at a time, with the time of
+    their segment formatted once.  A chunk with a field that ``csv`` would
+    quote goes through ``csv`` row by row instead, as do the campaign and
+    stage marks, so the bytes are those of ``csv.writer`` over ``events``.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TIMELINE_COLUMNS)
-        for ev in timeline.events:
-            writer.writerow(
-                [f"{ev.time_s:.6f}", ev.event, ev.task_id, ev.pipeline_id,
-                 ev.stage_label, ev.generation]
-            )
+        for seg in _wave_walk(timeline):
+            if isinstance(seg, TimelineEvent):
+                writer.writerow((f"{seg.time_s:.6f}", *seg[1:]))
+                continue
+            time_s, event, records, generation = seg
+            stamp = f"{time_s:.6f}"
+            # "\r\n" is the line terminator of csv's default dialect
+            head, tail = f"{stamp},{event},", f",{generation}\r\n"
+            for lo in range(0, len(records), _CHUNK_ROWS):
+                tasks = [rec.task for rec in records[lo:lo + _CHUNK_ROWS]]
+                text = "".join([f"{head}{t.id},{t.protocol_id},{t.stage_label}{tail}" for t in tasks])
+                if _plain(text, len(tasks)):
+                    fh.write(text)
+                else:
+                    writer.writerows(
+                        [(stamp, event, t.id, t.protocol_id, t.stage_label, generation) for t in tasks]
+                    )
 
 
 def overhead_row(

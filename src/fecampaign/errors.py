@@ -18,13 +18,15 @@ class ContractError(ValueError):
 class CampaignError(RuntimeError):
     """A campaign could not complete (walltime exceeded, unrecoverable task).
 
-    Carries the partial timeline when one is available.  Mapped to CLI
-    exit code 3.
+    Carries the partial timeline when one is available, and the
+    ``<slug>_<mode>`` label of the system run that failed when
+    ``campaign.run_system`` raised it.  Mapped to CLI exit code 3.
     """
 
     def __init__(self, message: str, timeline=None):
         super().__init__(message)
         self.timeline = timeline
+        self.run_label: str | None = None
 
 
 class PlanRejectedError(CampaignError):

@@ -150,6 +150,43 @@ def test_walltime_exhaustion_maps_to_exit_3(tmp_path):
     assert "campaign_end" not in events
 
 
+SETTLED = SyntheticSystem("Settled Pair", GroundTruthCurve.constant(2.0), ZERO_NOISE)
+WEAK_PLAN = SweepPlan(
+    kind="WEAK", protocol_kind=ProtocolKind.TIES, physical_system="demo pair",
+    rungs=(SweepRung(2, 4_160),),
+)
+
+
+@pytest.mark.parametrize(
+    "command,overrides,partial",
+    [
+        ("compare", {}, "quiet-pair_reference_timeline.csv"),
+        ("term-report", {"systems": (SETTLED,), "adaptive": AdaptiveConfig()},
+         "settled-pair_adaptive_termination_timeline.csv"),
+        ("sweep", {"sweep": WEAK_PLAN}, "sweep_weak_failed_timeline.csv"),
+    ],
+)
+def test_every_command_keeps_the_partial_timeline(tmp_path, command, overrides, partial):
+    pilot = PilotConfig(total_cores=2_080, walltime_s=1.0)
+    result = invoke(command, "--config", write_config(tmp_path, pilot=pilot, **overrides))
+    assert result.exit_code == 3
+    assert "walltime" in result.stderr
+    out = tmp_path / "out"
+    assert [p.name for p in out.iterdir()] == [partial]
+    rows = (out / partial).read_text().splitlines()
+    assert rows[0] == "event_time_s,event,task_id,pipeline_id,stage_label,generation"
+    events = [row.split(",")[1] for row in rows[1:]]
+    assert "task_end" in events
+    assert "campaign_end" not in events
+
+
+def test_negative_seed_override_is_a_config_error(tmp_path):
+    result = invoke("run", "--config", write_config(tmp_path), "--seed", "-3")
+    assert result.exit_code == 2
+    assert "config.seed must be >= 0, got -3" in result.stderr
+    assert not (tmp_path / "out" / "quiet-pair_nonadaptive_timeline.csv").exists()
+
+
 def test_unplanned_exception_prints_traceback_and_exits_3(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise RuntimeError("boom")
@@ -170,6 +207,11 @@ def test_unplanned_exception_prints_traceback_and_exits_3(tmp_path, monkeypatch)
         (("sweep", "rungs", 0, "n_protocols"), 2.0, "config.sweep.rungs[0].n_protocols must be an integer"),
         (("replicas_per_window",), 1, "config: replicas_per_window must be >= 2"),
         (("sweep", "protocol_kind"), "CUSTOM", "config.sweep.protocol_kind"),
+        (("seed",), -3, "config: config.seed must be >= 0, got -3"),
+        (("pilot", "launch_delay_per_task"), True,
+         "config.pilot.launch_delay_per_task must be a number, got True"),
+        (("sample_interval_ps",), True, "config.sample_interval_ps must be a number, got True"),
+        (("systems", 0, "curve", "slope"), True, "config.systems[0].curve.slope must be a number, got True"),
     ],
 )
 def test_bad_field_fails_at_load(tmp_path, keys, value, message):

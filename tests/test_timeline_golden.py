@@ -5,14 +5,27 @@ SHA-256 of the file with a digest recorded from the event-list engine that
 sorted every stored event by time.  The cases cover a retry wave, an
 evaluator that terminates pipelines, event times that tie across waves, and
 each way a campaign aborts with a partial timeline.
+
+The writer assembles rows as text; an oracle test holds its bytes equal to
+``csv.writer`` over the rendered events, for every case and for ids and
+labels that ``csv`` must quote.
 """
 
+import csv
 import hashlib
+import io
 
 import pytest
 
 from fecampaign.campaign import CampaignMode, RunOptions, run_system
-from fecampaign.engine import OverheadModel, PilotConfig, run_campaign, write_timeline_csv
+from fecampaign import engine
+from fecampaign.engine import (
+    TIMELINE_COLUMNS,
+    OverheadModel,
+    PilotConfig,
+    run_campaign,
+    write_timeline_csv,
+)
 from fecampaign.errors import CampaignError
 from fecampaign.protocols import (
     AdaptiveConfig,
@@ -154,3 +167,59 @@ def test_timeline_matches_frozen_digest(case, tmp_path):
     data = path.read_bytes()
     assert len(timeline.events) == data.count(b"\n") - 1
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def quoted_fields():
+    """Ids and labels holding a separator, a quote and a line break, in waves
+    that also carry plain rows, a retry wave and stage marks."""
+    odd = _ties(
+        "odd",
+        [('S1, "first"\nhalf', StageKind.MINIMIZATION, 1_000), ("S2", StageKind.EQUILIBRATION, 2_000)],
+        replicas=2,
+        n_windows=3,
+    )
+    plain = [_ties(f"plain{i}", [("S1", StageKind.MINIMIZATION, 1_500)]) for i in range(2)]
+    graph = merge_graphs(
+        [compile_protocol(odd, protocol_id='p,"0"\nodd')] + [compile_protocol(p) for p in plain]
+    )
+    pilot = PilotConfig(total_cores=8_320, concurrency_cap=100, failure_probability_over_cap=0.2)
+    return run_campaign(graph, pilot, seed=2).timeline
+
+
+def _csv_oracle(timeline) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(TIMELINE_COLUMNS)
+    for ev in list(timeline.events):
+        writer.writerow(
+            [f"{ev.time_s:.6f}", ev.event, ev.task_id, ev.pipeline_id, ev.stage_label, ev.generation]
+        )
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("chunk_rows", [engine._CHUNK_ROWS, 7])
+@pytest.mark.parametrize("case", sorted(GOLDEN) + ["quoted_fields"])
+def test_writer_matches_csv_over_events(case, chunk_rows, tmp_path, monkeypatch):
+    # A chunk of 7 rows puts chunk boundaries inside every wave.
+    monkeypatch.setattr(engine, "_CHUNK_ROWS", chunk_rows)
+    build = GOLDEN[case][0] if case in GOLDEN else quoted_fields
+    timeline = build()
+    path = tmp_path / "timeline.csv"
+    write_timeline_csv(timeline, path)
+    assert path.read_bytes() == _csv_oracle(timeline)
+
+
+def test_quoted_fields_round_trip(tmp_path):
+    timeline = quoted_fields()
+    path = tmp_path / "timeline.csv"
+    write_timeline_csv(timeline, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    events = list(timeline.events)
+    assert len(rows) == len(events) + 1
+    assert [tuple(r[1:5]) for r in rows[1:]] == [
+        (ev.event, ev.task_id, ev.pipeline_id, ev.stage_label) for ev in events
+    ]
+    odd = [ev for ev in events if ev.pipeline_id == 'p,"0"\nodd']
+    assert {ev.event for ev in odd} >= {"task_submit", "task_fail", "task_start", "task_end", "stage_complete"}
+    assert any(ev.stage_label == 'S1, "first"\nhalf' for ev in odd)
