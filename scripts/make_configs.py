@@ -3,11 +3,10 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from fecampaign.campaign import CampaignMode, SweepRung
-from fecampaign.config import CampaignConfig, SweepPlan, config_to_dict
+from fecampaign.config import CampaignConfig, SweepPlan, save_config
 from fecampaign.engine import PilotConfig
 from fecampaign.protocols import AdaptiveConfig, ProtocolKind
 from fecampaign.synth import named_system, named_systems
@@ -18,7 +17,7 @@ CONFIG_DIR = ROOT / "configs"
 
 def dump(name: str, cfg: CampaignConfig) -> None:
     path = CONFIG_DIR / name
-    path.write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n", encoding="utf-8")
+    save_config(cfg, path)
     print(f"wrote {path}")
 
 

@@ -263,6 +263,10 @@ class SweepRung:
     n_protocols: int
     total_cores: int
 
+    def __post_init__(self):
+        if self.n_protocols < 1:
+            raise ValidationError(f"rung.n_protocols must be >= 1, got {self.n_protocols}")
+
 
 @dataclass(frozen=True)
 class SweepRunResult:
@@ -277,11 +281,13 @@ def _sweep_protocol(template_kind: ProtocolKind, physical_system: str, replicas:
     if template_kind is ProtocolKind.ESMACS:
         return esmacs_protocol(
             name=f"esmacs-{index}", physical_system=physical_system,
-            replicas=replicas or 25, mode=ScheduleMode.SCALING, include_analysis=False,
+            replicas=25 if replicas is None else replicas,
+            mode=ScheduleMode.SCALING, include_analysis=False,
         )
     return ties_protocol(
         name=f"ties-{index}", physical_system=physical_system,
-        replicas=replicas or 5, mode=ScheduleMode.SCALING, include_analysis=False,
+        replicas=5 if replicas is None else replicas,
+        mode=ScheduleMode.SCALING, include_analysis=False,
     )
 
 

@@ -1,15 +1,26 @@
 """Campaign configuration: one JSON document in, validated dataclasses out.
 
-The on-disk format is a single UTF-8 JSON object with snake_case keys
-mirroring the dataclass fields.  ``config_from_dict(config_to_dict(c))``
-is the identity for any validated config, and ``save_config`` writes a
-canonical rendering so re-saving a loaded file is byte-stable.
+One decoder and one encoder walk the config dataclasses' field annotations;
+keys are field names, in field order, and ``save_config`` output reloads to
+an equal config that re-saves byte for byte.  Int fields take JSON integers,
+float fields finite JSON numbers (a boolean is neither), str fields strings.
+A field without a default is required and an unknown key is an error.
+Errors name their field once, by full path: a dataclass's own check names
+it by its subject (``pilot.total_cores``), the decoder swaps in the path.
+Format special cases: a ``LambdaSchedule`` is a JSON array, a curve holds
+only its preset's parameters.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import re
+import sys
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from enum import Enum
+from functools import cache
 from pathlib import Path
 from typing import Any
 
@@ -17,7 +28,7 @@ from .campaign import CampaignMode, SweepRung
 from .engine import PilotConfig
 from .errors import ValidationError
 from .protocols import AdaptiveConfig, LambdaSchedule, ProtocolKind, ScheduleMode
-from .synth import CurvePreset, GroundTruthCurve, NoiseModel, SyntheticSystem
+from .synth import CurvePreset, GroundTruthCurve, SyntheticSystem
 
 _CURVE_FIELDS = {
     CurvePreset.CONSTANT: ("value",),
@@ -43,6 +54,8 @@ class SweepPlan:
             raise ValidationError(f"sweep.kind must be WEAK or STRONG, got {self.kind!r}")
         if not self.rungs:
             raise ValidationError("sweep.rungs must not be empty")
+        if self.replicas is not None and self.replicas < 1:
+            raise ValidationError(f"sweep.replicas must be >= 1, got {self.replicas}")
 
 
 @dataclass(frozen=True)
@@ -53,12 +66,11 @@ class CampaignConfig:
     pilot: PilotConfig = field(default_factory=lambda: PilotConfig(total_cores=2080))
     adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
     systems: tuple[SyntheticSystem, ...] = ()
-    sweep: SweepPlan | None = None
     replicas_per_window: int = 5
     sample_interval_ps: float = 1.0
     discard_fraction: float = 0.1
-    reproducibility_threshold: float = 0.2
     schedule_mode: ScheduleMode = ScheduleMode.PRODUCTION
+    sweep: SweepPlan | None = None
 
     def __post_init__(self):
         # also guards the CLI's --seed override, which bypasses the loader
@@ -66,13 +78,14 @@ class CampaignConfig:
             raise ValidationError(f"config.seed must be >= 0, got {self.seed}")
         if self.replicas_per_window < 2:
             # a window's standard error is the spread of its replica means
-            raise ValidationError("replicas_per_window must be >= 2")
+            raise ValidationError("config.replicas_per_window must be >= 2")
         if not self.sample_interval_ps > 0.0:
-            raise ValidationError("sample_interval_ps must be > 0")
+            raise ValidationError("config.sample_interval_ps must be > 0")
         if not 0.0 <= self.discard_fraction < 1.0:
-            raise ValidationError("discard_fraction must lie in [0, 1)")
-        if not self.reproducibility_threshold > 0.0:
-            raise ValidationError("reproducibility_threshold must be > 0")
+            raise ValidationError("config.discard_fraction must lie in [0, 1)")
+        for i, rung in enumerate(self.sweep.rungs if self.sweep else ()):
+            if rung.total_cores < self.pilot.cores_per_task:
+                raise ValidationError(f"config.sweep.rungs[{i}].total_cores must fit at least one task")
 
     def system(self, label: str) -> SyntheticSystem:
         for s in self.systems:
@@ -81,219 +94,107 @@ class CampaignConfig:
         raise ValidationError(f"no system labelled {label!r} in config")
 
 
-#: Accepted JSON value types of numeric fields, keyed by annotation, and what
-#: the error asks for.  JSON booleans are Python ``bool``, a subclass of
-#: ``int``, hence the exact types.
-_NUMBER_TYPES = {
-    "int": ((int,), "an integer"),
-    "int | None": ((int, type(None)), "an integer"),
-    "float": ((int, float), "a number"),
-}
+@cache
+def _fields(cls) -> dict[str, tuple[Any, bool]]:
+    """Field name -> (resolved annotation, required), in declaration order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
 
 
-def _check_number(annotation: str, value: Any, where: str) -> None:
-    accepted = _NUMBER_TYPES.get(annotation)
-    if accepted and type(value) not in accepted[0]:
-        raise ValidationError(f"{where} must be {accepted[1]}, got {value!r}")
-
-
-def _require(obj: dict, key: str, path: str) -> Any:
-    if key not in obj:
-        raise ValidationError(f"{path}.{key} is required")
-    return obj[key]
-
-
-def _dataclass_from(cls, obj: Any, path: str, casts: dict | None = None):
-    """Build a dataclass from a JSON object, naming the offending field on error."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path} must be a JSON object")
-    fields = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(obj) - fields
-    if unknown:
-        raise ValidationError(f"{path}: unknown keys {sorted(unknown)}")
-    for f in cls.__dataclass_fields__.values():  # type: ignore[attr-defined]
-        if f.name in obj:
-            _check_number(f.type, obj[f.name], f"{path}.{f.name}")
-    kwargs = dict(obj)
-    for key, cast in (casts or {}).items():
-        if key in kwargs:
-            try:
-                kwargs[key] = cast(kwargs[key])
-            except ValidationError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}.{key}: {exc}") from None
+def _build(cls, path: str, kwargs: dict):
+    """Construct ``cls``; its own check's message gets ``path`` for its subject."""
     try:
         return cls(**kwargs)
-    except TypeError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        raise ValidationError(re.sub(r"^[a-z_]+", lambda _: path, str(exc), count=1)) from None
 
 
-def curve_to_dict(curve: GroundTruthCurve) -> dict:
-    out: dict[str, Any] = {"preset": curve.preset.value}
-    for name in _CURVE_FIELDS[curve.preset]:
-        out[name] = getattr(curve, name)
-    return out
+def _decode(tp, value: Any, path: str):
+    """Decode one JSON value into annotation ``tp``, naming ``path`` on error."""
+    origin = typing.get_origin(tp)
+    if origin in (types.UnionType, typing.Union):  # X | None
+        (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
+        return None if value is None else _decode(tp, value, path)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ValidationError(f"{path} must be a JSON array, got {value!r}")
+        item = typing.get_args(tp)[0]
+        return tuple(_decode(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if tp is LambdaSchedule:
+        return _build(tp, path, {"lambdas": _decode(tuple[float, ...], value, path)})
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValidationError(f"{path} must be a JSON object, got {value!r}")
+        specs = _fields(tp)
+        names, note = tuple(specs), ""
+        if tp is GroundTruthCurve and "preset" in value:
+            preset = _decode(CurvePreset, value["preset"], f"{path}.preset")
+            names, note = ("preset", *_CURVE_FIELDS[preset]), f" for preset {preset.value}"
+        unknown = set(value) - set(names)
+        if unknown:
+            raise ValidationError(f"{path}: unknown keys {sorted(unknown)}{note}")
+        kwargs = {}
+        for name in names:
+            field_type, required = specs[name]
+            if name in value:
+                kwargs[name] = _decode(field_type, value[name], f"{path}.{name}")
+            elif required:
+                raise ValidationError(f"{path}.{name} is required")
+        return _build(tp, path, kwargs)
+    if issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except (TypeError, ValueError):
+            options = [m.value for m in tp]
+            raise ValidationError(f"{path} must be one of {options}, got {value!r}") from None
+    if tp is float:
+        if type(value) not in (int, float):
+            raise ValidationError(f"{path} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, Infinity or an integer past it
+            raise ValidationError(f"{path} must be finite, got {value!r}")
+        return float(value)
+    if type(value) is not tp:  # int (never bool) or str
+        kind = "an integer" if tp is int else "a string"
+        raise ValidationError(f"{path} must be {kind}, got {value!r}")
+    return value
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, LambdaSchedule):
+        return list(value.lambdas)
+    if isinstance(value, GroundTruthCurve):
+        return {n: _encode(getattr(value, n)) for n in ("preset", *_CURVE_FIELDS[value.preset])}
+    if is_dataclass(value):
+        return {n: _encode(v) for n in _fields(type(value)) if (v := getattr(value, n)) is not None}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
 
 
 def curve_from_dict(obj: dict, path: str = "curve") -> GroundTruthCurve:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path} must be a JSON object")
-    try:
-        preset = CurvePreset(_require(obj, "preset", path))
-    except ValueError:
-        raise ValidationError(
-            f"{path}.preset must be one of {[p.value for p in CurvePreset]}"
-        ) from None
-    allowed = set(_CURVE_FIELDS[preset])
-    unknown = set(obj) - allowed - {"preset"}
-    if unknown:
-        raise ValidationError(f"{path}: unknown keys {sorted(unknown)} for preset {preset.value}")
-    values = {k: obj[k] for k in allowed if k in obj}
-    for k, v in values.items():
-        _check_number("float", v, f"{path}.{k}")
-    try:
-        return GroundTruthCurve(preset, **{k: float(v) for k, v in values.items()})
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-
-
-def system_to_dict(system: SyntheticSystem) -> dict:
-    n = system.noise
-    return {
-        "label": system.label,
-        "curve": curve_to_dict(system.curve),
-        "noise": {
-            "sigma": n.sigma,
-            "ar1_phi": n.ar1_phi,
-            "drift_amplitude": n.drift_amplitude,
-            "drift_timescale_ps": n.drift_timescale_ps,
-        },
-    }
-
-
-def system_from_dict(obj: dict, path: str = "system") -> SyntheticSystem:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path} must be a JSON object")
-    label = _require(obj, "label", path)
-    if not isinstance(label, str) or not label:
-        raise ValidationError(f"{path}.label must be a non-empty string")
-    curve = curve_from_dict(_require(obj, "curve", path), f"{path}.curve")
-    noise = _dataclass_from(NoiseModel, obj.get("noise", {}), f"{path}.noise")
-    unknown = set(obj) - {"label", "curve", "noise"}
-    if unknown:
-        raise ValidationError(f"{path}: unknown keys {sorted(unknown)}")
-    return SyntheticSystem(label=label, curve=curve, noise=noise)
-
-
-def adaptive_to_dict(adaptive: AdaptiveConfig) -> dict:
-    return {
-        "error_threshold_epsilon": adaptive.error_threshold_epsilon,
-        "initial_lambdas": list(adaptive.initial_lambdas.lambdas),
-        "production_substages": adaptive.production_substages,
-        "substage_timesteps": adaptive.substage_timesteps,
-        "termination_tau_ns": adaptive.termination_tau_ns,
-        "termination_threshold": adaptive.termination_threshold,
-        "min_checkpoints_before_termination": adaptive.min_checkpoints_before_termination,
-        "max_total_windows": adaptive.max_total_windows,
-    }
-
-
-def adaptive_from_dict(obj: dict, path: str = "adaptive") -> AdaptiveConfig:
-    def schedule(v):
-        try:
-            return LambdaSchedule(tuple(v))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}.initial_lambdas: {exc}") from None
-
-    return _dataclass_from(AdaptiveConfig, obj, path, casts={"initial_lambdas": schedule})
-
-
-def sweep_to_dict(plan: SweepPlan) -> dict:
-    out: dict[str, Any] = {
-        "kind": plan.kind,
-        "protocol_kind": plan.protocol_kind.value,
-        "physical_system": plan.physical_system,
-        "rungs": [{"n_protocols": r.n_protocols, "total_cores": r.total_cores} for r in plan.rungs],
-    }
-    if plan.replicas is not None:
-        out["replicas"] = plan.replicas
-    return out
-
-
-def sweep_from_dict(obj: dict, path: str = "sweep") -> SweepPlan:
-    return _dataclass_from(
-        SweepPlan, obj, path,
-        casts={
-            "protocol_kind": ProtocolKind,
-            "rungs": lambda v: tuple(
-                _dataclass_from(SweepRung, r, f"{path}.rungs[{i}]") for i, r in enumerate(v)
-            ),
-        },
-    )
+    return _decode(GroundTruthCurve, obj, path)
 
 
 def config_to_dict(cfg: CampaignConfig) -> dict:
-    out: dict[str, Any] = {
-        "seed": cfg.seed,
-        "mode": cfg.mode.value,
-        "output_dir": cfg.output_dir,
-        "pilot": {
-            "total_cores": cfg.pilot.total_cores,
-            "cores_per_task": cfg.pilot.cores_per_task,
-            "concurrency_cap": cfg.pilot.concurrency_cap,
-            "launch_delay_per_task": cfg.pilot.launch_delay_per_task,
-            "failure_probability_over_cap": cfg.pilot.failure_probability_over_cap,
-            "walltime_s": cfg.pilot.walltime_s,
-        },
-        "adaptive": adaptive_to_dict(cfg.adaptive),
-        "systems": [system_to_dict(s) for s in cfg.systems],
-        "replicas_per_window": cfg.replicas_per_window,
-        "sample_interval_ps": cfg.sample_interval_ps,
-        "discard_fraction": cfg.discard_fraction,
-        "reproducibility_threshold": cfg.reproducibility_threshold,
-        "schedule_mode": cfg.schedule_mode.value,
-    }
-    if cfg.sweep is not None:
-        out["sweep"] = sweep_to_dict(cfg.sweep)
-    return out
+    return _encode(cfg)
 
 
 def config_from_dict(obj: dict, path: str = "config") -> CampaignConfig:
-    return _dataclass_from(
-        CampaignConfig, obj, path,
-        casts={
-            "mode": CampaignMode,
-            "pilot": lambda v: _dataclass_from(PilotConfig, v, f"{path}.pilot"),
-            "adaptive": lambda v: adaptive_from_dict(v, f"{path}.adaptive"),
-            "systems": lambda v: tuple(
-                system_from_dict(s, f"{path}.systems[{i}]") for i, s in enumerate(v)
-            ),
-            "sweep": lambda v: sweep_from_dict(v, f"{path}.sweep"),
-            "schedule_mode": ScheduleMode,
-        },
-    )
+    return _decode(CampaignConfig, obj, path)
 
 
 def load_config(path: str | Path) -> CampaignConfig:
     """Parse and validate a campaign config file."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        obj = json.loads(p.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"config {p}: {exc}") from None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, malformed, or an integer too long to parse
         raise ValidationError(f"config {p}: invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ValidationError(f"config {p}: top level must be a JSON object")
     return config_from_dict(obj, "config")
 
 
 def save_config(cfg: CampaignConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(config_to_dict(cfg), indent=2) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n", encoding="utf-8")

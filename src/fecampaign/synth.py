@@ -153,10 +153,6 @@ class NoiseModel:
         if not self.drift_timescale_ps > 0.0:
             raise ValidationError("noise.drift_timescale_ps must be > 0")
 
-    def effective_sample_count(self, n: int) -> float:
-        """AR(1)-corrected effective number of independent samples."""
-        return n * (1.0 - self.ar1_phi) / (1.0 + self.ar1_phi)
-
 
 ZERO_NOISE = NoiseModel()
 
@@ -295,7 +291,11 @@ class SyntheticSystem:
 
     label: str
     curve: GroundTruthCurve
-    noise: NoiseModel
+    noise: NoiseModel = ZERO_NOISE
+
+    def __post_init__(self):
+        if not isinstance(self.label, str) or not self.label:
+            raise ValidationError("system.label must be a non-empty string")
 
 
 def _named_system_list() -> list[SyntheticSystem]:

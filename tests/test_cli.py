@@ -13,6 +13,8 @@ from fecampaign.protocols import AdaptiveConfig, ProtocolKind, ScheduleMode
 from fecampaign.reports import validation_csv
 from fecampaign.synth import ZERO_NOISE, GroundTruthCurve, NoiseModel, SyntheticSystem
 
+NAN, INF = float("nan"), float("inf")
+DELETE = object()  # a test_bad_field_fails_at_load value: remove the key
 QUIET = SyntheticSystem("Quiet Pair", GroundTruthCurve.linear(1.0, 2.0), ZERO_NOISE)
 NOISY = SyntheticSystem("Noisy Pair", GroundTruthCurve.linear(1.0, 2.0), NoiseModel(sigma=1.0, ar1_phi=0.5))
 
@@ -134,7 +136,7 @@ def test_non_finite_noise_is_a_config_error(tmp_path, field):
     cfg_path.write_text(json.dumps(obj))
     result = invoke("run", "--config", cfg_path)
     assert result.exit_code == 2
-    assert f"config.systems[0].noise: noise.{field} must be finite" in result.stderr
+    assert f"config.systems[0].noise.{field} must be finite" in result.stderr
     assert not (tmp_path / "out" / "noisy-pair_nonadaptive.json").exists()
 
 
@@ -205,13 +207,28 @@ def test_unplanned_exception_prints_traceback_and_exits_3(tmp_path, monkeypatch)
         (("pilot", "total_cores"), 2080.5, "config.pilot.total_cores must be an integer"),
         (("pilot", "concurrency_cap"), True, "config.pilot.concurrency_cap must be an integer, got True"),
         (("sweep", "rungs", 0, "n_protocols"), 2.0, "config.sweep.rungs[0].n_protocols must be an integer"),
-        (("replicas_per_window",), 1, "config: replicas_per_window must be >= 2"),
+        (("replicas_per_window",), 1, "config.replicas_per_window must be >= 2"),
         (("sweep", "protocol_kind"), "CUSTOM", "config.sweep.protocol_kind"),
-        (("seed",), -3, "config: config.seed must be >= 0, got -3"),
+        (("seed",), -3, "config.seed must be >= 0, got -3"),
         (("pilot", "launch_delay_per_task"), True,
          "config.pilot.launch_delay_per_task must be a number, got True"),
         (("sample_interval_ps",), True, "config.sample_interval_ps must be a number, got True"),
         (("systems", 0, "curve", "slope"), True, "config.systems[0].curve.slope must be a number, got True"),
+        (("pilot", "launch_delay_per_task"), NAN, "config.pilot.launch_delay_per_task must be finite"),
+        (("adaptive", "termination_threshold"), NAN, "config.adaptive.termination_threshold must be finite"),
+        (("systems", 0, "curve", "slope"), -INF, "config.systems[0].curve.slope must be finite"),
+        (("sweep", "replicas"), 0, "config.sweep.replicas must be >= 1, got 0"),
+        (("sweep", "rungs", 0, "n_protocols"), 0, "config.sweep.rungs[0].n_protocols must be >= 1"),
+        (("sweep", "rungs", 0, "total_cores"), 16,
+         "config.sweep.rungs[0].total_cores must fit at least one task"),
+        (("systems", 0, "label"), "", "config.systems[0].label must be a non-empty string"),
+        (("systems", 0, "label"), 7, "config.systems[0].label must be a string, got 7"),
+        (("output_dir",), 3, "config.output_dir must be a string, got 3"),
+        (("sweep", "kind"), None, "config.sweep.kind must be a string, got None"),
+        (("systems", 0, "label"), DELETE, "config.systems[0].label is required"),
+        (("pilot", "total_cores"), DELETE, "config.pilot.total_cores is required"),
+        (("sweep", "rungs", 0, "total_cores"), DELETE, "config.sweep.rungs[0].total_cores is required"),
+        (("systems", 0, "curve", "preset"), DELETE, "config.systems[0].curve.preset is required"),
     ],
 )
 def test_bad_field_fails_at_load(tmp_path, keys, value, message):
@@ -224,7 +241,10 @@ def test_bad_field_fails_at_load(tmp_path, keys, value, message):
     target = obj
     for key in keys[:-1]:
         target = target[key]
-    target[keys[-1]] = value
+    if value is DELETE:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
     cfg_path.write_text(json.dumps(obj))
     result = invoke("sweep", "--config", cfg_path)
     assert result.exit_code == 2

@@ -1,8 +1,10 @@
+import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fecampaign.campaign import CampaignMode, SweepRung
@@ -49,7 +51,7 @@ def full_config():
         adaptive=AdaptiveConfig(error_threshold_epsilon=0.3),
         systems=systems, sweep=sweep,
         replicas_per_window=3, sample_interval_ps=2.0, discard_fraction=0.2,
-        reproducibility_threshold=0.5, schedule_mode=ScheduleMode.SCALING,
+        schedule_mode=ScheduleMode.SCALING,
     )
 
 
@@ -249,3 +251,84 @@ def test_bundled_configs_are_byte_stable(tmp_path):
         out = tmp_path / path.name
         save_config(load_config(path), out)
         assert out.read_bytes() == path.read_bytes(), path.name
+
+
+def test_omitted_noise_loads_as_zero_noise():
+    obj = config_to_dict(full_config())
+    del obj["systems"][0]["noise"]
+    assert config_from_dict(obj).systems[0].noise == NoiseModel()
+
+
+def test_direct_construction_names_the_field():
+    with pytest.raises(ValidationError, match=r"^pilot\.total_cores must fit"):
+        PilotConfig(total_cores=16)
+    with pytest.raises(ValidationError, match=r"^system\.label must be a non-empty string"):
+        SyntheticSystem("", GroundTruthCurve.quadratic())
+    with pytest.raises(ValidationError, match=r"^rung\.n_protocols must be >= 1"):
+        SweepRung(0, 64)
+    with pytest.raises(ValidationError, match=r"^sweep\.replicas must be >= 1"):
+        SweepPlan("WEAK", ProtocolKind.TIES, "x", (SweepRung(1, 64),), replicas=0)
+    with pytest.raises(ValidationError, match=r"^config\.sweep\.rungs\[0\]\.total_cores must fit"):
+        CampaignConfig(sweep=SweepPlan("WEAK", ProtocolKind.TIES, "x", (SweepRung(1, 16),)))
+
+
+BUNDLED = {path.name: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))}
+NAN = float("nan")
+
+
+def json_locations(node, path="config"):
+    """(path, container, key) of every value below a JSON object or array."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        sub = f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]"
+        yield sub, node, key
+        if isinstance(value, (dict, list)):
+            yield from json_locations(value, sub)
+
+
+@st.composite
+def mutated_bundled_config(draw):
+    """One bundled config with one mutation: (document, kind, mutated path)."""
+    obj = copy.deepcopy(BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))])
+    locations = list(json_locations(obj))
+    kind = draw(st.sampled_from(["leaf", "delete", "add"]))
+    if kind == "leaf":
+        path, parent, key = draw(st.sampled_from(
+            [loc for loc in locations if not isinstance(loc[1][loc[2]], (dict, list))]
+        ))
+        others = [v for v in (True, "text", None, [], {"k": 1}, NAN)
+                  if v is NAN or type(v) is not type(parent[key])]
+        parent[key] = draw(st.sampled_from(others))
+    elif kind == "delete":
+        path, parent, key = draw(st.sampled_from([loc for loc in locations if isinstance(loc[1], dict)]))
+        del parent[key]
+    else:
+        objects = [("config", obj)] + [
+            (path, parent[key]) for path, parent, key in locations if isinstance(parent[key], dict)
+        ]
+        path, target = draw(st.sampled_from(objects))
+        target["unexpected_key"] = 1
+    return obj, kind, path
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=mutated_bundled_config())
+def test_mutated_bundled_config_loads_or_names_the_field(tmp_path, mutation):
+    obj, kind, path = mutation
+    file = tmp_path / "mutated.json"
+    file.write_text(json.dumps(obj))
+    try:
+        cfg = load_config(file)
+    except ValidationError as exc:
+        message = str(exc)
+        assert message.startswith("config")
+        if kind == "leaf":  # a type error, raised before any range check
+            assert re.match(rf"{re.escape(path)} must be (a |an |finite|one of )", message), message
+        elif kind == "delete":
+            assert message == f"{path} is required"
+        else:
+            assert message.startswith(f"{path}: unknown keys ['unexpected_key']"), message
+    else:
+        assert isinstance(cfg, CampaignConfig)
+        assert kind == "delete", "only deleting a key that has a default may load"
