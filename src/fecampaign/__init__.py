@@ -46,7 +46,6 @@ from .protocols import (
     ScheduleMode,
     StageKind,
     StageSpec,
-    Task,
     WorkflowGraph,
     compile_protocol,
     default_timestep_schedule,

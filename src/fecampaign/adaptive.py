@@ -27,7 +27,6 @@ from .protocols import (
     ProtocolSpec,
     Stage,
     StageKind,
-    simulation_stage,
 )
 from .quadrature import FreeEnergyEstimate, canonical_lambda, propose_refinements
 from .stats import (
@@ -141,16 +140,9 @@ def _equilibration_chain(spec: ProtocolSpec, pipeline_id: str, cycle: int, lams,
         if st.kind is StageKind.PRODUCTION:
             continue
         stages.append(
-            simulation_stage(
-                pipeline_id, f"{st.label}.{cycle}", st.kind, st.timesteps,
-                replicas, lams, cores,
-            )
+            Stage(pipeline_id, f"{st.label}.{cycle}", st.kind, st.timesteps, replicas, lams, cores)
         )
     return stages
-
-
-def _stage_windows(stage: Stage) -> list[float]:
-    return sorted({canonical_lambda(t.lam) for t in stage.tasks if t.lam is not None})
 
 
 class _SyntheticEvaluator:
@@ -193,7 +185,7 @@ class _SyntheticEvaluator:
 
     def _production_stage(self, pipeline: PipelineRun, index: int, lams) -> Stage:
         prod = _production_spec(pipeline.spec)  # type: ignore[arg-type]
-        return simulation_stage(
+        return Stage(
             pipeline.id, f"{prod.label}.{index}", StageKind.PRODUCTION,
             self.adaptive.substage_timesteps, self.replicas, lams, self.cores_per_task,
         )
@@ -211,7 +203,7 @@ class AdaptiveQuadratureEvaluator(_SyntheticEvaluator):
         if stage.kind is not StageKind.PRODUCTION:
             return StagePlan.proceed()
         counts = self._substages_done.setdefault(pipeline.id, {})
-        for lam in _stage_windows(stage):
+        for lam in sorted(stage.lambdas):
             counts[lam] = counts.get(lam, 0) + 1
         cycle = self._cycles_done.get(pipeline.id, 0) + 1
         self._cycles_done[pipeline.id] = cycle
@@ -282,7 +274,7 @@ class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
             return StagePlan.proceed()
         k = self._substages.get(pipeline.id, 0) + 1
         self._substages[pipeline.id] = k
-        lams = _stage_windows(stage)
+        lams = sorted(stage.lambdas)
         # Only the samples up to this checkpoint are generated.
         series = self._series({lam: k for lam in lams})
         time_ns = k * self.adaptive.termination_tau_ns

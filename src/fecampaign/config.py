@@ -3,7 +3,8 @@
 One decoder and one encoder walk the config dataclasses' field annotations;
 keys are field names, in field order, and ``save_config`` output reloads to
 an equal config that re-saves byte for byte.  Int fields take JSON integers,
-float fields finite JSON numbers (a boolean is neither), str fields strings.
+float fields JSON numbers (a boolean is neither), str fields strings; the
+dataclasses themselves reject NaN and Infinity.
 A field without a default is required and an unknown key is an error.
 Errors name their field once, by full path: a dataclass's own check names
 it by its subject (``pilot.total_cores``), the decoder swaps in the path.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -26,7 +26,7 @@ from typing import Any
 
 from .campaign import CampaignMode, SweepRung
 from .engine import PilotConfig
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .protocols import AdaptiveConfig, LambdaSchedule, ProtocolKind, ScheduleMode
 from .synth import CurvePreset, GroundTruthCurve, SyntheticSystem
 
@@ -73,6 +73,7 @@ class CampaignConfig:
     sweep: SweepPlan | None = None
 
     def __post_init__(self):
+        require_finite(self, "config")
         # also guards the CLI's --seed override, which bypasses the loader
         if self.seed < 0:
             raise ValidationError(f"config.seed must be >= 0, got {self.seed}")
@@ -151,9 +152,10 @@ def _decode(tp, value: Any, path: str):
     if tp is float:
         if type(value) not in (int, float):
             raise ValidationError(f"{path} must be a number, got {value!r}")
-        if not abs(value) <= sys.float_info.max:  # NaN, Infinity or an integer past it
-            raise ValidationError(f"{path} must be finite, got {value!r}")
-        return float(value)
+        try:
+            return float(value)  # NaN and Infinity are left to the dataclasses
+        except OverflowError:  # an integer past the float range
+            raise ValidationError(f"{path} must be finite, got {value!r}") from None
     if type(value) is not tp:  # int (never bool) or str
         kind = "an integer" if tp is int else "a string"
         raise ValidationError(f"{path} must be {kind}, got {value!r}")

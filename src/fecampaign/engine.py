@@ -23,35 +23,32 @@ reports:
 Total time to completion is the exact sum of the four categories, and
 equals the virtual clock at the final event.
 
-The engine stores one :class:`TaskRecord` per task, one
-:class:`GenerationSummary` per wave and the few stage marks; nothing else
-is kept per task.  The event log is derived from them when something
-reads it.  One walk over the waves sets its order and yields the task
-events as segments that share a time; ``CampaignTimeline.events`` expands
-them into events and :func:`write_timeline_csv` into CSV rows.
+A task is an index into its stage's block, and a wave a list of slices
+of blocks.  The engine stores one :class:`GenerationSummary` per wave and
+the few stage marks; task records and the event log are views derived
+from them when read.  One walk over the waves sets the event order and
+yields the task events as segments that share a time;
+``CampaignTimeline.events`` expands them into events and
+:func:`write_timeline_csv` into CSV rows.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .errors import CampaignError, ContractError, PlanRejectedError, ValidationError
-from .protocols import (
-    ANALYSIS_KINDS,
-    Stage,
-    StageKind,
-    Task,
-    WorkflowGraph,
-    canonical_lambda,
-)
+from .errors import CampaignError, ContractError, PlanRejectedError, ValidationError, require_finite
+from .protocols import ANALYSIS_KINDS, Stage, StageKind, WorkflowGraph
 
 TIMELINE_COLUMNS = ("event_time_s", "event", "task_id", "pipeline_id", "stage_label", "generation")
 OVERHEAD_COLUMNS = (
@@ -72,6 +69,7 @@ class PilotConfig:
     walltime_s: float = 172_800.0
 
     def __post_init__(self):
+        require_finite(self, "pilot")
         if self.cores_per_task < 1:
             raise ValidationError("pilot.cores_per_task must be >= 1")
         if self.total_cores < self.cores_per_task:
@@ -95,6 +93,7 @@ class OverheadModel:
     runtime_per_task: float = 0.012
 
     def __post_init__(self):
+        require_finite(self, "overhead")
         # The event log is derived on the premise that the clock never runs
         # backwards.
         coefficients = (self.framework_per_protocol, self.framework_quadratic, self.runtime_per_task)
@@ -107,7 +106,7 @@ class OverheadModel:
 
 @dataclass(frozen=True)
 class DurationModel:
-    """Maps a task to its modeled execution time.
+    """Maps a stage to the modeled execution time of each of its tasks.
 
     Simulation tasks take ``timesteps * seconds_per_timestep_core / cores``
     seconds; analysis tasks take a fixed time.  The default constant of
@@ -117,10 +116,13 @@ class DurationModel:
     seconds_per_timestep_core: float = 0.032
     analysis_seconds: float = 10.0
 
-    def __call__(self, task: Task) -> float:
-        if task.kind in ANALYSIS_KINDS:
+    def __post_init__(self):
+        require_finite(self, "duration")
+
+    def __call__(self, stage: Stage) -> float:
+        if stage.kind in ANALYSIS_KINDS:
             return self.analysis_seconds
-        return task.timesteps * self.seconds_per_timestep_core / task.cores
+        return stage.timesteps * self.seconds_per_timestep_core / stage.cores
 
 
 def slots(pilot: PilotConfig) -> int:
@@ -175,16 +177,14 @@ class TaskOutcome(str, Enum):
     FAILED_THEN_RETRIED = "FAILED_THEN_RETRIED"
 
 
-@dataclass(slots=True)
-class TaskRecord:
+class TaskRecord(NamedTuple):
     """Execution record of one task across its (at most two) attempts."""
 
-    task: Task
-    submit_time_s: float = math.nan
+    submit_time_s: float
     start_time_s: float = math.nan
     end_time_s: float = math.nan
     duration_s: float = 0.0
-    attempts: int = 0
+    attempts: int = 1
     outcome: TaskOutcome = TaskOutcome.DONE
 
 
@@ -197,30 +197,41 @@ class TimelineEvent(NamedTuple):
     generation: int
 
 
+@dataclass(slots=True)
+class _Slice:
+    """Stage indices launched together in one wave (a range on a first
+    attempt); all but the ``failed`` ran for ``duration_s``."""
+
+    stage: Stage
+    indices: Sequence[int]
+    failed: tuple[int, ...] = ()
+    duration_s: float = 0.0
+    end_time_s: float = math.nan
+
+    def started(self) -> Sequence[int]:
+        if not self.failed:
+            return self.indices
+        failed = set(self.failed)
+        return [i for i in self.indices if i not in failed]
+
+
 @dataclass(frozen=True)
 class GenerationSummary:
-    """One wave: its tasks in launch order, submitted together at one clock."""
+    """One wave: its stage slices in launch order, submitted together at one clock."""
 
     index: int
     submit_time_s: float
-    tasks: tuple[TaskRecord, ...]
-    #: positions in ``tasks`` of the tasks that failed at launch
-    failed: tuple[int, ...]
+    slices: tuple[_Slice, ...]
     is_retry: bool
     exec_window_s: float = 0.0
 
     @property
     def width(self) -> int:
-        return len(self.tasks)
+        return sum(len(s.indices) for s in self.slices)
 
     @property
     def n_failed(self) -> int:
-        return len(self.failed)
-
-    def started(self) -> list[TaskRecord]:
-        """The wave's tasks that did not fail at launch, in launch order."""
-        failed = set(self.failed)
-        return [rec for i, rec in enumerate(self.tasks) if i not in failed]
+        return sum(len(s.failed) for s in self.slices)
 
 
 class _Segment(NamedTuple):
@@ -228,13 +239,14 @@ class _Segment(NamedTuple):
 
     time_s: float
     event: str
-    records: Sequence[TaskRecord]
+    parts: list[tuple[Stage, Sequence[int]]]  # stage indices in launch order
     generation: int
 
 
 def _launch_segments(gen: GenerationSummary) -> Iterator[_Segment]:
-    yield _Segment(gen.submit_time_s, "task_submit", gen.tasks, gen.index)
-    yield _Segment(gen.submit_time_s, "task_fail", [gen.tasks[i] for i in gen.failed], gen.index)
+    t = gen.submit_time_s
+    yield _Segment(t, "task_submit", [(s.stage, s.indices) for s in gen.slices], gen.index)
+    yield _Segment(t, "task_fail", [(s.stage, s.failed) for s in gen.slices if s.failed], gen.index)
 
 
 def _wave_walk(tl: "CampaignTimeline") -> Iterator[TimelineEvent | _Segment]:
@@ -253,11 +265,11 @@ def _wave_walk(tl: "CampaignTimeline") -> Iterator[TimelineEvent | _Segment]:
     mark = next(marks, None)
     for gen in tl.generations:
         yield from _launch_segments(gen)
-        started = gen.started()
-        yield _Segment(gen.submit_time_s, "task_start", started, gen.index)
-        ends = sorted(started, key=attrgetter("end_time_s"))
-        for end_s, records in groupby(ends, attrgetter("end_time_s")):
-            yield _Segment(end_s, "task_end", list(records), gen.index)
+        ran = [s for s in gen.slices if len(s.failed) < len(s.indices)]
+        yield _Segment(gen.submit_time_s, "task_start", [(s.stage, s.started()) for s in ran], gen.index)
+        ends = sorted(ran, key=attrgetter("end_time_s"))
+        for end_s, group in groupby(ends, attrgetter("end_time_s")):
+            yield _Segment(end_s, "task_end", [(s.stage, s.started()) for s in group], gen.index)
         while mark is not None and mark.generation == gen.index:
             yield mark
             mark = next(marks, None)
@@ -283,9 +295,7 @@ class TimelineEvents:
 
     def __len__(self) -> int:
         tl = self._timeline
-        aborted = tl.aborted_wave
-        never_started = aborted.width - aborted.n_failed if aborted is not None else 0
-        started = tl.n_attempts - tl.n_retries - never_started
+        started = sum(gen.width - gen.n_failed for gen in tl.generations)
         return 2 + tl.n_attempts + tl.n_retries + 2 * started + len(tl.marks) + tl.complete
 
     def __iter__(self) -> Iterator[TimelineEvent]:
@@ -293,21 +303,60 @@ class TimelineEvents:
             if isinstance(seg, TimelineEvent):
                 yield seg
                 continue
-            time_s, event, records, generation = seg
-            for rec in records:
-                t = rec.task
-                yield TimelineEvent(time_s, event, t.id, t.protocol_id, t.stage_label, generation)
+            time_s, event, parts, generation = seg
+            for stage, indices in parts:
+                pid, label = stage.pipeline_id, stage.label
+                for task_id in stage.task_ids(indices):
+                    yield TimelineEvent(time_s, event, task_id, pid, label, generation)
+
+
+class TaskRecords(Mapping):
+    """Read-only view of a timeline's launched tasks by id, in submit order;
+    ``len`` adds up wave widths, the records are built when first read."""
+
+    def __init__(self, timeline: "CampaignTimeline"):
+        tl = self._timeline = timeline
+        self._waves = tl.generations + ([tl.aborted_wave] if tl.aborted_wave is not None else [])
+
+    def __len__(self) -> int:
+        return sum(gen.width for gen in self._waves if not gen.is_retry)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._records)
+
+    def __getitem__(self, task_id: str) -> TaskRecord:
+        return self._records[task_id]
+
+    @cached_property
+    def _records(self) -> dict[str, TaskRecord]:
+        records: dict[str, TaskRecord] = {}
+        for gen in self._waves:
+            ran = gen is not self._timeline.aborted_wave
+            for s in gen.slices:
+                failed = set(s.failed)
+                for i, task_id in zip(s.indices, s.stage.task_ids(s.indices)):
+                    if gen.is_retry:
+                        rec = records[task_id]._replace(attempts=2)
+                    else:
+                        outcome = TaskOutcome.FAILED_THEN_RETRIED if i in failed else TaskOutcome.DONE
+                        rec = TaskRecord(gen.submit_time_s, outcome=outcome)
+                    if ran and i not in failed:
+                        rec = rec._replace(
+                            start_time_s=gen.submit_time_s, end_time_s=s.end_time_s,
+                            duration_s=s.duration_s,
+                        )
+                    records[task_id] = rec
+        return records
 
 
 @dataclass
 class CampaignTimeline:
-    """Task records, wave summaries and stage marks of one campaign, plus
-    the aggregates the accounting needs; ``events`` derives the event log."""
+    """Wave summaries and stage marks of one campaign, plus the aggregates
+    the accounting needs; ``events`` and ``task_records`` are derived."""
 
     pilot: PilotConfig
     overhead_model: OverheadModel
     n_protocols: int
-    task_records: dict[str, TaskRecord] = field(default_factory=dict)
     generations: list[GenerationSummary] = field(default_factory=list)
     #: ``stage_complete`` and ``pipeline_terminated`` events, in order
     marks: list[TimelineEvent] = field(default_factory=list)
@@ -322,11 +371,15 @@ class CampaignTimeline:
     primary_exec_s: float = 0.0
     n_attempts: int = 0
     n_retries: int = 0
-    sum_task_seconds: float = 0.0
 
     @property
     def events(self) -> TimelineEvents:
         return TimelineEvents(self)
+
+    @cached_property
+    def task_records(self) -> TaskRecords:
+        """Built once, on first read: a run hands its timeline out only when it ends."""
+        return TaskRecords(self)
 
     def peak_concurrency(self) -> int:
         """Maximum number of simultaneously running tasks in the log."""
@@ -379,12 +432,6 @@ def measure_overheads(timeline: CampaignTimeline) -> OverheadBreakdown:
     )
 
 
-def _windows_of(stages: Iterable[Stage]) -> set[float]:
-    # Many tasks share a window, so canonicalise each distinct raw lambda once.
-    raw = {t.lam for s in stages for t in s.tasks}
-    return {canonical_lambda(lam) for lam in raw if lam is not None}
-
-
 @dataclass
 class PipelineRun:
     """Mutable per-pipeline execution state, also handed to evaluators."""
@@ -394,20 +441,14 @@ class PipelineRun:
     stages: list[Stage]
     cursor: int = 0
     terminated_reason: str | None = None
-    #: Canonical lambdas of every stage's tasks, kept up to date by
-    #: :meth:`insert_stage` so that plan validation never rescans the stages.
-    window_set: set[float] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.window_set = _windows_of(self.stages)
 
     def insert_stage(self, index: int, stage: Stage) -> None:
         self.stages.insert(index, stage)
-        self.window_set |= _windows_of([stage])
 
     @property
     def windows(self) -> tuple[float, ...]:
-        return tuple(sorted(self.window_set))
+        """Canonical lambdas of every stage, sorted."""
+        return tuple(sorted({lam for s in self.stages for lam in s.lambdas or ()}))
 
     @property
     def done(self) -> bool:
@@ -444,23 +485,26 @@ class CampaignOutcome:
 
 
 def _validate_plan(plan: StagePlan, pipeline: PipelineRun) -> None:
-    if plan.kind is not PlanKind.APPEND:
-        return
-    known = pipeline.window_set
+    labels = {s.label for s in pipeline.stages}
+    known = set(pipeline.windows)
     introduced: set[float] = set()
     for stage in plan.stages:
-        for task in stage.tasks:
-            if task.lam is None:
-                continue
-            lam = canonical_lambda(task.lam)
-            if task.kind is StageKind.PRODUCTION:
-                if lam not in known and lam not in introduced:
-                    raise PlanRejectedError(
-                        f"plan for pipeline {pipeline.id} schedules production at unknown "
-                        f"lambda {lam} with no preceding equilibration"
-                    )
-            else:
-                introduced.add(lam)
+        if stage.pipeline_id != pipeline.id or stage.label in labels:
+            raise PlanRejectedError(
+                f"plan for pipeline {pipeline.id} adds a stage it has or does not own: "
+                f"{stage.pipeline_id}/{stage.label}"
+            )
+        labels.add(stage.label)
+        lams = stage.lambdas or ()
+        if stage.kind is StageKind.PRODUCTION:
+            unknown = [lam for lam in lams if lam not in known and lam not in introduced]
+            if unknown:
+                raise PlanRejectedError(
+                    f"plan for pipeline {pipeline.id} schedules production at unknown "
+                    f"lambda {unknown[0]} with no preceding equilibration"
+                )
+        else:
+            introduced.update(lams)
     adaptive = getattr(pipeline.spec, "adaptive", None)
     if adaptive is not None:
         total = len(known | introduced)
@@ -474,16 +518,16 @@ def _validate_plan(plan: StagePlan, pipeline: PipelineRun) -> None:
 def run_campaign(
     workflows: WorkflowGraph,
     pilot: PilotConfig,
-    duration_model: Callable[[Task], float] | None = None,
+    duration_model: Callable[[Stage], float] | None = None,
     evaluator: Evaluator | None = None,
     seed: int = 0,
     overhead_model: OverheadModel | None = None,
 ) -> CampaignOutcome:
     """Execute a workflow graph on the simulated pilot.
 
-    Deterministic for a given seed.  Raises :class:`CampaignError` (with
-    the partial timeline attached) when the walltime is exceeded or a
-    task fails twice.
+    ``duration_model`` is called once per stage slice of a wave, with the
+    stage.  Deterministic for a given seed.  Raises :class:`CampaignError` (with the partial timeline
+    attached) when the walltime is exceeded or a task fails twice.
     """
     durations = duration_model or DurationModel()
     overheads = overhead_model or OverheadModel()
@@ -493,11 +537,11 @@ def run_campaign(
     capacity = slots(pilot)
     for p in workflows.pipelines:
         for s in p.stages:
-            for t in s.tasks:
-                if t.cores > pilot.total_cores:
-                    raise ValidationError(
-                        f"task {t.id} needs {t.cores} cores, pilot has {pilot.total_cores}"
-                    )
+            if s.cores > pilot.total_cores:
+                raise ValidationError(
+                    f"stage {s.pipeline_id}/{s.label} needs {s.cores} cores per task, "
+                    f"pilot has {pilot.total_cores}"
+                )
 
     timeline = CampaignTimeline(pilot=pilot, overhead_model=overheads, n_protocols=n_protocols)
     clock = 0.0
@@ -506,8 +550,8 @@ def run_campaign(
     pipelines = [
         PipelineRun(id=p.id, spec=p.spec, stages=list(p.stages)) for p in workflows.pipelines
     ]
-    # pipeline id -> not yet launched tasks of its current stage
-    pending: dict[str, list[TaskRecord]] = {pl.id: [] for pl in pipelines}
+    # pipeline id -> first not yet launched index of its current stage
+    launched: dict[str, int] = {}
     # pipeline id -> unfinished tasks of its current stage, including those
     # waiting for a retry
     remaining: dict[str, int] = {}
@@ -519,14 +563,9 @@ def run_campaign(
 
     def enter_stage(pl: PipelineRun) -> None:
         stage = pl.current_stage()
-        if stage is None:
-            return
-        queue = pending[pl.id]
-        for t in stage.tasks:
-            rec = TaskRecord(task=t)
-            timeline.task_records[t.id] = rec
-            queue.append(rec)
-        remaining[pl.id] = len(stage.tasks)
+        if stage is not None:
+            launched[pl.id] = 0
+            remaining[pl.id] = stage.n_tasks
 
     # Framework overhead (compilation plus evaluator bookkeeping) is charged
     # up front from the protocol count.
@@ -536,24 +575,31 @@ def run_campaign(
     for pl in pipelines:
         enter_stage(pl)
 
-    retry_queue: list[TaskRecord] = []
+    retry_wave: list[_Slice] = []
 
     while True:
-        is_retry_wave = bool(retry_queue)
+        is_retry_wave = bool(retry_wave)
         if is_retry_wave:
-            wave, retry_queue = retry_queue, []
+            wave, retry_wave = retry_wave, []
         else:
+            # Fill the wave from each pipeline's current stage in turn.
             wave = []
+            free = capacity
             for pl in pipelines:
-                queue = pending[pl.id]
-                take = capacity - len(wave)
-                wave += queue[:take]
-                del queue[:take]
+                stage = pl.current_stage()
+                if stage is None or not free:
+                    continue
+                lo = launched[pl.id]
+                hi = min(stage.n_tasks, lo + free)
+                if hi > lo:
+                    wave.append(_Slice(stage, range(lo, hi)))
+                    launched[pl.id] = hi
+                    free -= hi - lo
         if not wave:
             break
 
         # Scheduling (runtime overhead) and launch delays for the wave.
-        width = len(wave)
+        width = sum(len(s.indices) for s in wave)
         sched = overheads.runtime_per_task * width
         timeline.runtime_s += sched
         clock += sched
@@ -566,38 +612,34 @@ def run_campaign(
         clock += launch
         timeline.n_attempts += width
 
-        for rec in wave:
-            rec.attempts += 1
-            if not is_retry_wave:
-                rec.submit_time_s = clock
-
         # Launch failures: only generations wider than the launcher cap are
         # at risk, and then every task in the generation rolls the dice.
-        failed: tuple[int, ...] = ()
+        gen = GenerationSummary(len(timeline.generations), clock, tuple(wave), is_retry_wave)
         if width > pilot.concurrency_cap and pilot.failure_probability_over_cap > 0.0:
-            failed = tuple(np.flatnonzero(rng.random(width) < pilot.failure_probability_over_cap).tolist())
-        gen = GenerationSummary(len(timeline.generations), clock, tuple(wave), failed, is_retry_wave)
-        if failed and is_retry_wave:
-            # The first repeated failure aborts before any failure is logged.
-            raise fail(
-                f"task {wave[failed[0]].task.id} failed twice; campaign aborted",
-                replace(gen, failed=()),
-            )
-        for i in failed:
-            wave[i].outcome = TaskOutcome.FAILED_THEN_RETRIED
-            retry_queue.append(wave[i])
-        timeline.n_retries += len(failed)
+            rolls = rng.random(width) < pilot.failure_probability_over_cap
+            ends = np.cumsum([len(s.indices) for s in wave]).tolist()
+            split = [
+                tuple(s.indices[j] for j in np.flatnonzero(rolls[end - len(s.indices):end]).tolist())
+                for s, end in zip(wave, ends)
+            ]
+            if rolls.any() and is_retry_wave:
+                # The first repeated failure aborts before any failure is logged.
+                s, failed = next((s, f) for s, f in zip(wave, split) if f)
+                raise fail(f"task {s.stage.task_ids(failed[:1])[0]} failed twice; campaign aborted", gen)
+            for s, failed in zip(wave, split):
+                if failed:
+                    s.failed = failed
+                    retry_wave.append(_Slice(s.stage, failed))
+            timeline.n_retries += int(rolls.sum())
 
-        running = gen.started()
-        run_times = [durations(rec.task) for rec in running]
+        running = [s for s in wave if len(s.failed) < len(s.indices)]
+        run_times = [durations(s.stage) for s in running]
         if not all(0.0 <= d < math.inf for d in run_times):
             raise fail("duration model returned a negative or non-finite duration", gen)
         window = max(run_times, default=0.0)
-        for rec, d in zip(running, run_times):
-            rec.start_time_s = clock
-            rec.end_time_s = clock + d
-            rec.duration_s = d
-            timeline.sum_task_seconds += d
+        for s, d in zip(running, run_times):
+            s.duration_s = d
+            s.end_time_s = clock + d
         # The execution window of a retry generation is relaunch cost, not
         # task-execution time.
         if is_retry_wave:
@@ -613,8 +655,8 @@ def run_campaign(
             )
 
         # Stage barriers: advance pipelines whose current stage fully finished.
-        for rec in running:
-            remaining[rec.task.protocol_id] -= 1
+        for s in running:
+            remaining[s.stage.pipeline_id] -= len(s.indices) - len(s.failed)
         for pl in pipelines:
             if pl.done or remaining[pl.id]:
                 continue
@@ -627,11 +669,6 @@ def run_campaign(
                 _validate_plan(plan, pl)
                 for offset, new_stage in enumerate(plan.stages):
                     pl.insert_stage(pl.cursor + 1 + offset, new_stage)
-                    for t in new_stage.tasks:
-                        if t.id in timeline.task_records:
-                            raise PlanRejectedError(
-                                f"plan for pipeline {pl.id} reuses task id {t.id}"
-                            )
             elif plan.kind is PlanKind.TERMINATE:
                 pl.terminated_reason = plan.reason or "terminated by evaluator"
                 timeline.marks.append(
@@ -657,27 +694,19 @@ def run_campaign(
     return CampaignOutcome(timeline=timeline, overheads=measure_overheads(timeline), results=results)
 
 
-#: Task rows assembled per ``write`` call when a timeline is written.
+#: Task rows assembled, at most, per ``write`` call when a timeline is written.
 _CHUNK_ROWS = 4096
-
-
-def _plain(text: str, rows: int) -> bool:
-    """Whether assembled rows hold no field that ``csv`` would quote: no
-    ``"`` and no separator or line break beyond the row's own."""
-    return (
-        text.count(",") == (len(TIMELINE_COLUMNS) - 1) * rows
-        and text.count("\n") == rows
-        and text.count("\r") == rows
-        and '"' not in text
-    )
+#: Characters that make ``csv`` quote a field.
+_QUOTED = re.compile('[,"\r\n]')
 
 
 def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
     """Write the event log with the stable column set.
 
-    Task rows are assembled as text a chunk at a time, with the time of
-    their segment formatted once.  A chunk with a field that ``csv`` would
-    quote goes through ``csv`` row by row instead, as do the campaign and
+    Task rows are assembled as text a chunk of at most ``_CHUNK_ROWS`` at
+    a time, across stage slices and cutting through them, with the time of
+    their segment formatted once.  The rows of a stage with a field that
+    ``csv`` would quote go through ``csv`` instead, as do the campaign and
     stage marks, so the bytes are those of ``csv.writer`` over ``events``.
     """
     with open(path, "w", newline="") as fh:
@@ -687,19 +716,26 @@ def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
             if isinstance(seg, TimelineEvent):
                 writer.writerow((f"{seg.time_s:.6f}", *seg[1:]))
                 continue
-            time_s, event, records, generation = seg
+            time_s, event, parts, generation = seg
             stamp = f"{time_s:.6f}"
-            # "\r\n" is the line terminator of csv's default dialect
-            head, tail = f"{stamp},{event},", f",{generation}\r\n"
-            for lo in range(0, len(records), _CHUNK_ROWS):
-                tasks = [rec.task for rec in records[lo:lo + _CHUNK_ROWS]]
-                text = "".join([f"{head}{t.id},{t.protocol_id},{t.stage_label}{tail}" for t in tasks])
-                if _plain(text, len(tasks)):
-                    fh.write(text)
-                else:
-                    writer.writerows(
-                        [(stamp, event, t.id, t.protocol_id, t.stage_label, generation) for t in tasks]
-                    )
+            rows: list[str] = []
+            for stage, indices in parts:
+                pid, label = stage.pipeline_id, stage.label
+                if _QUOTED.search(pid + label):
+                    fh.write("".join(rows))
+                    rows = []
+                    writer.writerows([(stamp, event, t, pid, label, generation) for t in stage.task_ids(indices)])
+                    continue
+                # "\r\n" is the line terminator of csv's default dialect
+                head, tail = f"{stamp},{event},", f",{pid},{label},{generation}\r\n"
+                while indices:
+                    cut = _CHUNK_ROWS - len(rows)
+                    rows += stage.task_ids(indices[:cut], head, tail)
+                    indices = indices[cut:]
+                    if len(rows) == _CHUNK_ROWS:
+                        fh.write("".join(rows))
+                        rows = []
+            fh.write("".join(rows))
 
 
 def overhead_row(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 
 class ValidationError(ValueError):
     """A config or protocol definition violates one of its invariants.
@@ -31,3 +34,12 @@ class CampaignError(RuntimeError):
 
 class PlanRejectedError(CampaignError):
     """An evaluator returned a stage plan the engine refused to apply."""
+
+
+def require_finite(obj, subject: str) -> None:
+    """Reject NaN and +-Infinity in the ``float`` fields of dataclass ``obj``,
+    naming the field ``<subject>.<field>`` (the config loader swaps in its path)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("float", float) and not math.isfinite(value):
+            raise ValidationError(f"{subject}.{f.name} must be finite, got {value!r}")

@@ -3,18 +3,21 @@
 A protocol describes one binding-affinity calculation: an ordered chain of
 simulation stages, each fanning out into concurrent tasks (one per replica,
 or one per lambda window and replica), followed by analysis stages.
-``compile_protocol`` turns a spec into a pipeline of stages of tasks;
-stages run strictly in order, tasks within a stage run concurrently.
+``compile_protocol`` turns a spec into a pipeline of stages; stages run
+strictly in order, tasks within a stage run concurrently.  A stage is a
+block of tasks that differ only by their index, so compiling costs one
+object per stage, never one per task.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .quadrature import canonical_lambda
 
 #: MD integration timestep assumed when converting timesteps to simulated time.
@@ -69,6 +72,9 @@ class LambdaSchedule:
     lambdas: tuple[float, ...]
 
     def __post_init__(self):
+        for i, lam in enumerate(self.lambdas):
+            if not math.isfinite(lam):
+                raise ValidationError(f"lambda_schedule[{i}] must be finite, got {lam!r}")
         canon = tuple(canonical_lambda(l) for l in self.lambdas)
         if len(canon) < 2:
             raise ValidationError("lambda_schedule needs at least two windows")
@@ -105,6 +111,7 @@ class AdaptiveConfig:
     max_total_windows: int = 21
 
     def __post_init__(self):
+        require_finite(self, "adaptive")
         if not self.error_threshold_epsilon > 0.0:
             raise ValidationError("adaptive.error_threshold_epsilon must be > 0")
         if self.production_substages < 1:
@@ -135,8 +142,7 @@ class StageSpec:
     task_width: int | None = None
 
     def __post_init__(self):
-        if not self.label:
-            raise ValidationError("stage label must be non-empty")
+        _check_name("stage label", self.label)
         if self.kind in SIMULATION_KINDS:
             if self.timesteps < 1:
                 raise ValidationError(f"stage {self.label}: simulation stages need timesteps >= 1")
@@ -192,29 +198,57 @@ class ProtocolSpec:
         return ()
 
 
-@dataclass(frozen=True)
-class Task:
-    """One schedulable unit of work."""
-
-    id: str
-    protocol_id: str
-    stage_label: str
-    kind: StageKind
-    lam: float | None
-    replica_index: int
-    cores: int
-    timesteps: int
+def _check_name(what: str, name: str) -> None:
+    # Task ids join pipeline id, stage label and index with "/", so unique
+    # labels per pipeline and unique pipeline ids make every id unique.
+    if not name or "/" in name:
+        raise ValidationError(f"{what} {name!r} must be non-empty and hold no '/'")
 
 
 @dataclass(frozen=True)
 class Stage:
+    """A pipeline stage: a block of tasks that share kind, timesteps and cores.
+
+    Task ``i`` is replica ``i % width`` at window ``lambdas[i // width]``, or
+    without ``lambdas`` replica (analysis: item) ``i``.  Its id is formatted
+    only when read: ``<pipeline>/<label>/`` then ``l<lambda:.3f>/r<replica>``,
+    ``r<replica>`` or ``a<item>``.
+    """
+
+    pipeline_id: str
     label: str
     kind: StageKind
-    tasks: tuple[Task, ...]
+    timesteps: int
+    width: int
+    lambdas: tuple[float, ...] | None
+    cores: int = 32
+    #: per window, the id part before the index within the window
+    _marks: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.tasks:
+        _check_name("pipeline id", self.pipeline_id)
+        _check_name("stage label", self.label)
+        marks = ("a",) if self.kind in ANALYSIS_KINDS else ("r",)
+        if self.lambdas is not None:
+            lams = tuple(canonical_lambda(lam) for lam in self.lambdas)
+            if len(set(lams)) != len(lams):
+                raise ValidationError(f"stage {self.label}: lambdas must be distinct after rounding")
+            object.__setattr__(self, "lambdas", lams)
+            marks = tuple(f"l{lam:.3f}/r" for lam in lams)
+        object.__setattr__(self, "_marks", marks)
+        if self.n_tasks < 1:
             raise ValidationError(f"stage {self.label} compiled with no tasks")
+
+    @property
+    def n_tasks(self) -> int:
+        return self.width * len(self._marks)
+
+    def task_ids(self, indices: Sequence[int], prefix: str = "", suffix: str = "") -> list[str]:
+        """Ids of the tasks at ``indices``, each between ``prefix`` and ``suffix``."""
+        heads = [f"{prefix}{self.pipeline_id}/{self.label}/{mark}" for mark in self._marks]
+        width = self.width
+        tails = [f"{r}{suffix}" for r in range(width)]
+        return [heads[i // width] + tails[i % width] for i in indices]
 
 
 @dataclass(frozen=True)
@@ -232,78 +266,16 @@ class WorkflowGraph:
         ids = [p.id for p in self.pipelines]
         if len(set(ids)) != len(ids):
             raise ValidationError("pipeline ids must be unique within a workflow graph")
-        task_ids = [t.id for p in self.pipelines for s in p.stages for t in s.tasks]
-        if len(set(task_ids)) != len(task_ids):
-            raise ValidationError("task ids must be unique within a workflow graph")
+        for p in self.pipelines:
+            labels = {s.label for s in p.stages}
+            if len(labels) != len(p.stages) or any(s.pipeline_id != p.id for s in p.stages):
+                raise ValidationError(
+                    f"pipeline {p.id}: stages need unique labels and the pipeline's id"
+                )
 
     @property
     def n_tasks(self) -> int:
-        return sum(len(s.tasks) for p in self.pipelines for s in p.stages)
-
-
-def simulation_stage(
-    protocol_id: str,
-    label: str,
-    kind: StageKind,
-    timesteps: int,
-    replicas: int,
-    lam_values: Sequence[float] | None,
-    cores_per_task: int = 32,
-) -> Stage:
-    """Build one simulation stage's task fan-out.
-
-    With ``lam_values`` the fan-out is (window x replica); without it the
-    fan-out is one task per replica (lambda-free ensembles).
-    """
-    tasks = []
-    if lam_values is None:
-        for r in range(replicas):
-            tasks.append(
-                Task(
-                    id=f"{protocol_id}/{label}/r{r}",
-                    protocol_id=protocol_id,
-                    stage_label=label,
-                    kind=kind,
-                    lam=None,
-                    replica_index=r,
-                    cores=cores_per_task,
-                    timesteps=timesteps,
-                )
-            )
-    else:
-        for lam in lam_values:
-            lam = canonical_lambda(lam)
-            for r in range(replicas):
-                tasks.append(
-                    Task(
-                        id=f"{protocol_id}/{label}/l{lam:.3f}/r{r}",
-                        protocol_id=protocol_id,
-                        stage_label=label,
-                        kind=kind,
-                        lam=lam,
-                        replica_index=r,
-                        cores=cores_per_task,
-                        timesteps=timesteps,
-                    )
-                )
-    return Stage(label=label, kind=kind, tasks=tuple(tasks))
-
-
-def _analysis_stage(protocol_id: str, spec: StageSpec, cores_per_task: int) -> Stage:
-    tasks = tuple(
-        Task(
-            id=f"{protocol_id}/{spec.label}/a{i}",
-            protocol_id=protocol_id,
-            stage_label=spec.label,
-            kind=spec.kind,
-            lam=None,
-            replica_index=i,
-            cores=cores_per_task,
-            timesteps=0,
-        )
-        for i in range(spec.task_width or 1)
-    )
-    return Stage(label=spec.label, kind=spec.kind, tasks=tasks)
+        return sum(s.n_tasks for p in self.pipelines for s in p.stages)
 
 
 def compile_protocol(
@@ -318,30 +290,17 @@ def compile_protocol(
     follow the simulation stages.  Compilation is deterministic.
     """
     pid = protocol_id or spec.name
-    lam_values: Sequence[float] | None
-    if spec.kind is ProtocolKind.TIES:
-        lam_values = spec.windows
-    else:
-        lam_values = None
+    lam_values = spec.windows if spec.kind is ProtocolKind.TIES else None
     stages: list[Stage] = []
     for st in spec.sim_stages:
+        label, timesteps = st.label, st.timesteps
         if spec.adaptive is not None and st.kind is StageKind.PRODUCTION:
-            stages.append(
-                simulation_stage(
-                    pid, f"{st.label}.1", st.kind,
-                    spec.adaptive.substage_timesteps, spec.replicas_per_member,
-                    lam_values, cores_per_task,
-                )
-            )
-        else:
-            stages.append(
-                simulation_stage(
-                    pid, st.label, st.kind, st.timesteps,
-                    spec.replicas_per_member, lam_values, cores_per_task,
-                )
-            )
+            label, timesteps = f"{st.label}.1", spec.adaptive.substage_timesteps
+        stages.append(
+            Stage(pid, label, st.kind, timesteps, spec.replicas_per_member, lam_values, cores_per_task)
+        )
     for st in spec.analysis_stages:
-        stages.append(_analysis_stage(pid, st, cores_per_task))
+        stages.append(Stage(pid, st.label, st.kind, 0, st.task_width, None, cores_per_task))
     return WorkflowGraph(pipelines=(Pipeline(id=pid, spec=spec, stages=tuple(stages)),))
 
 

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, ValidationError
+from .errors import ContractError, ValidationError, require_finite
 from .quadrature import canonical_lambda
 from .stats import DuDlSeries
 
@@ -71,6 +71,7 @@ class GroundTruthCurve:
     baseline_slope: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "curve")
         if self.preset in (CurvePreset.GAUSS_BUMP, CurvePreset.RATIONAL):
             if not 0.0 <= self.center <= 1.0:
                 raise ValidationError(f"curve.center {self.center} outside [0, 1]")
@@ -143,9 +144,7 @@ class NoiseModel:
     drift_timescale_ps: float = 100.0
 
     def __post_init__(self):
-        for name in ("sigma", "ar1_phi", "drift_amplitude", "drift_timescale_ps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"noise.{name} must be finite")
+        require_finite(self, "noise")
         if self.sigma < 0.0:
             raise ValidationError("noise.sigma must be >= 0")
         if not 0.0 <= self.ar1_phi < 1.0:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fecampaign import config
 from fecampaign.campaign import (
     EPSILON_FLOOR,
     NONADAPTIVE_WINDOWS,
@@ -17,7 +18,13 @@ from fecampaign.campaign import (
 )
 from fecampaign.engine import PilotConfig
 from fecampaign.errors import ValidationError
-from fecampaign.protocols import AdaptiveConfig, ProtocolKind, ScheduleMode
+from fecampaign.protocols import (
+    AdaptiveConfig,
+    ProtocolKind,
+    ScheduleMode,
+    compile_protocol,
+    ties_protocol,
+)
 from fecampaign.synth import (
     ZERO_NOISE,
     GroundTruthCurve,
@@ -156,3 +163,28 @@ def test_termination_tau_must_divide_horizon():
     )
     with pytest.raises(ValidationError):
         run_system(LINEAR, CampaignMode.ADAPTIVE_TERMINATION, opts)
+
+
+def test_sweep_read_surface_of_the_benchmark():
+    # What perfbench/run.py and perfbench/tracer.py read from a sweep rung,
+    # pinned on a 2-protocol rung whose 520-wide waves are over the cap.
+    plan = config.SweepPlan(
+        kind="STRONG", protocol_kind=ProtocolKind.TIES, physical_system="BRD4 ligand pair",
+        rungs=(SweepRung(2, 16_640),), replicas=20,
+    )
+    spec = ties_protocol(
+        physical_system=plan.physical_system, replicas=plan.replicas,
+        mode=ScheduleMode.SCALING, include_analysis=False,
+    )
+    assert compile_protocol(spec).n_tasks == 4 * 13 * 20
+    [res] = run_sweep(
+        kind=plan.kind, rungs=list(plan.rungs), protocol_kind=plan.protocol_kind,
+        physical_system=plan.physical_system, pilot_defaults=PilotConfig(total_cores=2_080),
+        seed=7, replicas=plan.replicas,
+    )
+    tl = res.outcome.timeline
+    assert res.run_id == "strong-0-P2-C16640"
+    assert len(tl.task_records) == 2_080
+    assert len(tl.events) == 6_787
+    assert len(tl.generations) == 8
+    assert (tl.n_attempts, tl.n_retries) == (2_348, 268)

@@ -23,12 +23,11 @@ from fecampaign.protocols import (
     ProtocolKind,
     ProtocolSpec,
     StageKind,
+    Stage,
     StageSpec,
-    Task,
     WorkflowGraph,
     compile_protocol,
     merge_graphs,
-    simulation_stage,
 )
 
 
@@ -68,9 +67,9 @@ def test_generation_count_rejects_negative():
 
 def test_duration_model():
     model = DurationModel()
-    sim = Task("x", "p", "S4", StageKind.PRODUCTION, 0.5, 0, cores=32, timesteps=2_000_000)
+    sim = Stage("p", "S4", StageKind.PRODUCTION, 2_000_000, 1, (0.5,), cores=32)
     assert model(sim) == pytest.approx(2_000_000 * 0.032 / 32)
-    analysis = Task("y", "p", "S5", StageKind.ANALYSIS, None, 0, cores=32, timesteps=0)
+    analysis = Stage("p", "S5", StageKind.ANALYSIS, 0, 1, None, cores=32)
     assert model(analysis) == pytest.approx(10.0)
 
 
@@ -82,7 +81,12 @@ def test_overhead_model_framework_cost_is_quadratic():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"framework_per_protocol": -0.1}, {"framework_quadratic": -0.1}, {"runtime_per_task": float("nan")}],
+    [
+        {"framework_per_protocol": -0.1},
+        {"framework_quadratic": -0.1},
+        {"runtime_per_task": float("nan")},
+        {"runtime_per_task": float("inf")},
+    ],
 )
 def test_overhead_model_rejects_negative_coefficients(kwargs):
     with pytest.raises(ValidationError):
@@ -248,7 +252,7 @@ def test_evaluator_terminate_cancels_remaining_stages():
 
 
 def test_evaluator_append_inserts_and_runs_stage():
-    extra = simulation_stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
+    extra = Stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
     ev = _OneShotEvaluator(StagePlan.append([extra]))
     outcome = run_campaign(compile_protocol(two_stage_spec()), quiet_pilot(4_160), evaluator=ev)
     summary = outcome.results["two"]
@@ -271,7 +275,7 @@ def test_pipeline_window_set_tracks_inserted_stages():
     (pipeline,) = compile_protocol(two_stage_spec()).pipelines
     run = PipelineRun(id=pipeline.id, spec=pipeline.spec, stages=list(pipeline.stages))
     assert run.windows == (0.0, 1.0)
-    run.insert_stage(1, simulation_stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.25]))
+    run.insert_stage(1, Stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.25]))
     assert [s.label for s in run.stages] == ["S1", "S1b", "S2"]
     assert run.windows == (0.0, 0.25, 1.0)
 
@@ -279,8 +283,8 @@ def test_pipeline_window_set_tracks_inserted_stages():
 def test_production_accepted_at_window_added_by_earlier_plan():
     # The second plan's production lambda is known only through the stage
     # the first plan inserted.
-    equil = simulation_stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
-    prod = simulation_stage("two", "S1c", StageKind.PRODUCTION, 1_000, 2, [0.5])
+    equil = Stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
+    prod = Stage("two", "S1c", StageKind.PRODUCTION, 1_000, 2, [0.5])
     ev = _ScriptedEvaluator(StagePlan.append([equil]), StagePlan.append([prod]))
     outcome = run_campaign(compile_protocol(two_stage_spec()), quiet_pilot(4_160), evaluator=ev)
     summary = outcome.results["two"]
@@ -289,15 +293,28 @@ def test_production_accepted_at_window_added_by_earlier_plan():
 
 
 def test_plan_rejected_for_unseen_production_lambda():
-    rogue = simulation_stage("two", "S2b", StageKind.PRODUCTION, 1_000, 2, [0.111])
+    rogue = Stage("two", "S2b", StageKind.PRODUCTION, 1_000, 2, [0.111])
     ev = _OneShotEvaluator(StagePlan.append([rogue]))
     with pytest.raises(PlanRejectedError):
         run_campaign(compile_protocol(two_stage_spec()), quiet_pilot(4_160), evaluator=ev)
 
 
 def test_plan_rejected_for_reused_task_id():
-    dup = simulation_stage("two", "S1", StageKind.EQUILIBRATION, 1_000, 2, [0.0, 1.0])
+    dup = Stage("two", "S1", StageKind.EQUILIBRATION, 1_000, 2, [0.0, 1.0])
     ev = _OneShotEvaluator(StagePlan.append([dup]))
+    with pytest.raises(PlanRejectedError):
+        run_campaign(compile_protocol(two_stage_spec()), quiet_pilot(4_160), evaluator=ev)
+
+
+def test_stage_with_lambdas_that_round_together_is_rejected():
+    # Both lambdas are window 0.500: the stage would run two tasks under one id.
+    with pytest.raises(ValidationError, match="distinct"):
+        Stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5, 0.5004])
+
+
+def test_plan_rejected_for_stage_of_another_pipeline():
+    stray = Stage("other", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
+    ev = _OneShotEvaluator(StagePlan.append([stray]))
     with pytest.raises(PlanRejectedError):
         run_campaign(compile_protocol(two_stage_spec()), quiet_pilot(4_160), evaluator=ev)
 

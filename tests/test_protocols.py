@@ -190,19 +190,19 @@ def test_compiled_ties_fans_out_65_tasks_per_sim_stage():
            and s.kind is not StageKind.GLOBAL_ANALYSIS]
     assert len(sim) == 4
     for stage in sim:
-        assert len(stage.tasks) == 13 * 5
+        assert stage.n_tasks == 13 * 5
     assert graph.n_tasks == 4 * 65 + 5 + 1
 
 
 def test_compiled_task_identity_and_lambda():
     graph = compile_protocol(ties_protocol(name="t0"), protocol_id="p1")
-    tasks = [t for s in graph.pipelines[0].stages for t in s.tasks]
-    ids = [t.id for t in tasks]
+    stages = graph.pipelines[0].stages
+    ids = [task_id for s in stages for task_id in s.task_ids(range(s.n_tasks))]
     assert len(set(ids)) == len(ids)
-    first = graph.pipelines[0].stages[0].tasks[0]
-    assert first.id == "p1/S1/l0.000/r0"
+    first = stages[0]
+    assert first.task_ids([0]) == ["p1/S1/l0.000/r0"]
     assert first.cores == 32
-    sim_lams = {t.lam for t in tasks if t.timesteps > 0}
+    sim_lams = {lam for s in stages if s.timesteps > 0 for lam in s.lambdas}
     assert sim_lams == set(LambdaSchedule.uniform(13).lambdas)
 
 
@@ -210,8 +210,8 @@ def test_compiled_esmacs_is_lambda_free():
     graph = compile_protocol(esmacs_protocol(name="e0", mode=ScheduleMode.SCALING))
     (pipe,) = graph.pipelines
     for stage in pipe.stages[:4]:
-        assert len(stage.tasks) == 25
-        assert all(t.lam is None for t in stage.tasks)
+        assert stage.n_tasks == 25
+        assert stage.lambdas is None
     assert graph.n_tasks == 4 * 25 + 1
 
 
@@ -222,8 +222,8 @@ def test_adaptive_compile_emits_first_production_substage_only():
     assert "S4.1" in labels
     assert "S4" not in labels
     substage = next(s for s in graph.pipelines[0].stages if s.label == "S4.1")
-    assert len(substage.tasks) == 3 * 5
-    assert all(t.timesteps == AdaptiveConfig().substage_timesteps for t in substage.tasks)
+    assert substage.n_tasks == 3 * 5
+    assert substage.timesteps == AdaptiveConfig().substage_timesteps
 
 
 def test_merge_graphs_concatenates_pipelines():
@@ -242,4 +242,46 @@ def test_merge_graphs_rejects_duplicate_pipeline_ids():
 
 def test_stage_must_hold_tasks():
     with pytest.raises(ValidationError):
-        Stage(label="S1", kind=StageKind.MINIMIZATION, tasks=())
+        Stage("p", "S1", StageKind.MINIMIZATION, 1_000, 0, None)
+
+
+def _all_ids(graph):
+    return [task_id for p in graph.pipelines for s in p.stages for task_id in s.task_ids(range(s.n_tasks))]
+
+
+def test_task_ids_are_frozen():
+    ties = ties_protocol(
+        name="tiny", lambda_schedule=LambdaSchedule((0.0, 1.0)), replicas=2, mode=ScheduleMode.SCALING
+    )
+    assert _all_ids(compile_protocol(ties)) == [
+        "tiny/S1/l0.000/r0", "tiny/S1/l0.000/r1", "tiny/S1/l1.000/r0", "tiny/S1/l1.000/r1",
+        "tiny/S2/l0.000/r0", "tiny/S2/l0.000/r1", "tiny/S2/l1.000/r0", "tiny/S2/l1.000/r1",
+        "tiny/S3/l0.000/r0", "tiny/S3/l0.000/r1", "tiny/S3/l1.000/r0", "tiny/S3/l1.000/r1",
+        "tiny/S4/l0.000/r0", "tiny/S4/l0.000/r1", "tiny/S4/l1.000/r0", "tiny/S4/l1.000/r1",
+        "tiny/S5/a0", "tiny/S5/a1", "tiny/S6/a0",
+    ]
+    assert _all_ids(compile_protocol(esmacs_protocol(name="ens", replicas=3))) == [
+        "ens/S1/r0", "ens/S1/r1", "ens/S1/r2", "ens/S2/r0", "ens/S2/r1", "ens/S2/r2",
+        "ens/S3/r0", "ens/S3/r1", "ens/S3/r2", "ens/S4/r0", "ens/S4/r1", "ens/S4/r2",
+        "ens/S5/a0",
+    ]
+
+
+def test_ids_that_would_collide_across_pipelines_are_rejected():
+    # "a/b" + "c" and "a" + "b/c" would both give ids "a/b/c/...".
+    def single(name, label):
+        return ProtocolSpec(
+            name=name, kind=ProtocolKind.ESMACS, physical_system="x",
+            sim_stages=(StageSpec(label, StageKind.MINIMIZATION, timesteps=10),),
+            replicas_per_member=2,
+        )
+
+    with pytest.raises(ValidationError):
+        merge_graphs([compile_protocol(single("a/b", "c")), compile_protocol(single("a", "b/c"))])
+
+
+def test_stage_label_with_slash_is_rejected():
+    with pytest.raises(ValidationError, match="no '/'"):
+        StageSpec("S1/x", StageKind.MINIMIZATION, timesteps=10)
+    with pytest.raises(ValidationError, match="no '/'"):
+        Stage("p", "S1/x", StageKind.MINIMIZATION, 10, 1, None)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fecampaign.adaptive import SyntheticSampler
+from fecampaign.engine import DurationModel, PilotConfig
 from fecampaign.errors import ContractError, ValidationError
+from fecampaign.protocols import AdaptiveConfig, LambdaSchedule
 from fecampaign.synth import (
     CurvePreset,
     GroundTruthCurve,
@@ -72,9 +75,28 @@ def test_noise_model_validation():
         NoiseModel(drift_timescale_ps=0.0)
 
 
-@pytest.mark.parametrize("field", ["sigma", "ar1_phi", "drift_amplitude", "drift_timescale_ps"])
+#: Dataclasses other than NoiseModel that share its finiteness rule, by the
+#: field each case sets: builds the owner with ``value`` in that field.
+NON_FINITE_OWNERS = {
+    "pilot.launch_delay_per_task": lambda v: PilotConfig(total_cores=64, launch_delay_per_task=v),
+    "pilot.walltime_s": lambda v: PilotConfig(total_cores=64, walltime_s=v),
+    "duration.analysis_seconds": lambda v: DurationModel(analysis_seconds=v),
+    "adaptive.termination_threshold": lambda v: AdaptiveConfig(termination_threshold=v),
+    "adaptive.termination_tau_ns": lambda v: AdaptiveConfig(termination_tau_ns=v),
+    "curve.intercept": lambda v: GroundTruthCurve.linear(v, 1.0),
+    "lambda_schedule[1]": lambda v: LambdaSchedule((0.0, v, 1.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "field", ["sigma", "ar1_phi", "drift_amplitude", "drift_timescale_ps", *NON_FINITE_OWNERS]
+)
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_noise_model_rejects_non_finite_fields(field, value):
+    if field in NON_FINITE_OWNERS:
+        with pytest.raises(ValidationError, match=rf"^{re.escape(field)} must be finite"):
+            NON_FINITE_OWNERS[field](value)
+        return
     with pytest.raises(ValidationError, match=f"noise.{field} must be finite"):
         NoiseModel(**{field: value})
 

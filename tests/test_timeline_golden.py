@@ -121,8 +121,8 @@ def failed_twice_abort():
 
 
 def bad_duration_abort():
-    def durations(task):
-        return -1.0 if task.stage_label == "S2" else 50.0
+    def durations(stage):
+        return -1.0 if stage.label == "S2" else 50.0
 
     graph = _batch_graph((("S1", StageKind.MINIMIZATION, 1_000), ("S2", StageKind.EQUILIBRATION, 1_000)))
     with pytest.raises(CampaignError, match="negative or non-finite duration") as err:
@@ -207,6 +207,19 @@ def test_writer_matches_csv_over_events(case, chunk_rows, tmp_path, monkeypatch)
     path = tmp_path / "timeline.csv"
     write_timeline_csv(timeline, path)
     assert path.read_bytes() == _csv_oracle(timeline)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN) + ["quoted_fields"])
+def test_task_records_hold_the_written_task_ids(case, tmp_path):
+    build = GOLDEN[case][0] if case in GOLDEN else quoted_fields
+    timeline = build()
+    path = tmp_path / "timeline.csv"
+    write_timeline_csv(timeline, path)
+    with open(path, newline="") as fh:
+        written = {row[2] for row in list(csv.reader(fh))[1:] if row[2]}
+    assert set(timeline.task_records) == written
+    assert len(timeline.task_records) == len(written)
+    assert timeline.task_records is timeline.task_records  # one view per timeline
 
 
 def test_quoted_fields_round_trip(tmp_path):
