@@ -23,7 +23,6 @@ from .stats import (
     CheckpointHistory,
     DuDlSeries,
     bootstrap_delta_g_stderr,
-    checkpoint_estimate,
     convergence_check,
     estimate_delta_g,
     window_estimate,

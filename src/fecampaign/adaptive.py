@@ -28,12 +28,16 @@ from .protocols import (
     Stage,
     StageKind,
 )
-from .quadrature import FreeEnergyEstimate, canonical_lambda, propose_refinements
+from .quadrature import (
+    FreeEnergyEstimate,
+    canonical_lambda,
+    propose_refinements,
+    trapezoid_integrate,
+)
 from .stats import (
     DEFAULT_DISCARD_FRACTION,
     CheckpointHistory,
     DuDlSeries,
-    checkpoint_estimate,
     convergence_check,
     estimate_delta_g,
     window_estimate,
@@ -134,60 +138,55 @@ def _production_spec(spec: ProtocolSpec):
     return prods[0]
 
 
-def _equilibration_chain(spec: ProtocolSpec, pipeline_id: str, cycle: int, lams, replicas, cores):
-    stages = []
-    for st in spec.sim_stages:
-        if st.kind is StageKind.PRODUCTION:
-            continue
-        stages.append(
-            Stage(pipeline_id, f"{st.label}.{cycle}", st.kind, st.timesteps, replicas, lams, cores)
-        )
-    return stages
+def _equilibration_chain(pipeline: PipelineRun, stage: Stage, cycle: int, lams) -> list[Stage]:
+    """Equilibration stages for new windows ``lams``, as wide as ``stage``."""
+    return [
+        Stage(pipeline.id, f"{st.label}.{cycle}", st.kind, st.timesteps, stage.width, lams, stage.cores)
+        for st in pipeline.spec.sim_stages  # type: ignore[attr-defined]
+        if st.kind is not StageKind.PRODUCTION
+    ]
 
 
 class _SyntheticEvaluator:
-    """Settings, sampler and estimation shared by the two evaluators."""
+    """Settings, sampler and estimation shared by the two evaluators.
+
+    Replica count and cores come from the production stage that just
+    completed: appended stages repeat them and the sampler reads that many
+    replicas per window.
+    """
 
     def __init__(
         self,
         system: SyntheticSystem,
         adaptive: AdaptiveConfig,
         seed: int,
-        replicas: int = 5,
         dt_ps: float = 1.0,
-        cores_per_task: int = 32,
         discard_fraction: float = DEFAULT_DISCARD_FRACTION,
-        bootstrap_resamples: int = 1000,
     ):
         self.system = system
         self.adaptive = adaptive
         self.seed = int(seed)
-        self.replicas = replicas
         self.dt_ps = dt_ps
-        self.cores_per_task = cores_per_task
         self.discard_fraction = discard_fraction
-        self.bootstrap_resamples = bootstrap_resamples
         self._spc = samples_per_substage(adaptive.substage_timesteps, dt_ps)
         self.horizon_samples = adaptive.production_substages * self._spc
         self.sampler = SyntheticSampler(system, seed, dt_ps, self.horizon_samples)
         self.results: dict[str, AdaptiveRunResult] = {}
 
-    def _series(self, substages: Mapping[float, int]) -> dict[float, list[DuDlSeries]]:
+    def _series(self, substages: Mapping[float, int], replicas: int) -> dict[float, list[DuDlSeries]]:
         """Replica series of each window after its number of production sub-stages."""
         return self.sampler.window_series(
-            {lam: k * self._spc for lam, k in substages.items()}, self.replicas
+            {lam: k * self._spc for lam, k in substages.items()}, replicas
         )
 
     def _estimate(self, series: Mapping[float, list[DuDlSeries]]) -> FreeEnergyEstimate:
-        return estimate_delta_g(
-            series, self.discard_fraction, self.bootstrap_resamples, seed=self.seed
-        )
+        return estimate_delta_g(series, self.discard_fraction, seed=self.seed)
 
-    def _production_stage(self, pipeline: PipelineRun, index: int, lams) -> Stage:
+    def _production_stage(self, pipeline: PipelineRun, stage: Stage, index: int, lams) -> Stage:
         prod = _production_spec(pipeline.spec)  # type: ignore[arg-type]
         return Stage(
             pipeline.id, f"{prod.label}.{index}", StageKind.PRODUCTION,
-            self.adaptive.substage_timesteps, self.replicas, lams, self.cores_per_task,
+            self.adaptive.substage_timesteps, stage.width, lams, stage.cores,
         )
 
 
@@ -207,7 +206,7 @@ class AdaptiveQuadratureEvaluator(_SyntheticEvaluator):
             counts[lam] = counts.get(lam, 0) + 1
         cycle = self._cycles_done.get(pipeline.id, 0) + 1
         self._cycles_done[pipeline.id] = cycle
-        series = self._series(counts)
+        series = self._series(counts, stage.width)
 
         if cycle < self.adaptive.production_substages:
             points = [window_estimate(s, self.discard_fraction) for s in series.values()]
@@ -216,16 +215,9 @@ class AdaptiveQuadratureEvaluator(_SyntheticEvaluator):
                 self.adaptive.error_threshold_epsilon,
                 max_total_windows=self.adaptive.max_total_windows,
             )
-            stages = []
-            if new_lams:
-                stages.extend(
-                    _equilibration_chain(
-                        pipeline.spec, pipeline.id, cycle + 1, new_lams,  # type: ignore[arg-type]
-                        self.replicas, self.cores_per_task,
-                    )
-                )
+            stages = _equilibration_chain(pipeline, stage, cycle + 1, new_lams) if new_lams else []
             all_lams = sorted(set(counts) | set(new_lams))
-            stages.append(self._production_stage(pipeline, cycle + 1, all_lams))
+            stages.append(self._production_stage(pipeline, stage, cycle + 1, all_lams))
             return StagePlan.append(stages)
 
         # Final sub-stage: integrate and record the run's estimate.
@@ -276,10 +268,10 @@ class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
         self._substages[pipeline.id] = k
         lams = sorted(stage.lambdas)
         # Only the samples up to this checkpoint are generated.
-        series = self._series({lam: k for lam in lams})
+        series = self._series({lam: k for lam in lams}, stage.width)
         time_ns = k * self.adaptive.termination_tau_ns
-        estimate = checkpoint_estimate(
-            [s for window in series.values() for s in window], time_ns, self.discard_fraction
+        estimate = trapezoid_integrate(
+            [window_estimate(w, self.discard_fraction) for w in series.values()]
         )
         history = self.histories.setdefault(
             pipeline.id, CheckpointHistory(self.adaptive.termination_tau_ns, [])
@@ -295,6 +287,6 @@ class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
                 f"converged at {time_ns:.1f} ns: last two estimates within {threshold}"
             )
         if k < self.adaptive.production_substages:
-            return StagePlan.append([self._production_stage(pipeline, k + 1, lams)])
+            return StagePlan.append([self._production_stage(pipeline, stage, k + 1, lams)])
         self._record(pipeline, series, k, terminated=False)
         return StagePlan.proceed()

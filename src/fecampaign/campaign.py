@@ -20,13 +20,7 @@ from .adaptive import (
     SyntheticSampler,
     samples_per_substage,
 )
-from .engine import (
-    CampaignOutcome,
-    DurationModel,
-    OverheadModel,
-    PilotConfig,
-    run_campaign,
-)
+from .engine import CampaignOutcome, PilotConfig, run_campaign
 from .errors import CampaignError, ValidationError
 from .protocols import (
     MD_TIMESTEP_PS,
@@ -80,10 +74,7 @@ class RunOptions:
     seed: int = 42
     replicas: int = 5
     dt_ps: float = 1.0
-    cores_per_task: int = 32
     discard_fraction: float = DEFAULT_DISCARD_FRACTION
-    duration_model: DurationModel | None = None
-    overhead_model: OverheadModel | None = None
     schedule_mode: ScheduleMode = ScheduleMode.PRODUCTION
 
 
@@ -106,26 +97,14 @@ class SystemRunResult:
 def _protocol_for_mode(
     system: SyntheticSystem, mode: CampaignMode, opts: RunOptions
 ) -> ProtocolSpec:
-    name = f"{_slug(system.label)}-{mode.value.lower()}"
+    schedule = adaptive = None
     if mode is CampaignMode.REFERENCE:
-        return ties_protocol(
-            name=name, physical_system=system.label,
-            lambda_schedule=LambdaSchedule.uniform(REFERENCE_WINDOWS),
-            replicas=opts.replicas, mode=opts.schedule_mode,
-        )
-    if mode is CampaignMode.NONADAPTIVE:
-        return ties_protocol(
-            name=name, physical_system=system.label,
-            lambda_schedule=LambdaSchedule.uniform(NONADAPTIVE_WINDOWS),
-            replicas=opts.replicas, mode=opts.schedule_mode,
-        )
-    if mode is CampaignMode.ADAPTIVE_QUADRATURE:
-        return ties_protocol(
-            name=name, physical_system=system.label,
-            replicas=opts.replicas, mode=opts.schedule_mode,
-            adaptive=opts.adaptive,
-        )
-    if mode is CampaignMode.ADAPTIVE_TERMINATION:
+        schedule = LambdaSchedule.uniform(REFERENCE_WINDOWS)
+    elif mode is CampaignMode.NONADAPTIVE:
+        schedule = LambdaSchedule.uniform(NONADAPTIVE_WINDOWS)
+    elif mode is CampaignMode.ADAPTIVE_QUADRATURE:
+        adaptive = opts.adaptive
+    elif mode is CampaignMode.ADAPTIVE_TERMINATION:
         tau = opts.adaptive.termination_tau_ns
         n_sub = TERMINATION_HORIZON_NS / tau
         if abs(n_sub - round(n_sub)) > 1e-9:
@@ -140,12 +119,12 @@ def _protocol_for_mode(
             substage_timesteps=int(round(tau * 1000.0 / MD_TIMESTEP_PS)),
             max_total_windows=max(opts.adaptive.max_total_windows, NONADAPTIVE_WINDOWS),
         )
-        return ties_protocol(
-            name=name, physical_system=system.label,
-            replicas=opts.replicas, mode=opts.schedule_mode,
-            adaptive=adaptive,
-        )
-    raise ValidationError(f"unknown campaign mode {mode!r}")
+    else:
+        raise ValidationError(f"unknown campaign mode {mode!r}")
+    return ties_protocol(
+        name=f"{_slug(system.label)}-{mode.value.lower()}", lambda_schedule=schedule,
+        replicas=opts.replicas, mode=opts.schedule_mode, adaptive=adaptive,
+    )
 
 
 def _slug(label: str) -> str:
@@ -169,33 +148,30 @@ def _static_estimate(
     return estimate, timesteps_to_ns(prod.timesteps)
 
 
+#: The evaluator each adaptive mode attaches.
+_EVALUATORS = {
+    CampaignMode.ADAPTIVE_QUADRATURE: AdaptiveQuadratureEvaluator,
+    CampaignMode.ADAPTIVE_TERMINATION: AdaptiveTerminationEvaluator,
+}
+
+
 def run_system(
     system: SyntheticSystem, mode: CampaignMode, opts: RunOptions
 ) -> SystemRunResult:
     """Run one system through the engine in the given mode."""
     spec = _protocol_for_mode(system, mode, opts)
-    graph = compile_protocol(spec, cores_per_task=opts.cores_per_task)
+    graph = compile_protocol(spec, cores_per_task=opts.pilot.cores_per_task)
     seed = data_seed(opts.seed, system.label, mode)
 
     evaluator = None
-    if mode is CampaignMode.ADAPTIVE_QUADRATURE:
-        evaluator = AdaptiveQuadratureEvaluator(
-            system, spec.adaptive, seed, replicas=opts.replicas, dt_ps=opts.dt_ps,
-            cores_per_task=opts.cores_per_task, discard_fraction=opts.discard_fraction,
-        )
-    elif mode is CampaignMode.ADAPTIVE_TERMINATION:
-        evaluator = AdaptiveTerminationEvaluator(
-            system, spec.adaptive, seed, replicas=opts.replicas, dt_ps=opts.dt_ps,
-            cores_per_task=opts.cores_per_task, discard_fraction=opts.discard_fraction,
+    evaluator_cls = _EVALUATORS.get(mode)
+    if evaluator_cls is not None:
+        evaluator = evaluator_cls(
+            system, spec.adaptive, seed, dt_ps=opts.dt_ps, discard_fraction=opts.discard_fraction
         )
 
     try:
-        outcome = run_campaign(
-            graph, opts.pilot,
-            duration_model=opts.duration_model or DurationModel(),
-            evaluator=evaluator, seed=seed,
-            overhead_model=opts.overhead_model or OverheadModel(),
-        )
+        outcome = run_campaign(graph, opts.pilot, evaluator=evaluator, seed=seed)
     except CampaignError as exc:
         exc.run_label = run_label(system, mode)
         raise
@@ -277,16 +253,14 @@ class SweepRunResult:
     outcome: CampaignOutcome
 
 
-def _sweep_protocol(template_kind: ProtocolKind, physical_system: str, replicas: int | None, index: int) -> ProtocolSpec:
+def _sweep_protocol(template_kind: ProtocolKind, replicas: int | None, index: int) -> ProtocolSpec:
     if template_kind is ProtocolKind.ESMACS:
         return esmacs_protocol(
-            name=f"esmacs-{index}", physical_system=physical_system,
-            replicas=25 if replicas is None else replicas,
+            name=f"esmacs-{index}", replicas=25 if replicas is None else replicas,
             mode=ScheduleMode.SCALING, include_analysis=False,
         )
     return ties_protocol(
-        name=f"ties-{index}", physical_system=physical_system,
-        replicas=5 if replicas is None else replicas,
+        name=f"ties-{index}", replicas=5 if replicas is None else replicas,
         mode=ScheduleMode.SCALING, include_analysis=False,
     )
 
@@ -299,27 +273,24 @@ def run_sweep(
     pilot_defaults: PilotConfig,
     seed: int,
     replicas: int | None = None,
-    duration_model: DurationModel | None = None,
-    overhead_model: OverheadModel | None = None,
 ) -> list[SweepRunResult]:
-    """Run a scaling ladder; each rung is an independent campaign."""
+    """Run a scaling ladder; each rung is an independent campaign.
+
+    ``physical_system`` is accepted and unused: no protocol, task or output
+    depends on it.
+    """
     results = []
     for i, rung in enumerate(rungs):
         graphs = [
             compile_protocol(
-                _sweep_protocol(protocol_kind, physical_system, replicas, p),
+                _sweep_protocol(protocol_kind, replicas, p),
                 protocol_id=f"{kind.lower()}-{i}-p{p}",
                 cores_per_task=pilot_defaults.cores_per_task,
             )
             for p in range(rung.n_protocols)
         ]
         pilot = replace(pilot_defaults, total_cores=rung.total_cores)
-        outcome = run_campaign(
-            merge_graphs(graphs), pilot,
-            duration_model=duration_model or DurationModel(),
-            seed=seed + i,
-            overhead_model=overhead_model or OverheadModel(),
-        )
+        outcome = run_campaign(merge_graphs(graphs), pilot, seed=seed + i)
         results.append(
             SweepRunResult(
                 run_id=f"{kind.lower()}-{i}-P{rung.n_protocols}-C{rung.total_cores}",

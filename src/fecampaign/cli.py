@@ -89,7 +89,6 @@ def _options(cfg: CampaignConfig) -> RunOptions:
         seed=cfg.seed,
         replicas=cfg.replicas_per_window,
         dt_ps=cfg.sample_interval_ps,
-        cores_per_task=cfg.pilot.cores_per_task,
         discard_fraction=cfg.discard_fraction,
         schedule_mode=cfg.schedule_mode,
     )

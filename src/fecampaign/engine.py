@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -354,9 +353,6 @@ class CampaignTimeline:
     """Wave summaries and stage marks of one campaign, plus the aggregates
     the accounting needs; ``events`` and ``task_records`` are derived."""
 
-    pilot: PilotConfig
-    overhead_model: OverheadModel
-    n_protocols: int
     generations: list[GenerationSummary] = field(default_factory=list)
     #: ``stage_complete`` and ``pipeline_terminated`` events, in order
     marks: list[TimelineEvent] = field(default_factory=list)
@@ -382,19 +378,10 @@ class CampaignTimeline:
         return TaskRecords(self)
 
     def peak_concurrency(self) -> int:
-        """Maximum number of simultaneously running tasks in the log."""
-        deltas = []
-        for ev in self.events:
-            if ev.event == "task_start":
-                deltas.append((ev.time_s, 1, 1))
-            elif ev.event == "task_end":
-                deltas.append((ev.time_s, 0, -1))
-        deltas.sort(key=lambda d: (d[0], d[1]))
-        peak = current = 0
-        for _, _, delta in deltas:
-            current += delta
-            peak = max(peak, current)
-        return peak
+        """Maximum number of simultaneously running tasks: the widest started
+        wave, since the clock passes a wave's longest task before the next
+        wave is submitted."""
+        return max((gen.width - gen.n_failed for gen in self.generations), default=0)
 
 
 @dataclass(frozen=True)
@@ -543,7 +530,7 @@ def run_campaign(
                     f"pilot has {pilot.total_cores}"
                 )
 
-    timeline = CampaignTimeline(pilot=pilot, overhead_model=overheads, n_protocols=n_protocols)
+    timeline = CampaignTimeline()
     clock = 0.0
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFA17]))
 
@@ -696,8 +683,6 @@ def run_campaign(
 
 #: Task rows assembled, at most, per ``write`` call when a timeline is written.
 _CHUNK_ROWS = 4096
-#: Characters that make ``csv`` quote a field.
-_QUOTED = re.compile('[,"\r\n]')
 
 
 def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
@@ -705,9 +690,9 @@ def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
 
     Task rows are assembled as text a chunk of at most ``_CHUNK_ROWS`` at
     a time, across stage slices and cutting through them, with the time of
-    their segment formatted once.  The rows of a stage with a field that
-    ``csv`` would quote go through ``csv`` instead, as do the campaign and
-    stage marks, so the bytes are those of ``csv.writer`` over ``events``.
+    their segment formatted once.  Pipeline ids and stage labels hold no
+    character ``csv`` would quote, so the bytes are those of ``csv.writer``
+    over ``events``; the campaign and stage marks go through ``csv``.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -720,14 +705,8 @@ def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
             stamp = f"{time_s:.6f}"
             rows: list[str] = []
             for stage, indices in parts:
-                pid, label = stage.pipeline_id, stage.label
-                if _QUOTED.search(pid + label):
-                    fh.write("".join(rows))
-                    rows = []
-                    writer.writerows([(stamp, event, t, pid, label, generation) for t in stage.task_ids(indices)])
-                    continue
                 # "\r\n" is the line terminator of csv's default dialect
-                head, tail = f"{stamp},{event},", f",{pid},{label},{generation}\r\n"
+                head, tail = f"{stamp},{event},", f",{stage.pipeline_id},{stage.label},{generation}\r\n"
                 while indices:
                     cut = _CHUNK_ROWS - len(rows)
                     rows += stage.task_ids(indices[:cut], head, tail)

@@ -159,7 +159,6 @@ class StageSpec:
 class ProtocolSpec:
     name: str
     kind: ProtocolKind
-    physical_system: str
     sim_stages: tuple[StageSpec, ...]
     analysis_stages: tuple[StageSpec, ...] = ()
     replicas_per_member: int = 0
@@ -198,11 +197,18 @@ class ProtocolSpec:
         return ()
 
 
+#: Characters a pipeline id or stage label may not hold: "/" joins task
+#: ids, and the others would make ``csv`` quote a timeline field.
+_RESERVED = frozenset('/,"\r\n')
+
+
 def _check_name(what: str, name: str) -> None:
     # Task ids join pipeline id, stage label and index with "/", so unique
     # labels per pipeline and unique pipeline ids make every id unique.
-    if not name or "/" in name:
-        raise ValidationError(f"{what} {name!r} must be non-empty and hold no '/'")
+    if not name or not _RESERVED.isdisjoint(name):
+        raise ValidationError(
+            f"{what} {name!r} must be non-empty and hold no '/', ',', '\"', CR or LF"
+        )
 
 
 @dataclass(frozen=True)
@@ -321,16 +327,13 @@ def _sim_stage_specs(schedule: dict[str, int]) -> tuple[StageSpec, ...]:
 
 def ties_protocol(
     name: str = "ties",
-    physical_system: str = "synthetic",
     lambda_schedule: LambdaSchedule | None = None,
     replicas: int = 5,
     mode: ScheduleMode = ScheduleMode.PRODUCTION,
-    timesteps: dict[str, int] | None = None,
     adaptive: AdaptiveConfig | None = None,
     include_analysis: bool = True,
 ) -> ProtocolSpec:
     """A TIES protocol: four simulation stages, per-window analysis, global analysis."""
-    schedule = timesteps or default_timestep_schedule(mode)
     if lambda_schedule is None and adaptive is None:
         lambda_schedule = LambdaSchedule.uniform(13)
     analysis = (
@@ -344,8 +347,7 @@ def ties_protocol(
     return ProtocolSpec(
         name=name,
         kind=ProtocolKind.TIES,
-        physical_system=physical_system,
-        sim_stages=_sim_stage_specs(schedule),
+        sim_stages=_sim_stage_specs(default_timestep_schedule(mode)),
         analysis_stages=analysis,
         replicas_per_member=replicas,
         lambda_schedule=lambda_schedule if adaptive is None else None,
@@ -355,20 +357,16 @@ def ties_protocol(
 
 def esmacs_protocol(
     name: str = "esmacs",
-    physical_system: str = "synthetic",
     replicas: int = 25,
     mode: ScheduleMode = ScheduleMode.SCALING,
-    timesteps: dict[str, int] | None = None,
     include_analysis: bool = True,
 ) -> ProtocolSpec:
     """An ESMACS protocol: four simulation stages and one aggregate analysis."""
-    schedule = timesteps or default_timestep_schedule(mode)
     analysis = (StageSpec("S5", StageKind.ANALYSIS, task_width=1),) if include_analysis else ()
     return ProtocolSpec(
         name=name,
         kind=ProtocolKind.ESMACS,
-        physical_system=physical_system,
-        sim_stages=_sim_stage_specs(schedule),
+        sim_stages=_sim_stage_specs(default_timestep_schedule(mode)),
         analysis_stages=analysis,
         replicas_per_member=replicas,
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .quadrature import (
     WindowPoint,
     canonical_lambda,
     integrate_with_error,
-    trapezoid_integrate,
     trapezoid_weights,
 )
 
@@ -219,30 +218,6 @@ def estimate_delta_g(
         means[point.lam] = window_means
     boot = bootstrap_delta_g_stderr(means, n_resamples, seed=seed)
     return integrate_with_error(points, bootstrap_stderr=boot)
-
-
-def checkpoint_estimate(
-    series_set: Iterable[DuDlSeries],
-    checkpoint_ns: float,
-    discard_fraction: float = DEFAULT_DISCARD_FRACTION,
-) -> float:
-    """Free-energy estimate using only data up to ``checkpoint_ns``.
-
-    Every replica series is truncated at the checkpoint, window estimates
-    are recomputed per lambda, and the window means are integrated.
-    Raises a contract error when any series is shorter than the
-    checkpoint.
-    """
-    groups: dict[float, list[DuDlSeries]] = {}
-    for s in series_set:
-        groups.setdefault(canonical_lambda(s.lam), []).append(s)
-    if len(groups) < 2:
-        raise ContractError("checkpoint_estimate needs at least two lambda windows")
-    points = []
-    for lam in sorted(groups):
-        truncated = [s.truncated_to(checkpoint_ns) for s in groups[lam]]
-        points.append(window_estimate(truncated, discard_fraction))
-    return trapezoid_integrate(points)
 
 
 def convergence_check(

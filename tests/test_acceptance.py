@@ -52,7 +52,6 @@ def options_from(cfg):
         seed=cfg.seed,
         replicas=cfg.replicas_per_window,
         dt_ps=cfg.sample_interval_ps,
-        cores_per_task=cfg.pilot.cores_per_task,
         discard_fraction=cfg.discard_fraction,
         schedule_mode=cfg.schedule_mode,
     )
@@ -64,7 +63,6 @@ def ties_batch_graph(n_protocols=8, timesteps=50_000):
         ProtocolSpec(
             name=f"t{i}",
             kind=ProtocolKind.TIES,
-            physical_system="synthetic",
             sim_stages=(StageSpec("S1", StageKind.MINIMIZATION, timesteps),),
             replicas_per_member=5,
             lambda_schedule=LambdaSchedule.uniform(13),

@@ -30,20 +30,20 @@ def quiet_system(curve, label="probe"):
 
 def run_quadrature(system, cfg, seed=5, replicas=2):
     spec = ties_protocol(
-        name="probe", physical_system=system.label, adaptive=cfg,
+        name="probe", adaptive=cfg,
         mode=ScheduleMode.SCALING, replicas=replicas,
     )
-    evaluator = AdaptiveQuadratureEvaluator(system, cfg, seed, replicas=replicas)
+    evaluator = AdaptiveQuadratureEvaluator(system, cfg, seed)
     run_campaign(compile_protocol(spec), PILOT, evaluator=evaluator, seed=seed)
     return evaluator.results["probe"]
 
 
 def run_termination_probe(system, cfg, seed=5, replicas=2):
     spec = ties_protocol(
-        name="probe", physical_system=system.label, adaptive=cfg,
+        name="probe", adaptive=cfg,
         mode=ScheduleMode.SCALING, replicas=replicas,
     )
-    evaluator = AdaptiveTerminationEvaluator(system, cfg, seed, replicas=replicas)
+    evaluator = AdaptiveTerminationEvaluator(system, cfg, seed)
     outcome = run_campaign(compile_protocol(spec), PILOT, evaluator=evaluator, seed=seed)
     return evaluator.results["probe"], outcome
 

@@ -1,0 +1,66 @@
+"""What the benchmark under ``perfbench/`` needs of the package.
+
+The span tracer patches package functions and methods by name and raises
+``KeyError`` when one it names is gone; the table workloads build their run
+options with the CLI's own ``cli._options``.  These tests keep a change
+that deletes package surface from breaking the benchmark unnoticed.
+"""
+
+import importlib.util
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import fecampaign  # noqa: F401  (loads every module the tracer patches)
+from fecampaign import cli
+from fecampaign.config import load_config
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings(tracer_module):
+    """Every package module attribute and every method the tracer patches."""
+    modules = {
+        (name, attr): obj
+        for name, module in sys.modules.items()
+        if name == "fecampaign" or name.startswith("fecampaign.")
+        for attr, obj in vars(module).items()
+    }
+    methods = {
+        (layer, cls_name, meth): getattr(sys.modules[f"fecampaign.{layer}"], cls_name).__dict__[meth]
+        for layer, pairs in tracer_module.METHODS.items()
+        for cls_name, meth in pairs
+    }
+    return modules, methods
+
+
+def test_tracer_installs_and_restores_every_patch():
+    tracer_module = _load_tracer()
+    before = _bindings(tracer_module)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        during = _bindings(tracer_module)
+    finally:
+        tracer.uninstall()
+    after = _bindings(tracer_module)
+
+    patched = [key for key, obj in before[0].items() if during[0][key] is not obj]
+    assert ("fecampaign.stats", "window_estimate") in patched
+    assert all(during[1][key] is not obj for key, obj in before[1].items())
+    for old, new in zip(before, after):
+        assert old.keys() == new.keys()
+        assert all(new[key] is obj for key, obj in old.items())
+
+
+def test_run_options_build_from_the_bundled_config():
+    cfg = load_config(ROOT / "configs" / "compare.json")
+    opts = replace(cli._options(cfg), seed=1)
+    assert (opts.pilot, opts.adaptive, opts.seed) == (cfg.pilot, cfg.adaptive, 1)

@@ -165,6 +165,15 @@ def test_termination_tau_must_divide_horizon():
         run_system(LINEAR, CampaignMode.ADAPTIVE_TERMINATION, opts)
 
 
+@pytest.mark.parametrize("mode", list(CampaignMode))
+def test_stages_take_their_cores_from_the_pilot(mode):
+    opts = fast_opts(pilot=PilotConfig(total_cores=2_080, cores_per_task=64))
+    timeline = run_system(LINEAR, mode, opts).outcome.timeline
+    stages = {s.stage for g in timeline.generations for s in g.slices}
+    assert {s.cores for s in stages} == {64}
+    assert max(g.width for g in timeline.generations) <= 2_080 // 64
+
+
 def test_sweep_read_surface_of_the_benchmark():
     # What perfbench/run.py and perfbench/tracer.py read from a sweep rung,
     # pinned on a 2-protocol rung whose 520-wide waves are over the cap.
@@ -173,8 +182,7 @@ def test_sweep_read_surface_of_the_benchmark():
         rungs=(SweepRung(2, 16_640),), replicas=20,
     )
     spec = ties_protocol(
-        physical_system=plan.physical_system, replicas=plan.replicas,
-        mode=ScheduleMode.SCALING, include_analysis=False,
+        replicas=plan.replicas, mode=ScheduleMode.SCALING, include_analysis=False,
     )
     assert compile_protocol(spec).n_tasks == 4 * 13 * 20
     [res] = run_sweep(

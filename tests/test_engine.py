@@ -28,6 +28,7 @@ from fecampaign.protocols import (
     WorkflowGraph,
     compile_protocol,
     merge_graphs,
+    ties_protocol,
 )
 
 
@@ -35,7 +36,6 @@ def single_stage_ties(name, n_windows=13, replicas=5, timesteps=50_000):
     return ProtocolSpec(
         name=name,
         kind=ProtocolKind.TIES,
-        physical_system="synthetic",
         sim_stages=(StageSpec("S1", StageKind.MINIMIZATION, timesteps),),
         replicas_per_member=replicas,
         lambda_schedule=LambdaSchedule.uniform(n_windows),
@@ -119,6 +119,14 @@ def test_full_width_single_generation():
     outcome = run_campaign(graph_of_520_tasks(), quiet_pilot(16_640), seed=3)
     assert [g.width for g in outcome.timeline.generations] == [520]
     assert outcome.timeline.peak_concurrency() == 520
+
+
+def test_peak_concurrency_counts_zero_duration_waves():
+    # Tasks that start and end at the same time still ran together.
+    graph = compile_protocol(ties_protocol())
+    outcome = run_campaign(graph, quiet_pilot(2_080), duration_model=DurationModel(0.0, 0.0), seed=1)
+    assert max(g.width for g in outcome.timeline.generations) == 65
+    assert outcome.timeline.peak_concurrency() == 65
 
 
 def test_time_to_completion_identity():
@@ -220,7 +228,6 @@ def two_stage_spec(name="two"):
     return ProtocolSpec(
         name=name,
         kind=ProtocolKind.TIES,
-        physical_system="synthetic",
         sim_stages=(
             StageSpec("S1", StageKind.EQUILIBRATION, 1_000),
             StageSpec("S2", StageKind.PRODUCTION, 1_000),

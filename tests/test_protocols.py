@@ -120,7 +120,6 @@ def test_ties_requires_windows_or_adaptive():
         ProtocolSpec(
             name="bare",
             kind=ProtocolKind.TIES,
-            physical_system="x",
             sim_stages=(StageSpec("S1", StageKind.PRODUCTION, timesteps=10),),
             replicas_per_member=5,
         )
@@ -131,7 +130,6 @@ def test_esmacs_rejects_lambda_schedule():
         ProtocolSpec(
             name="bad",
             kind=ProtocolKind.ESMACS,
-            physical_system="x",
             sim_stages=(StageSpec("S1", StageKind.PRODUCTION, timesteps=10),),
             replicas_per_member=25,
             lambda_schedule=LambdaSchedule.uniform(13),
@@ -143,7 +141,6 @@ def test_adaptive_requires_ties():
         ProtocolSpec(
             name="bad",
             kind=ProtocolKind.ESMACS,
-            physical_system="x",
             sim_stages=(StageSpec("S1", StageKind.PRODUCTION, timesteps=10),),
             replicas_per_member=25,
             adaptive=AdaptiveConfig(),
@@ -155,7 +152,6 @@ def test_protocol_rejects_misplaced_stage_kinds():
         ties_protocol().__class__(
             name="bad",
             kind=ProtocolKind.TIES,
-            physical_system="x",
             sim_stages=(StageSpec("S5", StageKind.ANALYSIS, task_width=1),),
             replicas_per_member=5,
             lambda_schedule=LambdaSchedule.uniform(3),
@@ -271,7 +267,7 @@ def test_ids_that_would_collide_across_pipelines_are_rejected():
     # "a/b" + "c" and "a" + "b/c" would both give ids "a/b/c/...".
     def single(name, label):
         return ProtocolSpec(
-            name=name, kind=ProtocolKind.ESMACS, physical_system="x",
+            name=name, kind=ProtocolKind.ESMACS,
             sim_stages=(StageSpec(label, StageKind.MINIMIZATION, timesteps=10),),
             replicas_per_member=2,
         )

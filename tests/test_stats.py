@@ -10,7 +10,6 @@ from fecampaign.stats import (
     CheckpointHistory,
     DuDlSeries,
     bootstrap_delta_g_stderr,
-    checkpoint_estimate,
     convergence_check,
     estimate_delta_g,
     replica_means,
@@ -108,23 +107,6 @@ def test_bootstrap_scale_invariance_of_seeding(seed):
     val = bootstrap_delta_g_stderr(means, seed=seed)
     assert val >= 0.0
     assert bootstrap_delta_g_stderr(means, seed=seed) == val
-
-
-def test_checkpoint_estimate_truncates_before_integrating():
-    # Values step from 10 to 0 at 1 ns: the 1 ns checkpoint only sees 10s.
-    vals = np.concatenate([np.full(1000, 10.0), np.zeros(3000)])
-    sets = [
-        series(vals, lam=0.0, replica=0), series(vals, lam=0.0, replica=1),
-        series(vals, lam=1.0, replica=0), series(vals, lam=1.0, replica=1),
-    ]
-    assert checkpoint_estimate(sets, 1.0, discard_fraction=0.0) == pytest.approx(10.0)
-    assert checkpoint_estimate(sets, 4.0, discard_fraction=0.0) == pytest.approx(2.5)
-
-
-def test_checkpoint_estimate_needs_two_windows():
-    sets = [series(np.ones(100), lam=0.5, replica=r) for r in range(2)]
-    with pytest.raises(ContractError):
-        checkpoint_estimate(sets, 0.05)
 
 
 def history(values, tau=0.5):

@@ -7,8 +7,8 @@ evaluator that terminates pipelines, event times that tie across waves, and
 each way a campaign aborts with a partial timeline.
 
 The writer assembles rows as text; an oracle test holds its bytes equal to
-``csv.writer`` over the rendered events, for every case and for ids and
-labels that ``csv`` must quote.
+``csv.writer`` over the rendered events for every case.  Ids and labels
+that ``csv`` would quote are rejected when a stage is built.
 """
 
 import csv
@@ -26,7 +26,7 @@ from fecampaign.engine import (
     run_campaign,
     write_timeline_csv,
 )
-from fecampaign.errors import CampaignError
+from fecampaign.errors import CampaignError, ValidationError
 from fecampaign.protocols import (
     AdaptiveConfig,
     LambdaSchedule,
@@ -45,7 +45,6 @@ def _ties(name, stages, replicas=5, n_windows=13):
     return ProtocolSpec(
         name=name,
         kind=ProtocolKind.TIES,
-        physical_system="synthetic",
         sim_stages=tuple(StageSpec(label, kind, steps) for label, kind, steps in stages),
         replicas_per_member=replicas,
         lambda_schedule=LambdaSchedule.uniform(n_windows),
@@ -169,23 +168,6 @@ def test_timeline_matches_frozen_digest(case, tmp_path):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-def quoted_fields():
-    """Ids and labels holding a separator, a quote and a line break, in waves
-    that also carry plain rows, a retry wave and stage marks."""
-    odd = _ties(
-        "odd",
-        [('S1, "first"\nhalf', StageKind.MINIMIZATION, 1_000), ("S2", StageKind.EQUILIBRATION, 2_000)],
-        replicas=2,
-        n_windows=3,
-    )
-    plain = [_ties(f"plain{i}", [("S1", StageKind.MINIMIZATION, 1_500)]) for i in range(2)]
-    graph = merge_graphs(
-        [compile_protocol(odd, protocol_id='p,"0"\nodd')] + [compile_protocol(p) for p in plain]
-    )
-    pilot = PilotConfig(total_cores=8_320, concurrency_cap=100, failure_probability_over_cap=0.2)
-    return run_campaign(graph, pilot, seed=2).timeline
-
-
 def _csv_oracle(timeline) -> bytes:
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
@@ -198,21 +180,19 @@ def _csv_oracle(timeline) -> bytes:
 
 
 @pytest.mark.parametrize("chunk_rows", [engine._CHUNK_ROWS, 7])
-@pytest.mark.parametrize("case", sorted(GOLDEN) + ["quoted_fields"])
+@pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_writer_matches_csv_over_events(case, chunk_rows, tmp_path, monkeypatch):
     # A chunk of 7 rows puts chunk boundaries inside every wave.
     monkeypatch.setattr(engine, "_CHUNK_ROWS", chunk_rows)
-    build = GOLDEN[case][0] if case in GOLDEN else quoted_fields
-    timeline = build()
+    timeline = GOLDEN[case][0]()
     path = tmp_path / "timeline.csv"
     write_timeline_csv(timeline, path)
     assert path.read_bytes() == _csv_oracle(timeline)
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN) + ["quoted_fields"])
+@pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_task_records_hold_the_written_task_ids(case, tmp_path):
-    build = GOLDEN[case][0] if case in GOLDEN else quoted_fields
-    timeline = build()
+    timeline = GOLDEN[case][0]()
     path = tmp_path / "timeline.csv"
     write_timeline_csv(timeline, path)
     with open(path, newline="") as fh:
@@ -222,17 +202,11 @@ def test_task_records_hold_the_written_task_ids(case, tmp_path):
     assert timeline.task_records is timeline.task_records  # one view per timeline
 
 
-def test_quoted_fields_round_trip(tmp_path):
-    timeline = quoted_fields()
-    path = tmp_path / "timeline.csv"
-    write_timeline_csv(timeline, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    events = list(timeline.events)
-    assert len(rows) == len(events) + 1
-    assert [tuple(r[1:5]) for r in rows[1:]] == [
-        (ev.event, ev.task_id, ev.pipeline_id, ev.stage_label) for ev in events
-    ]
-    odd = [ev for ev in events if ev.pipeline_id == 'p,"0"\nodd']
-    assert {ev.event for ev in odd} >= {"task_submit", "task_fail", "task_start", "task_end", "stage_complete"}
-    assert any(ev.stage_label == 'S1, "first"\nhalf' for ev in odd)
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "cr", "lf"])
+def test_names_that_csv_would_quote_are_rejected(char):
+    # The writer formats task rows without quoting, so no id or label may
+    # hold a character that csv.writer would quote.
+    with pytest.raises(ValidationError, match="must be non-empty and hold no"):
+        compile_protocol(_ties("p", [("S1", StageKind.MINIMIZATION, 1_000)]), protocol_id=f"p{char}0")
+    with pytest.raises(ValidationError, match="must be non-empty and hold no"):
+        StageSpec(f"S1{char}x", StageKind.MINIMIZATION, 1_000)
