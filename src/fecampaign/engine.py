@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import groupby
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
@@ -166,7 +166,11 @@ class StagePlan:
 
 
 class Evaluator(Protocol):
-    """Hook invoked after every completed stage of every pipeline."""
+    """Hook invoked after every completed stage of every pipeline.
+
+    It acts through the plan it returns, which applies to the pipeline it
+    was handed; the engine's ready list assumes no other pipeline changes.
+    """
 
     def on_stage_complete(self, pipeline: "PipelineRun", stage: Stage) -> StagePlan: ...
 
@@ -264,11 +268,10 @@ def _wave_walk(tl: "CampaignTimeline") -> Iterator[TimelineEvent | _Segment]:
     mark = next(marks, None)
     for gen in tl.generations:
         yield from _launch_segments(gen)
-        ran = [s for s in gen.slices if len(s.failed) < len(s.indices)]
-        yield _Segment(gen.submit_time_s, "task_start", [(s.stage, s.started()) for s in ran], gen.index)
-        ends = sorted(ran, key=attrgetter("end_time_s"))
-        for end_s, group in groupby(ends, attrgetter("end_time_s")):
-            yield _Segment(end_s, "task_end", [(s.stage, s.started()) for s in group], gen.index)
+        ran = [(s.end_time_s, (s.stage, s.started())) for s in gen.slices if len(s.failed) < len(s.indices)]
+        yield _Segment(gen.submit_time_s, "task_start", [part for _, part in ran], gen.index)
+        for end_s, group in groupby(sorted(ran, key=itemgetter(0)), itemgetter(0)):
+            yield _Segment(end_s, "task_end", [part for _, part in group], gen.index)
         while mark is not None and mark.generation == gen.index:
             yield mark
             mark = next(marks, None)
@@ -537,30 +540,35 @@ def run_campaign(
     pipelines = [
         PipelineRun(id=p.id, spec=p.spec, stages=list(p.stages)) for p in workflows.pipelines
     ]
-    # pipeline id -> first not yet launched index of its current stage
-    launched: dict[str, int] = {}
-    # pipeline id -> unfinished tasks of its current stage, including those
-    # waiting for a retry
-    remaining: dict[str, int] = {}
+    # Per pipeline index: first not yet launched index of its current stage,
+    # and unfinished tasks of that stage, including those waiting for a retry.
+    launched = [0] * n_protocols
+    remaining = [0] * n_protocols
+    # Indices of the pipelines whose current stage has unlaunched tasks, in
+    # graph order.  A wave fills from its front, so only the last pipeline
+    # it visits can stay part-launched.
+    ready: list[int] = []
+    index_of = {pl.id: k for k, pl in enumerate(pipelines)}
 
     def fail(message: str, aborted_wave: GenerationSummary | None = None) -> CampaignError:
         timeline.end_time_s = clock
         timeline.aborted_wave = aborted_wave
         return CampaignError(message, timeline=timeline)
 
-    def enter_stage(pl: PipelineRun) -> None:
-        stage = pl.current_stage()
+    def enter_stage(k: int) -> None:
+        stage = pipelines[k].current_stage()
         if stage is not None:
-            launched[pl.id] = 0
-            remaining[pl.id] = stage.n_tasks
+            launched[k] = 0
+            remaining[k] = stage.n_tasks
+            ready.append(k)
 
     # Framework overhead (compilation plus evaluator bookkeeping) is charged
     # up front from the protocol count.
     timeline.framework_s = overheads.framework_seconds(n_protocols)
     clock += timeline.framework_s
 
-    for pl in pipelines:
-        enter_stage(pl)
+    for k in range(n_protocols):
+        enter_stage(k)
 
     retry_wave: list[_Slice] = []
 
@@ -569,19 +577,20 @@ def run_campaign(
         if is_retry_wave:
             wave, retry_wave = retry_wave, []
         else:
-            # Fill the wave from each pipeline's current stage in turn.
+            # Fill the wave from each ready pipeline's current stage in turn.
             wave = []
             free = capacity
-            for pl in pipelines:
-                stage = pl.current_stage()
-                if stage is None or not free:
-                    continue
-                lo = launched[pl.id]
-                hi = min(stage.n_tasks, lo + free)
-                if hi > lo:
-                    wave.append(_Slice(stage, range(lo, hi)))
-                    launched[pl.id] = hi
-                    free -= hi - lo
+            for k in ready:
+                stage = pipelines[k].stages[pipelines[k].cursor]
+                lo = launched[k]
+                hi = launched[k] = min(stage.n_tasks, lo + free)
+                wave.append(_Slice(stage, range(lo, hi)))
+                free -= hi - lo
+                if not free:
+                    break
+            del ready[: len(wave)]
+            if wave and hi < stage.n_tasks:
+                ready.insert(0, k)  # part-launched: it leads the next wave
         if not wave:
             break
 
@@ -642,12 +651,15 @@ def run_campaign(
             )
 
         # Stage barriers: advance pipelines whose current stage fully finished.
+        # Only a pipeline that ran a task in this wave can have finished one;
+        # the wave holds at most one slice per pipeline, in graph order.
+        entered = len(ready)
         for s in running:
-            remaining[s.stage.pipeline_id] -= len(s.indices) - len(s.failed)
-        for pl in pipelines:
-            if pl.done or remaining[pl.id]:
+            k = index_of[s.stage.pipeline_id]
+            remaining[k] -= len(s.indices) - len(s.failed)
+            if remaining[k]:
                 continue
-            stage = pl.stages[pl.cursor]
+            pl, stage = pipelines[k], s.stage
             timeline.marks.append(TimelineEvent(clock, "stage_complete", "", pl.id, stage.label, gen.index))
             plan = StagePlan.proceed()
             if evaluator is not None:
@@ -663,7 +675,9 @@ def run_campaign(
                 )
             pl.cursor += 1
             if not pl.done:
-                enter_stage(pl)
+                enter_stage(k)
+        if len(ready) > entered:
+            ready.sort()  # two sorted runs: a linear merge
 
     timeline.end_time_s = clock
     timeline.complete = True
@@ -681,40 +695,49 @@ def run_campaign(
     return CampaignOutcome(timeline=timeline, overheads=measure_overheads(timeline), results=results)
 
 
-#: Task rows assembled, at most, per ``write`` call when a timeline is written.
+#: Task rows joined into one string, at most, when a timeline is written.
 _CHUNK_ROWS = 4096
 
 
 def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
     """Write the event log with the stable column set.
 
-    Task rows are assembled as text a chunk of at most ``_CHUNK_ROWS`` at
-    a time, across stage slices and cutting through them, with the time of
-    their segment formatted once.  Pipeline ids and stage labels hold no
-    character ``csv`` would quote, so the bytes are those of ``csv.writer``
-    over ``events``; the campaign and stage marks go through ``csv``.
+    Each task's ``task_id,pipeline_id,stage_label`` middle is formatted
+    once per stage, the first time the stage's tasks are written, and
+    dropped at the stage's ``stage_complete`` mark, so only the stages in
+    flight hold their middles.  A segment's rows are joined from those
+    middles a chunk of at most ``_CHUNK_ROWS`` at a time, across stage
+    slices and cutting through them, with the time of the segment
+    formatted once.  Pipeline ids and stage labels hold no character
+    ``csv`` would quote, so the bytes are those of ``csv.writer`` over
+    ``events``; the campaign and stage marks go through ``csv``.
     """
+    middles: dict[tuple[str, str], list[str]] = {}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TIMELINE_COLUMNS)
         for seg in _wave_walk(timeline):
             if isinstance(seg, TimelineEvent):
                 writer.writerow((f"{seg.time_s:.6f}", *seg[1:]))
+                if seg.event == "stage_complete":
+                    middles.pop((seg.pipeline_id, seg.stage_label), None)
                 continue
             time_s, event, parts, generation = seg
-            stamp = f"{time_s:.6f}"
+            # "\r\n" is the line terminator of csv's default dialect
+            head, tail = f"{time_s:.6f},{event},", f",{generation}\r\n"
+            sep = tail + head
             rows: list[str] = []
             for stage, indices in parts:
-                # "\r\n" is the line terminator of csv's default dialect
-                head, tail = f"{stamp},{event},", f",{stage.pipeline_id},{stage.label},{generation}\r\n"
-                while indices:
-                    cut = _CHUNK_ROWS - len(rows)
-                    rows += stage.task_ids(indices[:cut], head, tail)
-                    indices = indices[cut:]
-                    if len(rows) == _CHUNK_ROWS:
-                        fh.write("".join(rows))
-                        rows = []
-            fh.write("".join(rows))
+                key = (stage.pipeline_id, stage.label)
+                mids = middles.get(key)
+                if mids is None:
+                    mids = middles[key] = stage.task_ids(range(stage.n_tasks), f",{key[0]},{key[1]}")
+                if isinstance(indices, range):
+                    rows += mids[indices.start:indices.stop]
+                else:
+                    rows += [mids[i] for i in indices]
+            for lo in range(0, len(rows), _CHUNK_ROWS):
+                fh.writelines((head, sep.join(rows[lo:lo + _CHUNK_ROWS]), tail))
 
 
 def overhead_row(

@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import ValidationError, require_finite
@@ -65,6 +66,16 @@ def default_timestep_schedule(mode: ScheduleMode) -> dict[str, int]:
     raise ValidationError(f"unknown schedule mode {mode!r}")
 
 
+@lru_cache(maxsize=256)
+def _window_grid(lambdas: tuple[float, ...]) -> tuple[tuple[float, ...], tuple[str, ...] | None]:
+    """Canonical lambdas and per-window id marks (``None`` if two windows
+    round together), shared by every stage built on the same lambdas."""
+    lams = tuple(canonical_lambda(lam) for lam in lambdas)
+    if len(set(lams)) != len(lams):
+        return lams, None
+    return lams, tuple(f"l{lam:.3f}/r" for lam in lams)
+
+
 @dataclass(frozen=True)
 class LambdaSchedule:
     """Sorted distinct lambda windows spanning [0, 1], 3-decimal canonical."""
@@ -75,7 +86,7 @@ class LambdaSchedule:
         for i, lam in enumerate(self.lambdas):
             if not math.isfinite(lam):
                 raise ValidationError(f"lambda_schedule[{i}] must be finite, got {lam!r}")
-        canon = tuple(canonical_lambda(l) for l in self.lambdas)
+        canon, _ = _window_grid(tuple(self.lambdas))
         if len(canon) < 2:
             raise ValidationError("lambda_schedule needs at least two windows")
         for a, b in zip(canon, canon[1:]):
@@ -236,11 +247,10 @@ class Stage:
         _check_name("stage label", self.label)
         marks = ("a",) if self.kind in ANALYSIS_KINDS else ("r",)
         if self.lambdas is not None:
-            lams = tuple(canonical_lambda(lam) for lam in self.lambdas)
-            if len(set(lams)) != len(lams):
+            lams, marks = _window_grid(tuple(self.lambdas))
+            if marks is None:
                 raise ValidationError(f"stage {self.label}: lambdas must be distinct after rounding")
             object.__setattr__(self, "lambdas", lams)
-            marks = tuple(f"l{lam:.3f}/r" for lam in lams)
         object.__setattr__(self, "_marks", marks)
         if self.n_tasks < 1:
             raise ValidationError(f"stage {self.label} compiled with no tasks")
@@ -249,9 +259,9 @@ class Stage:
     def n_tasks(self) -> int:
         return self.width * len(self._marks)
 
-    def task_ids(self, indices: Sequence[int], prefix: str = "", suffix: str = "") -> list[str]:
-        """Ids of the tasks at ``indices``, each between ``prefix`` and ``suffix``."""
-        heads = [f"{prefix}{self.pipeline_id}/{self.label}/{mark}" for mark in self._marks]
+    def task_ids(self, indices: Sequence[int], suffix: str = "") -> list[str]:
+        """Ids of the tasks at ``indices``, each followed by ``suffix``."""
+        heads = [f"{self.pipeline_id}/{self.label}/{mark}" for mark in self._marks]
         width = self.width
         tails = [f"{r}{suffix}" for r in range(width)]
         return [heads[i // width] + tails[i % width] for i in indices]

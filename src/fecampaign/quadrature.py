@@ -22,8 +22,11 @@ LAMBDA_DECIMALS = 3
 
 
 def canonical_lambda(lam: float) -> float:
-    """Round a lambda value to its canonical window key (3 decimals)."""
-    return round(float(lam), LAMBDA_DECIMALS)
+    """Round a lambda value to its canonical window key (3 decimals).
+
+    ``-0.0`` becomes ``0.0``: equal lambdas give one key, and one task id.
+    """
+    return round(float(lam), LAMBDA_DECIMALS) + 0.0
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,12 @@ from click.testing import CliRunner
 from fecampaign.campaign import (
     NONADAPTIVE_WINDOWS,
     TERMINATION_HORIZON_NS,
-    RunOptions,
     SweepRung,
     compare_system,
     run_sweep,
     run_termination,
 )
-from fecampaign.cli import main as cli_main
+from fecampaign.cli import _options, main as cli_main
 from fecampaign.config import load_config
 from fecampaign.engine import PilotConfig, run_campaign
 from fecampaign.protocols import (
@@ -45,18 +44,6 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 REPRODUCIBILITY_THRESHOLD = 0.2
 
 
-def options_from(cfg):
-    return RunOptions(
-        pilot=cfg.pilot,
-        adaptive=cfg.adaptive,
-        seed=cfg.seed,
-        replicas=cfg.replicas_per_window,
-        dt_ps=cfg.sample_interval_ps,
-        discard_fraction=cfg.discard_fraction,
-        schedule_mode=cfg.schedule_mode,
-    )
-
-
 def ties_batch_graph(n_protocols=8, timesteps=50_000):
     """n_protocols single-stage TIES pipelines: 65 tasks each, all ready at once."""
     specs = [
@@ -75,7 +62,7 @@ def ties_batch_graph(n_protocols=8, timesteps=50_000):
 @pytest.fixture(scope="module")
 def comparison_battery():
     cfg = load_config(CONFIG_DIR / "compare.json")
-    opts = options_from(cfg)
+    opts = _options(cfg)
     runs = {}
     times = {}
     for system in cfg.systems:
@@ -88,7 +75,7 @@ def comparison_battery():
 @pytest.fixture(scope="module")
 def termination_trio():
     cfg = load_config(CONFIG_DIR / "termination.json")
-    opts = options_from(cfg)
+    opts = _options(cfg)
     return [run_termination(system, opts) for system in cfg.systems]
 
 
@@ -160,7 +147,7 @@ def test_criterion_04_adaptive_accuracy(comparison_battery):
     for label, c in runs.items():
         assert c.adaptive_error <= threshold, (label, c.adaptive_error)
     # seeded: repeating one comparison reproduces it exactly
-    opts = options_from(cfg)
+    opts = _options(cfg)
     again = compare_system(cfg.system("TYK2 L4-L9"), opts)
     reference = runs["TYK2 L4-L9"]
     assert again.adaptive.estimate == reference.adaptive.estimate

@@ -202,6 +202,13 @@ def test_compiled_task_identity_and_lambda():
     assert sim_lams == set(LambdaSchedule.uniform(13).lambdas)
 
 
+def test_stages_on_equal_lambdas_share_one_grid():
+    a = Stage("p", "S1", StageKind.MINIMIZATION, 1_000, 2, (0.0, 0.5, 1.0))
+    b = Stage("q", "S1", StageKind.MINIMIZATION, 1_000, 2, [-0.0, 0.5, 1.0])
+    assert b.lambdas is a.lambdas
+    assert b.task_ids([0, 5]) == ["q/S1/l0.000/r0", "q/S1/l1.000/r1"]
+
+
 def test_compiled_esmacs_is_lambda_free():
     graph = compile_protocol(esmacs_protocol(name="e0", mode=ScheduleMode.SCALING))
     (pipe,) = graph.pipelines

@@ -40,6 +40,7 @@ def test_canonical_lambda_rounds_to_three_decimals():
     assert canonical_lambda(0.12345) == 0.123
     assert canonical_lambda(0.9996) == 1.0
     assert canonical_lambda(0.0624999) == 0.062
+    assert math.copysign(1.0, canonical_lambda(-0.0)) == 1.0  # one key, one id, for both zeros
 
 
 def test_trapezoid_exact_on_linear():

@@ -3,8 +3,9 @@
 Each case writes a timeline with ``write_timeline_csv`` and compares the
 SHA-256 of the file with a digest recorded from the event-list engine that
 sorted every stored event by time.  The cases cover a retry wave, an
-evaluator that terminates pipelines, event times that tie across waves, and
-each way a campaign aborts with a partial timeline.
+evaluator that terminates pipelines, event times that tie across waves,
+waves that cut stages while an evaluator appends and terminates, and each
+way a campaign aborts with a partial timeline.
 
 The writer assembles rows as text; an oracle test holds its bytes equal to
 ``csv.writer`` over the rendered events for every case.  Ids and labels
@@ -14,15 +15,17 @@ that ``csv`` would quote are rejected when a stage is built.
 import csv
 import hashlib
 import io
+import tracemalloc
 
 import pytest
 
-from fecampaign.campaign import CampaignMode, RunOptions, run_system
+from fecampaign.campaign import CampaignMode, RunOptions, SweepRung, run_sweep, run_system
 from fecampaign import engine
 from fecampaign.engine import (
     TIMELINE_COLUMNS,
     OverheadModel,
     PilotConfig,
+    StagePlan,
     run_campaign,
     write_timeline_csv,
 )
@@ -33,6 +36,7 @@ from fecampaign.protocols import (
     ProtocolKind,
     ProtocolSpec,
     ScheduleMode,
+    Stage,
     StageKind,
     StageSpec,
     compile_protocol,
@@ -129,6 +133,53 @@ def bad_duration_abort():
     return err.value.timeline
 
 
+class _AppendOrTerminate:
+    """Appends a stage to every third pipeline after S1 and terminates the
+    next third after S2."""
+
+    def on_stage_complete(self, pipeline, stage):
+        i = int(pipeline.id[1:])
+        if stage.label == "S1" and i % 3 == 0:
+            extra = Stage(
+                pipeline.id, "X1", StageKind.EQUILIBRATION, 700 + 50 * i, stage.width, stage.lambdas,
+                stage.cores,
+            )
+            return StagePlan.append([extra])
+        if stage.label == "S2" and i % 3 == 1:
+            return StagePlan.terminate("converged")
+        return StagePlan.proceed()
+
+
+def _reentry_graph():
+    """13 pipelines whose stages hold 6 to 20 tasks each."""
+    return merge_graphs(
+        [
+            compile_protocol(
+                _ties(
+                    f"e{i}",
+                    [
+                        ("S1", StageKind.MINIMIZATION, 900 + 211 * i),
+                        ("S2", StageKind.EQUILIBRATION, 1_500 + 97 * (i % 5)),
+                        ("S3", StageKind.PRODUCTION, 2_000 + 53 * i),
+                    ],
+                    replicas=2 + i % 3,
+                    n_windows=3 + i % 4,
+                )
+            )
+            for i in range(13)
+        ]
+    )
+
+
+def ready_list_reentry():
+    # 10 slots, narrower than most stages, so waves cut stages; every full
+    # wave is over the cap of 6 and rolls for launch failures.  A pipeline
+    # that finishes a stage re-enters the fill ahead of a higher-index one
+    # whose stage is only part-launched.
+    pilot = PilotConfig(total_cores=320, concurrency_cap=6, failure_probability_over_cap=0.15)
+    return run_campaign(_reentry_graph(), pilot, evaluator=_AppendOrTerminate(), seed=7).timeline
+
+
 GOLDEN = {
     "retry_wave": (
         retry_wave,
@@ -153,6 +204,11 @@ GOLDEN = {
     "failed_twice_abort": (
         failed_twice_abort,
         "6fcb5a6d4ce8372090586fab1315513e78cdab48e854a68c7d53cca5bdc084f2",
+    ),
+    # recorded from the engine that scanned every pipeline in every wave
+    "ready_list_reentry": (
+        ready_list_reentry,
+        "d142161f192fe8b11ab5494a6841d0f7376359b279710c96437558d724017242",
     ),
 }
 
@@ -188,6 +244,43 @@ def test_writer_matches_csv_over_events(case, chunk_rows, tmp_path, monkeypatch)
     path = tmp_path / "timeline.csv"
     write_timeline_csv(timeline, path)
     assert path.read_bytes() == _csv_oracle(timeline)
+
+
+def test_reentry_case_resumes_part_launched_stages():
+    # The case is there for the fill order: a pipeline re-enters the fill
+    # ahead of a part-launched one with a higher index, which resumes at
+    # its own position in the next wave.
+    waves = [
+        [int(s.stage.pipeline_id[1:]) for s in gen.slices]
+        for gen in ready_list_reentry().generations
+        if not gen.is_retry
+    ]
+    assert all(w == sorted(w) for w in waves)
+    assert any(nxt[0] < prev[-1] and prev[-1] in nxt for prev, nxt in zip(waves, waves[1:]))
+
+
+def test_writer_holds_ids_only_for_stages_in_flight(tmp_path):
+    # Weak P=256 TIES: 4 waves of 16,640 tasks, one stage per pipeline and
+    # wave.  The write peaks at one wave's "id,pipeline,label" middles
+    # (about 1.6 MB) plus one chunk of rows, 2.5 MB in all; a writer that
+    # kept every stage's middles reads over 7 MB by the last wave.
+    pilot = PilotConfig(total_cores=2_080, failure_probability_over_cap=0.0)
+    [rung] = run_sweep("WEAK", [SweepRung(256, 256 * 2_080)], ProtocolKind.TIES, "x", pilot, seed=1)
+    timeline = rung.outcome.timeline
+    path = tmp_path / "timeline.csv"
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_timeline_csv(timeline, path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert path.read_bytes() == _csv_oracle(timeline)
+    assert peak < 3_500_000
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
