@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from fecampaign.adaptive import SyntheticSampler
 from fecampaign.campaign import RunOptions, run_system, CampaignMode
 from fecampaign.engine import PilotConfig, generation_count, slots
 from fecampaign.protocols import AdaptiveConfig
@@ -20,7 +21,6 @@ from fecampaign.stats import CheckpointHistory, convergence_check
 from fecampaign.synth import (
     CurvePreset,
     analytic_integral,
-    du_dl_series,
     named_system,
     named_systems,
 )
@@ -73,7 +73,7 @@ def main() -> None:
         system = named_system(label)
         for lam, rep in ((0.5, 0), (0.25, 3)):
             ind = independent_series_mean(system, 7, lam, rep, 4000)
-            series = du_dl_series(system.curve, system.noise, lam, 4000, 1.0, 7, rep)
+            series = SyntheticSampler(system, 7, 1.0, 4000).series(lam, rep, 4000)
             pkg = float(series.values[400:].mean())
             print(f"{label:12s} lam={lam} rep={rep}: independent={ind:.12f} "
                   f"package={pkg:.12f} diff={abs(ind - pkg):.2e}")

@@ -33,7 +33,6 @@ from .synth import (
     NoiseModel,
     SyntheticSystem,
     analytic_integral,
-    du_dl_series,
     named_system,
     named_systems,
 )

@@ -1,13 +1,18 @@
-"""Evaluator hooks implementing the two adaptive execution modes.
+"""Evaluator hooks: the one path from synthetic samples to a free energy.
 
-Both evaluators consume synthetic dU/dlambda data: in simulated mode the
-engine only schedules tasks, so the data a production stage "produced" is
-generated here, deterministically from (campaign seed, window, replica).
+Every campaign mode attaches one of these evaluators.  Both consume
+synthetic dU/dlambda data: in simulated mode the engine only schedules
+tasks, so the data a production stage "produced" is read here from a
+:class:`SyntheticSampler`, deterministically from (campaign seed, window,
+replica), and the evaluator's final record holds the run's estimate.
 
 * :class:`AdaptiveQuadratureEvaluator` splits production into sub-stages;
-  after each one it re-estimates every window, scores the per-interval
-  integration error against the budget ``epsilon / N`` and appends
-  equilibration + production stages for the proposed midpoint windows.
+  after each one but the last it re-estimates every window, scores the
+  per-interval integration error against the budget ``epsilon / N`` and
+  appends equilibration + production stages for the proposed midpoint
+  windows.  With one sub-stage as long as a static production stage it
+  estimates a fixed schedule: it records the estimate when production
+  ends and never refines.
 * :class:`AdaptiveTerminationEvaluator` slices production into
   ``tau``-long sub-stages, re-integrates at every checkpoint and
   terminates the pipeline once consecutive estimates agree within the
@@ -65,13 +70,14 @@ class SyntheticSampler:
     """
 
     def __init__(self, system: SyntheticSystem, seed: int, dt_ps: float, horizon_samples: int):
+        if not dt_ps > 0.0:
+            raise ContractError("dt_ps must be > 0")
         self.system = system
         self.seed = int(seed)
         self.dt_ps = dt_ps
         self.horizon_samples = horizon_samples
         self._drift = drift_curve(system.noise, horizon_samples, dt_ps)
         self._streams: dict[tuple[float, int], NoiseStream] = {}
-        self._full: dict[tuple[float, int], DuDlSeries] = {}
 
     def _grow(self, requests: Iterable[tuple[tuple[float, int], int]]) -> None:
         """Grow each ``(lambda, replica)`` stream to its requested length.
@@ -97,15 +103,10 @@ class SyntheticSampler:
 
     def series(self, lam: float, replica: int, n_samples: int) -> DuDlSeries:
         key = (canonical_lambda(lam), replica)
-        if n_samples == self.horizon_samples and key in self._full:
-            return self._full[key]
         self._grow([(key, n_samples)])
         values = self._streams[key].values[:n_samples]
         values.flags.writeable = False
-        series = DuDlSeries(lam=key[0], replica_index=replica, dt_ps=self.dt_ps, values=values)
-        if n_samples == self.horizon_samples:
-            self._full[key] = series
-        return series
+        return DuDlSeries(lam=key[0], replica_index=replica, dt_ps=self.dt_ps, values=values)
 
     def window_series(
         self, lengths: Mapping[float, int], replicas: int
@@ -191,7 +192,11 @@ class _SyntheticEvaluator:
 
 
 class AdaptiveQuadratureEvaluator(_SyntheticEvaluator):
-    """Grows the lambda-window set where the integration error concentrates."""
+    """Grows the lambda-window set where the integration error concentrates.
+
+    With a single production sub-stage it never grows it: it estimates a
+    fixed schedule once, when production ends.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

@@ -2,9 +2,10 @@
 
 A "system run" executes one synthetic system through the engine in one of
 four modes and returns its free-energy estimate plus the execution
-artifacts.  ``REFERENCE`` and ``NONADAPTIVE`` force dense (65) and
-standard (13) uniform window schedules; the two adaptive modes attach the
-corresponding evaluator.
+artifacts.  Every mode attaches an evaluator and reports the estimate it
+records.  ``REFERENCE`` and ``NONADAPTIVE`` run dense (65) and standard
+(13) uniform window schedules as one production sub-stage, so their
+evaluator estimates once, when production ends, and never refines.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from .adaptive import (
     AdaptiveQuadratureEvaluator,
     AdaptiveRunResult,
     AdaptiveTerminationEvaluator,
-    SyntheticSampler,
-    samples_per_substage,
 )
 from .engine import CampaignOutcome, PilotConfig, run_campaign
 from .errors import CampaignError, ValidationError
@@ -34,10 +33,9 @@ from .protocols import (
     esmacs_protocol,
     merge_graphs,
     ties_protocol,
-    timesteps_to_ns,
 )
 from .quadrature import FreeEnergyEstimate
-from .stats import DEFAULT_DISCARD_FRACTION, estimate_delta_g
+from .stats import DEFAULT_DISCARD_FRACTION
 from .synth import SyntheticSystem
 
 #: Window counts forced by the two non-adaptive modes.
@@ -96,13 +94,23 @@ class SystemRunResult:
 
 def _protocol_for_mode(
     system: SyntheticSystem, mode: CampaignMode, opts: RunOptions
-) -> ProtocolSpec:
-    schedule = adaptive = None
-    if mode is CampaignMode.REFERENCE:
-        schedule = LambdaSchedule.uniform(REFERENCE_WINDOWS)
-    elif mode is CampaignMode.NONADAPTIVE:
-        schedule = LambdaSchedule.uniform(NONADAPTIVE_WINDOWS)
-    elif mode is CampaignMode.ADAPTIVE_QUADRATURE:
+) -> tuple[ProtocolSpec, AdaptiveConfig]:
+    """The protocol a mode runs and the config of the evaluator that estimates it.
+
+    A fixed schedule stays a static protocol, so its production stage keeps
+    its label; its evaluator runs one production sub-stage as long as that
+    stage, records the estimate when production ends and never refines.
+    """
+    name = f"{_slug(system.label)}-{mode.value.lower()}"
+    if mode in (CampaignMode.REFERENCE, CampaignMode.NONADAPTIVE):
+        n_windows = REFERENCE_WINDOWS if mode is CampaignMode.REFERENCE else NONADAPTIVE_WINDOWS
+        spec = ties_protocol(
+            name=name, lambda_schedule=LambdaSchedule.uniform(n_windows),
+            replicas=opts.replicas, mode=opts.schedule_mode,
+        )
+        prod = next(s for s in spec.sim_stages if s.kind is StageKind.PRODUCTION)
+        return spec, replace(opts.adaptive, production_substages=1, substage_timesteps=prod.timesteps)
+    if mode is CampaignMode.ADAPTIVE_QUADRATURE:
         adaptive = opts.adaptive
     elif mode is CampaignMode.ADAPTIVE_TERMINATION:
         tau = opts.adaptive.termination_tau_ns
@@ -121,10 +129,8 @@ def _protocol_for_mode(
         )
     else:
         raise ValidationError(f"unknown campaign mode {mode!r}")
-    return ties_protocol(
-        name=f"{_slug(system.label)}-{mode.value.lower()}", lambda_schedule=schedule,
-        replicas=opts.replicas, mode=opts.schedule_mode, adaptive=adaptive,
-    )
+    spec = ties_protocol(name=name, replicas=opts.replicas, mode=opts.schedule_mode, adaptive=adaptive)
+    return spec, adaptive
 
 
 def _slug(label: str) -> str:
@@ -136,52 +142,32 @@ def run_label(system: SyntheticSystem, mode: CampaignMode) -> str:
     return f"{_slug(system.label)}_{mode.value.lower()}"
 
 
-def _static_estimate(
-    system: SyntheticSystem, spec: ProtocolSpec, seed: int, opts: RunOptions
-) -> tuple[FreeEnergyEstimate, float]:
-    """Estimate for a fixed-schedule run: full production at every window."""
-    prod = [s for s in spec.sim_stages if s.kind is StageKind.PRODUCTION][0]
-    n_samples = samples_per_substage(prod.timesteps, opts.dt_ps)
-    sampler = SyntheticSampler(system, seed, opts.dt_ps, n_samples)
-    series = sampler.window_series({lam: n_samples for lam in spec.windows}, opts.replicas)
-    estimate = estimate_delta_g(series, opts.discard_fraction, seed=seed)
-    return estimate, timesteps_to_ns(prod.timesteps)
-
-
-#: The evaluator each adaptive mode attaches.
-_EVALUATORS = {
-    CampaignMode.ADAPTIVE_QUADRATURE: AdaptiveQuadratureEvaluator,
-    CampaignMode.ADAPTIVE_TERMINATION: AdaptiveTerminationEvaluator,
-}
-
-
 def run_system(
     system: SyntheticSystem, mode: CampaignMode, opts: RunOptions
 ) -> SystemRunResult:
-    """Run one system through the engine in the given mode."""
-    spec = _protocol_for_mode(system, mode, opts)
+    """Run one system through the engine in the given mode.
+
+    Every mode attaches an evaluator, and the result is read from the
+    record it keeps when the pipeline's production ends: termination runs
+    use :class:`AdaptiveTerminationEvaluator`, all others
+    :class:`AdaptiveQuadratureEvaluator`.
+    """
+    spec, adaptive = _protocol_for_mode(system, mode, opts)
     graph = compile_protocol(spec, cores_per_task=opts.pilot.cores_per_task)
     seed = data_seed(opts.seed, system.label, mode)
-
-    evaluator = None
-    evaluator_cls = _EVALUATORS.get(mode)
-    if evaluator_cls is not None:
-        evaluator = evaluator_cls(
-            system, spec.adaptive, seed, dt_ps=opts.dt_ps, discard_fraction=opts.discard_fraction
-        )
+    evaluator_cls = (
+        AdaptiveTerminationEvaluator if mode is CampaignMode.ADAPTIVE_TERMINATION
+        else AdaptiveQuadratureEvaluator
+    )
+    evaluator = evaluator_cls(
+        system, adaptive, seed, dt_ps=opts.dt_ps, discard_fraction=opts.discard_fraction
+    )
 
     try:
         outcome = run_campaign(graph, opts.pilot, evaluator=evaluator, seed=seed)
     except CampaignError as exc:
         exc.run_label = run_label(system, mode)
         raise
-
-    if evaluator is None:
-        estimate, simulated_ns = _static_estimate(system, spec, seed, opts)
-        return SystemRunResult(
-            system=system, mode=mode, estimate=estimate,
-            windows=spec.windows, simulated_ns=simulated_ns, outcome=outcome,
-        )
 
     result: AdaptiveRunResult = evaluator.results[spec.name]
     history = result.history

@@ -88,12 +88,6 @@ class CampaignConfig:
             if rung.total_cores < self.pilot.cores_per_task:
                 raise ValidationError(f"config.sweep.rungs[{i}].total_cores must fit at least one task")
 
-    def system(self, label: str) -> SyntheticSystem:
-        for s in self.systems:
-            if s.label == label:
-                return s
-        raise ValidationError(f"no system labelled {label!r} in config")
-
 
 @cache
 def _fields(cls) -> dict[str, tuple[Any, bool]]:

@@ -18,7 +18,9 @@ stream's generator and its last noise value, and runs the recurrence over
 many streams at once, one vectorised step per sample.  Every step rounds
 the product and the sum once, as a direct-form IIR filter does, so a series
 grown in any number of chunks is bit-identical to a one-shot series of the
-same length.
+same length.  :class:`fecampaign.adaptive.SyntheticSampler` is the one
+reader of these streams: every series a campaign estimates from comes
+through it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import numpy as np
 
 from .errors import ContractError, ValidationError, require_finite
 from .quadrature import canonical_lambda
-from .stats import DuDlSeries
 
 #: Node count of the dense-trapezoid oracle used when no closed form exists.
 ORACLE_NODES = 100_000
@@ -229,41 +230,6 @@ def grow_streams(
         np.add(stream.level, drift[lo:hi], out=segment)
         segment += row
         stream.fill, stream.last = hi, float(row[-1])
-
-
-def du_dl_series(
-    curve: GroundTruthCurve,
-    noise: NoiseModel,
-    lam: float,
-    n_samples: int,
-    dt_ps: float = 1.0,
-    seed: int = 0,
-    replica_index: int = 0,
-) -> DuDlSeries:
-    """Generate one replica's synthetic dU/dlambda series at a window.
-
-    Parameters
-    ----------
-    curve, noise
-        Ground truth and noise parameters.
-    lam
-        Window position in [0, 1].
-    n_samples
-        Number of samples, >= 1.
-    dt_ps
-        Simulated time per sample in picoseconds.
-    seed, replica_index
-        Together with ``lam`` these select the deterministic noise stream.
-    """
-    if n_samples < 1:
-        raise ContractError("n_samples must be >= 1")
-    if not dt_ps > 0.0:
-        raise ContractError("dt_ps must be > 0")
-    stream = open_stream(curve, lam, n_samples, seed, replica_index)
-    grow_streams(noise, [stream], n_samples, drift_curve(noise, n_samples, dt_ps))
-    return DuDlSeries(
-        lam=canonical_lambda(lam), replica_index=replica_index, dt_ps=dt_ps, values=stream.values
-    )
 
 
 def analytic_integral(curve: GroundTruthCurve) -> float:

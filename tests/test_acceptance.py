@@ -148,7 +148,8 @@ def test_criterion_04_adaptive_accuracy(comparison_battery):
         assert c.adaptive_error <= threshold, (label, c.adaptive_error)
     # seeded: repeating one comparison reproduces it exactly
     opts = _options(cfg)
-    again = compare_system(cfg.system("TYK2 L4-L9"), opts)
+    [system] = [s for s in cfg.systems if s.label == "TYK2 L4-L9"]
+    again = compare_system(system, opts)
     reference = runs["TYK2 L4-L9"]
     assert again.adaptive.estimate == reference.adaptive.estimate
     assert again.adaptive.windows == reference.adaptive.windows

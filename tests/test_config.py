@@ -140,13 +140,6 @@ def test_round_trip_identity_property(cfg):
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
-def test_system_lookup_by_label():
-    cfg = full_config()
-    assert cfg.system("q").curve == GroundTruthCurve.quadratic()
-    with pytest.raises(ValidationError):
-        cfg.system("missing")
-
-
 def test_sweep_plan_validation():
     with pytest.raises(ValidationError):
         SweepPlan("SIDEWAYS", ProtocolKind.TIES, "x", (SweepRung(1, 64),))

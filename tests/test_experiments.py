@@ -1,12 +1,16 @@
 """The checked-in ``out/`` tree is what ``scripts/run_experiments.py`` writes.
 
 Runs the script's commands in-process, from a temporary working directory,
-and compares every written file byte for byte with ``out/``.
+and compares every written file byte for byte with ``out/``.  The two
+fixed-schedule modes, which no bundled command runs, are held to frozen
+SHA-256 digests of their ``run`` outputs on ``configs/run.json``.
 """
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from fecampaign.cli import main
@@ -37,3 +41,28 @@ def test_experiments_regenerate_checked_in_outputs(tmp_path, monkeypatch):
     assert _files(written) == _files(expected)
     for rel in _files(expected):
         assert (written / rel).read_bytes() == (expected / rel).read_bytes(), rel
+
+
+#: SHA-256 of every file ``run --config configs/run.json --mode <mode>`` writes.
+FIXED_SCHEDULE_DIGESTS = {
+    "REFERENCE": {
+        "ptp1b-l1-l2_reference.json": "a19e26b524b3b9569e023bcf9af1fe998365314f6a8ef857a0f10a992c090a52",
+        "ptp1b-l1-l2_reference_timeline.csv": "1646c90c3e7fd21cac3a96b58eb49f9b978aa371c26bb7c41a143d034c5795b3",
+        "overheads.csv": "645300ef38c61183ca8d05e84100921a2aa99be8e797be70930e748750837222",
+    },
+    "NONADAPTIVE": {
+        "ptp1b-l1-l2_nonadaptive.json": "404a47864bb1557a4c59cb7f62525b054dc96c68a4df81eebeba5066d87a693c",
+        "ptp1b-l1-l2_nonadaptive_timeline.csv": "7f2fee5134b35986b95c2220448a1928b17183a71dfb079d2217bbd2efba14e3",
+        "overheads.csv": "598516eb373dd4ed6c3eb9adbca700b404e9496baeaa45850ec03766b108dc43",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(FIXED_SCHEDULE_DIGESTS))
+def test_fixed_schedule_run_matches_frozen_digests(mode, tmp_path):
+    out = tmp_path / "out"
+    args = ["run", "--config", str(ROOT / "configs" / "run.json"), "--mode", mode, "--out", str(out)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == FIXED_SCHEDULE_DIGESTS[mode]

@@ -14,9 +14,9 @@ from fecampaign.synth import (
     CurvePreset,
     GroundTruthCurve,
     NoiseModel,
+    SyntheticSystem,
     analytic_integral,
     drift_curve,
-    du_dl_series,
     grow_streams,
     named_system,
     named_systems,
@@ -33,6 +33,12 @@ def closed_form(curve):
     else:
         bump = a * w * (math.atan((1.0 - c) / w) + math.atan(c / w))
     return bump + b / 2.0
+
+
+def sampled_series(curve, noise, lam, n_samples, dt_ps=1.0, seed=0, replica_index=0):
+    """One replica series, read from a sampler whose horizon is its length."""
+    sampler = SyntheticSampler(SyntheticSystem("probe", curve, noise), seed, dt_ps, n_samples)
+    return sampler.series(lam, replica_index, n_samples)
 
 
 def test_linear_curve_evaluate_and_integral():
@@ -103,9 +109,9 @@ def test_noise_model_rejects_non_finite_fields(field, value):
 
 def test_series_is_deterministic_per_stream():
     system = named_system("TYK2 L7-L8")
-    a = du_dl_series(system.curve, system.noise, 0.25, 500, seed=9, replica_index=2)
-    b = du_dl_series(system.curve, system.noise, 0.25, 500, seed=9, replica_index=2)
-    c = du_dl_series(system.curve, system.noise, 0.25, 500, seed=9, replica_index=3)
+    a = sampled_series(system.curve, system.noise, 0.25, 500, seed=9, replica_index=2)
+    b = sampled_series(system.curve, system.noise, 0.25, 500, seed=9, replica_index=2)
+    c = sampled_series(system.curve, system.noise, 0.25, 500, seed=9, replica_index=3)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
 
@@ -113,8 +119,8 @@ def test_series_is_deterministic_per_stream():
 def test_series_stream_independent_of_length():
     # A longer run must extend, not reshuffle, a shorter one.
     system = named_system("TYK2 L7-L8")
-    short = du_dl_series(system.curve, system.noise, 0.5, 100, seed=1)
-    long = du_dl_series(system.curve, system.noise, 0.5, 400, seed=1)
+    short = sampled_series(system.curve, system.noise, 0.5, 100, seed=1)
+    long = sampled_series(system.curve, system.noise, 0.5, 400, seed=1)
     assert np.array_equal(short.values, long.values[:100])
 
 
@@ -122,9 +128,9 @@ def test_series_matches_independent_recurrence():
     # Frozen against an explicit AR(1) loop plus closed-form drift
     # (scripts/freeze_fixtures.py).
     system = named_system("PTP1B L1-L2")
-    s = du_dl_series(system.curve, system.noise, 0.5, 4000, 1.0, seed=7, replica_index=0)
+    s = sampled_series(system.curve, system.noise, 0.5, 4000, 1.0, seed=7, replica_index=0)
     assert float(s.values[400:].mean()) == pytest.approx(-7.430984881491, abs=1e-9)
-    s2 = du_dl_series(system.curve, system.noise, 0.25, 4000, 1.0, seed=7, replica_index=3)
+    s2 = sampled_series(system.curve, system.noise, 0.25, 4000, 1.0, seed=7, replica_index=3)
     assert float(s2.values[400:].mean()) == pytest.approx(-3.722947661995, abs=1e-9)
 
 
@@ -153,7 +159,7 @@ def test_series_bit_identical_to_explicit_loop(label):
     system = named_system(label)
     for lam, replica, n, dt_ps in ((0.0, 0, 1500, 1.0), (0.5, 3, 2000, 2.0), (0.938, 1, 700, 1.0)):
         expected = oracle_series(system, lam, n, 31, replica, dt_ps).tobytes()
-        one_shot = du_dl_series(system.curve, system.noise, lam, n, dt_ps, 31, replica)
+        one_shot = sampled_series(system.curve, system.noise, lam, n, dt_ps, 31, replica)
         assert one_shot.values.tobytes() == expected
 
 
@@ -173,9 +179,10 @@ def test_batched_sampler_bit_identical_to_explicit_loop(label):
 
 def test_chunked_growth_equals_one_shot_series():
     system = named_system("TYK2 L4-L9")
-    one_shot = du_dl_series(system.curve, system.noise, 0.25, 400, seed=3, replica_index=1)
+    one_shot = open_stream(system.curve, 0.25, 400, seed=3, replica_index=1)
     stream = open_stream(system.curve, 0.25, 400, seed=3, replica_index=1)
     drift = drift_curve(system.noise, 400, 1.0)
+    grow_streams(system.noise, [one_shot], 400, drift)
     grow_streams(system.noise, [stream], 100, drift)
     grow_streams(system.noise, [stream], 300, drift)
     assert stream.values.tobytes() == one_shot.values.tobytes()
@@ -197,14 +204,14 @@ def test_sampler_series_are_read_only_views():
 
 def test_zero_noise_series_is_pure_ground_truth():
     curve = GroundTruthCurve.linear(1.0, 1.0)
-    s = du_dl_series(curve, NoiseModel(), 0.5, 50)
+    s = sampled_series(curve, NoiseModel(), 0.5, 50)
     assert np.allclose(s.values, 1.5)
 
 
 def test_drift_decays_with_configured_timescale():
     curve = GroundTruthCurve.constant(0.0)
     noise = NoiseModel(drift_amplitude=2.0, drift_timescale_ps=100.0)
-    s = du_dl_series(curve, noise, 0.0, 400, dt_ps=1.0, seed=0)
+    s = sampled_series(curve, noise, 0.0, 400, dt_ps=1.0, seed=0)
     expected = 2.0 * np.exp(-np.arange(400) / 100.0)
     assert np.allclose(s.values, expected)
 
@@ -212,18 +219,16 @@ def test_drift_decays_with_configured_timescale():
 def test_ar1_stationary_sd_is_sigma():
     curve = GroundTruthCurve.constant(0.0)
     noise = NoiseModel(sigma=2.0, ar1_phi=0.8)
-    s = du_dl_series(curve, noise, 0.5, 200_000, seed=5)
+    s = sampled_series(curve, noise, 0.5, 200_000, seed=5)
     assert float(np.std(s.values[1000:])) == pytest.approx(2.0, rel=0.02)
 
 
 def test_series_contract_checks():
     curve = GroundTruthCurve.constant(0.0)
     with pytest.raises(ContractError):
-        du_dl_series(curve, NoiseModel(), 0.5, 0)
+        sampled_series(curve, NoiseModel(), 1.5, 10)
     with pytest.raises(ContractError):
-        du_dl_series(curve, NoiseModel(), 1.5, 10)
-    with pytest.raises(ContractError):
-        du_dl_series(curve, NoiseModel(), 0.5, 10, dt_ps=0.0)
+        sampled_series(curve, NoiseModel(), 0.5, 10, dt_ps=0.0)
 
 
 def test_named_systems_bundle():
