@@ -40,16 +40,11 @@ from .protocols import (
     AdaptiveConfig,
     LambdaSchedule,
     ProtocolKind,
-    ProtocolSpec,
     ScheduleMode,
     StageKind,
-    StageSpec,
     WorkflowGraph,
     compile_protocol,
-    default_timestep_schedule,
-    esmacs_protocol,
     merge_graphs,
-    ties_protocol,
 )
 from .engine import (
     CampaignOutcome,

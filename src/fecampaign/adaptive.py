@@ -21,18 +21,13 @@ replica), and the evaluator's final record holds the run's estimate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .engine import PipelineRun, StagePlan
 from .errors import ContractError
-from .protocols import (
-    MD_TIMESTEP_PS,
-    AdaptiveConfig,
-    ProtocolSpec,
-    Stage,
-    StageKind,
-)
+from .protocols import MD_TIMESTEP_PS, AdaptiveConfig, Stage, StageKind
 from .quadrature import (
     FreeEnergyEstimate,
     canonical_lambda,
@@ -132,19 +127,13 @@ class AdaptiveRunResult:
     history: CheckpointHistory | None = None
 
 
-def _production_spec(spec: ProtocolSpec):
-    prods = [s for s in spec.sim_stages if s.kind is StageKind.PRODUCTION]
-    if len(prods) != 1:
-        raise ContractError("adaptive execution expects exactly one production stage")
-    return prods[0]
-
-
 def _equilibration_chain(pipeline: PipelineRun, stage: Stage, cycle: int, lams) -> list[Stage]:
-    """Equilibration stages for new windows ``lams``, as wide as ``stage``."""
+    """Copies of the pipeline's stages before its first production stage,
+    for new windows ``lams`` and as wide as ``stage``."""
+    chain = itertools.takewhile(lambda st: st.kind is not StageKind.PRODUCTION, pipeline.stages)
     return [
         Stage(pipeline.id, f"{st.label}.{cycle}", st.kind, st.timesteps, stage.width, lams, stage.cores)
-        for st in pipeline.spec.sim_stages  # type: ignore[attr-defined]
-        if st.kind is not StageKind.PRODUCTION
+        for st in chain
     ]
 
 
@@ -184,9 +173,9 @@ class _SyntheticEvaluator:
         return estimate_delta_g(series, self.discard_fraction, seed=self.seed)
 
     def _production_stage(self, pipeline: PipelineRun, stage: Stage, index: int, lams) -> Stage:
-        prod = _production_spec(pipeline.spec)  # type: ignore[arg-type]
+        """Production sub-stage ``index``, labelled after ``stage``: ``S4.k`` -> ``S4.<index>``."""
         return Stage(
-            pipeline.id, f"{prod.label}.{index}", StageKind.PRODUCTION,
+            pipeline.id, f"{stage.label.split('.')[0]}.{index}", StageKind.PRODUCTION,
             self.adaptive.substage_timesteps, stage.width, lams, stage.cores,
         )
 

@@ -26,13 +26,11 @@ from .protocols import (
     AdaptiveConfig,
     LambdaSchedule,
     ProtocolKind,
-    ProtocolSpec,
     ScheduleMode,
     StageKind,
+    WorkflowGraph,
     compile_protocol,
-    esmacs_protocol,
     merge_graphs,
-    ties_protocol,
 )
 from .quadrature import FreeEnergyEstimate
 from .stats import DEFAULT_DISCARD_FRACTION
@@ -94,23 +92,18 @@ class SystemRunResult:
 
 def _protocol_for_mode(
     system: SyntheticSystem, mode: CampaignMode, opts: RunOptions
-) -> tuple[ProtocolSpec, AdaptiveConfig]:
-    """The protocol a mode runs and the config of the evaluator that estimates it.
+) -> tuple[WorkflowGraph, AdaptiveConfig]:
+    """The compiled protocol a mode runs and the config of the evaluator that estimates it.
 
     A fixed schedule stays a static protocol, so its production stage keeps
     its label; its evaluator runs one production sub-stage as long as that
     stage, records the estimate when production ends and never refines.
     """
-    name = f"{_slug(system.label)}-{mode.value.lower()}"
+    schedule, adaptive = None, None
     if mode in (CampaignMode.REFERENCE, CampaignMode.NONADAPTIVE):
         n_windows = REFERENCE_WINDOWS if mode is CampaignMode.REFERENCE else NONADAPTIVE_WINDOWS
-        spec = ties_protocol(
-            name=name, lambda_schedule=LambdaSchedule.uniform(n_windows),
-            replicas=opts.replicas, mode=opts.schedule_mode,
-        )
-        prod = next(s for s in spec.sim_stages if s.kind is StageKind.PRODUCTION)
-        return spec, replace(opts.adaptive, production_substages=1, substage_timesteps=prod.timesteps)
-    if mode is CampaignMode.ADAPTIVE_QUADRATURE:
+        schedule = LambdaSchedule.uniform(n_windows)
+    elif mode is CampaignMode.ADAPTIVE_QUADRATURE:
         adaptive = opts.adaptive
     elif mode is CampaignMode.ADAPTIVE_TERMINATION:
         tau = opts.adaptive.termination_tau_ns
@@ -129,8 +122,14 @@ def _protocol_for_mode(
         )
     else:
         raise ValidationError(f"unknown campaign mode {mode!r}")
-    spec = ties_protocol(name=name, replicas=opts.replicas, mode=opts.schedule_mode, adaptive=adaptive)
-    return spec, adaptive
+    graph = compile_protocol(
+        ProtocolKind.TIES, f"{_slug(system.label)}-{mode.value.lower()}", opts.replicas,
+        schedule, adaptive, opts.schedule_mode, cores_per_task=opts.pilot.cores_per_task,
+    )
+    if adaptive is None:
+        prod = next(s for s in graph.pipelines[0].stages if s.kind is StageKind.PRODUCTION)
+        adaptive = replace(opts.adaptive, production_substages=1, substage_timesteps=prod.timesteps)
+    return graph, adaptive
 
 
 def _slug(label: str) -> str:
@@ -152,8 +151,7 @@ def run_system(
     use :class:`AdaptiveTerminationEvaluator`, all others
     :class:`AdaptiveQuadratureEvaluator`.
     """
-    spec, adaptive = _protocol_for_mode(system, mode, opts)
-    graph = compile_protocol(spec, cores_per_task=opts.pilot.cores_per_task)
+    graph, adaptive = _protocol_for_mode(system, mode, opts)
     seed = data_seed(opts.seed, system.label, mode)
     evaluator_cls = (
         AdaptiveTerminationEvaluator if mode is CampaignMode.ADAPTIVE_TERMINATION
@@ -169,7 +167,7 @@ def run_system(
         exc.run_label = run_label(system, mode)
         raise
 
-    result: AdaptiveRunResult = evaluator.results[spec.name]
+    result: AdaptiveRunResult = evaluator.results[graph.pipelines[0].id]
     history = result.history
     return SystemRunResult(
         system=system, mode=mode, estimate=result.estimate,
@@ -239,18 +237,6 @@ class SweepRunResult:
     outcome: CampaignOutcome
 
 
-def _sweep_protocol(template_kind: ProtocolKind, replicas: int | None, index: int) -> ProtocolSpec:
-    if template_kind is ProtocolKind.ESMACS:
-        return esmacs_protocol(
-            name=f"esmacs-{index}", replicas=25 if replicas is None else replicas,
-            mode=ScheduleMode.SCALING, include_analysis=False,
-        )
-    return ties_protocol(
-        name=f"ties-{index}", replicas=5 if replicas is None else replicas,
-        mode=ScheduleMode.SCALING, include_analysis=False,
-    )
-
-
 def run_sweep(
     kind: str,
     rungs: list[SweepRung],
@@ -262,16 +248,19 @@ def run_sweep(
 ) -> list[SweepRunResult]:
     """Run a scaling ladder; each rung is an independent campaign.
 
-    ``physical_system`` is accepted and unused: no protocol, task or output
-    depends on it.
+    Each protocol runs the scaling timesteps without analysis stages, with
+    ``replicas`` (by default 25 for ESMACS, 5 for TIES) and, for TIES, 13
+    uniform windows.  ``physical_system`` is accepted and unused: no
+    protocol, task or output depends on it.
     """
+    if replicas is None:
+        replicas = 25 if protocol_kind is ProtocolKind.ESMACS else 5
     results = []
     for i, rung in enumerate(rungs):
         graphs = [
             compile_protocol(
-                _sweep_protocol(protocol_kind, replicas, p),
-                protocol_id=f"{kind.lower()}-{i}-p{p}",
-                cores_per_task=pilot_defaults.cores_per_task,
+                protocol_kind, f"{kind.lower()}-{i}-p{p}", replicas, mode=ScheduleMode.SCALING,
+                include_analysis=False, cores_per_task=pilot_defaults.cores_per_task,
             )
             for p in range(rung.n_protocols)
         ]

@@ -427,7 +427,6 @@ class PipelineRun:
     """Mutable per-pipeline execution state, also handed to evaluators."""
 
     id: str
-    spec: object
     stages: list[Stage]
     cursor: int = 0
     terminated_reason: str | None = None
@@ -495,14 +494,6 @@ def _validate_plan(plan: StagePlan, pipeline: PipelineRun) -> None:
                 )
         else:
             introduced.update(lams)
-    adaptive = getattr(pipeline.spec, "adaptive", None)
-    if adaptive is not None:
-        total = len(known | introduced)
-        if total > adaptive.max_total_windows:
-            raise PlanRejectedError(
-                f"plan for pipeline {pipeline.id} grows the window set to {total}, "
-                f"above max_total_windows={adaptive.max_total_windows}"
-            )
 
 
 def run_campaign(
@@ -537,9 +528,7 @@ def run_campaign(
     clock = 0.0
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFA17]))
 
-    pipelines = [
-        PipelineRun(id=p.id, spec=p.spec, stages=list(p.stages)) for p in workflows.pipelines
-    ]
+    pipelines = [PipelineRun(id=p.id, stages=list(p.stages)) for p in workflows.pipelines]
     # Per pipeline index: first not yet launched index of its current stage,
     # and unfinished tasks of that stage, including those waiting for a retry.
     launched = [0] * n_protocols

@@ -1,12 +1,13 @@
-"""Ensemble protocol definitions and their compilation to task graphs.
+"""The two protocol templates, TIES and ESMACS, compiled to task graphs.
 
-A protocol describes one binding-affinity calculation: an ordered chain of
-simulation stages, each fanning out into concurrent tasks (one per replica,
-or one per lambda window and replica), followed by analysis stages.
-``compile_protocol`` turns a spec into a pipeline of stages; stages run
-strictly in order, tasks within a stage run concurrently.  A stage is a
-block of tasks that differ only by their index, so compiling costs one
-object per stage, never one per task.
+A protocol is one binding-affinity calculation: minimization, two
+equilibration stages and production, each fanning out into concurrent
+tasks (one per replica, or one per lambda window and replica), followed
+by analysis stages.  ``compile_protocol`` builds a protocol's pipeline of
+stages directly from its kind and sizes; stages run strictly in order,
+tasks within a stage run concurrently.  A stage is a block of tasks that
+differ only by their index, so compiling costs one object per stage,
+never one per task.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from .quadrature import canonical_lambda
 MD_TIMESTEP_PS = 0.002
 
 
-def timesteps_to_ns(timesteps: int) -> float:
-    return timesteps * MD_TIMESTEP_PS / 1000.0
-
-
 class ProtocolKind(str, Enum):
     ESMACS = "ESMACS"
     TIES = "TIES"
@@ -42,9 +39,6 @@ class StageKind(str, Enum):
     GLOBAL_ANALYSIS = "GLOBAL_ANALYSIS"
 
 
-SIMULATION_KINDS = frozenset(
-    {StageKind.MINIMIZATION, StageKind.EQUILIBRATION, StageKind.PRODUCTION}
-)
 ANALYSIS_KINDS = frozenset({StageKind.ANALYSIS, StageKind.GLOBAL_ANALYSIS})
 
 
@@ -53,17 +47,12 @@ class ScheduleMode(str, Enum):
     PRODUCTION = "PRODUCTION"
 
 
-_SCALING_TIMESTEPS = {"S1": 1_000, "S2": 5_000, "S3": 5_000, "S4": 50_000}
-_PRODUCTION_TIMESTEPS = {"S1": 3_000, "S2": 50_000, "S3": 50_000, "S4": 2_000_000}
-
-
-def default_timestep_schedule(mode: ScheduleMode) -> dict[str, int]:
-    """Per-stage timestep counts for the two bundled workload shapes."""
-    if mode is ScheduleMode.SCALING:
-        return dict(_SCALING_TIMESTEPS)
-    if mode is ScheduleMode.PRODUCTION:
-        return dict(_PRODUCTION_TIMESTEPS)
-    raise ValidationError(f"unknown schedule mode {mode!r}")
+#: Timesteps of S1 (minimization), S2 and S3 (equilibration) and S4
+#: (production) in the two bundled workload shapes.
+_TIMESTEPS = {
+    ScheduleMode.SCALING: (1_000, 5_000, 5_000, 50_000),
+    ScheduleMode.PRODUCTION: (3_000, 50_000, 50_000, 2_000_000),
+}
 
 
 @lru_cache(maxsize=256)
@@ -135,77 +124,13 @@ class AdaptiveConfig:
             raise ValidationError("adaptive.termination_threshold must be >= 0")
         if self.min_checkpoints_before_termination < 2:
             raise ValidationError("adaptive.min_checkpoints_before_termination must be >= 2")
+        if len(self.initial_lambdas) < 3:
+            # window insertion scores intervals between at least three windows
+            raise ValidationError(
+                f"adaptive.initial_lambdas must hold at least 3 windows, got {len(self.initial_lambdas)}"
+            )
         if self.max_total_windows < len(self.initial_lambdas):
             raise ValidationError("adaptive.max_total_windows smaller than initial window count")
-
-
-@dataclass(frozen=True)
-class StageSpec:
-    """One stage of a protocol: a label, a task kind and a workload size.
-
-    ``task_width`` is derived from the protocol for simulation stages and
-    must be explicit for analysis stages.
-    """
-
-    label: str
-    kind: StageKind
-    timesteps: int = 0
-    task_width: int | None = None
-
-    def __post_init__(self):
-        _check_name("stage label", self.label)
-        if self.kind in SIMULATION_KINDS:
-            if self.timesteps < 1:
-                raise ValidationError(f"stage {self.label}: simulation stages need timesteps >= 1")
-        else:
-            if self.timesteps != 0:
-                raise ValidationError(f"stage {self.label}: analysis stages must have timesteps == 0")
-            if self.task_width is None or self.task_width < 1:
-                raise ValidationError(f"stage {self.label}: analysis stages need an explicit task_width")
-            if self.kind is StageKind.GLOBAL_ANALYSIS and self.task_width != 1:
-                raise ValidationError(f"stage {self.label}: global analysis width must be 1")
-
-
-@dataclass(frozen=True)
-class ProtocolSpec:
-    name: str
-    kind: ProtocolKind
-    sim_stages: tuple[StageSpec, ...]
-    analysis_stages: tuple[StageSpec, ...] = ()
-    replicas_per_member: int = 0
-    lambda_schedule: LambdaSchedule | None = None
-    adaptive: AdaptiveConfig | None = None
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValidationError("protocol name must be non-empty")
-        if self.replicas_per_member < 1:
-            raise ValidationError(f"protocol {self.name}: replicas_per_member must be >= 1")
-        if not self.sim_stages:
-            raise ValidationError(f"protocol {self.name}: at least one simulation stage required")
-        for s in self.sim_stages:
-            if s.kind not in SIMULATION_KINDS:
-                raise ValidationError(f"protocol {self.name}: stage {s.label} is not a simulation kind")
-        for s in self.analysis_stages:
-            if s.kind not in ANALYSIS_KINDS:
-                raise ValidationError(f"protocol {self.name}: stage {s.label} is not an analysis kind")
-        if self.kind is ProtocolKind.TIES and self.lambda_schedule is None and self.adaptive is None:
-            raise ValidationError(
-                f"protocol {self.name}: TIES requires a lambda_schedule (or an adaptive config)"
-            )
-        if self.kind is ProtocolKind.ESMACS and self.lambda_schedule is not None:
-            raise ValidationError(f"protocol {self.name}: ESMACS must not define a lambda_schedule")
-        if self.adaptive is not None and self.kind is not ProtocolKind.TIES:
-            raise ValidationError(f"protocol {self.name}: adaptive execution requires a TIES protocol")
-
-    @property
-    def windows(self) -> tuple[float, ...]:
-        """Lambda windows the protocol starts with (adaptive overrides static)."""
-        if self.adaptive is not None:
-            return self.adaptive.initial_lambdas.lambdas
-        if self.lambda_schedule is not None:
-            return self.lambda_schedule.lambdas
-        return ()
 
 
 #: Characters a pipeline id or stage label may not hold: "/" joins task
@@ -270,7 +195,6 @@ class Stage:
 @dataclass(frozen=True)
 class Pipeline:
     id: str
-    spec: ProtocolSpec
     stages: tuple[Stage, ...]
 
 
@@ -295,88 +219,65 @@ class WorkflowGraph:
 
 
 def compile_protocol(
-    spec: ProtocolSpec, protocol_id: str | None = None, cores_per_task: int = 32
+    kind: ProtocolKind,
+    pipeline_id: str,
+    replicas: int,
+    lambda_schedule: LambdaSchedule | None = None,
+    adaptive: AdaptiveConfig | None = None,
+    mode: ScheduleMode = ScheduleMode.PRODUCTION,
+    include_analysis: bool = True,
+    cores_per_task: int = 32,
 ) -> WorkflowGraph:
-    """Compile a protocol spec into a single-pipeline workflow graph.
+    """Compile one protocol into a single-pipeline workflow graph.
 
-    Simulation stages fan out to one task per replica (lambda-free) or per
-    (window, replica) pair.  For adaptive protocols the production stage is
-    compiled as its first sub-stage only (labelled ``<label>.1``); later
-    sub-stages are appended at run time by the evaluator.  Analysis stages
-    follow the simulation stages.  Compilation is deterministic.
+    Both kinds run S1 minimization, S2 and S3 equilibration and S4
+    production with ``mode``'s timesteps.  ESMACS fans each stage out to
+    one task per replica and ends with one aggregate analysis task, S5.
+    TIES fans out to one task per (window, replica) pair and ends with
+    per-replica analysis S5 and global analysis S6.  TIES runs
+    ``lambda_schedule`` (13 uniform windows by default) or, given an
+    ``adaptive`` config, that config's initial windows with production
+    compiled as its first sub-stage ``S4.1`` only; the evaluator appends
+    later sub-stages at run time.  Compilation is deterministic.
     """
-    pid = protocol_id or spec.name
-    lam_values = spec.windows if spec.kind is ProtocolKind.TIES else None
-    stages: list[Stage] = []
-    for st in spec.sim_stages:
-        label, timesteps = st.label, st.timesteps
-        if spec.adaptive is not None and st.kind is StageKind.PRODUCTION:
-            label, timesteps = f"{st.label}.1", spec.adaptive.substage_timesteps
-        stages.append(
-            Stage(pid, label, st.kind, timesteps, spec.replicas_per_member, lam_values, cores_per_task)
-        )
-    for st in spec.analysis_stages:
-        stages.append(Stage(pid, st.label, st.kind, 0, st.task_width, None, cores_per_task))
-    return WorkflowGraph(pipelines=(Pipeline(id=pid, spec=spec, stages=tuple(stages)),))
+    if kind is ProtocolKind.ESMACS:
+        if lambda_schedule is not None or adaptive is not None:
+            raise ValidationError(
+                f"protocol {pipeline_id}: ESMACS takes no lambda schedule or adaptive config"
+            )
+        lams = None
+        analysis = [("S5", StageKind.ANALYSIS, 1)]
+    else:
+        if adaptive is not None:
+            if lambda_schedule is not None:
+                raise ValidationError(
+                    f"protocol {pipeline_id}: TIES takes a lambda schedule or an adaptive config, not both"
+                )
+            lambda_schedule = adaptive.initial_lambdas
+        lams = (lambda_schedule or LambdaSchedule.uniform(13)).lambdas
+        analysis = [("S5", StageKind.ANALYSIS, replicas), ("S6", StageKind.GLOBAL_ANALYSIS, 1)]
+    s1, s2, s3, s4 = _TIMESTEPS[mode]
+    sim = [
+        ("S1", StageKind.MINIMIZATION, s1),
+        ("S2", StageKind.EQUILIBRATION, s2),
+        ("S3", StageKind.EQUILIBRATION, s3),
+        ("S4", StageKind.PRODUCTION, s4),
+    ]
+    if adaptive is not None:
+        sim[3] = ("S4.1", StageKind.PRODUCTION, adaptive.substage_timesteps)
+    stages = [
+        Stage(pipeline_id, label, stage_kind, timesteps, replicas, lams, cores_per_task)
+        for label, stage_kind, timesteps in sim
+    ]
+    if include_analysis:
+        stages += [
+            Stage(pipeline_id, label, stage_kind, 0, width, None, cores_per_task)
+            for label, stage_kind, width in analysis
+        ]
+    return WorkflowGraph(pipelines=(Pipeline(id=pipeline_id, stages=tuple(stages)),))
 
 
 def merge_graphs(graphs: Iterable[WorkflowGraph]) -> WorkflowGraph:
     """Combine single-protocol graphs into one multi-pipeline campaign graph."""
     pipelines = tuple(itertools.chain.from_iterable(g.pipelines for g in graphs))
     return WorkflowGraph(pipelines=pipelines)
-
-
-def _sim_stage_specs(schedule: dict[str, int]) -> tuple[StageSpec, ...]:
-    return (
-        StageSpec("S1", StageKind.MINIMIZATION, schedule["S1"]),
-        StageSpec("S2", StageKind.EQUILIBRATION, schedule["S2"]),
-        StageSpec("S3", StageKind.EQUILIBRATION, schedule["S3"]),
-        StageSpec("S4", StageKind.PRODUCTION, schedule["S4"]),
-    )
-
-
-def ties_protocol(
-    name: str = "ties",
-    lambda_schedule: LambdaSchedule | None = None,
-    replicas: int = 5,
-    mode: ScheduleMode = ScheduleMode.PRODUCTION,
-    adaptive: AdaptiveConfig | None = None,
-    include_analysis: bool = True,
-) -> ProtocolSpec:
-    """A TIES protocol: four simulation stages, per-window analysis, global analysis."""
-    if lambda_schedule is None and adaptive is None:
-        lambda_schedule = LambdaSchedule.uniform(13)
-    analysis = (
-        (
-            StageSpec("S5", StageKind.ANALYSIS, task_width=replicas),
-            StageSpec("S6", StageKind.GLOBAL_ANALYSIS, task_width=1),
-        )
-        if include_analysis
-        else ()
-    )
-    return ProtocolSpec(
-        name=name,
-        kind=ProtocolKind.TIES,
-        sim_stages=_sim_stage_specs(default_timestep_schedule(mode)),
-        analysis_stages=analysis,
-        replicas_per_member=replicas,
-        lambda_schedule=lambda_schedule if adaptive is None else None,
-        adaptive=adaptive,
-    )
-
-
-def esmacs_protocol(
-    name: str = "esmacs",
-    replicas: int = 25,
-    mode: ScheduleMode = ScheduleMode.SCALING,
-    include_analysis: bool = True,
-) -> ProtocolSpec:
-    """An ESMACS protocol: four simulation stages and one aggregate analysis."""
-    analysis = (StageSpec("S5", StageKind.ANALYSIS, task_width=1),) if include_analysis else ()
-    return ProtocolSpec(
-        name=name,
-        kind=ProtocolKind.ESMACS,
-        sim_stages=_sim_stage_specs(default_timestep_schedule(mode)),
-        analysis_stages=analysis,
-        replicas_per_member=replicas,
-    )

@@ -24,15 +24,7 @@ from fecampaign.campaign import (
 from fecampaign.cli import _options, main as cli_main
 from fecampaign.config import load_config
 from fecampaign.engine import PilotConfig, run_campaign
-from fecampaign.protocols import (
-    LambdaSchedule,
-    ProtocolKind,
-    ProtocolSpec,
-    StageKind,
-    StageSpec,
-    compile_protocol,
-    merge_graphs,
-)
+from fecampaign.protocols import LambdaSchedule, Pipeline, ProtocolKind, Stage, StageKind, WorkflowGraph
 from fecampaign.quadrature import WindowPoint, trapezoid_integrate
 from fecampaign.reports import VALIDATION_ROWS, comparison_row, validation_csv
 from fecampaign.stats import CheckpointHistory, convergence_check
@@ -46,17 +38,11 @@ REPRODUCIBILITY_THRESHOLD = 0.2
 
 def ties_batch_graph(n_protocols=8, timesteps=50_000):
     """n_protocols single-stage TIES pipelines: 65 tasks each, all ready at once."""
-    specs = [
-        ProtocolSpec(
-            name=f"t{i}",
-            kind=ProtocolKind.TIES,
-            sim_stages=(StageSpec("S1", StageKind.MINIMIZATION, timesteps),),
-            replicas_per_member=5,
-            lambda_schedule=LambdaSchedule.uniform(13),
-        )
+    lams = LambdaSchedule.uniform(13).lambdas
+    return WorkflowGraph(tuple(
+        Pipeline(f"t{i}", (Stage(f"t{i}", "S1", StageKind.MINIMIZATION, timesteps, 5, lams),))
         for i in range(n_protocols)
-    ]
-    return merge_graphs([compile_protocol(s) for s in specs])
+    ))
 
 
 @pytest.fixture(scope="module")

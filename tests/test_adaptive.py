@@ -9,7 +9,7 @@ from fecampaign.adaptive import (
 )
 from fecampaign.engine import PilotConfig, run_campaign
 from fecampaign.errors import ContractError
-from fecampaign.protocols import AdaptiveConfig, ScheduleMode, compile_protocol, ties_protocol
+from fecampaign.protocols import AdaptiveConfig, ProtocolKind, ScheduleMode, compile_protocol
 from fecampaign.synth import (
     ZERO_NOISE,
     GroundTruthCurve,
@@ -28,23 +28,21 @@ def quiet_system(curve, label="probe"):
     return SyntheticSystem(label=label, curve=curve, noise=ZERO_NOISE)
 
 
-def run_quadrature(system, cfg, seed=5, replicas=2):
-    spec = ties_protocol(
-        name="probe", adaptive=cfg,
-        mode=ScheduleMode.SCALING, replicas=replicas,
+def probe_graph(cfg, replicas):
+    return compile_protocol(
+        ProtocolKind.TIES, "probe", replicas, adaptive=cfg, mode=ScheduleMode.SCALING
     )
+
+
+def run_quadrature(system, cfg, seed=5, replicas=2):
     evaluator = AdaptiveQuadratureEvaluator(system, cfg, seed)
-    run_campaign(compile_protocol(spec), PILOT, evaluator=evaluator, seed=seed)
+    run_campaign(probe_graph(cfg, replicas), PILOT, evaluator=evaluator, seed=seed)
     return evaluator.results["probe"]
 
 
 def run_termination_probe(system, cfg, seed=5, replicas=2):
-    spec = ties_protocol(
-        name="probe", adaptive=cfg,
-        mode=ScheduleMode.SCALING, replicas=replicas,
-    )
     evaluator = AdaptiveTerminationEvaluator(system, cfg, seed)
-    outcome = run_campaign(compile_protocol(spec), PILOT, evaluator=evaluator, seed=seed)
+    outcome = run_campaign(probe_graph(cfg, replicas), PILOT, evaluator=evaluator, seed=seed)
     return evaluator.results["probe"], outcome
 
 

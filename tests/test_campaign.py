@@ -23,7 +23,6 @@ from fecampaign.protocols import (
     ProtocolKind,
     ScheduleMode,
     compile_protocol,
-    ties_protocol,
 )
 from fecampaign.synth import (
     ZERO_NOISE,
@@ -181,10 +180,10 @@ def test_sweep_read_surface_of_the_benchmark():
         kind="STRONG", protocol_kind=ProtocolKind.TIES, physical_system="BRD4 ligand pair",
         rungs=(SweepRung(2, 16_640),), replicas=20,
     )
-    spec = ties_protocol(
-        replicas=plan.replicas, mode=ScheduleMode.SCALING, include_analysis=False,
+    graph = compile_protocol(
+        plan.protocol_kind, "ties", plan.replicas, mode=ScheduleMode.SCALING, include_analysis=False,
     )
-    assert compile_protocol(spec).n_tasks == 4 * 13 * 20
+    assert graph.n_tasks == 4 * 13 * 20
     [res] = run_sweep(
         kind=plan.kind, rungs=list(plan.rungs), protocol_kind=plan.protocol_kind,
         physical_system=plan.physical_system, pilot_defaults=PilotConfig(total_cores=2_080),

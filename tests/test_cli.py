@@ -229,6 +229,8 @@ def test_unplanned_exception_prints_traceback_and_exits_3(tmp_path, monkeypatch)
         (("pilot", "total_cores"), DELETE, "config.pilot.total_cores is required"),
         (("sweep", "rungs", 0, "total_cores"), DELETE, "config.sweep.rungs[0].total_cores is required"),
         (("systems", 0, "curve", "preset"), DELETE, "config.systems[0].curve.preset is required"),
+        (("adaptive", "initial_lambdas"), [0.0, 1.0],
+         "config.adaptive.initial_lambdas must hold at least 3 windows, got 2"),
     ],
 )
 def test_bad_field_fails_at_load(tmp_path, keys, value, message):

@@ -20,30 +20,24 @@ from fecampaign.engine import (
 from fecampaign.errors import CampaignError, ContractError, PlanRejectedError, ValidationError
 from fecampaign.protocols import (
     LambdaSchedule,
+    Pipeline,
     ProtocolKind,
-    ProtocolSpec,
     StageKind,
     Stage,
-    StageSpec,
     WorkflowGraph,
     compile_protocol,
     merge_graphs,
-    ties_protocol,
 )
 
 
-def single_stage_ties(name, n_windows=13, replicas=5, timesteps=50_000):
-    return ProtocolSpec(
-        name=name,
-        kind=ProtocolKind.TIES,
-        sim_stages=(StageSpec("S1", StageKind.MINIMIZATION, timesteps),),
-        replicas_per_member=replicas,
-        lambda_schedule=LambdaSchedule.uniform(n_windows),
-    )
+def single_stage_ties(name, n_windows=13, replicas=5, timesteps=50_000, cores=32):
+    lams = LambdaSchedule.uniform(n_windows).lambdas
+    stage = Stage(name, "S1", StageKind.MINIMIZATION, timesteps, replicas, lams, cores)
+    return WorkflowGraph((Pipeline(name, (stage,)),))
 
 
 def graph_of_520_tasks():
-    return merge_graphs([compile_protocol(single_stage_ties(f"t{i}")) for i in range(8)])
+    return merge_graphs([single_stage_ties(f"t{i}") for i in range(8)])
 
 
 def quiet_pilot(total_cores):
@@ -123,7 +117,7 @@ def test_full_width_single_generation():
 
 def test_peak_concurrency_counts_zero_duration_waves():
     # Tasks that start and end at the same time still ran together.
-    graph = compile_protocol(ties_protocol())
+    graph = compile_protocol(ProtocolKind.TIES, "ties", 5)
     outcome = run_campaign(graph, quiet_pilot(2_080), duration_model=DurationModel(0.0, 0.0), seed=1)
     assert max(g.width for g in outcome.timeline.generations) == 65
     assert outcome.timeline.peak_concurrency() == 65
@@ -197,7 +191,7 @@ def test_retry_windows_are_launch_overhead_not_ttx():
 
 
 def test_walltime_violation_raises_with_partial_timeline():
-    graph = compile_protocol(single_stage_ties("slow", timesteps=2_000_000))
+    graph = single_stage_ties("slow", timesteps=2_000_000)
     pilot = PilotConfig(total_cores=4_160, walltime_s=100.0)
     with pytest.raises(CampaignError) as err:
         run_campaign(graph, pilot, seed=0)
@@ -206,7 +200,7 @@ def test_walltime_violation_raises_with_partial_timeline():
 
 
 def test_measure_overheads_requires_completion():
-    graph = compile_protocol(single_stage_ties("slow", timesteps=2_000_000))
+    graph = single_stage_ties("slow", timesteps=2_000_000)
     with pytest.raises(CampaignError) as err:
         run_campaign(graph, PilotConfig(total_cores=4_160, walltime_s=100.0), seed=0)
     with pytest.raises(ContractError):
@@ -219,22 +213,17 @@ def test_empty_graph_rejected():
 
 
 def test_oversized_task_rejected():
-    graph = compile_protocol(single_stage_ties("wide"), cores_per_task=64)
+    graph = single_stage_ties("wide", cores=64)
     with pytest.raises(ValidationError):
         run_campaign(graph, PilotConfig(total_cores=32))
 
 
-def two_stage_spec(name="two"):
-    return ProtocolSpec(
-        name=name,
-        kind=ProtocolKind.TIES,
-        sim_stages=(
-            StageSpec("S1", StageKind.EQUILIBRATION, 1_000),
-            StageSpec("S2", StageKind.PRODUCTION, 1_000),
-        ),
-        replicas_per_member=2,
-        lambda_schedule=LambdaSchedule((0.0, 1.0)),
+def two_stage_graph(name="two"):
+    stages = (
+        Stage(name, "S1", StageKind.EQUILIBRATION, 1_000, 2, (0.0, 1.0)),
+        Stage(name, "S2", StageKind.PRODUCTION, 1_000, 2, (0.0, 1.0)),
     )
+    return WorkflowGraph((Pipeline(name, stages),))
 
 
 class _OneShotEvaluator:
@@ -251,7 +240,7 @@ class _OneShotEvaluator:
 
 def test_evaluator_terminate_cancels_remaining_stages():
     ev = _OneShotEvaluator(StagePlan.terminate("converged"))
-    outcome = run_campaign(compile_protocol(two_stage_spec()), quiet_pilot(4_160), evaluator=ev)
+    outcome = run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
     summary = outcome.results["two"]
     assert summary.completed_stages == ("S1",)
     assert summary.cancelled_stages == ("S2",)
@@ -261,7 +250,7 @@ def test_evaluator_terminate_cancels_remaining_stages():
 def test_evaluator_append_inserts_and_runs_stage():
     extra = Stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
     ev = _OneShotEvaluator(StagePlan.append([extra]))
-    outcome = run_campaign(compile_protocol(two_stage_spec()), quiet_pilot(4_160), evaluator=ev)
+    outcome = run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
     summary = outcome.results["two"]
     assert summary.completed_stages == ("S1", "S1b", "S2")
     assert 0.5 in summary.windows
@@ -279,8 +268,8 @@ class _ScriptedEvaluator:
 
 
 def test_pipeline_window_set_tracks_inserted_stages():
-    (pipeline,) = compile_protocol(two_stage_spec()).pipelines
-    run = PipelineRun(id=pipeline.id, spec=pipeline.spec, stages=list(pipeline.stages))
+    (pipeline,) = two_stage_graph().pipelines
+    run = PipelineRun(id=pipeline.id, stages=list(pipeline.stages))
     assert run.windows == (0.0, 1.0)
     run.insert_stage(1, Stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.25]))
     assert [s.label for s in run.stages] == ["S1", "S1b", "S2"]
@@ -293,7 +282,7 @@ def test_production_accepted_at_window_added_by_earlier_plan():
     equil = Stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
     prod = Stage("two", "S1c", StageKind.PRODUCTION, 1_000, 2, [0.5])
     ev = _ScriptedEvaluator(StagePlan.append([equil]), StagePlan.append([prod]))
-    outcome = run_campaign(compile_protocol(two_stage_spec()), quiet_pilot(4_160), evaluator=ev)
+    outcome = run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
     summary = outcome.results["two"]
     assert summary.completed_stages == ("S1", "S1b", "S1c", "S2")
     assert summary.windows == (0.0, 0.5, 1.0)
@@ -303,14 +292,14 @@ def test_plan_rejected_for_unseen_production_lambda():
     rogue = Stage("two", "S2b", StageKind.PRODUCTION, 1_000, 2, [0.111])
     ev = _OneShotEvaluator(StagePlan.append([rogue]))
     with pytest.raises(PlanRejectedError):
-        run_campaign(compile_protocol(two_stage_spec()), quiet_pilot(4_160), evaluator=ev)
+        run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
 
 
 def test_plan_rejected_for_reused_task_id():
     dup = Stage("two", "S1", StageKind.EQUILIBRATION, 1_000, 2, [0.0, 1.0])
     ev = _OneShotEvaluator(StagePlan.append([dup]))
     with pytest.raises(PlanRejectedError):
-        run_campaign(compile_protocol(two_stage_spec()), quiet_pilot(4_160), evaluator=ev)
+        run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
 
 
 def test_stage_with_lambdas_that_round_together_is_rejected():
@@ -323,7 +312,7 @@ def test_plan_rejected_for_stage_of_another_pipeline():
     stray = Stage("other", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
     ev = _OneShotEvaluator(StagePlan.append([stray]))
     with pytest.raises(PlanRejectedError):
-        run_campaign(compile_protocol(two_stage_spec()), quiet_pilot(4_160), evaluator=ev)
+        run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
 
 
 def test_append_plan_requires_stages():
@@ -332,7 +321,7 @@ def test_append_plan_requires_stages():
 
 
 def test_timeline_csv_round_trip(tmp_path):
-    outcome = run_campaign(compile_protocol(two_stage_spec()), quiet_pilot(4_160))
+    outcome = run_campaign(two_stage_graph(), quiet_pilot(4_160))
     path = tmp_path / "timeline.csv"
     write_timeline_csv(outcome.timeline, path)
     lines = path.read_text().splitlines()
@@ -341,7 +330,7 @@ def test_timeline_csv_round_trip(tmp_path):
 
 
 def test_overhead_csv_extra_columns(tmp_path):
-    outcome = run_campaign(compile_protocol(two_stage_spec()), quiet_pilot(4_160))
+    outcome = run_campaign(two_stage_graph(), quiet_pilot(4_160))
     row = overhead_row("r0", 1, 4_160, outcome.overheads)
     row["system"] = "demo"
     path = tmp_path / "overheads.csv"

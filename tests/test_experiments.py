@@ -1,9 +1,9 @@
 """The checked-in ``out/`` tree is what ``scripts/run_experiments.py`` writes.
 
 Runs the script's commands in-process, from a temporary working directory,
-and compares every written file byte for byte with ``out/``.  The two
-fixed-schedule modes, which no bundled command runs, are held to frozen
-SHA-256 digests of their ``run`` outputs on ``configs/run.json``.
+and compares every written file byte for byte with ``out/``.  The three
+modes that no bundled ``run`` writes are held to frozen SHA-256 digests of
+their ``run`` outputs on ``configs/run.json``.
 """
 
 import hashlib
@@ -44,7 +44,7 @@ def test_experiments_regenerate_checked_in_outputs(tmp_path, monkeypatch):
 
 
 #: SHA-256 of every file ``run --config configs/run.json --mode <mode>`` writes.
-FIXED_SCHEDULE_DIGESTS = {
+RUN_MODE_DIGESTS = {
     "REFERENCE": {
         "ptp1b-l1-l2_reference.json": "a19e26b524b3b9569e023bcf9af1fe998365314f6a8ef857a0f10a992c090a52",
         "ptp1b-l1-l2_reference_timeline.csv": "1646c90c3e7fd21cac3a96b58eb49f9b978aa371c26bb7c41a143d034c5795b3",
@@ -55,14 +55,19 @@ FIXED_SCHEDULE_DIGESTS = {
         "ptp1b-l1-l2_nonadaptive_timeline.csv": "7f2fee5134b35986b95c2220448a1928b17183a71dfb079d2217bbd2efba14e3",
         "overheads.csv": "598516eb373dd4ed6c3eb9adbca700b404e9496baeaa45850ec03766b108dc43",
     },
+    "ADAPTIVE_TERMINATION": {
+        "ptp1b-l1-l2_adaptive_termination.json": "585490a94a8ec3f82f80d474fe538b9565a952642b49a24185a3e7cacfb90688",
+        "ptp1b-l1-l2_adaptive_termination_timeline.csv": "9d0c655793b0e6011623e4169d87131f53405748620cfa0e988cb3e1760870d0",
+        "overheads.csv": "45f5b29d8e377da57d7efb8f9f88b51e79d67dab106d26d09735579d97df65a0",
+    },
 }
 
 
-@pytest.mark.parametrize("mode", sorted(FIXED_SCHEDULE_DIGESTS))
+@pytest.mark.parametrize("mode", sorted(RUN_MODE_DIGESTS))
 def test_fixed_schedule_run_matches_frozen_digests(mode, tmp_path):
     out = tmp_path / "out"
     args = ["run", "--config", str(ROOT / "configs" / "run.json"), "--mode", mode, "--out", str(out)]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert written == FIXED_SCHEDULE_DIGESTS[mode]
+    assert written == RUN_MODE_DIGESTS[mode]

@@ -6,34 +6,32 @@ from fecampaign.errors import ValidationError
 from fecampaign.protocols import (
     AdaptiveConfig,
     LambdaSchedule,
+    Pipeline,
     ProtocolKind,
-    ProtocolSpec,
     ScheduleMode,
     Stage,
     StageKind,
-    StageSpec,
+    WorkflowGraph,
     compile_protocol,
-    default_timestep_schedule,
-    esmacs_protocol,
     merge_graphs,
-    ties_protocol,
-    timesteps_to_ns,
 )
 
+TIES, ESMACS = ProtocolKind.TIES, ProtocolKind.ESMACS
 
-def test_timesteps_to_ns():
-    assert timesteps_to_ns(2_000_000) == pytest.approx(4.0)
-    assert timesteps_to_ns(50_000) == pytest.approx(0.1)
-    assert timesteps_to_ns(0) == 0.0
+
+def _timesteps(kind, mode):
+    (pipe,) = compile_protocol(kind, "p", 2, mode=mode, include_analysis=False).pipelines
+    return {s.label: s.timesteps for s in pipe.stages}
 
 
 def test_default_timestep_schedules():
-    assert default_timestep_schedule(ScheduleMode.SCALING) == {
-        "S1": 1_000, "S2": 5_000, "S3": 5_000, "S4": 50_000,
-    }
-    assert default_timestep_schedule(ScheduleMode.PRODUCTION) == {
-        "S1": 3_000, "S2": 50_000, "S3": 50_000, "S4": 2_000_000,
-    }
+    for kind in (TIES, ESMACS):
+        assert _timesteps(kind, ScheduleMode.SCALING) == {
+            "S1": 1_000, "S2": 5_000, "S3": 5_000, "S4": 50_000,
+        }
+        assert _timesteps(kind, ScheduleMode.PRODUCTION) == {
+            "S1": 3_000, "S2": 50_000, "S3": 50_000, "S4": 2_000_000,
+        }
 
 
 def test_lambda_schedule_rounds_to_three_decimals():
@@ -87,6 +85,7 @@ def test_uniform_schedule_is_strictly_increasing(n):
         {"termination_threshold": -0.01},
         {"min_checkpoints_before_termination": 1},
         {"max_total_windows": 2},
+        {"initial_lambdas": LambdaSchedule((0.0, 1.0))},
     ],
 )
 def test_adaptive_config_rejects_bad_knobs(kwargs):
@@ -102,85 +101,40 @@ def test_adaptive_config_defaults():
     assert cfg.max_total_windows == 21
 
 
-def test_stage_spec_validation():
-    with pytest.raises(ValidationError):
-        StageSpec("S1", StageKind.MINIMIZATION, timesteps=0)
-    with pytest.raises(ValidationError):
-        StageSpec("S5", StageKind.ANALYSIS, timesteps=100, task_width=1)
-    with pytest.raises(ValidationError):
-        StageSpec("S5", StageKind.ANALYSIS)
-    with pytest.raises(ValidationError):
-        StageSpec("S6", StageKind.GLOBAL_ANALYSIS, task_width=3)
-    with pytest.raises(ValidationError):
-        StageSpec("", StageKind.PRODUCTION, timesteps=10)
-
-
-def test_ties_requires_windows_or_adaptive():
-    with pytest.raises(ValidationError):
-        ProtocolSpec(
-            name="bare",
-            kind=ProtocolKind.TIES,
-            sim_stages=(StageSpec("S1", StageKind.PRODUCTION, timesteps=10),),
-            replicas_per_member=5,
-        )
-
-
 def test_esmacs_rejects_lambda_schedule():
-    with pytest.raises(ValidationError):
-        ProtocolSpec(
-            name="bad",
-            kind=ProtocolKind.ESMACS,
-            sim_stages=(StageSpec("S1", StageKind.PRODUCTION, timesteps=10),),
-            replicas_per_member=25,
-            lambda_schedule=LambdaSchedule.uniform(13),
-        )
+    with pytest.raises(ValidationError, match="ESMACS"):
+        compile_protocol(ESMACS, "bad", 25, lambda_schedule=LambdaSchedule.uniform(13))
 
 
 def test_adaptive_requires_ties():
-    with pytest.raises(ValidationError):
-        ProtocolSpec(
-            name="bad",
-            kind=ProtocolKind.ESMACS,
-            sim_stages=(StageSpec("S1", StageKind.PRODUCTION, timesteps=10),),
-            replicas_per_member=25,
-            adaptive=AdaptiveConfig(),
-        )
-
-
-def test_protocol_rejects_misplaced_stage_kinds():
-    with pytest.raises(ValidationError):
-        ties_protocol().__class__(
-            name="bad",
-            kind=ProtocolKind.TIES,
-            sim_stages=(StageSpec("S5", StageKind.ANALYSIS, task_width=1),),
-            replicas_per_member=5,
-            lambda_schedule=LambdaSchedule.uniform(3),
-        )
+    with pytest.raises(ValidationError, match="ESMACS"):
+        compile_protocol(ESMACS, "bad", 25, adaptive=AdaptiveConfig())
 
 
 def test_windows_property_prefers_adaptive_initial_grid():
-    static = ties_protocol()
-    assert static.windows == LambdaSchedule.uniform(13).lambdas
-    adaptive = ties_protocol(adaptive=AdaptiveConfig())
-    assert adaptive.windows == (0.0, 0.5, 1.0)
-    assert adaptive.lambda_schedule is None
-    assert esmacs_protocol().windows == ()
+    def windows(**kwargs):
+        return {s.lambdas for s in compile_protocol(TIES, "t", 5, **kwargs).pipelines[0].stages}
+
+    assert windows() == {LambdaSchedule.uniform(13).lambdas, None}
+    assert windows(adaptive=AdaptiveConfig()) == {(0.0, 0.5, 1.0), None}
+    assert {s.lambdas for s in compile_protocol(ESMACS, "e", 25).pipelines[0].stages} == {None}
+    with pytest.raises(ValidationError, match="not both"):
+        compile_protocol(TIES, "t", 5, lambda_schedule=LambdaSchedule.uniform(5), adaptive=AdaptiveConfig())
 
 
 def test_ties_protocol_default_shape():
-    spec = ties_protocol()
-    assert spec.kind is ProtocolKind.TIES
-    assert [s.label for s in spec.sim_stages] == ["S1", "S2", "S3", "S4"]
-    assert spec.sim_stages[3].kind is StageKind.PRODUCTION
-    assert spec.sim_stages[3].timesteps == 2_000_000
-    assert [s.label for s in spec.analysis_stages] == ["S5", "S6"]
-    assert spec.analysis_stages[0].task_width == 5
-    assert spec.analysis_stages[1].task_width == 1
-    assert spec.replicas_per_member == 5
+    (pipe,) = compile_protocol(TIES, "ties", 5).pipelines
+    assert [s.label for s in pipe.stages] == ["S1", "S2", "S3", "S4", "S5", "S6"]
+    assert pipe.stages[3].kind is StageKind.PRODUCTION
+    assert pipe.stages[3].timesteps == 2_000_000
+    assert [s.kind for s in pipe.stages[4:]] == [StageKind.ANALYSIS, StageKind.GLOBAL_ANALYSIS]
+    assert pipe.stages[4].n_tasks == 5
+    assert pipe.stages[5].n_tasks == 1
+    assert {s.width for s in pipe.stages[:4]} == {5}
 
 
 def test_compiled_ties_fans_out_65_tasks_per_sim_stage():
-    graph = compile_protocol(ties_protocol(name="t0"))
+    graph = compile_protocol(TIES, "t0", 5)
     (pipe,) = graph.pipelines
     sim = [s for s in pipe.stages if s.kind is not StageKind.ANALYSIS
            and s.kind is not StageKind.GLOBAL_ANALYSIS]
@@ -191,7 +145,7 @@ def test_compiled_ties_fans_out_65_tasks_per_sim_stage():
 
 
 def test_compiled_task_identity_and_lambda():
-    graph = compile_protocol(ties_protocol(name="t0"), protocol_id="p1")
+    graph = compile_protocol(TIES, "p1", 5)
     stages = graph.pipelines[0].stages
     ids = [task_id for s in stages for task_id in s.task_ids(range(s.n_tasks))]
     assert len(set(ids)) == len(ids)
@@ -210,7 +164,7 @@ def test_stages_on_equal_lambdas_share_one_grid():
 
 
 def test_compiled_esmacs_is_lambda_free():
-    graph = compile_protocol(esmacs_protocol(name="e0", mode=ScheduleMode.SCALING))
+    graph = compile_protocol(ESMACS, "e0", 25, mode=ScheduleMode.SCALING)
     (pipe,) = graph.pipelines
     for stage in pipe.stages[:4]:
         assert stage.n_tasks == 25
@@ -219,8 +173,7 @@ def test_compiled_esmacs_is_lambda_free():
 
 
 def test_adaptive_compile_emits_first_production_substage_only():
-    spec = ties_protocol(name="a0", adaptive=AdaptiveConfig())
-    graph = compile_protocol(spec)
+    graph = compile_protocol(TIES, "a0", 5, adaptive=AdaptiveConfig())
     labels = [s.label for s in graph.pipelines[0].stages]
     assert "S4.1" in labels
     assert "S4" not in labels
@@ -230,15 +183,15 @@ def test_adaptive_compile_emits_first_production_substage_only():
 
 
 def test_merge_graphs_concatenates_pipelines():
-    g1 = compile_protocol(ties_protocol(name="t1"))
-    g2 = compile_protocol(esmacs_protocol(name="e1"))
+    g1 = compile_protocol(TIES, "t1", 5)
+    g2 = compile_protocol(ESMACS, "e1", 25)
     merged = merge_graphs([g1, g2])
     assert merged.n_tasks == g1.n_tasks + g2.n_tasks
     assert [p.id for p in merged.pipelines] == ["t1", "e1"]
 
 
 def test_merge_graphs_rejects_duplicate_pipeline_ids():
-    g = compile_protocol(ties_protocol(name="dup"))
+    g = compile_protocol(TIES, "dup", 5)
     with pytest.raises(ValidationError):
         merge_graphs([g, g])
 
@@ -253,17 +206,15 @@ def _all_ids(graph):
 
 
 def test_task_ids_are_frozen():
-    ties = ties_protocol(
-        name="tiny", lambda_schedule=LambdaSchedule((0.0, 1.0)), replicas=2, mode=ScheduleMode.SCALING
-    )
-    assert _all_ids(compile_protocol(ties)) == [
+    ties = compile_protocol(TIES, "tiny", 2, LambdaSchedule((0.0, 1.0)), mode=ScheduleMode.SCALING)
+    assert _all_ids(ties) == [
         "tiny/S1/l0.000/r0", "tiny/S1/l0.000/r1", "tiny/S1/l1.000/r0", "tiny/S1/l1.000/r1",
         "tiny/S2/l0.000/r0", "tiny/S2/l0.000/r1", "tiny/S2/l1.000/r0", "tiny/S2/l1.000/r1",
         "tiny/S3/l0.000/r0", "tiny/S3/l0.000/r1", "tiny/S3/l1.000/r0", "tiny/S3/l1.000/r1",
         "tiny/S4/l0.000/r0", "tiny/S4/l0.000/r1", "tiny/S4/l1.000/r0", "tiny/S4/l1.000/r1",
         "tiny/S5/a0", "tiny/S5/a1", "tiny/S6/a0",
     ]
-    assert _all_ids(compile_protocol(esmacs_protocol(name="ens", replicas=3))) == [
+    assert _all_ids(compile_protocol(ESMACS, "ens", 3)) == [
         "ens/S1/r0", "ens/S1/r1", "ens/S1/r2", "ens/S2/r0", "ens/S2/r1", "ens/S2/r2",
         "ens/S3/r0", "ens/S3/r1", "ens/S3/r2", "ens/S4/r0", "ens/S4/r1", "ens/S4/r2",
         "ens/S5/a0",
@@ -273,18 +224,12 @@ def test_task_ids_are_frozen():
 def test_ids_that_would_collide_across_pipelines_are_rejected():
     # "a/b" + "c" and "a" + "b/c" would both give ids "a/b/c/...".
     def single(name, label):
-        return ProtocolSpec(
-            name=name, kind=ProtocolKind.ESMACS,
-            sim_stages=(StageSpec(label, StageKind.MINIMIZATION, timesteps=10),),
-            replicas_per_member=2,
-        )
+        return WorkflowGraph((Pipeline(name, (Stage(name, label, StageKind.MINIMIZATION, 10, 2, None),)),))
 
     with pytest.raises(ValidationError):
-        merge_graphs([compile_protocol(single("a/b", "c")), compile_protocol(single("a", "b/c"))])
+        merge_graphs([single("a/b", "c"), single("a", "b/c")])
 
 
 def test_stage_label_with_slash_is_rejected():
-    with pytest.raises(ValidationError, match="no '/'"):
-        StageSpec("S1/x", StageKind.MINIMIZATION, timesteps=10)
     with pytest.raises(ValidationError, match="no '/'"):
         Stage("p", "S1/x", StageKind.MINIMIZATION, 10, 1, None)

@@ -33,48 +33,43 @@ from fecampaign.errors import CampaignError, ValidationError
 from fecampaign.protocols import (
     AdaptiveConfig,
     LambdaSchedule,
+    Pipeline,
     ProtocolKind,
-    ProtocolSpec,
     ScheduleMode,
     Stage,
     StageKind,
-    StageSpec,
-    compile_protocol,
+    WorkflowGraph,
     merge_graphs,
 )
 from fecampaign.synth import ZERO_NOISE, GroundTruthCurve, SyntheticSystem
 
 
 def _ties(name, stages, replicas=5, n_windows=13):
-    return ProtocolSpec(
-        name=name,
-        kind=ProtocolKind.TIES,
-        sim_stages=tuple(StageSpec(label, kind, steps) for label, kind, steps in stages),
-        replicas_per_member=replicas,
-        lambda_schedule=LambdaSchedule.uniform(n_windows),
-    )
+    """One pipeline whose stages all run ``replicas`` per uniform window."""
+    lams = LambdaSchedule.uniform(n_windows).lambdas
+    return WorkflowGraph((
+        Pipeline(name, tuple(Stage(name, label, kind, steps, replicas, lams) for label, kind, steps in stages)),
+    ))
 
 
 def _batch_graph(stages=(("S1", StageKind.MINIMIZATION, 50_000),)):
     """The 520-task batch: 8 pipelines of 65 tasks per stage."""
-    return merge_graphs([compile_protocol(_ties(f"t{i}", stages)) for i in range(8)])
+    return merge_graphs([_ties(f"t{i}", stages) for i in range(8)])
 
 
 def _mixed_graph():
     """Pipelines of unequal stage lengths, so waves mix durations and stages end apart."""
     return merge_graphs(
         [
-            compile_protocol(
-                _ties(
-                    f"m{i}",
-                    [
-                        ("S1", StageKind.MINIMIZATION, 1_000 + 333 * i),
-                        ("S2", StageKind.EQUILIBRATION, 2_000 + 777 * (i % 3)),
-                        ("S3", StageKind.PRODUCTION, 3_000 + 111 * i),
-                    ],
-                    replicas=3,
-                    n_windows=5,
-                )
+            _ties(
+                f"m{i}",
+                [
+                    ("S1", StageKind.MINIMIZATION, 1_000 + 333 * i),
+                    ("S2", StageKind.EQUILIBRATION, 2_000 + 777 * (i % 3)),
+                    ("S3", StageKind.PRODUCTION, 3_000 + 111 * i),
+                ],
+                replicas=3,
+                n_windows=5,
             )
             for i in range(6)
         ]
@@ -154,17 +149,15 @@ def _reentry_graph():
     """13 pipelines whose stages hold 6 to 20 tasks each."""
     return merge_graphs(
         [
-            compile_protocol(
-                _ties(
-                    f"e{i}",
-                    [
-                        ("S1", StageKind.MINIMIZATION, 900 + 211 * i),
-                        ("S2", StageKind.EQUILIBRATION, 1_500 + 97 * (i % 5)),
-                        ("S3", StageKind.PRODUCTION, 2_000 + 53 * i),
-                    ],
-                    replicas=2 + i % 3,
-                    n_windows=3 + i % 4,
-                )
+            _ties(
+                f"e{i}",
+                [
+                    ("S1", StageKind.MINIMIZATION, 900 + 211 * i),
+                    ("S2", StageKind.EQUILIBRATION, 1_500 + 97 * (i % 5)),
+                    ("S3", StageKind.PRODUCTION, 2_000 + 53 * i),
+                ],
+                replicas=2 + i % 3,
+                n_windows=3 + i % 4,
             )
             for i in range(13)
         ]
@@ -300,6 +293,6 @@ def test_names_that_csv_would_quote_are_rejected(char):
     # The writer formats task rows without quoting, so no id or label may
     # hold a character that csv.writer would quote.
     with pytest.raises(ValidationError, match="must be non-empty and hold no"):
-        compile_protocol(_ties("p", [("S1", StageKind.MINIMIZATION, 1_000)]), protocol_id=f"p{char}0")
+        Stage(f"p{char}0", "S1", StageKind.MINIMIZATION, 1_000, 2, None)
     with pytest.raises(ValidationError, match="must be non-empty and hold no"):
-        StageSpec(f"S1{char}x", StageKind.MINIMIZATION, 1_000)
+        Stage("p", f"S1{char}x", StageKind.MINIMIZATION, 1_000, 2, None)
