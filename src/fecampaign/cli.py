@@ -2,24 +2,22 @@
 
 Subcommands: ``run``, ``sweep``, ``compare``, ``validate``, ``term-report``.
 Every table goes to standard output as aligned text and to ``--out`` as a
-CSV.  Exit codes: 0 on success, 2 for configuration problems, 3 for
-campaign failures; nothing else.  On a campaign failure every command
-still writes the partial timeline of the campaign that failed:
+CSV.  Exit codes: 0 on success, 2 for configuration and usage errors, 3 for
+campaign failures and unexpected errors; nothing else.  On a campaign failure
+every command still writes the partial timeline of the campaign that failed:
 ``run``, ``compare`` and ``term-report`` to ``<slug>_<mode>_timeline.csv``,
 ``sweep`` to ``sweep_<kind>_failed_timeline.csv``.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import sys
 import traceback
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-
-import click
 
 from . import reports
 from .campaign import (
@@ -37,29 +35,6 @@ from .engine import OVERHEAD_COLUMNS, overhead_row, write_overhead_csv, write_ti
 from .errors import CampaignError, ContractError, ValidationError
 
 
-def _guarded(fn):
-    """Map exceptions to the documented exit codes."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ValidationError, ContractError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except click.exceptions.Exit:
-            raise
-        except CampaignError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except Exception as exc:  # anything unplanned is a runtime failure
-            traceback.print_exc()
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-
-    return wrapper
-
-
 @contextmanager
 def _partial_timeline(out_dir: Path, stem: str | None = None):
     """On a campaign failure, write the partial timeline it carries to
@@ -73,11 +48,11 @@ def _partial_timeline(out_dir: Path, stem: str | None = None):
         raise
 
 
-def _load(config_path: str, seed: int | None, out: str | None) -> tuple[CampaignConfig, Path]:
-    cfg = load_config(config_path)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    out_dir = Path(out) if out is not None else Path(cfg.output_dir)
+def _load(args: argparse.Namespace) -> tuple[CampaignConfig, Path]:
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    out_dir = Path(args.out) if args.out is not None else Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, out_dir
 
@@ -99,30 +74,11 @@ def _require_systems(cfg: CampaignConfig) -> None:
         raise ValidationError("config.systems must list at least one system")
 
 
-config_opt = click.option("--config", "config_path", required=True,
-                          type=click.Path(), help="Campaign config (JSON).")
-seed_opt = click.option("--seed", type=int, default=None, help="Override the config seed.")
-out_opt = click.option("--out", type=click.Path(), default=None,
-                       help="Output directory (default: config output_dir).")
-
-
-@click.group()
-def main():
-    """Seeded free-energy campaigns: uniform, adaptive and scaling runs."""
-
-
-@main.command()
-@config_opt
-@seed_opt
-@out_opt
-@click.option("--mode", type=click.Choice([m.value for m in CampaignMode]),
-              default=None, help="Override the config campaign mode.")
-@_guarded
-def run(config_path, seed, out, mode):
+def run(args: argparse.Namespace) -> None:
     """Run every configured system in one campaign mode."""
-    cfg, out_dir = _load(config_path, seed, out)
+    cfg, out_dir = _load(args)
     _require_systems(cfg)
-    campaign_mode = cfg.mode if mode is None else CampaignMode(mode)
+    campaign_mode = cfg.mode if args.mode is None else CampaignMode(args.mode)
     opts = _options(cfg)
     overhead_rows = []
     for system in cfg.systems:
@@ -149,22 +105,17 @@ def run(config_path, seed, out, mode):
         row["system"] = system.label
         row["mode"] = campaign_mode.value
         overhead_rows.append(row)
-        click.echo(
+        print(
             f"{system.label}: dG={res.estimate.delta_g:.4f} ({res.estimate.stderr:.4f}) "
             f"windows={res.n_windows} simulated={res.simulated_ns:.1f} ns"
         )
     write_overhead_csv(overhead_rows, out_dir / "overheads.csv", extra_columns=("system", "mode"))
-    click.echo(f"wrote {len(cfg.systems)} result file(s) to {out_dir}")
+    print(f"wrote {len(cfg.systems)} result file(s) to {out_dir}")
 
 
-@main.command()
-@config_opt
-@seed_opt
-@out_opt
-@_guarded
-def sweep(config_path, seed, out):
+def sweep(args: argparse.Namespace) -> None:
     """Run the configured scaling ladder, one campaign per rung."""
-    cfg, out_dir = _load(config_path, seed, out)
+    cfg, out_dir = _load(args)
     if cfg.sweep is None:
         raise ValidationError("config.sweep section is required for the sweep command")
     plan = cfg.sweep
@@ -184,56 +135,87 @@ def sweep(config_path, seed, out):
     ]
     write_overhead_csv(rows, out_dir / f"sweep_{plan.kind.lower()}.csv")
     body = [tuple(row[c] for c in OVERHEAD_COLUMNS) for row in rows]
-    click.echo(reports._aligned(OVERHEAD_COLUMNS, body))
-    click.echo(f"wrote sweep_{plan.kind.lower()}.csv to {out_dir}")
+    print(reports._aligned(OVERHEAD_COLUMNS, body))
+    print(f"wrote sweep_{plan.kind.lower()}.csv to {out_dir}")
 
 
-@main.command()
-@config_opt
-@seed_opt
-@out_opt
-@_guarded
-def compare(config_path, seed, out):
+def compare(args: argparse.Namespace) -> None:
     """Reference vs uniform vs adaptive quadrature for every system."""
-    cfg, out_dir = _load(config_path, seed, out)
+    cfg, out_dir = _load(args)
     _require_systems(cfg)
     opts = _options(cfg)
     with _partial_timeline(out_dir):
         rows = [reports.comparison_row(compare_system(s, opts)) for s in cfg.systems]
-    click.echo(reports.render_comparison_table(rows))
+    print(reports.render_comparison_table(rows))
     (out_dir / "comparison.csv").write_text(reports.comparison_csv(rows), encoding="utf-8")
-    click.echo(f"wrote comparison.csv to {out_dir}")
+    print(f"wrote comparison.csv to {out_dir}")
 
 
-@main.command()
-@click.option("--out", type=click.Path(), default="out",
-              help="Output directory for validation.csv.")
-@_guarded
-def validate(out):
+def validate(args: argparse.Namespace) -> None:
     """Render the bundled ligand-transformation validation table."""
-    out_dir = Path(out)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    click.echo(reports.render_validation_table())
+    print(reports.render_validation_table())
     (out_dir / "validation.csv").write_text(reports.validation_csv(), encoding="utf-8")
-    click.echo(f"wrote validation.csv to {out_dir}")
+    print(f"wrote validation.csv to {out_dir}")
 
 
-@main.command("term-report")
-@config_opt
-@seed_opt
-@out_opt
-@_guarded
-def term_report(config_path, seed, out):
+def term_report(args: argparse.Namespace) -> None:
     """Convergence-based early termination against the fixed 6 ns baseline."""
-    cfg, out_dir = _load(config_path, seed, out)
+    cfg, out_dir = _load(args)
     _require_systems(cfg)
     opts = _options(cfg)
     with _partial_timeline(out_dir):
         rows = [reports.termination_row(run_termination(s, opts)) for s in cfg.systems]
-    click.echo(reports.render_termination_table(rows))
+    print(reports.render_termination_table(rows))
     (out_dir / "termination.csv").write_text(reports.termination_csv(rows), encoding="utf-8")
-    click.echo(f"wrote termination.csv to {out_dir}")
+    print(f"wrote termination.csv to {out_dir}")
+
+
+def _parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False on every parser: an abbreviated option such as --conf is a usage error.
+    campaign = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    campaign.add_argument("--config", required=True, help="Campaign config (JSON).")
+    campaign.add_argument("--seed", type=int, help="Override the config seed.")
+    campaign.add_argument("--out", help="Output directory (default: config output_dir).")
+    parser = argparse.ArgumentParser(
+        prog="fecampaign", allow_abbrev=False,
+        description="Seeded free-energy campaigns: uniform, adaptive and scaling runs.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(fn, *parents):
+        sub = commands.add_parser(
+            fn.__name__.replace("_", "-"), parents=parents, allow_abbrev=False,
+            help=fn.__doc__, description=fn.__doc__,
+        )
+        sub.set_defaults(func=fn)
+        return sub
+
+    modes = [m.value for m in CampaignMode]
+    command(run, campaign).add_argument("--mode", choices=modes, help="Override the config campaign mode.")
+    command(sweep, campaign)
+    command(compare, campaign)
+    command(validate).add_argument("--out", default="out", help="Output directory for validation.csv.")
+    command(term_report, campaign)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code; usage errors exit 2 from argparse."""
+    args = _parser().parse_args(argv)
+    try:
+        args.func(args)
+    except (ValidationError, ContractError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        if not isinstance(exc, CampaignError):  # anything unplanned also prints its traceback
+            traceback.print_exc()
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

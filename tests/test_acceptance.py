@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from cli_invoke import invoke
 
 from fecampaign.campaign import (
     NONADAPTIVE_WINDOWS,
@@ -21,7 +21,7 @@ from fecampaign.campaign import (
     run_sweep,
     run_termination,
 )
-from fecampaign.cli import _options, main as cli_main
+from fecampaign.cli import _options
 from fecampaign.config import load_config
 from fecampaign.engine import PilotConfig, run_campaign
 from fecampaign.protocols import LambdaSchedule, Pipeline, ProtocolKind, Stage, StageKind, WorkflowGraph
@@ -261,14 +261,10 @@ def test_criterion_08_failure_model():
 
 
 def test_criterion_09_byte_identical_reruns(tmp_path):
-    runner = CliRunner()
     outs = []
     for name in ("first", "second"):
         out = tmp_path / name
-        result = runner.invoke(
-            cli_main,
-            ["run", "--config", str(CONFIG_DIR / "run.json"), "--out", str(out)],
-        )
+        result = invoke("run", "--config", CONFIG_DIR / "run.json", "--out", out)
         assert result.exit_code == 0, result.output
         outs.append(out)
     first, second = outs

@@ -1,11 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_invoke import invoke
 
 from fecampaign.campaign import CampaignMode
-from fecampaign.cli import main
 from fecampaign.config import CampaignConfig, SweepPlan, save_config
 from fecampaign.engine import PilotConfig
 from fecampaign.campaign import SweepRung
@@ -13,6 +15,7 @@ from fecampaign.protocols import AdaptiveConfig, ProtocolKind, ScheduleMode
 from fecampaign.reports import validation_csv
 from fecampaign.synth import ZERO_NOISE, GroundTruthCurve, NoiseModel, SyntheticSystem
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 NAN, INF = float("nan"), float("inf")
 DELETE = object()  # a test_bad_field_fails_at_load value: remove the key
 QUIET = SyntheticSystem("Quiet Pair", GroundTruthCurve.linear(1.0, 2.0), ZERO_NOISE)
@@ -34,10 +37,6 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     save_config(CampaignConfig(**defaults), path)
     return path
-
-
-def invoke(*args):
-    return CliRunner().invoke(main, [str(a) for a in args])
 
 
 def test_validate_writes_table_and_csv(tmp_path):
@@ -75,10 +74,54 @@ def test_run_mode_override(tmp_path):
     assert payload["simulated_ns"] == pytest.approx(0.4)
 
 
-def test_run_rejects_unknown_mode(tmp_path):
+CONFIG = object()  # a test_usage_error_exits_2 argument: the written config's path
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(("run", "--config", CONFIG, "--mode", "SIDEWAYS"), id="bad-mode"),
+        pytest.param(("run",), id="missing-config"),
+        pytest.param((), id="no-subcommand"),
+        pytest.param(("launch", "--config", CONFIG), id="unknown-subcommand"),
+        # an abbreviated option is refused, not matched to --config
+        pytest.param(("run", "--conf", CONFIG), id="abbreviated-option"),
+    ],
+)
+def test_usage_error_exits_2(tmp_path, args):
     cfg_path = write_config(tmp_path)
-    result = invoke("run", "--config", cfg_path, "--mode", "SIDEWAYS")
+    result = invoke(*(cfg_path if a is CONFIG else a for a in args))
     assert result.exit_code == 2
+    assert result.stderr.startswith("usage: fecampaign")
+    assert "error:" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["", "run", "sweep", "compare", "validate", "term-report"])
+def test_help_exits_0(command):
+    result = invoke(*command.split(), "--help")
+    assert result.exit_code == 0
+    assert result.output.startswith(f"usage: fecampaign {command}".rstrip())
+    assert result.stderr == ""
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+
+    def module(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "fecampaign.cli", *map(str, args)],
+            env=env, capture_output=True, text=True,
+        )
+
+    proc = module("validate", "--out", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "validation.csv").read_text() == validation_csv()
+    # a config error is returned by main, not raised by argparse: the process must still exit 2
+    proc = module("run", "--config", tmp_path / "missing.json", "--out", tmp_path / "run")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: config ")
 
 
 def test_run_seed_override_changes_noisy_estimate(tmp_path):

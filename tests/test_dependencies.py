@@ -54,12 +54,13 @@ def test_every_declared_dependency_is_imported():
     assert not unused, f"declared in pyproject.toml but never imported: {sorted(unused)}"
 
 
-def test_cli_import_loads_no_scipy():
+@pytest.mark.parametrize("package", ["scipy", "click"])
+def test_cli_import_does_not_load(package):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     probe = (
         "import sys, fecampaign.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

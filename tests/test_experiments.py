@@ -11,9 +11,7 @@ import importlib.util
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from fecampaign.cli import main
+from cli_invoke import invoke
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,10 +29,9 @@ def _files(root):
 
 def test_experiments_regenerate_checked_in_outputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    runner = CliRunner()
     for args in _experiment_commands():
         args = [str(ROOT / a) if a.startswith("configs/") else a for a in args]
-        result = runner.invoke(main, args)
+        result = invoke(*args)
         assert result.exit_code == 0, (args, result.output)
     expected = ROOT / "out"
     written = tmp_path / "out"
@@ -67,7 +64,7 @@ RUN_MODE_DIGESTS = {
 def test_fixed_schedule_run_matches_frozen_digests(mode, tmp_path):
     out = tmp_path / "out"
     args = ["run", "--config", str(ROOT / "configs" / "run.json"), "--mode", mode, "--out", str(out)]
-    result = CliRunner().invoke(main, args)
+    result = invoke(*args)
     assert result.exit_code == 0, result.output
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == RUN_MODE_DIGESTS[mode]
