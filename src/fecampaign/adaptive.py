@@ -4,7 +4,10 @@ Every campaign mode attaches one of these evaluators.  Both consume
 synthetic dU/dlambda data: in simulated mode the engine only schedules
 tasks, so the data a production stage "produced" is read here from a
 :class:`SyntheticSampler`, deterministically from (campaign seed, window,
-replica), and the evaluator's final record holds the run's estimate.
+replica).  It reduces every window, once per production stage, to a
+``(windows x replicas)`` matrix of post-burn-in replica means; that one
+matrix serves the checkpoint or refinement decision and the estimate the
+evaluator's final record holds.
 
 * :class:`AdaptiveQuadratureEvaluator` splits production into sub-stages;
   after each one but the last it re-estimates every window, scores the
@@ -25,6 +28,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .engine import PipelineRun, StagePlan
 from .errors import ContractError
 from .protocols import MD_TIMESTEP_PS, AdaptiveConfig, Stage, StageKind
@@ -39,8 +44,8 @@ from .stats import (
     CheckpointHistory,
     DuDlSeries,
     convergence_check,
-    estimate_delta_g,
-    window_estimate,
+    means_estimate,
+    window_points,
 )
 from .synth import NoiseStream, SyntheticSystem, drift_curve, grow_streams, open_stream
 
@@ -72,6 +77,7 @@ class SyntheticSampler:
         self.dt_ps = dt_ps
         self.horizon_samples = horizon_samples
         self._drift = drift_curve(system.noise, horizon_samples, dt_ps)
+        self._levels: dict[float, float] = {}
         self._streams: dict[tuple[float, int], NoiseStream] = {}
 
     def _grow(self, requests: Iterable[tuple[tuple[float, int], int]]) -> None:
@@ -87,9 +93,9 @@ class SyntheticSampler:
                 )
             stream = self._streams.get((lam, replica))
             if stream is None:
-                stream = open_stream(
-                    self.system.curve, lam, self.horizon_samples, self.seed, replica
-                )
+                if lam not in self._levels:
+                    self._levels[lam] = self.system.curve.evaluate(lam)
+                stream = open_stream(self._levels[lam], lam, self.horizon_samples, self.seed, replica)
                 self._streams[(lam, replica)] = stream
             if n_samples > stream.fill:
                 batches.setdefault(n_samples - stream.fill, []).append(stream)
@@ -103,16 +109,26 @@ class SyntheticSampler:
         values.flags.writeable = False
         return DuDlSeries(lam=key[0], replica_index=replica, dt_ps=self.dt_ps, values=values)
 
-    def window_series(
-        self, lengths: Mapping[float, int], replicas: int
-    ) -> dict[float, list[DuDlSeries]]:
-        """Every replica series of every window, each window at its requested length."""
+    def window_means(
+        self, lengths: Mapping[float, int], replicas: int, discard_fraction: float
+    ) -> tuple[list[float], np.ndarray]:
+        """Windows in increasing order and their ``(windows x replicas)`` matrix of replica means.
+
+        Each mean drops ``floor(discard_fraction * n)`` of a window's ``n`` samples as
+        burn-in, then takes one pairwise sum and one division, as ``np.mean`` does.
+        """
+        if not 0.0 <= discard_fraction < 1.0:
+            raise ContractError("discard_fraction must lie in [0, 1)")
         lengths = {canonical_lambda(lam): n for lam, n in lengths.items()}
         self._grow(((lam, r), n) for lam, n in lengths.items() for r in range(replicas))
-        return {
-            lam: [self.series(lam, r, n) for r in range(replicas)]
-            for lam, n in sorted(lengths.items())
-        }
+        lams = sorted(lengths)
+        means = np.empty((len(lams), replicas))
+        for row, lam in zip(means, lams):
+            n = lengths[lam]
+            k = int(discard_fraction * n)
+            for r in range(replicas):
+                row[r] = self._streams[lam, r].values[k:n].sum() / (n - k)
+        return lams, means
 
 
 @dataclass
@@ -163,15 +179,6 @@ class _SyntheticEvaluator:
         self.sampler = SyntheticSampler(system, seed, dt_ps, self.horizon_samples)
         self.results: dict[str, AdaptiveRunResult] = {}
 
-    def _series(self, substages: Mapping[float, int], replicas: int) -> dict[float, list[DuDlSeries]]:
-        """Replica series of each window after its number of production sub-stages."""
-        return self.sampler.window_series(
-            {lam: k * self._spc for lam, k in substages.items()}, replicas
-        )
-
-    def _estimate(self, series: Mapping[float, list[DuDlSeries]]) -> FreeEnergyEstimate:
-        return estimate_delta_g(series, self.discard_fraction, seed=self.seed)
-
     def _production_stage(self, pipeline: PipelineRun, stage: Stage, index: int, lams) -> Stage:
         """Production sub-stage ``index``, labelled after ``stage``: ``S4.k`` -> ``S4.<index>``."""
         return Stage(
@@ -200,12 +207,12 @@ class AdaptiveQuadratureEvaluator(_SyntheticEvaluator):
             counts[lam] = counts.get(lam, 0) + 1
         cycle = self._cycles_done.get(pipeline.id, 0) + 1
         self._cycles_done[pipeline.id] = cycle
-        series = self._series(counts, stage.width)
+        lengths = {lam: n * self._spc for lam, n in counts.items()}
+        lams, means = self.sampler.window_means(lengths, stage.width, self.discard_fraction)
 
         if cycle < self.adaptive.production_substages:
-            points = [window_estimate(s, self.discard_fraction) for s in series.values()]
             new_lams = propose_refinements(
-                points,
+                window_points(lams, means),
                 self.adaptive.error_threshold_epsilon,
                 max_total_windows=self.adaptive.max_total_windows,
             )
@@ -217,7 +224,7 @@ class AdaptiveQuadratureEvaluator(_SyntheticEvaluator):
         # Final sub-stage: integrate and record the run's estimate.
         simulated_ns = self.adaptive.production_substages * self._spc * self.dt_ps / 1000.0
         self.results[pipeline.id] = AdaptiveRunResult(
-            estimate=self._estimate(series),
+            estimate=means_estimate(lams, means, seed=self.seed),
             windows=tuple(sorted(counts)),
             substages_by_window=dict(sorted(counts.items())),
             simulated_ns=simulated_ns,
@@ -244,12 +251,12 @@ class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
         self._substages: dict[str, int] = {}
         self.histories: dict[str, CheckpointHistory] = {}
 
-    def _record(self, pipeline: PipelineRun, series, k: int, terminated: bool) -> None:
+    def _record(self, pipeline: PipelineRun, windows, means, k: int, terminated: bool) -> None:
         time_ns = k * self.adaptive.termination_tau_ns
         self.results[pipeline.id] = AdaptiveRunResult(
-            estimate=self._estimate(series),
-            windows=tuple(series),
-            substages_by_window={lam: k for lam in series},
+            estimate=means_estimate(windows, means, seed=self.seed),
+            windows=tuple(windows),
+            substages_by_window={lam: k for lam in windows},
             simulated_ns=time_ns,
             terminated_ns=time_ns if terminated else None,
             history=self.histories[pipeline.id],
@@ -262,11 +269,10 @@ class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
         self._substages[pipeline.id] = k
         lams = sorted(stage.lambdas)
         # Only the samples up to this checkpoint are generated.
-        series = self._series({lam: k for lam in lams}, stage.width)
+        lengths = {lam: k * self._spc for lam in lams}
+        windows, means = self.sampler.window_means(lengths, stage.width, self.discard_fraction)
         time_ns = k * self.adaptive.termination_tau_ns
-        estimate = trapezoid_integrate(
-            [window_estimate(w, self.discard_fraction) for w in series.values()]
-        )
+        estimate = trapezoid_integrate(window_points(windows, means))
         history = self.histories.setdefault(
             pipeline.id, CheckpointHistory(self.adaptive.termination_tau_ns, [])
         )
@@ -276,11 +282,11 @@ class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
         if threshold > 0.0 and convergence_check(
             history, threshold, self.adaptive.min_checkpoints_before_termination
         ):
-            self._record(pipeline, series, k, terminated=True)
+            self._record(pipeline, windows, means, k, terminated=True)
             return StagePlan.terminate(
                 f"converged at {time_ns:.1f} ns: last two estimates within {threshold}"
             )
         if k < self.adaptive.production_substages:
             return StagePlan.append([self._production_stage(pipeline, stage, k + 1, lams)])
-        self._record(pipeline, series, k, terminated=False)
+        self._record(pipeline, windows, means, k, terminated=False)
         return StagePlan.proceed()

@@ -3,7 +3,10 @@
 Replica-based error estimation: a window's value is the mean of its
 replica means, its SEM is the spread of those means, and the integral's
 uncertainty can additionally be bootstrapped by resampling replica means
-within every window.
+within every window.  One core works on a ``(windows x replicas)`` matrix of
+those means, which evaluators get once per production stage:
+:func:`window_points` serves checkpoints and refinement, and
+:func:`means_estimate` the final estimate.
 """
 
 from __future__ import annotations
@@ -117,19 +120,23 @@ def replica_means(
     return np.array([float(np.mean(_burned_in(s, discard_fraction))) for s in series_set])
 
 
-def _window_point(
-    series: Sequence[DuDlSeries], discard_fraction: float
-) -> tuple[WindowPoint, np.ndarray]:
-    """A window's point and the replica means it was computed from."""
+def _window_lambda(series: Sequence[DuDlSeries]) -> float:
+    """The one canonical lambda of a window's replica series."""
     if len(series) < 2:
         raise ContractError("window_estimate needs at least two replica series")
     lams = {canonical_lambda(s.lam) for s in series}
     if len(lams) != 1:
         raise ContractError(f"series mix different lambda windows: {sorted(lams)}")
-    means = replica_means(series, discard_fraction)
-    sem = float(np.std(means, ddof=1) / math.sqrt(len(means)))
-    point = WindowPoint(lam=canonical_lambda(series[0].lam), mean_dudl=float(np.mean(means)), sem=sem)
-    return point, means
+    return lams.pop()
+
+
+def window_points(lams: Sequence[float], means: np.ndarray) -> list[WindowPoint]:
+    """A :class:`WindowPoint` per row of replica means: the row mean, its sample SD over sqrt(R)."""
+    if means.ndim != 2 or means.shape[1] < 2:
+        raise ContractError("every window needs at least two replica means")
+    centres = means.mean(axis=1).tolist()
+    sems = (np.std(means, axis=1, ddof=1) / math.sqrt(means.shape[1])).tolist()
+    return [WindowPoint(lam, m, s) for lam, m, s in zip(lams, centres, sems)]
 
 
 def window_estimate(
@@ -149,9 +156,11 @@ def window_estimate(
     -------
     WindowPoint
         Mean of replica means; SEM is the sample standard deviation of
-        the replica means divided by sqrt(R).
+        the replica means divided by sqrt(R), as in :func:`window_points`.
     """
-    return _window_point(list(series_set), discard_fraction)[0]
+    series = list(series_set)
+    lam = _window_lambda(series)
+    return window_points([lam], replica_means(series, discard_fraction)[np.newaxis])[0]
 
 
 def bootstrap_delta_g_stderr(
@@ -196,28 +205,31 @@ def bootstrap_delta_g_stderr(
     return float(np.std(integrals, ddof=1))
 
 
+def means_estimate(
+    lams: Sequence[float], means: np.ndarray, n_resamples: int = 1000, seed: int = 0
+) -> FreeEnergyEstimate:
+    """Free-energy estimate of windows ``lams`` (increasing) from their replica-mean rows.
+
+    The rows feed both :func:`window_points` and :func:`bootstrap_delta_g_stderr`.
+    """
+    points = window_points(lams, means)
+    boot = bootstrap_delta_g_stderr(dict(zip(lams, means)), n_resamples, seed=seed)
+    return integrate_with_error(points, bootstrap_stderr=boot)
+
+
 def estimate_delta_g(
     series_by_lambda: Mapping[float, Sequence[DuDlSeries]],
     discard_fraction: float = DEFAULT_DISCARD_FRACTION,
     n_resamples: int = 1000,
     seed: int = 0,
 ) -> FreeEnergyEstimate:
-    """Free-energy estimate of a window set, with its bootstrapped error.
-
-    Each window's replica means are computed once and serve both its
-    :class:`WindowPoint` (as in :func:`window_estimate`) and the bootstrap
-    (as in :func:`bootstrap_delta_g_stderr`, with ``n_resamples`` and
-    ``seed``).  The points are integrated with
-    :func:`integrate_with_error`.
-    """
-    points = []
-    means = {}
-    for lam in sorted(series_by_lambda):
-        point, window_means = _window_point(list(series_by_lambda[lam]), discard_fraction)
-        points.append(point)
-        means[point.lam] = window_means
-    boot = bootstrap_delta_g_stderr(means, n_resamples, seed=seed)
-    return integrate_with_error(points, bootstrap_stderr=boot)
+    """:func:`means_estimate` of a window set's replica series (the same number per window)."""
+    windows = [list(series_by_lambda[lam]) for lam in sorted(series_by_lambda)]
+    lams = [_window_lambda(series) for series in windows]
+    if len({len(series) for series in windows}) > 1:
+        raise ContractError("every window needs the same number of replica series")
+    means = np.array([replica_means(series, discard_fraction) for series in windows])
+    return means_estimate(lams, means, n_resamples, seed)
 
 
 def convergence_check(

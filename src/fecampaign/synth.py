@@ -181,15 +181,15 @@ class NoiseStream:
 
 
 def open_stream(
-    curve: GroundTruthCurve, lam: float, capacity: int, seed: int = 0, replica_index: int = 0
+    level: float, lam: float, capacity: int, seed: int = 0, replica_index: int = 0
 ) -> NoiseStream:
-    """An empty stream at window ``lam`` with room for ``capacity`` samples."""
+    """An empty stream at window ``lam`` and curve value ``level``, for ``capacity`` samples."""
     if not 0.0 <= lam <= 1.0:
         raise ContractError(f"lambda {lam} outside [0, 1]")
     if seed < 0 or replica_index < 0:
         raise ContractError("seed and replica_index must be >= 0")
     rng = np.random.default_rng(_stream_seed(seed, lam, replica_index))
-    return NoiseStream(level=curve.evaluate(lam), rng=rng, values=np.empty(capacity))
+    return NoiseStream(level=level, rng=rng, values=np.empty(capacity))
 
 
 def drift_curve(noise: NoiseModel, n_samples: int, dt_ps: float) -> np.ndarray:

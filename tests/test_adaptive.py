@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fecampaign.adaptive import (
     AdaptiveQuadratureEvaluator,
@@ -10,12 +12,21 @@ from fecampaign.adaptive import (
 from fecampaign.engine import PilotConfig, run_campaign
 from fecampaign.errors import ContractError
 from fecampaign.protocols import AdaptiveConfig, ProtocolKind, ScheduleMode, compile_protocol
+from fecampaign.stats import (
+    estimate_delta_g,
+    means_estimate,
+    replica_means,
+    window_estimate,
+    window_points,
+)
 from fecampaign.synth import (
     ZERO_NOISE,
     GroundTruthCurve,
     NoiseModel,
     SyntheticSystem,
     analytic_integral,
+    named_system,
+    named_systems,
 )
 
 PILOT = PilotConfig(total_cores=4_160)
@@ -74,6 +85,48 @@ def test_sampler_zero_noise_reproduces_curve():
     sampler = SyntheticSampler(quiet_system(curve), seed=9, dt_ps=1.0, horizon_samples=50)
     series = sampler.series(0.25, 1, 50)
     assert np.allclose(series.values, curve.evaluate(0.25))
+
+
+@st.composite
+def window_requests(draw):
+    """Windows spanning [0, 1], each with a first (partial-fill) and a second length."""
+    inner = draw(st.lists(st.integers(1, 999), max_size=5, unique=True))
+    lams = [0.0, 1.0] + [m / 1000 for m in inner]
+    length = st.integers(1, 400)
+    return [(lam, draw(length), draw(length)) for lam in lams]
+
+
+@given(
+    label=st.sampled_from(sorted(named_systems())),
+    seed=st.integers(0, 10_000),
+    requests=window_requests(),
+    replicas=st.integers(2, 9),
+    discard_fraction=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+)
+@settings(max_examples=40, deadline=None)
+def test_window_means_match_the_series_path_bit_for_bit(
+    label, seed, requests, replicas, discard_fraction
+):
+    sampler = SyntheticSampler(named_system(label), seed, dt_ps=1.0, horizon_samples=400)
+    sampler.window_means({lam: n for lam, n, _ in requests}, replicas, discard_fraction)
+    lengths = {lam: n for lam, _, n in requests}
+    lams, means = sampler.window_means(lengths, replicas, discard_fraction)
+    series = {
+        lam: [sampler.series(lam, r, lengths[lam]) for r in range(replicas)] for lam in lams
+    }
+    for row, lam in zip(means, lams):
+        assert row.tobytes() == replica_means(series[lam], discard_fraction).tobytes()
+    assert window_points(lams, means) == [window_estimate(series[lam], discard_fraction) for lam in lams]
+    expected = estimate_delta_g(series, discard_fraction, 100, seed=seed)
+    assert means_estimate(lams, means, 100, seed=seed) == expected
+
+
+def test_window_means_reject_bad_requests():
+    sampler = SyntheticSampler(quiet_system(GroundTruthCurve.constant(1.0)), 0, 1.0, 100)
+    with pytest.raises(ContractError):
+        sampler.window_means({0.0: 10, 1.0: 10}, 2, discard_fraction=1.0)
+    with pytest.raises(ContractError):
+        sampler.window_means({0.0: 101}, 2, discard_fraction=0.1)
 
 
 def test_linear_integrand_needs_no_refinement():

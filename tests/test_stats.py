@@ -14,6 +14,7 @@ from fecampaign.stats import (
     estimate_delta_g,
     replica_means,
     window_estimate,
+    window_points,
 )
 from fecampaign.quadrature import integrate_with_error
 
@@ -160,3 +161,12 @@ def test_estimate_delta_g_matches_the_separate_steps_bit_for_bit():
     # Window order in the mapping does not matter.
     shuffled = {lam: by_lam[lam] for lam in (0.5, 1.0, 0.0, 0.25)}
     assert estimate_delta_g(shuffled, 0.2, 300, seed=9) == expected
+
+
+def test_matrix_estimates_need_two_replicas_and_equal_counts():
+    with pytest.raises(ContractError):
+        window_points([0.0, 1.0], np.ones((2, 1)))
+    by_lam = {0.0: [series(np.ones(10), lam=0.0, replica=r) for r in range(2)],
+              1.0: [series(np.ones(10), lam=1.0, replica=r) for r in range(3)]}
+    with pytest.raises(ContractError):
+        estimate_delta_g(by_lam)

@@ -169,18 +169,23 @@ def test_batched_sampler_bit_identical_to_explicit_loop(label):
     # grows from a partial fill in the second request.
     system = named_system(label)
     sampler = SyntheticSampler(system, seed=17, dt_ps=1.0, horizon_samples=1200)
-    sampler.window_series({0.0: 300, 0.25: 700, 0.5: 300}, replicas=3)
-    grown = sampler.window_series({0.0: 1200, 0.25: 900, 0.5: 1000}, replicas=3)
-    for lam, series in grown.items():
-        for replica, s in enumerate(series):
-            expected = oracle_series(system, lam, len(s.values), 17, replica)
-            assert s.values.tobytes() == expected.tobytes()
+    sampler.window_means({0.0: 300, 0.25: 700, 0.5: 300}, replicas=3, discard_fraction=0.1)
+    lengths = {0.0: 1200, 0.25: 900, 0.5: 1000}
+    lams, means = sampler.window_means(lengths, replicas=3, discard_fraction=0.1)
+    assert lams == sorted(lengths)
+    for row, lam in zip(means, lams):
+        n = lengths[lam]
+        for replica in range(3):
+            expected = oracle_series(system, lam, n, 17, replica)
+            assert row[replica] == np.mean(expected[n // 10:])
+            assert sampler.series(lam, replica, n).values.tobytes() == expected.tobytes()
 
 
 def test_chunked_growth_equals_one_shot_series():
     system = named_system("TYK2 L4-L9")
-    one_shot = open_stream(system.curve, 0.25, 400, seed=3, replica_index=1)
-    stream = open_stream(system.curve, 0.25, 400, seed=3, replica_index=1)
+    level = system.curve.evaluate(0.25)
+    one_shot = open_stream(level, 0.25, 400, seed=3, replica_index=1)
+    stream = open_stream(level, 0.25, 400, seed=3, replica_index=1)
     drift = drift_curve(system.noise, 400, 1.0)
     grow_streams(system.noise, [one_shot], 400, drift)
     grow_streams(system.noise, [stream], 100, drift)
