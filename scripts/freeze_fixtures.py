@@ -13,11 +13,10 @@ import math
 
 import numpy as np
 
-from fecampaign.adaptive import SyntheticSampler
+from fecampaign.adaptive import SyntheticSampler, converged
 from fecampaign.campaign import RunOptions, run_system, CampaignMode
 from fecampaign.engine import PilotConfig, generation_count, slots
 from fecampaign.protocols import AdaptiveConfig
-from fecampaign.stats import CheckpointHistory, convergence_check
 from fecampaign.synth import (
     CurvePreset,
     analytic_integral,
@@ -91,12 +90,8 @@ def main() -> None:
     diffs = [abs(b - a) for a, b in zip(seq, seq[1:])]
     first = next(i + 2 for i, d in enumerate(diffs) if d < 0.01)
     print(f"sequence={seq} consecutive diffs={['%.4f' % d for d in diffs]}")
-    histories = [
-        CheckpointHistory(0.5, [(0.5 * (i + 1), v) for i, v in enumerate(seq[:k])])
-        for k in range(2, 6)
-    ]
     print(f"first entry with |delta| < 0.01: {first} "
-          f"(package: {[convergence_check(h, 0.01) for h in histories]})")
+          f"(package: {[converged(seq[:k], 0.01, 2) for k in range(2, 6)]})")
 
     print("\n== adaptive window list, seed 11, epsilon 0.4 ==")
     opts = RunOptions(

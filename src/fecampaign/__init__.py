@@ -19,14 +19,7 @@ from .quadrature import (
     propose_refinements,
     trapezoid_integrate,
 )
-from .stats import (
-    CheckpointHistory,
-    DuDlSeries,
-    bootstrap_delta_g_stderr,
-    convergence_check,
-    estimate_delta_g,
-    window_estimate,
-)
+from .stats import DuDlSeries, bootstrap_delta_g_stderr
 from .synth import (
     CurvePreset,
     GroundTruthCurve,

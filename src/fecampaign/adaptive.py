@@ -18,20 +18,25 @@ evaluator's final record holds.
   ends and never refines.
 * :class:`AdaptiveTerminationEvaluator` slices production into
   ``tau``-long sub-stages, re-integrates at every checkpoint and
-  terminates the pipeline once consecutive estimates agree within the
-  termination threshold.
+  terminates the pipeline once the checkpoint estimates are
+  :func:`converged`: at least ``min_checkpoints_before_termination`` of
+  them, the last two within the termination threshold.
+
+The replica-mean matrix is the only way to a free energy;
+:meth:`SyntheticSampler.series` reads one replica's samples as a
+:class:`~fecampaign.stats.DuDlSeries`, for inspection and tests.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .engine import PipelineRun, StagePlan
-from .errors import ContractError
+from .errors import ContractError, ValidationError
 from .protocols import MD_TIMESTEP_PS, AdaptiveConfig, Stage, StageKind
 from .quadrature import (
     FreeEnergyEstimate,
@@ -39,23 +44,32 @@ from .quadrature import (
     propose_refinements,
     trapezoid_integrate,
 )
-from .stats import (
-    DEFAULT_DISCARD_FRACTION,
-    CheckpointHistory,
-    DuDlSeries,
-    convergence_check,
-    means_estimate,
-    window_points,
-)
+from .stats import DEFAULT_DISCARD_FRACTION, DuDlSeries, means_estimate, window_points
 from .synth import NoiseStream, SyntheticSystem, drift_curve, grow_streams, open_stream
 
 
 def samples_per_substage(substage_timesteps: int, dt_ps: float) -> int:
-    """Number of dU/dlambda samples one production sub-stage contributes."""
-    n = int(round(substage_timesteps * MD_TIMESTEP_PS / dt_ps))
+    """Number of dU/dlambda samples one production sub-stage contributes.
+
+    The sample interval must divide the sub-stage (to a relative 1e-9), so
+    that every checkpoint and every estimate covers whole sub-stages.
+    """
+    substage_ps = substage_timesteps * MD_TIMESTEP_PS
+    n = round(substage_ps / dt_ps)
     if n < 1:
         raise ContractError("sub-stage too short to produce a single sample")
+    if abs(substage_ps / dt_ps - n) > 1e-9 * n:
+        raise ValidationError(
+            f"config.sample_interval_ps {dt_ps} does not divide the {substage_ps:g} ps "
+            "production sub-stage"
+        )
     return n
+
+
+def converged(values: Sequence[float], threshold: float, min_checkpoints: int) -> bool:
+    """The termination rule: at least ``min_checkpoints`` checkpoint estimates,
+    and the last two within ``threshold`` of each other."""
+    return len(values) >= min_checkpoints and abs(values[-1] - values[-2]) <= threshold
 
 
 class SyntheticSampler:
@@ -140,7 +154,7 @@ class AdaptiveRunResult:
     substages_by_window: dict[float, int]
     simulated_ns: float
     terminated_ns: float | None = None
-    history: CheckpointHistory | None = None
+    checkpoint_values: tuple[float, ...] = ()
 
 
 def _equilibration_chain(pipeline: PipelineRun, stage: Stage, cycle: int, lams) -> list[Stage]:
@@ -249,7 +263,7 @@ class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
                 f"{self.adaptive.termination_tau_ns}; checkpoints must fall on sub-stage boundaries"
             )
         self._substages: dict[str, int] = {}
-        self.histories: dict[str, CheckpointHistory] = {}
+        self.checkpoint_values: dict[str, list[float]] = {}
 
     def _record(self, pipeline: PipelineRun, windows, means, k: int, terminated: bool) -> None:
         time_ns = k * self.adaptive.termination_tau_ns
@@ -259,7 +273,7 @@ class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
             substages_by_window={lam: k for lam in windows},
             simulated_ns=time_ns,
             terminated_ns=time_ns if terminated else None,
-            history=self.histories[pipeline.id],
+            checkpoint_values=tuple(self.checkpoint_values[pipeline.id]),
         )
 
     def on_stage_complete(self, pipeline: PipelineRun, stage: Stage) -> StagePlan:
@@ -272,15 +286,12 @@ class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
         lengths = {lam: k * self._spc for lam in lams}
         windows, means = self.sampler.window_means(lengths, stage.width, self.discard_fraction)
         time_ns = k * self.adaptive.termination_tau_ns
-        estimate = trapezoid_integrate(window_points(windows, means))
-        history = self.histories.setdefault(
-            pipeline.id, CheckpointHistory(self.adaptive.termination_tau_ns, [])
-        )
-        history.append(time_ns, estimate)
+        values = self.checkpoint_values.setdefault(pipeline.id, [])
+        values.append(trapezoid_integrate(window_points(windows, means)))
 
         threshold = self.adaptive.termination_threshold
-        if threshold > 0.0 and convergence_check(
-            history, threshold, self.adaptive.min_checkpoints_before_termination
+        if threshold > 0.0 and converged(
+            values, threshold, self.adaptive.min_checkpoints_before_termination
         ):
             self._record(pipeline, windows, means, k, terminated=True)
             return StagePlan.terminate(

@@ -168,12 +168,11 @@ def run_system(
         raise
 
     result: AdaptiveRunResult = evaluator.results[graph.pipelines[0].id]
-    history = result.history
     return SystemRunResult(
         system=system, mode=mode, estimate=result.estimate,
         windows=result.windows, simulated_ns=result.simulated_ns,
         outcome=outcome, terminated_ns=result.terminated_ns,
-        checkpoint_values=tuple(history.values) if history is not None else (),
+        checkpoint_values=result.checkpoint_values,
     )
 
 

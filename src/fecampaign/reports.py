@@ -123,8 +123,9 @@ class ValidationRow:
 
 
 #: Relative binding free energies (kcal/mol) for three bromodomain ligand
-#: transformations: this package's protocol output, the earlier published
-#: computational study, and wet-lab measurement.
+#: transformations: calculated, earlier published computational study, and
+#: wet-lab measurement.  All three are constants quoted from the source
+#: paper; nothing in this package computes the "calculated" values.
 VALIDATION_ROWS = (
     ValidationRow("BRD4 3->1", (0.39, 0.10), (0.41, 0.04), (0.3, 0.09)),
     ValidationRow("BRD4 3->4", (0.02, 0.12), (0.01, 0.06), (0.0, 0.13)),

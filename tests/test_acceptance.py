@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from cli_invoke import invoke
 
+from fecampaign.adaptive import converged
 from fecampaign.campaign import (
     NONADAPTIVE_WINDOWS,
     TERMINATION_HORIZON_NS,
@@ -27,7 +28,6 @@ from fecampaign.engine import PilotConfig, run_campaign
 from fecampaign.protocols import LambdaSchedule, Pipeline, ProtocolKind, Stage, StageKind, WorkflowGraph
 from fecampaign.quadrature import WindowPoint, trapezoid_integrate
 from fecampaign.reports import VALIDATION_ROWS, comparison_row, validation_csv
-from fecampaign.stats import CheckpointHistory, convergence_check
 from fecampaign.synth import GroundTruthCurve, analytic_integral, named_systems
 from fecampaign.engine import TaskOutcome
 
@@ -158,11 +158,7 @@ def test_criterion_05_adaptive_termination(termination_trio):
     # convergence fixture: first converges at entry 5 under threshold 0.01
     sequence = (4.451, 4.491, 4.544, 4.578, 4.586)
     for upto in range(2, len(sequence) + 1):
-        history = CheckpointHistory(
-            tau, [(tau * (i + 1), v) for i, v in enumerate(sequence[:upto])]
-        )
-        converged = convergence_check(history, threshold=0.01, min_checkpoints=2)
-        assert converged == (upto == 5)
+        assert converged(sequence[:upto], threshold=0.01, min_checkpoints=2) == (upto == 5)
     stops = ", ".join(f"{t.system.label} @ {t.adaptive_ns:.1f} ns" for t in termination_trio)
     print(f"criterion 5: PASS - {stops}; mean saving {mean_saving:.1f}% (>= 8%)")
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,15 +12,8 @@ from fecampaign.adaptive import (
     samples_per_substage,
 )
 from fecampaign.engine import PilotConfig, run_campaign
-from fecampaign.errors import ContractError
+from fecampaign.errors import ContractError, ValidationError
 from fecampaign.protocols import AdaptiveConfig, ProtocolKind, ScheduleMode, compile_protocol
-from fecampaign.stats import (
-    estimate_delta_g,
-    means_estimate,
-    replica_means,
-    window_estimate,
-    window_points,
-)
 from fecampaign.synth import (
     ZERO_NOISE,
     GroundTruthCurve,
@@ -62,6 +57,9 @@ def test_samples_per_substage():
     assert samples_per_substage(500_000, dt_ps=2.0) == 500
     with pytest.raises(ContractError):
         samples_per_substage(100, dt_ps=1.0)
+    # 1000 ps / 0.3 ps is not a whole number of samples.
+    with pytest.raises(ValidationError, match=r"config\.sample_interval_ps 0\.3 .* 1000 ps"):
+        samples_per_substage(500_000, dt_ps=0.3)
 
 
 def test_sampler_prefixes_are_stable():
@@ -111,14 +109,14 @@ def test_window_means_match_the_series_path_bit_for_bit(
     sampler.window_means({lam: n for lam, n, _ in requests}, replicas, discard_fraction)
     lengths = {lam: n for lam, _, n in requests}
     lams, means = sampler.window_means(lengths, replicas, discard_fraction)
-    series = {
-        lam: [sampler.series(lam, r, lengths[lam]) for r in range(replicas)] for lam in lams
-    }
-    for row, lam in zip(means, lams):
-        assert row.tobytes() == replica_means(series[lam], discard_fraction).tobytes()
-    assert window_points(lams, means) == [window_estimate(series[lam], discard_fraction) for lam in lams]
-    expected = estimate_delta_g(series, discard_fraction, 100, seed=seed)
-    assert means_estimate(lams, means, 100, seed=seed) == expected
+    assert lams == sorted(lengths)
+    # Oracle: each replica's series read on its own, burn-in dropped, np.mean.
+    expected = np.array([
+        [np.mean(values[math.floor(discard_fraction * len(values)):])
+         for values in (sampler.series(lam, r, lengths[lam]).values for r in range(replicas))]
+        for lam in lams
+    ])
+    assert means.tobytes() == expected.tobytes()
 
 
 def test_window_means_reject_bad_requests():
@@ -190,7 +188,7 @@ def test_flat_system_terminates_at_first_allowed_checkpoint():
     result, outcome = run_termination_probe(system, AdaptiveConfig(**TERM_CFG))
     assert result.terminated_ns == pytest.approx(1.0)
     assert result.simulated_ns == pytest.approx(1.0)
-    assert [t for t, _ in result.history.estimates] == [0.5, 1.0]
+    assert len(result.checkpoint_values) == 2
     summary = outcome.results["probe"]
     assert summary.terminated_reason is not None
     assert "converged" in summary.terminated_reason
@@ -207,7 +205,7 @@ def test_drifting_system_terminates_later_on_tau_grid():
     assert result.terminated_ns is not None
     assert 1.0 < result.terminated_ns < 6.0
     assert (result.terminated_ns / 0.5) == pytest.approx(round(result.terminated_ns / 0.5))
-    assert len(result.history.values) == round(result.terminated_ns / 0.5)
+    assert len(result.checkpoint_values) == round(result.terminated_ns / 0.5)
 
 
 def test_zero_threshold_disables_early_termination():
@@ -216,7 +214,7 @@ def test_zero_threshold_disables_early_termination():
     result, outcome = run_termination_probe(system, cfg)
     assert result.terminated_ns is None
     assert result.simulated_ns == pytest.approx(6.0)
-    assert len(result.history.values) == 12
+    assert len(result.checkpoint_values) == 12
     assert outcome.results["probe"].terminated_reason is None
 
 

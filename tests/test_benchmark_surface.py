@@ -2,14 +2,18 @@
 
 The span tracer patches package functions and methods by name and raises
 ``KeyError`` when one it names is gone; the table workloads build their run
-options with the CLI's own ``cli._options``.  These tests keep a change
-that deletes package surface from breaking the benchmark unnoticed.
+options with the CLI's own ``cli._options``, and an untraced pass reads
+engine counts, checkpoint values and sweep plans off the results.  These
+tests keep a change that deletes package surface from breaking the
+benchmark unnoticed.
 """
 
 import importlib.util
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 import fecampaign  # noqa: F401  (loads every module the tracer patches)
 from fecampaign import cli
@@ -18,11 +22,15 @@ from fecampaign.config import load_config
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / filename)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load("perfbench_tracer", "tracer.py")
 
 
 def _bindings(tracer_module):
@@ -53,7 +61,7 @@ def test_tracer_installs_and_restores_every_patch():
     after = _bindings(tracer_module)
 
     patched = [key for key, obj in before[0].items() if during[0][key] is not obj]
-    assert ("fecampaign.stats", "window_estimate") in patched
+    assert ("fecampaign.stats", "means_estimate") in patched
     assert all(during[1][key] is not obj for key, obj in before[1].items())
     for old, new in zip(before, after):
         assert old.keys() == new.keys()
@@ -64,3 +72,16 @@ def test_run_options_build_from_the_bundled_config():
     cfg = load_config(ROOT / "configs" / "compare.json")
     opts = replace(cli._options(cfg), seed=1)
     assert (opts.pilot, opts.adaptive, opts.seed) == (cfg.pilot, cfg.adaptive, 1)
+
+
+@pytest.mark.parametrize("workload", ["AdaptiveCompare", "EarlyTermination", "ScalingSweep"])
+def test_one_untraced_pass_per_workload(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # run.py imports its tracer by name
+    bench = _load("perfbench_run", "run.py")
+    wl = getattr(bench, workload)(1, tmp_path)
+    rec = bench.Recorder()
+    wl.load(wl.write_configs())
+    wl.prepare(rec)
+    out = wl.run_pass(0, rec)
+    assert out["entries"]
+    assert (rec.failed, rec.check_failures) == (0, []), rec.errors

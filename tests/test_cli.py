@@ -183,6 +183,16 @@ def test_non_finite_noise_is_a_config_error(tmp_path, field):
     assert not (tmp_path / "out" / "noisy-pair_nonadaptive.json").exists()
 
 
+def test_sample_interval_must_divide_the_substage(tmp_path):
+    # 100 ps sub-stages and 0.3 ps samples: 333.3 samples per sub-stage.  Any
+    # whole count would run a horizon the config does not ask for.
+    cfg_path = write_config(tmp_path, mode=CampaignMode.ADAPTIVE_QUADRATURE, sample_interval_ps=0.3)
+    result = invoke("run", "--config", cfg_path)
+    assert result.exit_code == 2
+    assert "config.sample_interval_ps 0.3 does not divide the 100 ps" in result.stderr
+    assert not (tmp_path / "out" / "quiet-pair_adaptive_quadrature.json").exists()
+
+
 def test_walltime_exhaustion_maps_to_exit_3(tmp_path):
     cfg_path = write_config(tmp_path, pilot=PilotConfig(total_cores=2_080, walltime_s=1.0))
     result = invoke("run", "--config", cfg_path)

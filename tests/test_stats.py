@@ -5,18 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fecampaign.adaptive import SyntheticSampler, converged
 from fecampaign.errors import ContractError
-from fecampaign.stats import (
-    CheckpointHistory,
-    DuDlSeries,
-    bootstrap_delta_g_stderr,
-    convergence_check,
-    estimate_delta_g,
-    replica_means,
-    window_estimate,
-    window_points,
-)
-from fecampaign.quadrature import integrate_with_error
+from fecampaign.stats import DuDlSeries, bootstrap_delta_g_stderr, means_estimate, window_points
+from fecampaign.synth import GroundTruthCurve, NoiseModel, SyntheticSystem
 
 
 def series(values, lam=0.5, replica=0, dt_ps=1.0):
@@ -54,119 +46,105 @@ def test_truncation_rejects_overrun_and_nonpositive():
 
 
 def test_replica_means_discard_burn_in():
-    # First 10% is a constant offset; the tail is flat at 2.
-    vals = np.concatenate([np.full(10, 100.0), np.full(90, 2.0)])
-    out = replica_means([series(vals)], discard_fraction=0.1)
-    assert out[0] == pytest.approx(2.0)
+    # A decaying drift and no noise: the first 10% of each series sits highest.
+    system = SyntheticSystem(
+        "drift", GroundTruthCurve.constant(2.0),
+        NoiseModel(sigma=0.0, ar1_phi=0.0, drift_amplitude=5.0, drift_timescale_ps=20.0),
+    )
+    sampler = SyntheticSampler(system, seed=1, dt_ps=1.0, horizon_samples=100)
+    _, means = sampler.window_means({0.5: 100}, 2, discard_fraction=0.1)
+    values = sampler.series(0.5, 0, 100).values
+    assert means[0, 0] == pytest.approx(np.mean(values[10:]))
+    assert means[0, 0] < np.mean(values)
 
 
-def test_window_estimate_mean_and_sem():
-    sets = [series(np.full(100, v), replica=i) for i, v in enumerate((1.0, 2.0, 3.0))]
-    pt = window_estimate(sets)
+def test_window_points_mean_and_sem():
+    [pt] = window_points([0.5], np.array([[1.0, 2.0, 3.0]]))
     assert pt.mean_dudl == pytest.approx(2.0)
     assert pt.sem == pytest.approx(np.std([1.0, 2.0, 3.0], ddof=1) / math.sqrt(3))
     assert pt.lam == 0.5
 
 
-def test_window_estimate_needs_consistent_lambda():
-    a, b = series(np.ones(10), lam=0.5), series(np.ones(10), lam=0.75)
-    with pytest.raises(ContractError):
-        window_estimate([a, b])
-    with pytest.raises(ContractError):
-        window_estimate([a])
+LAMS = [0.0, 0.5, 1.0]
 
 
 def test_bootstrap_is_deterministic_per_seed():
-    means = {0.0: [1.0, 1.2, 0.8], 0.5: [2.0, 2.1, 1.9], 1.0: [0.5, 0.4, 0.6]}
-    a = bootstrap_delta_g_stderr(means, seed=3)
-    b = bootstrap_delta_g_stderr(means, seed=3)
-    c = bootstrap_delta_g_stderr(means, seed=4)
+    means = np.array([[1.0, 1.2, 0.8], [2.0, 2.1, 1.9], [0.5, 0.4, 0.6]])
+    a = bootstrap_delta_g_stderr(LAMS, means, seed=3)
+    b = bootstrap_delta_g_stderr(LAMS, means, seed=3)
+    c = bootstrap_delta_g_stderr(LAMS, means, seed=4)
     assert a == b
     assert a != c
     assert a > 0.0
+    # Frozen value: the resampling stream and its row-by-row draw order are fixed.
+    assert a == 0.03633590519499509
 
 
 def test_bootstrap_zero_spread_gives_zero_error():
-    means = {0.0: [1.0, 1.0], 0.5: [2.0, 2.0], 1.0: [3.0, 3.0]}
-    assert bootstrap_delta_g_stderr(means) == 0.0
+    means = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    assert bootstrap_delta_g_stderr(LAMS, means) == 0.0
 
 
 def test_bootstrap_input_validation():
     with pytest.raises(ContractError):
-        bootstrap_delta_g_stderr({0.0: [1.0, 2.0], 1.0: [1.0, 2.0]}, n_resamples=50)
+        bootstrap_delta_g_stderr([0.0, 1.0], np.array([[1.0, 2.0], [1.0, 2.0]]), n_resamples=50)
     with pytest.raises(ContractError):
-        bootstrap_delta_g_stderr({0.0: [1.0, 2.0]})
+        bootstrap_delta_g_stderr([0.0], np.array([[1.0, 2.0]]))
     with pytest.raises(ContractError):
-        bootstrap_delta_g_stderr({0.0: [1.0], 1.0: [1.0, 2.0]})
+        bootstrap_delta_g_stderr([0.0, 1.0], np.array([[1.0], [1.0]]))
+    with pytest.raises(ContractError):
+        bootstrap_delta_g_stderr([0.0, 0.5, 1.0], np.array([[1.0, 2.0], [1.0, 2.0]]))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 @settings(max_examples=20)
 def test_bootstrap_scale_invariance_of_seeding(seed):
     # Error bar is nonnegative and stable under repeated calls.
-    means = {0.0: [1.0, 1.5], 1.0: [2.0, 2.5]}
-    val = bootstrap_delta_g_stderr(means, seed=seed)
+    means = np.array([[1.0, 1.5], [2.0, 2.5]])
+    val = bootstrap_delta_g_stderr([0.0, 1.0], means, seed=seed)
     assert val >= 0.0
-    assert bootstrap_delta_g_stderr(means, seed=seed) == val
-
-
-def history(values, tau=0.5):
-    return CheckpointHistory(tau, [(tau * (i + 1), v) for i, v in enumerate(values)])
+    assert bootstrap_delta_g_stderr([0.0, 1.0], means, seed=seed) == val
 
 
 def test_convergence_requires_minimum_checkpoints():
-    assert not convergence_check(history([1.0]), threshold=10.0)
-    assert convergence_check(history([1.0, 1.0]), threshold=10.0)
-    assert not convergence_check(history([1.0, 1.0]), threshold=10.0, min_checkpoints=3)
+    assert not converged([1.0], threshold=10.0, min_checkpoints=2)
+    assert converged([1.0, 1.0], threshold=10.0, min_checkpoints=2)
+    assert not converged([1.0, 1.0], threshold=10.0, min_checkpoints=3)
 
 
 def test_convergence_uses_last_two_entries():
-    assert convergence_check(history([5.0, 1.0, 1.005]), threshold=0.01)
-    assert not convergence_check(history([1.0, 1.005, 5.0]), threshold=0.01)
+    assert converged([5.0, 1.0, 1.005], threshold=0.01, min_checkpoints=2)
+    assert not converged([1.0, 1.005, 5.0], threshold=0.01, min_checkpoints=2)
 
 
 def test_convergence_fixture_sequence():
     # Frozen sequence: consecutive deltas 0.040, 0.053, 0.034, 0.008; only
     # the fifth entry brings the last delta under 0.01.
     seq = (4.451, 4.491, 4.544, 4.578, 4.586)
-    firing = [convergence_check(history(seq[:k]), 0.01) for k in range(2, 6)]
+    firing = [converged(seq[:k], 0.01, 2) for k in range(2, 6)]
     assert firing == [False, False, False, True]
 
 
-def test_convergence_threshold_validation():
-    with pytest.raises(ContractError):
-        convergence_check(history([1.0, 1.0]), threshold=0.0)
-    with pytest.raises(ContractError):
-        convergence_check(history([1.0, 1.0]), threshold=0.01, min_checkpoints=1)
-
-
-def test_history_rejects_non_increasing_times():
-    h = history([1.0, 2.0])
-    with pytest.raises(ContractError):
-        h.append(0.5, 3.0)
-    h.append(1.5, 3.0)
-    assert h.values == [1.0, 2.0, 3.0]
-
-
-def test_estimate_delta_g_matches_the_separate_steps_bit_for_bit():
+def test_means_estimate_matches_frozen_values():
+    # Four windows of four 200-sample replica series; each replica mean
+    # drops the first 20% (40 samples) as burn-in.
     rng = np.random.default_rng(4)
-    by_lam = {
-        lam: [series(rng.normal(lam * 3.0, 1.0, 200), lam=lam, replica=r) for r in range(4)]
-        for lam in (0.0, 0.25, 0.5, 1.0)
-    }
-    points = [window_estimate(by_lam[lam], 0.2) for lam in sorted(by_lam)]
-    means = {lam: replica_means(s, 0.2) for lam, s in by_lam.items()}
-    boot = bootstrap_delta_g_stderr(means, 300, seed=9)
-    expected = integrate_with_error(points, bootstrap_stderr=boot)
-    # Window order in the mapping does not matter.
-    shuffled = {lam: by_lam[lam] for lam in (0.5, 1.0, 0.0, 0.25)}
-    assert estimate_delta_g(shuffled, 0.2, 300, seed=9) == expected
+    lams = [0.0, 0.25, 0.5, 1.0]
+    series = [[rng.normal(lam * 3.0, 1.0, 200) for _ in range(4)] for lam in lams]
+    means = np.array([[np.mean(values[40:]) for values in window] for window in series])
+    estimate = means_estimate(lams, means, 300, seed=9)
+    # Frozen values: burn-in, window means and bootstrap are all bit-fixed.
+    assert (estimate.delta_g, estimate.stderr) == (1.4928922465288816, 0.017473160487741654)
+    assert estimate.windows == tuple(window_points(lams, means))
 
 
 def test_matrix_estimates_need_two_replicas_and_equal_counts():
     with pytest.raises(ContractError):
         window_points([0.0, 1.0], np.ones((2, 1)))
-    by_lam = {0.0: [series(np.ones(10), lam=0.0, replica=r) for r in range(2)],
-              1.0: [series(np.ones(10), lam=1.0, replica=r) for r in range(3)]}
     with pytest.raises(ContractError):
-        estimate_delta_g(by_lam)
+        means_estimate([0.0, 1.0], np.ones((2, 1)))
+    # One row of replica means per window.
+    with pytest.raises(ContractError):
+        window_points([0.0, 0.5, 1.0], np.ones((2, 3)))
+    with pytest.raises(ContractError):
+        means_estimate([0.0, 0.5, 1.0], np.ones((2, 3)))
