@@ -19,7 +19,7 @@ from .quadrature import (
     propose_refinements,
     trapezoid_integrate,
 )
-from .stats import DuDlSeries, bootstrap_delta_g_stderr
+from .stats import DuDlSeries
 from .synth import (
     CurvePreset,
     GroundTruthCurve,

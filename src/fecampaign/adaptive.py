@@ -5,9 +5,10 @@ synthetic dU/dlambda data: in simulated mode the engine only schedules
 tasks, so the data a production stage "produced" is read here from a
 :class:`SyntheticSampler`, deterministically from (campaign seed, window,
 replica).  It reduces every window, once per production stage, to a
-``(windows x replicas)`` matrix of post-burn-in replica means; that one
-matrix serves the checkpoint or refinement decision and the estimate the
-evaluator's final record holds.
+``(windows x replicas)`` matrix of post-burn-in replica means and that
+matrix to one list of window points; they serve the checkpoint or
+refinement decision and the estimate the evaluator's final record holds,
+whose one error bar is the window SEMs propagated through the trapezoid.
 
 * :class:`AdaptiveQuadratureEvaluator` splits production into sub-stages;
   after each one but the last it re-estimates every window, scores the
@@ -41,10 +42,11 @@ from .protocols import MD_TIMESTEP_PS, AdaptiveConfig, Stage, StageKind
 from .quadrature import (
     FreeEnergyEstimate,
     canonical_lambda,
+    integrate_with_error,
     propose_refinements,
     trapezoid_integrate,
 )
-from .stats import DEFAULT_DISCARD_FRACTION, DuDlSeries, means_estimate, window_points
+from .stats import DEFAULT_DISCARD_FRACTION, DuDlSeries, window_points
 from .synth import NoiseStream, SyntheticSystem, drift_curve, grow_streams, open_stream
 
 
@@ -185,7 +187,6 @@ class _SyntheticEvaluator:
     ):
         self.system = system
         self.adaptive = adaptive
-        self.seed = int(seed)
         self.dt_ps = dt_ps
         self.discard_fraction = discard_fraction
         self._spc = samples_per_substage(adaptive.substage_timesteps, dt_ps)
@@ -222,11 +223,11 @@ class AdaptiveQuadratureEvaluator(_SyntheticEvaluator):
         cycle = self._cycles_done.get(pipeline.id, 0) + 1
         self._cycles_done[pipeline.id] = cycle
         lengths = {lam: n * self._spc for lam, n in counts.items()}
-        lams, means = self.sampler.window_means(lengths, stage.width, self.discard_fraction)
+        points = window_points(*self.sampler.window_means(lengths, stage.width, self.discard_fraction))
 
         if cycle < self.adaptive.production_substages:
             new_lams = propose_refinements(
-                window_points(lams, means),
+                points,
                 self.adaptive.error_threshold_epsilon,
                 max_total_windows=self.adaptive.max_total_windows,
             )
@@ -238,7 +239,7 @@ class AdaptiveQuadratureEvaluator(_SyntheticEvaluator):
         # Final sub-stage: integrate and record the run's estimate.
         simulated_ns = self.adaptive.production_substages * self._spc * self.dt_ps / 1000.0
         self.results[pipeline.id] = AdaptiveRunResult(
-            estimate=means_estimate(lams, means, seed=self.seed),
+            estimate=integrate_with_error(points),
             windows=tuple(sorted(counts)),
             substages_by_window=dict(sorted(counts.items())),
             simulated_ns=simulated_ns,
@@ -265,12 +266,12 @@ class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
         self._substages: dict[str, int] = {}
         self.checkpoint_values: dict[str, list[float]] = {}
 
-    def _record(self, pipeline: PipelineRun, windows, means, k: int, terminated: bool) -> None:
+    def _record(self, pipeline: PipelineRun, points, k: int, terminated: bool) -> None:
         time_ns = k * self.adaptive.termination_tau_ns
         self.results[pipeline.id] = AdaptiveRunResult(
-            estimate=means_estimate(windows, means, seed=self.seed),
-            windows=tuple(windows),
-            substages_by_window={lam: k for lam in windows},
+            estimate=integrate_with_error(points),
+            windows=tuple(p.lam for p in points),
+            substages_by_window={p.lam: k for p in points},
             simulated_ns=time_ns,
             terminated_ns=time_ns if terminated else None,
             checkpoint_values=tuple(self.checkpoint_values[pipeline.id]),
@@ -284,20 +285,20 @@ class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
         lams = sorted(stage.lambdas)
         # Only the samples up to this checkpoint are generated.
         lengths = {lam: k * self._spc for lam in lams}
-        windows, means = self.sampler.window_means(lengths, stage.width, self.discard_fraction)
+        points = window_points(*self.sampler.window_means(lengths, stage.width, self.discard_fraction))
         time_ns = k * self.adaptive.termination_tau_ns
         values = self.checkpoint_values.setdefault(pipeline.id, [])
-        values.append(trapezoid_integrate(window_points(windows, means)))
+        values.append(trapezoid_integrate(points))
 
         threshold = self.adaptive.termination_threshold
         if threshold > 0.0 and converged(
             values, threshold, self.adaptive.min_checkpoints_before_termination
         ):
-            self._record(pipeline, windows, means, k, terminated=True)
+            self._record(pipeline, points, k, terminated=True)
             return StagePlan.terminate(
                 f"converged at {time_ns:.1f} ns: last two estimates within {threshold}"
             )
         if k < self.adaptive.production_substages:
             return StagePlan.append([self._production_stage(pipeline, stage, k + 1, lams)])
-        self._record(pipeline, windows, means, k, terminated=False)
+        self._record(pipeline, points, k, terminated=False)
         return StagePlan.proceed()

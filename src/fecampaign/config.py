@@ -24,7 +24,7 @@ from functools import cache
 from pathlib import Path
 from typing import Any
 
-from .campaign import CampaignMode, SweepRung
+from .campaign import CampaignMode, SweepRung, _slug
 from .engine import PilotConfig
 from .errors import ValidationError, require_finite
 from .protocols import AdaptiveConfig, LambdaSchedule, ProtocolKind, ScheduleMode
@@ -84,6 +84,13 @@ class CampaignConfig:
             raise ValidationError("config.sample_interval_ps must be > 0")
         if not 0.0 <= self.discard_fraction < 1.0:
             raise ValidationError("config.discard_fraction must lie in [0, 1)")
+        slugs = [_slug(system.label) for system in self.systems]  # output file name stems
+        for j, system in enumerate(self.systems):
+            if (i := slugs.index(slugs[j])) < j:
+                raise ValidationError(
+                    f"config.systems[{j}].label {system.label!r} names the same output files "
+                    f"as config.systems[{i}]"
+                )
         for i, rung in enumerate(self.sweep.rungs if self.sweep else ()):
             if rung.total_cores < self.pilot.cores_per_task:
                 raise ValidationError(f"config.sweep.rungs[{i}].total_cores must fit at least one task")

@@ -69,7 +69,7 @@ class IntervalError:
 
 @dataclass(frozen=True)
 class FreeEnergyEstimate:
-    """Integrated free-energy difference with its combined uncertainty."""
+    """Integrated free-energy difference with its propagated sampling error."""
 
     delta_g: float
     stderr: float
@@ -238,17 +238,7 @@ def propose_refinements(
     return sorted({mid for _, mid in candidates})
 
 
-def integrate_with_error(
-    points: Sequence[WindowPoint], bootstrap_stderr: float = 0.0
-) -> FreeEnergyEstimate:
-    """Integrate window means and attach the larger of the two error bars.
-
-    The reported ``stderr`` is the maximum of the propagated per-window
-    statistical error and an externally supplied bootstrap standard error.
-    """
-    if not (math.isfinite(bootstrap_stderr) and bootstrap_stderr >= 0.0):
-        raise ContractError("bootstrap_stderr must be finite and >= 0")
+def integrate_with_error(points: Sequence[WindowPoint]) -> FreeEnergyEstimate:
+    """Trapezoid integral of the window means, with :func:`propagate_statistical_error` as ``stderr``."""
     pts = _check_points(points)
-    delta_g = trapezoid_integrate(pts)
-    stderr = max(propagate_statistical_error(pts), bootstrap_stderr)
-    return FreeEnergyEstimate(delta_g=delta_g, stderr=stderr, windows=tuple(pts))
+    return FreeEnergyEstimate(trapezoid_integrate(pts), propagate_statistical_error(pts), tuple(pts))

@@ -1,13 +1,11 @@
 """Ensemble statistics over replica dU/dlambda means.
 
 Replica-based error estimation: a window's value is the mean of its
-replica means, its SEM is the spread of those means, and the integral's
-uncertainty is bootstrapped by resampling replica means within every
-window.  There is one estimation path, and it works on a
-``(windows x replicas)`` matrix of post-burn-in replica means that
-evaluators read once per production stage: :func:`window_points` serves
-checkpoints and refinement, :func:`bootstrap_delta_g_stderr` the
-integral's bootstrap error, and :func:`means_estimate` the final estimate.
+replica means and its SEM is the spread of those means over sqrt(R).
+There is one estimation path, and it works on a ``(windows x replicas)``
+matrix of post-burn-in replica means that evaluators read once per
+production stage: :func:`window_points` turns it into the window points
+that checkpoints, refinement and the final estimate all integrate.
 
 A single replica's samples are read as a :class:`DuDlSeries`, which the
 sampler's ``series`` returns.
@@ -22,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError
-from .quadrature import FreeEnergyEstimate, WindowPoint, integrate_with_error, trapezoid_weights
+from .quadrature import WindowPoint
 
 #: Default fraction of each series discarded as burn-in.
 DEFAULT_DISCARD_FRACTION = 0.1
@@ -83,41 +81,3 @@ def window_points(lams: Sequence[float], means: np.ndarray) -> list[WindowPoint]
     centres = means.mean(axis=1).tolist()
     sems = (np.std(means, axis=1, ddof=1) / math.sqrt(means.shape[1])).tolist()
     return [WindowPoint(lam, m, s) for lam, m, s in zip(lams, centres, sems)]
-
-
-def bootstrap_delta_g_stderr(
-    lams: Sequence[float], means: np.ndarray, n_resamples: int = 1000, seed: int = 0
-) -> float:
-    """Bootstrap the integral's standard error by resampling replica means.
-
-    For each resample, every window's row of replica means is drawn with
-    replacement and re-averaged (row by row, in row order, from one seeded
-    stream), and the resulting points over ``lams`` (increasing) are
-    integrated with the trapezoid rule.  The reported value is the sample
-    standard deviation of the resampled integrals, at least 100 of them.
-    """
-    if n_resamples < 100:
-        raise ContractError("n_resamples must be >= 100")
-    if means.ndim != 2 or len(means) != len(lams) or len(lams) < 2:
-        raise ContractError("bootstrap needs one row of replica means for each of >= 2 windows")
-    if means.shape[1] < 2:
-        raise ContractError("every window needs at least two replica means")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xB007]))
-    resampled = np.empty((len(lams), n_resamples))
-    for i, row in enumerate(means):
-        idx = rng.integers(0, len(row), size=(n_resamples, len(row)))
-        resampled[i] = row[idx].mean(axis=1)
-    integrals = np.array(trapezoid_weights(lams)) @ resampled
-    return float(np.std(integrals, ddof=1))
-
-
-def means_estimate(
-    lams: Sequence[float], means: np.ndarray, n_resamples: int = 1000, seed: int = 0
-) -> FreeEnergyEstimate:
-    """Free-energy estimate of windows ``lams`` (increasing) from their replica-mean rows.
-
-    The rows feed both :func:`window_points` and :func:`bootstrap_delta_g_stderr`.
-    """
-    points = window_points(lams, means)
-    boot = bootstrap_delta_g_stderr(lams, means, n_resamples, seed=seed)
-    return integrate_with_error(points, bootstrap_stderr=boot)

@@ -27,6 +27,7 @@ from fecampaign.protocols import (
 from fecampaign.synth import (
     ZERO_NOISE,
     GroundTruthCurve,
+    NoiseModel,
     SyntheticSystem,
     analytic_integral,
     named_system,
@@ -68,6 +69,20 @@ def test_nonadaptive_mode_forces_13_uniform_windows():
     assert res.estimate.delta_g == pytest.approx(analytic_integral(LINEAR.curve), abs=1e-9)
     assert res.simulated_ns == pytest.approx(0.1)  # 50k production timesteps
     assert "probe-nonadaptive" in res.outcome.results
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.8])
+def test_stderr_is_calibrated_against_ground_truth(phi):
+    # The trapezoid rule is exact on a linear curve, so the estimate's error
+    # is sampling error only; its spread over independent seeds should match
+    # the reported error bar.
+    system = SyntheticSystem("probe", LINEAR.curve, NoiseModel(sigma=2.0, ar1_phi=phi))
+    truth = analytic_integral(system.curve)
+    runs = [run_system(system, CampaignMode.NONADAPTIVE, fast_opts(seed=seed, replicas=5))
+            for seed in range(300)]
+    errors = [res.estimate.delta_g - truth for res in runs]
+    rms_stderr = np.sqrt(np.mean([res.estimate.stderr ** 2 for res in runs]))
+    assert 0.8 <= np.std(errors, ddof=1) / rms_stderr <= 1.25
 
 
 def test_reference_mode_forces_65_uniform_windows():

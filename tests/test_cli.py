@@ -169,6 +169,18 @@ def test_run_without_systems_is_a_config_error(tmp_path):
     assert "config.systems" in result.stderr
 
 
+def test_colliding_system_output_names_are_a_config_error(tmp_path):
+    # Both labels slug to quiet-pair: the second run's files would overwrite the first's.
+    cfg_path = write_config(tmp_path)
+    obj = json.loads(cfg_path.read_text())
+    obj["systems"].append(dict(obj["systems"][0], label="QUIET-pair"))
+    cfg_path.write_text(json.dumps(obj))
+    result = invoke("run", "--config", cfg_path)
+    assert result.exit_code == 2
+    assert "config.systems[1].label 'QUIET-pair' names the same output files as config.systems[0]" in result.stderr
+    assert not (tmp_path / "out" / "quiet-pair_nonadaptive.json").exists()
+
+
 @pytest.mark.parametrize("field", ["sigma", "ar1_phi", "drift_amplitude", "drift_timescale_ps"])
 def test_non_finite_noise_is_a_config_error(tmp_path, field):
     # json writes and reads NaN; without the check a NaN sigma ran silently

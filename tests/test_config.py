@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fecampaign.campaign import CampaignMode, SweepRung
+from fecampaign.campaign import CampaignMode, SweepRung, _slug
 from fecampaign.config import (
     CampaignConfig,
     SweepPlan,
@@ -127,7 +127,7 @@ config_st = st.builds(
         error_threshold_epsilon=st.floats(min_value=1e-6, max_value=10.0),
         production_substages=st.integers(min_value=1, max_value=16),
     ),
-    systems=st.lists(system_st, max_size=3, unique_by=lambda s: s.label).map(tuple),
+    systems=st.lists(system_st, max_size=3, unique_by=lambda s: _slug(s.label)).map(tuple),
     replicas_per_window=st.integers(min_value=2, max_value=25),
     sample_interval_ps=st.floats(min_value=0.1, max_value=10.0),
     discard_fraction=st.floats(min_value=0.0, max_value=0.9),

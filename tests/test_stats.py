@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fecampaign.adaptive import SyntheticSampler, converged
 from fecampaign.errors import ContractError
-from fecampaign.stats import DuDlSeries, bootstrap_delta_g_stderr, means_estimate, window_points
+from fecampaign.quadrature import integrate_with_error
+from fecampaign.stats import DuDlSeries, window_points
 from fecampaign.synth import GroundTruthCurve, NoiseModel, SyntheticSystem
 
 
@@ -65,47 +64,6 @@ def test_window_points_mean_and_sem():
     assert pt.lam == 0.5
 
 
-LAMS = [0.0, 0.5, 1.0]
-
-
-def test_bootstrap_is_deterministic_per_seed():
-    means = np.array([[1.0, 1.2, 0.8], [2.0, 2.1, 1.9], [0.5, 0.4, 0.6]])
-    a = bootstrap_delta_g_stderr(LAMS, means, seed=3)
-    b = bootstrap_delta_g_stderr(LAMS, means, seed=3)
-    c = bootstrap_delta_g_stderr(LAMS, means, seed=4)
-    assert a == b
-    assert a != c
-    assert a > 0.0
-    # Frozen value: the resampling stream and its row-by-row draw order are fixed.
-    assert a == 0.03633590519499509
-
-
-def test_bootstrap_zero_spread_gives_zero_error():
-    means = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    assert bootstrap_delta_g_stderr(LAMS, means) == 0.0
-
-
-def test_bootstrap_input_validation():
-    with pytest.raises(ContractError):
-        bootstrap_delta_g_stderr([0.0, 1.0], np.array([[1.0, 2.0], [1.0, 2.0]]), n_resamples=50)
-    with pytest.raises(ContractError):
-        bootstrap_delta_g_stderr([0.0], np.array([[1.0, 2.0]]))
-    with pytest.raises(ContractError):
-        bootstrap_delta_g_stderr([0.0, 1.0], np.array([[1.0], [1.0]]))
-    with pytest.raises(ContractError):
-        bootstrap_delta_g_stderr([0.0, 0.5, 1.0], np.array([[1.0, 2.0], [1.0, 2.0]]))
-
-
-@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
-@settings(max_examples=20)
-def test_bootstrap_scale_invariance_of_seeding(seed):
-    # Error bar is nonnegative and stable under repeated calls.
-    means = np.array([[1.0, 1.5], [2.0, 2.5]])
-    val = bootstrap_delta_g_stderr([0.0, 1.0], means, seed=seed)
-    assert val >= 0.0
-    assert bootstrap_delta_g_stderr([0.0, 1.0], means, seed=seed) == val
-
-
 def test_convergence_requires_minimum_checkpoints():
     assert not converged([1.0], threshold=10.0, min_checkpoints=2)
     assert converged([1.0, 1.0], threshold=10.0, min_checkpoints=2)
@@ -125,15 +83,15 @@ def test_convergence_fixture_sequence():
     assert firing == [False, False, False, True]
 
 
-def test_means_estimate_matches_frozen_values():
+def test_matrix_estimate_matches_frozen_values():
     # Four windows of four 200-sample replica series; each replica mean
     # drops the first 20% (40 samples) as burn-in.
     rng = np.random.default_rng(4)
     lams = [0.0, 0.25, 0.5, 1.0]
     series = [[rng.normal(lam * 3.0, 1.0, 200) for _ in range(4)] for lam in lams]
     means = np.array([[np.mean(values[40:]) for values in window] for window in series])
-    estimate = means_estimate(lams, means, 300, seed=9)
-    # Frozen values: burn-in, window means and bootstrap are all bit-fixed.
+    estimate = integrate_with_error(window_points(lams, means))
+    # Frozen values: burn-in, window means and the propagated SEM are all bit-fixed.
     assert (estimate.delta_g, estimate.stderr) == (1.4928922465288816, 0.017473160487741654)
     assert estimate.windows == tuple(window_points(lams, means))
 
@@ -141,10 +99,6 @@ def test_means_estimate_matches_frozen_values():
 def test_matrix_estimates_need_two_replicas_and_equal_counts():
     with pytest.raises(ContractError):
         window_points([0.0, 1.0], np.ones((2, 1)))
-    with pytest.raises(ContractError):
-        means_estimate([0.0, 1.0], np.ones((2, 1)))
     # One row of replica means per window.
     with pytest.raises(ContractError):
         window_points([0.0, 0.5, 1.0], np.ones((2, 3)))
-    with pytest.raises(ContractError):
-        means_estimate([0.0, 0.5, 1.0], np.ones((2, 3)))
