@@ -47,7 +47,7 @@ from .quadrature import (
     trapezoid_integrate,
 )
 from .stats import DEFAULT_DISCARD_FRACTION, DuDlSeries, window_points
-from .synth import NoiseStream, SyntheticSystem, drift_curve, grow_streams, open_stream
+from .synth import NoiseBlock, SyntheticSystem, drift_curve, grow_streams, open_stream
 
 
 def samples_per_substage(substage_timesteps: int, dt_ps: float) -> int:
@@ -77,9 +77,10 @@ def converged(values: Sequence[float], threshold: float, min_checkpoints: int) -
 class SyntheticSampler:
     """Deterministic per-(window, replica) series, grown on demand up to a horizon.
 
-    Every stream keeps its generator and a horizon-sized buffer and is
+    Each window keeps one block: its replicas' generators and a
+    ``(replicas x horizon)`` buffer, sized by the window's first request and
     generated only as far as a caller reads it.  Growth continues the same
-    stream, so a window's early samples never change as its series grows
+    streams, so a window's early samples never change as its series grows
     across sub-stages, regardless of when the window was created, and each
     prefix is bit-identical to a one-shot series of that length.  Series
     are read-only views of the buffers.
@@ -93,37 +94,37 @@ class SyntheticSampler:
         self.dt_ps = dt_ps
         self.horizon_samples = horizon_samples
         self._drift = drift_curve(system.noise, horizon_samples, dt_ps)
-        self._levels: dict[float, float] = {}
-        self._streams: dict[tuple[float, int], NoiseStream] = {}
+        self._streams: dict[float, NoiseBlock] = {}
 
-    def _grow(self, requests: Iterable[tuple[tuple[float, int], int]]) -> None:
-        """Grow each ``(lambda, replica)`` stream to its requested length.
+    def _grow(self, requests: Iterable[tuple[float, int]], replicas: int) -> None:
+        """Grow each ``lambda`` window's block, which must hold ``replicas`` streams, to its length.
 
-        Streams that grow by the same number of samples share one AR(1) pass.
+        Windows that grow by the same number of samples share one AR(1) pass.
         """
-        batches: dict[int, list[NoiseStream]] = {}
-        for (lam, replica), n_samples in requests:
+        batches: dict[int, list[NoiseBlock]] = {}
+        for lam, n_samples in requests:
             if n_samples > self.horizon_samples:
                 raise ContractError(
                     f"requested {n_samples} samples beyond the {self.horizon_samples}-sample horizon"
                 )
-            stream = self._streams.get((lam, replica))
-            if stream is None:
-                if lam not in self._levels:
-                    self._levels[lam] = self.system.curve.evaluate(lam)
-                stream = open_stream(self._levels[lam], lam, self.horizon_samples, self.seed, replica)
-                self._streams[(lam, replica)] = stream
-            if n_samples > stream.fill:
-                batches.setdefault(n_samples - stream.fill, []).append(stream)
-        for n_new, streams in batches.items():
-            grow_streams(self.system.noise, streams, n_new, self._drift)
+            block = self._streams.get(lam)
+            if block is None:
+                level = self.system.curve.evaluate(lam)
+                block = open_stream(level, lam, self.horizon_samples, self.seed, replicas)
+                self._streams[lam] = block
+            elif replicas > len(block.rngs):
+                raise ContractError(f"window {lam} holds {len(block.rngs)} replicas, not {replicas}")
+            if n_samples > block.fill:
+                batches.setdefault(n_samples - block.fill, []).append(block)
+        for n_new, blocks in batches.items():
+            grow_streams(self.system.noise, blocks, n_new, self._drift)
 
     def series(self, lam: float, replica: int, n_samples: int) -> DuDlSeries:
-        key = (canonical_lambda(lam), replica)
-        self._grow([(key, n_samples)])
-        values = self._streams[key].values[:n_samples]
+        lam = canonical_lambda(lam)
+        self._grow([(lam, n_samples)], replica + 1)
+        values = self._streams[lam].values[replica, :n_samples]
         values.flags.writeable = False
-        return DuDlSeries(lam=key[0], replica_index=replica, dt_ps=self.dt_ps, values=values)
+        return DuDlSeries(lam=lam, replica_index=replica, dt_ps=self.dt_ps, values=values)
 
     def window_means(
         self, lengths: Mapping[float, int], replicas: int, discard_fraction: float
@@ -131,19 +132,19 @@ class SyntheticSampler:
         """Windows in increasing order and their ``(windows x replicas)`` matrix of replica means.
 
         Each mean drops ``floor(discard_fraction * n)`` of a window's ``n`` samples as
-        burn-in, then takes one pairwise sum and one division, as ``np.mean`` does.
+        burn-in, then takes one pairwise sum and one division, as ``np.mean`` does;
+        a window's replicas are summed in one call.
         """
         if not 0.0 <= discard_fraction < 1.0:
             raise ContractError("discard_fraction must lie in [0, 1)")
         lengths = {canonical_lambda(lam): n for lam, n in lengths.items()}
-        self._grow(((lam, r), n) for lam, n in lengths.items() for r in range(replicas))
+        self._grow(lengths.items(), replicas)
         lams = sorted(lengths)
         means = np.empty((len(lams), replicas))
         for row, lam in zip(means, lams):
             n = lengths[lam]
             k = int(discard_fraction * n)
-            for r in range(replicas):
-                row[r] = self._streams[lam, r].values[k:n].sum() / (n - k)
+            np.divide(self._streams[lam].values[:replicas, k:n].sum(axis=1), n - k, out=row)
         return lams, means
 
 

@@ -702,7 +702,7 @@ def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
     ``events``; the campaign and stage marks go through ``csv``.
     """
     middles: dict[tuple[str, str], list[str]] = {}
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TIMELINE_COLUMNS)
         for seg in _wave_walk(timeline):
@@ -749,7 +749,7 @@ def write_overhead_csv(rows: Iterable[Mapping[str, str]], path, extra_columns: S
     columns = list(OVERHEAD_COLUMNS)
     for i, col in enumerate(extra_columns):
         columns.insert(1 + i, col)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         for row in rows:

@@ -13,14 +13,14 @@ Streams are seeded per (campaign seed, rounded lambda, replica index), so a
 window added mid-campaign reproduces the same data no matter when it was
 created.
 
-A stream can be grown in chunks: :func:`grow_streams` continues each
-stream's generator and its last noise value, and runs the recurrence over
-many streams at once, one vectorised step per sample.  Every step rounds
-the product and the sum once, as a direct-form IIR filter does, so a series
-grown in any number of chunks is bit-identical to a one-shot series of the
-same length.  :class:`fecampaign.adaptive.SyntheticSampler` is the one
-reader of these streams: every series a campaign estimates from comes
-through it.
+A window's replica streams form one block that grows in chunks:
+:func:`grow_streams` continues each replica's generator and last noise
+value, and runs the recurrence over the rows of every block it is given at
+once, one vectorised step per sample.  Every step rounds the product and
+the sum once, as a direct-form IIR filter does, so a series grown in any
+number of chunks is bit-identical to a one-shot series of the same length.
+:class:`fecampaign.adaptive.SyntheticSampler` is the one reader of these
+blocks: every series a campaign estimates from comes through it.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ import numpy as np
 
 from .errors import ContractError, ValidationError, require_finite
 from .quadrature import canonical_lambda
-
-#: Node count of the dense-trapezoid oracle used when no closed form exists.
-ORACLE_NODES = 100_000
 
 
 class CurvePreset(str, Enum):
@@ -157,39 +154,34 @@ class NoiseModel:
 ZERO_NOISE = NoiseModel()
 
 
-def _stream_seed(seed: int, lam: float, replica_index: int) -> np.random.SeedSequence:
-    # Stable across runs and processes: entropy is the integer triple
-    # (campaign seed, lambda in milli-units, replica index).
-    lam_milli = int(round(canonical_lambda(lam) * 1000))
-    return np.random.SeedSequence([int(seed), lam_milli, int(replica_index)])
-
-
 @dataclass(eq=False)
-class NoiseStream:
-    """Growth state of one (campaign seed, lambda, replica) series.
+class NoiseBlock:
+    """Growth state of one (campaign seed, lambda) window's replica series.
 
-    ``values`` holds the stream's whole capacity; its first ``fill``
-    samples are final.  ``level`` is f(lambda) and ``last`` the AR(1) noise
-    value of the last final sample.
+    ``values`` holds one row of ``capacity`` samples per replica, final up
+    to ``fill``; ``level`` is f(lambda), ``rngs`` the replicas' generators
+    and ``last`` their AR(1) noise values at the last final sample.
     """
 
     level: float
-    rng: np.random.Generator
+    rngs: list[np.random.Generator]
     values: np.ndarray
+    last: np.ndarray
     fill: int = 0
-    last: float = 0.0
 
 
 def open_stream(
-    level: float, lam: float, capacity: int, seed: int = 0, replica_index: int = 0
-) -> NoiseStream:
-    """An empty stream at window ``lam`` and curve value ``level``, for ``capacity`` samples."""
+    level: float, lam: float, capacity: int, seed: int = 0, replicas: int = 1
+) -> NoiseBlock:
+    """An empty block of ``replicas`` streams at window ``lam``, ``capacity`` samples each."""
     if not 0.0 <= lam <= 1.0:
         raise ContractError(f"lambda {lam} outside [0, 1]")
-    if seed < 0 or replica_index < 0:
-        raise ContractError("seed and replica_index must be >= 0")
-    rng = np.random.default_rng(_stream_seed(seed, lam, replica_index))
-    return NoiseStream(level=level, rng=rng, values=np.empty(capacity))
+    if seed < 0 or replicas < 1:
+        raise ContractError("seed must be >= 0 and replicas >= 1")
+    # Entropy (campaign seed, lambda in milli-units, replica): stable across runs and processes.
+    lam_milli = int(round(canonical_lambda(lam) * 1000))
+    rngs = [np.random.default_rng([int(seed), lam_milli, r]) for r in range(replicas)]
+    return NoiseBlock(level, rngs, np.empty((replicas, capacity)), np.zeros(replicas))
 
 
 def drift_curve(noise: NoiseModel, n_samples: int, dt_ps: float) -> np.ndarray:
@@ -199,55 +191,62 @@ def drift_curve(noise: NoiseModel, n_samples: int, dt_ps: float) -> np.ndarray:
 
 
 def grow_streams(
-    noise: NoiseModel, streams: Sequence[NoiseStream], n_new: int, drift: np.ndarray
+    noise: NoiseModel, blocks: Sequence[NoiseBlock], n_new: int, drift: np.ndarray
 ) -> None:
-    """Append ``n_new`` samples to every stream in one AR(1) pass.
+    """Append ``n_new`` samples to every replica of every block in one AR(1) pass.
 
-    The new noise of all streams forms one block, and the recurrence
-    ``eps[t] = eta[t] + phi * eps[t-1]`` walks its time columns: one
-    vectorised step per sample, whatever the number of streams.  The block
-    is stored stream-major, so that draws and the final writes run over
-    contiguous rows.  ``drift`` must cover every stream's capacity.
+    The new noise of all blocks' rows forms one ``eps`` block, and the
+    recurrence ``eps[t] = eta[t] + phi * eps[t-1]`` walks its time columns:
+    one vectorised step per sample, whatever the number of streams, with
+    local ufunc names, positional outputs and a 0-d ``phi`` to keep each
+    step's two calls cheap.  Draws fill one contiguous row per replica, and each block is
+    written back in two calls.  ``drift`` must cover every block's capacity.
     """
-    eps = np.zeros((len(streams), n_new))
     eta_sd = noise.sigma * math.sqrt(1.0 - noise.ar1_phi ** 2)
+    rngs = [rng for block in blocks for rng in block.rngs]
     if eta_sd > 0.0:
-        for row, stream in zip(eps, streams):
-            stream.rng.standard_normal(out=row)
+        eps = np.empty((len(rngs), n_new))
+        for row, rng in zip(eps, rngs):
+            rng.standard_normal(out=row)
         # The roundings of Generator.normal(0.0, eta_sd): loc + scale * z.
         eps *= eta_sd
         eps += 0.0
+    else:
+        eps = np.zeros((len(rngs), n_new))
     if noise.ar1_phi > 0.0:
-        prev = np.array([stream.last for stream in streams])
-        step = np.empty(len(streams))
+        prev = np.concatenate([block.last for block in blocks])
+        step = np.empty(len(rngs))
+        multiply, add, phi = np.multiply, np.add, np.asarray(noise.ar1_phi)
         for column in eps.T:
-            np.multiply(prev, noise.ar1_phi, out=step)
-            np.add(column, step, out=column)
+            multiply(prev, phi, step)
+            add(column, step, column)
             prev = column
-    for row, stream in zip(eps, streams):
-        lo, hi = stream.fill, stream.fill + n_new
-        segment = stream.values[lo:hi]
-        np.add(stream.level, drift[lo:hi], out=segment)
-        segment += row
-        stream.fill, stream.last = hi, float(row[-1])
+    top = 0
+    for block in blocks:
+        rows = eps[top:top + len(block.rngs)]
+        top += len(block.rngs)
+        lo, hi = block.fill, block.fill + n_new
+        segment = block.values[:, lo:hi]
+        np.add(block.level, drift[lo:hi], out=segment)
+        segment += rows
+        block.fill, block.last = hi, rows[:, -1].copy()
 
 
 def analytic_integral(curve: GroundTruthCurve) -> float:
-    """Integral of the ground-truth curve over [0, 1].
-
-    Closed forms for CONSTANT, LINEAR and QUADRATIC; the bump presets use
-    a dense composite-trapezoid evaluation on ``ORACLE_NODES`` nodes,
-    which for these smooth curves is accurate far beyond the tolerances
-    used anywhere in this package.
-    """
+    """Integral of the ground-truth curve over [0, 1], in closed form."""
     if curve.preset is CurvePreset.CONSTANT:
         return curve.value
     if curve.preset is CurvePreset.LINEAR:
         return curve.intercept + curve.slope / 2.0
     if curve.preset is CurvePreset.QUADRATIC:
         return 1.0 / 3.0
-    grid = np.linspace(0.0, 1.0, ORACLE_NODES)
-    return float(np.trapezoid(curve.evaluate(grid), grid))
+    c, w, a = curve.center, curve.width, curve.amplitude
+    if curve.preset is CurvePreset.GAUSS_BUMP:
+        s = w * math.sqrt(2.0)
+        bump = a * w * math.sqrt(math.pi / 2.0) * (math.erf((1.0 - c) / s) + math.erf(c / s))
+    else:
+        bump = a * w * (math.atan((1.0 - c) / w) + math.atan(c / w))
+    return bump + curve.baseline_slope / 2.0
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,23 @@ def test_sampler_rejects_requests_past_horizon():
         sampler.series(0.0, 0, 101)
 
 
+def test_window_block_holds_the_replicas_of_its_first_request():
+    sampler = SyntheticSampler(quiet_system(GroundTruthCurve.constant(1.0)), 0, 1.0, 100)
+    sampler.window_means({0.0: 10, 1.0: 10}, 3, discard_fraction=0.0)
+    assert sampler.series(0.0, 2, 100).values.shape == (100,)
+    sampler.window_means({0.0: 20, 1.0: 20}, 2, discard_fraction=0.0)
+    with pytest.raises(ContractError, match="window 0.0 holds 3 replicas, not 4"):
+        sampler.series(0.0, 3, 10)
+    with pytest.raises(ContractError):
+        sampler.window_means({0.0: 10, 1.0: 10}, 5, discard_fraction=0.0)
+    with pytest.raises(ContractError):
+        sampler.series(1.0, -1, 10)
+    # A window first read through series opens replica + 1 streams.
+    sampler.series(0.5, 1, 10)
+    with pytest.raises(ContractError):
+        sampler.series(0.5, 2, 10)
+
+
 def test_sampler_zero_noise_reproduces_curve():
     curve = GroundTruthCurve.quadratic()
     sampler = SyntheticSampler(quiet_system(curve), seed=9, dt_ps=1.0, horizon_samples=50)

@@ -124,6 +124,25 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert proc.stderr.startswith("error: config ")
 
 
+def test_run_writes_utf8_whatever_the_locale(tmp_path):
+    # _slug keeps non-ASCII letters, so pipeline ids and labels reach the CSV
+    # writers; any file opened in the locale's encoding raises here.
+    label = "Ligand é-1"
+    cfg_path = write_config(tmp_path, systems=(SyntheticSystem(label, QUIET.curve, ZERO_NOISE),))
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "fecampaign.cli", "run", "--config", str(cfg_path)],
+        env=env, capture_output=True, encoding="utf-8",
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "out"
+    timeline = (out / "ligand-é-1_nonadaptive_timeline.csv").read_bytes().decode("utf-8")
+    assert ",ligand-é-1-nonadaptive" in timeline
+    assert label in (out / "overheads.csv").read_bytes().decode("utf-8")
+
+
 def test_run_seed_override_changes_noisy_estimate(tmp_path):
     cfg_path = write_config(tmp_path, systems=(NOISY,))
     a = invoke("run", "--config", cfg_path, "--out", tmp_path / "a")
