@@ -57,7 +57,6 @@ from .engine import (
 )
 from .adaptive import (
     AdaptiveQuadratureEvaluator,
-    AdaptiveRunResult,
     AdaptiveTerminationEvaluator,
     SyntheticSampler,
     samples_per_substage,

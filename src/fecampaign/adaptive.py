@@ -1,14 +1,17 @@
 """Evaluator hooks: the one path from synthetic samples to a free energy.
 
-Every campaign mode attaches one of these evaluators.  Both consume
-synthetic dU/dlambda data: in simulated mode the engine only schedules
-tasks, so the data a production stage "produced" is read here from a
+Every campaign mode attaches one of these evaluators to its one
+pipeline; an evaluator serves that pipeline only and, once production
+ends, holds the run's result itself.  Both consume synthetic dU/dlambda
+data: in simulated mode the engine only schedules tasks, so the data a
+production stage "produced" is read here from a
 :class:`SyntheticSampler`, deterministically from (campaign seed, window,
 replica).  It reduces every window, once per production stage, to a
 ``(windows x replicas)`` matrix of post-burn-in replica means and that
 matrix to one list of window points; they serve the checkpoint or
-refinement decision and the estimate the evaluator's final record holds,
-whose one error bar is the window SEMs propagated through the trapezoid.
+refinement decision and the estimate the evaluator records when
+production ends, whose one error bar is the window SEMs propagated
+through the trapezoid.
 
 * :class:`AdaptiveQuadratureEvaluator` splits production into sub-stages;
   after each one but the last it re-estimates every window, scores the
@@ -31,7 +34,6 @@ The replica-mean matrix is the only way to a free energy;
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -148,18 +150,6 @@ class SyntheticSampler:
         return lams, means
 
 
-@dataclass
-class AdaptiveRunResult:
-    """What an adaptive pipeline produced."""
-
-    estimate: FreeEnergyEstimate
-    windows: tuple[float, ...]
-    substages_by_window: dict[float, int]
-    simulated_ns: float
-    terminated_ns: float | None = None
-    checkpoint_values: tuple[float, ...] = ()
-
-
 def _equilibration_chain(pipeline: PipelineRun, stage: Stage, cycle: int, lams) -> list[Stage]:
     """Copies of the pipeline's stages before its first production stage,
     for new windows ``lams`` and as wide as ``stage``."""
@@ -171,11 +161,14 @@ def _equilibration_chain(pipeline: PipelineRun, stage: Stage, cycle: int, lams) 
 
 
 class _SyntheticEvaluator:
-    """Settings, sampler and estimation shared by the two evaluators.
+    """Settings, sampler and run record shared by the two evaluators.
 
-    Replica count and cores come from the production stage that just
-    completed: appended stages repeat them and the sampler reads that many
-    replicas per window.
+    An evaluator serves the one pipeline it is first handed.  Once
+    production ends it holds the run's ``estimate`` (``None`` until then),
+    ``windows`` and ``simulated_ns``; only an early stop sets
+    ``terminated_ns``.  Replica count and cores come from the production
+    stage that just completed: appended stages repeat them and the sampler
+    reads that many replicas per window.
     """
 
     def __init__(
@@ -186,14 +179,30 @@ class _SyntheticEvaluator:
         dt_ps: float = 1.0,
         discard_fraction: float = DEFAULT_DISCARD_FRACTION,
     ):
-        self.system = system
         self.adaptive = adaptive
         self.dt_ps = dt_ps
         self.discard_fraction = discard_fraction
         self._spc = samples_per_substage(adaptive.substage_timesteps, dt_ps)
         self.horizon_samples = adaptive.production_substages * self._spc
         self.sampler = SyntheticSampler(system, seed, dt_ps, self.horizon_samples)
-        self.results: dict[str, AdaptiveRunResult] = {}
+        self._pipeline_id: str | None = None
+        self.estimate: FreeEnergyEstimate | None = None
+        self.windows: tuple[float, ...] = ()
+        self.simulated_ns = 0.0
+        self.terminated_ns: float | None = None
+        self.checkpoint_values: list[float] = []
+
+    def _serve(self, pipeline: PipelineRun) -> None:
+        """Bind to the first pipeline handed in; refuse any other."""
+        if self._pipeline_id not in (None, pipeline.id):
+            raise ContractError(f"evaluator serves pipeline {self._pipeline_id}, not {pipeline.id}")
+        self._pipeline_id = pipeline.id
+
+    def _record(self, points, simulated_ns: float) -> None:
+        """Record the run's estimate from its final window points."""
+        self.estimate = integrate_with_error(points)
+        self.windows = tuple(p.lam for p in points)
+        self.simulated_ns = simulated_ns
 
     def _production_stage(self, pipeline: PipelineRun, stage: Stage, index: int, lams) -> Stage:
         """Production sub-stage ``index``, labelled after ``stage``: ``S4.k`` -> ``S4.<index>``."""
@@ -212,17 +221,17 @@ class AdaptiveQuadratureEvaluator(_SyntheticEvaluator):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._substages_done: dict[str, dict[float, int]] = {}
-        self._cycles_done: dict[str, int] = {}
+        #: production sub-stages each window has sampled so far
+        self.substages_by_window: dict[float, int] = {}
 
     def on_stage_complete(self, pipeline: PipelineRun, stage: Stage) -> StagePlan:
+        self._serve(pipeline)
         if stage.kind is not StageKind.PRODUCTION:
             return StagePlan.proceed()
-        counts = self._substages_done.setdefault(pipeline.id, {})
+        counts = self.substages_by_window
         for lam in sorted(stage.lambdas):
             counts[lam] = counts.get(lam, 0) + 1
-        cycle = self._cycles_done.get(pipeline.id, 0) + 1
-        self._cycles_done[pipeline.id] = cycle
+        cycle = max(counts.values())  # the initial windows sample every sub-stage
         lengths = {lam: n * self._spc for lam, n in counts.items()}
         points = window_points(*self.sampler.window_means(lengths, stage.width, self.discard_fraction))
 
@@ -238,20 +247,14 @@ class AdaptiveQuadratureEvaluator(_SyntheticEvaluator):
             return StagePlan.append(stages)
 
         # Final sub-stage: integrate and record the run's estimate.
-        simulated_ns = self.adaptive.production_substages * self._spc * self.dt_ps / 1000.0
-        self.results[pipeline.id] = AdaptiveRunResult(
-            estimate=integrate_with_error(points),
-            windows=tuple(sorted(counts)),
-            substages_by_window=dict(sorted(counts.items())),
-            simulated_ns=simulated_ns,
-        )
+        self._record(points, cycle * self._spc * self.dt_ps / 1000.0)
         return StagePlan.proceed()
 
 
 class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
     """Stops production once consecutive checkpoint estimates agree.
 
-    A non-positive termination threshold disables early termination (the
+    A zero termination threshold disables early termination (the
     convergence test is never consulted), so the run always covers the
     full horizon.
     """
@@ -264,42 +267,28 @@ class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
                 f"sub-stage spans {substage_ns} ns but termination_tau_ns is "
                 f"{self.adaptive.termination_tau_ns}; checkpoints must fall on sub-stage boundaries"
             )
-        self._substages: dict[str, int] = {}
-        self.checkpoint_values: dict[str, list[float]] = {}
-
-    def _record(self, pipeline: PipelineRun, points, k: int, terminated: bool) -> None:
-        time_ns = k * self.adaptive.termination_tau_ns
-        self.results[pipeline.id] = AdaptiveRunResult(
-            estimate=integrate_with_error(points),
-            windows=tuple(p.lam for p in points),
-            substages_by_window={p.lam: k for p in points},
-            simulated_ns=time_ns,
-            terminated_ns=time_ns if terminated else None,
-            checkpoint_values=tuple(self.checkpoint_values[pipeline.id]),
-        )
 
     def on_stage_complete(self, pipeline: PipelineRun, stage: Stage) -> StagePlan:
+        self._serve(pipeline)
         if stage.kind is not StageKind.PRODUCTION:
             return StagePlan.proceed()
-        k = self._substages.get(pipeline.id, 0) + 1
-        self._substages[pipeline.id] = k
+        values = self.checkpoint_values
+        k = len(values) + 1
         lams = sorted(stage.lambdas)
         # Only the samples up to this checkpoint are generated.
         lengths = {lam: k * self._spc for lam in lams}
         points = window_points(*self.sampler.window_means(lengths, stage.width, self.discard_fraction))
-        time_ns = k * self.adaptive.termination_tau_ns
-        values = self.checkpoint_values.setdefault(pipeline.id, [])
         values.append(trapezoid_integrate(points))
+        time_ns = k * self.adaptive.termination_tau_ns
 
         threshold = self.adaptive.termination_threshold
         if threshold > 0.0 and converged(
             values, threshold, self.adaptive.min_checkpoints_before_termination
         ):
-            self._record(pipeline, points, k, terminated=True)
-            return StagePlan.terminate(
-                f"converged at {time_ns:.1f} ns: last two estimates within {threshold}"
-            )
+            self._record(points, time_ns)
+            self.terminated_ns = time_ns
+            return StagePlan.terminate()
         if k < self.adaptive.production_substages:
             return StagePlan.append([self._production_stage(pipeline, stage, k + 1, lams)])
-        self._record(pipeline, points, k, terminated=False)
+        self._record(points, time_ns)
         return StagePlan.proceed()

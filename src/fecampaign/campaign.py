@@ -14,11 +14,7 @@ import zlib
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .adaptive import (
-    AdaptiveQuadratureEvaluator,
-    AdaptiveRunResult,
-    AdaptiveTerminationEvaluator,
-)
+from .adaptive import AdaptiveQuadratureEvaluator, AdaptiveTerminationEvaluator
 from .engine import CampaignOutcome, PilotConfig, run_campaign
 from .errors import CampaignError, ValidationError
 from .protocols import (
@@ -146,8 +142,8 @@ def run_system(
 ) -> SystemRunResult:
     """Run one system through the engine in the given mode.
 
-    Every mode attaches an evaluator, and the result is read from the
-    record it keeps when the pipeline's production ends: termination runs
+    Every mode attaches an evaluator to the run's one pipeline, and the
+    result is read from what it holds once production ends: termination runs
     use :class:`AdaptiveTerminationEvaluator`, all others
     :class:`AdaptiveQuadratureEvaluator`.
     """
@@ -167,12 +163,11 @@ def run_system(
         exc.run_label = run_label(system, mode)
         raise
 
-    result: AdaptiveRunResult = evaluator.results[graph.pipelines[0].id]
     return SystemRunResult(
-        system=system, mode=mode, estimate=result.estimate,
-        windows=result.windows, simulated_ns=result.simulated_ns,
-        outcome=outcome, terminated_ns=result.terminated_ns,
-        checkpoint_values=result.checkpoint_values,
+        system=system, mode=mode, estimate=evaluator.estimate,
+        windows=evaluator.windows, simulated_ns=evaluator.simulated_ns,
+        outcome=outcome, terminated_ns=evaluator.terminated_ns,
+        checkpoint_values=tuple(evaluator.checkpoint_values),
     )
 
 

@@ -148,7 +148,6 @@ class StagePlan:
 
     kind: PlanKind
     stages: tuple[Stage, ...] = ()
-    reason: str = ""
 
     @classmethod
     def proceed(cls) -> "StagePlan":
@@ -161,8 +160,8 @@ class StagePlan:
         return cls(PlanKind.APPEND, stages=tuple(stages))
 
     @classmethod
-    def terminate(cls, reason: str) -> "StagePlan":
-        return cls(PlanKind.TERMINATE, reason=reason)
+    def terminate(cls) -> "StagePlan":
+        return cls(PlanKind.TERMINATE)
 
 
 class Evaluator(Protocol):
@@ -429,7 +428,7 @@ class PipelineRun:
     id: str
     stages: list[Stage]
     cursor: int = 0
-    terminated_reason: str | None = None
+    terminated: bool = False
 
     def insert_stage(self, index: int, stage: Stage) -> None:
         self.stages.insert(index, stage)
@@ -441,36 +440,18 @@ class PipelineRun:
 
     @property
     def done(self) -> bool:
-        return self.terminated_reason is not None or self.cursor >= len(self.stages)
+        return self.terminated or self.cursor >= len(self.stages)
 
     def current_stage(self) -> Stage | None:
         if self.done:
             return None
         return self.stages[self.cursor]
 
-    def completed_stage_labels(self) -> list[str]:
-        return [s.label for s in self.stages[: self.cursor]]
-
-    def cancelled_stage_labels(self) -> list[str]:
-        if self.terminated_reason is None:
-            return []
-        return [s.label for s in self.stages[self.cursor:]]
-
-
-@dataclass(frozen=True)
-class PipelineSummary:
-    pipeline_id: str
-    completed_stages: tuple[str, ...]
-    cancelled_stages: tuple[str, ...]
-    windows: tuple[float, ...]
-    terminated_reason: str | None
-
 
 @dataclass(frozen=True)
 class CampaignOutcome:
     timeline: CampaignTimeline
     overheads: OverheadBreakdown
-    results: dict[str, PipelineSummary]
 
 
 def _validate_plan(plan: StagePlan, pipeline: PipelineRun) -> None:
@@ -658,7 +639,7 @@ def run_campaign(
                 for offset, new_stage in enumerate(plan.stages):
                     pl.insert_stage(pl.cursor + 1 + offset, new_stage)
             elif plan.kind is PlanKind.TERMINATE:
-                pl.terminated_reason = plan.reason or "terminated by evaluator"
+                pl.terminated = True
                 timeline.marks.append(
                     TimelineEvent(clock, "pipeline_terminated", "", pl.id, stage.label, gen.index)
                 )
@@ -670,18 +651,7 @@ def run_campaign(
 
     timeline.end_time_s = clock
     timeline.complete = True
-
-    results = {
-        pl.id: PipelineSummary(
-            pipeline_id=pl.id,
-            completed_stages=tuple(pl.completed_stage_labels()),
-            cancelled_stages=tuple(pl.cancelled_stage_labels()),
-            windows=pl.windows,
-            terminated_reason=pl.terminated_reason,
-        )
-        for pl in pipelines
-    }
-    return CampaignOutcome(timeline=timeline, overheads=measure_overheads(timeline), results=results)
+    return CampaignOutcome(timeline=timeline, overheads=measure_overheads(timeline))
 
 
 #: Task rows joined into one string, at most, when a timeline is written.

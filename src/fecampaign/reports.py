@@ -64,11 +64,13 @@ class ComparisonRow:
 def comparison_row(cmp: SystemComparison) -> ComparisonRow:
     """Reduce one three-run comparison to a report row.
 
-    Simulated task-execution time is proportional to the window count
-    (each window runs the same schedule on the same resources), so the
-    TTX decrease is computed from the window ratio.  The accuracy gain
-    is guarded: a non-adaptive run that already matches the reference
-    would divide by ~0, so the row reports 0 and carries a footnote.
+    ``decrease_in_ttx_pct`` is derived, not measured: the window ratio
+    ``100 * (1 - n / 13)``.  At 2,080 cores the engine measures the
+    adaptive arm slower (-14.6%; -38.1% on TYK2 L7-L8), at 640 cores
+    faster (+34.4 to +53.4%); ROADMAP item 2 adds the measured column.
+    The accuracy gain is guarded: a non-adaptive run that already matches
+    the reference would divide by ~0, so the row reports 0 and carries a
+    footnote.
     """
     n_err = cmp.nonadaptive_error
     a_err = cmp.adaptive_error

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from marks import mark_labels
 
 from fecampaign.adaptive import (
     AdaptiveQuadratureEvaluator,
@@ -13,7 +14,13 @@ from fecampaign.adaptive import (
 )
 from fecampaign.engine import PilotConfig, run_campaign
 from fecampaign.errors import ContractError, ValidationError
-from fecampaign.protocols import AdaptiveConfig, ProtocolKind, ScheduleMode, compile_protocol
+from fecampaign.protocols import (
+    AdaptiveConfig,
+    ProtocolKind,
+    ScheduleMode,
+    compile_protocol,
+    merge_graphs,
+)
 from fecampaign.synth import (
     ZERO_NOISE,
     GroundTruthCurve,
@@ -43,13 +50,13 @@ def probe_graph(cfg, replicas):
 def run_quadrature(system, cfg, seed=5, replicas=2):
     evaluator = AdaptiveQuadratureEvaluator(system, cfg, seed)
     run_campaign(probe_graph(cfg, replicas), PILOT, evaluator=evaluator, seed=seed)
-    return evaluator.results["probe"]
+    return evaluator
 
 
 def run_termination_probe(system, cfg, seed=5, replicas=2):
     evaluator = AdaptiveTerminationEvaluator(system, cfg, seed)
     outcome = run_campaign(probe_graph(cfg, replicas), PILOT, evaluator=evaluator, seed=seed)
-    return evaluator.results["probe"], outcome
+    return evaluator, outcome
 
 
 def test_samples_per_substage():
@@ -168,6 +175,17 @@ def test_curved_integrand_gains_midpoint_windows():
     assert all(1 <= result.substages_by_window[lam] < 4 for lam in added)
 
 
+def test_evaluator_serves_one_pipeline():
+    cfg = AdaptiveConfig(error_threshold_epsilon=0.05, **FAST_ADAPTIVE)
+    graph = merge_graphs([
+        compile_protocol(ProtocolKind.TIES, pid, 2, adaptive=cfg, mode=ScheduleMode.SCALING)
+        for pid in ("probe", "other")
+    ])
+    evaluator = AdaptiveQuadratureEvaluator(quiet_system(GroundTruthCurve.constant(1.0)), cfg, 5)
+    with pytest.raises(ContractError, match="serves pipeline probe, not other"):
+        run_campaign(graph, PILOT, evaluator=evaluator, seed=5)
+
+
 def test_window_cap_is_respected():
     system = quiet_system(GroundTruthCurve.quadratic())
     cfg = AdaptiveConfig(
@@ -206,10 +224,9 @@ def test_flat_system_terminates_at_first_allowed_checkpoint():
     assert result.terminated_ns == pytest.approx(1.0)
     assert result.simulated_ns == pytest.approx(1.0)
     assert len(result.checkpoint_values) == 2
-    summary = outcome.results["probe"]
-    assert summary.terminated_reason is not None
-    assert "converged" in summary.terminated_reason
-    assert summary.cancelled_stages
+    # the pipeline stops after the second production sub-stage: no S5 / S6 follows
+    assert mark_labels(outcome.timeline, "probe", "pipeline_terminated") == ["S4.2"]
+    assert mark_labels(outcome.timeline, "probe") == ["S1", "S2", "S3", "S4.1", "S4.2"]
 
 
 def test_drifting_system_terminates_later_on_tau_grid():
@@ -232,12 +249,13 @@ def test_zero_threshold_disables_early_termination():
     assert result.terminated_ns is None
     assert result.simulated_ns == pytest.approx(6.0)
     assert len(result.checkpoint_values) == 12
-    assert outcome.results["probe"].terminated_reason is None
+    assert mark_labels(outcome.timeline, "probe", "pipeline_terminated") == []
 
 
 def test_termination_estimate_uses_converged_horizon():
     system = quiet_system(GroundTruthCurve.linear(2.0, -1.0))
     result, _ = run_termination_probe(system, AdaptiveConfig(**TERM_CFG))
     assert result.windows == (0.0, 0.5, 1.0)
-    assert result.substages_by_window == {lam: 2 for lam in result.windows}
+    assert result.simulated_ns == pytest.approx(1.0)
+    assert len(result.checkpoint_values) == 2
     assert result.estimate.delta_g == pytest.approx(1.5, abs=1e-9)

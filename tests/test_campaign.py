@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from marks import mark_labels
 
 from fecampaign import config
 from fecampaign.campaign import (
@@ -68,7 +69,7 @@ def test_nonadaptive_mode_forces_13_uniform_windows():
     assert res.windows[0] == 0.0 and res.windows[-1] == 1.0
     assert res.estimate.delta_g == pytest.approx(analytic_integral(LINEAR.curve), abs=1e-9)
     assert res.simulated_ns == pytest.approx(0.1)  # 50k production timesteps
-    assert "probe-nonadaptive" in res.outcome.results
+    assert mark_labels(res.outcome.timeline, "probe-nonadaptive")
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.8])

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from marks import mark_labels
 
 from fecampaign.engine import (
     DurationModel,
@@ -230,30 +231,32 @@ class _OneShotEvaluator:
     def __init__(self, plan):
         self.plan = plan
         self.calls = []
+        self.pipeline = None  # the run state it was last handed
 
     def on_stage_complete(self, pipeline, stage):
         self.calls.append(stage.label)
+        self.pipeline = pipeline
         if len(self.calls) == 1:
             return self.plan
         return StagePlan.proceed()
 
 
 def test_evaluator_terminate_cancels_remaining_stages():
-    ev = _OneShotEvaluator(StagePlan.terminate("converged"))
+    ev = _OneShotEvaluator(StagePlan.terminate())
     outcome = run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
-    summary = outcome.results["two"]
-    assert summary.completed_stages == ("S1",)
-    assert summary.cancelled_stages == ("S2",)
-    assert summary.terminated_reason == "converged"
+    tl = outcome.timeline
+    assert mark_labels(tl, "two") == ["S1"]
+    # S2 is cancelled: the pipeline stops at S1 and no S2 task is launched
+    assert mark_labels(tl, "two", "pipeline_terminated") == ["S1"]
+    assert not any(task_id.startswith("two/S2/") for task_id in tl.task_records)
 
 
 def test_evaluator_append_inserts_and_runs_stage():
     extra = Stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
     ev = _OneShotEvaluator(StagePlan.append([extra]))
     outcome = run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
-    summary = outcome.results["two"]
-    assert summary.completed_stages == ("S1", "S1b", "S2")
-    assert 0.5 in summary.windows
+    assert mark_labels(outcome.timeline, "two") == ["S1", "S1b", "S2"]
+    assert 0.5 in ev.pipeline.windows
     assert "two/S1b/l0.500/r0" in outcome.timeline.task_records
 
 
@@ -262,8 +265,10 @@ class _ScriptedEvaluator:
 
     def __init__(self, *plans):
         self.plans = list(plans)
+        self.pipeline = None  # the run state it was last handed
 
     def on_stage_complete(self, pipeline, stage):
+        self.pipeline = pipeline
         return self.plans.pop(0) if self.plans else StagePlan.proceed()
 
 
@@ -283,9 +288,8 @@ def test_production_accepted_at_window_added_by_earlier_plan():
     prod = Stage("two", "S1c", StageKind.PRODUCTION, 1_000, 2, [0.5])
     ev = _ScriptedEvaluator(StagePlan.append([equil]), StagePlan.append([prod]))
     outcome = run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
-    summary = outcome.results["two"]
-    assert summary.completed_stages == ("S1", "S1b", "S1c", "S2")
-    assert summary.windows == (0.0, 0.5, 1.0)
+    assert mark_labels(outcome.timeline, "two") == ["S1", "S1b", "S1c", "S2"]
+    assert ev.pipeline.windows == (0.0, 0.5, 1.0)
 
 
 def test_plan_rejected_for_unseen_production_lambda():

@@ -141,7 +141,7 @@ class _AppendOrTerminate:
             )
             return StagePlan.append([extra])
         if stage.label == "S2" and i % 3 == 1:
-            return StagePlan.terminate("converged")
+            return StagePlan.terminate()
         return StagePlan.proceed()
 
 
