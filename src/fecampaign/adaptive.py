@@ -80,12 +80,13 @@ class SyntheticSampler:
     """Deterministic per-(window, replica) series, grown on demand up to a horizon.
 
     Each window keeps one block: its replicas' generators and a
-    ``(replicas x horizon)`` buffer, sized by the window's first request and
-    generated only as far as a caller reads it.  Growth continues the same
-    streams, so a window's early samples never change as its series grows
-    across sub-stages, regardless of when the window was created, and each
-    prefix is bit-identical to a one-shot series of that length.  Series
-    are read-only views of the buffers.
+    ``(replicas x horizon)`` buffer, sized by the window's first request,
+    allocated when the window first grows (new windows that grow together
+    share one array) and generated only as far as a caller reads it.
+    Growth continues the same streams, so a window's early samples never
+    change as its series grows across sub-stages, regardless of when the
+    window was created, and each prefix is bit-identical to a one-shot
+    series of that length.  Series are read-only views of the buffers.
     """
 
     def __init__(self, system: SyntheticSystem, seed: int, dt_ps: float, horizon_samples: int):
@@ -101,7 +102,9 @@ class SyntheticSampler:
     def _grow(self, requests: Iterable[tuple[float, int]], replicas: int) -> None:
         """Grow each ``lambda`` window's block, which must hold ``replicas`` streams, to its length.
 
-        Windows that grow by the same number of samples share one AR(1) pass.
+        Windows that grow by the same number of samples share one AR(1) pass;
+        when none of them holds samples yet, that pass writes straight into
+        their storage (:func:`~fecampaign.synth.grow_streams`).
         """
         batches: dict[int, list[NoiseBlock]] = {}
         for lam, n_samples in requests:

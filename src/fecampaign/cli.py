@@ -23,6 +23,7 @@ from . import reports
 from .campaign import (
     CampaignMode,
     RunOptions,
+    SystemRunResult,
     _slug,
     compare_system,
     run_label,
@@ -74,13 +75,25 @@ def _require_systems(cfg: CampaignConfig) -> None:
         raise ValidationError("config.systems must list at least one system")
 
 
+def _write_overheads(results: list[SystemRunResult], total_cores: int, out_dir: Path) -> None:
+    """``overheads.csv``: one row per system run, with its ``system`` and ``mode``."""
+    rows = []
+    for res in results:
+        run_id = f"{_slug(res.system.label)}-{res.mode.value.lower()}"
+        row = overhead_row(run_id, 1, total_cores, res.outcome.overheads)
+        row["system"] = res.system.label
+        row["mode"] = res.mode.value
+        rows.append(row)
+    write_overhead_csv(rows, out_dir / "overheads.csv", extra_columns=("system", "mode"))
+
+
 def run(args: argparse.Namespace) -> None:
     """Run every configured system in one campaign mode."""
     cfg, out_dir = _load(args)
     _require_systems(cfg)
     campaign_mode = cfg.mode if args.mode is None else CampaignMode(args.mode)
     opts = _options(cfg)
-    overhead_rows = []
+    results = []
     for system in cfg.systems:
         label = run_label(system, campaign_mode)
         with _partial_timeline(out_dir):
@@ -100,16 +113,12 @@ def run(args: argparse.Namespace) -> None:
             json.dumps(result, indent=2) + "\n", encoding="utf-8"
         )
         write_timeline_csv(res.outcome.timeline, out_dir / f"{label}_timeline.csv")
-        run_id = f"{_slug(system.label)}-{campaign_mode.value.lower()}"
-        row = overhead_row(run_id, 1, cfg.pilot.total_cores, res.outcome.overheads)
-        row["system"] = system.label
-        row["mode"] = campaign_mode.value
-        overhead_rows.append(row)
+        results.append(res)
         print(
             f"{system.label}: dG={res.estimate.delta_g:.4f} ({res.estimate.stderr:.4f}) "
             f"windows={res.n_windows} simulated={res.simulated_ns:.1f} ns"
         )
-    write_overhead_csv(overhead_rows, out_dir / "overheads.csv", extra_columns=("system", "mode"))
+    _write_overheads(results, cfg.pilot.total_cores, out_dir)
     print(f"wrote {len(cfg.systems)} result file(s) to {out_dir}")
 
 
@@ -145,10 +154,13 @@ def compare(args: argparse.Namespace) -> None:
     _require_systems(cfg)
     opts = _options(cfg)
     with _partial_timeline(out_dir):
-        rows = [reports.comparison_row(compare_system(s, opts)) for s in cfg.systems]
+        comparisons = [compare_system(s, opts) for s in cfg.systems]
+    rows = [reports.comparison_row(c) for c in comparisons]
     print(reports.render_comparison_table(rows))
     (out_dir / "comparison.csv").write_text(reports.comparison_csv(rows), encoding="utf-8")
-    print(f"wrote comparison.csv to {out_dir}")
+    arms = [res for c in comparisons for res in (c.reference, c.nonadaptive, c.adaptive)]
+    _write_overheads(arms, cfg.pilot.total_cores, out_dir)
+    print(f"wrote comparison.csv and overheads.csv to {out_dir}")
 
 
 def validate(args: argparse.Namespace) -> None:
@@ -166,10 +178,12 @@ def term_report(args: argparse.Namespace) -> None:
     _require_systems(cfg)
     opts = _options(cfg)
     with _partial_timeline(out_dir):
-        rows = [reports.termination_row(run_termination(s, opts)) for s in cfg.systems]
+        runs = [run_termination(s, opts) for s in cfg.systems]
+    rows = [reports.termination_row(r) for r in runs]
     print(reports.render_termination_table(rows))
     (out_dir / "termination.csv").write_text(reports.termination_csv(rows), encoding="utf-8")
-    print(f"wrote termination.csv to {out_dir}")
+    _write_overheads([r.result for r in runs], cfg.pilot.total_cores, out_dir)
+    print(f"wrote termination.csv and overheads.csv to {out_dir}")
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -35,8 +35,8 @@ TERMINATION_COLUMNS = ("system", "nonadaptive_ns", "adaptive_ns", "decrease_pct"
 
 VALIDATION_COLUMNS = (
     "system",
-    "calculated_ddg",
-    "calculated_err",
+    "quoted_calculated_ddg",
+    "quoted_calculated_err",
     "published_ddg",
     "published_err",
     "experiment_ddg",
@@ -111,7 +111,7 @@ def termination_row(res: TerminationRunResult) -> TerminationRow:
 
 @dataclass(frozen=True)
 class ValidationRow:
-    """Calculated vs published vs experimental relative binding strength."""
+    """Calculated (quoted) vs published vs experimental relative binding strength."""
 
     system: str
     calculated: tuple[float, float]
@@ -217,7 +217,7 @@ def termination_csv(rows: list[TerminationRow]) -> str:
 
 
 def render_validation_table(rows: tuple[ValidationRow, ...] = VALIDATION_ROWS) -> str:
-    headers = ("system", "calculated", "published", "experiment", "within error")
+    headers = ("system", "calculated (quoted)", "published", "experiment", "within error")
     body = [
         (
             r.system,

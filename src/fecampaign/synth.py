@@ -19,6 +19,8 @@ value, and runs the recurrence over the rows of every block it is given at
 once, one vectorised step per sample.  Every step rounds the product and
 the sum once, as a direct-form IIR filter does, so a series grown in any
 number of chunks is bit-identical to a one-shot series of the same length.
+A block's storage is allocated when it first grows; blocks that first grow
+together share one array, and their samples are drawn straight into it.
 :class:`fecampaign.adaptive.SyntheticSampler` is the one reader of these
 blocks: every series a campaign estimates from comes through it.
 """
@@ -158,13 +160,15 @@ ZERO_NOISE = NoiseModel()
 class NoiseBlock:
     """Growth state of one (campaign seed, lambda) window's replica series.
 
-    ``values`` holds one row of ``capacity`` samples per replica, final up
-    to ``fill``; ``level`` is f(lambda), ``rngs`` the replicas' generators
-    and ``last`` their AR(1) noise values at the last final sample.
+    ``values`` holds one row per replica, final up to ``fill``; it is empty
+    until the block first grows, and then ``capacity`` samples wide.
+    ``level`` is f(lambda), ``rngs`` the replicas' generators and ``last``
+    their AR(1) noise values at the last final sample.
     """
 
     level: float
     rngs: list[np.random.Generator]
+    capacity: int
     values: np.ndarray
     last: np.ndarray
     fill: int = 0
@@ -173,7 +177,10 @@ class NoiseBlock:
 def open_stream(
     level: float, lam: float, capacity: int, seed: int = 0, replicas: int = 1
 ) -> NoiseBlock:
-    """An empty block of ``replicas`` streams at window ``lam``, ``capacity`` samples each."""
+    """An empty block of ``replicas`` streams at window ``lam``, ``capacity`` samples each.
+
+    It holds no sample storage yet: :func:`grow_streams` allocates it.
+    """
     if not 0.0 <= lam <= 1.0:
         raise ContractError(f"lambda {lam} outside [0, 1]")
     if seed < 0 or replicas < 1:
@@ -181,7 +188,7 @@ def open_stream(
     # Entropy (campaign seed, lambda in milli-units, replica): stable across runs and processes.
     lam_milli = int(round(canonical_lambda(lam) * 1000))
     rngs = [np.random.default_rng([int(seed), lam_milli, r]) for r in range(replicas)]
-    return NoiseBlock(level, rngs, np.empty((replicas, capacity)), np.zeros(replicas))
+    return NoiseBlock(level, rngs, capacity, np.empty((replicas, 0)), np.zeros(replicas))
 
 
 def drift_curve(noise: NoiseModel, n_samples: int, dt_ps: float) -> np.ndarray:
@@ -199,20 +206,28 @@ def grow_streams(
     recurrence ``eps[t] = eta[t] + phi * eps[t-1]`` walks its time columns:
     one vectorised step per sample, whatever the number of streams, with
     local ufunc names, positional outputs and a 0-d ``phi`` to keep each
-    step's two calls cheap.  Draws fill one contiguous row per replica, and each block is
-    written back in two calls.  ``drift`` must cover every block's capacity.
+    step's two calls cheap.  Draws fill one contiguous row per replica.
+
+    When every block is still empty, ``eps`` is the first ``n_new`` columns
+    of one new ``(rows x capacity)`` array that the blocks keep as their
+    ``values``, and ``level + drift`` is added in place: each sample is
+    written once.  Otherwise ``eps`` is scratch and each block is written
+    back in two calls; a block that is still empty gets its own storage
+    then.  Either way a sample is ``fl(fl(level + drift) + eps)``, as IEEE
+    addition commutes.  ``drift`` must cover every block's capacity.
     """
     eta_sd = noise.sigma * math.sqrt(1.0 - noise.ar1_phi ** 2)
     rngs = [rng for block in blocks for rng in block.rngs]
+    fresh = all(block.fill == 0 for block in blocks)
+    width = max(block.capacity for block in blocks) if fresh else n_new
+    store = (np.empty if eta_sd > 0.0 else np.zeros)((len(rngs), width))
+    eps = store[:, :n_new]
     if eta_sd > 0.0:
-        eps = np.empty((len(rngs), n_new))
         for row, rng in zip(eps, rngs):
             rng.standard_normal(out=row)
         # The roundings of Generator.normal(0.0, eta_sd): loc + scale * z.
         eps *= eta_sd
         eps += 0.0
-    else:
-        eps = np.zeros((len(rngs), n_new))
     if noise.ar1_phi > 0.0:
         prev = np.concatenate([block.last for block in blocks])
         step = np.empty(len(rngs))
@@ -223,13 +238,20 @@ def grow_streams(
             prev = column
     top = 0
     for block in blocks:
-        rows = eps[top:top + len(block.rngs)]
-        top += len(block.rngs)
+        span = slice(top, top + len(block.rngs))
+        top = span.stop
+        rows = eps[span]
         lo, hi = block.fill, block.fill + n_new
+        block.fill, block.last = hi, rows[:, -1].copy()
+        if fresh:
+            rows += block.level + drift[:n_new]
+            block.values = store[span, :block.capacity]
+            continue
+        if lo == 0:
+            block.values = np.empty((len(block.rngs), block.capacity))
         segment = block.values[:, lo:hi]
         np.add(block.level, drift[lo:hi], out=segment)
         segment += rows
-        block.fill, block.last = hi, rows[:, -1].copy()
 
 
 def analytic_integral(curve: GroundTruthCurve) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from cli_invoke import invoke
 
-from fecampaign.campaign import CampaignMode
+from fecampaign.campaign import CampaignMode, _slug
 from fecampaign.config import CampaignConfig, SweepPlan, save_config
 from fecampaign.engine import PilotConfig
 from fecampaign.campaign import SweepRung
@@ -382,3 +382,28 @@ def test_compare_outputs(tmp_path):
     assert lines[1].split(",")[6] == "3"
     assert lines[1].endswith("*")
     assert "cost model" in result.output
+
+
+@pytest.mark.parametrize(
+    "command, config, modes",
+    [
+        ("compare", "compare.json", ["REFERENCE", "NONADAPTIVE", "ADAPTIVE_QUADRATURE"]),
+        ("term-report", "termination.json", ["ADAPTIVE_TERMINATION"]),
+    ],
+)
+def test_reports_write_one_overhead_row_per_system_run(tmp_path, command, config, modes):
+    # compare: 5 systems x 3 arms = 15 rows; term-report: 3 drift systems x 1 arm.
+    root = Path(__file__).resolve().parent.parent
+    cfg = json.loads((root / "configs" / config).read_text())
+    labels = [s["label"] for s in cfg["systems"]]
+    result = invoke(command, "--config", root / "configs" / config, "--out", tmp_path)
+    assert result.exit_code == 0, result.output
+    header, *rows = [line.split(",") for line in (tmp_path / "overheads.csv").read_text().splitlines()]
+    assert header[:3] == ["run_id", "system", "mode"]
+    assert len(rows) == {"compare": 15, "term-report": 3}[command]
+    assert [(r[1], r[2]) for r in rows] == [(label, mode) for label in labels for mode in modes]
+    for row in rows:
+        assert row[0] == f"{_slug(row[1])}-{row[2].lower()}"
+        assert row[4] == str(cfg["pilot"]["total_cores"])
+        ttx, framework, runtime, launch, ttc = map(float, row[5:])
+        assert ttc == pytest.approx(ttx + framework + runtime + launch, abs=3e-6)

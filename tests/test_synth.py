@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,42 @@ def test_chunked_growth_equals_one_shot_series():
     short = sampler.series(0.25, 1, 100)
     assert sampler.series(0.25, 1, 400).values.tobytes() == one_shot.values[1].tobytes()
     assert short.values.tobytes() == one_shot.values[1, :100].tobytes()
+
+
+def test_every_batch_kind_is_bit_identical_to_one_shot_series():
+    system = named_system("PTP1B L1-L2")
+    drift = drift_curve(system.noise, 600, 1.0)
+
+    def block(lam):
+        return open_stream(system.curve.evaluate(lam), lam, 600, seed=5, replicas=3)
+
+    a, b, c = block(0.25), block(0.5), block(0.75)
+    assert a.values.nbytes == 0  # no sample storage before the first growth
+    grow_streams(system.noise, [a, b], 200, drift)  # all new: one shared array
+    assert a.values.base is b.values.base
+    grow_streams(system.noise, [a, c], 150, drift)  # mixed: c is new beside a
+    grow_streams(system.noise, [a, b, c], 250, drift)  # continuing
+    for lam, blk, fill in ((0.25, a, 600), (0.5, b, 450), (0.75, c, 400)):
+        assert blk.values.shape == (3, 600) and blk.fill == fill
+        for replica, row in enumerate(blk.values[:, :fill]):
+            assert row.tobytes() == oracle_series(system, lam, fill, 5, replica).tobytes()
+
+
+def test_sampler_holds_each_sample_once():
+    # The dense reference ensemble: 65 uniform windows x 5 replicas x 4,000
+    # samples, 10.4 MB of stored samples.  Drawing them through a scratch
+    # block as large as the storage would peak at twice that.
+    system = named_system("PTP1B L1-L2")
+    sampler = SyntheticSampler(system, seed=1, dt_ps=1.0, horizon_samples=4000)
+    lengths = {lam: 4000 for lam in np.linspace(0.0, 1.0, 65)}
+    stored = 65 * 5 * 4000 * 8
+    tracemalloc.start()
+    try:
+        sampler.window_means(lengths, replicas=5, discard_fraction=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * stored, f"peak {peak / stored:.2f}x the stored samples"
 
 
 @pytest.mark.parametrize("replicas", [2, 5, 9])
