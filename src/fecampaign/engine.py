@@ -28,8 +28,9 @@ of blocks.  The engine stores one :class:`GenerationSummary` per wave and
 the few stage marks; task records and the event log are views derived
 from them when read.  One walk over the waves sets the event order and
 yields the task events as segments that share a time;
-``CampaignTimeline.events`` expands them into events and
-:func:`write_timeline_csv` into CSV rows.
+``CampaignTimeline.events`` expands them into events, and
+:func:`write_timeline_csv` joins each stage slice's rows from the id tails
+its stage shape shares, so writing holds no per-task id.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ class StagePlan:
 
     @classmethod
     def proceed(cls) -> "StagePlan":
-        return cls(PlanKind.CONTINUE)
+        return _CONTINUE
 
     @classmethod
     def append(cls, stages: Sequence[Stage]) -> "StagePlan":
@@ -162,6 +163,10 @@ class StagePlan:
     @classmethod
     def terminate(cls) -> "StagePlan":
         return cls(PlanKind.TERMINATE)
+
+
+#: The plan is frozen, so every completed stage that goes on shares one.
+_CONTINUE = StagePlan(PlanKind.CONTINUE)
 
 
 class Evaluator(Protocol):
@@ -654,49 +659,47 @@ def run_campaign(
     return CampaignOutcome(timeline=timeline, overheads=measure_overheads(timeline))
 
 
-#: Task rows joined into one string, at most, when a timeline is written.
-_CHUNK_ROWS = 4096
+#: Task rows after which a segment's pieces go to the file; stage slices
+#: are never cut, so the last one can carry the count past it.
+_FLUSH_ROWS = 4096
 
 
 def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
     """Write the event log with the stable column set.
 
-    Each task's ``task_id,pipeline_id,stage_label`` middle is formatted
-    once per stage, the first time the stage's tasks are written, and
-    dropped at the stage's ``stage_complete`` mark, so only the stages in
-    flight hold their middles.  A segment's rows are joined from those
-    middles a chunk of at most ``_CHUNK_ROWS`` at a time, across stage
-    slices and cutting through them, with the time of the segment
-    formatted once.  Pipeline ids and stage labels hold no character
+    A task row is ``<time>,<event>,<pipeline><tail>,<pipeline>,<label>,<gen>``
+    with the task's tail from its stage's shared ``id_tails``, so a stage
+    slice of a segment is one ``str.join`` of tails: no task id is formatted,
+    and the writer holds the shapes' tails and a segment's pieces up to
+    ``_FLUSH_ROWS`` rows.  Pipeline ids and stage labels hold no character
     ``csv`` would quote, so the bytes are those of ``csv.writer`` over
     ``events``; the campaign and stage marks go through ``csv``.
     """
-    middles: dict[tuple[str, str], list[str]] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TIMELINE_COLUMNS)
         for seg in _wave_walk(timeline):
             if isinstance(seg, TimelineEvent):
                 writer.writerow((f"{seg.time_s:.6f}", *seg[1:]))
-                if seg.event == "stage_complete":
-                    middles.pop((seg.pipeline_id, seg.stage_label), None)
                 continue
             time_s, event, parts, generation = seg
-            # "\r\n" is the line terminator of csv's default dialect
-            head, tail = f"{time_s:.6f},{event},", f",{generation}\r\n"
-            sep = tail + head
-            rows: list[str] = []
+            lead = f"{time_s:.6f},{event},"
+            pieces, held = [], 0
             for stage, indices in parts:
-                key = (stage.pipeline_id, stage.label)
-                mids = middles.get(key)
-                if mids is None:
-                    mids = middles[key] = stage.task_ids(range(stage.n_tasks), f",{key[0]},{key[1]}")
+                pid, tails = stage.pipeline_id, stage.id_tails
+                head = lead + pid
+                # "\r\n" is the line terminator of csv's default dialect
+                end = f",{pid},{stage.label},{generation}\r\n"
                 if isinstance(indices, range):
-                    rows += mids[indices.start:indices.stop]
+                    picked = tails[indices.start:indices.stop]
                 else:
-                    rows += [mids[i] for i in indices]
-            for lo in range(0, len(rows), _CHUNK_ROWS):
-                fh.writelines((head, sep.join(rows[lo:lo + _CHUNK_ROWS]), tail))
+                    picked = [tails[i] for i in indices]
+                pieces += (head, (end + head).join(picked), end)
+                held += len(picked)
+                if held >= _FLUSH_ROWS:
+                    fh.writelines(pieces)
+                    pieces, held = [], 0
+            fh.writelines(pieces)
 
 
 def overhead_row(

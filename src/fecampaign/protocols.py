@@ -65,6 +65,13 @@ def _window_grid(lambdas: tuple[float, ...]) -> tuple[tuple[float, ...], tuple[s
     return lams, tuple(f"l{lam:.3f}/r" for lam in lams)
 
 
+@lru_cache(maxsize=256)
+def _id_tails(label: str, marks: tuple[str, ...], width: int) -> tuple[str, ...]:
+    """``/<label>/<mark><i>`` for every task index of a stage shape; a task id
+    is its pipeline id followed by its tail, so pipelines share the tails."""
+    return tuple(f"/{label}/{mark}{i}" for mark in marks for i in range(width))
+
+
 @dataclass(frozen=True)
 class LambdaSchedule:
     """Sorted distinct lambda windows spanning [0, 1], 3-decimal canonical."""
@@ -152,9 +159,11 @@ class Stage:
     """A pipeline stage: a block of tasks that share kind, timesteps and cores.
 
     Task ``i`` is replica ``i % width`` at window ``lambdas[i // width]``, or
-    without ``lambdas`` replica (analysis: item) ``i``.  Its id is formatted
-    only when read: ``<pipeline>/<label>/`` then ``l<lambda:.3f>/r<replica>``,
-    ``r<replica>`` or ``a<item>``.
+    without ``lambdas`` replica (analysis: item) ``i``.  Its id is
+    ``<pipeline>`` then the tail ``/<label>/`` and ``l<lambda:.3f>/r<replica>``,
+    ``r<replica>`` or ``a<item>``.  The tails depend on the stage's shape
+    only (label, windows, width), so every pipeline's stage of one shape
+    shares one tuple of them and ids are joined only when read.
     """
 
     pipeline_id: str
@@ -184,12 +193,16 @@ class Stage:
     def n_tasks(self) -> int:
         return self.width * len(self._marks)
 
-    def task_ids(self, indices: Sequence[int], suffix: str = "") -> list[str]:
-        """Ids of the tasks at ``indices``, each followed by ``suffix``."""
-        heads = [f"{self.pipeline_id}/{self.label}/{mark}" for mark in self._marks]
-        width = self.width
-        tails = [f"{r}{suffix}" for r in range(width)]
-        return [heads[i // width] + tails[i % width] for i in indices]
+    @property
+    def id_tails(self) -> tuple[str, ...]:
+        """Per task index, the id after the pipeline id; built when first
+        read, so a run that writes no timeline builds none."""
+        return _id_tails(self.label, self._marks, self.width)
+
+    def task_ids(self, indices: Sequence[int]) -> list[str]:
+        """Ids of the tasks at ``indices``."""
+        pid, tails = self.pipeline_id, self.id_tails
+        return [pid + tails[i] for i in indices]
 
 
 @dataclass(frozen=True)
@@ -216,6 +229,10 @@ class WorkflowGraph:
     @property
     def n_tasks(self) -> int:
         return sum(s.n_tasks for p in self.pipelines for s in p.stages)
+
+
+#: TIES windows when no schedule is given; built once, as the schedule is frozen.
+_DEFAULT_TIES_SCHEDULE = LambdaSchedule.uniform(13)
 
 
 def compile_protocol(
@@ -254,7 +271,7 @@ def compile_protocol(
                     f"protocol {pipeline_id}: TIES takes a lambda schedule or an adaptive config, not both"
                 )
             lambda_schedule = adaptive.initial_lambdas
-        lams = (lambda_schedule or LambdaSchedule.uniform(13)).lambdas
+        lams = (lambda_schedule or _DEFAULT_TIES_SCHEDULE).lambdas
         analysis = [("S5", StageKind.ANALYSIS, replicas), ("S6", StageKind.GLOBAL_ANALYSIS, 1)]
     s1, s2, s3, s4 = _TIMESTEPS[mode]
     sim = [

@@ -26,7 +26,7 @@ COMPARISON_COLUMNS = (
     "adaptive_ddg",
     "adaptive_stderr",
     "n_lambda_windows",
-    "decrease_in_ttx_pct",
+    "window_ratio_decrease_pct",
     "increase_in_accuracy_pct",
     "accuracy_footnote",
 )
@@ -56,7 +56,7 @@ class ComparisonRow:
     adaptive_ddg: float
     adaptive_stderr: float
     n_lambda_windows: int
-    decrease_in_ttx_pct: float
+    window_ratio_decrease_pct: float
     increase_in_accuracy_pct: float
     degenerate_accuracy: bool = False
 
@@ -64,8 +64,8 @@ class ComparisonRow:
 def comparison_row(cmp: SystemComparison) -> ComparisonRow:
     """Reduce one three-run comparison to a report row.
 
-    ``decrease_in_ttx_pct`` is derived, not measured: the window ratio
-    ``100 * (1 - n / 13)``.  At 2,080 cores the engine measures the
+    ``window_ratio_decrease_pct`` is derived, not measured: the window
+    ratio ``100 * (1 - n / 13)``.  At 2,080 cores the engine measures the
     adaptive arm slower (-14.6%; -38.1% on TYK2 L7-L8), at 640 cores
     faster (+34.4 to +53.4%); ROADMAP item 2 adds the measured column.
     The accuracy gain is guarded: a non-adaptive run that already matches
@@ -86,7 +86,7 @@ def comparison_row(cmp: SystemComparison) -> ComparisonRow:
         adaptive_ddg=cmp.adaptive.estimate.delta_g,
         adaptive_stderr=cmp.adaptive.estimate.stderr,
         n_lambda_windows=windows,
-        decrease_in_ttx_pct=decrease,
+        window_ratio_decrease_pct=decrease,
         increase_in_accuracy_pct=increase,
         degenerate_accuracy=degenerate,
     )
@@ -158,7 +158,7 @@ def _aligned(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
 def render_comparison_table(rows: list[ComparisonRow]) -> str:
     headers = (
         "system", "ref dG", "non-adaptive dG (err)", "adaptive dG (err)",
-        "windows", "TTX decrease %", "accuracy increase %",
+        "windows", "window-ratio decrease %", "accuracy increase %",
     )
     body = []
     for r in rows:
@@ -169,7 +169,7 @@ def render_comparison_table(rows: list[ComparisonRow]) -> str:
             _pm(r.nonadaptive_ddg, r.nonadaptive_stderr),
             _pm(r.adaptive_ddg, r.adaptive_stderr),
             str(r.n_lambda_windows),
-            f"{r.decrease_in_ttx_pct:.1f}",
+            f"{r.window_ratio_decrease_pct:.1f}",
             f"{r.increase_in_accuracy_pct:.1f}{mark}",
         ))
     text = _aligned(headers, body)
@@ -190,7 +190,7 @@ def comparison_csv(rows: list[ComparisonRow]) -> str:
             _fmt(r.adaptive_ddg, 6),
             _fmt(r.adaptive_stderr, 6),
             str(r.n_lambda_windows),
-            _fmt(r.decrease_in_ttx_pct, 3),
+            _fmt(r.window_ratio_decrease_pct, 3),
             _fmt(r.increase_in_accuracy_pct, 3),
             DEGENERATE_MARK if r.degenerate_accuracy else "",
         )))

@@ -87,8 +87,8 @@ def test_adaptive_arm_is_slower_on_the_bundled_pilot(compare_pass):
         measured = measured_ttx_decrease_pct(cmp)
         assert measured < 0.0, (
             f"{cmp.system.label}: the engine measures a {measured:+.1f}% TTX decrease at "
-            f"2,080 cores; comparison.csv's decrease_in_ttx_pct prints "
-            f"{comparison_row(cmp).decrease_in_ttx_pct:+.1f}%, the window ratio, not this measurement"
+            f"2,080 cores; comparison.csv's window_ratio_decrease_pct prints "
+            f"{comparison_row(cmp).window_ratio_decrease_pct:+.1f}%, the window ratio, not this measurement"
         )
 
 

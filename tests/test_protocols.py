@@ -163,6 +163,17 @@ def test_stages_on_equal_lambdas_share_one_grid():
     assert b.task_ids([0, 5]) == ["q/S1/l0.000/r0", "q/S1/l1.000/r1"]
 
 
+def test_stages_of_one_shape_share_id_tails():
+    (a,) = compile_protocol(TIES, "p", 5).pipelines
+    (b,) = compile_protocol(TIES, "q", 5).pipelines
+    for sa, sb in zip(a.stages, b.stages):
+        assert sb.id_tails is sa.id_tails
+        assert len(sa.id_tails) == sa.n_tasks
+        assert sb.task_ids(range(sb.n_tasks)) == ["q" + tail for tail in sb.id_tails]
+    assert a.stages[0].id_tails[6] == "/S1/l0.083/r1"
+    assert b.stages[0].task_ids([6]) == ["q/S1/l0.083/r1"]
+
+
 def test_compiled_esmacs_is_lambda_free():
     graph = compile_protocol(ESMACS, "e0", 25, mode=ScheduleMode.SCALING)
     (pipe,) = graph.pipelines

@@ -53,15 +53,15 @@ def stub_comparison(ref_dg, non_dg, adp_dg, n_windows):
 def test_comparison_row_window_ratio_and_accuracy():
     row = comparison_row(stub_comparison(ref_dg=1.0, non_dg=1.5, adp_dg=1.1, n_windows=9))
     assert row.n_lambda_windows == 9
-    assert row.decrease_in_ttx_pct == pytest.approx(100.0 * (1.0 - 9 / 13))
+    assert row.window_ratio_decrease_pct == pytest.approx(100.0 * (1.0 - 9 / 13))
     assert row.increase_in_accuracy_pct == pytest.approx(80.0)
     assert not row.degenerate_accuracy
 
 
 def test_comparison_row_grown_window_set_gives_negative_decrease():
     row = comparison_row(stub_comparison(1.0, 1.5, 1.2, n_windows=14))
-    assert row.decrease_in_ttx_pct == pytest.approx(100.0 * (1.0 - 14 / 13))
-    assert row.decrease_in_ttx_pct < 0.0
+    assert row.window_ratio_decrease_pct == pytest.approx(100.0 * (1.0 - 14 / 13))
+    assert row.window_ratio_decrease_pct < 0.0
 
 
 def test_comparison_row_degenerate_guard():

@@ -7,14 +7,15 @@ evaluator that terminates pipelines, event times that tie across waves,
 waves that cut stages while an evaluator appends and terminates, and each
 way a campaign aborts with a partial timeline.
 
-The writer assembles rows as text; an oracle test holds its bytes equal to
-``csv.writer`` over the rendered events for every case.  Ids and labels
-that ``csv`` would quote are rejected when a stage is built.
+The writer assembles rows as text from each stage shape's id tails.  An
+oracle test holds its bytes equal to ``csv.writer`` for every case, both
+over the rendered events and over events built per task and sorted by
+time (``timeline_oracle``), which shares no code with the engine's walk.
+Ids and labels that ``csv`` would quote are rejected when a stage is built.
 """
 
 import csv
 import hashlib
-import io
 import tracemalloc
 
 import pytest
@@ -22,7 +23,6 @@ import pytest
 from fecampaign.campaign import CampaignMode, RunOptions, SweepRung, run_sweep, run_system
 from fecampaign import engine
 from fecampaign.engine import (
-    TIMELINE_COLUMNS,
     OverheadModel,
     PilotConfig,
     StagePlan,
@@ -42,6 +42,7 @@ from fecampaign.protocols import (
     merge_graphs,
 )
 from fecampaign.synth import ZERO_NOISE, GroundTruthCurve, SyntheticSystem
+from timeline_oracle import csv_bytes, oracle_events
 
 
 def _ties(name, stages, replicas=5, n_windows=13):
@@ -217,26 +218,19 @@ def test_timeline_matches_frozen_digest(case, tmp_path):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-def _csv_oracle(timeline) -> bytes:
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(TIMELINE_COLUMNS)
-    for ev in list(timeline.events):
-        writer.writerow(
-            [f"{ev.time_s:.6f}", ev.event, ev.task_id, ev.pipeline_id, ev.stage_label, ev.generation]
-        )
-    return buf.getvalue().encode()
-
-
-@pytest.mark.parametrize("chunk_rows", [engine._CHUNK_ROWS, 7])
+@pytest.mark.parametrize("flush_rows", [engine._FLUSH_ROWS, 7])
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_writer_matches_csv_over_events(case, chunk_rows, tmp_path, monkeypatch):
-    # A chunk of 7 rows puts chunk boundaries inside every wave.
-    monkeypatch.setattr(engine, "_CHUNK_ROWS", chunk_rows)
+def test_writer_matches_csv_over_events(case, flush_rows, tmp_path, monkeypatch):
+    # A bound of 7 rows hands nearly every stage slice to the file on its own.
+    monkeypatch.setattr(engine, "_FLUSH_ROWS", flush_rows)
     timeline = GOLDEN[case][0]()
     path = tmp_path / "timeline.csv"
     write_timeline_csv(timeline, path)
-    assert path.read_bytes() == _csv_oracle(timeline)
+    data = path.read_bytes()
+    assert data == csv_bytes(timeline.events)
+    # The per-task oracle shares no code with the wave walk, so an ordering
+    # bug in the walk fails here, not only against the frozen digests.
+    assert data == csv_bytes(oracle_events(timeline))
 
 
 def test_reentry_case_resumes_part_launched_stages():
@@ -252,11 +246,11 @@ def test_reentry_case_resumes_part_launched_stages():
     assert any(nxt[0] < prev[-1] and prev[-1] in nxt for prev, nxt in zip(waves, waves[1:]))
 
 
-def test_writer_holds_ids_only_for_stages_in_flight(tmp_path):
+def test_writer_holds_no_per_task_ids(tmp_path):
     # Weak P=256 TIES: 4 waves of 16,640 tasks, one stage per pipeline and
-    # wave.  The write peaks at one wave's "id,pipeline,label" middles
-    # (about 1.6 MB) plus one chunk of rows, 2.5 MB in all; a writer that
-    # kept every stage's middles reads over 7 MB by the last wave.
+    # wave, in 4 stage shapes.  The writer holds the shapes' id tails and at
+    # most a flush bound of rows (0.5 MB in all); one that held a wave's
+    # per-task "id,pipeline,label" strings read 2.5 MB.
     pilot = PilotConfig(total_cores=2_080, failure_probability_over_cap=0.0)
     [rung] = run_sweep("WEAK", [SweepRung(256, 256 * 2_080)], ProtocolKind.TIES, "x", pilot, seed=1)
     timeline = rung.outcome.timeline
@@ -272,8 +266,8 @@ def test_writer_holds_ids_only_for_stages_in_flight(tmp_path):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert path.read_bytes() == _csv_oracle(timeline)
-    assert peak < 3_500_000
+    assert path.read_bytes() == csv_bytes(oracle_events(timeline))
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
