@@ -8,6 +8,8 @@ both byte for byte.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 from .campaign import NONADAPTIVE_WINDOWS, SystemComparison, TerminationRunResult
@@ -67,7 +69,7 @@ def comparison_row(cmp: SystemComparison) -> ComparisonRow:
     ``window_ratio_decrease_pct`` is derived, not measured: the window
     ratio ``100 * (1 - n / 13)``.  At 2,080 cores the engine measures the
     adaptive arm slower (-14.6%; -38.1% on TYK2 L7-L8), at 640 cores
-    faster (+34.4 to +53.4%); ROADMAP item 2 adds the measured column.
+    faster (+34.4 to +53.4%); ROADMAP item 1 adds the measured column.
     The accuracy gain is guarded: a non-adaptive run that already matches
     the reference would divide by ~0, so the row reports 0 and carries a
     footnote.
@@ -155,6 +157,13 @@ def _aligned(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
     return "\n".join(out)
 
 
+def _csv(header: tuple[str, ...], rows) -> str:
+    """Header and rows as CSV, fields quoted as ``csv`` does (a label may hold a comma)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows((header, *rows))
+    return buf.getvalue()
+
+
 def render_comparison_table(rows: list[ComparisonRow]) -> str:
     headers = (
         "system", "ref dG", "non-adaptive dG (err)", "adaptive dG (err)",
@@ -180,9 +189,8 @@ def render_comparison_table(rows: list[ComparisonRow]) -> str:
 
 
 def comparison_csv(rows: list[ComparisonRow]) -> str:
-    lines = [",".join(COMPARISON_COLUMNS)]
-    for r in rows:
-        lines.append(",".join((
+    return _csv(COMPARISON_COLUMNS, (
+        (
             r.system,
             _fmt(r.ref_ddg, 6),
             _fmt(r.nonadaptive_ddg, 6),
@@ -193,8 +201,9 @@ def comparison_csv(rows: list[ComparisonRow]) -> str:
             _fmt(r.window_ratio_decrease_pct, 3),
             _fmt(r.increase_in_accuracy_pct, 3),
             DEGENERATE_MARK if r.degenerate_accuracy else "",
-        )))
-    return "\n".join(lines) + "\n"
+        )
+        for r in rows
+    ))
 
 
 def render_termination_table(rows: list[TerminationRow]) -> str:
@@ -207,13 +216,10 @@ def render_termination_table(rows: list[TerminationRow]) -> str:
 
 
 def termination_csv(rows: list[TerminationRow]) -> str:
-    lines = [",".join(TERMINATION_COLUMNS)]
-    for r in rows:
-        lines.append(",".join((
-            r.system, _fmt(r.nonadaptive_ns, 3), _fmt(r.adaptive_ns, 3),
-            _fmt(r.decrease_pct, 3),
-        )))
-    return "\n".join(lines) + "\n"
+    return _csv(TERMINATION_COLUMNS, (
+        (r.system, _fmt(r.nonadaptive_ns, 3), _fmt(r.adaptive_ns, 3), _fmt(r.decrease_pct, 3))
+        for r in rows
+    ))
 
 
 def render_validation_table(rows: tuple[ValidationRow, ...] = VALIDATION_ROWS) -> str:
@@ -232,13 +238,13 @@ def render_validation_table(rows: tuple[ValidationRow, ...] = VALIDATION_ROWS) -
 
 
 def validation_csv(rows: tuple[ValidationRow, ...] = VALIDATION_ROWS) -> str:
-    lines = [",".join(VALIDATION_COLUMNS)]
-    for r in rows:
-        lines.append(",".join((
+    return _csv(VALIDATION_COLUMNS, (
+        (
             r.system,
             _fmt(r.calculated[0], 2), _fmt(r.calculated[1], 2),
             _fmt(r.published[0], 2), _fmt(r.published[1], 2),
             _fmt(r.experiment[0], 2), _fmt(r.experiment[1], 2),
             "true" if r.within_error else "false",
-        )))
-    return "\n".join(lines) + "\n"
+        )
+        for r in rows
+    ))

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-import fecampaign  # noqa: F401  (loads every module the tracer patches)
+# cli imports the nine layers perfbench/tracer.py patches, as perfbench/run.py's
+# own imports do.
 from fecampaign import cli
 from fecampaign.config import load_config
 

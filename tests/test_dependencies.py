@@ -54,15 +54,29 @@ def test_every_declared_dependency_is_imported():
     assert not unused, f"declared in pyproject.toml but never imported: {sorted(unused)}"
 
 
-@pytest.mark.parametrize("package", ["scipy", "click"])
-def test_cli_import_does_not_load(package):
+def loaded_after(module: str, *tops: str) -> list[str]:
+    """Modules under ``tops`` in ``sys.modules`` after a fresh interpreter imports ``module``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     probe = (
-        "import sys, fecampaign.cli; "
-        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+        f"import sys, {module}; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {tops!r}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    return ast.literal_eval(proc.stdout.strip())
+
+
+@pytest.mark.parametrize("package", ["scipy", "click"])
+def test_cli_import_does_not_load(package):
+    assert loaded_after("fecampaign.cli", package) == []
+
+
+def test_package_import_loads_only_what_the_module_imports():
+    # The package re-exports nothing: `import fecampaign` loads no module of
+    # its own and no numpy, and one module loads only its own imports.
+    assert loaded_after("fecampaign", "fecampaign", "numpy") == ["fecampaign"]
+    assert loaded_after("fecampaign.quadrature", "fecampaign") == [
+        "fecampaign", "fecampaign.errors", "fecampaign.quadrature",
+    ]

@@ -1,3 +1,6 @@
+import csv
+from dataclasses import replace
+
 import pytest
 
 from fecampaign.campaign import (
@@ -121,6 +124,22 @@ def test_termination_row_and_csv():
     assert text.splitlines()[1] == "PTP1B L1-L2,6.000,4.500,25.000"
     rendered = render_termination_table([row])
     assert "25.0" in rendered
+
+
+def test_csv_quotes_a_label_that_needs_it():
+    label = 'PTP1B L1-L2, pose "b"'
+    comparison = replace(comparison_row(stub_comparison(1.0, 1.5, 1.1, 9)), system=label)
+    termination = replace(termination_row(TerminationRunResult(
+        system=SYSTEM, nonadaptive_ns=6.0, adaptive_ns=4.5, decrease_pct=25.0, result=None,
+    )), system=label)
+    for header, text in (
+        (COMPARISON_COLUMNS, comparison_csv([comparison, comparison])),
+        (TERMINATION_COLUMNS, termination_csv([termination])),
+    ):
+        table = list(csv.reader(text.splitlines()))
+        assert table[0] == list(header)
+        assert all(len(row) == len(header) for row in table)
+        assert [row[0] for row in table[1:]] == [label] * (len(table) - 1)
 
 
 def test_validation_rows_are_mutually_consistent():
