@@ -49,13 +49,22 @@ def _partial_timeline(out_dir: Path, stem: str | None = None):
         raise
 
 
+def _out_dir(path: str, name: str) -> Path:
+    """Create the output directory; a file in its way is a usage error naming ``name``."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValidationError(f"{name} {path!r} is not a directory") from exc
+    return out_dir
+
+
 def _load(args: argparse.Namespace) -> tuple[CampaignConfig, Path]:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    out_dir = Path(args.out) if args.out is not None else Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, out_dir
+    out, name = (args.out, "--out") if args.out is not None else (cfg.output_dir, "config.output_dir")
+    return cfg, _out_dir(out, name)
 
 
 def _options(cfg: CampaignConfig) -> RunOptions:
@@ -165,8 +174,7 @@ def compare(args: argparse.Namespace) -> None:
 
 def validate(args: argparse.Namespace) -> None:
     """Render the bundled ligand-transformation validation table."""
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out, "--out")
     print(reports.render_validation_table())
     (out_dir / "validation.csv").write_text(reports.validation_csv(), encoding="utf-8")
     print(f"wrote validation.csv to {out_dir}")

@@ -659,9 +659,10 @@ def run_campaign(
     return CampaignOutcome(timeline=timeline, overheads=measure_overheads(timeline))
 
 
-#: Task rows after which a segment's pieces go to the file; stage slices
-#: are never cut, so the last one can carry the count past it.
-_FLUSH_ROWS = 4096
+#: Rows per write to the file, held three times over while it is made (as
+#: pieces, joined text and bytes).  Stage slices are never cut, so the last
+#: one can carry the count past it.
+_FLUSH_ROWS = 2048
 
 
 def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
@@ -669,37 +670,42 @@ def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
 
     A task row is ``<time>,<event>,<pipeline><tail>,<pipeline>,<label>,<gen>``
     with the task's tail from its stage's shared ``id_tails``, so a stage
-    slice of a segment is one ``str.join`` of tails: no task id is formatted,
-    and the writer holds the shapes' tails and a segment's pieces up to
-    ``_FLUSH_ROWS`` rows.  Pipeline ids and stage labels hold no character
-    ``csv`` would quote, so the bytes are those of ``csv.writer`` over
-    ``events``; the campaign and stage marks go through ``csv``.
+    slice of a segment is one ``str.join`` of tails: no task id is formatted.
+    The header and the marks are text rows too: ``protocols._check_name``
+    rejects what ``csv`` would quote in ids and labels, so the bytes are
+    those of ``csv.writer`` over ``events``.  Rows, marks included, collect
+    across segments and go to the file as one string per ``_FLUSH_ROWS``, so
+    the writer holds the shapes' tails and at most a flush.
     """
+    # "\r\n" is the line terminator of csv's default dialect
+    pieces, held = [",".join(TIMELINE_COLUMNS) + "\r\n"], 1
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMELINE_COLUMNS)
-        for seg in _wave_walk(timeline):
-            if isinstance(seg, TimelineEvent):
-                writer.writerow((f"{seg.time_s:.6f}", *seg[1:]))
-                continue
-            time_s, event, parts, generation = seg
-            lead = f"{time_s:.6f},{event},"
-            pieces, held = [], 0
-            for stage, indices in parts:
-                pid, tails = stage.pipeline_id, stage.id_tails
-                head = lead + pid
-                # "\r\n" is the line terminator of csv's default dialect
-                end = f",{pid},{stage.label},{generation}\r\n"
-                if isinstance(indices, range):
-                    picked = tails[indices.start:indices.stop]
-                else:
-                    picked = [tails[i] for i in indices]
-                pieces += (head, (end + head).join(picked), end)
-                held += len(picked)
-                if held >= _FLUSH_ROWS:
-                    fh.writelines(pieces)
-                    pieces, held = [], 0
-            fh.writelines(pieces)
+        for rows, more in _row_pieces(timeline):
+            pieces += more
+            held += rows
+            if held >= _FLUSH_ROWS:
+                fh.write("".join(pieces))
+                pieces, held = [], 0
+        fh.write("".join(pieces))
+
+
+def _row_pieces(timeline: CampaignTimeline) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Each mark's row, and each stage slice's rows as three pieces, with their row counts."""
+    for seg in _wave_walk(timeline):
+        if isinstance(seg, TimelineEvent):
+            yield 1, ("{:.6f},{},{},{},{},{}\r\n".format(*seg),)
+            continue
+        time_s, event, parts, generation = seg
+        lead = f"{time_s:.6f},{event},"
+        for stage, indices in parts:
+            pid, tails = stage.pipeline_id, stage.id_tails
+            head = lead + pid
+            end = f",{pid},{stage.label},{generation}\r\n"
+            if isinstance(indices, range):
+                picked = tails[indices.start:indices.stop]
+            else:
+                picked = [tails[i] for i in indices]
+            yield len(picked), (head, (end + head).join(picked), end)
 
 
 def overhead_row(

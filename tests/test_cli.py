@@ -171,6 +171,29 @@ def test_missing_config_file_is_a_config_error(tmp_path):
     assert "error:" in result.stderr
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_out_that_is_a_file_is_a_usage_error(tmp_path, command, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if below else blocker
+    config = ("--config", write_config(tmp_path)) if command == "run" else ()
+    result = invoke(command, *config, "--out", out)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.stderr
+    assert f"error: --out {str(out)!r} is not a directory" in result.stderr
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_config_output_dir_that_is_a_file_is_a_config_error(tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    result = invoke("run", "--config", write_config(tmp_path, output_dir=str(blocker)))
+    assert result.exit_code == 2
+    assert "Traceback" not in result.stderr
+    assert f"error: config.output_dir {str(blocker)!r} is not a directory" in result.stderr
+
+
 def test_invalid_config_field_is_named_on_stderr(tmp_path):
     cfg_path = write_config(tmp_path)
     obj = json.loads(cfg_path.read_text())

@@ -16,6 +16,8 @@ Ids and labels that ``csv`` would quote are rejected when a stage is built.
 
 import csv
 import hashlib
+import io
+import math
 import tracemalloc
 
 import pytest
@@ -218,10 +220,12 @@ def test_timeline_matches_frozen_digest(case, tmp_path):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-@pytest.mark.parametrize("flush_rows", [engine._FLUSH_ROWS, 7])
+@pytest.mark.parametrize("flush_rows", [4096, engine._FLUSH_ROWS, 7, 1])
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_writer_matches_csv_over_events(case, flush_rows, tmp_path, monkeypatch):
-    # A bound of 7 rows hands nearly every stage slice to the file on its own.
+    # Besides the default, a bound of 4,096 rows (twice it) writes most
+    # cases in one flush, 7 hands nearly every stage slice to the file on
+    # its own, and 1 hands every one, so each mark falls between flushes.
     monkeypatch.setattr(engine, "_FLUSH_ROWS", flush_rows)
     timeline = GOLDEN[case][0]()
     path = tmp_path / "timeline.csv"
@@ -246,14 +250,41 @@ def test_reentry_case_resumes_part_launched_stages():
     assert any(nxt[0] < prev[-1] and prev[-1] in nxt for prev, nxt in zip(waves, waves[1:]))
 
 
-def test_writer_holds_no_per_task_ids(tmp_path):
-    # Weak P=256 TIES: 4 waves of 16,640 tasks, one stage per pipeline and
-    # wave, in 4 stage shapes.  The writer holds the shapes' id tails and at
-    # most a flush bound of rows (0.5 MB in all); one that held a wave's
-    # per-task "id,pipeline,label" strings read 2.5 MB.
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_each_write_holds_at_most_a_flush(case, monkeypatch):
+    # Marks count as rows, so a barrier's stage marks do not pile up until
+    # the next stage slice: a write holds under the bound plus one slice.
+    monkeypatch.setattr(engine, "_FLUSH_ROWS", 3)
+    writes = []
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(engine, "open", lambda *args, **kwargs: Sink(), raising=False)
+    timeline = GOLDEN[case][0]()
+    write_timeline_csv(timeline, "timeline.csv")
+    assert "".join(writes).encode() == csv_bytes(oracle_events(timeline))
+    waves = timeline.generations + [timeline.aborted_wave] * (timeline.aborted_wave is not None)
+    widest = max(len(s.indices) for gen in waves for s in gen.slices)
+    assert max(text.count("\n") for text in writes) <= 3 - 1 + widest
+
+
+@pytest.fixture(scope="module")
+def weak256():
+    """Weak P=256 TIES: 4 waves of 16,640 tasks, one stage per pipeline and
+    wave, in 4 stage shapes; 12.99 MB of timeline."""
     pilot = PilotConfig(total_cores=2_080, failure_probability_over_cap=0.0)
     [rung] = run_sweep("WEAK", [SweepRung(256, 256 * 2_080)], ProtocolKind.TIES, "x", pilot, seed=1)
-    timeline = rung.outcome.timeline
+    return rung.outcome.timeline
+
+
+def test_writer_holds_no_per_task_ids(weak256, tmp_path):
+    # The writer holds the shapes' id tails, at most a flush bound of rows
+    # and, while it writes them, their joined text and its bytes (0.45 MB
+    # in all); one that held a wave's per-task "id,pipeline,label" strings
+    # read 2.5 MB.
     path = tmp_path / "timeline.csv"
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -261,13 +292,39 @@ def test_writer_holds_no_per_task_ids(tmp_path):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        write_timeline_csv(timeline, path)
+        write_timeline_csv(weak256, path)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert path.read_bytes() == csv_bytes(oracle_events(timeline))
+    assert path.read_bytes() == csv_bytes(oracle_events(weak256))
     assert peak < 1_000_000
+
+
+class _CountingFileIO(io.FileIO):
+    writes = 0
+
+    def write(self, data):
+        _CountingFileIO.writes += 1
+        return super().write(data)
+
+
+def test_writer_makes_one_write_per_flush(weak256, tmp_path, monkeypatch):
+    # Each flush is one string handed to the file, so the writes that reach
+    # it are the flushes, not one per buffer's worth (2,833 here when the
+    # pieces went through ``writelines``).
+    def spy_open(path, mode, encoding, newline):
+        assert mode == "w"
+        raw = _CountingFileIO(path, "w")
+        return io.TextIOWrapper(io.BufferedWriter(raw), encoding=encoding, newline=newline)
+
+    monkeypatch.setattr(engine, "open", spy_open, raising=False)
+    monkeypatch.setattr(_CountingFileIO, "writes", 0)
+    path = tmp_path / "timeline.csv"
+    write_timeline_csv(weak256, path)
+    rows = 1 + len(weak256.events)
+    assert 0 < _CountingFileIO.writes <= math.ceil(rows / engine._FLUSH_ROWS) + 2
+    assert path.read_bytes() == csv_bytes(oracle_events(weak256))
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
