@@ -194,7 +194,7 @@ def load_config(path: str | Path) -> CampaignConfig:
         obj = json.loads(p.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"config {p}: {exc}") from None
-    except ValueError as exc:  # not UTF-8, malformed, or an integer too long to parse
+    except (ValueError, RecursionError) as exc:  # not UTF-8, malformed, nested too deep, or a huge int
         raise ValidationError(f"config {p}: invalid JSON: {exc}") from None
     return config_from_dict(obj, "config")
 

@@ -26,7 +26,9 @@ equals the virtual clock at the final event.
 A task is an index into its stage's block, and a wave a list of slices
 of blocks.  The engine stores one :class:`GenerationSummary` per wave and
 the few stage marks; task records and the event log are views derived
-from them when read.  One walk over the waves sets the event order and
+from them when read.  The timeline caches its task-record view, which
+holds the waves and never the timeline, so a timeline is freed when its
+last reference goes.  One walk over the waves sets the event order and
 yields the task events as segments that share a time;
 ``CampaignTimeline.events`` expands them into events, and
 :func:`write_timeline_csv` joins each stage slice's rows from the id tails
@@ -318,11 +320,13 @@ class TimelineEvents:
 
 class TaskRecords(Mapping):
     """Read-only view of a timeline's launched tasks by id, in submit order;
-    ``len`` adds up wave widths, the records are built when first read."""
+    ``len`` adds up wave widths, the records are built when first read.  It
+    holds the waves, never the timeline, so the timeline that caches it is
+    freed when its last reference goes."""
 
     def __init__(self, timeline: "CampaignTimeline"):
-        tl = self._timeline = timeline
-        self._waves = tl.generations + ([tl.aborted_wave] if tl.aborted_wave is not None else [])
+        self._aborted = timeline.aborted_wave
+        self._waves = timeline.generations + ([self._aborted] if self._aborted is not None else [])
 
     def __len__(self) -> int:
         return sum(gen.width for gen in self._waves if not gen.is_retry)
@@ -337,7 +341,7 @@ class TaskRecords(Mapping):
     def _records(self) -> dict[str, TaskRecord]:
         records: dict[str, TaskRecord] = {}
         for gen in self._waves:
-            ran = gen is not self._timeline.aborted_wave
+            ran = gen is not self._aborted
             for s in gen.slices:
                 failed = set(s.failed)
                 for i, task_id in zip(s.indices, s.stage.task_ids(s.indices)):
@@ -381,7 +385,8 @@ class CampaignTimeline:
 
     @cached_property
     def task_records(self) -> TaskRecords:
-        """Built once, on first read: a run hands its timeline out only when it ends."""
+        """Built once, on first read, as a run hands its timeline out only when
+        it ends; the view holds the waves, never the timeline, so it makes no cycle."""
         return TaskRecords(self)
 
     def peak_concurrency(self) -> int:

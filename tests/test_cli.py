@@ -171,6 +171,15 @@ def test_missing_config_file_is_a_config_error(tmp_path):
     assert "error:" in result.stderr
 
 
+def test_deeply_nested_config_is_a_config_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    result = invoke("run", "--config", deep)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.stderr
+    assert f"error: config {deep}: invalid JSON:" in result.stderr
+
+
 @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_out_that_is_a_file_is_a_usage_error(tmp_path, command, below):

@@ -1,8 +1,11 @@
+import gc
 import math
+import weakref
 
 import pytest
 from marks import mark_labels
 
+from fecampaign.campaign import RunOptions, SweepRung, compare_system, run_sweep, run_termination
 from fecampaign.engine import (
     DurationModel,
     OverheadModel,
@@ -20,15 +23,18 @@ from fecampaign.engine import (
 )
 from fecampaign.errors import CampaignError, ContractError, PlanRejectedError, ValidationError
 from fecampaign.protocols import (
+    AdaptiveConfig,
     LambdaSchedule,
     Pipeline,
     ProtocolKind,
+    ScheduleMode,
     StageKind,
     Stage,
     WorkflowGraph,
     compile_protocol,
     merge_graphs,
 )
+from fecampaign.synth import named_system, named_systems
 
 
 def single_stage_ties(name, n_windows=13, replicas=5, timesteps=50_000, cores=32):
@@ -352,3 +358,54 @@ def test_event_count_renders_no_events(monkeypatch):
     # any rendering would now fail
     monkeypatch.setattr("fecampaign.engine.TimelineEvent", None)
     assert len(tl.events) == rendered
+
+
+def _freed_at_refcount_zero(make_timeline):
+    """Read a run's timeline the way callers do, drop it, and report whether
+    it died at once, with the cyclic collector off."""
+    tl = make_timeline()
+    assert len(tl.task_records) > 0
+    for _ in tl.task_records:
+        pass
+    assert len(tl.events) > 0
+    ref = weakref.ref(tl)
+    del tl
+    return ref() is None
+
+
+def test_finished_runs_are_freed_at_refcount_zero():
+    def retried_rung():
+        pilot = PilotConfig(total_cores=2_080, concurrency_cap=32)
+        [res] = run_sweep("STRONG", [SweepRung(1, 2_080)], ProtocolKind.TIES, "pair", pilot, seed=3)
+        assert res.outcome.timeline.n_retries > 0
+        return res.outcome.timeline
+
+    def aborted_rung():
+        pilot = PilotConfig(total_cores=2_080, concurrency_cap=32, failure_probability_over_cap=1.0)
+        # not pytest.raises: its ExceptionInfo would keep this frame, and so the timeline, in a cycle
+        try:
+            run_sweep("WEAK", [SweepRung(1, 2_080)], ProtocolKind.TIES, "pair", pilot, seed=3)
+        except CampaignError as exc:
+            tl = exc.timeline
+        assert tl.aborted_wave is not None
+        return tl
+
+    opts = RunOptions(
+        pilot=PilotConfig(total_cores=2_080),
+        adaptive=AdaptiveConfig(error_threshold_epsilon=0.05, substage_timesteps=50_000),
+        replicas=2, schedule_mode=ScheduleMode.SCALING,
+    )
+    drifting = next(s for s in named_systems().values() if s.noise.drift_amplitude > 0.0)
+    cases = {
+        "retried rung": retried_rung,
+        "aborted rung": aborted_rung,
+        "compare_system": lambda: compare_system(named_system("PTP1B L1-L2"), opts).adaptive.outcome.timeline,
+        "run_termination": lambda: run_termination(drifting, opts).result.outcome.timeline,
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        kept = [name for name, make in cases.items() if not _freed_at_refcount_zero(make)]
+    finally:
+        gc.enable()
+    assert kept == []
