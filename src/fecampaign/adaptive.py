@@ -55,13 +55,17 @@ from .synth import NoiseBlock, SyntheticSystem, drift_curve, grow_streams, open_
 def samples_per_substage(substage_timesteps: int, dt_ps: float) -> int:
     """Number of dU/dlambda samples one production sub-stage contributes.
 
-    The sample interval must divide the sub-stage (to a relative 1e-9), so
-    that every checkpoint and every estimate covers whole sub-stages.
+    The sample interval must fit in the sub-stage and divide it (to a
+    relative 1e-9), so that every checkpoint and every estimate covers
+    whole sub-stages.
     """
     substage_ps = substage_timesteps * MD_TIMESTEP_PS
     n = round(substage_ps / dt_ps)
     if n < 1:
-        raise ContractError("sub-stage too short to produce a single sample")
+        raise ValidationError(
+            f"config.sample_interval_ps {dt_ps} is longer than the {substage_ps:g} ps "
+            "production sub-stage"
+        )
     if abs(substage_ps / dt_ps - n) > 1e-9 * n:
         raise ValidationError(
             f"config.sample_interval_ps {dt_ps} does not divide the {substage_ps:g} ps "

@@ -19,6 +19,7 @@ from .engine import CampaignOutcome, PilotConfig, run_campaign
 from .errors import CampaignError, ValidationError
 from .protocols import (
     MD_TIMESTEP_PS,
+    NONADAPTIVE_WINDOWS,
     AdaptiveConfig,
     LambdaSchedule,
     ProtocolKind,
@@ -32,9 +33,8 @@ from .quadrature import FreeEnergyEstimate
 from .stats import DEFAULT_DISCARD_FRACTION
 from .synth import SyntheticSystem
 
-#: Window counts forced by the two non-adaptive modes.
+#: Window count forced by the REFERENCE mode.
 REFERENCE_WINDOWS = 65
-NONADAPTIVE_WINDOWS = 13
 #: Production horizon of the termination experiments (ns).
 TERMINATION_HORIZON_NS = 6.0
 #: Floor for the adaptive error budget when the measured error is ~0.

@@ -231,8 +231,10 @@ class WorkflowGraph:
         return sum(s.n_tasks for p in self.pipelines for s in p.stages)
 
 
-#: TIES windows when no schedule is given; built once, as the schedule is frozen.
-_DEFAULT_TIES_SCHEDULE = LambdaSchedule.uniform(13)
+#: TIES windows when no schedule is given, and the uniform arm's window count.
+NONADAPTIVE_WINDOWS = 13
+#: Built once, as the schedule is frozen.
+_DEFAULT_TIES_SCHEDULE = LambdaSchedule.uniform(NONADAPTIVE_WINDOWS)
 
 
 def compile_protocol(

@@ -73,7 +73,6 @@ class FreeEnergyEstimate:
 
     delta_g: float
     stderr: float
-    windows: tuple[WindowPoint, ...]
 
 
 def _check_points(points: Sequence[WindowPoint], minimum: int = 2) -> list[WindowPoint]:
@@ -133,34 +132,16 @@ def propagate_statistical_error(points: Sequence[WindowPoint]) -> float:
     return math.sqrt(sum((w * p.sem) ** 2 for w, p in zip(weights, pts)))
 
 
-def _quadratic_integral(xs: Sequence[float], ys: Sequence[float], lo: float, hi: float) -> float:
-    # Integrate the Lagrange quadratic through three (x, y) pairs over
-    # [lo, hi].  Each basis polynomial (x-a)(x-b) has the exact primitive
-    # x^3/3 - (a+b)x^2/2 + abx.
-    def basis_integral(a: float, b: float) -> float:
-        def primitive(x: float) -> float:
-            return x ** 3 / 3.0 - (a + b) * x ** 2 / 2.0 + a * b * x
-
-        return primitive(hi) - primitive(lo)
-
-    total = 0.0
-    for j in range(3):
-        others = [xs[i] for i in range(3) if i != j]
-        denom = (xs[j] - others[0]) * (xs[j] - others[1])
-        total += ys[j] * basis_integral(others[0], others[1]) / denom
-    return total
-
-
 def interval_error(points: Sequence[WindowPoint], k: int) -> IntervalError:
     """Estimate the integration error over the interval ``[lam_k, lam_k+1]``.
 
-    The discretization term embeds the trapezoid in a three-point quadratic
-    rule: it is the absolute difference, over the interval, between the
-    trapezoid and the integral of the quadratic through the two interval
-    endpoints plus the nearest third node (the left neighbour when it
-    exists, otherwise the right one).  The statistical term propagates the
-    endpoint SEMs through the interval's trapezoid weights.  The two are
-    combined in quadrature.
+    The discretization term is the gap, over the interval, between the
+    trapezoid and the quadratic through the two endpoints and the nearest
+    third node (the left neighbour when it exists, otherwise the right
+    one): ``h**3 / 6 * |f[x0, x1, x2]|``, with ``h`` the interval width and
+    ``f[x0, x1, x2]`` the three nodes' second divided difference.
+    The statistical term propagates the endpoint SEMs through the
+    interval's trapezoid weights.  The two are combined in quadrature.
 
     Parameters
     ----------
@@ -174,14 +155,11 @@ def interval_error(points: Sequence[WindowPoint], k: int) -> IntervalError:
     if not 0 <= k < n_intervals:
         raise ContractError(f"interval index {k} outside [0, {n_intervals})")
     lo, hi = pts[k], pts[k + 1]
-    third = pts[k - 1] if k >= 1 else pts[k + 2]
-    nodes = sorted((lo, hi, third), key=lambda p: p.lam)
-    q_quad = _quadratic_integral(
-        [p.lam for p in nodes], [p.mean_dudl for p in nodes], lo.lam, hi.lam
-    )
-    q_trap = (hi.lam - lo.lam) * (lo.mean_dudl + hi.mean_dudl) / 2.0
-    discretization = abs(q_quad - q_trap)
+    p0, p1, p2 = pts[k - 1 : k + 2] if k >= 1 else pts[:3]
+    slope_lo = (p1.mean_dudl - p0.mean_dudl) / (p1.lam - p0.lam)
+    slope_hi = (p2.mean_dudl - p1.mean_dudl) / (p2.lam - p1.lam)
     width = hi.lam - lo.lam
+    discretization = abs(slope_hi - slope_lo) / (p2.lam - p0.lam) * width ** 3 / 6.0
     statistical = (width / 2.0) * math.sqrt(lo.sem ** 2 + hi.sem ** 2)
     total = math.sqrt(discretization ** 2 + statistical ** 2)
     return IntervalError(lo.lam, hi.lam, discretization, statistical, total)
@@ -241,4 +219,4 @@ def propose_refinements(
 def integrate_with_error(points: Sequence[WindowPoint]) -> FreeEnergyEstimate:
     """Trapezoid integral of the window means, with :func:`propagate_statistical_error` as ``stderr``."""
     pts = _check_points(points)
-    return FreeEnergyEstimate(trapezoid_integrate(pts), propagate_statistical_error(pts), tuple(pts))
+    return FreeEnergyEstimate(trapezoid_integrate(pts), propagate_statistical_error(pts))

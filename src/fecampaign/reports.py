@@ -11,8 +11,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .campaign import NONADAPTIVE_WINDOWS, SystemComparison, TerminationRunResult
+from .protocols import NONADAPTIVE_WINDOWS
+
+if TYPE_CHECKING:
+    from .campaign import SystemComparison, TerminationRunResult
 
 #: Marker attached to increase_in_accuracy when the non-adaptive error is
 #: numerically zero and the ratio would divide by ~0.

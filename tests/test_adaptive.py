@@ -62,7 +62,8 @@ def run_termination_probe(system, cfg, seed=5, replicas=2):
 def test_samples_per_substage():
     assert samples_per_substage(500_000, dt_ps=1.0) == 1000
     assert samples_per_substage(500_000, dt_ps=2.0) == 500
-    with pytest.raises(ContractError):
+    # A 100-step sub-stage lasts 0.2 ps: not one 1 ps sample.
+    with pytest.raises(ValidationError, match=r"config\.sample_interval_ps 1\.0 .* 0\.2 ps"):
         samples_per_substage(100, dt_ps=1.0)
     # 1000 ps / 0.3 ps is not a whole number of samples.
     with pytest.raises(ValidationError, match=r"config\.sample_interval_ps 0\.3 .* 1000 ps"):

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from fecampaign.campaign import (
+    NONADAPTIVE_WINDOWS,
     TERMINATION_HORIZON_NS,
     CampaignMode,
     compare_system,
@@ -36,17 +37,18 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 @pytest.fixture(scope="module")
 def compare_pass():
-    """Every system's comparison on ``compare.json`` at a seed and a pilot
-    width (by default the config's), each pass run once."""
+    """Every system's comparison on ``compare.json`` at a seed, a pilot width
+    and a replica count (by default the config's), each pass run once."""
     cfg = load_config(CONFIG_DIR / "compare.json")
     passes = {}
 
-    def comparisons(seed, total_cores=cfg.pilot.total_cores):
-        if (seed, total_cores) not in passes:
+    def comparisons(seed, total_cores=cfg.pilot.total_cores, replicas=cfg.replicas_per_window):
+        key = seed, total_cores, replicas
+        if key not in passes:
             pilot = replace(cfg.pilot, total_cores=total_cores)
-            opts = replace(_options(cfg), seed=seed, pilot=pilot)
-            passes[seed, total_cores] = [compare_system(system, opts) for system in cfg.systems]
-        return passes[seed, total_cores]
+            opts = replace(_options(cfg), seed=seed, pilot=pilot, replicas=replicas)
+            passes[key] = [compare_system(system, opts) for system in cfg.systems]
+        return passes[key]
 
     return comparisons
 
@@ -97,6 +99,19 @@ def test_adaptive_arm_is_faster_on_a_narrow_pilot(compare_pass):
     for cmp in compare_pass(1, total_cores=640):
         measured = measured_ttx_decrease_pct(cmp)
         assert measured > 0.0, (cmp.system.label, measured)
+
+
+@pytest.mark.parametrize("replicas", [5, 4])
+def test_ttx_sign_flips_where_a_uniform_stage_fits_in_one_wave(compare_pass, replicas):
+    # A uniform stage is 13 windows x replicas tasks of one slot each.  Measured
+    # at both replica counts: one slot short of that, +42.5% on four systems and
+    # +30.6% on TYK2 L7-L8; at it, -14.6% and -38.1%.
+    cores_per_task = load_config(CONFIG_DIR / "compare.json").pilot.cores_per_task
+    flip = NONADAPTIVE_WINDOWS * replicas
+    for slots, faster in ((flip - 1, True), (flip, False)):
+        for cmp in compare_pass(1, total_cores=slots * cores_per_task, replicas=replicas):
+            measured = measured_ttx_decrease_pct(cmp)
+            assert (measured > 0.0) is faster, (cmp.system.label, replicas, slots, measured)
 
 
 def test_early_stop_costs_less_than_the_full_horizon(termination_arms):

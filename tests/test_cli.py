@@ -256,6 +256,19 @@ def test_sample_interval_must_divide_the_substage(tmp_path):
     assert not (tmp_path / "out" / "quiet-pair_adaptive_quadrature.json").exists()
 
 
+def test_sample_interval_must_fit_in_the_substage(tmp_path):
+    # 100-step sub-stages last 0.2 ps, shorter than one 1 ps sample.
+    cfg_path = write_config(
+        tmp_path, mode=CampaignMode.ADAPTIVE_QUADRATURE,
+        adaptive=AdaptiveConfig(error_threshold_epsilon=0.05, substage_timesteps=100),
+    )
+    result = invoke("run", "--config", cfg_path)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.stderr
+    assert "config.sample_interval_ps 1.0 is longer than the 0.2 ps" in result.stderr
+    assert not (tmp_path / "out" / "quiet-pair_adaptive_quadrature.json").exists()
+
+
 def test_walltime_exhaustion_maps_to_exit_3(tmp_path):
     cfg_path = write_config(tmp_path, pilot=PilotConfig(total_cores=2_080, walltime_s=1.0))
     result = invoke("run", "--config", cfg_path)

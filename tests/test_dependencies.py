@@ -80,3 +80,8 @@ def test_package_import_loads_only_what_the_module_imports():
     assert loaded_after("fecampaign.quadrature", "fecampaign") == [
         "fecampaign", "fecampaign.errors", "fecampaign.quadrature",
     ]
+    # reports annotates campaign's result types without importing them.
+    assert loaded_after("fecampaign.reports", "fecampaign", "numpy") == [
+        "fecampaign", "fecampaign.errors", "fecampaign.protocols",
+        "fecampaign.quadrature", "fecampaign.reports",
+    ]

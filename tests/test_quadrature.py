@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,6 +108,46 @@ def test_interval_error_detects_quadratic_curvature():
     assert err.total == err.discretization
 
 
+def quadratic_minus_trapezoid(pts, k):
+    """|integral of the Lagrange quadratic through the interval's three nodes minus
+    the trapezoid| over interval ``k``, in exact arithmetic on the float nodes."""
+    nodes = pts[k - 1 : k + 2] if k >= 1 else pts[:3]
+    xs = [Fraction(p.lam) for p in nodes]
+    lo, hi = Fraction(pts[k].lam), Fraction(pts[k + 1].lam)
+    quadratic = Fraction(0)
+    for j, node in enumerate(nodes):
+        a, b = (x for i, x in enumerate(xs) if i != j)
+
+        def primitive(x):  # of (x - a)(x - b)
+            return x ** 3 / 3 - (a + b) * x ** 2 / 2 + a * b * x
+
+        basis = (primitive(hi) - primitive(lo)) / ((xs[j] - a) * (xs[j] - b))
+        quadratic += Fraction(node.mean_dudl) * basis
+    trapezoid = (hi - lo) * (Fraction(pts[k].mean_dudl) + Fraction(pts[k + 1].mean_dudl)) / 2
+    return float(abs(quadratic - trapezoid))
+
+
+@given(interior.filter(lambda lams: len(lams) >= 3), st.data())
+@settings(max_examples=60)
+def test_interval_error_is_the_quadratic_rule_gap(lams, data):
+    values = data.draw(st.lists(
+        st.floats(min_value=-50.0, max_value=50.0), min_size=len(lams), max_size=len(lams)
+    ))
+    pts = [WindowPoint(lam=l, mean_dudl=v) for l, v in zip(lams, values)]
+    for k in range(len(pts) - 1):
+        p0, p1, p2 = pts[k - 1 : k + 2] if k >= 1 else pts[:3]
+        # The closed form subtracts two slopes, so its rounding error scales
+        # with their size, not with the (possibly ~0) result.
+        slopes = abs((p1.mean_dudl - p0.mean_dudl) / (p1.lam - p0.lam)) + abs(
+            (p2.mean_dudl - p1.mean_dudl) / (p2.lam - p1.lam)
+        )
+        width = pts[k + 1].lam - pts[k].lam
+        rounding = 1e-12 * slopes / (p2.lam - p0.lam) * width ** 3
+        assert interval_error(pts, k).discretization == pytest.approx(
+            quadratic_minus_trapezoid(pts, k), rel=1e-9, abs=rounding
+        )
+
+
 def test_interval_error_combines_in_quadrature():
     pts = points_for(lambda x: x * x, uniform(5), sem=0.1)
     err = interval_error(pts, 1)
@@ -181,4 +222,3 @@ def test_integrate_with_error_takes_larger_error_bar():
     # The propagated replica SEM is the only error bar.
     assert estimate.stderr == propagate_statistical_error(pts)
     assert estimate.delta_g == pytest.approx(0.5, abs=1e-12)
-    assert estimate.windows == tuple(pts)

@@ -36,7 +36,7 @@ def stub_run(mode, delta_g, stderr, n_windows):
     return SystemRunResult(
         system=SYSTEM,
         mode=mode,
-        estimate=FreeEnergyEstimate(delta_g, stderr, ()),
+        estimate=FreeEnergyEstimate(delta_g, stderr),
         windows=lams,
         simulated_ns=4.0,
         outcome=None,
