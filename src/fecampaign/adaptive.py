@@ -36,8 +36,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .engine import PipelineRun, StagePlan
 from .errors import ContractError, ValidationError
 from .protocols import MD_TIMESTEP_PS, AdaptiveConfig, Stage, StageKind
@@ -144,6 +142,8 @@ class SyntheticSampler:
         burn-in, then takes one pairwise sum and one division, as ``np.mean`` does;
         a window's replicas are summed in one call.
         """
+        import numpy as np  # imported where arrays are made: loading a config needs no numpy
+
         if not 0.0 <= discard_fraction < 1.0:
             raise ContractError("discard_fraction must lie in [0, 1)")
         lengths = {canonical_lambda(lam): n for lam, n in lengths.items()}

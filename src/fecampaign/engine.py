@@ -47,8 +47,6 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
-import numpy as np
-
 from .errors import CampaignError, ContractError, PlanRejectedError, ValidationError, require_finite
 from .protocols import ANALYSIS_KINDS, Stage, StageKind, WorkflowGraph
 
@@ -501,6 +499,8 @@ def run_campaign(
     stage.  Deterministic for a given seed.  Raises :class:`CampaignError` (with the partial timeline
     attached) when the walltime is exceeded or a task fails twice.
     """
+    import numpy as np  # imported where arrays are made: loading a config needs no numpy
+
     durations = duration_model or DurationModel()
     overheads = overhead_model or OverheadModel()
     n_protocols = len(workflows.pipelines)

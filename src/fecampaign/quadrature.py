@@ -154,6 +154,11 @@ def interval_error(points: Sequence[WindowPoint], k: int) -> IntervalError:
     n_intervals = len(pts) - 1
     if not 0 <= k < n_intervals:
         raise ContractError(f"interval index {k} outside [0, {n_intervals})")
+    return _interval_error(pts, k)
+
+
+def _interval_error(pts: list[WindowPoint], k: int) -> IntervalError:
+    """:func:`interval_error` on points already checked, with ``k`` in range."""
     lo, hi = pts[k], pts[k + 1]
     p0, p1, p2 = pts[k - 1 : k + 2] if k >= 1 else pts[:3]
     slope_lo = (p1.mean_dudl - p0.mean_dudl) / (p1.lam - p0.lam)
@@ -200,7 +205,7 @@ def propose_refinements(
     existing = {canonical_lambda(p.lam) for p in pts}
     candidates: list[tuple[float, float]] = []
     for k in range(n_intervals):
-        err = interval_error(pts, k)
+        err = _interval_error(pts, k)
         if err.total <= budget:
             continue
         mid = canonical_lambda((err.lo + err.hi) / 2.0)

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ContractError
 from .quadrature import WindowPoint
 
@@ -41,6 +39,8 @@ class DuDlSeries:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np  # imported where arrays are made: loading a config needs no numpy
+
         if not 0.0 <= self.lam <= 1.0:
             raise ContractError(f"series lambda {self.lam} outside [0, 1]")
         if self.replica_index < 0:
@@ -76,6 +76,8 @@ class DuDlSeries:
 
 def window_points(lams: Sequence[float], means: np.ndarray) -> list[WindowPoint]:
     """A :class:`WindowPoint` per row of replica means: the row mean, its sample SD over sqrt(R)."""
+    import numpy as np
+
     if means.ndim != 2 or len(means) != len(lams) or means.shape[1] < 2:
         raise ContractError("every window needs one row of at least two replica means")
     centres = means.mean(axis=1).tolist()

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ContractError, ValidationError, require_finite
 from .quadrature import canonical_lambda
 
@@ -112,6 +110,8 @@ class GroundTruthCurve:
 
     def evaluate(self, lam):
         """Evaluate f at a scalar or array of lambda values."""
+        import numpy as np  # imported where arrays are made: loading a config needs no numpy
+
         lam = np.asarray(lam, dtype=float)
         if self.preset is CurvePreset.CONSTANT:
             out = np.full_like(lam, self.value)
@@ -181,6 +181,8 @@ def open_stream(
 
     It holds no sample storage yet: :func:`grow_streams` allocates it.
     """
+    import numpy as np
+
     if not 0.0 <= lam <= 1.0:
         raise ContractError(f"lambda {lam} outside [0, 1]")
     if seed < 0 or replicas < 1:
@@ -193,6 +195,8 @@ def open_stream(
 
 def drift_curve(noise: NoiseModel, n_samples: int, dt_ps: float) -> np.ndarray:
     """Equilibration drift of the first ``n_samples`` samples."""
+    import numpy as np
+
     t = np.arange(n_samples)
     return noise.drift_amplitude * np.exp(-t * dt_ps / noise.drift_timescale_ps)
 
@@ -216,6 +220,8 @@ def grow_streams(
     then.  Either way a sample is ``fl(fl(level + drift) + eps)``, as IEEE
     addition commutes.  ``drift`` must cover every block's capacity.
     """
+    import numpy as np
+
     eta_sd = noise.sigma * math.sqrt(1.0 - noise.ar1_phi ** 2)
     rngs = [rng for block in blocks for rng in block.rngs]
     fresh = all(block.fill == 0 for block in blocks)

@@ -68,9 +68,54 @@ def loaded_after(module: str, *tops: str) -> list[str]:
     return ast.literal_eval(proc.stdout.strip())
 
 
-@pytest.mark.parametrize("package", ["scipy", "click"])
+@pytest.mark.parametrize("package", ["scipy", "click", "numpy"])
 def test_cli_import_does_not_load(package):
     assert loaded_after("fecampaign.cli", package) == []
+
+
+# Config loading, `validate`, `--help` and a config rejected at load, in one
+# fresh interpreter; prints the numpy modules then loaded and whether every
+# layer the benchmark tracer looks up in sys.modules was imported.
+NO_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from pathlib import Path
+from fecampaign import cli
+from fecampaign.config import load_config
+
+root, tmp = Path(sys.argv[1]), Path(sys.argv[2])
+for path in sorted((root / "configs").glob("*.json")):
+    load_config(path)
+sink = io.StringIO()
+with contextlib.redirect_stdout(sink):
+    assert cli.main(["validate", "--out", str(tmp / "validate")]) == 0
+    try:
+        cli.main(["--help"])
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+    else:
+        raise AssertionError("--help did not exit")
+bad = json.loads((root / "configs" / "run.json").read_text(encoding="utf-8"))
+bad["replicas_per_window"] = "five"
+(tmp / "bad.json").write_text(json.dumps(bad), encoding="utf-8")
+with contextlib.redirect_stderr(sink):
+    assert cli.main(["run", "--config", str(tmp / "bad.json"), "--out", str(tmp / "bad")]) == 2
+layers = ("adaptive", "campaign", "config", "engine", "protocols", "quadrature", "reports", "stats", "synth")
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+print(all(f"fecampaign.{layer}" in sys.modules for layer in layers))
+"""
+
+
+def test_config_validate_help_and_rejection_load_no_numpy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_PROBE, str(ROOT), str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    numpy_modules, all_layers = proc.stdout.splitlines()
+    assert ast.literal_eval(numpy_modules) == []
+    assert all_layers == "True"
 
 
 def test_package_import_loads_only_what_the_module_imports():

@@ -216,6 +216,39 @@ def test_refinement_monotone_in_budget(lams):
     assert loose <= tight
 
 
+def refinements_reference(pts, epsilon, max_total_windows=None):
+    """propose_refinements spelled out over the public, checking interval_error."""
+    budget = epsilon / (len(pts) - 1)
+    existing = {canonical_lambda(p.lam) for p in pts}
+    candidates = []
+    for k in range(len(pts) - 1):
+        err = interval_error(pts, k)
+        mid = canonical_lambda((err.lo + err.hi) / 2.0)
+        if err.total > budget and mid not in existing:
+            candidates.append((err.total, mid))
+    if max_total_windows is not None:
+        room = max_total_windows - len(pts)
+        candidates = sorted(candidates, key=lambda c: (-c[0], c[1]))[:max(room, 0)]
+    return sorted({mid for _, mid in candidates})
+
+
+@given(
+    interior.filter(lambda lams: len(lams) >= 3),
+    st.data(),
+    st.floats(min_value=1e-3, max_value=10.0),
+    st.none() | st.integers(min_value=0, max_value=20),
+)
+@settings(max_examples=80)
+def test_refinement_equals_the_interval_error_loop(lams, data, epsilon, max_total_windows):
+    n = len(lams)
+    values = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
+    sems = data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+    pts = [WindowPoint(l, v, s) for l, v, s in zip(lams, values, sems)]
+    assert propose_refinements(pts, epsilon, max_total_windows) == refinements_reference(
+        pts, epsilon, max_total_windows
+    )
+
+
 def test_integrate_with_error_takes_larger_error_bar():
     pts = points_for(lambda x: x, uniform(5), sem=0.5)
     estimate = integrate_with_error(pts)
