@@ -7,6 +7,7 @@ seeded, so repeated runs rewrite identical files.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,10 +26,13 @@ COMMANDS = [
 
 
 def main() -> int:
+    # the CLI of this checkout, whether or not a fecampaign is installed
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     for args in COMMANDS:
         cmd = [sys.executable, "-m", "fecampaign.cli", *args]
         print(f"$ {' '.join(cmd[2:])}")
-        proc = subprocess.run(cmd, cwd=ROOT)
+        proc = subprocess.run(cmd, cwd=ROOT, env=env)
         if proc.returncode != 0:
             return proc.returncode
         print()

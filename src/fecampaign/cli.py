@@ -18,6 +18,7 @@ import traceback
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 from . import reports
 from .campaign import (
@@ -59,8 +60,23 @@ def _out_dir(path: str, name: str) -> Path:
     return out_dir
 
 
-def _load(args: argparse.Namespace) -> tuple[CampaignConfig, Path]:
+def _require_systems(cfg: CampaignConfig) -> None:
+    if not cfg.systems:
+        raise ValidationError("config.systems must list at least one system")
+
+
+def _require_sweep(cfg: CampaignConfig) -> None:
+    if cfg.sweep is None:
+        raise ValidationError("config.sweep section is required for the sweep command")
+
+
+def _load(
+    args: argparse.Namespace, require: Callable[[CampaignConfig], None]
+) -> tuple[CampaignConfig, Path]:
+    """Load the config and ``require`` what the command reads of it, then
+    create the output directory, so a rejected config leaves none."""
     cfg = load_config(args.config)
+    require(cfg)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     out, name = (args.out, "--out") if args.out is not None else (cfg.output_dir, "config.output_dir")
@@ -79,11 +95,6 @@ def _options(cfg: CampaignConfig) -> RunOptions:
     )
 
 
-def _require_systems(cfg: CampaignConfig) -> None:
-    if not cfg.systems:
-        raise ValidationError("config.systems must list at least one system")
-
-
 def _write_overheads(results: list[SystemRunResult], total_cores: int, out_dir: Path) -> None:
     """``overheads.csv``: one row per system run, with its ``system`` and ``mode``."""
     rows = []
@@ -98,8 +109,7 @@ def _write_overheads(results: list[SystemRunResult], total_cores: int, out_dir: 
 
 def run(args: argparse.Namespace) -> None:
     """Run every configured system in one campaign mode."""
-    cfg, out_dir = _load(args)
-    _require_systems(cfg)
+    cfg, out_dir = _load(args, _require_systems)
     campaign_mode = cfg.mode if args.mode is None else CampaignMode(args.mode)
     opts = _options(cfg)
     results = []
@@ -133,9 +143,7 @@ def run(args: argparse.Namespace) -> None:
 
 def sweep(args: argparse.Namespace) -> None:
     """Run the configured scaling ladder, one campaign per rung."""
-    cfg, out_dir = _load(args)
-    if cfg.sweep is None:
-        raise ValidationError("config.sweep section is required for the sweep command")
+    cfg, out_dir = _load(args, _require_sweep)
     plan = cfg.sweep
     with _partial_timeline(out_dir, f"sweep_{plan.kind.lower()}_failed"):
         results = run_sweep(
@@ -159,8 +167,7 @@ def sweep(args: argparse.Namespace) -> None:
 
 def compare(args: argparse.Namespace) -> None:
     """Reference vs uniform vs adaptive quadrature for every system."""
-    cfg, out_dir = _load(args)
-    _require_systems(cfg)
+    cfg, out_dir = _load(args, _require_systems)
     opts = _options(cfg)
     with _partial_timeline(out_dir):
         comparisons = [compare_system(s, opts) for s in cfg.systems]
@@ -182,8 +189,7 @@ def validate(args: argparse.Namespace) -> None:
 
 def term_report(args: argparse.Namespace) -> None:
     """Convergence-based early termination against the fixed 6 ns baseline."""
-    cfg, out_dir = _load(args)
-    _require_systems(cfg)
+    cfg, out_dir = _load(args, _require_systems)
     opts = _options(cfg)
     with _partial_timeline(out_dir):
         runs = [run_termination(s, opts) for s in cfg.systems]

@@ -28,6 +28,7 @@ from .campaign import CampaignMode, SweepRung, _slug
 from .engine import PilotConfig
 from .errors import ValidationError, require_finite
 from .protocols import AdaptiveConfig, LambdaSchedule, ProtocolKind, ScheduleMode
+from .stats import DEFAULT_DISCARD_FRACTION
 from .synth import CurvePreset, GroundTruthCurve, SyntheticSystem
 
 _CURVE_FIELDS = {
@@ -68,7 +69,7 @@ class CampaignConfig:
     systems: tuple[SyntheticSystem, ...] = ()
     replicas_per_window: int = 5
     sample_interval_ps: float = 1.0
-    discard_fraction: float = 0.1
+    discard_fraction: float = DEFAULT_DISCARD_FRACTION
     schedule_mode: ScheduleMode = ScheduleMode.PRODUCTION
     sweep: SweepPlan | None = None
 

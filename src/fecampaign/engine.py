@@ -25,14 +25,15 @@ equals the virtual clock at the final event.
 
 A task is an index into its stage's block, and a wave a list of slices
 of blocks.  The engine stores one :class:`GenerationSummary` per wave and
-the few stage marks; task records and the event log are views derived
-from them when read.  The timeline caches its task-record view, which
-holds the waves and never the timeline, so a timeline is freed when its
-last reference goes.  One walk over the waves sets the event order and
-yields the task events as segments that share a time;
-``CampaignTimeline.events`` expands them into events, and
-:func:`write_timeline_csv` joins each stage slice's rows from the id tails
-its stage shape shares, so writing holds no per-task id.
+the few stage marks, and keeps no per-task record.  The event log exists
+only as the file :func:`write_timeline_csv` writes, its one renderer:
+one walk over the waves sets the event order and yields the task events
+as segments that share a time, and the writer joins each stage slice's
+rows from the id tails its stage shape shares, so writing holds no
+per-task id.  ``CampaignTimeline.events`` and ``task_records`` are the
+row and task counts the benchmark reads, in closed form; the timeline
+holds no reference to itself, so it is freed when its last reference
+goes.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
@@ -179,22 +179,6 @@ class Evaluator(Protocol):
     def on_stage_complete(self, pipeline: "PipelineRun", stage: Stage) -> StagePlan: ...
 
 
-class TaskOutcome(str, Enum):
-    DONE = "DONE"
-    FAILED_THEN_RETRIED = "FAILED_THEN_RETRIED"
-
-
-class TaskRecord(NamedTuple):
-    """Execution record of one task across its (at most two) attempts."""
-
-    submit_time_s: float
-    start_time_s: float = math.nan
-    end_time_s: float = math.nan
-    duration_s: float = 0.0
-    attempts: int = 1
-    outcome: TaskOutcome = TaskOutcome.DONE
-
-
 class TimelineEvent(NamedTuple):
     time_s: float
     event: str
@@ -207,12 +191,12 @@ class TimelineEvent(NamedTuple):
 @dataclass(slots=True)
 class _Slice:
     """Stage indices launched together in one wave (a range on a first
-    attempt); all but the ``failed`` ran for ``duration_s``."""
+    attempt); all but the ``failed`` ran until ``end_time_s``.  Slices are
+    what the writer renders: no per-task record is kept."""
 
     stage: Stage
     indices: Sequence[int]
     failed: tuple[int, ...] = ()
-    duration_s: float = 0.0
     end_time_s: float = math.nan
 
     def started(self) -> Sequence[int]:
@@ -260,6 +244,8 @@ def _wave_walk(tl: "CampaignTimeline") -> Iterator[TimelineEvent | _Segment]:
     """The event log in order: campaign and stage marks as they are, task
     events as segments.
 
+    The virtual clock never decreases, so rendering the waves in order
+    yields the events sorted by time, ties in the order they happened.
     A wave yields its submits, launch failures and starts at its submit
     time, then its ends grouped by the stored end time, then the stage
     marks of the barrier that follows.  Ends are sorted by the stored end
@@ -285,82 +271,27 @@ def _wave_walk(tl: "CampaignTimeline") -> Iterator[TimelineEvent | _Segment]:
         yield TimelineEvent(tl.end_time_s, "campaign_end", "", "", "", -1)
 
 
-class TimelineEvents:
-    """Read-only view of a timeline's event log, rendered on iteration.
+class _Count:
+    """A count read through ``len()``."""
 
-    The virtual clock never decreases, and within a wave the events go
-    submits, launch failures, starts, ends, then the stage marks of the
-    barrier that follows.  Rendering the waves in order therefore yields
-    the events sorted by time, ties in the order they happened.  The order
-    lives in one walk over the waves, which both this view and
-    :func:`write_timeline_csv` expand.
-    """
+    __slots__ = ("_n",)
 
-    def __init__(self, timeline: "CampaignTimeline"):
-        self._timeline = timeline
+    def __init__(self, n: int):
+        self._n = n
 
     def __len__(self) -> int:
-        tl = self._timeline
-        started = sum(gen.width - gen.n_failed for gen in tl.generations)
-        return 2 + tl.n_attempts + tl.n_retries + 2 * started + len(tl.marks) + tl.complete
-
-    def __iter__(self) -> Iterator[TimelineEvent]:
-        for seg in _wave_walk(self._timeline):
-            if isinstance(seg, TimelineEvent):
-                yield seg
-                continue
-            time_s, event, parts, generation = seg
-            for stage, indices in parts:
-                pid, label = stage.pipeline_id, stage.label
-                for task_id in stage.task_ids(indices):
-                    yield TimelineEvent(time_s, event, task_id, pid, label, generation)
-
-
-class TaskRecords(Mapping):
-    """Read-only view of a timeline's launched tasks by id, in submit order;
-    ``len`` adds up wave widths, the records are built when first read.  It
-    holds the waves, never the timeline, so the timeline that caches it is
-    freed when its last reference goes."""
-
-    def __init__(self, timeline: "CampaignTimeline"):
-        self._aborted = timeline.aborted_wave
-        self._waves = timeline.generations + ([self._aborted] if self._aborted is not None else [])
-
-    def __len__(self) -> int:
-        return sum(gen.width for gen in self._waves if not gen.is_retry)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._records)
-
-    def __getitem__(self, task_id: str) -> TaskRecord:
-        return self._records[task_id]
-
-    @cached_property
-    def _records(self) -> dict[str, TaskRecord]:
-        records: dict[str, TaskRecord] = {}
-        for gen in self._waves:
-            ran = gen is not self._aborted
-            for s in gen.slices:
-                failed = set(s.failed)
-                for i, task_id in zip(s.indices, s.stage.task_ids(s.indices)):
-                    if gen.is_retry:
-                        rec = records[task_id]._replace(attempts=2)
-                    else:
-                        outcome = TaskOutcome.FAILED_THEN_RETRIED if i in failed else TaskOutcome.DONE
-                        rec = TaskRecord(gen.submit_time_s, outcome=outcome)
-                    if ran and i not in failed:
-                        rec = rec._replace(
-                            start_time_s=gen.submit_time_s, end_time_s=s.end_time_s,
-                            duration_s=s.duration_s,
-                        )
-                    records[task_id] = rec
-        return records
+        return self._n
 
 
 @dataclass
 class CampaignTimeline:
     """Wave summaries and stage marks of one campaign, plus the aggregates
-    the accounting needs; ``events`` and ``task_records`` are derived."""
+    the accounting needs.
+
+    :func:`write_timeline_csv` is the only renderer of the event log.
+    ``events`` and ``task_records`` are its row and task counts, sized
+    objects that the benchmark reads through ``len()`` and nothing else.
+    """
 
     generations: list[GenerationSummary] = field(default_factory=list)
     #: ``stage_complete`` and ``pipeline_terminated`` events, in order
@@ -378,20 +309,16 @@ class CampaignTimeline:
     n_retries: int = 0
 
     @property
-    def events(self) -> TimelineEvents:
-        return TimelineEvents(self)
+    def events(self) -> _Count:
+        """Rows the writer writes below the header, counted without rendering them."""
+        started = sum(gen.width - gen.n_failed for gen in self.generations)
+        return _Count(2 + self.n_attempts + self.n_retries + 2 * started + len(self.marks) + self.complete)
 
-    @cached_property
-    def task_records(self) -> TaskRecords:
-        """Built once, on first read, as a run hands its timeline out only when
-        it ends; the view holds the waves, never the timeline, so it makes no cycle."""
-        return TaskRecords(self)
-
-    def peak_concurrency(self) -> int:
-        """Maximum number of simultaneously running tasks: the widest started
-        wave, since the clock passes a wave's longest task before the next
-        wave is submitted."""
-        return max((gen.width - gen.n_failed for gen in self.generations), default=0)
+    @property
+    def task_records(self) -> _Count:
+        """Distinct tasks launched: the widths of the non-retry waves, an aborted one included."""
+        waves = self.generations + [self.aborted_wave] * (self.aborted_wave is not None)
+        return _Count(sum(gen.width for gen in waves if not gen.is_retry))
 
 
 @dataclass(frozen=True)
@@ -614,7 +541,6 @@ def run_campaign(
             raise fail("duration model returned a negative or non-finite duration", gen)
         window = max(run_times, default=0.0)
         for s, d in zip(running, run_times):
-            s.duration_s = d
             s.end_time_s = clock + d
         # The execution window of a retry generation is relaunch cost, not
         # task-execution time.
@@ -678,9 +604,10 @@ def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
     slice of a segment is one ``str.join`` of tails: no task id is formatted.
     The header and the marks are text rows too: ``protocols._check_name``
     rejects what ``csv`` would quote in ids and labels, so the bytes are
-    those of ``csv.writer`` over ``events``.  Rows, marks included, collect
-    across segments and go to the file as one string per ``_FLUSH_ROWS``, so
-    the writer holds the shapes' tails and at most a flush.
+    those of ``csv.writer`` over the events, one row each.  Rows, marks
+    included, collect across segments and go to the file as one string per
+    ``_FLUSH_ROWS``, so the writer holds the shapes' tails and at most a
+    flush.
     """
     # "\r\n" is the line terminator of csv's default dialect
     pieces, held = [",".join(TIMELINE_COLUMNS) + "\r\n"], 1

@@ -148,7 +148,8 @@ def interval_error(points: Sequence[WindowPoint], k: int) -> IntervalError:
     points
         At least three valid window points.
     k
-        Interval index in ``[0, len(points) - 2)``.
+        Interval index in ``[0, len(points) - 1)``; the last interval is
+        ``len(points) - 2``.
     """
     pts = _check_points(points, minimum=3)
     n_intervals = len(pts) - 1

@@ -29,7 +29,7 @@ from fecampaign.protocols import LambdaSchedule, Pipeline, ProtocolKind, Stage, 
 from fecampaign.quadrature import WindowPoint, trapezoid_integrate
 from fecampaign.reports import VALIDATION_ROWS, comparison_row, validation_csv
 from fecampaign.synth import GroundTruthCurve, analytic_integral, named_systems
-from fecampaign.engine import TaskOutcome
+from timeline_oracle import TaskOutcome, peak_concurrency, task_records
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 #: kcal/mol bound criterion 4 checks every adaptive error against.
@@ -75,7 +75,7 @@ def test_criterion_01_generation_arithmetic():
         outcome = run_campaign(graph, pilot, seed=0)
         assert len(outcome.timeline.generations) == n_generations, cores
         assert all(g.width == peak for g in outcome.timeline.generations)
-        assert outcome.timeline.peak_concurrency() == peak
+        assert peak_concurrency(outcome.timeline) == peak
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"criterion 1: PASS - 520 tasks -> 4/2/1 generations, peak 130/260/520 ({elapsed:.2f}s)")
@@ -240,12 +240,13 @@ def test_criterion_08_failure_model():
     for seed in range(10):
         outcome = run_campaign(graph, pilot, seed=seed)
         tl = outcome.timeline
+        records = task_records(tl)
         failed = [
-            rec for rec in tl.task_records.values()
+            rec for rec in records.values()
             if rec.outcome is TaskOutcome.FAILED_THEN_RETRIED
         ]
         assert all(rec.attempts == 2 for rec in failed)
-        assert all(rec.attempts <= 2 for rec in tl.task_records.values())
+        assert all(rec.attempts <= 2 for rec in records.values())
         assert tl.n_retries == len(failed)
         failed_counts.append(len(failed))
     mean_failed = float(np.mean(failed_counts))

@@ -218,6 +218,16 @@ def test_run_without_systems_is_a_config_error(tmp_path):
     result = invoke("run", "--config", cfg_path)
     assert result.exit_code == 2
     assert "config.systems" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "term-report"])
+def test_reports_without_systems_are_a_config_error(tmp_path, command):
+    cfg_path = write_config(tmp_path, systems=())
+    result = invoke(command, "--config", cfg_path)
+    assert result.exit_code == 2
+    assert "config.systems" in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_colliding_system_output_names_are_a_config_error(tmp_path):
@@ -387,6 +397,7 @@ def test_sweep_requires_plan(tmp_path):
     result = invoke("sweep", "--config", cfg_path)
     assert result.exit_code == 2
     assert "config.sweep" in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_writes_ladder_csv(tmp_path):

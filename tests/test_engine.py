@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 from marks import mark_labels
+from timeline_oracle import TaskOutcome, oracle_events, peak_concurrency, task_records
 
 from fecampaign.campaign import RunOptions, SweepRung, compare_system, run_sweep, run_termination
 from fecampaign.engine import (
@@ -12,7 +13,6 @@ from fecampaign.engine import (
     PilotConfig,
     PipelineRun,
     StagePlan,
-    TaskOutcome,
     generation_count,
     measure_overheads,
     overhead_row,
@@ -113,13 +113,13 @@ def test_waves_fill_to_capacity_and_peak_matches():
     outcome = run_campaign(graph_of_520_tasks(), quiet_pilot(4_160), seed=3)
     widths = [g.width for g in outcome.timeline.generations]
     assert widths == [130, 130, 130, 130]
-    assert outcome.timeline.peak_concurrency() == 130
+    assert peak_concurrency(outcome.timeline) == 130
 
 
 def test_full_width_single_generation():
     outcome = run_campaign(graph_of_520_tasks(), quiet_pilot(16_640), seed=3)
     assert [g.width for g in outcome.timeline.generations] == [520]
-    assert outcome.timeline.peak_concurrency() == 520
+    assert peak_concurrency(outcome.timeline) == 520
 
 
 def test_peak_concurrency_counts_zero_duration_waves():
@@ -127,7 +127,7 @@ def test_peak_concurrency_counts_zero_duration_waves():
     graph = compile_protocol(ProtocolKind.TIES, "ties", 5)
     outcome = run_campaign(graph, quiet_pilot(2_080), duration_model=DurationModel(0.0, 0.0), seed=1)
     assert max(g.width for g in outcome.timeline.generations) == 65
-    assert outcome.timeline.peak_concurrency() == 65
+    assert peak_concurrency(outcome.timeline) == 65
 
 
 def test_time_to_completion_identity():
@@ -156,7 +156,7 @@ def test_determinism_per_seed():
     pilot = PilotConfig(total_cores=16_640)
     a = run_campaign(graph, pilot, seed=7)
     b = run_campaign(graph, pilot, seed=7)
-    assert list(a.timeline.events) == list(b.timeline.events)
+    assert oracle_events(a.timeline) == oracle_events(b.timeline)
     assert a.overheads == b.overheads
     c = run_campaign(graph, pilot, seed=8)
     assert c.timeline.n_retries != a.timeline.n_retries
@@ -172,12 +172,13 @@ def test_failed_tasks_retry_exactly_once():
     outcome = run_campaign(graph_of_520_tasks(), PilotConfig(total_cores=16_640), seed=0)
     tl = outcome.timeline
     assert 40 <= tl.n_retries <= 100
-    retried = [r for r in tl.task_records.values() if r.outcome is TaskOutcome.FAILED_THEN_RETRIED]
+    records = task_records(tl)
+    retried = [r for r in records.values() if r.outcome is TaskOutcome.FAILED_THEN_RETRIED]
     assert len(retried) == tl.n_retries
     assert all(r.attempts == 2 for r in retried)
     assert all(
         r.attempts == 1
-        for r in tl.task_records.values()
+        for r in records.values()
         if r.outcome is TaskOutcome.DONE
     )
     retry_waves = [g for g in tl.generations if g.is_retry]
@@ -254,7 +255,7 @@ def test_evaluator_terminate_cancels_remaining_stages():
     assert mark_labels(tl, "two") == ["S1"]
     # S2 is cancelled: the pipeline stops at S1 and no S2 task is launched
     assert mark_labels(tl, "two", "pipeline_terminated") == ["S1"]
-    assert not any(task_id.startswith("two/S2/") for task_id in tl.task_records)
+    assert not any(task_id.startswith("two/S2/") for task_id in task_records(tl))
 
 
 def test_evaluator_append_inserts_and_runs_stage():
@@ -263,7 +264,7 @@ def test_evaluator_append_inserts_and_runs_stage():
     outcome = run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
     assert mark_labels(outcome.timeline, "two") == ["S1", "S1b", "S2"]
     assert 0.5 in ev.pipeline.windows
-    assert "two/S1b/l0.500/r0" in outcome.timeline.task_records
+    assert "two/S1b/l0.500/r0" in task_records(outcome.timeline)
 
 
 class _ScriptedEvaluator:
@@ -354,7 +355,7 @@ def test_overhead_csv_extra_columns(tmp_path):
 
 def test_event_count_renders_no_events(monkeypatch):
     tl = run_campaign(graph_of_520_tasks(), PilotConfig(total_cores=16_640), seed=0).timeline
-    rendered = sum(1 for _ in tl.events)
+    rendered = len(oracle_events(tl))
     # any rendering would now fail
     monkeypatch.setattr("fecampaign.engine.TimelineEvent", None)
     assert len(tl.events) == rendered
@@ -365,8 +366,6 @@ def _freed_at_refcount_zero(make_timeline):
     it died at once, with the cyclic collector off."""
     tl = make_timeline()
     assert len(tl.task_records) > 0
-    for _ in tl.task_records:
-        pass
     assert len(tl.events) > 0
     ref = weakref.ref(tl)
     del tl

@@ -6,15 +6,31 @@ each task's events straight from the stored waves, the stage marks and
 the aborted wave, in the order they happened, and then stable-sorts them
 by time.  The engine's clock never runs backwards, so the sort is the
 rule the walk must reproduce; an ordering bug in the walk differs from
-it.
+it.  The per-task views the tests read (each task's attempts and
+outcome, and the peak concurrency) are built here too: the engine keeps
+no per-task record.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from enum import Enum
+from typing import NamedTuple
 
 from fecampaign.engine import TIMELINE_COLUMNS, TimelineEvent
+
+
+class TaskOutcome(str, Enum):
+    DONE = "DONE"
+    FAILED_THEN_RETRIED = "FAILED_THEN_RETRIED"
+
+
+class TaskRecord(NamedTuple):
+    """One task across its (at most two) attempts."""
+
+    attempts: int
+    outcome: TaskOutcome
 
 
 def _task_events(time_s, event, stage, indices, generation) -> list[TimelineEvent]:
@@ -55,6 +71,31 @@ def oracle_events(timeline) -> list[TimelineEvent]:
     if timeline.complete:
         events.append(TimelineEvent(timeline.end_time_s, "campaign_end", "", "", "", -1))
     return sorted(events, key=lambda ev: ev.time_s)
+
+
+def task_records(timeline) -> dict[str, TaskRecord]:
+    """Each launched task's record by id, in submit order, from every
+    stored wave, the aborted one included."""
+    records: dict[str, TaskRecord] = {}
+    for gen in timeline.generations + [timeline.aborted_wave] * (timeline.aborted_wave is not None):
+        for s in gen.slices:
+            failed = set(s.failed)
+            for i, task_id in zip(s.indices, s.stage.task_ids(s.indices)):
+                if gen.is_retry:
+                    records[task_id] = records[task_id]._replace(attempts=2)
+                else:
+                    outcome = TaskOutcome.FAILED_THEN_RETRIED if i in failed else TaskOutcome.DONE
+                    records[task_id] = TaskRecord(1, outcome)
+    return records
+
+
+def peak_concurrency(timeline) -> int:
+    """Most tasks running at once: started and not yet ended, in event order."""
+    running = peak = 0
+    for ev in oracle_events(timeline):
+        running += (ev.event == "task_start") - (ev.event == "task_end")
+        peak = max(peak, running)
+    return peak
 
 
 def csv_bytes(events) -> bytes:
