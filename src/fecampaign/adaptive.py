@@ -20,11 +20,12 @@ through the trapezoid.
   windows.  With one sub-stage as long as a static production stage it
   estimates a fixed schedule: it records the estimate when production
   ends and never refines.
-* :class:`AdaptiveTerminationEvaluator` slices production into
-  ``tau``-long sub-stages, re-integrates at every checkpoint and
-  terminates the pipeline once the checkpoint estimates are
-  :func:`converged`: at least ``min_checkpoints_before_termination`` of
-  them, the last two within the termination threshold.
+* :class:`AdaptiveTerminationEvaluator` re-integrates at the end of every
+  production sub-stage, a checkpoint whose spacing
+  :func:`fecampaign.campaign.plan_run` sets, and terminates the pipeline
+  once the checkpoint estimates are :func:`converged`: at least
+  ``min_checkpoints_before_termination`` of them, the last two within the
+  termination threshold.
 
 The replica-mean matrix is the only way to a free energy;
 :meth:`SyntheticSampler.series` reads one replica's samples as a
@@ -266,15 +267,6 @@ class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
     full horizon.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        substage_ns = self._spc * self.dt_ps / 1000.0
-        if abs(substage_ns - self.adaptive.termination_tau_ns) > 1e-9:
-            raise ContractError(
-                f"sub-stage spans {substage_ns} ns but termination_tau_ns is "
-                f"{self.adaptive.termination_tau_ns}; checkpoints must fall on sub-stage boundaries"
-            )
-
     def on_stage_complete(self, pipeline: PipelineRun, stage: Stage) -> StagePlan:
         self._serve(pipeline)
         if stage.kind is not StageKind.PRODUCTION:
@@ -286,7 +278,7 @@ class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
         lengths = {lam: k * self._spc for lam in lams}
         points = window_points(*self.sampler.window_means(lengths, stage.width, self.discard_fraction))
         values.append(trapezoid_integrate(points))
-        time_ns = k * self.adaptive.termination_tau_ns
+        time_ns = k * (self._spc * self.dt_ps / 1000.0)
 
         threshold = self.adaptive.termination_threshold
         if threshold > 0.0 and converged(

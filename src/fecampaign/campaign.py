@@ -14,7 +14,7 @@ import zlib
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .adaptive import AdaptiveQuadratureEvaluator, AdaptiveTerminationEvaluator
+from .adaptive import AdaptiveQuadratureEvaluator, AdaptiveTerminationEvaluator, samples_per_substage
 from .engine import CampaignOutcome, PilotConfig, run_campaign
 from .errors import CampaignError, ValidationError
 from .protocols import (
@@ -86,38 +86,39 @@ class SystemRunResult:
         return len(self.windows)
 
 
-def _protocol_for_mode(
+def plan_run(
     system: SyntheticSystem, mode: CampaignMode, opts: RunOptions
 ) -> tuple[WorkflowGraph, AdaptiveConfig]:
-    """The compiled protocol a mode runs and the config of the evaluator that estimates it.
+    """The compiled protocol a mode runs and its evaluator's config: the one owner of sub-stage rules.
 
-    A fixed schedule stays a static protocol, so its production stage keeps
-    its label; its evaluator runs one production sub-stage as long as that
-    stage, records the estimate when production ends and never refines.
+    A fixed schedule stays a static protocol: its evaluator runs one production
+    sub-stage as long as its production stage and never refines.  Termination
+    runs ``6 ns / tau`` sub-stages of ``tau``, which must be a whole number of
+    MD timesteps.  Every sub-stage holds whole sample intervals.  A broken rule
+    raises :class:`ValidationError` naming the field.
     """
     schedule, adaptive = None, None
-    if mode in (CampaignMode.REFERENCE, CampaignMode.NONADAPTIVE):
-        n_windows = REFERENCE_WINDOWS if mode is CampaignMode.REFERENCE else NONADAPTIVE_WINDOWS
-        schedule = LambdaSchedule.uniform(n_windows)
-    elif mode is CampaignMode.ADAPTIVE_QUADRATURE:
+    if mode is CampaignMode.ADAPTIVE_QUADRATURE:
         adaptive = opts.adaptive
     elif mode is CampaignMode.ADAPTIVE_TERMINATION:
         tau = opts.adaptive.termination_tau_ns
-        n_sub = TERMINATION_HORIZON_NS / tau
-        if abs(n_sub - round(n_sub)) > 1e-9:
-            raise ValidationError(
-                f"adaptive.termination_tau_ns {tau} does not divide the "
-                f"{TERMINATION_HORIZON_NS} ns production horizon"
-            )
+        n_sub, n_steps = TERMINATION_HORIZON_NS / tau, tau * 1000.0 / MD_TIMESTEP_PS
+        for n, rule in (
+            (n_sub, f"does not divide the {TERMINATION_HORIZON_NS} ns production horizon"),
+            (n_steps, f"is not a whole number of {MD_TIMESTEP_PS * 1000.0:g} fs MD timesteps"),
+        ):
+            if abs(n - round(n)) > 1e-9 * n:
+                raise ValidationError(f"adaptive.termination_tau_ns {tau} {rule}")
         adaptive = replace(
             opts.adaptive,
             initial_lambdas=LambdaSchedule.uniform(NONADAPTIVE_WINDOWS),
             production_substages=int(round(n_sub)),
-            substage_timesteps=int(round(tau * 1000.0 / MD_TIMESTEP_PS)),
+            substage_timesteps=int(round(n_steps)),
             max_total_windows=max(opts.adaptive.max_total_windows, NONADAPTIVE_WINDOWS),
         )
     else:
-        raise ValidationError(f"unknown campaign mode {mode!r}")
+        n_windows = REFERENCE_WINDOWS if mode is CampaignMode.REFERENCE else NONADAPTIVE_WINDOWS
+        schedule = LambdaSchedule.uniform(n_windows)
     graph = compile_protocol(
         ProtocolKind.TIES, f"{_slug(system.label)}-{mode.value.lower()}", opts.replicas,
         schedule, adaptive, opts.schedule_mode, cores_per_task=opts.pilot.cores_per_task,
@@ -125,6 +126,7 @@ def _protocol_for_mode(
     if adaptive is None:
         prod = next(s for s in graph.pipelines[0].stages if s.kind is StageKind.PRODUCTION)
         adaptive = replace(opts.adaptive, production_substages=1, substage_timesteps=prod.timesteps)
+    samples_per_substage(adaptive.substage_timesteps, opts.dt_ps)
     return graph, adaptive
 
 
@@ -147,7 +149,7 @@ def run_system(
     use :class:`AdaptiveTerminationEvaluator`, all others
     :class:`AdaptiveQuadratureEvaluator`.
     """
-    graph, adaptive = _protocol_for_mode(system, mode, opts)
+    graph, adaptive = plan_run(system, mode, opts)
     seed = data_seed(opts.seed, system.label, mode)
     evaluator_cls = (
         AdaptiveTerminationEvaluator if mode is CampaignMode.ADAPTIVE_TERMINATION
@@ -225,7 +227,6 @@ class SweepRung:
 @dataclass(frozen=True)
 class SweepRunResult:
     run_id: str
-    kind: str
     n_protocols: int
     total_cores: int
     outcome: CampaignOutcome
@@ -263,8 +264,7 @@ def run_sweep(
         results.append(
             SweepRunResult(
                 run_id=f"{kind.lower()}-{i}-P{rung.n_protocols}-C{rung.total_cores}",
-                kind=kind, n_protocols=rung.n_protocols,
-                total_cores=rung.total_cores, outcome=outcome,
+                n_protocols=rung.n_protocols, total_cores=rung.total_cores, outcome=outcome,
             )
         )
     return results

@@ -27,6 +27,7 @@ from .campaign import (
     SystemRunResult,
     _slug,
     compare_system,
+    plan_run,
     run_label,
     run_sweep,
     run_system,
@@ -60,9 +61,13 @@ def _out_dir(path: str, name: str) -> Path:
     return out_dir
 
 
-def _require_systems(cfg: CampaignConfig) -> None:
+def _require_runs(cfg: CampaignConfig, *modes: CampaignMode) -> None:
+    """Plan the first system's run in each of ``modes``: a config that every
+    such run would reject fails here, naming its field."""
     if not cfg.systems:
         raise ValidationError("config.systems must list at least one system")
+    for mode in modes:
+        plan_run(cfg.systems[0], mode, _options(cfg))
 
 
 def _require_sweep(cfg: CampaignConfig) -> None:
@@ -73,12 +78,14 @@ def _require_sweep(cfg: CampaignConfig) -> None:
 def _load(
     args: argparse.Namespace, require: Callable[[CampaignConfig], None]
 ) -> tuple[CampaignConfig, Path]:
-    """Load the config and ``require`` what the command reads of it, then
-    create the output directory, so a rejected config leaves none."""
+    """Load the config, apply ``--seed`` and ``--mode`` and ``require`` what the command
+    reads of it, then create the output directory, so a rejected config leaves none."""
     cfg = load_config(args.config)
-    require(cfg)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    if getattr(args, "mode", None) is not None:
+        cfg = replace(cfg, mode=CampaignMode(args.mode))
+    require(cfg)
     out, name = (args.out, "--out") if args.out is not None else (cfg.output_dir, "config.output_dir")
     return cfg, _out_dir(out, name)
 
@@ -109,17 +116,16 @@ def _write_overheads(results: list[SystemRunResult], total_cores: int, out_dir: 
 
 def run(args: argparse.Namespace) -> None:
     """Run every configured system in one campaign mode."""
-    cfg, out_dir = _load(args, _require_systems)
-    campaign_mode = cfg.mode if args.mode is None else CampaignMode(args.mode)
+    cfg, out_dir = _load(args, lambda cfg: _require_runs(cfg, cfg.mode))
     opts = _options(cfg)
     results = []
     for system in cfg.systems:
-        label = run_label(system, campaign_mode)
+        label = run_label(system, cfg.mode)
         with _partial_timeline(out_dir):
-            res = run_system(system, campaign_mode, opts)
+            res = run_system(system, cfg.mode, opts)
         result = {
             "system": system.label,
-            "mode": campaign_mode.value,
+            "mode": cfg.mode.value,
             "delta_g": res.estimate.delta_g,
             "stderr": res.estimate.stderr,
             "n_windows": res.n_windows,
@@ -167,7 +173,8 @@ def sweep(args: argparse.Namespace) -> None:
 
 def compare(args: argparse.Namespace) -> None:
     """Reference vs uniform vs adaptive quadrature for every system."""
-    cfg, out_dir = _load(args, _require_systems)
+    modes = (CampaignMode.REFERENCE, CampaignMode.NONADAPTIVE, CampaignMode.ADAPTIVE_QUADRATURE)
+    cfg, out_dir = _load(args, lambda cfg: _require_runs(cfg, *modes))
     opts = _options(cfg)
     with _partial_timeline(out_dir):
         comparisons = [compare_system(s, opts) for s in cfg.systems]
@@ -189,7 +196,7 @@ def validate(args: argparse.Namespace) -> None:
 
 def term_report(args: argparse.Namespace) -> None:
     """Convergence-based early termination against the fixed 6 ns baseline."""
-    cfg, out_dir = _load(args, _require_systems)
+    cfg, out_dir = _load(args, lambda cfg: _require_runs(cfg, CampaignMode.ADAPTIVE_TERMINATION))
     opts = _options(cfg)
     with _partial_timeline(out_dir):
         runs = [run_termination(s, opts) for s in cfg.systems]

@@ -180,6 +180,17 @@ def test_termination_tau_must_divide_horizon():
         run_system(LINEAR, CampaignMode.ADAPTIVE_TERMINATION, opts)
 
 
+def test_termination_tau_must_be_whole_md_timesteps():
+    # 6/7 ns divides the horizon, but is 428,571.43 steps of 2 fs: the
+    # sub-stage could not end on a checkpoint, whatever the sample interval.
+    opts = RunOptions(
+        pilot=PilotConfig(total_cores=2_080),
+        adaptive=AdaptiveConfig(termination_tau_ns=6 / 7), dt_ps=0.002,
+    )
+    with pytest.raises(ValidationError, match=r"adaptive\.termination_tau_ns"):
+        run_system(LINEAR, CampaignMode.ADAPTIVE_TERMINATION, opts)
+
+
 @pytest.mark.parametrize("mode", list(CampaignMode))
 def test_stages_take_their_cores_from_the_pilot(mode):
     opts = fast_opts(pilot=PilotConfig(total_cores=2_080, cores_per_task=64))

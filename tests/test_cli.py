@@ -279,6 +279,51 @@ def test_sample_interval_must_fit_in_the_substage(tmp_path):
     assert not (tmp_path / "out" / "quiet-pair_adaptive_quadrature.json").exists()
 
 
+def knobs(**overrides):
+    """write_config's ``adaptive`` section with ``overrides``."""
+    return AdaptiveConfig(**{"error_threshold_epsilon": 0.05, "substage_timesteps": 50_000, **overrides})
+
+
+@pytest.mark.parametrize(
+    "command,overrides,message",
+    [
+        pytest.param(("run",), {"mode": CampaignMode.ADAPTIVE_QUADRATURE, "adaptive": knobs(substage_timesteps=100)},
+                     "config.sample_interval_ps 1.0 is longer than the 0.2 ps", id="run-substage"),
+        pytest.param(("compare",), {"adaptive": knobs(substage_timesteps=100)},
+                     "config.sample_interval_ps 1.0 is longer than the 0.2 ps", id="compare-substage"),
+        pytest.param(("term-report",), {"adaptive": knobs(termination_tau_ns=0.7)},
+                     "adaptive.termination_tau_ns 0.7 does not divide", id="term-report-tau"),
+        pytest.param(("run", "--mode", "ADAPTIVE_TERMINATION"), {"adaptive": knobs(termination_tau_ns=0.7)},
+                     "adaptive.termination_tau_ns 0.7 does not divide", id="run-mode-tau"),
+        pytest.param(("compare",), {"sample_interval_ps": 0.3},
+                     "config.sample_interval_ps 0.3 does not divide", id="compare-sample-interval"),
+        # 6/7 ns divides the horizon but is no whole number of 2 fs steps
+        pytest.param(("term-report",), {"adaptive": knobs(termination_tau_ns=6 / 7), "sample_interval_ps": 0.002},
+                     "adaptive.termination_tau_ns 0.8571428571428571 is not a whole number of 2 fs MD timesteps",
+                     id="term-report-tau-timesteps"),
+    ],
+)
+def test_unplannable_run_fails_before_any_output(tmp_path, command, overrides, message):
+    out = tmp_path / "o"
+    result = invoke(*command, "--config", write_config(tmp_path, **overrides), "--out", out)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.stderr
+    assert message in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,overrides",
+    [
+        ("compare", {"adaptive": knobs(termination_tau_ns=0.7)}),
+        ("term-report", {"adaptive": knobs(substage_timesteps=100)}),
+    ],
+)
+def test_field_the_command_never_reads_is_not_checked(tmp_path, command, overrides):
+    result = invoke(command, "--config", write_config(tmp_path, **overrides))
+    assert result.exit_code == 0, result.stderr
+
+
 def test_walltime_exhaustion_maps_to_exit_3(tmp_path):
     cfg_path = write_config(tmp_path, pilot=PilotConfig(total_cores=2_080, walltime_s=1.0))
     result = invoke("run", "--config", cfg_path)
