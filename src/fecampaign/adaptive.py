@@ -51,25 +51,24 @@ from .stats import DEFAULT_DISCARD_FRACTION, DuDlSeries, window_points
 from .synth import NoiseBlock, SyntheticSystem, drift_curve, grow_streams, open_stream
 
 
-def samples_per_substage(substage_timesteps: int, dt_ps: float) -> int:
+def samples_per_substage(substage_timesteps: int, dt_ps: float, set_by: str | None = None) -> int:
     """Number of dU/dlambda samples one production sub-stage contributes.
 
     The sample interval must fit in the sub-stage and divide it (to a
     relative 1e-9), so that every checkpoint and every estimate covers
-    whole sub-stages.
+    whole sub-stages.  ``set_by`` names the config field that set the
+    sub-stage in the error, by default ``adaptive.substage_timesteps``.
     """
     substage_ps = substage_timesteps * MD_TIMESTEP_PS
     n = round(substage_ps / dt_ps)
+    substage = (
+        f"the {substage_ps:g} ps production sub-stage "
+        f"(set by {set_by or f'adaptive.substage_timesteps {substage_timesteps}'})"
+    )
     if n < 1:
-        raise ValidationError(
-            f"config.sample_interval_ps {dt_ps} is longer than the {substage_ps:g} ps "
-            "production sub-stage"
-        )
+        raise ValidationError(f"config.sample_interval_ps {dt_ps} is longer than {substage}")
     if abs(substage_ps / dt_ps - n) > 1e-9 * n:
-        raise ValidationError(
-            f"config.sample_interval_ps {dt_ps} does not divide the {substage_ps:g} ps "
-            "production sub-stage"
-        )
+        raise ValidationError(f"config.sample_interval_ps {dt_ps} does not divide {substage}")
     return n
 
 
@@ -163,7 +162,7 @@ def _equilibration_chain(pipeline: PipelineRun, stage: Stage, cycle: int, lams) 
     for new windows ``lams`` and as wide as ``stage``."""
     chain = itertools.takewhile(lambda st: st.kind is not StageKind.PRODUCTION, pipeline.stages)
     return [
-        Stage(pipeline.id, f"{st.label}.{cycle}", st.kind, st.timesteps, stage.width, lams, stage.cores)
+        Stage(f"{st.label}.{cycle}", st.kind, st.timesteps, stage.width, lams, stage.cores)
         for st in chain
     ]
 
@@ -212,10 +211,10 @@ class _SyntheticEvaluator:
         self.windows = tuple(p.lam for p in points)
         self.simulated_ns = simulated_ns
 
-    def _production_stage(self, pipeline: PipelineRun, stage: Stage, index: int, lams) -> Stage:
+    def _production_stage(self, stage: Stage, index: int, lams) -> Stage:
         """Production sub-stage ``index``, labelled after ``stage``: ``S4.k`` -> ``S4.<index>``."""
         return Stage(
-            pipeline.id, f"{stage.label.split('.')[0]}.{index}", StageKind.PRODUCTION,
+            f"{stage.label.split('.')[0]}.{index}", StageKind.PRODUCTION,
             self.adaptive.substage_timesteps, stage.width, lams, stage.cores,
         )
 
@@ -251,7 +250,7 @@ class AdaptiveQuadratureEvaluator(_SyntheticEvaluator):
             )
             stages = _equilibration_chain(pipeline, stage, cycle + 1, new_lams) if new_lams else []
             all_lams = sorted(set(counts) | set(new_lams))
-            stages.append(self._production_stage(pipeline, stage, cycle + 1, all_lams))
+            stages.append(self._production_stage(stage, cycle + 1, all_lams))
             return StagePlan.append(stages)
 
         # Final sub-stage: integrate and record the run's estimate.
@@ -288,6 +287,6 @@ class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
             self.terminated_ns = time_ns
             return StagePlan.terminate()
         if k < self.adaptive.production_substages:
-            return StagePlan.append([self._production_stage(pipeline, stage, k + 1, lams)])
+            return StagePlan.append([self._production_stage(stage, k + 1, lams)])
         self._record(points, time_ns)
         return StagePlan.proceed()

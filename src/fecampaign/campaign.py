@@ -95,9 +95,10 @@ def plan_run(
     sub-stage as long as its production stage and never refines.  Termination
     runs ``6 ns / tau`` sub-stages of ``tau``, which must be a whole number of
     MD timesteps.  Every sub-stage holds whole sample intervals.  A broken rule
-    raises :class:`ValidationError` naming the field.
+    raises :class:`ValidationError` naming the field, and the one that set the
+    sub-stage.
     """
-    schedule, adaptive = None, None
+    schedule, adaptive, set_by = None, None, None
     if mode is CampaignMode.ADAPTIVE_QUADRATURE:
         adaptive = opts.adaptive
     elif mode is CampaignMode.ADAPTIVE_TERMINATION:
@@ -109,6 +110,7 @@ def plan_run(
         ):
             if abs(n - round(n)) > 1e-9 * n:
                 raise ValidationError(f"adaptive.termination_tau_ns {tau} {rule}")
+        set_by = f"adaptive.termination_tau_ns {tau}"
         adaptive = replace(
             opts.adaptive,
             initial_lambdas=LambdaSchedule.uniform(NONADAPTIVE_WINDOWS),
@@ -119,6 +121,7 @@ def plan_run(
     else:
         n_windows = REFERENCE_WINDOWS if mode is CampaignMode.REFERENCE else NONADAPTIVE_WINDOWS
         schedule = LambdaSchedule.uniform(n_windows)
+        set_by = f"config.schedule_mode {opts.schedule_mode.value}"
     graph = compile_protocol(
         ProtocolKind.TIES, f"{_slug(system.label)}-{mode.value.lower()}", opts.replicas,
         schedule, adaptive, opts.schedule_mode, cores_per_task=opts.pilot.cores_per_task,
@@ -126,7 +129,7 @@ def plan_run(
     if adaptive is None:
         prod = next(s for s in graph.pipelines[0].stages if s.kind is StageKind.PRODUCTION)
         adaptive = replace(opts.adaptive, production_substages=1, substage_timesteps=prod.timesteps)
-    samples_per_substage(adaptive.substage_timesteps, opts.dt_ps)
+    samples_per_substage(adaptive.substage_timesteps, opts.dt_ps, set_by)
     return graph, adaptive
 
 

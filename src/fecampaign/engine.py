@@ -23,17 +23,19 @@ reports:
 Total time to completion is the exact sum of the four categories, and
 equals the virtual clock at the final event.
 
-A task is an index into its stage's block, and a wave a list of slices
-of blocks.  The engine stores one :class:`GenerationSummary` per wave and
+A stage is a shape that pipelines share, so a task is an index into its
+stage's block, and a wave a list of slices of blocks, each carrying the
+index of the pipeline it runs for.  The engine stores one
+:class:`GenerationSummary` per wave, the pipeline ids once per run and
 the few stage marks, and keeps no per-task record.  The event log exists
 only as the file :func:`write_timeline_csv` writes, its one renderer:
 one walk over the waves sets the event order and yields the task events
 as segments that share a time, and the writer joins each stage slice's
-rows from the id tails its stage shape shares, so writing holds no
-per-task id.  ``CampaignTimeline.events`` and ``task_records`` are the
-row and task counts the benchmark reads, in closed form; the timeline
-holds no reference to itself, so it is freed when its last reference
-goes.
+rows from its pipeline's id and the id tails its stage shape shares, so
+writing holds no per-task id.  ``CampaignTimeline.events`` and
+``task_records`` are the row and task counts the benchmark reads, in
+closed form; the timeline holds no reference to itself, so it is freed
+when its last reference goes.
 """
 
 from __future__ import annotations
@@ -191,10 +193,12 @@ class TimelineEvent(NamedTuple):
 @dataclass(slots=True)
 class _Slice:
     """Stage indices launched together in one wave (a range on a first
-    attempt); all but the ``failed`` ran until ``end_time_s``.  Slices are
-    what the writer renders: no per-task record is kept."""
+    attempt) for the pipeline at index ``pipeline`` of the graph; all but
+    the ``failed`` ran until ``end_time_s``.  Slices are what the writer
+    renders: no per-task record is kept."""
 
     stage: Stage
+    pipeline: int
     indices: Sequence[int]
     failed: tuple[int, ...] = ()
     end_time_s: float = math.nan
@@ -230,14 +234,14 @@ class _Segment(NamedTuple):
 
     time_s: float
     event: str
-    parts: list[tuple[Stage, Sequence[int]]]  # stage indices in launch order
+    parts: list[tuple[_Slice, Sequence[int]]]  # slice indices in launch order
     generation: int
 
 
 def _launch_segments(gen: GenerationSummary) -> Iterator[_Segment]:
     t = gen.submit_time_s
-    yield _Segment(t, "task_submit", [(s.stage, s.indices) for s in gen.slices], gen.index)
-    yield _Segment(t, "task_fail", [(s.stage, s.failed) for s in gen.slices if s.failed], gen.index)
+    yield _Segment(t, "task_submit", [(s, s.indices) for s in gen.slices], gen.index)
+    yield _Segment(t, "task_fail", [(s, s.failed) for s in gen.slices if s.failed], gen.index)
 
 
 def _wave_walk(tl: "CampaignTimeline") -> Iterator[TimelineEvent | _Segment]:
@@ -258,7 +262,7 @@ def _wave_walk(tl: "CampaignTimeline") -> Iterator[TimelineEvent | _Segment]:
     mark = next(marks, None)
     for gen in tl.generations:
         yield from _launch_segments(gen)
-        ran = [(s.end_time_s, (s.stage, s.started())) for s in gen.slices if len(s.failed) < len(s.indices)]
+        ran = [(s.end_time_s, (s, s.started())) for s in gen.slices if len(s.failed) < len(s.indices)]
         yield _Segment(gen.submit_time_s, "task_start", [part for _, part in ran], gen.index)
         for end_s, group in groupby(sorted(ran, key=itemgetter(0)), itemgetter(0)):
             yield _Segment(end_s, "task_end", [part for _, part in group], gen.index)
@@ -293,6 +297,8 @@ class CampaignTimeline:
     objects that the benchmark reads through ``len()`` and nothing else.
     """
 
+    #: the graph's pipeline ids, which a slice's ``pipeline`` indexes
+    pipeline_ids: tuple[str, ...] = ()
     generations: list[GenerationSummary] = field(default_factory=list)
     #: ``stage_complete`` and ``pipeline_terminated`` events, in order
     marks: list[TimelineEvent] = field(default_factory=list)
@@ -394,11 +400,8 @@ def _validate_plan(plan: StagePlan, pipeline: PipelineRun) -> None:
     known = set(pipeline.windows)
     introduced: set[float] = set()
     for stage in plan.stages:
-        if stage.pipeline_id != pipeline.id or stage.label in labels:
-            raise PlanRejectedError(
-                f"plan for pipeline {pipeline.id} adds a stage it has or does not own: "
-                f"{stage.pipeline_id}/{stage.label}"
-            )
+        if stage.label in labels:
+            raise PlanRejectedError(f"plan for pipeline {pipeline.id} adds a stage it has: {stage.label}")
         labels.add(stage.label)
         lams = stage.lambdas or ()
         if stage.kind is StageKind.PRODUCTION:
@@ -438,11 +441,11 @@ def run_campaign(
         for s in p.stages:
             if s.cores > pilot.total_cores:
                 raise ValidationError(
-                    f"stage {s.pipeline_id}/{s.label} needs {s.cores} cores per task, "
+                    f"stage {p.id}/{s.label} needs {s.cores} cores per task, "
                     f"pilot has {pilot.total_cores}"
                 )
 
-    timeline = CampaignTimeline()
+    timeline = CampaignTimeline(pipeline_ids=tuple(p.id for p in workflows.pipelines))
     clock = 0.0
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFA17]))
 
@@ -455,7 +458,6 @@ def run_campaign(
     # graph order.  A wave fills from its front, so only the last pipeline
     # it visits can stay part-launched.
     ready: list[int] = []
-    index_of = {pl.id: k for k, pl in enumerate(pipelines)}
 
     def fail(message: str, aborted_wave: GenerationSummary | None = None) -> CampaignError:
         timeline.end_time_s = clock
@@ -491,7 +493,7 @@ def run_campaign(
                 stage = pipelines[k].stages[pipelines[k].cursor]
                 lo = launched[k]
                 hi = launched[k] = min(stage.n_tasks, lo + free)
-                wave.append(_Slice(stage, range(lo, hi)))
+                wave.append(_Slice(stage, k, range(lo, hi)))
                 free -= hi - lo
                 if not free:
                     break
@@ -528,11 +530,12 @@ def run_campaign(
             if rolls.any() and is_retry_wave:
                 # The first repeated failure aborts before any failure is logged.
                 s, failed = next((s, f) for s, f in zip(wave, split) if f)
-                raise fail(f"task {s.stage.task_ids(failed[:1])[0]} failed twice; campaign aborted", gen)
+                task_id = s.stage.task_ids(pipelines[s.pipeline].id, failed[:1])[0]
+                raise fail(f"task {task_id} failed twice; campaign aborted", gen)
             for s, failed in zip(wave, split):
                 if failed:
                     s.failed = failed
-                    retry_wave.append(_Slice(s.stage, failed))
+                    retry_wave.append(_Slice(s.stage, s.pipeline, failed))
             timeline.n_retries += int(rolls.sum())
 
         running = [s for s in wave if len(s.failed) < len(s.indices)]
@@ -561,7 +564,7 @@ def run_campaign(
         # the wave holds at most one slice per pipeline, in graph order.
         entered = len(ready)
         for s in running:
-            k = index_of[s.stage.pipeline_id]
+            k = s.pipeline
             remaining[k] -= len(s.indices) - len(s.failed)
             if remaining[k]:
                 continue
@@ -623,14 +626,15 @@ def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
 
 def _row_pieces(timeline: CampaignTimeline) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Each mark's row, and each stage slice's rows as three pieces, with their row counts."""
+    ids = timeline.pipeline_ids
     for seg in _wave_walk(timeline):
         if isinstance(seg, TimelineEvent):
             yield 1, ("{:.6f},{},{},{},{},{}\r\n".format(*seg),)
             continue
         time_s, event, parts, generation = seg
         lead = f"{time_s:.6f},{event},"
-        for stage, indices in parts:
-            pid, tails = stage.pipeline_id, stage.id_tails
+        for s, indices in parts:
+            pid, stage, tails = ids[s.pipeline], s.stage, s.stage.id_tails
             head = lead + pid
             end = f",{pid},{stage.label},{generation}\r\n"
             if isinstance(indices, range):

@@ -5,9 +5,11 @@ equilibration stages and production, each fanning out into concurrent
 tasks (one per replica, or one per lambda window and replica), followed
 by analysis stages.  ``compile_protocol`` builds a protocol's pipeline of
 stages directly from its kind and sizes; stages run strictly in order,
-tasks within a stage run concurrently.  A stage is a block of tasks that
-differ only by their index, so compiling costs one object per stage,
-never one per task.
+tasks within a stage run concurrently.  A stage is a shape: a block of
+tasks that differ only by their index, owned by no pipeline.  Every
+pipeline of one shape shares one frozen stage tuple, so compiling P
+protocols of one shape costs P pipeline objects, not one object per
+stage and never one per task.
 """
 
 from __future__ import annotations
@@ -156,17 +158,17 @@ def _check_name(what: str, name: str) -> None:
 
 @dataclass(frozen=True)
 class Stage:
-    """A pipeline stage: a block of tasks that share kind, timesteps and cores.
+    """A stage shape: a block of tasks that share kind, timesteps and cores.
 
+    A stage names no pipeline, so pipelines of one shape share one stage.
     Task ``i`` is replica ``i % width`` at window ``lambdas[i // width]``, or
-    without ``lambdas`` replica (analysis: item) ``i``.  Its id is
-    ``<pipeline>`` then the tail ``/<label>/`` and ``l<lambda:.3f>/r<replica>``,
-    ``r<replica>`` or ``a<item>``.  The tails depend on the stage's shape
-    only (label, windows, width), so every pipeline's stage of one shape
-    shares one tuple of them and ids are joined only when read.
+    without ``lambdas`` replica (analysis: item) ``i``.  Its id is the id of
+    the pipeline that runs it, then the tail ``/<label>/`` and
+    ``l<lambda:.3f>/r<replica>``, ``r<replica>`` or ``a<item>``.  The tails
+    depend on the shape only (label, windows, width), so every stage of one
+    shape shares one tuple of them and ids are joined only when read.
     """
 
-    pipeline_id: str
     label: str
     kind: StageKind
     timesteps: int
@@ -177,7 +179,6 @@ class Stage:
     _marks: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_name("pipeline id", self.pipeline_id)
         _check_name("stage label", self.label)
         marks = ("a",) if self.kind in ANALYSIS_KINDS else ("r",)
         if self.lambdas is not None:
@@ -199,16 +200,19 @@ class Stage:
         read, so a run that writes no timeline builds none."""
         return _id_tails(self.label, self._marks, self.width)
 
-    def task_ids(self, indices: Sequence[int]) -> list[str]:
-        """Ids of the tasks at ``indices``."""
-        pid, tails = self.pipeline_id, self.id_tails
-        return [pid + tails[i] for i in indices]
+    def task_ids(self, pipeline_id: str, indices: Sequence[int]) -> list[str]:
+        """Ids of the tasks at ``indices`` when pipeline ``pipeline_id`` runs the stage."""
+        tails = self.id_tails
+        return [pipeline_id + tails[i] for i in indices]
 
 
 @dataclass(frozen=True)
 class Pipeline:
     id: str
     stages: tuple[Stage, ...]
+
+    def __post_init__(self):
+        _check_name("pipeline id", self.id)
 
 
 @dataclass(frozen=True)
@@ -221,10 +225,8 @@ class WorkflowGraph:
             raise ValidationError("pipeline ids must be unique within a workflow graph")
         for p in self.pipelines:
             labels = {s.label for s in p.stages}
-            if len(labels) != len(p.stages) or any(s.pipeline_id != p.id for s in p.stages):
-                raise ValidationError(
-                    f"pipeline {p.id}: stages need unique labels and the pipeline's id"
-                )
+            if len(labels) != len(p.stages):
+                raise ValidationError(f"pipeline {p.id}: stages need unique labels")
 
     @property
     def n_tasks(self) -> int:
@@ -257,7 +259,9 @@ def compile_protocol(
     ``lambda_schedule`` (13 uniform windows by default) or, given an
     ``adaptive`` config, that config's initial windows with production
     compiled as its first sub-stage ``S4.1`` only; the evaluator appends
-    later sub-stages at run time.  Compilation is deterministic.
+    later sub-stages at run time.  Compilation is deterministic, and every
+    protocol of one shape (all arguments but ``pipeline_id``) shares one
+    stage tuple.
     """
     if kind is ProtocolKind.ESMACS:
         if lambda_schedule is not None or adaptive is not None:
@@ -265,7 +269,6 @@ def compile_protocol(
                 f"protocol {pipeline_id}: ESMACS takes no lambda schedule or adaptive config"
             )
         lams = None
-        analysis = [("S5", StageKind.ANALYSIS, 1)]
     else:
         if adaptive is not None:
             if lambda_schedule is not None:
@@ -274,7 +277,18 @@ def compile_protocol(
                 )
             lambda_schedule = adaptive.initial_lambdas
         lams = (lambda_schedule or _DEFAULT_TIES_SCHEDULE).lambdas
-        analysis = [("S5", StageKind.ANALYSIS, replicas), ("S6", StageKind.GLOBAL_ANALYSIS, 1)]
+    substage_timesteps = adaptive.substage_timesteps if adaptive else None
+    stages = _stages(kind, replicas, lams, mode, include_analysis, cores_per_task, substage_timesteps)
+    return WorkflowGraph(pipelines=(Pipeline(id=pipeline_id, stages=stages),))
+
+
+@lru_cache(maxsize=256)
+def _stages(
+    kind: ProtocolKind, replicas: int, lams: tuple[float, ...] | None, mode: ScheduleMode,
+    include_analysis: bool, cores_per_task: int, substage_timesteps: int | None,
+) -> tuple[Stage, ...]:
+    """The stage tuple of one protocol shape, shared by every pipeline of
+    that shape; ``substage_timesteps`` replaces production by ``S4.1``."""
     s1, s2, s3, s4 = _TIMESTEPS[mode]
     sim = [
         ("S1", StageKind.MINIMIZATION, s1),
@@ -282,18 +296,22 @@ def compile_protocol(
         ("S3", StageKind.EQUILIBRATION, s3),
         ("S4", StageKind.PRODUCTION, s4),
     ]
-    if adaptive is not None:
-        sim[3] = ("S4.1", StageKind.PRODUCTION, adaptive.substage_timesteps)
+    if substage_timesteps is not None:
+        sim[3] = ("S4.1", StageKind.PRODUCTION, substage_timesteps)
     stages = [
-        Stage(pipeline_id, label, stage_kind, timesteps, replicas, lams, cores_per_task)
+        Stage(label, stage_kind, timesteps, replicas, lams, cores_per_task)
         for label, stage_kind, timesteps in sim
     ]
     if include_analysis:
+        if kind is ProtocolKind.ESMACS:
+            analysis = [("S5", StageKind.ANALYSIS, 1)]
+        else:
+            analysis = [("S5", StageKind.ANALYSIS, replicas), ("S6", StageKind.GLOBAL_ANALYSIS, 1)]
         stages += [
-            Stage(pipeline_id, label, stage_kind, 0, width, None, cores_per_task)
+            Stage(label, stage_kind, 0, width, None, cores_per_task)
             for label, stage_kind, width in analysis
         ]
-    return WorkflowGraph(pipelines=(Pipeline(id=pipeline_id, stages=tuple(stages)),))
+    return tuple(stages)
 
 
 def merge_graphs(graphs: Iterable[WorkflowGraph]) -> WorkflowGraph:

@@ -40,7 +40,7 @@ def ties_batch_graph(n_protocols=8, timesteps=50_000):
     """n_protocols single-stage TIES pipelines: 65 tasks each, all ready at once."""
     lams = LambdaSchedule.uniform(13).lambdas
     return WorkflowGraph(tuple(
-        Pipeline(f"t{i}", (Stage(f"t{i}", "S1", StageKind.MINIMIZATION, timesteps, 5, lams),))
+        Pipeline(f"t{i}", (Stage("S1", StageKind.MINIMIZATION, timesteps, 5, lams),))
         for i in range(n_protocols)
     ))
 

@@ -285,30 +285,39 @@ def knobs(**overrides):
 
 
 @pytest.mark.parametrize(
-    "command,overrides,message",
+    "command,overrides,message,set_by",
     [
         pytest.param(("run",), {"mode": CampaignMode.ADAPTIVE_QUADRATURE, "adaptive": knobs(substage_timesteps=100)},
-                     "config.sample_interval_ps 1.0 is longer than the 0.2 ps", id="run-substage"),
+                     "config.sample_interval_ps 1.0 is longer than the 0.2 ps",
+                     "(set by adaptive.substage_timesteps 100)", id="run-substage"),
         pytest.param(("compare",), {"adaptive": knobs(substage_timesteps=100)},
-                     "config.sample_interval_ps 1.0 is longer than the 0.2 ps", id="compare-substage"),
+                     "config.sample_interval_ps 1.0 is longer than the 0.2 ps",
+                     "(set by adaptive.substage_timesteps 100)", id="compare-substage"),
         pytest.param(("term-report",), {"adaptive": knobs(termination_tau_ns=0.7)},
-                     "adaptive.termination_tau_ns 0.7 does not divide", id="term-report-tau"),
+                     "adaptive.termination_tau_ns 0.7 does not divide", None, id="term-report-tau"),
         pytest.param(("run", "--mode", "ADAPTIVE_TERMINATION"), {"adaptive": knobs(termination_tau_ns=0.7)},
-                     "adaptive.termination_tau_ns 0.7 does not divide", id="run-mode-tau"),
+                     "adaptive.termination_tau_ns 0.7 does not divide", None, id="run-mode-tau"),
+        # the REFERENCE run, planned first, samples the scaling schedule's production stage
         pytest.param(("compare",), {"sample_interval_ps": 0.3},
-                     "config.sample_interval_ps 0.3 does not divide", id="compare-sample-interval"),
+                     "config.sample_interval_ps 0.3 does not divide",
+                     "(set by config.schedule_mode SCALING)", id="compare-sample-interval"),
+        pytest.param(("term-report",), {"sample_interval_ps": 0.3},
+                     "config.sample_interval_ps 0.3 does not divide the 500 ps",
+                     "(set by adaptive.termination_tau_ns 0.5)", id="term-report-sample-interval"),
         # 6/7 ns divides the horizon but is no whole number of 2 fs steps
         pytest.param(("term-report",), {"adaptive": knobs(termination_tau_ns=6 / 7), "sample_interval_ps": 0.002},
                      "adaptive.termination_tau_ns 0.8571428571428571 is not a whole number of 2 fs MD timesteps",
-                     id="term-report-tau-timesteps"),
+                     None, id="term-report-tau-timesteps"),
     ],
 )
-def test_unplannable_run_fails_before_any_output(tmp_path, command, overrides, message):
+def test_unplannable_run_fails_before_any_output(tmp_path, command, overrides, message, set_by):
     out = tmp_path / "o"
     result = invoke(*command, "--config", write_config(tmp_path, **overrides), "--out", out)
     assert result.exit_code == 2
     assert "Traceback" not in result.stderr
     assert message in result.stderr
+    # a sub-stage rule names the field that set the sub-stage too
+    assert set_by is None or set_by in result.stderr
     assert not out.exists()
 
 

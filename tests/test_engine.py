@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 from marks import mark_labels
-from timeline_oracle import TaskOutcome, oracle_events, peak_concurrency, task_records
+from timeline_oracle import TaskOutcome, csv_bytes, oracle_events, peak_concurrency, task_records
 
 from fecampaign.campaign import RunOptions, SweepRung, compare_system, run_sweep, run_termination
 from fecampaign.engine import (
@@ -39,7 +39,7 @@ from fecampaign.synth import named_system, named_systems
 
 def single_stage_ties(name, n_windows=13, replicas=5, timesteps=50_000, cores=32):
     lams = LambdaSchedule.uniform(n_windows).lambdas
-    stage = Stage(name, "S1", StageKind.MINIMIZATION, timesteps, replicas, lams, cores)
+    stage = Stage("S1", StageKind.MINIMIZATION, timesteps, replicas, lams, cores)
     return WorkflowGraph((Pipeline(name, (stage,)),))
 
 
@@ -68,9 +68,9 @@ def test_generation_count_rejects_negative():
 
 def test_duration_model():
     model = DurationModel()
-    sim = Stage("p", "S4", StageKind.PRODUCTION, 2_000_000, 1, (0.5,), cores=32)
+    sim = Stage("S4", StageKind.PRODUCTION, 2_000_000, 1, (0.5,), cores=32)
     assert model(sim) == pytest.approx(2_000_000 * 0.032 / 32)
-    analysis = Stage("p", "S5", StageKind.ANALYSIS, 0, 1, None, cores=32)
+    analysis = Stage("S5", StageKind.ANALYSIS, 0, 1, None, cores=32)
     assert model(analysis) == pytest.approx(10.0)
 
 
@@ -186,6 +186,47 @@ def test_failed_tasks_retry_exactly_once():
     assert retry_waves[0].width == tl.n_retries
 
 
+def _scaling_ties(pipeline_id, replicas=5):
+    return compile_protocol(
+        ProtocolKind.TIES, pipeline_id, replicas, mode=ScheduleMode.SCALING, include_analysis=False
+    )
+
+
+def test_pipelines_of_one_shape_write_their_own_ids(tmp_path):
+    # Eight pipelines share one stage tuple; a slice's pipeline index, not
+    # its stage, says whose tasks it holds.  520 slots run over the 450-task
+    # launcher cap, so waves carry failures and a retry wave.
+    graph = merge_graphs([_scaling_ties(f"t{i}") for i in range(8)])
+    assert all(p.stages is graph.pipelines[0].stages for p in graph.pipelines)
+    tl = run_campaign(graph, PilotConfig(total_cores=16_640), seed=0).timeline
+    assert tl.n_retries > 0
+    path = tmp_path / "timeline.csv"
+    write_timeline_csv(tl, path)
+    assert path.read_bytes() == csv_bytes(oracle_events(tl))
+    assert set(task_records(tl)) == {
+        p.id + tail for p in graph.pipelines for s in p.stages for tail in s.id_tails
+    }
+
+
+def test_failed_twice_names_the_task_of_its_own_pipeline():
+    # "lead" runs one task per stage; at seed 0 it launches cleanly, so the
+    # 101-wide retry wave (cap 20) holds only "t0".."t2", which share one
+    # stage tuple, and its first repeated failure falls in "t0".
+    lead = compile_protocol(
+        ProtocolKind.ESMACS, "lead", 1, mode=ScheduleMode.SCALING, include_analysis=False
+    )
+    graph = merge_graphs([lead] + [_scaling_ties(f"t{i}") for i in range(3)])
+    pilot = PilotConfig(total_cores=196 * 32, concurrency_cap=20, failure_probability_over_cap=0.5)
+    with pytest.raises(CampaignError, match=r"^task t0/S1/l0\.000/r0 failed twice") as err:
+        run_campaign(graph, pilot, seed=0)
+    tl = err.value.timeline
+    submitted = {
+        ev.task_id for ev in oracle_events(tl)
+        if ev.event == "task_submit" and ev.generation == tl.aborted_wave.index
+    }
+    assert "t0/S1/l0.000/r0" in submitted
+
+
 def test_retry_windows_are_launch_overhead_not_ttx():
     pilot = PilotConfig(total_cores=16_640)
     tl = run_campaign(graph_of_520_tasks(), pilot, seed=0).timeline
@@ -228,8 +269,8 @@ def test_oversized_task_rejected():
 
 def two_stage_graph(name="two"):
     stages = (
-        Stage(name, "S1", StageKind.EQUILIBRATION, 1_000, 2, (0.0, 1.0)),
-        Stage(name, "S2", StageKind.PRODUCTION, 1_000, 2, (0.0, 1.0)),
+        Stage("S1", StageKind.EQUILIBRATION, 1_000, 2, (0.0, 1.0)),
+        Stage("S2", StageKind.PRODUCTION, 1_000, 2, (0.0, 1.0)),
     )
     return WorkflowGraph((Pipeline(name, stages),))
 
@@ -259,7 +300,7 @@ def test_evaluator_terminate_cancels_remaining_stages():
 
 
 def test_evaluator_append_inserts_and_runs_stage():
-    extra = Stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
+    extra = Stage("S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
     ev = _OneShotEvaluator(StagePlan.append([extra]))
     outcome = run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
     assert mark_labels(outcome.timeline, "two") == ["S1", "S1b", "S2"]
@@ -283,7 +324,7 @@ def test_pipeline_window_set_tracks_inserted_stages():
     (pipeline,) = two_stage_graph().pipelines
     run = PipelineRun(id=pipeline.id, stages=list(pipeline.stages))
     assert run.windows == (0.0, 1.0)
-    run.insert_stage(1, Stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.25]))
+    run.insert_stage(1, Stage("S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.25]))
     assert [s.label for s in run.stages] == ["S1", "S1b", "S2"]
     assert run.windows == (0.0, 0.25, 1.0)
 
@@ -291,8 +332,8 @@ def test_pipeline_window_set_tracks_inserted_stages():
 def test_production_accepted_at_window_added_by_earlier_plan():
     # The second plan's production lambda is known only through the stage
     # the first plan inserted.
-    equil = Stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
-    prod = Stage("two", "S1c", StageKind.PRODUCTION, 1_000, 2, [0.5])
+    equil = Stage("S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
+    prod = Stage("S1c", StageKind.PRODUCTION, 1_000, 2, [0.5])
     ev = _ScriptedEvaluator(StagePlan.append([equil]), StagePlan.append([prod]))
     outcome = run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
     assert mark_labels(outcome.timeline, "two") == ["S1", "S1b", "S1c", "S2"]
@@ -300,14 +341,14 @@ def test_production_accepted_at_window_added_by_earlier_plan():
 
 
 def test_plan_rejected_for_unseen_production_lambda():
-    rogue = Stage("two", "S2b", StageKind.PRODUCTION, 1_000, 2, [0.111])
+    rogue = Stage("S2b", StageKind.PRODUCTION, 1_000, 2, [0.111])
     ev = _OneShotEvaluator(StagePlan.append([rogue]))
     with pytest.raises(PlanRejectedError):
         run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
 
 
 def test_plan_rejected_for_reused_task_id():
-    dup = Stage("two", "S1", StageKind.EQUILIBRATION, 1_000, 2, [0.0, 1.0])
+    dup = Stage("S1", StageKind.EQUILIBRATION, 1_000, 2, [0.0, 1.0])
     ev = _OneShotEvaluator(StagePlan.append([dup]))
     with pytest.raises(PlanRejectedError):
         run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
@@ -316,14 +357,7 @@ def test_plan_rejected_for_reused_task_id():
 def test_stage_with_lambdas_that_round_together_is_rejected():
     # Both lambdas are window 0.500: the stage would run two tasks under one id.
     with pytest.raises(ValidationError, match="distinct"):
-        Stage("two", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5, 0.5004])
-
-
-def test_plan_rejected_for_stage_of_another_pipeline():
-    stray = Stage("other", "S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
-    ev = _OneShotEvaluator(StagePlan.append([stray]))
-    with pytest.raises(PlanRejectedError):
-        run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
+        Stage("S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5, 0.5004])
 
 
 def test_append_plan_requires_stages():

@@ -147,20 +147,20 @@ def test_compiled_ties_fans_out_65_tasks_per_sim_stage():
 def test_compiled_task_identity_and_lambda():
     graph = compile_protocol(TIES, "p1", 5)
     stages = graph.pipelines[0].stages
-    ids = [task_id for s in stages for task_id in s.task_ids(range(s.n_tasks))]
+    ids = [task_id for s in stages for task_id in s.task_ids("p1", range(s.n_tasks))]
     assert len(set(ids)) == len(ids)
     first = stages[0]
-    assert first.task_ids([0]) == ["p1/S1/l0.000/r0"]
+    assert first.task_ids("p1", [0]) == ["p1/S1/l0.000/r0"]
     assert first.cores == 32
     sim_lams = {lam for s in stages if s.timesteps > 0 for lam in s.lambdas}
     assert sim_lams == set(LambdaSchedule.uniform(13).lambdas)
 
 
 def test_stages_on_equal_lambdas_share_one_grid():
-    a = Stage("p", "S1", StageKind.MINIMIZATION, 1_000, 2, (0.0, 0.5, 1.0))
-    b = Stage("q", "S1", StageKind.MINIMIZATION, 1_000, 2, [-0.0, 0.5, 1.0])
+    a = Stage("S1", StageKind.MINIMIZATION, 1_000, 2, (0.0, 0.5, 1.0))
+    b = Stage("S1", StageKind.MINIMIZATION, 1_000, 2, [-0.0, 0.5, 1.0])
     assert b.lambdas is a.lambdas
-    assert b.task_ids([0, 5]) == ["q/S1/l0.000/r0", "q/S1/l1.000/r1"]
+    assert b.task_ids("q", [0, 5]) == ["q/S1/l0.000/r0", "q/S1/l1.000/r1"]
 
 
 def test_stages_of_one_shape_share_id_tails():
@@ -169,9 +169,26 @@ def test_stages_of_one_shape_share_id_tails():
     for sa, sb in zip(a.stages, b.stages):
         assert sb.id_tails is sa.id_tails
         assert len(sa.id_tails) == sa.n_tasks
-        assert sb.task_ids(range(sb.n_tasks)) == ["q" + tail for tail in sb.id_tails]
+        assert sb.task_ids("q", range(sb.n_tasks)) == ["q" + tail for tail in sb.id_tails]
     assert a.stages[0].id_tails[6] == "/S1/l0.083/r1"
-    assert b.stages[0].task_ids([6]) == ["q/S1/l0.083/r1"]
+    assert b.stages[0].task_ids("q", [6]) == ["q/S1/l0.083/r1"]
+
+
+def test_protocols_of_one_shape_share_one_stage_tuple():
+    (a,) = compile_protocol(TIES, "p", 5, mode=ScheduleMode.SCALING).pipelines
+    (b,) = compile_protocol(TIES, "q", 5, mode=ScheduleMode.SCALING).pipelines
+    assert (a.id, b.id) == ("p", "q")
+    assert b.stages is a.stages
+    (c,) = compile_protocol(TIES, "r", 4, mode=ScheduleMode.SCALING).pipelines
+    assert c.stages is not a.stages
+    (d,) = compile_protocol(TIES, "d", 5, adaptive=AdaptiveConfig()).pipelines
+    (e,) = compile_protocol(TIES, "e", 5, adaptive=AdaptiveConfig()).pipelines
+    assert e.stages is d.stages
+
+
+def test_compile_rejects_a_pipeline_id_with_a_slash():
+    with pytest.raises(ValidationError, match="pipeline id 'a/b'"):
+        compile_protocol(TIES, "a/b", 5)
 
 
 def test_compiled_esmacs_is_lambda_free():
@@ -209,11 +226,11 @@ def test_merge_graphs_rejects_duplicate_pipeline_ids():
 
 def test_stage_must_hold_tasks():
     with pytest.raises(ValidationError):
-        Stage("p", "S1", StageKind.MINIMIZATION, 1_000, 0, None)
+        Stage("S1", StageKind.MINIMIZATION, 1_000, 0, None)
 
 
 def _all_ids(graph):
-    return [task_id for p in graph.pipelines for s in p.stages for task_id in s.task_ids(range(s.n_tasks))]
+    return [task_id for p in graph.pipelines for s in p.stages for task_id in s.task_ids(p.id, range(s.n_tasks))]
 
 
 def test_task_ids_are_frozen():
@@ -235,7 +252,7 @@ def test_task_ids_are_frozen():
 def test_ids_that_would_collide_across_pipelines_are_rejected():
     # "a/b" + "c" and "a" + "b/c" would both give ids "a/b/c/...".
     def single(name, label):
-        return WorkflowGraph((Pipeline(name, (Stage(name, label, StageKind.MINIMIZATION, 10, 2, None),)),))
+        return WorkflowGraph((Pipeline(name, (Stage(label, StageKind.MINIMIZATION, 10, 2, None),)),))
 
     with pytest.raises(ValidationError):
         merge_graphs([single("a/b", "c"), single("a", "b/c")])
@@ -243,4 +260,4 @@ def test_ids_that_would_collide_across_pipelines_are_rejected():
 
 def test_stage_label_with_slash_is_rejected():
     with pytest.raises(ValidationError, match="no '/'"):
-        Stage("p", "S1/x", StageKind.MINIMIZATION, 10, 1, None)
+        Stage("S1/x", StageKind.MINIMIZATION, 10, 1, None)

@@ -51,7 +51,7 @@ def _ties(name, stages, replicas=5, n_windows=13):
     """One pipeline whose stages all run ``replicas`` per uniform window."""
     lams = LambdaSchedule.uniform(n_windows).lambdas
     return WorkflowGraph((
-        Pipeline(name, tuple(Stage(name, label, kind, steps, replicas, lams) for label, kind, steps in stages)),
+        Pipeline(name, tuple(Stage(label, kind, steps, replicas, lams) for label, kind, steps in stages)),
     ))
 
 
@@ -139,7 +139,7 @@ class _AppendOrTerminate:
         i = int(pipeline.id[1:])
         if stage.label == "S1" and i % 3 == 0:
             extra = Stage(
-                pipeline.id, "X1", StageKind.EQUILIBRATION, 700 + 50 * i, stage.width, stage.lambdas,
+                "X1", StageKind.EQUILIBRATION, 700 + 50 * i, stage.width, stage.lambdas,
                 stage.cores,
             )
             return StagePlan.append([extra])
@@ -240,9 +240,10 @@ def test_reentry_case_resumes_part_launched_stages():
     # The case is there for the fill order: a pipeline re-enters the fill
     # ahead of a part-launched one with a higher index, which resumes at
     # its own position in the next wave.
+    timeline = ready_list_reentry()
     waves = [
-        [int(s.stage.pipeline_id[1:]) for s in gen.slices]
-        for gen in ready_list_reentry().generations
+        [int(timeline.pipeline_ids[s.pipeline][1:]) for s in gen.slices]
+        for gen in timeline.generations
         if not gen.is_retry
     ]
     assert all(w == sorted(w) for w in waves)
@@ -344,6 +345,6 @@ def test_names_that_csv_would_quote_are_rejected(char):
     # The writer formats task rows without quoting, so no id or label may
     # hold a character that csv.writer would quote.
     with pytest.raises(ValidationError, match="must be non-empty and hold no"):
-        Stage(f"p{char}0", "S1", StageKind.MINIMIZATION, 1_000, 2, None)
+        Pipeline(f"p{char}0", (Stage("S1", StageKind.MINIMIZATION, 1_000, 2, None),))
     with pytest.raises(ValidationError, match="must be non-empty and hold no"):
-        Stage("p", f"S1{char}x", StageKind.MINIMIZATION, 1_000, 2, None)
+        Stage(f"S1{char}x", StageKind.MINIMIZATION, 1_000, 2, None)

@@ -33,26 +33,27 @@ class TaskRecord(NamedTuple):
     outcome: TaskOutcome
 
 
-def _task_events(time_s, event, stage, indices, generation) -> list[TimelineEvent]:
-    pid, label = stage.pipeline_id, stage.label
-    return [TimelineEvent(time_s, event, task_id, pid, label, generation) for task_id in stage.task_ids(indices)]
+def _task_events(timeline, time_s, event, s, indices, generation) -> list[TimelineEvent]:
+    """Events of slice ``s``'s tasks at ``indices``, for the pipeline the slice runs for."""
+    pid, label = timeline.pipeline_ids[s.pipeline], s.stage.label
+    return [TimelineEvent(time_s, event, task_id, pid, label, generation) for task_id in s.stage.task_ids(pid, indices)]
 
 
-def _wave_events(gen, ran: bool) -> list[TimelineEvent]:
+def _wave_events(timeline, gen, ran: bool) -> list[TimelineEvent]:
     """A wave's submits, launch failures and, if it ran, starts and ends,
     in the order they happened: ends in launch order, each at its own time."""
     t, g = gen.submit_time_s, gen.index
     events = []
     for s in gen.slices:
-        events += _task_events(t, "task_submit", s.stage, s.indices, g)
+        events += _task_events(timeline, t, "task_submit", s, s.indices, g)
     for s in gen.slices:
-        events += _task_events(t, "task_fail", s.stage, s.failed, g)
+        events += _task_events(timeline, t, "task_fail", s, s.failed, g)
     if ran:
         started = [(s, [i for i in s.indices if i not in s.failed]) for s in gen.slices]
         for s, indices in started:
-            events += _task_events(t, "task_start", s.stage, indices, g)
+            events += _task_events(timeline, t, "task_start", s, indices, g)
         for s, indices in started:
-            events += _task_events(s.end_time_s, "task_end", s.stage, indices, g)
+            events += _task_events(timeline, s.end_time_s, "task_end", s, indices, g)
     return events
 
 
@@ -63,11 +64,11 @@ def oracle_events(timeline) -> list[TimelineEvent]:
         TimelineEvent(timeline.framework_s, "framework_ready", "", "", "", -1),
     ]
     for gen in timeline.generations:
-        events += _wave_events(gen, ran=True)
+        events += _wave_events(timeline, gen, ran=True)
         # a wave's stage marks fall at the barrier after its last end
         events += [m for m in timeline.marks if m.generation == gen.index]
     if timeline.aborted_wave is not None:
-        events += _wave_events(timeline.aborted_wave, ran=False)
+        events += _wave_events(timeline, timeline.aborted_wave, ran=False)
     if timeline.complete:
         events.append(TimelineEvent(timeline.end_time_s, "campaign_end", "", "", "", -1))
     return sorted(events, key=lambda ev: ev.time_s)
@@ -80,7 +81,8 @@ def task_records(timeline) -> dict[str, TaskRecord]:
     for gen in timeline.generations + [timeline.aborted_wave] * (timeline.aborted_wave is not None):
         for s in gen.slices:
             failed = set(s.failed)
-            for i, task_id in zip(s.indices, s.stage.task_ids(s.indices)):
+            pid = timeline.pipeline_ids[s.pipeline]
+            for i, task_id in zip(s.indices, s.stage.task_ids(pid, s.indices)):
                 if gen.is_retry:
                     records[task_id] = records[task_id]._replace(attempts=2)
                 else:
