@@ -22,12 +22,11 @@ from .protocols import (
     NONADAPTIVE_WINDOWS,
     AdaptiveConfig,
     LambdaSchedule,
+    Pipeline,
     ProtocolKind,
     ScheduleMode,
     StageKind,
-    WorkflowGraph,
     compile_protocol,
-    merge_graphs,
 )
 from .quadrature import FreeEnergyEstimate
 from .stats import DEFAULT_DISCARD_FRACTION
@@ -88,8 +87,9 @@ class SystemRunResult:
 
 def plan_run(
     system: SyntheticSystem, mode: CampaignMode, opts: RunOptions
-) -> tuple[WorkflowGraph, AdaptiveConfig]:
-    """The compiled protocol a mode runs and its evaluator's config: the one owner of sub-stage rules.
+) -> tuple[Pipeline, AdaptiveConfig]:
+    """The pipeline a mode runs, alone in its campaign's list of pipelines, and its
+    evaluator's config: the one owner of sub-stage rules.
 
     A fixed schedule stays a static protocol: its evaluator runs one production
     sub-stage as long as its production stage and never refines.  Termination
@@ -98,7 +98,7 @@ def plan_run(
     raises :class:`ValidationError` naming the field, and the one that set the
     sub-stage.
     """
-    schedule, adaptive, set_by = None, None, None
+    schedule, substage, adaptive, set_by = None, None, None, None
     if mode is CampaignMode.ADAPTIVE_QUADRATURE:
         adaptive = opts.adaptive
     elif mode is CampaignMode.ADAPTIVE_TERMINATION:
@@ -122,15 +122,17 @@ def plan_run(
         n_windows = REFERENCE_WINDOWS if mode is CampaignMode.REFERENCE else NONADAPTIVE_WINDOWS
         schedule = LambdaSchedule.uniform(n_windows)
         set_by = f"config.schedule_mode {opts.schedule_mode.value}"
-    graph = compile_protocol(
+    if adaptive is not None:
+        schedule, substage = adaptive.initial_lambdas, adaptive.substage_timesteps
+    pipeline = compile_protocol(
         ProtocolKind.TIES, f"{_slug(system.label)}-{mode.value.lower()}", opts.replicas,
-        schedule, adaptive, opts.schedule_mode, cores_per_task=opts.pilot.cores_per_task,
+        schedule, substage, opts.schedule_mode, cores_per_task=opts.pilot.cores_per_task,
     )
     if adaptive is None:
-        prod = next(s for s in graph.pipelines[0].stages if s.kind is StageKind.PRODUCTION)
+        prod = next(s for s in pipeline.stages if s.kind is StageKind.PRODUCTION)
         adaptive = replace(opts.adaptive, production_substages=1, substage_timesteps=prod.timesteps)
     samples_per_substage(adaptive.substage_timesteps, opts.dt_ps, set_by)
-    return graph, adaptive
+    return pipeline, adaptive
 
 
 def _slug(label: str) -> str:
@@ -152,7 +154,7 @@ def run_system(
     use :class:`AdaptiveTerminationEvaluator`, all others
     :class:`AdaptiveQuadratureEvaluator`.
     """
-    graph, adaptive = plan_run(system, mode, opts)
+    pipeline, adaptive = plan_run(system, mode, opts)
     seed = data_seed(opts.seed, system.label, mode)
     evaluator_cls = (
         AdaptiveTerminationEvaluator if mode is CampaignMode.ADAPTIVE_TERMINATION
@@ -163,7 +165,7 @@ def run_system(
     )
 
     try:
-        outcome = run_campaign(graph, opts.pilot, evaluator=evaluator, seed=seed)
+        outcome = run_campaign([pipeline], opts.pilot, evaluator=evaluator, seed=seed)
     except CampaignError as exc:
         exc.run_label = run_label(system, mode)
         raise
@@ -255,7 +257,7 @@ def run_sweep(
         replicas = 25 if protocol_kind is ProtocolKind.ESMACS else 5
     results = []
     for i, rung in enumerate(rungs):
-        graphs = [
+        pipelines = [
             compile_protocol(
                 protocol_kind, f"{kind.lower()}-{i}-p{p}", replicas, mode=ScheduleMode.SCALING,
                 include_analysis=False, cores_per_task=pilot_defaults.cores_per_task,
@@ -263,7 +265,7 @@ def run_sweep(
             for p in range(rung.n_protocols)
         ]
         pilot = replace(pilot_defaults, total_cores=rung.total_cores)
-        outcome = run_campaign(merge_graphs(graphs), pilot, seed=seed + i)
+        outcome = run_campaign(pipelines, pilot, seed=seed + i)
         results.append(
             SweepRunResult(
                 run_id=f"{kind.lower()}-{i}-P{rung.n_protocols}-C{rung.total_cores}",

@@ -188,14 +188,24 @@ def config_from_dict(obj: dict, path: str = "config") -> CampaignConfig:
     return _decode(CampaignConfig, obj, path)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict; a repeated key is an error, not a silent overwrite."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"duplicate key {key!r}")
+    return obj
+
+
 def load_config(path: str | Path) -> CampaignConfig:
     """Parse and validate a campaign config file."""
     p = Path(path)
     try:
-        obj = json.loads(p.read_text(encoding="utf-8"))
+        obj = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValidationError(f"config {p}: {exc}") from None
-    except (ValueError, RecursionError) as exc:  # not UTF-8, malformed, nested too deep, or a huge int
+    except (ValueError, RecursionError) as exc:  # not UTF-8, malformed, a repeated key, too deep, a huge int
         raise ValidationError(f"config {p}: invalid JSON: {exc}") from None
     return config_from_dict(obj, "config")
 

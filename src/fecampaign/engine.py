@@ -50,7 +50,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 from .errors import CampaignError, ContractError, PlanRejectedError, ValidationError, require_finite
-from .protocols import ANALYSIS_KINDS, Stage, StageKind, WorkflowGraph
+from .protocols import ANALYSIS_KINDS, Pipeline, Stage, StageKind
 
 TIMELINE_COLUMNS = ("event_time_s", "event", "task_id", "pipeline_id", "stage_label", "generation")
 OVERHEAD_COLUMNS = (
@@ -193,7 +193,7 @@ class TimelineEvent(NamedTuple):
 @dataclass(slots=True)
 class _Slice:
     """Stage indices launched together in one wave (a range on a first
-    attempt) for the pipeline at index ``pipeline`` of the graph; all but
+    attempt) for the pipeline at index ``pipeline`` of the campaign; all but
     the ``failed`` ran until ``end_time_s``.  Slices are what the writer
     renders: no per-task record is kept."""
 
@@ -297,7 +297,7 @@ class CampaignTimeline:
     objects that the benchmark reads through ``len()`` and nothing else.
     """
 
-    #: the graph's pipeline ids, which a slice's ``pipeline`` indexes
+    #: the campaign's pipeline ids, in list order, which a slice's ``pipeline`` indexes
     pipeline_ids: tuple[str, ...] = ()
     generations: list[GenerationSummary] = field(default_factory=list)
     #: ``stage_complete`` and ``pipeline_terminated`` events, in order
@@ -371,9 +371,6 @@ class PipelineRun:
     cursor: int = 0
     terminated: bool = False
 
-    def insert_stage(self, index: int, stage: Stage) -> None:
-        self.stages.insert(index, stage)
-
     @property
     def windows(self) -> tuple[float, ...]:
         """Canonical lambdas of every stage, sorted."""
@@ -416,14 +413,14 @@ def _validate_plan(plan: StagePlan, pipeline: PipelineRun) -> None:
 
 
 def run_campaign(
-    workflows: WorkflowGraph,
+    pipelines: Sequence[Pipeline],
     pilot: PilotConfig,
     duration_model: Callable[[Stage], float] | None = None,
     evaluator: Evaluator | None = None,
     seed: int = 0,
     overhead_model: OverheadModel | None = None,
 ) -> CampaignOutcome:
-    """Execute a workflow graph on the simulated pilot.
+    """Execute a campaign, a list of pipelines run side by side, on the simulated pilot.
 
     ``duration_model`` is called once per stage slice of a wave, with the
     stage.  Deterministic for a given seed.  Raises :class:`CampaignError` (with the partial timeline
@@ -433,11 +430,15 @@ def run_campaign(
 
     durations = duration_model or DurationModel()
     overheads = overhead_model or OverheadModel()
-    n_protocols = len(workflows.pipelines)
+    n_protocols = len(pipelines)
     if n_protocols == 0:
-        raise ContractError("workflow graph has no pipelines")
+        raise ContractError("campaign has no pipelines")
+    pipeline_ids = tuple(p.id for p in pipelines)
+    if len(set(pipeline_ids)) != n_protocols:
+        dup = next(pid for pid in pipeline_ids if pipeline_ids.count(pid) > 1)
+        raise ValidationError(f"pipeline ids must be unique within a campaign, {dup!r} repeats")
     capacity = slots(pilot)
-    for p in workflows.pipelines:
+    for p in pipelines:
         for s in p.stages:
             if s.cores > pilot.total_cores:
                 raise ValidationError(
@@ -445,17 +446,17 @@ def run_campaign(
                     f"pilot has {pilot.total_cores}"
                 )
 
-    timeline = CampaignTimeline(pipeline_ids=tuple(p.id for p in workflows.pipelines))
+    timeline = CampaignTimeline(pipeline_ids=pipeline_ids)
     clock = 0.0
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFA17]))
 
-    pipelines = [PipelineRun(id=p.id, stages=list(p.stages)) for p in workflows.pipelines]
+    runs = [PipelineRun(id=p.id, stages=list(p.stages)) for p in pipelines]
     # Per pipeline index: first not yet launched index of its current stage,
     # and unfinished tasks of that stage, including those waiting for a retry.
     launched = [0] * n_protocols
     remaining = [0] * n_protocols
     # Indices of the pipelines whose current stage has unlaunched tasks, in
-    # graph order.  A wave fills from its front, so only the last pipeline
+    # list order.  A wave fills from its front, so only the last pipeline
     # it visits can stay part-launched.
     ready: list[int] = []
 
@@ -465,7 +466,7 @@ def run_campaign(
         return CampaignError(message, timeline=timeline)
 
     def enter_stage(k: int) -> None:
-        stage = pipelines[k].current_stage()
+        stage = runs[k].current_stage()
         if stage is not None:
             launched[k] = 0
             remaining[k] = stage.n_tasks
@@ -490,7 +491,7 @@ def run_campaign(
             wave = []
             free = capacity
             for k in ready:
-                stage = pipelines[k].stages[pipelines[k].cursor]
+                stage = runs[k].stages[runs[k].cursor]
                 lo = launched[k]
                 hi = launched[k] = min(stage.n_tasks, lo + free)
                 wave.append(_Slice(stage, k, range(lo, hi)))
@@ -530,7 +531,7 @@ def run_campaign(
             if rolls.any() and is_retry_wave:
                 # The first repeated failure aborts before any failure is logged.
                 s, failed = next((s, f) for s, f in zip(wave, split) if f)
-                task_id = s.stage.task_ids(pipelines[s.pipeline].id, failed[:1])[0]
+                task_id = s.stage.task_ids(pipeline_ids[s.pipeline], failed[:1])[0]
                 raise fail(f"task {task_id} failed twice; campaign aborted", gen)
             for s, failed in zip(wave, split):
                 if failed:
@@ -561,22 +562,21 @@ def run_campaign(
 
         # Stage barriers: advance pipelines whose current stage fully finished.
         # Only a pipeline that ran a task in this wave can have finished one;
-        # the wave holds at most one slice per pipeline, in graph order.
+        # the wave holds at most one slice per pipeline, in list order.
         entered = len(ready)
         for s in running:
             k = s.pipeline
             remaining[k] -= len(s.indices) - len(s.failed)
             if remaining[k]:
                 continue
-            pl, stage = pipelines[k], s.stage
+            pl, stage = runs[k], s.stage
             timeline.marks.append(TimelineEvent(clock, "stage_complete", "", pl.id, stage.label, gen.index))
             plan = StagePlan.proceed()
             if evaluator is not None:
                 plan = evaluator.on_stage_complete(pl, stage)
             if plan.kind is PlanKind.APPEND:
                 _validate_plan(plan, pl)
-                for offset, new_stage in enumerate(plan.stages):
-                    pl.insert_stage(pl.cursor + 1 + offset, new_stage)
+                pl.stages[pl.cursor + 1:pl.cursor + 1] = plan.stages
             elif plan.kind is PlanKind.TERMINATE:
                 pl.terminated = True
                 timeline.marks.append(

@@ -1,11 +1,12 @@
-"""The two protocol templates, TIES and ESMACS, compiled to task graphs.
+"""The two protocol templates, TIES and ESMACS, compiled to pipelines.
 
 A protocol is one binding-affinity calculation: minimization, two
 equilibration stages and production, each fanning out into concurrent
 tasks (one per replica, or one per lambda window and replica), followed
 by analysis stages.  ``compile_protocol`` builds a protocol's pipeline of
 stages directly from its kind and sizes; stages run strictly in order,
-tasks within a stage run concurrently.  A stage is a shape: a block of
+tasks within a stage run concurrently, and a campaign is a list of
+pipelines run side by side.  A stage is a shape: a block of
 tasks that differ only by their index, owned by no pipeline.  Every
 pipeline of one shape shares one frozen stage tuple, so compiling P
 protocols of one shape costs P pipeline objects, not one object per
@@ -14,12 +15,11 @@ stage and never one per task.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ValidationError, require_finite
 from .quadrature import canonical_lambda
@@ -208,29 +208,19 @@ class Stage:
 
 @dataclass(frozen=True)
 class Pipeline:
+    """One protocol's stages, run strictly in order."""
+
     id: str
     stages: tuple[Stage, ...]
 
     def __post_init__(self):
         _check_name("pipeline id", self.id)
-
-
-@dataclass(frozen=True)
-class WorkflowGraph:
-    pipelines: tuple[Pipeline, ...]
-
-    def __post_init__(self):
-        ids = [p.id for p in self.pipelines]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("pipeline ids must be unique within a workflow graph")
-        for p in self.pipelines:
-            labels = {s.label for s in p.stages}
-            if len(labels) != len(p.stages):
-                raise ValidationError(f"pipeline {p.id}: stages need unique labels")
+        if len({s.label for s in self.stages}) != len(self.stages):
+            raise ValidationError(f"pipeline {self.id}: stages need unique labels")
 
     @property
     def n_tasks(self) -> int:
-        return sum(s.n_tasks for p in self.pipelines for s in p.stages)
+        return sum(s.n_tasks for s in self.stages)
 
 
 #: TIES windows when no schedule is given, and the uniform arm's window count.
@@ -244,42 +234,35 @@ def compile_protocol(
     pipeline_id: str,
     replicas: int,
     lambda_schedule: LambdaSchedule | None = None,
-    adaptive: AdaptiveConfig | None = None,
+    substage_timesteps: int | None = None,
     mode: ScheduleMode = ScheduleMode.PRODUCTION,
     include_analysis: bool = True,
     cores_per_task: int = 32,
-) -> WorkflowGraph:
-    """Compile one protocol into a single-pipeline workflow graph.
+) -> Pipeline:
+    """Compile one protocol into the pipeline a campaign's list holds.
 
     Both kinds run S1 minimization, S2 and S3 equilibration and S4
     production with ``mode``'s timesteps.  ESMACS fans each stage out to
     one task per replica and ends with one aggregate analysis task, S5.
-    TIES fans out to one task per (window, replica) pair and ends with
-    per-replica analysis S5 and global analysis S6.  TIES runs
-    ``lambda_schedule`` (13 uniform windows by default) or, given an
-    ``adaptive`` config, that config's initial windows with production
-    compiled as its first sub-stage ``S4.1`` only; the evaluator appends
-    later sub-stages at run time.  Compilation is deterministic, and every
+    TIES fans out to one task per (window, replica) pair over
+    ``lambda_schedule`` (13 uniform windows by default) and ends with
+    per-replica analysis S5 and global analysis S6.  Given
+    ``substage_timesteps``, TIES production is compiled as its first
+    sub-stage ``S4.1`` of that length only; an evaluator appends later
+    sub-stages at run time.  Compilation is deterministic, and every
     protocol of one shape (all arguments but ``pipeline_id``) shares one
     stage tuple.
     """
     if kind is ProtocolKind.ESMACS:
-        if lambda_schedule is not None or adaptive is not None:
+        if lambda_schedule is not None or substage_timesteps is not None:
             raise ValidationError(
-                f"protocol {pipeline_id}: ESMACS takes no lambda schedule or adaptive config"
+                f"protocol {pipeline_id}: ESMACS takes no lambda schedule or production sub-stage"
             )
         lams = None
     else:
-        if adaptive is not None:
-            if lambda_schedule is not None:
-                raise ValidationError(
-                    f"protocol {pipeline_id}: TIES takes a lambda schedule or an adaptive config, not both"
-                )
-            lambda_schedule = adaptive.initial_lambdas
         lams = (lambda_schedule or _DEFAULT_TIES_SCHEDULE).lambdas
-    substage_timesteps = adaptive.substage_timesteps if adaptive else None
     stages = _stages(kind, replicas, lams, mode, include_analysis, cores_per_task, substage_timesteps)
-    return WorkflowGraph(pipelines=(Pipeline(id=pipeline_id, stages=stages),))
+    return Pipeline(pipeline_id, stages)
 
 
 @lru_cache(maxsize=256)
@@ -313,8 +296,3 @@ def _stages(
         ]
     return tuple(stages)
 
-
-def merge_graphs(graphs: Iterable[WorkflowGraph]) -> WorkflowGraph:
-    """Combine single-protocol graphs into one multi-pipeline campaign graph."""
-    pipelines = tuple(itertools.chain.from_iterable(g.pipelines for g in graphs))
-    return WorkflowGraph(pipelines=pipelines)

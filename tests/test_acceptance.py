@@ -25,7 +25,7 @@ from fecampaign.campaign import (
 from fecampaign.cli import _options
 from fecampaign.config import load_config
 from fecampaign.engine import PilotConfig, run_campaign
-from fecampaign.protocols import LambdaSchedule, Pipeline, ProtocolKind, Stage, StageKind, WorkflowGraph
+from fecampaign.protocols import LambdaSchedule, Pipeline, ProtocolKind, Stage, StageKind
 from fecampaign.quadrature import WindowPoint, trapezoid_integrate
 from fecampaign.reports import VALIDATION_ROWS, comparison_row, validation_csv
 from fecampaign.synth import GroundTruthCurve, analytic_integral, named_systems
@@ -36,13 +36,13 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 REPRODUCIBILITY_THRESHOLD = 0.2
 
 
-def ties_batch_graph(n_protocols=8, timesteps=50_000):
+def ties_batch(n_protocols=8, timesteps=50_000):
     """n_protocols single-stage TIES pipelines: 65 tasks each, all ready at once."""
     lams = LambdaSchedule.uniform(13).lambdas
-    return WorkflowGraph(tuple(
+    return [
         Pipeline(f"t{i}", (Stage("S1", StageKind.MINIMIZATION, timesteps, 5, lams),))
         for i in range(n_protocols)
-    ))
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -67,12 +67,12 @@ def termination_trio():
 
 def test_criterion_01_generation_arithmetic():
     t0 = time.perf_counter()
-    graph = ties_batch_graph()
-    assert graph.n_tasks == 520
+    pipelines = ties_batch()
+    assert sum(p.n_tasks for p in pipelines) == 520
     expected = {4_160: (4, 130), 8_320: (2, 260), 16_640: (1, 520)}
     for cores, (n_generations, peak) in expected.items():
         pilot = PilotConfig(total_cores=cores, failure_probability_over_cap=0.0)
-        outcome = run_campaign(graph, pilot, seed=0)
+        outcome = run_campaign(pipelines, pilot, seed=0)
         assert len(outcome.timeline.generations) == n_generations, cores
         assert all(g.width == peak for g in outcome.timeline.generations)
         assert peak_concurrency(outcome.timeline) == peak
@@ -232,13 +232,13 @@ def test_criterion_07_overhead_properties():
 
 
 def test_criterion_08_failure_model():
-    graph = ties_batch_graph()
+    pipelines = ties_batch()
     pilot = PilotConfig(total_cores=16_640)
     assert pilot.concurrency_cap == 450
     assert pilot.failure_probability_over_cap == 0.1346
     failed_counts = []
     for seed in range(10):
-        outcome = run_campaign(graph, pilot, seed=seed)
+        outcome = run_campaign(pipelines, pilot, seed=seed)
         tl = outcome.timeline
         records = task_records(tl)
         failed = [

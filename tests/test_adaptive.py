@@ -19,7 +19,6 @@ from fecampaign.protocols import (
     ProtocolKind,
     ScheduleMode,
     compile_protocol,
-    merge_graphs,
 )
 from fecampaign.synth import (
     ZERO_NOISE,
@@ -41,21 +40,22 @@ def quiet_system(curve, label="probe"):
     return SyntheticSystem(label=label, curve=curve, noise=ZERO_NOISE)
 
 
-def probe_graph(cfg, replicas):
+def probe_pipeline(cfg, replicas, pipeline_id="probe"):
     return compile_protocol(
-        ProtocolKind.TIES, "probe", replicas, adaptive=cfg, mode=ScheduleMode.SCALING
+        ProtocolKind.TIES, pipeline_id, replicas, cfg.initial_lambdas, cfg.substage_timesteps,
+        ScheduleMode.SCALING,
     )
 
 
 def run_quadrature(system, cfg, seed=5, replicas=2):
     evaluator = AdaptiveQuadratureEvaluator(system, cfg, seed)
-    run_campaign(probe_graph(cfg, replicas), PILOT, evaluator=evaluator, seed=seed)
+    run_campaign([probe_pipeline(cfg, replicas)], PILOT, evaluator=evaluator, seed=seed)
     return evaluator
 
 
 def run_termination_probe(system, cfg, seed=5, replicas=2):
     evaluator = AdaptiveTerminationEvaluator(system, cfg, seed)
-    outcome = run_campaign(probe_graph(cfg, replicas), PILOT, evaluator=evaluator, seed=seed)
+    outcome = run_campaign([probe_pipeline(cfg, replicas)], PILOT, evaluator=evaluator, seed=seed)
     return evaluator, outcome
 
 
@@ -178,13 +178,10 @@ def test_curved_integrand_gains_midpoint_windows():
 
 def test_evaluator_serves_one_pipeline():
     cfg = AdaptiveConfig(error_threshold_epsilon=0.05, **FAST_ADAPTIVE)
-    graph = merge_graphs([
-        compile_protocol(ProtocolKind.TIES, pid, 2, adaptive=cfg, mode=ScheduleMode.SCALING)
-        for pid in ("probe", "other")
-    ])
+    pipelines = [probe_pipeline(cfg, 2, pid) for pid in ("probe", "other")]
     evaluator = AdaptiveQuadratureEvaluator(quiet_system(GroundTruthCurve.constant(1.0)), cfg, 5)
     with pytest.raises(ContractError, match="serves pipeline probe, not other"):
-        run_campaign(graph, PILOT, evaluator=evaluator, seed=5)
+        run_campaign(pipelines, PILOT, evaluator=evaluator, seed=5)
 
 
 def test_window_cap_is_respected():

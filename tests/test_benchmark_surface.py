@@ -17,8 +17,9 @@ import pytest
 
 # cli imports the nine layers perfbench/tracer.py patches, as perfbench/run.py's
 # own imports do.
-from fecampaign import cli
+from fecampaign import campaign, cli, engine
 from fecampaign.config import load_config
+from fecampaign.protocols import ProtocolKind
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,3 +87,24 @@ def test_one_untraced_pass_per_workload(workload, tmp_path, monkeypatch):
     out = wl.run_pass(0, rec)
     assert out["entries"]
     assert (rec.failed, rec.check_failures) == (0, []), rec.errors
+
+
+def test_tracer_sizes_a_weak_rung(tmp_path):
+    # The sizes perfbench/run.py turns into protocols.tasks_built, engine.tasks
+    # and engine.timeline_write_us_per_event, read on one 3-protocol weak rung.
+    tracer = _load_tracer().Tracer()
+    pilot = engine.PilotConfig(total_cores=2080, failure_probability_over_cap=0.0)
+    try:
+        tracer.install()
+        [res] = campaign.run_sweep(
+            "WEAK", [campaign.SweepRung(3, 3 * 2080)], ProtocolKind.TIES, "BRD4 ligand pair", pilot, seed=1,
+        )
+        engine.write_timeline_csv(res.outcome.timeline, tmp_path / "timeline.csv")
+    finally:
+        tracer.uninstall()
+    sizes = {}
+    for name, _, _, _, size in tracer.spans:
+        sizes.setdefault(name, []).append(size)
+    assert len(sizes["protocols.compile_protocol"]) == 3
+    assert sizes["engine.run_campaign"] == [sum(sizes["protocols.compile_protocol"])] == [780]
+    assert sizes["engine.write_timeline_csv"] == [len(res.outcome.timeline.events)]

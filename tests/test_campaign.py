@@ -207,10 +207,10 @@ def test_sweep_read_surface_of_the_benchmark():
         kind="STRONG", protocol_kind=ProtocolKind.TIES, physical_system="BRD4 ligand pair",
         rungs=(SweepRung(2, 16_640),), replicas=20,
     )
-    graph = compile_protocol(
+    pipeline = compile_protocol(
         plan.protocol_kind, "ties", plan.replicas, mode=ScheduleMode.SCALING, include_analysis=False,
     )
-    assert graph.n_tasks == 4 * 13 * 20
+    assert pipeline.n_tasks == 4 * 13 * 20
     [res] = run_sweep(
         kind=plan.kind, rungs=list(plan.rungs), protocol_kind=plan.protocol_kind,
         physical_system=plan.physical_system, pilot_defaults=PilotConfig(total_cores=2_080),

@@ -180,6 +180,17 @@ def test_deeply_nested_config_is_a_config_error(tmp_path):
     assert f"error: config {deep}: invalid JSON:" in result.stderr
 
 
+def test_repeated_config_key_is_a_config_error(tmp_path):
+    path = write_config(tmp_path)
+    obj = json.loads(path.read_text())
+    path.write_text('{"seed": 999, ' + json.dumps(obj)[1:])  # the saved config's seed comes second
+    result = invoke("run", "--config", path)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.stderr
+    assert f"error: config {path}: invalid JSON: duplicate key 'seed'" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_out_that_is_a_file_is_a_usage_error(tmp_path, command, below):

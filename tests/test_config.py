@@ -169,6 +169,18 @@ def test_load_config_invalid_json(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text,key", [
+    ('{"seed": 999, "seed": 11}', "seed"),
+    ('{"pilot": {"total_cores": 2080, "total_cores": 4160}}', "total_cores"),
+], ids=["top", "nested"])
+def test_load_config_rejects_a_repeated_key(tmp_path, text, key):
+    # json.loads keeps the last of two equal keys; a config must not silently lose one
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"invalid JSON: duplicate key '{key}'"):
+        load_config(path)
+
+
 def test_load_config_top_level_must_be_object(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")

@@ -30,9 +30,7 @@ from fecampaign.protocols import (
     ScheduleMode,
     StageKind,
     Stage,
-    WorkflowGraph,
     compile_protocol,
-    merge_graphs,
 )
 from fecampaign.synth import named_system, named_systems
 
@@ -40,11 +38,11 @@ from fecampaign.synth import named_system, named_systems
 def single_stage_ties(name, n_windows=13, replicas=5, timesteps=50_000, cores=32):
     lams = LambdaSchedule.uniform(n_windows).lambdas
     stage = Stage("S1", StageKind.MINIMIZATION, timesteps, replicas, lams, cores)
-    return WorkflowGraph((Pipeline(name, (stage,)),))
+    return Pipeline(name, (stage,))
 
 
-def graph_of_520_tasks():
-    return merge_graphs([single_stage_ties(f"t{i}") for i in range(8)])
+def pipelines_of_520_tasks():
+    return [single_stage_ties(f"t{i}") for i in range(8)]
 
 
 def quiet_pilot(total_cores):
@@ -110,28 +108,28 @@ def test_pilot_validation(kwargs):
 
 
 def test_waves_fill_to_capacity_and_peak_matches():
-    outcome = run_campaign(graph_of_520_tasks(), quiet_pilot(4_160), seed=3)
+    outcome = run_campaign(pipelines_of_520_tasks(), quiet_pilot(4_160), seed=3)
     widths = [g.width for g in outcome.timeline.generations]
     assert widths == [130, 130, 130, 130]
     assert peak_concurrency(outcome.timeline) == 130
 
 
 def test_full_width_single_generation():
-    outcome = run_campaign(graph_of_520_tasks(), quiet_pilot(16_640), seed=3)
+    outcome = run_campaign(pipelines_of_520_tasks(), quiet_pilot(16_640), seed=3)
     assert [g.width for g in outcome.timeline.generations] == [520]
     assert peak_concurrency(outcome.timeline) == 520
 
 
 def test_peak_concurrency_counts_zero_duration_waves():
     # Tasks that start and end at the same time still ran together.
-    graph = compile_protocol(ProtocolKind.TIES, "ties", 5)
-    outcome = run_campaign(graph, quiet_pilot(2_080), duration_model=DurationModel(0.0, 0.0), seed=1)
+    pipeline = compile_protocol(ProtocolKind.TIES, "ties", 5)
+    outcome = run_campaign([pipeline], quiet_pilot(2_080), duration_model=DurationModel(0.0, 0.0), seed=1)
     assert max(g.width for g in outcome.timeline.generations) == 65
     assert peak_concurrency(outcome.timeline) == 65
 
 
 def test_time_to_completion_identity():
-    outcome = run_campaign(graph_of_520_tasks(), quiet_pilot(8_320), seed=1)
+    outcome = run_campaign(pipelines_of_520_tasks(), quiet_pilot(8_320), seed=1)
     b = outcome.overheads
     assert b.total_time_to_completion_s == (
         b.task_execution_time_s + b.framework_overhead_s + b.runtime_overhead_s + b.launch_overhead_s
@@ -141,7 +139,7 @@ def test_time_to_completion_identity():
 
 def test_overhead_accounting_without_failures():
     pilot = quiet_pilot(4_160)
-    outcome = run_campaign(graph_of_520_tasks(), pilot, seed=0)
+    outcome = run_campaign(pipelines_of_520_tasks(), pilot, seed=0)
     tl = outcome.timeline
     assert tl.n_retries == 0
     assert tl.framework_s == pytest.approx(OverheadModel().framework_seconds(8))
@@ -152,24 +150,24 @@ def test_overhead_accounting_without_failures():
 
 
 def test_determinism_per_seed():
-    graph = graph_of_520_tasks()
+    pipelines = pipelines_of_520_tasks()
     pilot = PilotConfig(total_cores=16_640)
-    a = run_campaign(graph, pilot, seed=7)
-    b = run_campaign(graph, pilot, seed=7)
+    a = run_campaign(pipelines, pilot, seed=7)
+    b = run_campaign(pipelines, pilot, seed=7)
     assert oracle_events(a.timeline) == oracle_events(b.timeline)
     assert a.overheads == b.overheads
-    c = run_campaign(graph, pilot, seed=8)
+    c = run_campaign(pipelines, pilot, seed=8)
     assert c.timeline.n_retries != a.timeline.n_retries
 
 
 def test_launch_failures_only_above_concurrency_cap():
     # 130-wide generations stay below the cap: no failures regardless of p.
-    outcome = run_campaign(graph_of_520_tasks(), PilotConfig(total_cores=4_160), seed=0)
+    outcome = run_campaign(pipelines_of_520_tasks(), PilotConfig(total_cores=4_160), seed=0)
     assert outcome.timeline.n_retries == 0
 
 
 def test_failed_tasks_retry_exactly_once():
-    outcome = run_campaign(graph_of_520_tasks(), PilotConfig(total_cores=16_640), seed=0)
+    outcome = run_campaign(pipelines_of_520_tasks(), PilotConfig(total_cores=16_640), seed=0)
     tl = outcome.timeline
     assert 40 <= tl.n_retries <= 100
     records = task_records(tl)
@@ -196,15 +194,15 @@ def test_pipelines_of_one_shape_write_their_own_ids(tmp_path):
     # Eight pipelines share one stage tuple; a slice's pipeline index, not
     # its stage, says whose tasks it holds.  520 slots run over the 450-task
     # launcher cap, so waves carry failures and a retry wave.
-    graph = merge_graphs([_scaling_ties(f"t{i}") for i in range(8)])
-    assert all(p.stages is graph.pipelines[0].stages for p in graph.pipelines)
-    tl = run_campaign(graph, PilotConfig(total_cores=16_640), seed=0).timeline
+    pipelines = [_scaling_ties(f"t{i}") for i in range(8)]
+    assert all(p.stages is pipelines[0].stages for p in pipelines)
+    tl = run_campaign(pipelines, PilotConfig(total_cores=16_640), seed=0).timeline
     assert tl.n_retries > 0
     path = tmp_path / "timeline.csv"
     write_timeline_csv(tl, path)
     assert path.read_bytes() == csv_bytes(oracle_events(tl))
     assert set(task_records(tl)) == {
-        p.id + tail for p in graph.pipelines for s in p.stages for tail in s.id_tails
+        p.id + tail for p in pipelines for s in p.stages for tail in s.id_tails
     }
 
 
@@ -215,10 +213,10 @@ def test_failed_twice_names_the_task_of_its_own_pipeline():
     lead = compile_protocol(
         ProtocolKind.ESMACS, "lead", 1, mode=ScheduleMode.SCALING, include_analysis=False
     )
-    graph = merge_graphs([lead] + [_scaling_ties(f"t{i}") for i in range(3)])
+    pipelines = [lead] + [_scaling_ties(f"t{i}") for i in range(3)]
     pilot = PilotConfig(total_cores=196 * 32, concurrency_cap=20, failure_probability_over_cap=0.5)
     with pytest.raises(CampaignError, match=r"^task t0/S1/l0\.000/r0 failed twice") as err:
-        run_campaign(graph, pilot, seed=0)
+        run_campaign(pipelines, pilot, seed=0)
     tl = err.value.timeline
     submitted = {
         ev.task_id for ev in oracle_events(tl)
@@ -229,7 +227,7 @@ def test_failed_twice_names_the_task_of_its_own_pipeline():
 
 def test_retry_windows_are_launch_overhead_not_ttx():
     pilot = PilotConfig(total_cores=16_640)
-    tl = run_campaign(graph_of_520_tasks(), pilot, seed=0).timeline
+    tl = run_campaign(pipelines_of_520_tasks(), pilot, seed=0).timeline
     primary = sum(g.exec_window_s for g in tl.generations if not g.is_retry)
     retry_exec = sum(g.exec_window_s for g in tl.generations if g.is_retry)
     assert tl.primary_exec_s == pytest.approx(primary)
@@ -240,39 +238,53 @@ def test_retry_windows_are_launch_overhead_not_ttx():
 
 
 def test_walltime_violation_raises_with_partial_timeline():
-    graph = single_stage_ties("slow", timesteps=2_000_000)
+    pipeline = single_stage_ties("slow", timesteps=2_000_000)
     pilot = PilotConfig(total_cores=4_160, walltime_s=100.0)
     with pytest.raises(CampaignError) as err:
-        run_campaign(graph, pilot, seed=0)
+        run_campaign([pipeline], pilot, seed=0)
     assert err.value.timeline is not None
     assert not err.value.timeline.complete
 
 
 def test_measure_overheads_requires_completion():
-    graph = single_stage_ties("slow", timesteps=2_000_000)
+    pipeline = single_stage_ties("slow", timesteps=2_000_000)
     with pytest.raises(CampaignError) as err:
-        run_campaign(graph, PilotConfig(total_cores=4_160, walltime_s=100.0), seed=0)
+        run_campaign([pipeline], PilotConfig(total_cores=4_160, walltime_s=100.0), seed=0)
     with pytest.raises(ContractError):
         measure_overheads(err.value.timeline)
 
 
 def test_empty_graph_rejected():
     with pytest.raises(ContractError):
-        run_campaign(WorkflowGraph(pipelines=()), quiet_pilot(4_160))
+        run_campaign([], quiet_pilot(4_160))
+
+
+def test_campaign_runs_its_pipelines_in_list_order():
+    ties = compile_protocol(ProtocolKind.TIES, "t1", 5)
+    esmacs = compile_protocol(ProtocolKind.ESMACS, "e1", 25)
+    tl = run_campaign([ties, esmacs], quiet_pilot(4_160), seed=0).timeline
+    assert tl.pipeline_ids == ("t1", "e1")
+    assert len(tl.task_records) == ties.n_tasks + esmacs.n_tasks
+
+
+def test_campaign_rejects_duplicate_pipeline_ids():
+    pipeline = compile_protocol(ProtocolKind.TIES, "dup", 5)
+    with pytest.raises(ValidationError, match="'dup' repeats"):
+        run_campaign([pipeline, pipeline], quiet_pilot(4_160))
 
 
 def test_oversized_task_rejected():
-    graph = single_stage_ties("wide", cores=64)
+    pipeline = single_stage_ties("wide", cores=64)
     with pytest.raises(ValidationError):
-        run_campaign(graph, PilotConfig(total_cores=32))
+        run_campaign([pipeline], PilotConfig(total_cores=32))
 
 
-def two_stage_graph(name="two"):
+def two_stage_pipeline(name="two"):
     stages = (
         Stage("S1", StageKind.EQUILIBRATION, 1_000, 2, (0.0, 1.0)),
         Stage("S2", StageKind.PRODUCTION, 1_000, 2, (0.0, 1.0)),
     )
-    return WorkflowGraph((Pipeline(name, stages),))
+    return Pipeline(name, stages)
 
 
 class _OneShotEvaluator:
@@ -291,7 +303,7 @@ class _OneShotEvaluator:
 
 def test_evaluator_terminate_cancels_remaining_stages():
     ev = _OneShotEvaluator(StagePlan.terminate())
-    outcome = run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
+    outcome = run_campaign([two_stage_pipeline()], quiet_pilot(4_160), evaluator=ev)
     tl = outcome.timeline
     assert mark_labels(tl, "two") == ["S1"]
     # S2 is cancelled: the pipeline stops at S1 and no S2 task is launched
@@ -302,7 +314,7 @@ def test_evaluator_terminate_cancels_remaining_stages():
 def test_evaluator_append_inserts_and_runs_stage():
     extra = Stage("S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
     ev = _OneShotEvaluator(StagePlan.append([extra]))
-    outcome = run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
+    outcome = run_campaign([two_stage_pipeline()], quiet_pilot(4_160), evaluator=ev)
     assert mark_labels(outcome.timeline, "two") == ["S1", "S1b", "S2"]
     assert 0.5 in ev.pipeline.windows
     assert "two/S1b/l0.500/r0" in task_records(outcome.timeline)
@@ -321,10 +333,10 @@ class _ScriptedEvaluator:
 
 
 def test_pipeline_window_set_tracks_inserted_stages():
-    (pipeline,) = two_stage_graph().pipelines
+    pipeline = two_stage_pipeline()
     run = PipelineRun(id=pipeline.id, stages=list(pipeline.stages))
     assert run.windows == (0.0, 1.0)
-    run.insert_stage(1, Stage("S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.25]))
+    run.stages[1:1] = [Stage("S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.25])]
     assert [s.label for s in run.stages] == ["S1", "S1b", "S2"]
     assert run.windows == (0.0, 0.25, 1.0)
 
@@ -335,7 +347,7 @@ def test_production_accepted_at_window_added_by_earlier_plan():
     equil = Stage("S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
     prod = Stage("S1c", StageKind.PRODUCTION, 1_000, 2, [0.5])
     ev = _ScriptedEvaluator(StagePlan.append([equil]), StagePlan.append([prod]))
-    outcome = run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
+    outcome = run_campaign([two_stage_pipeline()], quiet_pilot(4_160), evaluator=ev)
     assert mark_labels(outcome.timeline, "two") == ["S1", "S1b", "S1c", "S2"]
     assert ev.pipeline.windows == (0.0, 0.5, 1.0)
 
@@ -344,14 +356,14 @@ def test_plan_rejected_for_unseen_production_lambda():
     rogue = Stage("S2b", StageKind.PRODUCTION, 1_000, 2, [0.111])
     ev = _OneShotEvaluator(StagePlan.append([rogue]))
     with pytest.raises(PlanRejectedError):
-        run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
+        run_campaign([two_stage_pipeline()], quiet_pilot(4_160), evaluator=ev)
 
 
 def test_plan_rejected_for_reused_task_id():
     dup = Stage("S1", StageKind.EQUILIBRATION, 1_000, 2, [0.0, 1.0])
     ev = _OneShotEvaluator(StagePlan.append([dup]))
     with pytest.raises(PlanRejectedError):
-        run_campaign(two_stage_graph(), quiet_pilot(4_160), evaluator=ev)
+        run_campaign([two_stage_pipeline()], quiet_pilot(4_160), evaluator=ev)
 
 
 def test_stage_with_lambdas_that_round_together_is_rejected():
@@ -366,7 +378,7 @@ def test_append_plan_requires_stages():
 
 
 def test_timeline_csv_round_trip(tmp_path):
-    outcome = run_campaign(two_stage_graph(), quiet_pilot(4_160))
+    outcome = run_campaign([two_stage_pipeline()], quiet_pilot(4_160))
     path = tmp_path / "timeline.csv"
     write_timeline_csv(outcome.timeline, path)
     lines = path.read_text().splitlines()
@@ -375,7 +387,7 @@ def test_timeline_csv_round_trip(tmp_path):
 
 
 def test_overhead_csv_extra_columns(tmp_path):
-    outcome = run_campaign(two_stage_graph(), quiet_pilot(4_160))
+    outcome = run_campaign([two_stage_pipeline()], quiet_pilot(4_160))
     row = overhead_row("r0", 1, 4_160, outcome.overheads)
     row["system"] = "demo"
     path = tmp_path / "overheads.csv"
@@ -388,7 +400,7 @@ def test_overhead_csv_extra_columns(tmp_path):
 
 
 def test_event_count_renders_no_events(monkeypatch):
-    tl = run_campaign(graph_of_520_tasks(), PilotConfig(total_cores=16_640), seed=0).timeline
+    tl = run_campaign(pipelines_of_520_tasks(), PilotConfig(total_cores=16_640), seed=0).timeline
     rendered = len(oracle_events(tl))
     # any rendering would now fail
     monkeypatch.setattr("fecampaign.engine.TimelineEvent", None)

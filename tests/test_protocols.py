@@ -11,16 +11,14 @@ from fecampaign.protocols import (
     ScheduleMode,
     Stage,
     StageKind,
-    WorkflowGraph,
     compile_protocol,
-    merge_graphs,
 )
 
 TIES, ESMACS = ProtocolKind.TIES, ProtocolKind.ESMACS
 
 
 def _timesteps(kind, mode):
-    (pipe,) = compile_protocol(kind, "p", 2, mode=mode, include_analysis=False).pipelines
+    pipe = compile_protocol(kind, "p", 2, mode=mode, include_analysis=False)
     return {s.label: s.timesteps for s in pipe.stages}
 
 
@@ -108,22 +106,22 @@ def test_esmacs_rejects_lambda_schedule():
 
 def test_adaptive_requires_ties():
     with pytest.raises(ValidationError, match="ESMACS"):
-        compile_protocol(ESMACS, "bad", 25, adaptive=AdaptiveConfig())
+        compile_protocol(ESMACS, "bad", 25, substage_timesteps=500_000)
 
 
 def test_windows_property_prefers_adaptive_initial_grid():
     def windows(**kwargs):
-        return {s.lambdas for s in compile_protocol(TIES, "t", 5, **kwargs).pipelines[0].stages}
+        return {s.lambdas for s in compile_protocol(TIES, "t", 5, **kwargs).stages}
 
     assert windows() == {LambdaSchedule.uniform(13).lambdas, None}
-    assert windows(adaptive=AdaptiveConfig()) == {(0.0, 0.5, 1.0), None}
-    assert {s.lambdas for s in compile_protocol(ESMACS, "e", 25).pipelines[0].stages} == {None}
-    with pytest.raises(ValidationError, match="not both"):
-        compile_protocol(TIES, "t", 5, lambda_schedule=LambdaSchedule.uniform(5), adaptive=AdaptiveConfig())
+    assert windows(lambda_schedule=AdaptiveConfig().initial_lambdas, substage_timesteps=500_000) == {
+        (0.0, 0.5, 1.0), None,
+    }
+    assert {s.lambdas for s in compile_protocol(ESMACS, "e", 25).stages} == {None}
 
 
 def test_ties_protocol_default_shape():
-    (pipe,) = compile_protocol(TIES, "ties", 5).pipelines
+    pipe = compile_protocol(TIES, "ties", 5)
     assert [s.label for s in pipe.stages] == ["S1", "S2", "S3", "S4", "S5", "S6"]
     assert pipe.stages[3].kind is StageKind.PRODUCTION
     assert pipe.stages[3].timesteps == 2_000_000
@@ -134,19 +132,17 @@ def test_ties_protocol_default_shape():
 
 
 def test_compiled_ties_fans_out_65_tasks_per_sim_stage():
-    graph = compile_protocol(TIES, "t0", 5)
-    (pipe,) = graph.pipelines
+    pipe = compile_protocol(TIES, "t0", 5)
     sim = [s for s in pipe.stages if s.kind is not StageKind.ANALYSIS
            and s.kind is not StageKind.GLOBAL_ANALYSIS]
     assert len(sim) == 4
     for stage in sim:
         assert stage.n_tasks == 13 * 5
-    assert graph.n_tasks == 4 * 65 + 5 + 1
+    assert pipe.n_tasks == 4 * 65 + 5 + 1
 
 
 def test_compiled_task_identity_and_lambda():
-    graph = compile_protocol(TIES, "p1", 5)
-    stages = graph.pipelines[0].stages
+    stages = compile_protocol(TIES, "p1", 5).stages
     ids = [task_id for s in stages for task_id in s.task_ids("p1", range(s.n_tasks))]
     assert len(set(ids)) == len(ids)
     first = stages[0]
@@ -164,8 +160,8 @@ def test_stages_on_equal_lambdas_share_one_grid():
 
 
 def test_stages_of_one_shape_share_id_tails():
-    (a,) = compile_protocol(TIES, "p", 5).pipelines
-    (b,) = compile_protocol(TIES, "q", 5).pipelines
+    a = compile_protocol(TIES, "p", 5)
+    b = compile_protocol(TIES, "q", 5)
     for sa, sb in zip(a.stages, b.stages):
         assert sb.id_tails is sa.id_tails
         assert len(sa.id_tails) == sa.n_tasks
@@ -175,14 +171,14 @@ def test_stages_of_one_shape_share_id_tails():
 
 
 def test_protocols_of_one_shape_share_one_stage_tuple():
-    (a,) = compile_protocol(TIES, "p", 5, mode=ScheduleMode.SCALING).pipelines
-    (b,) = compile_protocol(TIES, "q", 5, mode=ScheduleMode.SCALING).pipelines
+    a = compile_protocol(TIES, "p", 5, mode=ScheduleMode.SCALING)
+    b = compile_protocol(TIES, "q", 5, mode=ScheduleMode.SCALING)
     assert (a.id, b.id) == ("p", "q")
     assert b.stages is a.stages
-    (c,) = compile_protocol(TIES, "r", 4, mode=ScheduleMode.SCALING).pipelines
+    c = compile_protocol(TIES, "r", 4, mode=ScheduleMode.SCALING)
     assert c.stages is not a.stages
-    (d,) = compile_protocol(TIES, "d", 5, adaptive=AdaptiveConfig()).pipelines
-    (e,) = compile_protocol(TIES, "e", 5, adaptive=AdaptiveConfig()).pipelines
+    d = compile_protocol(TIES, "d", 5, substage_timesteps=500_000)
+    e = compile_protocol(TIES, "e", 5, substage_timesteps=500_000)
     assert e.stages is d.stages
 
 
@@ -192,36 +188,31 @@ def test_compile_rejects_a_pipeline_id_with_a_slash():
 
 
 def test_compiled_esmacs_is_lambda_free():
-    graph = compile_protocol(ESMACS, "e0", 25, mode=ScheduleMode.SCALING)
-    (pipe,) = graph.pipelines
+    pipe = compile_protocol(ESMACS, "e0", 25, mode=ScheduleMode.SCALING)
     for stage in pipe.stages[:4]:
         assert stage.n_tasks == 25
         assert stage.lambdas is None
-    assert graph.n_tasks == 4 * 25 + 1
+    assert pipe.n_tasks == 4 * 25 + 1
 
 
 def test_adaptive_compile_emits_first_production_substage_only():
-    graph = compile_protocol(TIES, "a0", 5, adaptive=AdaptiveConfig())
-    labels = [s.label for s in graph.pipelines[0].stages]
+    cfg = AdaptiveConfig()
+    stages = compile_protocol(TIES, "a0", 5, cfg.initial_lambdas, cfg.substage_timesteps).stages
+    labels = [s.label for s in stages]
     assert "S4.1" in labels
     assert "S4" not in labels
-    substage = next(s for s in graph.pipelines[0].stages if s.label == "S4.1")
+    substage = next(s for s in stages if s.label == "S4.1")
     assert substage.n_tasks == 3 * 5
-    assert substage.timesteps == AdaptiveConfig().substage_timesteps
+    assert substage.timesteps == cfg.substage_timesteps
 
 
-def test_merge_graphs_concatenates_pipelines():
-    g1 = compile_protocol(TIES, "t1", 5)
-    g2 = compile_protocol(ESMACS, "e1", 25)
-    merged = merge_graphs([g1, g2])
-    assert merged.n_tasks == g1.n_tasks + g2.n_tasks
-    assert [p.id for p in merged.pipelines] == ["t1", "e1"]
-
-
-def test_merge_graphs_rejects_duplicate_pipeline_ids():
-    g = compile_protocol(TIES, "dup", 5)
-    with pytest.raises(ValidationError):
-        merge_graphs([g, g])
+def test_pipeline_rejects_stages_that_share_a_label():
+    # Task ids join pipeline id, stage label and index, so a repeated label
+    # would give two stages' tasks the same ids.
+    s1 = Stage("S1", StageKind.MINIMIZATION, 10, 2, None)
+    s2 = Stage("S1", StageKind.EQUILIBRATION, 20, 2, None)
+    with pytest.raises(ValidationError, match="stages need unique labels"):
+        Pipeline("p", (s1, s2))
 
 
 def test_stage_must_hold_tasks():
@@ -229,8 +220,8 @@ def test_stage_must_hold_tasks():
         Stage("S1", StageKind.MINIMIZATION, 1_000, 0, None)
 
 
-def _all_ids(graph):
-    return [task_id for p in graph.pipelines for s in p.stages for task_id in s.task_ids(p.id, range(s.n_tasks))]
+def _all_ids(pipe):
+    return [task_id for s in pipe.stages for task_id in s.task_ids(pipe.id, range(s.n_tasks))]
 
 
 def test_task_ids_are_frozen():
@@ -252,10 +243,11 @@ def test_task_ids_are_frozen():
 def test_ids_that_would_collide_across_pipelines_are_rejected():
     # "a/b" + "c" and "a" + "b/c" would both give ids "a/b/c/...".
     def single(name, label):
-        return WorkflowGraph((Pipeline(name, (Stage(label, StageKind.MINIMIZATION, 10, 2, None),)),))
+        return Pipeline(name, (Stage(label, StageKind.MINIMIZATION, 10, 2, None),))
 
-    with pytest.raises(ValidationError):
-        merge_graphs([single("a/b", "c"), single("a", "b/c")])
+    for name, label in (("a/b", "c"), ("a", "b/c")):
+        with pytest.raises(ValidationError, match="no '/'"):
+            single(name, label)
 
 
 def test_stage_label_with_slash_is_rejected():

@@ -40,8 +40,6 @@ from fecampaign.protocols import (
     ScheduleMode,
     Stage,
     StageKind,
-    WorkflowGraph,
-    merge_graphs,
 )
 from fecampaign.synth import ZERO_NOISE, GroundTruthCurve, SyntheticSystem
 from timeline_oracle import csv_bytes, oracle_events, task_records
@@ -50,37 +48,33 @@ from timeline_oracle import csv_bytes, oracle_events, task_records
 def _ties(name, stages, replicas=5, n_windows=13):
     """One pipeline whose stages all run ``replicas`` per uniform window."""
     lams = LambdaSchedule.uniform(n_windows).lambdas
-    return WorkflowGraph((
-        Pipeline(name, tuple(Stage(label, kind, steps, replicas, lams) for label, kind, steps in stages)),
-    ))
+    return Pipeline(name, tuple(Stage(label, kind, steps, replicas, lams) for label, kind, steps in stages))
 
 
-def _batch_graph(stages=(("S1", StageKind.MINIMIZATION, 50_000),)):
+def _batch_pipelines(stages=(("S1", StageKind.MINIMIZATION, 50_000),)):
     """The 520-task batch: 8 pipelines of 65 tasks per stage."""
-    return merge_graphs([_ties(f"t{i}", stages) for i in range(8)])
+    return [_ties(f"t{i}", stages) for i in range(8)]
 
 
-def _mixed_graph():
+def _mixed_pipelines():
     """Pipelines of unequal stage lengths, so waves mix durations and stages end apart."""
-    return merge_graphs(
-        [
-            _ties(
-                f"m{i}",
-                [
-                    ("S1", StageKind.MINIMIZATION, 1_000 + 333 * i),
-                    ("S2", StageKind.EQUILIBRATION, 2_000 + 777 * (i % 3)),
-                    ("S3", StageKind.PRODUCTION, 3_000 + 111 * i),
-                ],
-                replicas=3,
-                n_windows=5,
-            )
-            for i in range(6)
-        ]
-    )
+    return [
+        _ties(
+            f"m{i}",
+            [
+                ("S1", StageKind.MINIMIZATION, 1_000 + 333 * i),
+                ("S2", StageKind.EQUILIBRATION, 2_000 + 777 * (i % 3)),
+                ("S3", StageKind.PRODUCTION, 3_000 + 111 * i),
+            ],
+            replicas=3,
+            n_windows=5,
+        )
+        for i in range(6)
+    ]
 
 
 def retry_wave():
-    return run_campaign(_batch_graph(), PilotConfig(total_cores=16_640), seed=0).timeline
+    return run_campaign(_batch_pipelines(), PilotConfig(total_cores=16_640), seed=0).timeline
 
 
 def adaptive_termination():
@@ -101,33 +95,33 @@ def tied_times():
         failure_probability_over_cap=0.2,
     )
     overheads = OverheadModel(runtime_per_task=0.0)
-    return run_campaign(_mixed_graph(), pilot, seed=4, overhead_model=overheads).timeline
+    return run_campaign(_mixed_pipelines(), pilot, seed=4, overhead_model=overheads).timeline
 
 
-def _partial_timeline(graph, pilot, seed, reason):
+def _partial_timeline(pipelines, pilot, seed, reason):
     with pytest.raises(CampaignError, match=reason) as err:
-        run_campaign(graph, pilot, seed=seed)
+        run_campaign(pipelines, pilot, seed=seed)
     assert not err.value.timeline.complete
     return err.value.timeline
 
 
 def walltime_abort():
     pilot = PilotConfig(total_cores=1_280, concurrency_cap=30, walltime_s=20.0)
-    return _partial_timeline(_mixed_graph(), pilot, 2, "walltime")
+    return _partial_timeline(_mixed_pipelines(), pilot, 2, "walltime")
 
 
 def failed_twice_abort():
     pilot = PilotConfig(total_cores=16_640, concurrency_cap=20, failure_probability_over_cap=0.5)
-    return _partial_timeline(_batch_graph(), pilot, 1, "failed twice")
+    return _partial_timeline(_batch_pipelines(), pilot, 1, "failed twice")
 
 
 def bad_duration_abort():
     def durations(stage):
         return -1.0 if stage.label == "S2" else 50.0
 
-    graph = _batch_graph((("S1", StageKind.MINIMIZATION, 1_000), ("S2", StageKind.EQUILIBRATION, 1_000)))
+    pipelines = _batch_pipelines((("S1", StageKind.MINIMIZATION, 1_000), ("S2", StageKind.EQUILIBRATION, 1_000)))
     with pytest.raises(CampaignError, match="negative or non-finite duration") as err:
-        run_campaign(graph, PilotConfig(total_cores=16_640), duration_model=durations, seed=3)
+        run_campaign(pipelines, PilotConfig(total_cores=16_640), duration_model=durations, seed=3)
     return err.value.timeline
 
 
@@ -148,23 +142,21 @@ class _AppendOrTerminate:
         return StagePlan.proceed()
 
 
-def _reentry_graph():
+def _reentry_pipelines():
     """13 pipelines whose stages hold 6 to 20 tasks each."""
-    return merge_graphs(
-        [
-            _ties(
-                f"e{i}",
-                [
-                    ("S1", StageKind.MINIMIZATION, 900 + 211 * i),
-                    ("S2", StageKind.EQUILIBRATION, 1_500 + 97 * (i % 5)),
-                    ("S3", StageKind.PRODUCTION, 2_000 + 53 * i),
-                ],
-                replicas=2 + i % 3,
-                n_windows=3 + i % 4,
-            )
-            for i in range(13)
-        ]
-    )
+    return [
+        _ties(
+            f"e{i}",
+            [
+                ("S1", StageKind.MINIMIZATION, 900 + 211 * i),
+                ("S2", StageKind.EQUILIBRATION, 1_500 + 97 * (i % 5)),
+                ("S3", StageKind.PRODUCTION, 2_000 + 53 * i),
+            ],
+            replicas=2 + i % 3,
+            n_windows=3 + i % 4,
+        )
+        for i in range(13)
+    ]
 
 
 def ready_list_reentry():
@@ -173,7 +165,7 @@ def ready_list_reentry():
     # that finishes a stage re-enters the fill ahead of a higher-index one
     # whose stage is only part-launched.
     pilot = PilotConfig(total_cores=320, concurrency_cap=6, failure_probability_over_cap=0.15)
-    return run_campaign(_reentry_graph(), pilot, evaluator=_AppendOrTerminate(), seed=7).timeline
+    return run_campaign(_reentry_pipelines(), pilot, evaluator=_AppendOrTerminate(), seed=7).timeline
 
 
 GOLDEN = {
