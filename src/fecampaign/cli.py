@@ -17,6 +17,7 @@ import sys
 import traceback
 from contextlib import contextmanager
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -166,8 +167,7 @@ def sweep(args: argparse.Namespace) -> None:
         for r in results
     ]
     write_overhead_csv(rows, out_dir / f"sweep_{plan.kind.lower()}.csv")
-    body = [tuple(row[c] for c in OVERHEAD_COLUMNS) for row in rows]
-    print(reports._aligned(OVERHEAD_COLUMNS, body))
+    print(reports.table([reports.Column(c, itemgetter(c)) for c in OVERHEAD_COLUMNS], rows))
     print(f"wrote sweep_{plan.kind.lower()}.csv to {out_dir}")
 
 

@@ -5,7 +5,7 @@ keys are field names, in field order, and ``save_config`` output reloads to
 an equal config that re-saves byte for byte.  Int fields take JSON integers,
 float fields JSON numbers (a boolean is neither), str fields strings; the
 dataclasses themselves reject NaN and Infinity.
-A field without a default is required and an unknown key is an error.
+A field without a default is required; an unknown or repeated key is an error.
 Errors name their field once, by full path: a dataclass's own check names
 it by its subject (``pilot.total_cores``), the decoder swaps in the path.
 Format special cases: a ``LambdaSchedule`` is a JSON array, a curve holds
@@ -129,6 +129,8 @@ def _decode(tp, value: Any, path: str):
     if is_dataclass(tp):
         if not isinstance(value, dict):
             raise ValidationError(f"{path} must be a JSON object, got {value!r}")
+        if isinstance(value, _Repeats):  # json.loads would keep the last value
+            raise ValidationError(f"{path}.{value.repeated} is given twice")
         specs = _fields(tp)
         names, note = tuple(specs), ""
         if tp is GroundTruthCurve and "preset" in value:
@@ -188,13 +190,17 @@ def config_from_dict(obj: dict, path: str = "config") -> CampaignConfig:
     return _decode(CampaignConfig, obj, path)
 
 
+class _Repeats(dict):
+    """A JSON object that gives its key ``repeated`` twice; decoding it is an error."""
+
+
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    """A JSON object as a dict; a repeated key is an error, not a silent overwrite."""
+    """A JSON object as a dict, marked if it repeats a key: `_decode` names its path."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
         seen: set[str] = set()
-        key = next(k for k, _ in pairs if k in seen or seen.add(k))
-        raise ValueError(f"duplicate key {key!r}")
+        obj = _Repeats(obj)
+        obj.repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
     return obj
 
 
@@ -205,7 +211,7 @@ def load_config(path: str | Path) -> CampaignConfig:
         obj = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValidationError(f"config {p}: {exc}") from None
-    except (ValueError, RecursionError) as exc:  # not UTF-8, malformed, a repeated key, too deep, a huge int
+    except (ValueError, RecursionError) as exc:  # not UTF-8, malformed, too deep, a huge int
         raise ValidationError(f"config {p}: invalid JSON: {exc}") from None
     return config_from_dict(obj, "config")
 

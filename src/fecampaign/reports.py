@@ -1,9 +1,13 @@
 """Result tables: adaptive-vs-uniform comparison, early termination, validation.
 
-Every table has two renderings with identical content: an aligned text
-block for standard output and a CSV with a fixed column set.  Cell
-formatting is deterministic, so re-running a seeded campaign reproduces
-both byte for byte.
+A report is a list of `Column`s, each a header and a function from a row to
+the text of its cell.  Every report declares one list for the aligned text
+printed to standard output (``*_TABLE``) and one for its CSV (``*_CSV``);
+`table` and `to_csv` render any list.  A text cell may read two fields, as
+"dG (err)" does.  To add a column, add its field to the row and one `Column`
+to each rendering that shows it; a CSV's header tuple (``*_COLUMNS``) is read
+off its declaration.  Cell formatting is deterministic, so re-running a
+seeded campaign reproduces both renderings byte for byte.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 
 from .protocols import NONADAPTIVE_WINDOWS
 
@@ -24,31 +28,29 @@ DEGENERATE_MARK = "*"
 
 _MODEL_NOTE = "note: task durations and launch overhead come from the configured cost model"
 
-COMPARISON_COLUMNS = (
-    "system",
-    "ref_ddg",
-    "nonadaptive_ddg",
-    "nonadaptive_stderr",
-    "adaptive_ddg",
-    "adaptive_stderr",
-    "n_lambda_windows",
-    "window_ratio_decrease_pct",
-    "increase_in_accuracy_pct",
-    "accuracy_footnote",
-)
 
-TERMINATION_COLUMNS = ("system", "nonadaptive_ns", "adaptive_ns", "decrease_pct")
+class Column(NamedTuple):
+    """One report column: its header, and the text of its cell in a row."""
 
-VALIDATION_COLUMNS = (
-    "system",
-    "quoted_calculated_ddg",
-    "quoted_calculated_err",
-    "published_ddg",
-    "published_err",
-    "experiment_ddg",
-    "experiment_err",
-    "within_error",
-)
+    header: str
+    cell: Callable[[Any], str]
+
+
+def table(columns: Sequence[Column], rows: Iterable) -> str:
+    """Header, a rule of dashes, then one line per row; columns two spaces apart."""
+    lines = [[c.header for c in columns], *([c.cell(r) for c in columns] for r in rows)]
+    widths = [max(map(len, cells)) for cells in zip(*lines)]
+    lines.insert(1, ["-" * w for w in widths])
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in lines)
+
+
+def to_csv(columns: Sequence[Column], rows: Iterable) -> str:
+    """Header and rows as CSV, fields quoted as ``csv`` does (a label may hold a comma)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(c.header for c in columns)
+    writer.writerows([c.cell(r) for c in columns] for r in rows)
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,9 @@ VALIDATION_ROWS = (
 )
 
 
-def _fmt(x: float, places: int = 4) -> str:
-    return f"{x:.{places}f}"
+def _number(field: str, places: int, header: str | None = None) -> Column:
+    """The row's ``field`` to ``places`` decimals, headed ``header`` (by default ``field``)."""
+    return Column(header or field, lambda r: f"{getattr(r, field):.{places}f}")
 
 
 def _pm(value: float, err: float, places: int = 2) -> str:
@@ -150,105 +153,95 @@ def _pm(value: float, err: float, places: int = 2) -> str:
     return f"{value:.{places}f} ({err_text})"
 
 
-def _aligned(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        widths = [max(w, len(c)) for w, c in zip(widths, row)]
-    def line(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    out = [line(headers), line(tuple("-" * w for w in widths))]
-    out.extend(line(r) for r in rows)
-    return "\n".join(out)
+def _mark(r: ComparisonRow) -> str:
+    return DEGENERATE_MARK if r.degenerate_accuracy else ""
 
 
-def _csv(header: tuple[str, ...], rows) -> str:
-    """Header and rows as CSV, fields quoted as ``csv`` does (a label may hold a comma)."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows((header, *rows))
-    return buf.getvalue()
+_SYSTEM = Column("system", lambda r: r.system)
+
+COMPARISON_TABLE = (
+    _SYSTEM,
+    _number("ref_ddg", 2, "ref dG"),
+    Column("non-adaptive dG (err)", lambda r: _pm(r.nonadaptive_ddg, r.nonadaptive_stderr)),
+    Column("adaptive dG (err)", lambda r: _pm(r.adaptive_ddg, r.adaptive_stderr)),
+    Column("windows", lambda r: str(r.n_lambda_windows)),
+    _number("window_ratio_decrease_pct", 1, "window-ratio decrease %"),
+    Column("accuracy increase %", lambda r: f"{r.increase_in_accuracy_pct:.1f}{_mark(r)}"),
+)
+
+COMPARISON_CSV = (
+    _SYSTEM,
+    _number("ref_ddg", 6),
+    _number("nonadaptive_ddg", 6),
+    _number("nonadaptive_stderr", 6),
+    _number("adaptive_ddg", 6),
+    _number("adaptive_stderr", 6),
+    Column("n_lambda_windows", lambda r: str(r.n_lambda_windows)),
+    _number("window_ratio_decrease_pct", 3),
+    _number("increase_in_accuracy_pct", 3),
+    Column("accuracy_footnote", _mark),
+)
+
+TERMINATION_TABLE = (
+    _SYSTEM,
+    _number("nonadaptive_ns", 1, "non-adaptive ns"),
+    _number("adaptive_ns", 1, "adaptive ns"),
+    _number("decrease_pct", 1, "decrease %"),
+)
+
+TERMINATION_CSV = (
+    _SYSTEM,
+    _number("nonadaptive_ns", 3),
+    _number("adaptive_ns", 3),
+    _number("decrease_pct", 3),
+)
+
+VALIDATION_TABLE = (
+    _SYSTEM,
+    Column("calculated (quoted)", lambda r: _pm(*r.calculated)),
+    Column("published", lambda r: _pm(*r.published)),
+    Column("experiment", lambda r: _pm(*r.experiment)),
+    Column("within error", lambda r: "yes" if r.within_error else "no"),
+)
+
+VALIDATION_CSV = (
+    _SYSTEM,
+    Column("quoted_calculated_ddg", lambda r: f"{r.calculated[0]:.2f}"),
+    Column("quoted_calculated_err", lambda r: f"{r.calculated[1]:.2f}"),
+    Column("published_ddg", lambda r: f"{r.published[0]:.2f}"),
+    Column("published_err", lambda r: f"{r.published[1]:.2f}"),
+    Column("experiment_ddg", lambda r: f"{r.experiment[0]:.2f}"),
+    Column("experiment_err", lambda r: f"{r.experiment[1]:.2f}"),
+    Column("within_error", lambda r: "true" if r.within_error else "false"),
+)
+
+COMPARISON_COLUMNS = tuple(c.header for c in COMPARISON_CSV)
+TERMINATION_COLUMNS = tuple(c.header for c in TERMINATION_CSV)
+VALIDATION_COLUMNS = tuple(c.header for c in VALIDATION_CSV)
 
 
 def render_comparison_table(rows: list[ComparisonRow]) -> str:
-    headers = (
-        "system", "ref dG", "non-adaptive dG (err)", "adaptive dG (err)",
-        "windows", "window-ratio decrease %", "accuracy increase %",
-    )
-    body = []
-    for r in rows:
-        mark = DEGENERATE_MARK if r.degenerate_accuracy else ""
-        body.append((
-            r.system,
-            _fmt(r.ref_ddg, 2),
-            _pm(r.nonadaptive_ddg, r.nonadaptive_stderr),
-            _pm(r.adaptive_ddg, r.adaptive_stderr),
-            str(r.n_lambda_windows),
-            f"{r.window_ratio_decrease_pct:.1f}",
-            f"{r.increase_in_accuracy_pct:.1f}{mark}",
-        ))
-    text = _aligned(headers, body)
     notes = [_MODEL_NOTE]
     if any(r.degenerate_accuracy for r in rows):
         notes.insert(0, f"{DEGENERATE_MARK} non-adaptive error ~ 0; ratio undefined, reported as 0")
-    return text + "\n" + "\n".join(notes)
+    return "\n".join([table(COMPARISON_TABLE, rows), *notes])
 
 
 def comparison_csv(rows: list[ComparisonRow]) -> str:
-    return _csv(COMPARISON_COLUMNS, (
-        (
-            r.system,
-            _fmt(r.ref_ddg, 6),
-            _fmt(r.nonadaptive_ddg, 6),
-            _fmt(r.nonadaptive_stderr, 6),
-            _fmt(r.adaptive_ddg, 6),
-            _fmt(r.adaptive_stderr, 6),
-            str(r.n_lambda_windows),
-            _fmt(r.window_ratio_decrease_pct, 3),
-            _fmt(r.increase_in_accuracy_pct, 3),
-            DEGENERATE_MARK if r.degenerate_accuracy else "",
-        )
-        for r in rows
-    ))
+    return to_csv(COMPARISON_CSV, rows)
 
 
 def render_termination_table(rows: list[TerminationRow]) -> str:
-    headers = ("system", "non-adaptive ns", "adaptive ns", "decrease %")
-    body = [
-        (r.system, f"{r.nonadaptive_ns:.1f}", f"{r.adaptive_ns:.1f}", f"{r.decrease_pct:.1f}")
-        for r in rows
-    ]
-    return _aligned(headers, body)
+    return table(TERMINATION_TABLE, rows)
 
 
 def termination_csv(rows: list[TerminationRow]) -> str:
-    return _csv(TERMINATION_COLUMNS, (
-        (r.system, _fmt(r.nonadaptive_ns, 3), _fmt(r.adaptive_ns, 3), _fmt(r.decrease_pct, 3))
-        for r in rows
-    ))
+    return to_csv(TERMINATION_CSV, rows)
 
 
 def render_validation_table(rows: tuple[ValidationRow, ...] = VALIDATION_ROWS) -> str:
-    headers = ("system", "calculated (quoted)", "published", "experiment", "within error")
-    body = [
-        (
-            r.system,
-            _pm(*r.calculated),
-            _pm(*r.published),
-            _pm(*r.experiment),
-            "yes" if r.within_error else "no",
-        )
-        for r in rows
-    ]
-    return _aligned(headers, body)
+    return table(VALIDATION_TABLE, rows)
 
 
 def validation_csv(rows: tuple[ValidationRow, ...] = VALIDATION_ROWS) -> str:
-    return _csv(VALIDATION_COLUMNS, (
-        (
-            r.system,
-            _fmt(r.calculated[0], 2), _fmt(r.calculated[1], 2),
-            _fmt(r.published[0], 2), _fmt(r.published[1], 2),
-            _fmt(r.experiment[0], 2), _fmt(r.experiment[1], 2),
-            "true" if r.within_error else "false",
-        )
-        for r in rows
-    ))
+    return to_csv(VALIDATION_CSV, rows)

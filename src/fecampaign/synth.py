@@ -231,9 +231,7 @@ def grow_streams(
     if eta_sd > 0.0:
         for row, rng in zip(eps, rngs):
             rng.standard_normal(out=row)
-        # The roundings of Generator.normal(0.0, eta_sd): loc + scale * z.
         eps *= eta_sd
-        eps += 0.0
     if noise.ar1_phi > 0.0:
         prev = np.concatenate([block.last for block in blocks])
         step = np.empty(len(rngs))

@@ -187,7 +187,7 @@ def test_repeated_config_key_is_a_config_error(tmp_path):
     result = invoke("run", "--config", path)
     assert result.exit_code == 2
     assert "Traceback" not in result.stderr
-    assert f"error: config {path}: invalid JSON: duplicate key 'seed'" in result.stderr
+    assert "error: config.seed is given twice" in result.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -170,14 +170,15 @@ def test_load_config_invalid_json(tmp_path):
 
 
 @pytest.mark.parametrize("text,key", [
-    ('{"seed": 999, "seed": 11}', "seed"),
-    ('{"pilot": {"total_cores": 2080, "total_cores": 4160}}', "total_cores"),
-], ids=["top", "nested"])
+    ('{"seed": 999, "seed": 11}', "config.seed"),
+    ('{"pilot": {"total_cores": 2080, "total_cores": 4160}}', "config.pilot.total_cores"),
+    ('{"systems": [{"label": "a", "label": "b"}]}', "config.systems[0].label"),
+], ids=["top", "nested", "in-list"])
 def test_load_config_rejects_a_repeated_key(tmp_path, text, key):
     # json.loads keeps the last of two equal keys; a config must not silently lose one
     path = tmp_path / "dup.json"
     path.write_text(text)
-    with pytest.raises(ValidationError, match=f"invalid JSON: duplicate key '{key}'"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(key)} is given twice$"):
         load_config(path)
 
 

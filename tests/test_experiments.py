@@ -1,7 +1,8 @@
 """The checked-in ``out/`` tree is what ``scripts/run_experiments.py`` writes.
 
 Runs the script's commands in-process, from a temporary working directory,
-and compares every written file byte for byte with ``out/``.  The three
+and compares every written file byte for byte with ``out/`` and every
+command's standard output with a frozen SHA-256 digest.  The three
 modes that no bundled ``run`` writes are held to frozen SHA-256 digests of
 their ``run`` outputs on ``configs/run.json``.
 """
@@ -27,12 +28,33 @@ def _files(root):
     return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
 
 
+#: SHA-256 of what each ``scripts/run_experiments.py`` command prints, keyed by its arguments.
+STDOUT_DIGESTS = {
+    "run --config configs/run.json":
+        "ce03a22a95dbe2b009b3860d1866116a7c42e74090a231c77cd41077df039389",
+    "compare --config configs/compare.json":
+        "ff93d2e35284763d0405c56de7ad60188a0287bb7179ad52e868393138ff24de",
+    "term-report --config configs/termination.json":
+        "f65efd87c12f99c49c60d645ac2b8051b134327d8cb7671e2c5dd71e2b0c2308",
+    "sweep --config configs/sweep_weak_ties.json --out out/sweep_weak_ties":
+        "4c369f011ec2aa8528a901118cc88d1157eca144f100d1738778277c09262d49",
+    "sweep --config configs/sweep_strong_ties.json --out out/sweep_strong_ties":
+        "ce78e5cba7d3aa95bc2047db11b6464b36cb2ac42cd994efa82bcc548b11e54c",
+    "sweep --config configs/sweep_weak_esmacs.json --out out/sweep_weak_esmacs":
+        "561ba3e7124bd003cf7d81052926cea709cf6418bc6b3259fddad206bf9ce06f",
+    "validate --out out/validation":
+        "26cd43f18d124662f75b4564fc61ddd7c006735f78a97630a30fc6ab04deed8c",
+}
+
+
 def test_experiments_regenerate_checked_in_outputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    printed = {}
     for args in _experiment_commands():
-        args = [str(ROOT / a) if a.startswith("configs/") else a for a in args]
-        result = invoke(*args)
+        result = invoke(*(str(ROOT / a) if a.startswith("configs/") else a for a in args))
         assert result.exit_code == 0, (args, result.output)
+        printed[" ".join(args)] = hashlib.sha256(result.output.encode()).hexdigest()
+    assert printed == STDOUT_DIGESTS
     expected = ROOT / "out"
     written = tmp_path / "out"
     assert _files(written) == _files(expected)

@@ -156,6 +156,15 @@ def test_interval_error_combines_in_quadrature():
     )
 
 
+def test_interval_error_statistical_term_by_hand():
+    # linear means, so no discretization error; each endpoint SEM carries the
+    # interval's trapezoid weight h / 2: 0.25 * sqrt(0.3**2 + 0.4**2) = 0.125
+    pts = [WindowPoint(0.0, 1.0, 0.3), WindowPoint(0.5, 2.0, 0.4), WindowPoint(1.0, 3.0, 0.1)]
+    err = interval_error(pts, 0)
+    assert err.discretization == 0.0
+    assert err.statistical == err.total == 0.125
+
+
 def test_interval_error_index_bounds():
     pts = points_for(lambda x: x, uniform(4))
     with pytest.raises(ContractError):
@@ -188,6 +197,13 @@ def test_refinement_cap_keeps_worst_intervals():
     lo, hi = pts[worst].lam, pts[worst + 1].lam
     assert capped[0] == canonical_lambda((lo + hi) / 2.0)
     assert set(capped) <= set(uncapped)
+
+
+def test_refinement_cap_breaks_ties_towards_smaller_lambda():
+    pts = points_for(lambda x: 1.0, uniform(3), sem=0.1)
+    assert interval_error(pts, 0).total == interval_error(pts, 1).total
+    assert propose_refinements(pts, epsilon=1e-3) == [0.25, 0.75]
+    assert propose_refinements(pts, epsilon=1e-3, max_total_windows=4) == [0.25]
 
 
 def test_refinement_cap_full_returns_empty():

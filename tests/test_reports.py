@@ -156,6 +156,14 @@ def test_validation_row_outside_error_bars():
     assert validation_csv((row,)).splitlines()[1].endswith("false")
 
 
+def test_validation_row_on_the_error_bar_edge_is_within_error():
+    # |0.5 - 0.0| equals 0.25 + 0.25 exactly: touching error bars overlap
+    row = ValidationRow("edge", (0.5, 0.25), (0.0, 0.25), (0.0, 0.1))
+    assert row.within_error
+    assert render_validation_table((row,)).splitlines()[2].endswith("yes")
+    assert validation_csv((row,)).splitlines()[1].endswith(",true")
+
+
 def test_validation_csv_frozen_content():
     expected = (
         ",".join(VALIDATION_COLUMNS) + "\n"
