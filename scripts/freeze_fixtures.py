@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from fecampaign.adaptive import SyntheticSampler, converged
-from fecampaign.campaign import RunOptions, run_system, CampaignMode
+from fecampaign.campaign import run_system, CampaignMode
+from fecampaign.config import CampaignConfig
 from fecampaign.engine import PilotConfig, generation_count, slots
 from fecampaign.protocols import AdaptiveConfig
 from fecampaign.synth import (
@@ -94,19 +95,15 @@ def main() -> None:
           f"(package: {[converged(seq[:k], 0.01, 2) for k in range(2, 6)]})")
 
     print("\n== adaptive window list, seed 11, epsilon 0.4 ==")
-    opts = RunOptions(
-        pilot=PilotConfig(total_cores=2080),
-        adaptive=AdaptiveConfig(error_threshold_epsilon=0.4),
-        seed=11,
-    )
-    res = run_system(named_system("PTP1B L1-L2"), CampaignMode.ADAPTIVE_QUADRATURE, opts)
+    cfg = CampaignConfig(adaptive=AdaptiveConfig(error_threshold_epsilon=0.4), seed=11)
+    res = run_system(named_system("PTP1B L1-L2"), CampaignMode.ADAPTIVE_QUADRATURE, cfg)
     print(f"windows={list(res.windows)}")
     print(f"n={res.n_windows} delta_g={res.estimate.delta_g:.6f}")
 
     print("\n== termination checkpoint values, seed 42 ==")
-    opts = RunOptions(pilot=PilotConfig(total_cores=2080), adaptive=AdaptiveConfig(), seed=42)
+    cfg = CampaignConfig(seed=42)
     for label in ("PTP1B L1-L2", "MCL1 L32-L38", "TYK2 L4-L9"):
-        res = run_system(named_system(label), CampaignMode.ADAPTIVE_TERMINATION, opts)
+        res = run_system(named_system(label), CampaignMode.ADAPTIVE_TERMINATION, cfg)
         vals = ", ".join(f"{v:.4f}" for v in res.checkpoint_values)
         print(f"{label:15s} terminated_ns={res.terminated_ns} checkpoints=[{vals}]")
 

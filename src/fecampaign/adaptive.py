@@ -37,9 +37,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Sequence
 
-from .engine import PipelineRun, StagePlan
+from .engine import StagePlan
 from .errors import ContractError, ValidationError
-from .protocols import MD_TIMESTEP_PS, AdaptiveConfig, Stage, StageKind
+from .protocols import MD_TIMESTEP_PS, AdaptiveConfig, Pipeline, Stage, StageKind
 from .quadrature import (
     FreeEnergyEstimate,
     canonical_lambda,
@@ -157,9 +157,10 @@ class SyntheticSampler:
         return lams, means
 
 
-def _equilibration_chain(pipeline: PipelineRun, stage: Stage, cycle: int, lams) -> list[Stage]:
+def _equilibration_chain(pipeline: Pipeline, stage: Stage, cycle: int, lams) -> list[Stage]:
     """Copies of the pipeline's stages before its first production stage,
-    for new windows ``lams`` and as wide as ``stage``."""
+    for new windows ``lams`` and as wide as ``stage``.  Plans insert stages
+    only after a production stage, so the compiled pipeline holds them all."""
     chain = itertools.takewhile(lambda st: st.kind is not StageKind.PRODUCTION, pipeline.stages)
     return [
         Stage(f"{st.label}.{cycle}", st.kind, st.timesteps, stage.width, lams, stage.cores)
@@ -199,7 +200,7 @@ class _SyntheticEvaluator:
         self.terminated_ns: float | None = None
         self.checkpoint_values: list[float] = []
 
-    def _serve(self, pipeline: PipelineRun) -> None:
+    def _serve(self, pipeline: Pipeline) -> None:
         """Bind to the first pipeline handed in; refuse any other."""
         if self._pipeline_id not in (None, pipeline.id):
             raise ContractError(f"evaluator serves pipeline {self._pipeline_id}, not {pipeline.id}")
@@ -231,7 +232,7 @@ class AdaptiveQuadratureEvaluator(_SyntheticEvaluator):
         #: production sub-stages each window has sampled so far
         self.substages_by_window: dict[float, int] = {}
 
-    def on_stage_complete(self, pipeline: PipelineRun, stage: Stage) -> StagePlan:
+    def on_stage_complete(self, pipeline: Pipeline, stage: Stage) -> StagePlan:
         self._serve(pipeline)
         if stage.kind is not StageKind.PRODUCTION:
             return StagePlan.proceed()
@@ -266,7 +267,7 @@ class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
     full horizon.
     """
 
-    def on_stage_complete(self, pipeline: PipelineRun, stage: Stage) -> StagePlan:
+    def on_stage_complete(self, pipeline: Pipeline, stage: Stage) -> StagePlan:
         self._serve(pipeline)
         if stage.kind is not StageKind.PRODUCTION:
             return StagePlan.proceed()

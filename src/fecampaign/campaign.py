@@ -13,6 +13,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .adaptive import AdaptiveQuadratureEvaluator, AdaptiveTerminationEvaluator, samples_per_substage
 from .engine import CampaignOutcome, PilotConfig, run_campaign
@@ -29,8 +30,10 @@ from .protocols import (
     compile_protocol,
 )
 from .quadrature import FreeEnergyEstimate
-from .stats import DEFAULT_DISCARD_FRACTION
 from .synth import SyntheticSystem
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import CampaignConfig
 
 #: Window count forced by the REFERENCE mode.
 REFERENCE_WINDOWS = 65
@@ -38,6 +41,8 @@ REFERENCE_WINDOWS = 65
 TERMINATION_HORIZON_NS = 6.0
 #: Floor for the adaptive error budget when the measured error is ~0.
 EPSILON_FLOOR = 1e-9
+#: Most sample storage one system run may hold (bytes).
+MAX_SAMPLE_BYTES = 2**30
 
 
 class CampaignMode(str, Enum):
@@ -57,19 +62,6 @@ def data_seed(campaign_seed: int, system_label: str, mode: CampaignMode) -> int:
 
 
 @dataclass(frozen=True)
-class RunOptions:
-    """Everything a single system run needs besides the system itself."""
-
-    pilot: PilotConfig
-    adaptive: AdaptiveConfig
-    seed: int = 42
-    replicas: int = 5
-    dt_ps: float = 1.0
-    discard_fraction: float = DEFAULT_DISCARD_FRACTION
-    schedule_mode: ScheduleMode = ScheduleMode.PRODUCTION
-
-
-@dataclass(frozen=True)
 class SystemRunResult:
     system: SyntheticSystem
     mode: CampaignMode
@@ -86,7 +78,7 @@ class SystemRunResult:
 
 
 def plan_run(
-    system: SyntheticSystem, mode: CampaignMode, opts: RunOptions
+    system: SyntheticSystem, mode: CampaignMode, config: CampaignConfig
 ) -> tuple[Pipeline, AdaptiveConfig]:
     """The pipeline a mode runs, alone in its campaign's list of pipelines, and its
     evaluator's config: the one owner of sub-stage rules.
@@ -94,15 +86,21 @@ def plan_run(
     A fixed schedule stays a static protocol: its evaluator runs one production
     sub-stage as long as its production stage and never refines.  Termination
     runs ``6 ns / tau`` sub-stages of ``tau``, which must be a whole number of
-    MD timesteps.  Every sub-stage holds whole sample intervals.  A broken rule
-    raises :class:`ValidationError` naming the field, and the one that set the
-    sub-stage.
+    MD timesteps.  Every sub-stage holds whole sample intervals, and the run's
+    samples (windows x replicas x horizon x 8 B) fit in :data:`MAX_SAMPLE_BYTES`.
+    A broken rule raises :class:`ValidationError` naming the field, and the
+    ones that set the sub-stage or the storage.
     """
     schedule, substage, adaptive, set_by = None, None, None, None
     if mode is CampaignMode.ADAPTIVE_QUADRATURE:
-        adaptive = opts.adaptive
+        adaptive = config.adaptive
+        n_windows = adaptive.max_total_windows
+        sized_by = (
+            f"adaptive.max_total_windows {n_windows}, adaptive.production_substages "
+            f"{adaptive.production_substages}, adaptive.substage_timesteps {adaptive.substage_timesteps}"
+        )
     elif mode is CampaignMode.ADAPTIVE_TERMINATION:
-        tau = opts.adaptive.termination_tau_ns
+        tau = config.adaptive.termination_tau_ns
         n_sub, n_steps = TERMINATION_HORIZON_NS / tau, tau * 1000.0 / MD_TIMESTEP_PS
         for n, rule in (
             (n_sub, f"does not divide the {TERMINATION_HORIZON_NS} ns production horizon"),
@@ -112,26 +110,37 @@ def plan_run(
                 raise ValidationError(f"adaptive.termination_tau_ns {tau} {rule}")
         set_by = f"adaptive.termination_tau_ns {tau}"
         adaptive = replace(
-            opts.adaptive,
+            config.adaptive,
             initial_lambdas=LambdaSchedule.uniform(NONADAPTIVE_WINDOWS),
             production_substages=int(round(n_sub)),
             substage_timesteps=int(round(n_steps)),
-            max_total_windows=max(opts.adaptive.max_total_windows, NONADAPTIVE_WINDOWS),
+            max_total_windows=max(config.adaptive.max_total_windows, NONADAPTIVE_WINDOWS),
         )
+        n_windows = NONADAPTIVE_WINDOWS
+        sized_by = f"its {TERMINATION_HORIZON_NS} ns horizon"
     else:
         n_windows = REFERENCE_WINDOWS if mode is CampaignMode.REFERENCE else NONADAPTIVE_WINDOWS
         schedule = LambdaSchedule.uniform(n_windows)
-        set_by = f"config.schedule_mode {opts.schedule_mode.value}"
+        set_by = sized_by = f"config.schedule_mode {config.schedule_mode.value}"
     if adaptive is not None:
         schedule, substage = adaptive.initial_lambdas, adaptive.substage_timesteps
+    replicas = config.replicas_per_window
     pipeline = compile_protocol(
-        ProtocolKind.TIES, f"{_slug(system.label)}-{mode.value.lower()}", opts.replicas,
-        schedule, substage, opts.schedule_mode, cores_per_task=opts.pilot.cores_per_task,
+        ProtocolKind.TIES, f"{_slug(system.label)}-{mode.value.lower()}", replicas,
+        schedule, substage, config.schedule_mode, cores_per_task=config.pilot.cores_per_task,
     )
     if adaptive is None:
         prod = next(s for s in pipeline.stages if s.kind is StageKind.PRODUCTION)
-        adaptive = replace(opts.adaptive, production_substages=1, substage_timesteps=prod.timesteps)
-    samples_per_substage(adaptive.substage_timesteps, opts.dt_ps, set_by)
+        adaptive = replace(config.adaptive, production_substages=1, substage_timesteps=prod.timesteps)
+    dt = config.sample_interval_ps
+    horizon = adaptive.production_substages * samples_per_substage(adaptive.substage_timesteps, dt, set_by)
+    size = n_windows * replicas * horizon * 8
+    if size > MAX_SAMPLE_BYTES:
+        raise ValidationError(
+            f"the {mode.value} run would hold {size / 2**30:,.1f} GiB of samples, over the "
+            f"{MAX_SAMPLE_BYTES / 2**30:g} GiB bound, set by {sized_by}, "
+            f"config.sample_interval_ps {dt} and config.replicas_per_window {replicas}"
+        )
     return pipeline, adaptive
 
 
@@ -145,7 +154,7 @@ def run_label(system: SyntheticSystem, mode: CampaignMode) -> str:
 
 
 def run_system(
-    system: SyntheticSystem, mode: CampaignMode, opts: RunOptions
+    system: SyntheticSystem, mode: CampaignMode, config: CampaignConfig
 ) -> SystemRunResult:
     """Run one system through the engine in the given mode.
 
@@ -154,18 +163,19 @@ def run_system(
     use :class:`AdaptiveTerminationEvaluator`, all others
     :class:`AdaptiveQuadratureEvaluator`.
     """
-    pipeline, adaptive = plan_run(system, mode, opts)
-    seed = data_seed(opts.seed, system.label, mode)
+    pipeline, adaptive = plan_run(system, mode, config)
+    seed = data_seed(config.seed, system.label, mode)
     evaluator_cls = (
         AdaptiveTerminationEvaluator if mode is CampaignMode.ADAPTIVE_TERMINATION
         else AdaptiveQuadratureEvaluator
     )
     evaluator = evaluator_cls(
-        system, adaptive, seed, dt_ps=opts.dt_ps, discard_fraction=opts.discard_fraction
+        system, adaptive, seed, dt_ps=config.sample_interval_ps,
+        discard_fraction=config.discard_fraction,
     )
 
     try:
-        outcome = run_campaign([pipeline], opts.pilot, evaluator=evaluator, seed=seed)
+        outcome = run_campaign([pipeline], config.pilot, evaluator=evaluator, seed=seed)
     except CampaignError as exc:
         exc.run_label = run_label(system, mode)
         raise
@@ -197,22 +207,20 @@ class SystemComparison:
         return abs(self.adaptive.estimate.delta_g - self.reference.estimate.delta_g)
 
 
-def compare_system(system: SyntheticSystem, opts: RunOptions) -> SystemComparison:
+def compare_system(system: SyntheticSystem, config: CampaignConfig) -> SystemComparison:
     """The adaptive-vs-uniform experiment for one system.
 
     The adaptive error budget is set to the non-adaptive run's measured
     deviation from the dense reference (floored just above zero so the
     budget stays a valid threshold when the two coincide).
     """
-    reference = run_system(system, CampaignMode.REFERENCE, opts)
-    nonadaptive = run_system(system, CampaignMode.NONADAPTIVE, opts)
+    reference = run_system(system, CampaignMode.REFERENCE, config)
+    nonadaptive = run_system(system, CampaignMode.NONADAPTIVE, config)
     epsilon = max(
         abs(nonadaptive.estimate.delta_g - reference.estimate.delta_g), EPSILON_FLOOR
     )
-    adaptive_opts = replace(
-        opts, adaptive=replace(opts.adaptive, error_threshold_epsilon=epsilon)
-    )
-    adaptive = run_system(system, CampaignMode.ADAPTIVE_QUADRATURE, adaptive_opts)
+    budgeted = replace(config, adaptive=replace(config.adaptive, error_threshold_epsilon=epsilon))
+    adaptive = run_system(system, CampaignMode.ADAPTIVE_QUADRATURE, budgeted)
     return SystemComparison(
         system=system, reference=reference, nonadaptive=nonadaptive,
         adaptive=adaptive, epsilon=epsilon,
@@ -284,9 +292,9 @@ class TerminationRunResult:
     result: SystemRunResult
 
 
-def run_termination(system: SyntheticSystem, opts: RunOptions) -> TerminationRunResult:
+def run_termination(system: SyntheticSystem, config: CampaignConfig) -> TerminationRunResult:
     """Adaptive-termination run against the fixed 6.0 ns baseline."""
-    res = run_system(system, CampaignMode.ADAPTIVE_TERMINATION, opts)
+    res = run_system(system, CampaignMode.ADAPTIVE_TERMINATION, config)
     adaptive_ns = res.terminated_ns if res.terminated_ns is not None else TERMINATION_HORIZON_NS
     decrease = 100.0 * (TERMINATION_HORIZON_NS - adaptive_ns) / TERMINATION_HORIZON_NS
     return TerminationRunResult(

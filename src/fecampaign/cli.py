@@ -24,7 +24,6 @@ from typing import Callable
 from . import reports
 from .campaign import (
     CampaignMode,
-    RunOptions,
     SystemRunResult,
     _slug,
     compare_system,
@@ -68,7 +67,7 @@ def _require_runs(cfg: CampaignConfig, *modes: CampaignMode) -> None:
     if not cfg.systems:
         raise ValidationError("config.systems must list at least one system")
     for mode in modes:
-        plan_run(cfg.systems[0], mode, _options(cfg))
+        plan_run(cfg.systems[0], mode, cfg)
 
 
 def _require_sweep(cfg: CampaignConfig) -> None:
@@ -91,16 +90,9 @@ def _load(
     return cfg, _out_dir(out, name)
 
 
-def _options(cfg: CampaignConfig) -> RunOptions:
-    return RunOptions(
-        pilot=cfg.pilot,
-        adaptive=cfg.adaptive,
-        seed=cfg.seed,
-        replicas=cfg.replicas_per_window,
-        dt_ps=cfg.sample_interval_ps,
-        discard_fraction=cfg.discard_fraction,
-        schedule_mode=cfg.schedule_mode,
-    )
+def _options(cfg: CampaignConfig) -> CampaignConfig:
+    """What a system run reads: the config itself (the benchmark calls this)."""
+    return cfg
 
 
 def _write_overheads(results: list[SystemRunResult], total_cores: int, out_dir: Path) -> None:
@@ -118,12 +110,11 @@ def _write_overheads(results: list[SystemRunResult], total_cores: int, out_dir: 
 def run(args: argparse.Namespace) -> None:
     """Run every configured system in one campaign mode."""
     cfg, out_dir = _load(args, lambda cfg: _require_runs(cfg, cfg.mode))
-    opts = _options(cfg)
     results = []
     for system in cfg.systems:
         label = run_label(system, cfg.mode)
         with _partial_timeline(out_dir):
-            res = run_system(system, cfg.mode, opts)
+            res = run_system(system, cfg.mode, cfg)
         result = {
             "system": system.label,
             "mode": cfg.mode.value,
@@ -131,7 +122,7 @@ def run(args: argparse.Namespace) -> None:
             "stderr": res.estimate.stderr,
             "n_windows": res.n_windows,
             "windows": list(res.windows),
-            "n_replica_members": res.n_windows * opts.replicas,
+            "n_replica_members": res.n_windows * cfg.replicas_per_window,
             "simulated_ns": res.simulated_ns,
             "terminated_ns": res.terminated_ns,
         }
@@ -175,9 +166,8 @@ def compare(args: argparse.Namespace) -> None:
     """Reference vs uniform vs adaptive quadrature for every system."""
     modes = (CampaignMode.REFERENCE, CampaignMode.NONADAPTIVE, CampaignMode.ADAPTIVE_QUADRATURE)
     cfg, out_dir = _load(args, lambda cfg: _require_runs(cfg, *modes))
-    opts = _options(cfg)
     with _partial_timeline(out_dir):
-        comparisons = [compare_system(s, opts) for s in cfg.systems]
+        comparisons = [compare_system(s, cfg) for s in cfg.systems]
     rows = [reports.comparison_row(c) for c in comparisons]
     print(reports.render_comparison_table(rows))
     (out_dir / "comparison.csv").write_text(reports.comparison_csv(rows), encoding="utf-8")
@@ -197,9 +187,8 @@ def validate(args: argparse.Namespace) -> None:
 def term_report(args: argparse.Namespace) -> None:
     """Convergence-based early termination against the fixed 6 ns baseline."""
     cfg, out_dir = _load(args, lambda cfg: _require_runs(cfg, CampaignMode.ADAPTIVE_TERMINATION))
-    opts = _options(cfg)
     with _partial_timeline(out_dir):
-        runs = [run_termination(s, opts) for s in cfg.systems]
+        runs = [run_termination(s, cfg) for s in cfg.systems]
     rows = [reports.termination_row(r) for r in runs]
     print(reports.render_termination_table(rows))
     (out_dir / "termination.csv").write_text(reports.termination_csv(rows), encoding="utf-8")

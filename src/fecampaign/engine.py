@@ -174,11 +174,12 @@ _CONTINUE = StagePlan(PlanKind.CONTINUE)
 class Evaluator(Protocol):
     """Hook invoked after every completed stage of every pipeline.
 
-    It acts through the plan it returns, which applies to the pipeline it
-    was handed; the engine's ready list assumes no other pipeline changes.
+    It is handed the frozen pipeline as compiled, without the stages that
+    earlier plans appended, so it can act only through the plan it
+    returns, which applies to that pipeline.
     """
 
-    def on_stage_complete(self, pipeline: "PipelineRun", stage: Stage) -> StagePlan: ...
+    def on_stage_complete(self, pipeline: Pipeline, stage: Stage) -> StagePlan: ...
 
 
 class TimelineEvent(NamedTuple):
@@ -362,50 +363,28 @@ def measure_overheads(timeline: CampaignTimeline) -> OverheadBreakdown:
     )
 
 
-@dataclass
-class PipelineRun:
-    """Mutable per-pipeline execution state, also handed to evaluators."""
-
-    id: str
-    stages: list[Stage]
-    cursor: int = 0
-    terminated: bool = False
-
-    @property
-    def windows(self) -> tuple[float, ...]:
-        """Canonical lambdas of every stage, sorted."""
-        return tuple(sorted({lam for s in self.stages for lam in s.lambdas or ()}))
-
-    @property
-    def done(self) -> bool:
-        return self.terminated or self.cursor >= len(self.stages)
-
-    def current_stage(self) -> Stage | None:
-        if self.done:
-            return None
-        return self.stages[self.cursor]
-
-
 @dataclass(frozen=True)
 class CampaignOutcome:
     timeline: CampaignTimeline
     overheads: OverheadBreakdown
 
 
-def _validate_plan(plan: StagePlan, pipeline: PipelineRun) -> None:
-    labels = {s.label for s in pipeline.stages}
-    known = set(pipeline.windows)
+def _validate_plan(plan: StagePlan, pipeline_id: str, stages: Sequence[Stage]) -> None:
+    """Reject a plan for pipeline ``pipeline_id``, now running ``stages``, that
+    repeats a stage label or starts production at a window it never equilibrated."""
+    labels = {s.label for s in stages}
+    known = {lam for s in stages for lam in s.lambdas or ()}
     introduced: set[float] = set()
     for stage in plan.stages:
         if stage.label in labels:
-            raise PlanRejectedError(f"plan for pipeline {pipeline.id} adds a stage it has: {stage.label}")
+            raise PlanRejectedError(f"plan for pipeline {pipeline_id} adds a stage it has: {stage.label}")
         labels.add(stage.label)
         lams = stage.lambdas or ()
         if stage.kind is StageKind.PRODUCTION:
             unknown = [lam for lam in lams if lam not in known and lam not in introduced]
             if unknown:
                 raise PlanRejectedError(
-                    f"plan for pipeline {pipeline.id} schedules production at unknown "
+                    f"plan for pipeline {pipeline_id} schedules production at unknown "
                     f"lambda {unknown[0]} with no preceding equilibration"
                 )
         else:
@@ -450,9 +429,12 @@ def run_campaign(
     clock = 0.0
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFA17]))
 
-    runs = [PipelineRun(id=p.id, stages=list(p.stages)) for p in pipelines]
-    # Per pipeline index: first not yet launched index of its current stage,
-    # and unfinished tasks of that stage, including those waiting for a retry.
+    # Per pipeline index: its stages, which APPEND plans insert into, the
+    # index of its current stage, the first not yet launched task of that
+    # stage, and unfinished tasks of that stage, including those waiting for
+    # a retry.
+    stages = [list(p.stages) for p in pipelines]
+    cursor = [0] * n_protocols
     launched = [0] * n_protocols
     remaining = [0] * n_protocols
     # Indices of the pipelines whose current stage has unlaunched tasks, in
@@ -466,10 +448,9 @@ def run_campaign(
         return CampaignError(message, timeline=timeline)
 
     def enter_stage(k: int) -> None:
-        stage = runs[k].current_stage()
-        if stage is not None:
+        if cursor[k] < len(stages[k]):
             launched[k] = 0
-            remaining[k] = stage.n_tasks
+            remaining[k] = stages[k][cursor[k]].n_tasks
             ready.append(k)
 
     # Framework overhead (compilation plus evaluator bookkeeping) is charged
@@ -491,7 +472,7 @@ def run_campaign(
             wave = []
             free = capacity
             for k in ready:
-                stage = runs[k].stages[runs[k].cursor]
+                stage = stages[k][cursor[k]]
                 lo = launched[k]
                 hi = launched[k] = min(stage.n_tasks, lo + free)
                 wave.append(_Slice(stage, k, range(lo, hi)))
@@ -569,22 +550,21 @@ def run_campaign(
             remaining[k] -= len(s.indices) - len(s.failed)
             if remaining[k]:
                 continue
-            pl, stage = runs[k], s.stage
-            timeline.marks.append(TimelineEvent(clock, "stage_complete", "", pl.id, stage.label, gen.index))
+            pid, stage = pipeline_ids[k], s.stage
+            timeline.marks.append(TimelineEvent(clock, "stage_complete", "", pid, stage.label, gen.index))
             plan = StagePlan.proceed()
             if evaluator is not None:
-                plan = evaluator.on_stage_complete(pl, stage)
-            if plan.kind is PlanKind.APPEND:
-                _validate_plan(plan, pl)
-                pl.stages[pl.cursor + 1:pl.cursor + 1] = plan.stages
-            elif plan.kind is PlanKind.TERMINATE:
-                pl.terminated = True
+                plan = evaluator.on_stage_complete(pipelines[k], stage)
+            if plan.kind is PlanKind.TERMINATE:  # the pipeline enters no further stage
                 timeline.marks.append(
-                    TimelineEvent(clock, "pipeline_terminated", "", pl.id, stage.label, gen.index)
+                    TimelineEvent(clock, "pipeline_terminated", "", pid, stage.label, gen.index)
                 )
-            pl.cursor += 1
-            if not pl.done:
-                enter_stage(k)
+                continue
+            if plan.kind is PlanKind.APPEND:
+                _validate_plan(plan, pid, stages[k])
+                stages[k][cursor[k] + 1:cursor[k] + 1] = plan.stages
+            cursor[k] += 1
+            enter_stage(k)
         if len(ready) > entered:
             ready.sort()  # two sorted runs: a linear merge
 

@@ -28,12 +28,18 @@ blocks: every series a campaign estimates from comes through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
 
 from .errors import ContractError, ValidationError, require_finite
 from .quadrature import canonical_lambda
+
+
+#: Largest magnitude of a curve parameter, and the smallest bump width: within
+#: them no step of :meth:`GroundTruthCurve.evaluate` or :func:`analytic_integral`
+#: overflows, so both are finite on [0, 1].
+CURVE_LIMIT = 1e150
 
 
 class CurvePreset(str, Enum):
@@ -70,11 +76,14 @@ class GroundTruthCurve:
 
     def __post_init__(self):
         require_finite(self, "curve")
+        for f in fields(self):
+            if f.type in ("float", float) and abs(value := getattr(self, f.name)) > CURVE_LIMIT:
+                raise ValidationError(f"curve.{f.name} must lie within +-{CURVE_LIMIT:g}, got {value!r}")
         if self.preset in (CurvePreset.GAUSS_BUMP, CurvePreset.RATIONAL):
             if not 0.0 <= self.center <= 1.0:
                 raise ValidationError(f"curve.center {self.center} outside [0, 1]")
-            if not self.width > 0.0:
-                raise ValidationError("curve.width must be > 0")
+            if not self.width >= 1.0 / CURVE_LIMIT:
+                raise ValidationError(f"curve.width must be >= {1.0 / CURVE_LIMIT:g}, got {self.width!r}")
 
     @classmethod
     def constant(cls, value: float) -> "GroundTruthCurve":

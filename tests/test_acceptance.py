@@ -22,7 +22,6 @@ from fecampaign.campaign import (
     run_sweep,
     run_termination,
 )
-from fecampaign.cli import _options
 from fecampaign.config import load_config
 from fecampaign.engine import PilotConfig, run_campaign
 from fecampaign.protocols import LambdaSchedule, Pipeline, ProtocolKind, Stage, StageKind
@@ -48,12 +47,11 @@ def ties_batch(n_protocols=8, timesteps=50_000):
 @pytest.fixture(scope="module")
 def comparison_battery():
     cfg = load_config(CONFIG_DIR / "compare.json")
-    opts = _options(cfg)
     runs = {}
     times = {}
     for system in cfg.systems:
         t0 = time.perf_counter()
-        runs[system.label] = compare_system(system, opts)
+        runs[system.label] = compare_system(system, cfg)
         times[system.label] = time.perf_counter() - t0
     return cfg, runs, times
 
@@ -61,8 +59,7 @@ def comparison_battery():
 @pytest.fixture(scope="module")
 def termination_trio():
     cfg = load_config(CONFIG_DIR / "termination.json")
-    opts = _options(cfg)
-    return [run_termination(system, opts) for system in cfg.systems]
+    return [run_termination(system, cfg) for system in cfg.systems]
 
 
 def test_criterion_01_generation_arithmetic():
@@ -133,9 +130,8 @@ def test_criterion_04_adaptive_accuracy(comparison_battery):
     for label, c in runs.items():
         assert c.adaptive_error <= threshold, (label, c.adaptive_error)
     # seeded: repeating one comparison reproduces it exactly
-    opts = _options(cfg)
     [system] = [s for s in cfg.systems if s.label == "TYK2 L4-L9"]
-    again = compare_system(system, opts)
+    again = compare_system(system, cfg)
     reference = runs["TYK2 L4-L9"]
     assert again.adaptive.estimate == reference.adaptive.estimate
     assert again.adaptive.windows == reference.adaptive.windows

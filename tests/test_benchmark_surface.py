@@ -1,8 +1,8 @@
 """What the benchmark under ``perfbench/`` needs of the package.
 
 The span tracer patches package functions and methods by name and raises
-``KeyError`` when one it names is gone; the table workloads build their run
-options with the CLI's own ``cli._options``, and an untraced pass reads
+``KeyError`` when one it names is gone; the table workloads run what the CLI
+runs, the config through ``cli._options``, and an untraced pass reads
 engine counts, checkpoint values and sweep plans off the results.  These
 tests keep a change that deletes package surface from breaking the
 benchmark unnoticed.
@@ -72,6 +72,7 @@ def test_tracer_installs_and_restores_every_patch():
 
 def test_run_options_build_from_the_bundled_config():
     cfg = load_config(ROOT / "configs" / "compare.json")
+    assert cli._options(cfg) is cfg
     opts = replace(cli._options(cfg), seed=1)
     assert (opts.pilot, opts.adaptive, opts.seed) == (cfg.pilot, cfg.adaptive, 1)
 

@@ -3,13 +3,13 @@ import pytest
 from marks import mark_labels
 
 from fecampaign import config
+from fecampaign.config import CampaignConfig
 from fecampaign.campaign import (
     EPSILON_FLOOR,
     NONADAPTIVE_WINDOWS,
     REFERENCE_WINDOWS,
     TERMINATION_HORIZON_NS,
     CampaignMode,
-    RunOptions,
     SweepRung,
     compare_system,
     data_seed,
@@ -38,16 +38,16 @@ LINEAR = SyntheticSystem("probe", GroundTruthCurve.linear(1.0, -4.0), ZERO_NOISE
 CURVED = SyntheticSystem("curved", GroundTruthCurve.quadratic(), ZERO_NOISE)
 
 
-def fast_opts(**kw):
+def fast_config(**kw):
     base = dict(
         pilot=PilotConfig(total_cores=2_080),
         adaptive=AdaptiveConfig(error_threshold_epsilon=0.05, substage_timesteps=50_000),
         seed=7,
-        replicas=2,
+        replicas_per_window=2,
         schedule_mode=ScheduleMode.SCALING,
     )
     base.update(kw)
-    return RunOptions(**base)
+    return CampaignConfig(**base)
 
 
 def test_data_seed_separates_systems_and_modes():
@@ -64,7 +64,7 @@ def test_data_seed_separates_systems_and_modes():
 
 
 def test_nonadaptive_mode_forces_13_uniform_windows():
-    res = run_system(LINEAR, CampaignMode.NONADAPTIVE, fast_opts())
+    res = run_system(LINEAR, CampaignMode.NONADAPTIVE, fast_config())
     assert res.n_windows == NONADAPTIVE_WINDOWS
     assert res.windows[0] == 0.0 and res.windows[-1] == 1.0
     assert res.estimate.delta_g == pytest.approx(analytic_integral(LINEAR.curve), abs=1e-9)
@@ -79,7 +79,7 @@ def test_stderr_is_calibrated_against_ground_truth(phi):
     # the reported error bar.
     system = SyntheticSystem("probe", LINEAR.curve, NoiseModel(sigma=2.0, ar1_phi=phi))
     truth = analytic_integral(system.curve)
-    runs = [run_system(system, CampaignMode.NONADAPTIVE, fast_opts(seed=seed, replicas=5))
+    runs = [run_system(system, CampaignMode.NONADAPTIVE, fast_config(seed=seed, replicas_per_window=5))
             for seed in range(300)]
     errors = [res.estimate.delta_g - truth for res in runs]
     rms_stderr = np.sqrt(np.mean([res.estimate.stderr ** 2 for res in runs]))
@@ -87,25 +87,21 @@ def test_stderr_is_calibrated_against_ground_truth(phi):
 
 
 def test_reference_mode_forces_65_uniform_windows():
-    res = run_system(LINEAR, CampaignMode.REFERENCE, fast_opts())
+    res = run_system(LINEAR, CampaignMode.REFERENCE, fast_config())
     assert res.n_windows == REFERENCE_WINDOWS
     assert res.estimate.delta_g == pytest.approx(analytic_integral(LINEAR.curve), abs=1e-9)
 
 
 def test_adaptive_quadrature_reproduces_seed_11_run():
-    opts = RunOptions(
-        pilot=PilotConfig(total_cores=2_080),
-        adaptive=AdaptiveConfig(error_threshold_epsilon=0.4),
-        seed=11,
-    )
-    res = run_system(named_system("PTP1B L1-L2"), CampaignMode.ADAPTIVE_QUADRATURE, opts)
+    cfg = CampaignConfig(adaptive=AdaptiveConfig(error_threshold_epsilon=0.4), seed=11)
+    res = run_system(named_system("PTP1B L1-L2"), CampaignMode.ADAPTIVE_QUADRATURE, cfg)
     assert res.windows == (0.0, 0.062, 0.125, 0.188, 0.25, 0.375, 0.5, 0.75, 1.0)
     assert res.n_windows < NONADAPTIVE_WINDOWS
     assert res.estimate.delta_g == pytest.approx(-0.8556, abs=1e-3)
 
 
 def test_compare_floors_epsilon_when_runs_coincide():
-    cmp = compare_system(LINEAR, fast_opts())
+    cmp = compare_system(LINEAR, fast_config())
     assert cmp.epsilon == EPSILON_FLOOR
     assert cmp.nonadaptive_error < 1e-12
     assert cmp.adaptive_error < 1e-12
@@ -114,7 +110,7 @@ def test_compare_floors_epsilon_when_runs_coincide():
 
 
 def test_compare_budget_equals_measured_nonadaptive_error():
-    cmp = compare_system(CURVED, fast_opts())
+    cmp = compare_system(CURVED, fast_config())
     gap = abs(cmp.nonadaptive.estimate.delta_g - cmp.reference.estimate.delta_g)
     assert gap > EPSILON_FLOOR
     assert cmp.epsilon == pytest.approx(gap)
@@ -154,8 +150,7 @@ def test_esmacs_sweep_uses_25_replica_protocols():
 
 
 def test_termination_run_matches_frozen_checkpoints():
-    opts = RunOptions(pilot=PilotConfig(total_cores=2_080), adaptive=AdaptiveConfig())
-    term = run_termination(named_system("PTP1B L1-L2"), opts)
+    term = run_termination(named_system("PTP1B L1-L2"), CampaignConfig())
     assert term.nonadaptive_ns == TERMINATION_HORIZON_NS
     assert term.adaptive_ns == pytest.approx(4.5)
     assert term.decrease_pct == pytest.approx(25.0)
@@ -171,30 +166,31 @@ def test_termination_run_matches_frozen_checkpoints():
     assert np.allclose(res.checkpoint_values, frozen, atol=1e-6)
 
 
+def test_termination_runs_its_13_windows_under_a_smaller_window_cap():
+    # max_total_windows caps window insertion, which termination never does
+    cfg = fast_config(adaptive=AdaptiveConfig(substage_timesteps=50_000, max_total_windows=5))
+    res = run_system(LINEAR, CampaignMode.ADAPTIVE_TERMINATION, cfg)
+    assert res.n_windows == NONADAPTIVE_WINDOWS
+
+
 def test_termination_tau_must_divide_horizon():
-    opts = RunOptions(
-        pilot=PilotConfig(total_cores=2_080),
-        adaptive=AdaptiveConfig(termination_tau_ns=0.7),
-    )
+    cfg = CampaignConfig(adaptive=AdaptiveConfig(termination_tau_ns=0.7))
     with pytest.raises(ValidationError):
-        run_system(LINEAR, CampaignMode.ADAPTIVE_TERMINATION, opts)
+        run_system(LINEAR, CampaignMode.ADAPTIVE_TERMINATION, cfg)
 
 
 def test_termination_tau_must_be_whole_md_timesteps():
     # 6/7 ns divides the horizon, but is 428,571.43 steps of 2 fs: the
     # sub-stage could not end on a checkpoint, whatever the sample interval.
-    opts = RunOptions(
-        pilot=PilotConfig(total_cores=2_080),
-        adaptive=AdaptiveConfig(termination_tau_ns=6 / 7), dt_ps=0.002,
-    )
+    cfg = CampaignConfig(adaptive=AdaptiveConfig(termination_tau_ns=6 / 7), sample_interval_ps=0.002)
     with pytest.raises(ValidationError, match=r"adaptive\.termination_tau_ns"):
-        run_system(LINEAR, CampaignMode.ADAPTIVE_TERMINATION, opts)
+        run_system(LINEAR, CampaignMode.ADAPTIVE_TERMINATION, cfg)
 
 
 @pytest.mark.parametrize("mode", list(CampaignMode))
 def test_stages_take_their_cores_from_the_pilot(mode):
-    opts = fast_opts(pilot=PilotConfig(total_cores=2_080, cores_per_task=64))
-    timeline = run_system(LINEAR, mode, opts).outcome.timeline
+    cfg = fast_config(pilot=PilotConfig(total_cores=2_080, cores_per_task=64))
+    timeline = run_system(LINEAR, mode, cfg).outcome.timeline
     stages = {s.stage for g in timeline.generations for s in g.slices}
     assert {s.cores for s in stages} == {64}
     assert max(g.width for g in timeline.generations) <= 2_080 // 64

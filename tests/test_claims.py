@@ -27,7 +27,6 @@ from fecampaign.campaign import (
     run_system,
     run_termination,
 )
-from fecampaign.cli import _options
 from fecampaign.config import load_config
 from fecampaign.reports import comparison_row
 from fecampaign.synth import analytic_integral
@@ -46,8 +45,8 @@ def compare_pass():
         key = seed, total_cores, replicas
         if key not in passes:
             pilot = replace(cfg.pilot, total_cores=total_cores)
-            opts = replace(_options(cfg), seed=seed, pilot=pilot, replicas=replicas)
-            passes[key] = [compare_system(system, opts) for system in cfg.systems]
+            run_cfg = replace(cfg, seed=seed, pilot=pilot, replicas_per_window=replicas)
+            passes[key] = [compare_system(system, run_cfg) for system in cfg.systems]
         return passes[key]
 
     return comparisons
@@ -57,11 +56,10 @@ def compare_pass():
 def termination_arms():
     """(early stop, full horizon) runs of every system on ``termination.json``."""
     cfg = load_config(CONFIG_DIR / "termination.json")
-    opts = _options(cfg)
-    full_opts = replace(opts, adaptive=replace(opts.adaptive, termination_threshold=0.0))
+    full = replace(cfg, adaptive=replace(cfg.adaptive, termination_threshold=0.0))
     return [
-        (run_termination(system, opts).result,
-         run_system(system, CampaignMode.ADAPTIVE_TERMINATION, full_opts))
+        (run_termination(system, cfg).result,
+         run_system(system, CampaignMode.ADAPTIVE_TERMINATION, full))
         for system in cfg.systems
     ]
 

@@ -319,6 +319,15 @@ def knobs(**overrides):
         pytest.param(("term-report",), {"adaptive": knobs(termination_tau_ns=6 / 7), "sample_interval_ps": 0.002},
                      "adaptive.termination_tau_ns 0.8571428571428571 is not a whole number of 2 fs MD timesteps",
                      None, id="term-report-tau-timesteps"),
+        # storage no run can hold: the first two once exited 3 on a failed allocation and
+        # left their output directory; 2**40 replicas once ran on past a minute
+        pytest.param(("compare",), {"adaptive": knobs(substage_timesteps=2**40)},
+                     "GiB of samples, over the 1 GiB bound",
+                     "adaptive.substage_timesteps 1099511627776", id="compare-storage-substage"),
+        pytest.param(("compare",), {"sample_interval_ps": 1e-9}, "GiB of samples, over the 1 GiB bound",
+                     "config.sample_interval_ps 1e-09", id="compare-storage-sample-interval"),
+        pytest.param(("compare",), {"replicas_per_window": 2**40}, "GiB of samples, over the 1 GiB bound",
+                     "config.replicas_per_window 1099511627776", id="compare-storage-replicas"),
     ],
 )
 def test_unplannable_run_fails_before_any_output(tmp_path, command, overrides, message, set_by):
@@ -327,7 +336,7 @@ def test_unplannable_run_fails_before_any_output(tmp_path, command, overrides, m
     assert result.exit_code == 2
     assert "Traceback" not in result.stderr
     assert message in result.stderr
-    # a sub-stage rule names the field that set the sub-stage too
+    # a sub-stage or storage rule names the field that set the sub-stage or the size too
     assert set_by is None or set_by in result.stderr
     assert not out.exists()
 
@@ -435,6 +444,9 @@ def test_unplanned_exception_prints_traceback_and_exits_3(tmp_path, monkeypatch)
         (("systems", 0, "curve", "preset"), DELETE, "config.systems[0].curve.preset is required"),
         (("adaptive", "initial_lambdas"), [0.0, 1.0],
          "config.adaptive.initial_lambdas must hold at least 3 windows, got 2"),
+        # width ** 2 once overflowed in the first run, which exited 3
+        (("systems", 0, "curve"), {"preset": "GAUSS_BUMP", "width": 1e300},
+         "config.systems[0].curve.width must lie within"),
     ],
 )
 def test_bad_field_fails_at_load(tmp_path, keys, value, message):
@@ -455,6 +467,7 @@ def test_bad_field_fails_at_load(tmp_path, keys, value, message):
     result = invoke("sweep", "--config", cfg_path)
     assert result.exit_code == 2
     assert message in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_requires_plan(tmp_path):

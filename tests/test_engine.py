@@ -6,12 +6,12 @@ import pytest
 from marks import mark_labels
 from timeline_oracle import TaskOutcome, csv_bytes, oracle_events, peak_concurrency, task_records
 
-from fecampaign.campaign import RunOptions, SweepRung, compare_system, run_sweep, run_termination
+from fecampaign.campaign import SweepRung, compare_system, run_sweep, run_termination
+from fecampaign.config import CampaignConfig
 from fecampaign.engine import (
     DurationModel,
     OverheadModel,
     PilotConfig,
-    PipelineRun,
     StagePlan,
     generation_count,
     measure_overheads,
@@ -291,7 +291,7 @@ class _OneShotEvaluator:
     def __init__(self, plan):
         self.plan = plan
         self.calls = []
-        self.pipeline = None  # the run state it was last handed
+        self.pipeline = None  # the pipeline it was last handed
 
     def on_stage_complete(self, pipeline, stage):
         self.calls.append(stage.label)
@@ -314,9 +314,10 @@ def test_evaluator_terminate_cancels_remaining_stages():
 def test_evaluator_append_inserts_and_runs_stage():
     extra = Stage("S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
     ev = _OneShotEvaluator(StagePlan.append([extra]))
-    outcome = run_campaign([two_stage_pipeline()], quiet_pilot(4_160), evaluator=ev)
+    pipeline = two_stage_pipeline()
+    outcome = run_campaign([pipeline], quiet_pilot(4_160), evaluator=ev)
     assert mark_labels(outcome.timeline, "two") == ["S1", "S1b", "S2"]
-    assert 0.5 in ev.pipeline.windows
+    assert ev.pipeline is pipeline  # the frozen pipeline as compiled, not the engine's stage list
     assert "two/S1b/l0.500/r0" in task_records(outcome.timeline)
 
 
@@ -325,20 +326,9 @@ class _ScriptedEvaluator:
 
     def __init__(self, *plans):
         self.plans = list(plans)
-        self.pipeline = None  # the run state it was last handed
 
     def on_stage_complete(self, pipeline, stage):
-        self.pipeline = pipeline
         return self.plans.pop(0) if self.plans else StagePlan.proceed()
-
-
-def test_pipeline_window_set_tracks_inserted_stages():
-    pipeline = two_stage_pipeline()
-    run = PipelineRun(id=pipeline.id, stages=list(pipeline.stages))
-    assert run.windows == (0.0, 1.0)
-    run.stages[1:1] = [Stage("S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.25])]
-    assert [s.label for s in run.stages] == ["S1", "S1b", "S2"]
-    assert run.windows == (0.0, 0.25, 1.0)
 
 
 def test_production_accepted_at_window_added_by_earlier_plan():
@@ -349,7 +339,7 @@ def test_production_accepted_at_window_added_by_earlier_plan():
     ev = _ScriptedEvaluator(StagePlan.append([equil]), StagePlan.append([prod]))
     outcome = run_campaign([two_stage_pipeline()], quiet_pilot(4_160), evaluator=ev)
     assert mark_labels(outcome.timeline, "two") == ["S1", "S1b", "S1c", "S2"]
-    assert ev.pipeline.windows == (0.0, 0.5, 1.0)
+    assert "two/S1c/l0.500/r0" in task_records(outcome.timeline)
 
 
 def test_plan_rejected_for_unseen_production_lambda():
@@ -435,17 +425,16 @@ def test_finished_runs_are_freed_at_refcount_zero():
         assert tl.aborted_wave is not None
         return tl
 
-    opts = RunOptions(
-        pilot=PilotConfig(total_cores=2_080),
+    cfg = CampaignConfig(
         adaptive=AdaptiveConfig(error_threshold_epsilon=0.05, substage_timesteps=50_000),
-        replicas=2, schedule_mode=ScheduleMode.SCALING,
+        replicas_per_window=2, schedule_mode=ScheduleMode.SCALING,
     )
     drifting = next(s for s in named_systems().values() if s.noise.drift_amplitude > 0.0)
     cases = {
         "retried rung": retried_rung,
         "aborted rung": aborted_rung,
-        "compare_system": lambda: compare_system(named_system("PTP1B L1-L2"), opts).adaptive.outcome.timeline,
-        "run_termination": lambda: run_termination(drifting, opts).result.outcome.timeline,
+        "compare_system": lambda: compare_system(named_system("PTP1B L1-L2"), cfg).adaptive.outcome.timeline,
+        "run_termination": lambda: run_termination(drifting, cfg).result.outcome.timeline,
     }
     gc.collect()
     gc.disable()

@@ -206,6 +206,15 @@ def test_refinement_cap_breaks_ties_towards_smaller_lambda():
     assert propose_refinements(pts, epsilon=1e-3, max_total_windows=4) == [0.25]
 
 
+def test_interval_on_its_budget_is_not_refined():
+    # interval 0 has error 0.125 exactly (the hand case above); with two
+    # intervals, epsilon 0.25 makes that its budget, and meeting it suffices
+    pts = [WindowPoint(0.0, 1.0, 0.3), WindowPoint(0.5, 2.0, 0.4), WindowPoint(1.0, 3.0, 0.1)]
+    assert interval_error(pts, 0).total == 0.25 / 2
+    assert propose_refinements(pts, epsilon=0.25) == []
+    assert propose_refinements(pts, epsilon=0.2499) == [0.25]
+
+
 def test_refinement_cap_full_returns_empty():
     pts = points_for(lambda x: math.exp(4.0 * x), uniform(5))
     assert propose_refinements(pts, epsilon=1e-6, max_total_windows=5) == []

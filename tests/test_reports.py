@@ -1,5 +1,7 @@
 import csv
+import re
 from dataclasses import replace
+from operator import itemgetter
 
 import pytest
 
@@ -16,12 +18,14 @@ from fecampaign.reports import (
     TERMINATION_COLUMNS,
     VALIDATION_COLUMNS,
     VALIDATION_ROWS,
+    Column,
     ValidationRow,
     comparison_csv,
     comparison_row,
     render_comparison_table,
     render_termination_table,
     render_validation_table,
+    table,
     termination_csv,
     termination_row,
     validation_csv,
@@ -89,7 +93,21 @@ def test_comparison_table_is_aligned():
     lines = render_comparison_table(rows).splitlines()
     assert lines[0].startswith("system")
     assert set(lines[1]) <= {"-", " "}
-    assert len(lines[1]) == len(lines[0].rstrip()) or len(lines[1]) >= len("system")
+    # every line starts a cell where the rule starts a run of dashes
+    starts = [m.start() for m in re.finditer("-+", lines[1])]
+    for line in lines[:1] + lines[2:2 + len(rows)]:  # footnotes follow the rows
+        assert all(line[i] != " " and line[i - 2:i] in ("", "  ") for i in starts), line
+
+
+def test_table_aligns_a_cell_wider_than_its_header():
+    columns = [Column("a", itemgetter(0)), Column("bb", itemgetter(1)), Column("c", itemgetter(2))]
+    lines = table(columns, [("wide cell", "x", "last"), ("y", "z", "")]).splitlines()
+    assert lines == [
+        "a          bb  c",
+        "---------  --  ----",
+        "wide cell  x   last",
+        "y          z",
+    ]
 
 
 def test_comparison_csv_schema_and_formats():

@@ -12,6 +12,8 @@ from fecampaign.engine import DurationModel, PilotConfig
 from fecampaign.errors import ContractError, ValidationError
 from fecampaign.protocols import AdaptiveConfig, LambdaSchedule
 from fecampaign.synth import (
+    CURVE_LIMIT,
+    CurvePreset,
     GroundTruthCurve,
     NoiseModel,
     SyntheticSystem,
@@ -62,6 +64,33 @@ def test_curve_validation():
         GroundTruthCurve.gauss_bump(center=1.2)
     with pytest.raises(ValidationError):
         GroundTruthCurve.rational(width=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        ({"preset": CurvePreset.GAUSS_BUMP, "width": 1e300}, "width"),  # width ** 2 overflowed
+        ({"preset": CurvePreset.GAUSS_BUMP, "width": 1e-300}, "width"),  # width ** 2 was 0: NaN at the center
+        ({"preset": CurvePreset.LINEAR, "intercept": 1e308, "slope": 1e308}, "intercept"),
+        ({"preset": CurvePreset.RATIONAL, "amplitude": 1e200}, "amplitude"),
+    ],
+)
+def test_curve_that_can_overflow_is_rejected(kwargs, field):
+    with pytest.raises(ValidationError, match=rf"^curve\.{field} must"):
+        GroundTruthCurve(**kwargs)
+
+
+@pytest.mark.parametrize("preset", list(CurvePreset))
+@pytest.mark.parametrize("width", [1.0 / CURVE_LIMIT, CURVE_LIMIT])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_curve_at_the_limits_evaluates_without_overflow(preset, width, sign):
+    big = sign * CURVE_LIMIT
+    for center in (0.0, 0.5, 1.0):
+        curve = GroundTruthCurve(preset, big, big, big, center, width, big, big)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            values = curve.evaluate(np.linspace(0.0, 1.0, 1001))
+        assert np.isfinite(values).all()
+        assert math.isfinite(analytic_integral(curve))
 
 
 def test_noise_model_validation():

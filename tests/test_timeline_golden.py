@@ -22,8 +22,9 @@ import tracemalloc
 
 import pytest
 
-from fecampaign.campaign import CampaignMode, RunOptions, SweepRung, run_sweep, run_system
+from fecampaign.campaign import CampaignMode, SweepRung, run_sweep, run_system
 from fecampaign import engine
+from fecampaign.config import CampaignConfig
 from fecampaign.engine import (
     OverheadModel,
     PilotConfig,
@@ -33,7 +34,6 @@ from fecampaign.engine import (
 )
 from fecampaign.errors import CampaignError, ValidationError
 from fecampaign.protocols import (
-    AdaptiveConfig,
     LambdaSchedule,
     Pipeline,
     ProtocolKind,
@@ -79,14 +79,8 @@ def retry_wave():
 
 def adaptive_termination():
     settled = SyntheticSystem("Settled Pair", GroundTruthCurve.constant(2.0), ZERO_NOISE)
-    opts = RunOptions(
-        pilot=PilotConfig(total_cores=2_080),
-        adaptive=AdaptiveConfig(),
-        seed=5,
-        replicas=2,
-        schedule_mode=ScheduleMode.SCALING,
-    )
-    return run_system(settled, CampaignMode.ADAPTIVE_TERMINATION, opts).outcome.timeline
+    cfg = CampaignConfig(seed=5, replicas_per_window=2, schedule_mode=ScheduleMode.SCALING)
+    return run_system(settled, CampaignMode.ADAPTIVE_TERMINATION, cfg).outcome.timeline
 
 
 def tied_times():
