@@ -16,8 +16,8 @@ import numpy as np
 from fecampaign.adaptive import SyntheticSampler, converged
 from fecampaign.campaign import run_system, CampaignMode
 from fecampaign.config import CampaignConfig
-from fecampaign.engine import PilotConfig, generation_count, slots
-from fecampaign.protocols import AdaptiveConfig
+from fecampaign.engine import PilotConfig, run_campaign, slots
+from fecampaign.protocols import AdaptiveConfig, LambdaSchedule, Pipeline, Stage, StageKind
 from fecampaign.synth import (
     CurvePreset,
     analytic_integral,
@@ -79,10 +79,12 @@ def main() -> None:
                   f"package={pkg:.12f} diff={abs(ind - pkg):.2e}")
 
     print("\n== generation arithmetic (520 tasks, 32 cores/task) ==")
+    stage = Stage("S1", StageKind.MINIMIZATION, 50_000, 5, LambdaSchedule.uniform(13).lambdas, 32)
+    pipelines = [Pipeline(f"t{i}", (stage,)) for i in range(8)]
     for cores in (4160, 8320, 16640):
         pilot = PilotConfig(total_cores=cores, concurrency_cap=10_000)
         n_slots = slots(pilot)
-        gens = generation_count(520, pilot)
+        gens = len(run_campaign(pipelines, pilot).timeline.generations)
         print(f"cores={cores}: ceil(520/{n_slots}) = {math.ceil(520 / n_slots)}, "
               f"package generations={gens}, peak={min(520, n_slots)}")
 

@@ -56,18 +56,23 @@ def samples_per_substage(substage_timesteps: int, dt_ps: float, set_by: str | No
 
     The sample interval must fit in the sub-stage and divide it (to a
     relative 1e-9), so that every checkpoint and every estimate covers
-    whole sub-stages.  ``set_by`` names the config field that set the
-    sub-stage in the error, by default ``adaptive.substage_timesteps``.
+    whole sub-stages, and cut it into at most 2^53 samples, past which a
+    float cannot tell whether it divides.  ``set_by`` names the config
+    field that set the sub-stage in the error, by default
+    ``adaptive.substage_timesteps``.
     """
     substage_ps = substage_timesteps * MD_TIMESTEP_PS
-    n = round(substage_ps / dt_ps)
+    ratio = substage_ps / dt_ps
     substage = (
         f"the {substage_ps:g} ps production sub-stage "
         f"(set by {set_by or f'adaptive.substage_timesteps {substage_timesteps}'})"
     )
+    if not ratio <= 2**53:
+        raise ValidationError(f"config.sample_interval_ps {dt_ps} cuts {substage} into over 2^53 samples")
+    n = round(ratio)
     if n < 1:
         raise ValidationError(f"config.sample_interval_ps {dt_ps} is longer than {substage}")
-    if abs(substage_ps / dt_ps - n) > 1e-9 * n:
+    if abs(ratio - n) > 1e-9 * n:
         raise ValidationError(f"config.sample_interval_ps {dt_ps} does not divide {substage}")
     return n
 

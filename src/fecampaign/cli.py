@@ -3,8 +3,9 @@
 Subcommands: ``run``, ``sweep``, ``compare``, ``validate``, ``term-report``.
 Every table goes to standard output as aligned text and to ``--out`` as a
 CSV.  Exit codes: 0 on success, 2 for configuration and usage errors, 3 for
-campaign failures and unexpected errors; nothing else.  On a campaign failure
-every command still writes the partial timeline of the campaign that failed:
+campaign failures and unexpected errors, a broken internal contract
+(``ContractError``) among them; nothing else.  On a campaign failure every
+command still writes the partial timeline of the campaign that failed:
 ``run``, ``compare`` and ``term-report`` to ``<slug>_<mode>_timeline.csv``,
 ``sweep`` to ``sweep_<kind>_failed_timeline.csv``.
 """
@@ -35,7 +36,7 @@ from .campaign import (
 )
 from .config import CampaignConfig, load_config
 from .engine import OVERHEAD_COLUMNS, overhead_row, write_overhead_csv, write_timeline_csv
-from .errors import CampaignError, ContractError, ValidationError
+from .errors import CampaignError, ValidationError
 
 
 @contextmanager
@@ -168,9 +169,8 @@ def compare(args: argparse.Namespace) -> None:
     cfg, out_dir = _load(args, lambda cfg: _require_runs(cfg, *modes))
     with _partial_timeline(out_dir):
         comparisons = [compare_system(s, cfg) for s in cfg.systems]
-    rows = [reports.comparison_row(c) for c in comparisons]
-    print(reports.render_comparison_table(rows))
-    (out_dir / "comparison.csv").write_text(reports.comparison_csv(rows), encoding="utf-8")
+    print(reports.render_comparison_table(comparisons))
+    (out_dir / "comparison.csv").write_text(reports.comparison_csv(comparisons), encoding="utf-8")
     arms = [res for c in comparisons for res in (c.reference, c.nonadaptive, c.adaptive)]
     _write_overheads(arms, cfg.pilot.total_cores, out_dir)
     print(f"wrote comparison.csv and overheads.csv to {out_dir}")
@@ -189,9 +189,8 @@ def term_report(args: argparse.Namespace) -> None:
     cfg, out_dir = _load(args, lambda cfg: _require_runs(cfg, CampaignMode.ADAPTIVE_TERMINATION))
     with _partial_timeline(out_dir):
         runs = [run_termination(s, cfg) for s in cfg.systems]
-    rows = [reports.termination_row(r) for r in runs]
-    print(reports.render_termination_table(rows))
-    (out_dir / "termination.csv").write_text(reports.termination_csv(rows), encoding="utf-8")
+    print(reports.render_termination_table(runs))
+    (out_dir / "termination.csv").write_text(reports.termination_csv(runs), encoding="utf-8")
     _write_overheads([r.result for r in runs], cfg.pilot.total_cores, out_dir)
     print(f"wrote termination.csv and overheads.csv to {out_dir}")
 
@@ -230,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValidationError, ContractError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

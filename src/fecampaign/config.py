@@ -2,9 +2,9 @@
 
 One decoder and one encoder walk the config dataclasses' field annotations;
 keys are field names, in field order, and ``save_config`` output reloads to
-an equal config that re-saves byte for byte.  Int fields take JSON integers,
-float fields JSON numbers (a boolean is neither), str fields strings; the
-dataclasses themselves reject NaN and Infinity.
+an equal config that re-saves byte for byte.  Int fields take 64-bit JSON
+integers, float fields JSON numbers (a boolean is neither), str fields
+strings; the dataclasses themselves reject NaN and Infinity.
 A field without a default is required; an unknown or repeated key is an error.
 Errors name their field once, by full path: a dataclass's own check names
 it by its subject (``pilot.total_cores``), the decoder swaps in the path.
@@ -163,6 +163,8 @@ def _decode(tp, value: Any, path: str):
     if type(value) is not tp:  # int (never bool) or str
         kind = "an integer" if tp is int else "a string"
         raise ValidationError(f"{path} must be {kind}, got {value!r}")
+    if tp is int and not -(2**63) <= value < 2**63:  # nothing counts past 64 bits, and floats overflow
+        raise ValidationError(f"{path} must be a 64-bit integer")
     return value
 
 

@@ -132,13 +132,6 @@ def slots(pilot: PilotConfig) -> int:
     return pilot.total_cores // pilot.cores_per_task
 
 
-def generation_count(n_tasks: int, pilot: PilotConfig) -> int:
-    """Number of full-width waves needed to run ``n_tasks`` tasks."""
-    if n_tasks < 0:
-        raise ContractError("n_tasks must be >= 0")
-    return math.ceil(n_tasks / slots(pilot))
-
-
 class PlanKind(str, Enum):
     CONTINUE = "CONTINUE"
     APPEND = "APPEND"

@@ -15,7 +15,11 @@ class ValidationError(ValueError):
 
 
 class ContractError(ValueError):
-    """An operation was called with inputs outside its contract."""
+    """An operation was called with inputs outside its contract.
+
+    A config that passed its checks never reaches one, so the CLI treats it
+    as an internal fault: exit code 3, with its traceback.
+    """
 
 
 class CampaignError(RuntimeError):

@@ -1,13 +1,16 @@
 """Result tables: adaptive-vs-uniform comparison, early termination, validation.
 
 A report is a list of `Column`s, each a header and a function from a row to
-the text of its cell.  Every report declares one list for the aligned text
-printed to standard output (``*_TABLE``) and one for its CSV (``*_CSV``);
-`table` and `to_csv` render any list.  A text cell may read two fields, as
-"dG (err)" does.  To add a column, add its field to the row and one `Column`
-to each rendering that shows it; a CSV's header tuple (``*_COLUMNS``) is read
-off its declaration.  Cell formatting is deterministic, so re-running a
-seeded campaign reproduces both renderings byte for byte.
+the text of its cell.  A row is the result the report shows: a comparison
+row is a `campaign.SystemComparison`, a termination row a
+`campaign.TerminationRunResult`, a validation row a quoted `ValidationRow`.
+Every report declares one list for the aligned text printed to standard
+output (``*_TABLE``) and one for its CSV (``*_CSV``); `table` and `to_csv`
+render any list.  A text cell may read two values, as "dG (err)" does.  To
+add a column, add one `Column` that reads the result to each rendering that
+shows it; a CSV's header tuple (``*_COLUMNS``) is read off its declaration.
+Cell formatting is deterministic, so re-running a seeded campaign reproduces
+both renderings byte for byte.
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 
-from .protocols import NONADAPTIVE_WINDOWS
-
 if TYPE_CHECKING:
-    from .campaign import SystemComparison, TerminationRunResult
+    from .campaign import SystemComparison, SystemRunResult, TerminationRunResult
 
 #: Marker attached to increase_in_accuracy when the non-adaptive error is
 #: numerically zero and the ratio would divide by ~0.
@@ -53,68 +55,20 @@ def to_csv(columns: Sequence[Column], rows: Iterable) -> str:
     return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One system's adaptive-vs-uniform outcome, reference-anchored."""
+def comparison_row(cmp: SystemComparison) -> SystemComparison:
+    """The comparison itself, which the comparison columns read.
 
-    system: str
-    ref_ddg: float
-    nonadaptive_ddg: float
-    nonadaptive_stderr: float
-    adaptive_ddg: float
-    adaptive_stderr: float
-    n_lambda_windows: int
-    window_ratio_decrease_pct: float
-    increase_in_accuracy_pct: float
-    degenerate_accuracy: bool = False
-
-
-def comparison_row(cmp: SystemComparison) -> ComparisonRow:
-    """Reduce one three-run comparison to a report row.
-
-    ``window_ratio_decrease_pct`` is derived, not measured: the window
-    ratio ``100 * (1 - n / 13)``.  At 2,080 cores the engine measures the
-    adaptive arm slower (-14.6%; -38.1% on TYK2 L7-L8), at 640 cores
-    faster (+34.4 to +53.4%); ROADMAP item 1 adds the measured column.
-    The accuracy gain is guarded: a non-adaptive run that already matches
-    the reference would divide by ~0, so the row reports 0 and carries a
-    footnote.
+    Only ``perfbench/run.py`` calls it, to build its report rows.
     """
-    n_err = cmp.nonadaptive_error
-    a_err = cmp.adaptive_error
-    degenerate = n_err < 1e-9
-    increase = 0.0 if degenerate else 100.0 * (1.0 - a_err / n_err)
-    windows = cmp.adaptive.n_windows
-    decrease = 100.0 * (1.0 - windows / NONADAPTIVE_WINDOWS)
-    return ComparisonRow(
-        system=cmp.system.label,
-        ref_ddg=cmp.reference.estimate.delta_g,
-        nonadaptive_ddg=cmp.nonadaptive.estimate.delta_g,
-        nonadaptive_stderr=cmp.nonadaptive.estimate.stderr,
-        adaptive_ddg=cmp.adaptive.estimate.delta_g,
-        adaptive_stderr=cmp.adaptive.estimate.stderr,
-        n_lambda_windows=windows,
-        window_ratio_decrease_pct=decrease,
-        increase_in_accuracy_pct=increase,
-        degenerate_accuracy=degenerate,
-    )
+    return cmp
 
 
-@dataclass(frozen=True)
-class TerminationRow:
-    system: str
-    nonadaptive_ns: float
-    adaptive_ns: float
-    decrease_pct: float
+def termination_row(res: TerminationRunResult) -> TerminationRunResult:
+    """The termination run itself, which the termination columns read.
 
-
-def termination_row(res: TerminationRunResult) -> TerminationRow:
-    return TerminationRow(
-        system=res.system.label,
-        nonadaptive_ns=res.nonadaptive_ns,
-        adaptive_ns=res.adaptive_ns,
-        decrease_pct=res.decrease_pct,
-    )
+    Only ``perfbench/run.py`` calls it, to build its report rows.
+    """
+    return res
 
 
 @dataclass(frozen=True)
@@ -144,8 +98,10 @@ VALIDATION_ROWS = (
 
 
 def _number(field: str, places: int, header: str | None = None) -> Column:
-    """The row's ``field`` to ``places`` decimals, headed ``header`` (by default ``field``)."""
-    return Column(header or field, lambda r: f"{getattr(r, field):.{places}f}")
+    """The row's ``field`` (a dotted attribute path) to ``places`` decimals,
+    headed ``header`` (by default ``field``)."""
+    get = attrgetter(field)
+    return Column(header or field, lambda r: f"{get(r):.{places}f}")
 
 
 def _pm(value: float, err: float, places: int = 2) -> str:
@@ -153,30 +109,34 @@ def _pm(value: float, err: float, places: int = 2) -> str:
     return f"{value:.{places}f} ({err_text})"
 
 
-def _mark(r: ComparisonRow) -> str:
-    return DEGENERATE_MARK if r.degenerate_accuracy else ""
+def _mark(c: SystemComparison) -> str:
+    return DEGENERATE_MARK if c.degenerate_accuracy else ""
 
 
-_SYSTEM = Column("system", lambda r: r.system)
+def _estimate(run: SystemRunResult) -> str:
+    return _pm(run.estimate.delta_g, run.estimate.stderr)
+
+
+_SYSTEM = Column("system", lambda r: r.system.label)
 
 COMPARISON_TABLE = (
     _SYSTEM,
-    _number("ref_ddg", 2, "ref dG"),
-    Column("non-adaptive dG (err)", lambda r: _pm(r.nonadaptive_ddg, r.nonadaptive_stderr)),
-    Column("adaptive dG (err)", lambda r: _pm(r.adaptive_ddg, r.adaptive_stderr)),
-    Column("windows", lambda r: str(r.n_lambda_windows)),
+    _number("reference.estimate.delta_g", 2, "ref dG"),
+    Column("non-adaptive dG (err)", lambda c: _estimate(c.nonadaptive)),
+    Column("adaptive dG (err)", lambda c: _estimate(c.adaptive)),
+    Column("windows", lambda c: str(c.adaptive.n_windows)),
     _number("window_ratio_decrease_pct", 1, "window-ratio decrease %"),
-    Column("accuracy increase %", lambda r: f"{r.increase_in_accuracy_pct:.1f}{_mark(r)}"),
+    Column("accuracy increase %", lambda c: f"{c.increase_in_accuracy_pct:.1f}{_mark(c)}"),
 )
 
 COMPARISON_CSV = (
     _SYSTEM,
-    _number("ref_ddg", 6),
-    _number("nonadaptive_ddg", 6),
-    _number("nonadaptive_stderr", 6),
-    _number("adaptive_ddg", 6),
-    _number("adaptive_stderr", 6),
-    Column("n_lambda_windows", lambda r: str(r.n_lambda_windows)),
+    _number("reference.estimate.delta_g", 6, "ref_ddg"),
+    _number("nonadaptive.estimate.delta_g", 6, "nonadaptive_ddg"),
+    _number("nonadaptive.estimate.stderr", 6, "nonadaptive_stderr"),
+    _number("adaptive.estimate.delta_g", 6, "adaptive_ddg"),
+    _number("adaptive.estimate.stderr", 6, "adaptive_stderr"),
+    Column("n_lambda_windows", lambda c: str(c.adaptive.n_windows)),
     _number("window_ratio_decrease_pct", 3),
     _number("increase_in_accuracy_pct", 3),
     Column("accuracy_footnote", _mark),
@@ -196,8 +156,10 @@ TERMINATION_CSV = (
     _number("decrease_pct", 3),
 )
 
+_LABEL = Column("system", lambda r: r.system)
+
 VALIDATION_TABLE = (
-    _SYSTEM,
+    _LABEL,
     Column("calculated (quoted)", lambda r: _pm(*r.calculated)),
     Column("published", lambda r: _pm(*r.published)),
     Column("experiment", lambda r: _pm(*r.experiment)),
@@ -205,7 +167,7 @@ VALIDATION_TABLE = (
 )
 
 VALIDATION_CSV = (
-    _SYSTEM,
+    _LABEL,
     Column("quoted_calculated_ddg", lambda r: f"{r.calculated[0]:.2f}"),
     Column("quoted_calculated_err", lambda r: f"{r.calculated[1]:.2f}"),
     Column("published_ddg", lambda r: f"{r.published[0]:.2f}"),
@@ -220,22 +182,22 @@ TERMINATION_COLUMNS = tuple(c.header for c in TERMINATION_CSV)
 VALIDATION_COLUMNS = tuple(c.header for c in VALIDATION_CSV)
 
 
-def render_comparison_table(rows: list[ComparisonRow]) -> str:
+def render_comparison_table(rows: list[SystemComparison]) -> str:
     notes = [_MODEL_NOTE]
     if any(r.degenerate_accuracy for r in rows):
         notes.insert(0, f"{DEGENERATE_MARK} non-adaptive error ~ 0; ratio undefined, reported as 0")
     return "\n".join([table(COMPARISON_TABLE, rows), *notes])
 
 
-def comparison_csv(rows: list[ComparisonRow]) -> str:
+def comparison_csv(rows: list[SystemComparison]) -> str:
     return to_csv(COMPARISON_CSV, rows)
 
 
-def render_termination_table(rows: list[TerminationRow]) -> str:
+def render_termination_table(rows: list[TerminationRunResult]) -> str:
     return table(TERMINATION_TABLE, rows)
 
 
-def termination_csv(rows: list[TerminationRow]) -> str:
+def termination_csv(rows: list[TerminationRunResult]) -> str:
     return to_csv(TERMINATION_CSV, rows)
 
 

@@ -38,8 +38,17 @@ from .quadrature import canonical_lambda
 
 #: Largest magnitude of a curve parameter, and the smallest bump width: within
 #: them no step of :meth:`GroundTruthCurve.evaluate` or :func:`analytic_integral`
-#: overflows, so both are finite on [0, 1].
+#: overflows, so both are finite on [0, 1].  Noise parameters share the bound,
+#: so a run whose curve and noise sit at it still has finite window statistics.
 CURVE_LIMIT = 1e150
+
+
+def _require_bounded(obj, subject: str) -> None:
+    """Reject a finite ``float`` field of dataclass ``obj`` beyond +-:data:`CURVE_LIMIT`."""
+    require_finite(obj, subject)
+    for f in fields(obj):
+        if f.type in ("float", float) and abs(value := getattr(obj, f.name)) > CURVE_LIMIT:
+            raise ValidationError(f"{subject}.{f.name} must lie within +-{CURVE_LIMIT:g}, got {value!r}")
 
 
 class CurvePreset(str, Enum):
@@ -75,10 +84,7 @@ class GroundTruthCurve:
     baseline_slope: float = 0.0
 
     def __post_init__(self):
-        require_finite(self, "curve")
-        for f in fields(self):
-            if f.type in ("float", float) and abs(value := getattr(self, f.name)) > CURVE_LIMIT:
-                raise ValidationError(f"curve.{f.name} must lie within +-{CURVE_LIMIT:g}, got {value!r}")
+        _require_bounded(self, "curve")
         if self.preset in (CurvePreset.GAUSS_BUMP, CurvePreset.RATIONAL):
             if not 0.0 <= self.center <= 1.0:
                 raise ValidationError(f"curve.center {self.center} outside [0, 1]")
@@ -153,7 +159,7 @@ class NoiseModel:
     drift_timescale_ps: float = 100.0
 
     def __post_init__(self):
-        require_finite(self, "noise")
+        _require_bounded(self, "noise")
         if self.sigma < 0.0:
             raise ValidationError("noise.sigma must be >= 0")
         if not 0.0 <= self.ar1_phi < 1.0:

@@ -26,7 +26,7 @@ from fecampaign.config import load_config
 from fecampaign.engine import PilotConfig, run_campaign
 from fecampaign.protocols import LambdaSchedule, Pipeline, ProtocolKind, Stage, StageKind
 from fecampaign.quadrature import WindowPoint, trapezoid_integrate
-from fecampaign.reports import VALIDATION_ROWS, comparison_row, validation_csv
+from fecampaign.reports import VALIDATION_ROWS, validation_csv
 from fecampaign.synth import GroundTruthCurve, analytic_integral, named_systems
 from timeline_oracle import TaskOutcome, peak_concurrency, task_records
 
@@ -100,14 +100,14 @@ def test_criterion_02_trapezoid_oracle():
 def test_criterion_03_adaptive_window_reduction(comparison_battery):
     cfg, runs, times = comparison_battery
     assert len(runs) == 5
-    rows = [comparison_row(c) for c in runs.values()]
-    mean_windows = np.mean([r.n_lambda_windows for r in rows])
+    rows = list(runs.values())
+    mean_windows = np.mean([r.adaptive.n_windows for r in rows])
     reduction = 100.0 * (1.0 - mean_windows / NONADAPTIVE_WINDOWS)
     assert reduction >= 20.0
     # the window-ratio decrease column is that ratio, per row and on average
     for r in rows:
         assert r.window_ratio_decrease_pct == pytest.approx(
-            100.0 * (1.0 - r.n_lambda_windows / NONADAPTIVE_WINDOWS)
+            100.0 * (1.0 - r.adaptive.n_windows / NONADAPTIVE_WINDOWS)
         )
     mean_decrease = np.mean([r.window_ratio_decrease_pct for r in rows])
     assert mean_decrease == pytest.approx(reduction)

@@ -2,7 +2,8 @@
 
 The span tracer patches package functions and methods by name and raises
 ``KeyError`` when one it names is gone; the table workloads run what the CLI
-runs, the config through ``cli._options``, and an untraced pass reads
+runs, the config through ``cli._options`` and the results through
+``reports.comparison_row`` and ``termination_row``, and an untraced pass reads
 engine counts, checkpoint values and sweep plans off the results.  These
 tests keep a change that deletes package surface from breaking the
 benchmark unnoticed.
@@ -17,7 +18,7 @@ import pytest
 
 # cli imports the nine layers perfbench/tracer.py patches, as perfbench/run.py's
 # own imports do.
-from fecampaign import campaign, cli, engine
+from fecampaign import campaign, cli, engine, reports
 from fecampaign.config import load_config
 from fecampaign.protocols import ProtocolKind
 
@@ -75,6 +76,14 @@ def test_run_options_build_from_the_bundled_config():
     assert cli._options(cfg) is cfg
     opts = replace(cli._options(cfg), seed=1)
     assert (opts.pilot, opts.adaptive, opts.seed) == (cfg.pilot, cfg.adaptive, 1)
+
+
+def test_report_rows_are_the_results():
+    system = load_config(ROOT / "configs" / "compare.json").systems[0]
+    c = campaign.SystemComparison(system, None, None, None, epsilon=0.4)
+    r = campaign.TerminationRunResult(system, 6.0, 4.5, 25.0, result=None)
+    assert reports.comparison_row(c) is c
+    assert reports.termination_row(r) is r
 
 
 @pytest.mark.parametrize("workload", ["AdaptiveCompare", "EarlyTermination", "ScalingSweep"])

@@ -28,7 +28,6 @@ from fecampaign.campaign import (
     run_termination,
 )
 from fecampaign.config import load_config
-from fecampaign.reports import comparison_row
 from fecampaign.synth import analytic_integral
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -88,7 +87,7 @@ def test_adaptive_arm_is_slower_on_the_bundled_pilot(compare_pass):
         assert measured < 0.0, (
             f"{cmp.system.label}: the engine measures a {measured:+.1f}% TTX decrease at "
             f"2,080 cores; comparison.csv's window_ratio_decrease_pct prints "
-            f"{comparison_row(cmp).window_ratio_decrease_pct:+.1f}%, the window ratio, not this measurement"
+            f"{cmp.window_ratio_decrease_pct:+.1f}%, the window ratio, not this measurement"
         )
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from cli_invoke import invoke
 from fecampaign.campaign import CampaignMode, _slug
 from fecampaign.config import CampaignConfig, SweepPlan, save_config
 from fecampaign.engine import PilotConfig
+from fecampaign.errors import ContractError
 from fecampaign.campaign import SweepRung
 from fecampaign.protocols import AdaptiveConfig, ProtocolKind, ScheduleMode
 from fecampaign.reports import validation_csv
@@ -267,6 +269,21 @@ def test_non_finite_noise_is_a_config_error(tmp_path, field):
     assert not (tmp_path / "out" / "noisy-pair_nonadaptive.json").exists()
 
 
+EXTREME = SyntheticSystem(
+    "Extreme Pair",
+    GroundTruthCurve.gauss_bump(center=0.3, amplitude=1e150, baseline_slope=-1e150),
+    NoiseModel(sigma=1e150, ar1_phi=0.999999, drift_amplitude=-1e150),
+)
+
+
+@pytest.mark.parametrize("mode", [m.value for m in CampaignMode])
+def test_curve_and_noise_at_their_limit_run(tmp_path, mode):
+    result = invoke("run", "--config", write_config(tmp_path, systems=(EXTREME,)), "--mode", mode)
+    assert result.exit_code == 0, result.stderr
+    res = json.loads((tmp_path / "out" / f"extreme-pair_{mode.lower()}.json").read_text())
+    assert math.isfinite(res["delta_g"]) and math.isfinite(res["stderr"])
+
+
 def test_sample_interval_must_divide_the_substage(tmp_path):
     # 100 ps sub-stages and 0.3 ps samples: 333.3 samples per sub-stage.  Any
     # whole count would run a horizon the config does not ask for.
@@ -328,6 +345,17 @@ def knobs(**overrides):
                      "config.sample_interval_ps 1e-09", id="compare-storage-sample-interval"),
         pytest.param(("compare",), {"replicas_per_window": 2**40}, "GiB of samples, over the 1 GiB bound",
                      "config.replicas_per_window 1099511627776", id="compare-storage-replicas"),
+        # each once overflowed (round(inf) twice, then the storage message's size / 2**30)
+        # and exited 3 with a traceback
+        pytest.param(("run", "--mode", "ADAPTIVE_QUADRATURE"), {"sample_interval_ps": 5e-324},
+                     "config.sample_interval_ps 5e-324 cuts the 100 ps production sub-stage",
+                     "(set by adaptive.substage_timesteps 50000) into over 2^53 samples",
+                     id="run-sample-interval-tiny"),
+        pytest.param(("term-report",), {"adaptive": knobs(termination_tau_ns=5e-324)},
+                     "adaptive.termination_tau_ns 5e-324 does not divide", None, id="term-report-tau-tiny"),
+        pytest.param(("term-report",), {"replicas_per_window": 2**40, "sample_interval_ps": 1e-300},
+                     "config.sample_interval_ps 1e-300 cuts the 500 ps production sub-stage",
+                     "(set by adaptive.termination_tau_ns 0.5)", id="term-report-storage-overflow"),
     ],
 )
 def test_unplannable_run_fails_before_any_output(tmp_path, command, overrides, message, set_by):
@@ -413,6 +441,18 @@ def test_unplanned_exception_prints_traceback_and_exits_3(tmp_path, monkeypatch)
     assert "RuntimeError: boom" in result.stderr
 
 
+def test_broken_contract_is_an_internal_fault(tmp_path, monkeypatch):
+    # a config that passed its checks never reaches a ContractError: exit 3, not 2
+    def broken(*args, **kwargs):
+        raise ContractError("window mean must be finite")
+
+    monkeypatch.setattr("fecampaign.cli.run_system", broken)
+    result = invoke("run", "--config", write_config(tmp_path))
+    assert result.exit_code == 3
+    assert "Traceback (most recent call last)" in result.stderr
+    assert "ContractError: window mean must be finite" in result.stderr
+
+
 @pytest.mark.parametrize(
     "keys,value,message",
     [
@@ -447,6 +487,13 @@ def test_unplanned_exception_prints_traceback_and_exits_3(tmp_path, monkeypatch)
         # width ** 2 once overflowed in the first run, which exited 3
         (("systems", 0, "curve"), {"preset": "GAUSS_BUMP", "width": 1e300},
          "config.systems[0].curve.width must lie within"),
+        # each once ran into a non-finite window mean mid-campaign and left an empty directory
+        (("systems", 0, "noise", "sigma"), 1e308, "config.systems[0].noise.sigma must lie within +-1e+150"),
+        (("systems", 0, "noise", "drift_amplitude"), 1e308,
+         "config.systems[0].noise.drift_amplitude must lie within +-1e+150"),
+        # an integer past 64 bits once overflowed a float when the run was planned
+        (("replicas_per_window",), 10**400, "config.replicas_per_window must be a 64-bit integer"),
+        (("pilot", "total_cores"), 2**63, "config.pilot.total_cores must be a 64-bit integer"),
     ],
 )
 def test_bad_field_fails_at_load(tmp_path, keys, value, message):

@@ -13,7 +13,6 @@ from fecampaign.engine import (
     OverheadModel,
     PilotConfig,
     StagePlan,
-    generation_count,
     measure_overheads,
     overhead_row,
     run_campaign,
@@ -56,12 +55,8 @@ def quiet_pilot(total_cores):
 def test_generation_arithmetic(total_cores, expected_slots, expected_generations):
     pilot = quiet_pilot(total_cores)
     assert slots(pilot) == expected_slots
-    assert generation_count(520, pilot) == expected_generations
-
-
-def test_generation_count_rejects_negative():
-    with pytest.raises(ContractError):
-        generation_count(-1, quiet_pilot(4_160))
+    outcome = run_campaign(pipelines_of_520_tasks(), pilot)
+    assert len(outcome.timeline.generations) == expected_generations
 
 
 def test_duration_model():

@@ -21,13 +21,11 @@ from fecampaign.reports import (
     Column,
     ValidationRow,
     comparison_csv,
-    comparison_row,
     render_comparison_table,
     render_termination_table,
     render_validation_table,
     table,
     termination_csv,
-    termination_row,
     validation_csv,
 )
 from fecampaign.synth import ZERO_NOISE, GroundTruthCurve, SyntheticSystem
@@ -58,29 +56,29 @@ def stub_comparison(ref_dg, non_dg, adp_dg, n_windows):
 
 
 def test_comparison_row_window_ratio_and_accuracy():
-    row = comparison_row(stub_comparison(ref_dg=1.0, non_dg=1.5, adp_dg=1.1, n_windows=9))
-    assert row.n_lambda_windows == 9
+    row = stub_comparison(ref_dg=1.0, non_dg=1.5, adp_dg=1.1, n_windows=9)
+    assert row.adaptive.n_windows == 9
     assert row.window_ratio_decrease_pct == pytest.approx(100.0 * (1.0 - 9 / 13))
     assert row.increase_in_accuracy_pct == pytest.approx(80.0)
     assert not row.degenerate_accuracy
 
 
 def test_comparison_row_grown_window_set_gives_negative_decrease():
-    row = comparison_row(stub_comparison(1.0, 1.5, 1.2, n_windows=14))
+    row = stub_comparison(1.0, 1.5, 1.2, n_windows=14)
     assert row.window_ratio_decrease_pct == pytest.approx(100.0 * (1.0 - 14 / 13))
     assert row.window_ratio_decrease_pct < 0.0
 
 
 def test_comparison_row_degenerate_guard():
-    row = comparison_row(stub_comparison(ref_dg=1.0, non_dg=1.0, adp_dg=1.2, n_windows=9))
+    row = stub_comparison(ref_dg=1.0, non_dg=1.0, adp_dg=1.2, n_windows=9)
     assert row.degenerate_accuracy
     assert row.increase_in_accuracy_pct == 0.0
 
 
 def test_comparison_table_marks_degenerate_rows():
     rows = [
-        comparison_row(stub_comparison(1.0, 1.5, 1.1, 9)),
-        comparison_row(stub_comparison(1.0, 1.0, 1.2, 9)),
+        stub_comparison(1.0, 1.5, 1.1, 9),
+        stub_comparison(1.0, 1.0, 1.2, 9),
     ]
     text = render_comparison_table(rows)
     assert f"0.0{DEGENERATE_MARK}" in text
@@ -89,7 +87,7 @@ def test_comparison_table_marks_degenerate_rows():
 
 
 def test_comparison_table_is_aligned():
-    rows = [comparison_row(stub_comparison(1.0, 1.5, 1.1, 9))]
+    rows = [stub_comparison(1.0, 1.5, 1.1, 9)]
     lines = render_comparison_table(rows).splitlines()
     assert lines[0].startswith("system")
     assert set(lines[1]) <= {"-", " "}
@@ -111,7 +109,7 @@ def test_table_aligns_a_cell_wider_than_its_header():
 
 
 def test_comparison_csv_schema_and_formats():
-    rows = [comparison_row(stub_comparison(1.0, 1.5, 1.1, 9))]
+    rows = [stub_comparison(1.0, 1.5, 1.1, 9)]
     text = comparison_csv(rows)
     lines = text.splitlines()
     assert lines[0] == ",".join(COMPARISON_COLUMNS)
@@ -126,7 +124,7 @@ def test_comparison_csv_schema_and_formats():
 
 
 def test_comparison_csv_degenerate_footnote_cell():
-    text = comparison_csv([comparison_row(stub_comparison(1.0, 1.0, 1.2, 9))])
+    text = comparison_csv([stub_comparison(1.0, 1.0, 1.2, 9)])
     assert text.splitlines()[1].endswith(f",{DEGENERATE_MARK}")
 
 
@@ -135,21 +133,20 @@ def test_termination_row_and_csv():
         system=SYSTEM, nonadaptive_ns=6.0, adaptive_ns=4.5,
         decrease_pct=25.0, result=None,
     )
-    row = termination_row(res)
-    assert row.adaptive_ns == 4.5
-    text = termination_csv([row])
+    text = termination_csv([res])
     assert text.splitlines()[0] == ",".join(TERMINATION_COLUMNS)
     assert text.splitlines()[1] == "PTP1B L1-L2,6.000,4.500,25.000"
-    rendered = render_termination_table([row])
+    rendered = render_termination_table([res])
     assert "25.0" in rendered
 
 
 def test_csv_quotes_a_label_that_needs_it():
     label = 'PTP1B L1-L2, pose "b"'
-    comparison = replace(comparison_row(stub_comparison(1.0, 1.5, 1.1, 9)), system=label)
-    termination = replace(termination_row(TerminationRunResult(
-        system=SYSTEM, nonadaptive_ns=6.0, adaptive_ns=4.5, decrease_pct=25.0, result=None,
-    )), system=label)
+    system = replace(SYSTEM, label=label)
+    comparison = replace(stub_comparison(1.0, 1.5, 1.1, 9), system=system)
+    termination = TerminationRunResult(
+        system=system, nonadaptive_ns=6.0, adaptive_ns=4.5, decrease_pct=25.0, result=None,
+    )
     for header, text in (
         (COMPARISON_COLUMNS, comparison_csv([comparison, comparison])),
         (TERMINATION_COLUMNS, termination_csv([termination])),
