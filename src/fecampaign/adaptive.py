@@ -48,7 +48,7 @@ from .quadrature import (
     trapezoid_integrate,
 )
 from .stats import DEFAULT_DISCARD_FRACTION, DuDlSeries, window_points
-from .synth import NoiseBlock, SyntheticSystem, drift_curve, grow_streams, open_stream
+from .synth import NoiseBlock, SyntheticSystem, drift_curve, grow_streams, open_streams
 
 
 def samples_per_substage(substage_timesteps: int, dt_ps: float, set_by: str | None = None) -> int:
@@ -109,23 +109,30 @@ class SyntheticSampler:
     def _grow(self, requests: Iterable[tuple[float, int]], replicas: int) -> None:
         """Grow each ``lambda`` window's block, which must hold ``replicas`` streams, to its length.
 
-        Windows that grow by the same number of samples share one AR(1) pass;
-        when none of them holds samples yet, that pass writes straight into
-        their storage (:func:`~fecampaign.synth.grow_streams`).
+        Every request is checked before any block is opened or grown, and the
+        new windows' blocks are opened in one call
+        (:func:`~fecampaign.synth.open_streams`).  Windows that grow by the
+        same number of samples share one AR(1) pass; when none of them holds
+        samples yet, that pass writes straight into their storage
+        (:func:`~fecampaign.synth.grow_streams`).
         """
-        batches: dict[int, list[NoiseBlock]] = {}
+        requests = list(requests)
         for lam, n_samples in requests:
             if n_samples > self.horizon_samples:
                 raise ContractError(
                     f"requested {n_samples} samples beyond the {self.horizon_samples}-sample horizon"
                 )
             block = self._streams.get(lam)
-            if block is None:
-                level = self.system.curve.evaluate(lam)
-                block = open_stream(level, lam, self.horizon_samples, self.seed, replicas)
-                self._streams[lam] = block
-            elif replicas > len(block.rngs):
+            if block is not None and replicas > len(block.rngs):
                 raise ContractError(f"window {lam} holds {len(block.rngs)} replicas, not {replicas}")
+        new = [lam for lam, _ in requests if lam not in self._streams]
+        if new:
+            levels = [self.system.curve.evaluate(lam) for lam in new]
+            blocks = open_streams(levels, new, self.horizon_samples, self.seed, replicas)
+            self._streams.update(zip(new, blocks))
+        batches: dict[int, list[NoiseBlock]] = {}
+        for lam, n_samples in requests:
+            block = self._streams[lam]
             if n_samples > block.fill:
                 batches.setdefault(n_samples - block.fill, []).append(block)
         for n_new, blocks in batches.items():

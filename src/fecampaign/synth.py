@@ -11,7 +11,11 @@ with ``eta`` i.i.d. normal with standard deviation ``sigma * sqrt(1 - phi^2)``
 so that ``sigma`` is the stationary standard deviation of the noise.
 Streams are seeded per (campaign seed, rounded lambda, replica index), so a
 window added mid-campaign reproduces the same data no matter when it was
-created.
+created.  :func:`open_streams` seeds every new window's generators in one
+pass: it runs ``SeedSequence``'s pool mixing and ``generate_state`` on
+``uint32`` columns of all the entropy rows at once, so each generator
+equals ``np.random.default_rng([seed, lam_milli, replica])`` word for word,
+at a fraction of the cost of building the generators one by one.
 
 A window's replica streams form one block that grows in chunks:
 :func:`grow_streams` continues each replica's generator and last noise
@@ -21,6 +25,10 @@ the sum once, as a direct-form IIR filter does, so a series grown in any
 number of chunks is bit-identical to a one-shot series of the same length.
 A block's storage is allocated when it first grows; blocks that first grow
 together share one array, and their samples are drawn straight into it.
+numpy releases the GIL while a generator fills a row, so a large call cuts
+its rows into one part per CPU, at most four, and draws them on as many
+threads; each generator fills only its own row, so the values do not
+depend on the split or on the number of CPUs.
 :class:`fecampaign.adaptive.SyntheticSampler` is the one reader of these
 blocks: every series a campaign estimates from comes through it.
 """
@@ -28,6 +36,7 @@ blocks: every series a campaign estimates from comes through it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
@@ -189,23 +198,105 @@ class NoiseBlock:
     fill: int = 0
 
 
-def open_stream(
-    level: float, lam: float, capacity: int, seed: int = 0, replicas: int = 1
-) -> NoiseBlock:
-    """An empty block of ``replicas`` streams at window ``lam``, ``capacity`` samples each.
+#: SeedSequence's hash constants (numpy/random/bit_generator.pyx), for :func:`_seed_words`.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
-    It holds no sample storage yet: :func:`grow_streams` allocates it.
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(list(row)).generate_state(4, np.uint64)`` for every row of ``entropy``.
+
+    ``entropy`` is an ``(n x 3)`` ``uint32`` array, so each value is one
+    entropy word and the 4-word pool takes them all before it is mixed.  The
+    hash constants do not depend on the data, so each step runs on a column
+    of all rows at once, in ``uint32`` arithmetic that wraps as the C code does.
     """
     import numpy as np
 
-    if not 0.0 <= lam <= 1.0:
-        raise ContractError(f"lambda {lam} outside [0, 1]")
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[:, i]) for i in range(3)] + [hashmix(np.zeros(len(entropy), np.uint32))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    state = np.empty((len(entropy), 8), np.dtype("<u4"))
+    const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value *= const
+        state[:, i] = value ^ (value >> 16)
+    return state.view("<u8").astype(np.uint64)
+
+
+class _SeedWords:
+    """A seed sequence that hands a bit generator one precomputed row of words.
+
+    :func:`_generators` registers it as a ``numpy.random.bit_generator.ISeedSequence``.
+    """
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=None):
+        return self.words
+
+
+def _generators(entropy: np.ndarray) -> list[np.random.Generator]:
+    """``default_rng(list(row))`` for every row of the ``(n x 3)`` ``uint32`` array ``entropy``."""
+    import numpy as np
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
+    Generator, PCG64 = np.random.Generator, np.random.PCG64
+    return [Generator(PCG64(_SeedWords(words))) for words in _seed_words(entropy)]
+
+
+def open_streams(
+    levels: Sequence[float], lams: Sequence[float], capacity: int, seed: int = 0, replicas: int = 1
+) -> list[NoiseBlock]:
+    """Empty blocks of ``replicas`` streams at windows ``lams`` (levels ``levels``), ``capacity`` samples each.
+
+    Replica ``r`` of window ``lam`` draws from
+    ``default_rng([seed, lam_milli, r])``, ``lam_milli`` the canonical lambda
+    in milli-units: stable across runs and processes.  The generators of all
+    the windows are seeded in one vectorised pass (:func:`_generators`).
+    The blocks hold no sample storage yet: :func:`grow_streams` allocates it.
+    """
+    import numpy as np
+
+    for lam in lams:
+        if not 0.0 <= lam <= 1.0:
+            raise ContractError(f"lambda {lam} outside [0, 1]")
     if seed < 0 or replicas < 1:
         raise ContractError("seed must be >= 0 and replicas >= 1")
-    # Entropy (campaign seed, lambda in milli-units, replica): stable across runs and processes.
-    lam_milli = int(round(canonical_lambda(lam) * 1000))
-    rngs = [np.random.default_rng([int(seed), lam_milli, r]) for r in range(replicas)]
-    return NoiseBlock(level, rngs, capacity, np.empty((replicas, 0)), np.zeros(replicas))
+    # SeedSequence splits a value of 2^32 or more into several words, which
+    # _seed_words does not; campaign.data_seed stays below 2^31.
+    if seed >= 2**32 or replicas > 2**32:
+        raise ContractError(f"seed {seed} and replica indices must lie below 2^32")
+    lam_milli = [round(canonical_lambda(lam) * 1000) for lam in lams]
+    entropy = np.empty((len(lams), replicas, 3), np.uint32)
+    entropy[:, :, 0] = seed
+    entropy[:, :, 1] = np.array(lam_milli, np.uint32)[:, None]
+    entropy[:, :, 2] = np.arange(replicas, dtype=np.uint32)
+    rngs = _generators(entropy.reshape(-1, 3))
+    return [
+        NoiseBlock(level, rngs[i * replicas:(i + 1) * replicas], capacity,
+                   np.empty((replicas, 0)), np.zeros(replicas))
+        for i, level in enumerate(levels)
+    ]
 
 
 def drift_curve(noise: NoiseModel, n_samples: int, dt_ps: float) -> np.ndarray:
@@ -214,6 +305,42 @@ def drift_curve(noise: NoiseModel, n_samples: int, dt_ps: float) -> np.ndarray:
 
     t = np.arange(n_samples)
     return noise.drift_amplitude * np.exp(-t * dt_ps / noise.drift_timescale_ps)
+
+
+#: Samples in one :func:`grow_streams` call from which its normal draws are
+#: split across threads; below it, starting the threads costs more than they save.
+_SPLIT_DRAW_SAMPLES = 2**17
+
+
+def _draw(rngs, eps, eta_sd: float, parts: int) -> None:
+    """Fill each row of ``eps`` with its own generator's standard normals, scaled by ``eta_sd``.
+
+    The rows are cut into ``parts`` contiguous ranges, each but the first
+    drawn on its own thread.  numpy releases the GIL while a generator fills
+    a row, and each generator fills only its own row, so the values do not
+    depend on ``parts``.
+    """
+    import threading
+
+    cuts = [len(rngs) * i // parts for i in range(parts + 1)]
+    failed = []
+
+    def work(lo, hi):
+        try:
+            for row, rng in zip(eps[lo:hi], rngs[lo:hi]):
+                rng.standard_normal(out=row)
+            eps[lo:hi] *= eta_sd
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
+    threads = [threading.Thread(target=work, args=span) for span in zip(cuts[1:-1], cuts[2:])]
+    for thread in threads:
+        thread.start()
+    work(0, cuts[1])
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
 
 
 def grow_streams(
@@ -225,7 +352,10 @@ def grow_streams(
     recurrence ``eps[t] = eta[t] + phi * eps[t-1]`` walks its time columns:
     one vectorised step per sample, whatever the number of streams, with
     local ufunc names, positional outputs and a 0-d ``phi`` to keep each
-    step's two calls cheap.  Draws fill one contiguous row per replica.
+    step's two calls cheap.  Draws fill one contiguous row per replica; a
+    call of at least ``2**17`` samples cuts its rows into up to
+    ``min(CPUs, 4)`` parts and draws each on its own thread, while the walk
+    and the write-back stay on the calling thread.
 
     When every block is still empty, ``eps`` is the first ``n_new`` columns
     of one new ``(rows x capacity)`` array that the blocks keep as their
@@ -244,9 +374,11 @@ def grow_streams(
     store = (np.empty if eta_sd > 0.0 else np.zeros)((len(rngs), width))
     eps = store[:, :n_new]
     if eta_sd > 0.0:
-        for row, rng in zip(eps, rngs):
-            rng.standard_normal(out=row)
-        eps *= eta_sd
+        parts = 1
+        if eps.size >= _SPLIT_DRAW_SAMPLES:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            parts = min(cpus or 1, 4, len(rngs))
+        _draw(rngs, eps, eta_sd, parts)
     if noise.ar1_phi > 0.0:
         prev = np.concatenate([block.last for block in blocks])
         step = np.empty(len(rngs))

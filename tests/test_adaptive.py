@@ -86,6 +86,23 @@ def test_sampler_rejects_requests_past_horizon():
         sampler.series(0.0, 0, 101)
 
 
+@pytest.mark.parametrize("lengths, replicas", [
+    ({0.25: 10, 0.5: 10, 0.75: 101}, 3),  # the last window runs past the horizon
+    ({0.25: 10, 0.0: 10}, 4),  # window 0.0 holds 3 replicas
+    ({0.25: 10, 1.5: 10}, 3),  # lambda outside [0, 1]
+])
+def test_a_rejected_request_list_opens_no_window(lengths, replicas):
+    system = SyntheticSystem("noisy", GroundTruthCurve.constant(1.0), NoiseModel(sigma=1.0))
+    sampler = SyntheticSampler(system, 0, 1.0, 100)
+    sampler.window_means({0.0: 10}, 3, discard_fraction=0.0)
+    before = dict(sampler._streams)
+    fills = [block.fill for block in before.values()]
+    with pytest.raises(ContractError):
+        sampler.window_means(lengths, replicas, discard_fraction=0.0)
+    assert sampler._streams == before
+    assert [block.fill for block in sampler._streams.values()] == fills
+
+
 def test_window_block_holds_the_replicas_of_its_first_request():
     sampler = SyntheticSampler(quiet_system(GroundTruthCurve.constant(1.0)), 0, 1.0, 100)
     sampler.window_means({0.0: 10, 1.0: 10}, 3, discard_fraction=0.0)

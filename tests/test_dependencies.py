@@ -68,7 +68,7 @@ def loaded_after(module: str, *tops: str) -> list[str]:
     return ast.literal_eval(proc.stdout.strip())
 
 
-@pytest.mark.parametrize("package", ["scipy", "click", "numpy"])
+@pytest.mark.parametrize("package", ["scipy", "click", "numpy", "concurrent"])
 def test_cli_import_does_not_load(package):
     assert loaded_after("fecampaign.cli", package) == []
 

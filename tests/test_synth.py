@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from fecampaign.adaptive import SyntheticSampler
 from fecampaign.engine import DurationModel, PilotConfig
+from fecampaign import synth
 from fecampaign.errors import ContractError, ValidationError
 from fecampaign.protocols import AdaptiveConfig, LambdaSchedule
 from fecampaign.synth import (
@@ -22,8 +25,9 @@ from fecampaign.synth import (
     grow_streams,
     named_system,
     named_systems,
-    open_stream,
+    open_streams,
 )
+from fecampaign.synth import _SPLIT_DRAW_SAMPLES, _draw, _generators, _seed_words
 
 
 def sampled_series(curve, noise, lam, n_samples, dt_ps=1.0, seed=0, replica_index=0):
@@ -205,8 +209,7 @@ def test_batched_sampler_bit_identical_to_explicit_loop(label):
 def test_chunked_growth_equals_one_shot_series():
     system = named_system("TYK2 L4-L9")
     level = system.curve.evaluate(0.25)
-    one_shot = open_stream(level, 0.25, 400, seed=3, replicas=3)
-    block = open_stream(level, 0.25, 400, seed=3, replicas=3)
+    one_shot, block = open_streams([level, level], [0.25, 0.25], 400, seed=3, replicas=3)
     drift = drift_curve(system.noise, 400, 1.0)
     grow_streams(system.noise, [one_shot], 400, drift)
     grow_streams(system.noise, [block], 100, drift)
@@ -224,10 +227,8 @@ def test_every_batch_kind_is_bit_identical_to_one_shot_series():
     system = named_system("PTP1B L1-L2")
     drift = drift_curve(system.noise, 600, 1.0)
 
-    def block(lam):
-        return open_stream(system.curve.evaluate(lam), lam, 600, seed=5, replicas=3)
-
-    a, b, c = block(0.25), block(0.5), block(0.75)
+    lams = [0.25, 0.5, 0.75]
+    a, b, c = open_streams([system.curve.evaluate(lam) for lam in lams], lams, 600, seed=5, replicas=3)
     assert a.values.nbytes == 0  # no sample storage before the first growth
     grow_streams(system.noise, [a, b], 200, drift)  # all new: one shared array
     assert a.values.base is b.values.base
@@ -237,6 +238,107 @@ def test_every_batch_kind_is_bit_identical_to_one_shot_series():
         assert blk.values.shape == (3, 600) and blk.fill == fill
         for replica, row in enumerate(blk.values[:, :fill]):
             assert row.tobytes() == oracle_series(system, lam, fill, 5, replica).tobytes()
+
+
+ENTROPY_WORD = st.one_of(st.sampled_from([0, 1, 2**31 - 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+@given(st.lists(st.tuples(ENTROPY_WORD, ENTROPY_WORD, ENTROPY_WORD), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_vectorised_seeding_equals_seed_sequence(rows):
+    entropy = np.array(rows, dtype=np.uint32)
+    words = _seed_words(entropy)
+    for row, got, rng in zip(rows, words, _generators(entropy)):
+        expected = np.random.SeedSequence(list(row)).generate_state(4, np.uint64)
+        assert got.tobytes() == expected.tobytes()
+        draws = np.random.default_rng(list(row)).standard_normal(64)
+        assert rng.standard_normal(64).tobytes() == draws.tobytes()
+
+
+def test_open_streams_refuses_entropy_past_one_word():
+    # SeedSequence would read a seed of 2^32 as two words.
+    with pytest.raises(ContractError, match="below 2"):
+        open_streams([0.0], [0.5], 10, seed=2**32)
+    sampler = SyntheticSampler(named_system("TYK2 L7-L8"), 2**32, 1.0, 10)
+    with pytest.raises(ContractError):
+        sampler.series(0.5, 0, 10)
+    assert sampler._streams == {}
+    open_streams([0.0], [0.5], 10, seed=2**32 - 1)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4, 5])
+def test_split_draws_equal_the_serial_fill(parts):
+    # _draw's part count is set directly, so a single-CPU runner splits too.
+    def drawn(n_parts):
+        rngs = [rng for block in open_streams([0.0, 0.0], [0.0, 0.5], 300, seed=7, replicas=3)
+                for rng in block.rngs]
+        store = np.empty((len(rngs), 300))
+        _draw(rngs, store[:, :120], 0.5, n_parts)  # the first columns of a block's storage
+        _draw(rngs, store[:, 120:], 0.5, n_parts)  # the generators continue
+        return store.tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert drawn(parts) == drawn(1)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def report_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def test_threaded_grow_is_bit_identical_to_one_shot_series(monkeypatch):
+    report_cpus(monkeypatch, 4)
+    monkeypatch.setattr(synth, "_SPLIT_DRAW_SAMPLES", 1)  # every grow splits
+    system = named_system("PTP1B L10-L12")
+    drift = drift_curve(system.noise, 300, 1.0)
+    lams = [0.0, 0.25, 0.5]
+    blocks = open_streams([system.curve.evaluate(lam) for lam in lams], lams, 300, seed=7, replicas=3)
+    grow_streams(system.noise, blocks, 120, drift)  # fresh: drawn into storage
+    grow_streams(system.noise, blocks, 180, drift)  # continuing: scratch block
+    for lam, block in zip(lams, blocks):
+        for replica, row in enumerate(block.values):
+            assert row.tobytes() == oracle_series(system, lam, 300, 7, replica).tobytes()
+
+
+def test_split_draws_reraise_a_worker_failure():
+    class Broken:
+        def standard_normal(self, out):
+            raise FloatingPointError("worker")
+
+    rngs = [rng for block in open_streams([0.0], [0.5], 8, replicas=2) for rng in block.rngs]
+    with pytest.raises(FloatingPointError, match="worker"):
+        _draw(rngs + [Broken()], np.empty((3, 8)), 1.0, 2)
+
+
+@pytest.mark.parametrize("cpus, n_samples, threads", [
+    (4, 2016, 0),  # 65 x 2,016 = 131,040 samples, just below 2^17: serial
+    (4, 2017, 3),  # 131,105 samples: one part per CPU, the first on the calling thread
+    (8, 2017, 3),  # at most four parts
+    (1, 2017, 0),  # one CPU: serial
+])
+def test_grows_split_from_the_threshold(monkeypatch, cpus, n_samples, threads):
+    # 13 windows x 5 replicas, as in a termination run, whose 500-sample grows stay serial.
+    import threading
+
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    report_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    system = named_system("MCL1 L32-L38")
+    lams = [i / 12 for i in range(13)]
+    blocks = open_streams([system.curve.evaluate(lam) for lam in lams], lams, n_samples, seed=1, replicas=5)
+    assert 65 * 2016 < _SPLIT_DRAW_SAMPLES <= 65 * 2017
+    grow_streams(system.noise, blocks, n_samples, drift_curve(system.noise, n_samples, 1.0))
+    assert len(started) == threads
 
 
 def test_sampler_holds_each_sample_once():
