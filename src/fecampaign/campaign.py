@@ -14,7 +14,7 @@ import math
 import zlib
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .adaptive import AdaptiveQuadratureEvaluator, AdaptiveTerminationEvaluator, samples_per_substage
 from .engine import CampaignOutcome, PilotConfig, run_campaign
@@ -44,6 +44,8 @@ TERMINATION_HORIZON_NS = 6.0
 EPSILON_FLOOR = 1e-9
 #: Most sample storage one system run may hold (bytes).
 MAX_SAMPLE_BYTES = 2**30
+#: Most tasks one sweep rung may run: 4x the widest benchmark rung (P=1,024 TIES, 266,240).
+MAX_SWEEP_TASKS = 2**20
 
 
 class CampaignMode(str, Enum):
@@ -266,6 +268,35 @@ class SweepRunResult:
     outcome: CampaignOutcome
 
 
+def _sweep_pipeline(kind: ProtocolKind, pid: str, replicas: int, cores_per_task: int) -> Pipeline:
+    """One protocol of a sweep: the scaling timesteps, without analysis stages."""
+    return compile_protocol(
+        kind, pid, replicas, mode=ScheduleMode.SCALING, include_analysis=False, cores_per_task=cores_per_task
+    )
+
+
+def plan_sweep(
+    kind: str, rungs: Sequence[SweepRung], protocol_kind: ProtocolKind, replicas: int | None = None,
+    cores_per_task: int = 32,
+) -> tuple[int, Pipeline]:
+    """The replicas a sweep's protocols run (by default 25 for ESMACS, 5 for
+    TIES) and its first pipeline, whose tasks every protocol has: the one
+    owner of sweep size rules.  A rung runs ``n_protocols`` times those tasks,
+    at most :data:`MAX_SWEEP_TASKS`, or :class:`ValidationError` names the field.
+    """
+    if replicas is None:
+        replicas = 25 if protocol_kind is ProtocolKind.ESMACS else 5
+    first = _sweep_pipeline(protocol_kind, f"{kind.lower()}-0-p0", replicas, cores_per_task)
+    for i, rung in enumerate(rungs):
+        if rung.n_protocols * first.n_tasks > MAX_SWEEP_TASKS:
+            name = "replicas" if first.n_tasks > MAX_SWEEP_TASKS else f"rungs[{i}].n_protocols"
+            raise ValidationError(
+                f"config.sweep.{name}: rung {i} would run {rung.n_protocols:,} protocols of "
+                f"{first.n_tasks:,} tasks ({replicas:,} replicas), over the {MAX_SWEEP_TASKS:,}-task bound"
+            )
+    return replicas, first
+
+
 def run_sweep(
     kind: str,
     rungs: list[SweepRung],
@@ -278,20 +309,18 @@ def run_sweep(
     """Run a scaling ladder; each rung is an independent campaign.
 
     Each protocol runs the scaling timesteps without analysis stages, with
-    ``replicas`` (by default 25 for ESMACS, 5 for TIES) and, for TIES, 13
-    uniform windows.  ``physical_system`` is accepted and unused: no
-    protocol, task or output depends on it.
+    ``replicas`` (:func:`plan_sweep`) and, for TIES, 13 uniform windows.
+    ``physical_system`` is accepted and unused: no protocol, task or output
+    depends on it.
     """
-    if replicas is None:
-        replicas = 25 if protocol_kind is ProtocolKind.ESMACS else 5
+    cores = pilot_defaults.cores_per_task
+    replicas, first = plan_sweep(kind, rungs, protocol_kind, replicas, cores)
     results = []
     for i, rung in enumerate(rungs):
-        pipelines = [
-            compile_protocol(
-                protocol_kind, f"{kind.lower()}-{i}-p{p}", replicas, mode=ScheduleMode.SCALING,
-                include_analysis=False, cores_per_task=pilot_defaults.cores_per_task,
-            )
-            for p in range(rung.n_protocols)
+        pipelines = [first] if i == 0 else []  # the pipeline plan_sweep sized the rungs by
+        pipelines += [
+            _sweep_pipeline(protocol_kind, f"{kind.lower()}-{i}-p{p}", replicas, cores)
+            for p in range(len(pipelines), rung.n_protocols)
         ]
         pilot = replace(pilot_defaults, total_cores=rung.total_cores)
         outcome = run_campaign(pipelines, pilot, seed=seed + i)

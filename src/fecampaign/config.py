@@ -29,15 +29,7 @@ from .engine import PilotConfig
 from .errors import ValidationError, require_finite
 from .protocols import AdaptiveConfig, LambdaSchedule, ProtocolKind, ScheduleMode
 from .stats import DEFAULT_DISCARD_FRACTION
-from .synth import CurvePreset, GroundTruthCurve, SyntheticSystem
-
-_CURVE_FIELDS = {
-    CurvePreset.CONSTANT: ("value",),
-    CurvePreset.LINEAR: ("intercept", "slope"),
-    CurvePreset.QUADRATIC: (),
-    CurvePreset.GAUSS_BUMP: ("center", "width", "amplitude", "baseline_slope"),
-    CurvePreset.RATIONAL: ("center", "width", "amplitude", "baseline_slope"),
-}
+from .synth import PRESET_PARAMETERS, CurvePreset, GroundTruthCurve, SyntheticSystem
 
 
 @dataclass(frozen=True)
@@ -135,7 +127,7 @@ def _decode(tp, value: Any, path: str):
         names, note = tuple(specs), ""
         if tp is GroundTruthCurve and "preset" in value:
             preset = _decode(CurvePreset, value["preset"], f"{path}.preset")
-            names, note = ("preset", *_CURVE_FIELDS[preset]), f" for preset {preset.value}"
+            names, note = ("preset", *PRESET_PARAMETERS[preset]), f" for preset {preset.value}"
         unknown = set(value) - set(names)
         if unknown:
             raise ValidationError(f"{path}: unknown keys {sorted(unknown)}{note}")
@@ -172,7 +164,7 @@ def _encode(value: Any) -> Any:
     if isinstance(value, LambdaSchedule):
         return list(value.lambdas)
     if isinstance(value, GroundTruthCurve):
-        return {n: _encode(getattr(value, n)) for n in ("preset", *_CURVE_FIELDS[value.preset])}
+        return {n: _encode(getattr(value, n)) for n in ("preset", *PRESET_PARAMETERS[value.preset])}
     if is_dataclass(value):
         return {n: _encode(v) for n in _fields(type(value)) if (v := getattr(value, n)) is not None}
     if isinstance(value, tuple):

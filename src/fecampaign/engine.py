@@ -43,7 +43,8 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
 from operator import itemgetter
@@ -384,6 +385,17 @@ def _validate_plan(plan: StagePlan, pipeline_id: str, stages: Sequence[Stage]) -
             introduced.update(lams)
 
 
+def _split_hits(hits: list[int], slices: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Each slice's failed indices, in one walk over ``hits``: the wave's failed positions, sorted."""
+    split, i, end = [], 0, 0
+    for indices in slices:
+        lo, end = end, end + len(indices)
+        j = bisect_left(hits, end, i)
+        split.append(tuple(indices[h - lo] for h in hits[i:j]))
+        i = j
+    return split
+
+
 def run_campaign(
     pipelines: Sequence[Pipeline],
     pilot: PilotConfig,
@@ -435,9 +447,11 @@ def run_campaign(
     # it visits can stay part-launched.
     ready: list[int] = []
 
-    def fail(message: str, aborted_wave: GenerationSummary | None = None) -> CampaignError:
+    def fail(message: str, aborted: list[_Slice] | None = None) -> CampaignError:
         timeline.end_time_s = clock
-        timeline.aborted_wave = aborted_wave
+        if aborted is not None:  # the wave that aborted, as launched
+            index = len(timeline.generations)
+            timeline.aborted_wave = GenerationSummary(index, clock, tuple(aborted), is_retry_wave)
         return CampaignError(message, timeline=timeline)
 
     def enter_stage(k: int) -> None:
@@ -494,30 +508,27 @@ def run_campaign(
 
         # Launch failures: only generations wider than the launcher cap are
         # at risk, and then every task in the generation rolls the dice.
-        gen = GenerationSummary(len(timeline.generations), clock, tuple(wave), is_retry_wave)
         if width > pilot.concurrency_cap and pilot.failure_probability_over_cap > 0.0:
-            rolls = rng.random(width) < pilot.failure_probability_over_cap
-            ends = np.cumsum([len(s.indices) for s in wave]).tolist()
-            split = [
-                tuple(s.indices[j] for j in np.flatnonzero(rolls[end - len(s.indices):end]).tolist())
-                for s, end in zip(wave, ends)
-            ]
-            if rolls.any() and is_retry_wave:
+            hits = np.flatnonzero(rng.random(width) < pilot.failure_probability_over_cap).tolist()
+            split = _split_hits(hits, [s.indices for s in wave])
+            if hits and is_retry_wave:
                 # The first repeated failure aborts before any failure is logged.
                 s, failed = next((s, f) for s, f in zip(wave, split) if f)
                 task_id = s.stage.task_ids(pipeline_ids[s.pipeline], failed[:1])[0]
-                raise fail(f"task {task_id} failed twice; campaign aborted", gen)
+                raise fail(f"task {task_id} failed twice; campaign aborted", wave)
             for s, failed in zip(wave, split):
                 if failed:
                     s.failed = failed
                     retry_wave.append(_Slice(s.stage, s.pipeline, failed))
-            timeline.n_retries += int(rolls.sum())
+            timeline.n_retries += len(hits)
 
         running = [s for s in wave if len(s.failed) < len(s.indices)]
         run_times = [durations(s.stage) for s in running]
         if not all(0.0 <= d < math.inf for d in run_times):
-            raise fail("duration model returned a negative or non-finite duration", gen)
+            raise fail("duration model returned a negative or non-finite duration", wave)
         window = max(run_times, default=0.0)
+        index = len(timeline.generations)
+        timeline.generations.append(GenerationSummary(index, clock, tuple(wave), is_retry_wave, window))
         for s, d in zip(running, run_times):
             s.end_time_s = clock + d
         # The execution window of a retry generation is relaunch cost, not
@@ -527,7 +538,6 @@ def run_campaign(
         else:
             timeline.primary_exec_s += window
         clock += window
-        timeline.generations.append(replace(gen, exec_window_s=window))
 
         if clock > pilot.walltime_s:
             raise fail(
@@ -544,13 +554,13 @@ def run_campaign(
             if remaining[k]:
                 continue
             pid, stage = pipeline_ids[k], s.stage
-            timeline.marks.append(TimelineEvent(clock, "stage_complete", "", pid, stage.label, gen.index))
+            timeline.marks.append(TimelineEvent(clock, "stage_complete", "", pid, stage.label, index))
             plan = StagePlan.proceed()
             if evaluator is not None:
                 plan = evaluator.on_stage_complete(pipelines[k], stage)
             if plan.kind is PlanKind.TERMINATE:  # the pipeline enters no further stage
                 timeline.marks.append(
-                    TimelineEvent(clock, "pipeline_terminated", "", pid, stage.label, gen.index)
+                    TimelineEvent(clock, "pipeline_terminated", "", pid, stage.label, index)
                 )
                 continue
             if plan.kind is PlanKind.APPEND:

@@ -9,6 +9,9 @@ stationary AR(1) noise:
 
 with ``eta`` i.i.d. normal with standard deviation ``sigma * sqrt(1 - phi^2)``
 so that ``sigma`` is the stationary standard deviation of the noise.
+A curve's preset names the parameters it reads in one table,
+:data:`PRESET_PARAMETERS`: a curve keeps every other parameter at its
+default, and a saved curve holds only its preset's keys.
 Streams are seeded per (campaign seed, rounded lambda, replica index), so a
 window added mid-campaign reproduces the same data no matter when it was
 created.  :func:`open_streams` seeds every new window's generators in one
@@ -68,6 +71,16 @@ class CurvePreset(str, Enum):
     RATIONAL = "RATIONAL"
 
 
+#: The parameters each preset reads; :class:`GroundTruthCurve` rejects any other that leaves its default.
+PRESET_PARAMETERS = {
+    CurvePreset.CONSTANT: ("value",),
+    CurvePreset.LINEAR: ("intercept", "slope"),
+    CurvePreset.QUADRATIC: (),
+    CurvePreset.GAUSS_BUMP: ("center", "width", "amplitude", "baseline_slope"),
+    CurvePreset.RATIONAL: ("center", "width", "amplitude", "baseline_slope"),
+}
+
+
 @dataclass(frozen=True)
 class GroundTruthCurve:
     """A known integrand f(lambda), finite and continuous on [0, 1].
@@ -94,43 +107,14 @@ class GroundTruthCurve:
 
     def __post_init__(self):
         _require_bounded(self, "curve")
+        for f in fields(self)[1:]:
+            if f.name not in PRESET_PARAMETERS[self.preset] and getattr(self, f.name) != f.default:
+                raise ValidationError(f"curve.{f.name} is not read by preset {self.preset.value}")
         if self.preset in (CurvePreset.GAUSS_BUMP, CurvePreset.RATIONAL):
             if not 0.0 <= self.center <= 1.0:
                 raise ValidationError(f"curve.center {self.center} outside [0, 1]")
             if not self.width >= 1.0 / CURVE_LIMIT:
                 raise ValidationError(f"curve.width must be >= {1.0 / CURVE_LIMIT:g}, got {self.width!r}")
-
-    @classmethod
-    def constant(cls, value: float) -> "GroundTruthCurve":
-        return cls(CurvePreset.CONSTANT, value=value)
-
-    @classmethod
-    def linear(cls, intercept: float, slope: float) -> "GroundTruthCurve":
-        return cls(CurvePreset.LINEAR, intercept=intercept, slope=slope)
-
-    @classmethod
-    def quadratic(cls) -> "GroundTruthCurve":
-        return cls(CurvePreset.QUADRATIC)
-
-    @classmethod
-    def gauss_bump(
-        cls, center: float = 0.5, width: float = 0.1, amplitude: float = 1.0,
-        baseline_slope: float = 0.0,
-    ) -> "GroundTruthCurve":
-        return cls(
-            CurvePreset.GAUSS_BUMP, center=center, width=width,
-            amplitude=amplitude, baseline_slope=baseline_slope,
-        )
-
-    @classmethod
-    def rational(
-        cls, center: float = 0.5, width: float = 0.1, amplitude: float = 1.0,
-        baseline_slope: float = 0.0,
-    ) -> "GroundTruthCurve":
-        return cls(
-            CurvePreset.RATIONAL, center=center, width=width,
-            amplitude=amplitude, baseline_slope=baseline_slope,
-        )
 
     def evaluate(self, lam):
         """Evaluate f at a scalar or array of lambda values."""
@@ -360,10 +344,12 @@ def grow_streams(
     When every block is still empty, ``eps`` is the first ``n_new`` columns
     of one new ``(rows x capacity)`` array that the blocks keep as their
     ``values``, and ``level + drift`` is added in place: each sample is
-    written once.  Otherwise ``eps`` is scratch and each block is written
-    back in two calls; a block that is still empty gets its own storage
-    then.  Either way a sample is ``fl(fl(level + drift) + eps)``, as IEEE
-    addition commutes.  ``drift`` must cover every block's capacity.
+    written once; a row of a whole, even number of 64-byte lines gets one
+    more line, so that a time column does not fall on a few L1 sets only.
+    Otherwise ``eps`` is scratch and each block is written back in two
+    calls; a block that is still empty gets its own storage then.  Either
+    way a sample is ``fl(fl(level + drift) + eps)``, as IEEE addition
+    commutes.  ``drift`` must cover every block's capacity.
     """
     import numpy as np
 
@@ -371,6 +357,8 @@ def grow_streams(
     rngs = [rng for block in blocks for rng in block.rngs]
     fresh = all(block.fill == 0 for block in blocks)
     width = max(block.capacity for block in blocks) if fresh else n_new
+    if fresh and width % 16 == 0:
+        width += 8
     store = (np.empty if eta_sd > 0.0 else np.zeros)((len(rngs), width))
     eps = store[:, :n_new]
     if eta_sd > 0.0:
@@ -435,7 +423,8 @@ class SyntheticSystem:
             raise ValidationError("system.label must be a non-empty string")
 
 
-def _named_system_list() -> list[SyntheticSystem]:
+def named_systems() -> dict[str, SyntheticSystem]:
+    """The five bundled benchmark systems, keyed by label."""
     # Labels follow the usual protein/ligand-pair naming so reports read
     # like production output; the parameters are synthetic.  Bump placement
     # covers the cases the refinement loop has to handle: steep features at
@@ -446,48 +435,22 @@ def _named_system_list() -> list[SyntheticSystem]:
     # keep the integrals in a familiar range.  Three systems carry a slow
     # equilibration drift sized so convergence-based early stopping fires
     # at 4.5, 5.0 and 5.5 ns respectively under the default thresholds.
-    return [
-        SyntheticSystem(
-            label="PTP1B L1-L2",
-            curve=GroundTruthCurve.gauss_bump(
-                center=0.0, width=0.035, amplitude=148.29, baseline_slope=-15.0
-            ),
-            noise=NoiseModel(sigma=0.3, ar1_phi=0.85, drift_amplitude=1.56, drift_timescale_ps=300.0),
-        ),
-        SyntheticSystem(
-            label="PTP1B L10-L12",
-            curve=GroundTruthCurve.gauss_bump(
-                center=0.0, width=0.028, amplitude=52.85, baseline_slope=6.0
-            ),
-            noise=NoiseModel(sigma=2.0, ar1_phi=0.8, drift_amplitude=0.0, drift_timescale_ps=200.0),
-        ),
-        SyntheticSystem(
-            label="MCL1 L32-L38",
-            curve=GroundTruthCurve.rational(
-                center=0.54, width=0.035, amplitude=27.41, baseline_slope=-12.0
-            ),
-            noise=NoiseModel(sigma=0.3, ar1_phi=0.85, drift_amplitude=2.156, drift_timescale_ps=300.0),
-        ),
-        SyntheticSystem(
-            label="TYK2 L4-L9",
-            curve=GroundTruthCurve.gauss_bump(
-                center=1.0, width=0.035, amplitude=-148.29, baseline_slope=25.0
-            ),
-            noise=NoiseModel(sigma=0.3, ar1_phi=0.85, drift_amplitude=2.924, drift_timescale_ps=300.0),
-        ),
-        SyntheticSystem(
-            label="TYK2 L7-L8",
-            curve=GroundTruthCurve.rational(
-                center=0.5, width=0.06, amplitude=98.29, baseline_slope=-28.0
-            ),
-            noise=NoiseModel(sigma=2.0, ar1_phi=0.8, drift_amplitude=0.0, drift_timescale_ps=150.0),
-        ),
-    ]
-
-
-def named_systems() -> dict[str, SyntheticSystem]:
-    """The five bundled benchmark systems, keyed by label."""
-    return {s.label: s for s in _named_system_list()}
+    bump, rational = CurvePreset.GAUSS_BUMP, CurvePreset.RATIONAL
+    systems = (
+        # label, preset, (center, width, amplitude, baseline_slope),
+        # (sigma, ar1_phi, drift_amplitude, drift_timescale_ps)
+        ("PTP1B L1-L2", bump, (0.0, 0.035, 148.29, -15.0), (0.3, 0.85, 1.56, 300.0)),
+        ("PTP1B L10-L12", bump, (0.0, 0.028, 52.85, 6.0), (2.0, 0.8, 0.0, 200.0)),
+        ("MCL1 L32-L38", rational, (0.54, 0.035, 27.41, -12.0), (0.3, 0.85, 2.156, 300.0)),
+        ("TYK2 L4-L9", bump, (1.0, 0.035, -148.29, 25.0), (0.3, 0.85, 2.924, 300.0)),
+        ("TYK2 L7-L8", rational, (0.5, 0.06, 98.29, -28.0), (2.0, 0.8, 0.0, 150.0)),
+    )
+    return {
+        label: SyntheticSystem(
+            label, GroundTruthCurve(preset, **dict(zip(PRESET_PARAMETERS[preset], curve))), NoiseModel(*noise)
+        )
+        for label, preset, curve, noise in systems
+    }
 
 
 def named_system(label: str) -> SyntheticSystem:

@@ -27,7 +27,7 @@ from fecampaign.engine import PilotConfig, run_campaign
 from fecampaign.protocols import LambdaSchedule, Pipeline, ProtocolKind, Stage, StageKind
 from fecampaign.quadrature import WindowPoint, trapezoid_integrate
 from fecampaign.reports import VALIDATION_ROWS, validation_csv
-from fecampaign.synth import GroundTruthCurve, analytic_integral, named_systems
+from fecampaign.synth import CurvePreset, GroundTruthCurve, analytic_integral, named_systems
 from timeline_oracle import TaskOutcome, peak_concurrency, task_records
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -89,7 +89,10 @@ def test_criterion_02_trapezoid_oracle():
     for label, system in named_systems().items():
         err = abs(trap65(system.curve) - analytic_integral(system.curve))
         assert err < 1e-3, (label, err)
-    for curve in (GroundTruthCurve.constant(4.2), GroundTruthCurve.linear(-1.0, 3.0)):
+    for curve in (
+        GroundTruthCurve(CurvePreset.CONSTANT, value=4.2),
+        GroundTruthCurve(CurvePreset.LINEAR, intercept=-1.0, slope=3.0),
+    ):
         err = abs(trap65(curve) - analytic_integral(curve))
         assert err <= 1e-12, curve.preset
     elapsed = time.perf_counter() - t0

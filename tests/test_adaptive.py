@@ -22,6 +22,7 @@ from fecampaign.protocols import (
 )
 from fecampaign.synth import (
     ZERO_NOISE,
+    CurvePreset,
     GroundTruthCurve,
     NoiseModel,
     SyntheticSystem,
@@ -72,7 +73,8 @@ def test_samples_per_substage():
 
 def test_sampler_prefixes_are_stable():
     system = SyntheticSystem(
-        "noisy", GroundTruthCurve.linear(1.0, 2.0), NoiseModel(sigma=1.0, ar1_phi=0.5)
+        "noisy", GroundTruthCurve(CurvePreset.LINEAR, intercept=1.0, slope=2.0),
+        NoiseModel(sigma=1.0, ar1_phi=0.5),
     )
     sampler = SyntheticSampler(system, seed=3, dt_ps=1.0, horizon_samples=400)
     short = sampler.series(0.5, 0, 100)
@@ -81,7 +83,7 @@ def test_sampler_prefixes_are_stable():
 
 
 def test_sampler_rejects_requests_past_horizon():
-    sampler = SyntheticSampler(quiet_system(GroundTruthCurve.constant(1.0)), 0, 1.0, 100)
+    sampler = SyntheticSampler(quiet_system(GroundTruthCurve(CurvePreset.CONSTANT, value=1.0)), 0, 1.0, 100)
     with pytest.raises(ContractError):
         sampler.series(0.0, 0, 101)
 
@@ -92,7 +94,8 @@ def test_sampler_rejects_requests_past_horizon():
     ({0.25: 10, 1.5: 10}, 3),  # lambda outside [0, 1]
 ])
 def test_a_rejected_request_list_opens_no_window(lengths, replicas):
-    system = SyntheticSystem("noisy", GroundTruthCurve.constant(1.0), NoiseModel(sigma=1.0))
+    curve = GroundTruthCurve(CurvePreset.CONSTANT, value=1.0)
+    system = SyntheticSystem("noisy", curve, NoiseModel(sigma=1.0))
     sampler = SyntheticSampler(system, 0, 1.0, 100)
     sampler.window_means({0.0: 10}, 3, discard_fraction=0.0)
     before = dict(sampler._streams)
@@ -104,7 +107,7 @@ def test_a_rejected_request_list_opens_no_window(lengths, replicas):
 
 
 def test_window_block_holds_the_replicas_of_its_first_request():
-    sampler = SyntheticSampler(quiet_system(GroundTruthCurve.constant(1.0)), 0, 1.0, 100)
+    sampler = SyntheticSampler(quiet_system(GroundTruthCurve(CurvePreset.CONSTANT, value=1.0)), 0, 1.0, 100)
     sampler.window_means({0.0: 10, 1.0: 10}, 3, discard_fraction=0.0)
     assert sampler.series(0.0, 2, 100).values.shape == (100,)
     sampler.window_means({0.0: 20, 1.0: 20}, 2, discard_fraction=0.0)
@@ -121,7 +124,7 @@ def test_window_block_holds_the_replicas_of_its_first_request():
 
 
 def test_sampler_zero_noise_reproduces_curve():
-    curve = GroundTruthCurve.quadratic()
+    curve = GroundTruthCurve(CurvePreset.QUADRATIC)
     sampler = SyntheticSampler(quiet_system(curve), seed=9, dt_ps=1.0, horizon_samples=50)
     series = sampler.series(0.25, 1, 50)
     assert np.allclose(series.values, curve.evaluate(0.25))
@@ -162,7 +165,7 @@ def test_window_means_match_the_series_path_bit_for_bit(
 
 
 def test_window_means_reject_bad_requests():
-    sampler = SyntheticSampler(quiet_system(GroundTruthCurve.constant(1.0)), 0, 1.0, 100)
+    sampler = SyntheticSampler(quiet_system(GroundTruthCurve(CurvePreset.CONSTANT, value=1.0)), 0, 1.0, 100)
     with pytest.raises(ContractError):
         sampler.window_means({0.0: 10, 1.0: 10}, 2, discard_fraction=1.0)
     with pytest.raises(ContractError):
@@ -170,7 +173,7 @@ def test_window_means_reject_bad_requests():
 
 
 def test_linear_integrand_needs_no_refinement():
-    system = quiet_system(GroundTruthCurve.linear(intercept=-2.0, slope=4.0))
+    system = quiet_system(GroundTruthCurve(CurvePreset.LINEAR, intercept=-2.0, slope=4.0))
     cfg = AdaptiveConfig(error_threshold_epsilon=0.05, **FAST_ADAPTIVE)
     result = run_quadrature(system, cfg)
     assert result.windows == (0.0, 0.5, 1.0)
@@ -180,7 +183,7 @@ def test_linear_integrand_needs_no_refinement():
 
 
 def test_curved_integrand_gains_midpoint_windows():
-    system = quiet_system(GroundTruthCurve.quadratic())
+    system = quiet_system(GroundTruthCurve(CurvePreset.QUADRATIC))
     cfg = AdaptiveConfig(error_threshold_epsilon=0.001, **FAST_ADAPTIVE)
     result = run_quadrature(system, cfg)
     added = set(result.windows) - {0.0, 0.5, 1.0}
@@ -196,13 +199,14 @@ def test_curved_integrand_gains_midpoint_windows():
 def test_evaluator_serves_one_pipeline():
     cfg = AdaptiveConfig(error_threshold_epsilon=0.05, **FAST_ADAPTIVE)
     pipelines = [probe_pipeline(cfg, 2, pid) for pid in ("probe", "other")]
-    evaluator = AdaptiveQuadratureEvaluator(quiet_system(GroundTruthCurve.constant(1.0)), cfg, 5)
+    system = quiet_system(GroundTruthCurve(CurvePreset.CONSTANT, value=1.0))
+    evaluator = AdaptiveQuadratureEvaluator(system, cfg, 5)
     with pytest.raises(ContractError, match="serves pipeline probe, not other"):
         run_campaign(pipelines, PILOT, evaluator=evaluator, seed=5)
 
 
 def test_window_cap_is_respected():
-    system = quiet_system(GroundTruthCurve.quadratic())
+    system = quiet_system(GroundTruthCurve(CurvePreset.QUADRATIC))
     cfg = AdaptiveConfig(
         error_threshold_epsilon=1e-6, max_total_windows=5, **FAST_ADAPTIVE
     )
@@ -212,7 +216,8 @@ def test_window_cap_is_respected():
 
 def test_noisy_estimate_carries_uncertainty():
     system = SyntheticSystem(
-        "noisy", GroundTruthCurve.linear(0.0, 1.0), NoiseModel(sigma=1.5, ar1_phi=0.6)
+        "noisy", GroundTruthCurve(CurvePreset.LINEAR, intercept=0.0, slope=1.0),
+        NoiseModel(sigma=1.5, ar1_phi=0.6),
     )
     cfg = AdaptiveConfig(error_threshold_epsilon=0.5, **FAST_ADAPTIVE)
     result = run_quadrature(system, cfg, seed=21, replicas=3)
@@ -228,7 +233,7 @@ TERM_CFG = dict(
 
 
 def test_flat_system_terminates_at_first_allowed_checkpoint():
-    system = quiet_system(GroundTruthCurve.constant(3.0))
+    system = quiet_system(GroundTruthCurve(CurvePreset.CONSTANT, value=3.0))
     result, outcome = run_termination_probe(system, AdaptiveConfig(**TERM_CFG))
     assert result.terminated_ns == pytest.approx(1.0)
     assert result.simulated_ns == pytest.approx(1.0)
@@ -241,7 +246,7 @@ def test_flat_system_terminates_at_first_allowed_checkpoint():
 def test_drifting_system_terminates_later_on_tau_grid():
     system = SyntheticSystem(
         "drifty",
-        GroundTruthCurve.constant(0.0),
+        GroundTruthCurve(CurvePreset.CONSTANT, value=0.0),
         NoiseModel(sigma=0.0, ar1_phi=0.0, drift_amplitude=2.0, drift_timescale_ps=300.0),
     )
     result, _ = run_termination_probe(system, AdaptiveConfig(**TERM_CFG))
@@ -252,7 +257,7 @@ def test_drifting_system_terminates_later_on_tau_grid():
 
 
 def test_zero_threshold_disables_early_termination():
-    system = quiet_system(GroundTruthCurve.constant(3.0))
+    system = quiet_system(GroundTruthCurve(CurvePreset.CONSTANT, value=3.0))
     cfg = AdaptiveConfig(**{**TERM_CFG, "termination_threshold": 0.0})
     result, outcome = run_termination_probe(system, cfg)
     assert result.terminated_ns is None
@@ -262,7 +267,7 @@ def test_zero_threshold_disables_early_termination():
 
 
 def test_termination_estimate_uses_converged_horizon():
-    system = quiet_system(GroundTruthCurve.linear(2.0, -1.0))
+    system = quiet_system(GroundTruthCurve(CurvePreset.LINEAR, intercept=2.0, slope=-1.0))
     result, _ = run_termination_probe(system, AdaptiveConfig(**TERM_CFG))
     assert result.windows == (0.0, 0.5, 1.0)
     assert result.simulated_ns == pytest.approx(1.0)

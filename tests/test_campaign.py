@@ -6,6 +6,7 @@ from fecampaign import config
 from fecampaign.config import CampaignConfig
 from fecampaign.campaign import (
     EPSILON_FLOOR,
+    MAX_SWEEP_TASKS,
     NONADAPTIVE_WINDOWS,
     REFERENCE_WINDOWS,
     TERMINATION_HORIZON_NS,
@@ -13,6 +14,7 @@ from fecampaign.campaign import (
     SweepRung,
     compare_system,
     data_seed,
+    plan_sweep,
     run_sweep,
     run_system,
     run_termination,
@@ -27,6 +29,7 @@ from fecampaign.protocols import (
 )
 from fecampaign.synth import (
     ZERO_NOISE,
+    CurvePreset,
     GroundTruthCurve,
     NoiseModel,
     SyntheticSystem,
@@ -34,8 +37,8 @@ from fecampaign.synth import (
     named_system,
 )
 
-LINEAR = SyntheticSystem("probe", GroundTruthCurve.linear(1.0, -4.0), ZERO_NOISE)
-CURVED = SyntheticSystem("curved", GroundTruthCurve.quadratic(), ZERO_NOISE)
+LINEAR = SyntheticSystem("probe", GroundTruthCurve(CurvePreset.LINEAR, intercept=1.0, slope=-4.0), ZERO_NOISE)
+CURVED = SyntheticSystem("curved", GroundTruthCurve(CurvePreset.QUADRATIC), ZERO_NOISE)
 
 
 def fast_config(**kw):
@@ -147,6 +150,21 @@ def test_esmacs_sweep_uses_25_replica_protocols():
     )
     (res,) = results
     assert res.outcome.timeline.n_attempts == 2 * 25 * 4
+
+
+def test_sweep_rungs_are_sized_at_the_task_bound():
+    # A TIES protocol runs 4 stages x 13 windows x 5 replicas = 260 tasks.
+    fits = MAX_SWEEP_TASKS // 260
+    replicas, first = plan_sweep("WEAK", [SweepRung(fits, 2_080)], ProtocolKind.TIES)
+    assert (replicas, first.id, first.n_tasks) == (5, "weak-0-p0", 260)
+    assert plan_sweep("WEAK", [SweepRung(2, 1_600)], ProtocolKind.ESMACS)[0] == 25
+    with pytest.raises(ValidationError, match=r"^config\.sweep\.rungs\[1\]\.n_protocols: rung 1 would run"):
+        plan_sweep("WEAK", [SweepRung(fits, 2_080), SweepRung(fits + 1, 2_080)], ProtocolKind.TIES)
+    with pytest.raises(ValidationError, match=r"^config\.sweep\.rungs\[0\]\.n_protocols"):
+        run_sweep("WEAK", [SweepRung(2**40, 2_080)], ProtocolKind.TIES, "demo pair",
+                  PilotConfig(total_cores=2_080), seed=3)
+    with pytest.raises(ValidationError, match=r"^config\.sweep\.replicas: rung 0"):
+        plan_sweep("WEAK", [SweepRung(1, 1_600)], ProtocolKind.ESMACS, replicas=MAX_SWEEP_TASKS // 4 + 1)
 
 
 def test_termination_run_matches_frozen_checkpoints():

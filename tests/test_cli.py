@@ -15,13 +15,14 @@ from fecampaign.errors import ContractError
 from fecampaign.campaign import SweepRung
 from fecampaign.protocols import AdaptiveConfig, ProtocolKind, ScheduleMode
 from fecampaign.reports import validation_csv
-from fecampaign.synth import ZERO_NOISE, GroundTruthCurve, NoiseModel, SyntheticSystem
+from fecampaign.synth import ZERO_NOISE, CurvePreset, GroundTruthCurve, NoiseModel, SyntheticSystem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 NAN, INF = float("nan"), float("inf")
 DELETE = object()  # a test_bad_field_fails_at_load value: remove the key
-QUIET = SyntheticSystem("Quiet Pair", GroundTruthCurve.linear(1.0, 2.0), ZERO_NOISE)
-NOISY = SyntheticSystem("Noisy Pair", GroundTruthCurve.linear(1.0, 2.0), NoiseModel(sigma=1.0, ar1_phi=0.5))
+SLOPE = GroundTruthCurve(CurvePreset.LINEAR, intercept=1.0, slope=2.0)
+QUIET = SyntheticSystem("Quiet Pair", SLOPE, ZERO_NOISE)
+NOISY = SyntheticSystem("Noisy Pair", SLOPE, NoiseModel(sigma=1.0, ar1_phi=0.5))
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -271,7 +272,7 @@ def test_non_finite_noise_is_a_config_error(tmp_path, field):
 
 EXTREME = SyntheticSystem(
     "Extreme Pair",
-    GroundTruthCurve.gauss_bump(center=0.3, amplitude=1e150, baseline_slope=-1e150),
+    GroundTruthCurve(CurvePreset.GAUSS_BUMP, center=0.3, amplitude=1e150, baseline_slope=-1e150),
     NoiseModel(sigma=1e150, ar1_phi=0.999999, drift_amplitude=-1e150),
 )
 
@@ -393,7 +394,7 @@ def test_walltime_exhaustion_maps_to_exit_3(tmp_path):
     assert "campaign_end" not in events
 
 
-SETTLED = SyntheticSystem("Settled Pair", GroundTruthCurve.constant(2.0), ZERO_NOISE)
+SETTLED = SyntheticSystem("Settled Pair", GroundTruthCurve(CurvePreset.CONSTANT, value=2.0), ZERO_NOISE)
 WEAK_PLAN = SweepPlan(
     kind="WEAK", protocol_kind=ProtocolKind.TIES, physical_system="demo pair",
     rungs=(SweepRung(2, 4_160),),
@@ -494,6 +495,9 @@ def test_broken_contract_is_an_internal_fault(tmp_path, monkeypatch):
         # an integer past 64 bits once overflowed a float when the run was planned
         (("replicas_per_window",), 10**400, "config.replicas_per_window must be a 64-bit integer"),
         (("pilot", "total_cores"), 2**63, "config.pilot.total_cores must be a 64-bit integer"),
+        # a rung past the task bound, sized before the sweep builds a pipeline
+        (("sweep", "rungs", 0, "n_protocols"), 2**40, "config.sweep.rungs[0].n_protocols: rung 0 would run"),
+        (("sweep", "replicas"), 2**40, "config.sweep.replicas: rung 0 would run 2 protocols"),
     ],
 )
 def test_bad_field_fails_at_load(tmp_path, keys, value, message):
@@ -541,7 +545,7 @@ def test_sweep_writes_ladder_csv(tmp_path):
 
 
 def test_term_report_outputs(tmp_path):
-    constant = SyntheticSystem("Settled Pair", GroundTruthCurve.constant(2.0), ZERO_NOISE)
+    constant = SyntheticSystem("Settled Pair", GroundTruthCurve(CurvePreset.CONSTANT, value=2.0), ZERO_NOISE)
     cfg_path = write_config(tmp_path, systems=(constant,), adaptive=AdaptiveConfig())
     result = invoke("term-report", "--config", cfg_path)
     assert result.exit_code == 0, result.output

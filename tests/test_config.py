@@ -25,7 +25,15 @@ from fecampaign.protocols import (
     ProtocolKind,
     ScheduleMode,
 )
-from fecampaign.synth import GroundTruthCurve, NoiseModel, SyntheticSystem, named_systems
+from fecampaign.synth import (
+    CURVE_LIMIT,
+    PRESET_PARAMETERS,
+    CurvePreset,
+    GroundTruthCurve,
+    NoiseModel,
+    SyntheticSystem,
+    named_systems,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -34,11 +42,12 @@ def full_config():
     systems = tuple(
         SyntheticSystem(label, curve, NoiseModel(sigma=0.4, ar1_phi=0.5))
         for label, curve in [
-            ("c", GroundTruthCurve.constant(2.0)),
-            ("l", GroundTruthCurve.linear(1.0, -1.0)),
-            ("q", GroundTruthCurve.quadratic()),
-            ("g", GroundTruthCurve.gauss_bump(0.3, 0.05, 10.0, 1.0)),
-            ("r", GroundTruthCurve.rational(0.7, 0.1, -5.0, 0.0)),
+            ("c", GroundTruthCurve(CurvePreset.CONSTANT, value=2.0)),
+            ("l", GroundTruthCurve(CurvePreset.LINEAR, intercept=1.0, slope=-1.0)),
+            ("q", GroundTruthCurve(CurvePreset.QUADRATIC)),
+            ("g", GroundTruthCurve(CurvePreset.GAUSS_BUMP, center=0.3, width=0.05, amplitude=10.0,
+                                   baseline_slope=1.0)),
+            ("r", GroundTruthCurve(CurvePreset.RATIONAL, center=0.7, width=0.1, amplitude=-5.0)),
         ]
     )
     sweep = SweepPlan(
@@ -81,22 +90,14 @@ def test_saved_config_is_byte_stable(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
-
-curve_st = st.one_of(
-    st.builds(GroundTruthCurve.constant, finite),
-    st.builds(GroundTruthCurve.linear, finite, finite),
-    st.just(GroundTruthCurve.quadratic()),
-    st.builds(
-        GroundTruthCurve.gauss_bump,
-        center=st.floats(0.0, 1.0), width=st.floats(0.01, 0.5),
-        amplitude=finite, baseline_slope=finite,
-    ),
-    st.builds(
-        GroundTruthCurve.rational,
-        center=st.floats(0.0, 1.0), width=st.floats(0.01, 0.5),
-        amplitude=finite, baseline_slope=finite,
-    ),
+#: In-bound values of each curve parameter; a curve draws those its preset reads.
+PARAMETER_ST = {"center": st.floats(0.0, 1.0), "width": st.floats(1.0 / CURVE_LIMIT, CURVE_LIMIT)}
+curve_st = st.sampled_from(CurvePreset).flatmap(
+    lambda preset: st.builds(
+        GroundTruthCurve, st.just(preset),
+        **{name: PARAMETER_ST.get(name, st.floats(-CURVE_LIMIT, CURVE_LIMIT))
+           for name in PRESET_PARAMETERS[preset]},
+    )
 )
 
 system_st = st.builds(
@@ -137,7 +138,8 @@ config_st = st.builds(
 
 @given(config_st)
 def test_round_trip_identity_property(cfg):
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    # every preset, with each parameter it reads anywhere within its bounds
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 def test_sweep_plan_validation():
@@ -269,7 +271,7 @@ def test_direct_construction_names_the_field():
     with pytest.raises(ValidationError, match=r"^pilot\.total_cores must fit"):
         PilotConfig(total_cores=16)
     with pytest.raises(ValidationError, match=r"^system\.label must be a non-empty string"):
-        SyntheticSystem("", GroundTruthCurve.quadratic())
+        SyntheticSystem("", GroundTruthCurve(CurvePreset.QUADRATIC))
     with pytest.raises(ValidationError, match=r"^rung\.n_protocols must be >= 1"):
         SweepRung(0, 64)
     with pytest.raises(ValidationError, match=r"^sweep\.replicas must be >= 1"):

@@ -2,6 +2,7 @@ import gc
 import math
 import weakref
 
+import numpy as np
 import pytest
 from marks import mark_labels
 from timeline_oracle import TaskOutcome, csv_bytes, oracle_events, peak_concurrency, task_records
@@ -15,6 +16,7 @@ from fecampaign.engine import (
     StagePlan,
     measure_overheads,
     overhead_row,
+    _split_hits,
     run_campaign,
     slots,
     write_overhead_csv,
@@ -177,6 +179,38 @@ def test_failed_tasks_retry_exactly_once():
     retry_waves = [g for g in tl.generations if g.is_retry]
     assert len(retry_waves) == 1
     assert retry_waves[0].width == tl.n_retries
+
+
+def _per_slice_split(slices, rolls):
+    """The split the engine made before its one walk: a scan of each slice's
+    own run of rolls, kept as the oracle for ``_split_hits``."""
+    ends = np.cumsum([len(indices) for indices in slices]).tolist()
+    return [
+        tuple(indices[j] for j in np.flatnonzero(rolls[end - len(indices):end]).tolist())
+        for indices, end in zip(slices, ends)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_one_walk_splits_hits_as_the_per_slice_scan(seed):
+    rng = np.random.default_rng(seed)
+    slices = []
+    for _ in range(int(rng.integers(1, 8))):
+        size, lo = int(rng.integers(1, 40)), int(rng.integers(0, 100))
+        if rng.random() < 0.5:  # a first attempt launches a range, a retry a tuple
+            slices.append(range(lo, lo + size))
+        else:
+            slices.append(tuple(sorted(rng.choice(1_000, size, replace=False).tolist())))
+    width = sum(len(indices) for indices in slices)
+    ends = np.cumsum([len(indices) for indices in slices])
+    on_boundaries = np.zeros(width, bool)
+    on_boundaries[ends - 1] = on_boundaries[ends[:-1]] = on_boundaries[0] = True
+    for rolls in (
+        np.zeros(width, bool), np.ones(width, bool), on_boundaries,
+        rng.random(width) < 0.1, rng.random(width) < 0.5,
+    ):
+        hits = np.flatnonzero(rolls).tolist()
+        assert _split_hits(hits, slices) == _per_slice_split(slices, rolls)
 
 
 def _scaling_ties(pipeline_id, replicas=5):

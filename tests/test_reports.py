@@ -28,9 +28,9 @@ from fecampaign.reports import (
     termination_csv,
     validation_csv,
 )
-from fecampaign.synth import ZERO_NOISE, GroundTruthCurve, SyntheticSystem
+from fecampaign.synth import ZERO_NOISE, CurvePreset, GroundTruthCurve, SyntheticSystem
 
-SYSTEM = SyntheticSystem("PTP1B L1-L2", GroundTruthCurve.constant(0.0), ZERO_NOISE)
+SYSTEM = SyntheticSystem("PTP1B L1-L2", GroundTruthCurve(CurvePreset.CONSTANT, value=0.0), ZERO_NOISE)
 
 
 def stub_run(mode, delta_g, stderr, n_windows):

@@ -7,7 +7,7 @@ from fecampaign.adaptive import SyntheticSampler, converged
 from fecampaign.errors import ContractError
 from fecampaign.quadrature import integrate_with_error
 from fecampaign.stats import DuDlSeries, window_points
-from fecampaign.synth import GroundTruthCurve, NoiseModel, SyntheticSystem
+from fecampaign.synth import CurvePreset, GroundTruthCurve, NoiseModel, SyntheticSystem
 
 
 def series(values, lam=0.5, replica=0, dt_ps=1.0):
@@ -47,7 +47,7 @@ def test_truncation_rejects_overrun_and_nonpositive():
 def test_replica_means_discard_burn_in():
     # A decaying drift and no noise: the first 10% of each series sits highest.
     system = SyntheticSystem(
-        "drift", GroundTruthCurve.constant(2.0),
+        "drift", GroundTruthCurve(CurvePreset.CONSTANT, value=2.0),
         NoiseModel(sigma=0.0, ar1_phi=0.0, drift_amplitude=5.0, drift_timescale_ps=20.0),
     )
     sampler = SyntheticSampler(system, seed=1, dt_ps=1.0, horizon_samples=100)

@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fecampaign.errors import ContractError, ValidationError
 from fecampaign.protocols import AdaptiveConfig, LambdaSchedule
 from fecampaign.synth import (
     CURVE_LIMIT,
+    PRESET_PARAMETERS,
     CurvePreset,
     GroundTruthCurve,
     NoiseModel,
@@ -37,14 +39,14 @@ def sampled_series(curve, noise, lam, n_samples, dt_ps=1.0, seed=0, replica_inde
 
 
 def test_linear_curve_evaluate_and_integral():
-    curve = GroundTruthCurve.linear(intercept=2.0, slope=-4.0)
+    curve = GroundTruthCurve(CurvePreset.LINEAR, intercept=2.0, slope=-4.0)
     assert curve.evaluate(0.25) == pytest.approx(1.0)
     assert analytic_integral(curve) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_constant_and_quadratic_integrals():
-    assert analytic_integral(GroundTruthCurve.constant(7.5)) == 7.5
-    assert analytic_integral(GroundTruthCurve.quadratic()) == pytest.approx(1.0 / 3.0)
+    assert analytic_integral(GroundTruthCurve(CurvePreset.CONSTANT, value=7.5)) == 7.5
+    assert analytic_integral(GroundTruthCurve(CurvePreset.QUADRATIC)) == pytest.approx(1.0 / 3.0)
 
 
 @given(
@@ -55,8 +57,8 @@ def test_constant_and_quadratic_integrals():
 )
 @settings(max_examples=30)
 def test_bump_integrals_match_closed_forms(center, width, amplitude, slope):
-    for ctor in (GroundTruthCurve.gauss_bump, GroundTruthCurve.rational):
-        curve = ctor(center=center, width=width, amplitude=amplitude, baseline_slope=slope)
+    for preset in (CurvePreset.GAUSS_BUMP, CurvePreset.RATIONAL):
+        curve = GroundTruthCurve(preset, center=center, width=width, amplitude=amplitude, baseline_slope=slope)
         # Oracle: a dense composite trapezoid, independent of the closed forms.
         grid = np.linspace(0.0, 1.0, 100_000)
         dense = float(np.trapezoid(curve.evaluate(grid), grid))
@@ -65,9 +67,20 @@ def test_bump_integrals_match_closed_forms(center, width, amplitude, slope):
 
 def test_curve_validation():
     with pytest.raises(ValidationError):
-        GroundTruthCurve.gauss_bump(center=1.2)
+        GroundTruthCurve(CurvePreset.GAUSS_BUMP, center=1.2)
     with pytest.raises(ValidationError):
-        GroundTruthCurve.rational(width=0.0)
+        GroundTruthCurve(CurvePreset.RATIONAL, width=0.0)
+
+
+def test_a_parameter_the_preset_does_not_read_is_rejected():
+    with pytest.raises(ValidationError, match=r"^curve\.slope is not read by preset CONSTANT"):
+        GroundTruthCurve(CurvePreset.CONSTANT, value=1.0, slope=2.0)
+    for preset, read in PRESET_PARAMETERS.items():
+        for f in fields(GroundTruthCurve)[1:]:
+            if f.name not in read:
+                with pytest.raises(ValidationError, match=rf"^curve\.{f.name} is not read"):
+                    GroundTruthCurve(preset, **{f.name: f.default + 0.25})
+                GroundTruthCurve(preset, **{f.name: f.default})
 
 
 @pytest.mark.parametrize(
@@ -90,7 +103,9 @@ def test_curve_that_can_overflow_is_rejected(kwargs, field):
 def test_curve_at_the_limits_evaluates_without_overflow(preset, width, sign):
     big = sign * CURVE_LIMIT
     for center in (0.0, 0.5, 1.0):
-        curve = GroundTruthCurve(preset, big, big, big, center, width, big, big)
+        limits = dict(value=big, intercept=big, slope=big, center=center, width=width, amplitude=big,
+                      baseline_slope=big)
+        curve = GroundTruthCurve(preset, **{name: limits[name] for name in PRESET_PARAMETERS[preset]})
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             values = curve.evaluate(np.linspace(0.0, 1.0, 1001))
         assert np.isfinite(values).all()
@@ -114,7 +129,7 @@ NON_FINITE_OWNERS = {
     "duration.analysis_seconds": lambda v: DurationModel(analysis_seconds=v),
     "adaptive.termination_threshold": lambda v: AdaptiveConfig(termination_threshold=v),
     "adaptive.termination_tau_ns": lambda v: AdaptiveConfig(termination_tau_ns=v),
-    "curve.intercept": lambda v: GroundTruthCurve.linear(v, 1.0),
+    "curve.intercept": lambda v: GroundTruthCurve(CurvePreset.LINEAR, intercept=v, slope=1.0),
     "lambda_schedule[1]": lambda v: LambdaSchedule((0.0, v, 1.0)),
 }
 
@@ -341,6 +356,25 @@ def test_grows_split_from_the_threshold(monkeypatch, cpus, n_samples, threads):
     assert len(started) == threads
 
 
+def test_fresh_rows_are_an_odd_number_of_cache_lines_long():
+    # The dense reference shape: 65 windows x 5 replicas x 4,000 samples, a
+    # 500-line row, gets one more line.  A 4,001-sample row is not a whole
+    # number of lines and keeps its width; the first 4,000 samples agree.
+    system = named_system("PTP1B L1-L2")
+    lams = np.linspace(0.0, 1.0, 65)
+    levels = [system.curve.evaluate(lam) for lam in lams]
+    drift = drift_curve(system.noise, 4001, 1.0)
+    padded = open_streams(levels, lams, 4000, seed=1, replicas=5)
+    unpadded = open_streams(levels, lams, 4001, seed=1, replicas=5)
+    grow_streams(system.noise, padded, 4000, drift)
+    grow_streams(system.noise, unpadded, 4000, drift)
+    assert padded[0].values.strides[0] == 501 * 64
+    assert unpadded[0].values.strides[0] == 4001 * 8
+    for a, b in zip(padded, unpadded):
+        assert a.values.shape == (5, 4000)
+        assert a.values.tobytes() == b.values[:, :4000].tobytes()
+
+
 def test_sampler_holds_each_sample_once():
     # The dense reference ensemble: 65 uniform windows x 5 replicas x 4,000
     # samples, 10.4 MB of stored samples.  Drawing them through a scratch
@@ -382,13 +416,13 @@ def test_sampler_series_are_read_only_views():
 
 
 def test_zero_noise_series_is_pure_ground_truth():
-    curve = GroundTruthCurve.linear(1.0, 1.0)
+    curve = GroundTruthCurve(CurvePreset.LINEAR, intercept=1.0, slope=1.0)
     s = sampled_series(curve, NoiseModel(), 0.5, 50)
     assert np.allclose(s.values, 1.5)
 
 
 def test_drift_decays_with_configured_timescale():
-    curve = GroundTruthCurve.constant(0.0)
+    curve = GroundTruthCurve(CurvePreset.CONSTANT, value=0.0)
     noise = NoiseModel(drift_amplitude=2.0, drift_timescale_ps=100.0)
     s = sampled_series(curve, noise, 0.0, 400, dt_ps=1.0, seed=0)
     expected = 2.0 * np.exp(-np.arange(400) / 100.0)
@@ -396,14 +430,14 @@ def test_drift_decays_with_configured_timescale():
 
 
 def test_ar1_stationary_sd_is_sigma():
-    curve = GroundTruthCurve.constant(0.0)
+    curve = GroundTruthCurve(CurvePreset.CONSTANT, value=0.0)
     noise = NoiseModel(sigma=2.0, ar1_phi=0.8)
     s = sampled_series(curve, noise, 0.5, 200_000, seed=5)
     assert float(np.std(s.values[1000:])) == pytest.approx(2.0, rel=0.02)
 
 
 def test_series_contract_checks():
-    curve = GroundTruthCurve.constant(0.0)
+    curve = GroundTruthCurve(CurvePreset.CONSTANT, value=0.0)
     with pytest.raises(ContractError):
         sampled_series(curve, NoiseModel(), 1.5, 10)
     with pytest.raises(ContractError):

@@ -41,7 +41,7 @@ from fecampaign.protocols import (
     Stage,
     StageKind,
 )
-from fecampaign.synth import ZERO_NOISE, GroundTruthCurve, SyntheticSystem
+from fecampaign.synth import ZERO_NOISE, CurvePreset, GroundTruthCurve, SyntheticSystem
 from timeline_oracle import csv_bytes, oracle_events, task_records
 
 
@@ -78,7 +78,7 @@ def retry_wave():
 
 
 def adaptive_termination():
-    settled = SyntheticSystem("Settled Pair", GroundTruthCurve.constant(2.0), ZERO_NOISE)
+    settled = SyntheticSystem("Settled Pair", GroundTruthCurve(CurvePreset.CONSTANT, value=2.0), ZERO_NOISE)
     cfg = CampaignConfig(seed=5, replicas_per_window=2, schedule_mode=ScheduleMode.SCALING)
     return run_system(settled, CampaignMode.ADAPTIVE_TERMINATION, cfg).outcome.timeline
 
