@@ -1,31 +1,29 @@
 """Evaluator hooks: the one path from synthetic samples to a free energy.
 
-Every campaign mode attaches one of these evaluators to its one
-pipeline; an evaluator serves that pipeline only and, once production
-ends, holds the run's result itself.  Both consume synthetic dU/dlambda
-data: in simulated mode the engine only schedules tasks, so the data a
-production stage "produced" is read here from a
-:class:`SyntheticSampler`, deterministically from (campaign seed, window,
-replica).  It reduces every window, once per production stage, to a
-``(windows x replicas)`` matrix of post-burn-in replica means and that
-matrix to one list of window points; they serve the checkpoint or
-refinement decision and the estimate the evaluator records when
-production ends, whose one error bar is the window SEMs propagated
-through the trapezoid.
+Every campaign mode attaches one evaluator to its one pipeline; it serves
+that pipeline only and, once production ends, holds the run's result
+itself.  It consumes synthetic dU/dlambda data: in simulated mode the
+engine only schedules tasks, so the data a production stage "produced" is
+read here from a :class:`SyntheticSampler`, deterministically from
+(campaign seed, window, replica).  After each production sub-stage it
+reduces every window, once, to a ``(windows x replicas)`` matrix of
+post-burn-in replica means and that matrix to one list of window points;
+they serve its stop rule and the estimate it records when production
+ends, whose one error bar is the window SEMs propagated through the
+trapezoid.  One body, :meth:`AdaptiveQuadratureEvaluator.on_stage_complete`,
+holds both stop rules:
 
-* :class:`AdaptiveQuadratureEvaluator` splits production into sub-stages;
-  after each one but the last it re-estimates every window, scores the
-  per-interval integration error against the budget ``epsilon / N`` and
-  appends equilibration + production stages for the proposed midpoint
-  windows.  With one sub-stage as long as a static production stage it
-  estimates a fixed schedule: it records the estimate when production
-  ends and never refines.
-* :class:`AdaptiveTerminationEvaluator` re-integrates at the end of every
-  production sub-stage, a checkpoint whose spacing
-  :func:`fecampaign.campaign.plan_run` sets, and terminates the pipeline
-  once the checkpoint estimates are :func:`converged`: at least
-  ``min_checkpoints_before_termination`` of them, the last two within the
-  termination threshold.
+* refine (:class:`AdaptiveQuadratureEvaluator`): after each sub-stage but
+  the last, score the per-interval integration error against the budget
+  ``epsilon / N`` and append equilibration + production stages for the
+  proposed midpoint windows.  One sub-stage as long as a static production
+  stage estimates a fixed schedule once and never refines;
+* checkpoint (:class:`AdaptiveTerminationEvaluator`, ``checkpoints`` on):
+  integrate at the end of every sub-stage, whose spacing
+  :func:`fecampaign.campaign.plan_run` sets, add no window, and terminate
+  the pipeline once the checkpoint estimates are :func:`converged`: at
+  least ``min_checkpoints_before_termination`` of them, the last two within
+  the termination threshold.
 
 The replica-mean matrix is the only way to a free energy;
 :meth:`SyntheticSampler.series` reads one replica's samples as a
@@ -180,16 +178,19 @@ def _equilibration_chain(pipeline: Pipeline, stage: Stage, cycle: int, lams) -> 
     ]
 
 
-class _SyntheticEvaluator:
-    """Settings, sampler and run record shared by the two evaluators.
+class AdaptiveQuadratureEvaluator:
+    """Grows the lambda-window set where the integration error concentrates.
 
-    An evaluator serves the one pipeline it is first handed.  Once
-    production ends it holds the run's ``estimate`` (``None`` until then),
-    ``windows`` and ``simulated_ns``; only an early stop sets
-    ``terminated_ns``.  Replica count and cores come from the production
-    stage that just completed: appended stages repeat them and the sampler
-    reads that many replicas per window.
+    It serves the one pipeline it is first handed.  Once production ends it
+    holds the run's ``estimate`` (``None`` until then), ``windows`` and
+    ``simulated_ns``; only an early stop sets ``terminated_ns``.  Replica
+    count and cores come from the production stage that just completed:
+    appended stages repeat them and the sampler reads that many replicas per
+    window.
     """
+
+    #: Checkpoint every sub-stage and stop once :func:`converged`, in place of refining.
+    checkpoints = False
 
     def __init__(
         self,
@@ -200,23 +201,18 @@ class _SyntheticEvaluator:
         discard_fraction: float = DEFAULT_DISCARD_FRACTION,
     ):
         self.adaptive = adaptive
-        self.dt_ps = dt_ps
         self.discard_fraction = discard_fraction
         self._spc = samples_per_substage(adaptive.substage_timesteps, dt_ps)
-        self.horizon_samples = adaptive.production_substages * self._spc
-        self.sampler = SyntheticSampler(system, seed, dt_ps, self.horizon_samples)
+        self._substage_ns = self._spc * dt_ps / 1000.0
+        self.sampler = SyntheticSampler(system, seed, dt_ps, adaptive.production_substages * self._spc)
         self._pipeline_id: str | None = None
         self.estimate: FreeEnergyEstimate | None = None
         self.windows: tuple[float, ...] = ()
         self.simulated_ns = 0.0
         self.terminated_ns: float | None = None
         self.checkpoint_values: list[float] = []
-
-    def _serve(self, pipeline: Pipeline) -> None:
-        """Bind to the first pipeline handed in; refuse any other."""
-        if self._pipeline_id not in (None, pipeline.id):
-            raise ContractError(f"evaluator serves pipeline {self._pipeline_id}, not {pipeline.id}")
-        self._pipeline_id = pipeline.id
+        #: production sub-stages each window has sampled so far
+        self.substages_by_window: dict[float, int] = {}
 
     def _record(self, points, simulated_ns: float) -> None:
         """Record the run's estimate from its final window points."""
@@ -224,82 +220,51 @@ class _SyntheticEvaluator:
         self.windows = tuple(p.lam for p in points)
         self.simulated_ns = simulated_ns
 
-    def _production_stage(self, stage: Stage, index: int, lams) -> Stage:
-        """Production sub-stage ``index``, labelled after ``stage``: ``S4.k`` -> ``S4.<index>``."""
-        return Stage(
-            f"{stage.label.split('.')[0]}.{index}", StageKind.PRODUCTION,
-            self.adaptive.substage_timesteps, stage.width, lams, stage.cores,
-        )
-
-
-class AdaptiveQuadratureEvaluator(_SyntheticEvaluator):
-    """Grows the lambda-window set where the integration error concentrates.
-
-    With a single production sub-stage it never grows it: it estimates a
-    fixed schedule once, when production ends.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        #: production sub-stages each window has sampled so far
-        self.substages_by_window: dict[float, int] = {}
-
     def on_stage_complete(self, pipeline: Pipeline, stage: Stage) -> StagePlan:
-        self._serve(pipeline)
+        if self._pipeline_id not in (None, pipeline.id):
+            raise ContractError(f"evaluator serves pipeline {self._pipeline_id}, not {pipeline.id}")
+        self._pipeline_id = pipeline.id
         if stage.kind is not StageKind.PRODUCTION:
             return StagePlan.proceed()
         counts = self.substages_by_window
         for lam in sorted(stage.lambdas):
             counts[lam] = counts.get(lam, 0) + 1
         cycle = max(counts.values())  # the initial windows sample every sub-stage
+        # Only the samples up to this sub-stage are generated.
         lengths = {lam: n * self._spc for lam, n in counts.items()}
         points = window_points(*self.sampler.window_means(lengths, stage.width, self.discard_fraction))
+        time_ns = cycle * self._substage_ns
 
-        if cycle < self.adaptive.production_substages:
-            new_lams = propose_refinements(
-                points,
-                self.adaptive.error_threshold_epsilon,
-                max_total_windows=self.adaptive.max_total_windows,
-            )
-            stages = _equilibration_chain(pipeline, stage, cycle + 1, new_lams) if new_lams else []
-            all_lams = sorted(set(counts) | set(new_lams))
-            stages.append(self._production_stage(stage, cycle + 1, all_lams))
-            return StagePlan.append(stages)
-
-        # Final sub-stage: integrate and record the run's estimate.
-        self._record(points, cycle * self._spc * self.dt_ps / 1000.0)
-        return StagePlan.proceed()
-
-
-class AdaptiveTerminationEvaluator(_SyntheticEvaluator):
-    """Stops production once consecutive checkpoint estimates agree.
-
-    A zero termination threshold disables early termination (the
-    convergence test is never consulted), so the run always covers the
-    full horizon.
-    """
-
-    def on_stage_complete(self, pipeline: Pipeline, stage: Stage) -> StagePlan:
-        self._serve(pipeline)
-        if stage.kind is not StageKind.PRODUCTION:
-            return StagePlan.proceed()
-        values = self.checkpoint_values
-        k = len(values) + 1
-        lams = sorted(stage.lambdas)
-        # Only the samples up to this checkpoint are generated.
-        lengths = {lam: k * self._spc for lam in lams}
-        points = window_points(*self.sampler.window_means(lengths, stage.width, self.discard_fraction))
-        values.append(trapezoid_integrate(points))
-        time_ns = k * (self._spc * self.dt_ps / 1000.0)
-
-        threshold = self.adaptive.termination_threshold
-        if threshold > 0.0 and converged(
-            values, threshold, self.adaptive.min_checkpoints_before_termination
-        ):
+        adaptive = self.adaptive
+        if self.checkpoints:
+            self.checkpoint_values.append(trapezoid_integrate(points))
+            # A zero threshold disables early termination: the run covers the full horizon.
+            threshold = adaptive.termination_threshold
+            if threshold > 0.0 and converged(
+                self.checkpoint_values, threshold, adaptive.min_checkpoints_before_termination
+            ):
+                self._record(points, time_ns)
+                self.terminated_ns = time_ns
+                return StagePlan.terminate()
+        if cycle >= adaptive.production_substages:
             self._record(points, time_ns)
-            self.terminated_ns = time_ns
-            return StagePlan.terminate()
-        if k < self.adaptive.production_substages:
-            return StagePlan.append([self._production_stage(stage, k + 1, lams)])
-        self._record(points, time_ns)
-        return StagePlan.proceed()
+            return StagePlan.proceed()
+        new_lams = [] if self.checkpoints else propose_refinements(
+            points, adaptive.error_threshold_epsilon, max_total_windows=adaptive.max_total_windows
+        )
+        stages = _equilibration_chain(pipeline, stage, cycle + 1, new_lams) if new_lams else []
+        stages.append(Stage(  # S4.k -> S4.<k+1>
+            f"{stage.label.split('.')[0]}.{cycle + 1}", StageKind.PRODUCTION, adaptive.substage_timesteps,
+            stage.width, sorted(set(counts) | set(new_lams)), stage.cores,
+        ))
+        return StagePlan.append(stages)
+
+
+class AdaptiveTerminationEvaluator(AdaptiveQuadratureEvaluator):
+    """The same evaluator with checkpoints on: it stops production once
+    consecutive checkpoint estimates agree, and never adds a window."""
+
+    checkpoints = True
+    # perfbench/tracer.py patches ``on_stage_complete`` in each evaluator class's
+    # own ``__dict__``, and tests/test_benchmark_surface.py checks that it can.
+    on_stage_complete = AdaptiveQuadratureEvaluator.on_stage_complete

@@ -158,10 +158,10 @@ def run_system(
 ) -> SystemRunResult:
     """Run one system through the engine in the given mode.
 
-    Every mode attaches an evaluator to the run's one pipeline, and the
-    result is read from what it holds once production ends: termination runs
-    use :class:`AdaptiveTerminationEvaluator`, all others
-    :class:`AdaptiveQuadratureEvaluator`.
+    Every mode attaches the one evaluator to the run's one pipeline and reads
+    the result from what it holds once production ends.  Termination runs turn
+    its checkpoints on (:class:`AdaptiveTerminationEvaluator`); the others
+    refine or, on a fixed schedule, estimate once (:class:`AdaptiveQuadratureEvaluator`).
     """
     pipeline, adaptive = plan_run(system, mode, config)
     seed = data_seed(config.seed, system.label, mode)

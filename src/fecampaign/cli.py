@@ -7,7 +7,8 @@ campaign failures and unexpected errors, a broken internal contract
 (``ContractError``) among them; nothing else.  On a campaign failure every
 command still writes the partial timeline of the campaign that failed:
 ``run``, ``compare`` and ``term-report`` to ``<slug>_<mode>_timeline.csv``,
-``sweep`` to ``sweep_<kind>_failed_timeline.csv``.
+``sweep`` to ``sweep_<kind>_failed_timeline.csv``.  The other three rewrite
+their CSVs after each system, so those keep the systems that finished.
 """
 
 from __future__ import annotations
@@ -136,11 +137,11 @@ def run(args: argparse.Namespace) -> None:
         )
         write_timeline_csv(res.outcome.timeline, out_dir / f"{label}_timeline.csv")
         results.append(res)
+        _write_overheads(results, cfg.pilot.total_cores, out_dir)
         print(
             f"{system.label}: dG={res.estimate.delta_g:.4f} ({res.estimate.stderr:.4f}) "
             f"windows={res.n_windows} simulated={res.simulated_ns:.1f} ns"
         )
-    _write_overheads(results, cfg.pilot.total_cores, out_dir)
     print(f"wrote {len(cfg.systems)} result file(s) to {out_dir}")
 
 
@@ -171,12 +172,14 @@ def compare(args: argparse.Namespace) -> None:
     """Reference vs uniform vs adaptive quadrature for every system."""
     modes = (CampaignMode.REFERENCE, CampaignMode.NONADAPTIVE, CampaignMode.ADAPTIVE_QUADRATURE)
     cfg, out_dir = _load(args, lambda cfg: _require_runs(cfg, *modes))
-    with _partial_timeline(out_dir):
-        comparisons = [compare_system(s, cfg) for s in cfg.systems]
+    comparisons = []
+    for system in cfg.systems:
+        with _partial_timeline(out_dir):
+            comparisons.append(compare_system(system, cfg))
+        (out_dir / "comparison.csv").write_text(reports.comparison_csv(comparisons), encoding="utf-8")
+        arms = [res for c in comparisons for res in (c.reference, c.nonadaptive, c.adaptive)]
+        _write_overheads(arms, cfg.pilot.total_cores, out_dir)
     print(reports.render_comparison_table(comparisons))
-    (out_dir / "comparison.csv").write_text(reports.comparison_csv(comparisons), encoding="utf-8")
-    arms = [res for c in comparisons for res in (c.reference, c.nonadaptive, c.adaptive)]
-    _write_overheads(arms, cfg.pilot.total_cores, out_dir)
     print(f"wrote comparison.csv and overheads.csv to {out_dir}")
 
 
@@ -191,11 +194,13 @@ def validate(args: argparse.Namespace) -> None:
 def term_report(args: argparse.Namespace) -> None:
     """Convergence-based early termination against the fixed 6 ns baseline."""
     cfg, out_dir = _load(args, lambda cfg: _require_runs(cfg, CampaignMode.ADAPTIVE_TERMINATION))
-    with _partial_timeline(out_dir):
-        runs = [run_termination(s, cfg) for s in cfg.systems]
+    runs = []
+    for system in cfg.systems:
+        with _partial_timeline(out_dir):
+            runs.append(run_termination(system, cfg))
+        (out_dir / "termination.csv").write_text(reports.termination_csv(runs), encoding="utf-8")
+        _write_overheads([r.result for r in runs], cfg.pilot.total_cores, out_dir)
     print(reports.render_termination_table(runs))
-    (out_dir / "termination.csv").write_text(reports.termination_csv(runs), encoding="utf-8")
-    _write_overheads([r.result for r in runs], cfg.pilot.total_cores, out_dir)
     print(f"wrote termination.csv and overheads.csv to {out_dir}")
 
 

@@ -273,3 +273,33 @@ def test_termination_estimate_uses_converged_horizon():
     assert result.simulated_ns == pytest.approx(1.0)
     assert len(result.checkpoint_values) == 2
     assert result.estimate.delta_g == pytest.approx(1.5, abs=1e-9)
+
+
+def test_a_checkpointing_evaluator_never_adds_windows():
+    system = quiet_system(GroundTruthCurve(CurvePreset.QUADRATIC))
+    # every interval's error exceeds this budget: the refining evaluator adds windows
+    cfg = AdaptiveConfig(error_threshold_epsilon=1e-6, termination_threshold=0.0, **FAST_ADAPTIVE)
+    assert len(run_quadrature(system, cfg).windows) > 3
+    result, outcome = run_termination_probe(system, cfg)
+    assert result.windows == (0.0, 0.5, 1.0)
+    assert result.substages_by_window == {0.0: 4, 0.5: 4, 1.0: 4}
+    assert len(result.checkpoint_values) == 4
+    labels = mark_labels(outcome.timeline, "probe")
+    assert labels[:7] == ["S1", "S2", "S3", "S4.1", "S4.2", "S4.3", "S4.4"]
+    assert not any(label.startswith(("S1.", "S2.", "S3.")) for label in labels)  # no new window's equilibration
+
+
+def test_both_stop_rules_record_the_same_run_when_neither_acts():
+    # no checkpoint can stop (threshold 0) and no interval is refined (a budget no error reaches)
+    system = SyntheticSystem(
+        "drifty", GroundTruthCurve(CurvePreset.QUADRATIC),
+        NoiseModel(sigma=1.0, ar1_phi=0.5, drift_amplitude=2.0, drift_timescale_ps=30.0),
+    )
+    cfg = AdaptiveConfig(error_threshold_epsilon=1e3, termination_threshold=0.0, **FAST_ADAPTIVE)
+    refining = run_quadrature(system, cfg, seed=13, replicas=3)
+    checkpointing, _ = run_termination_probe(system, cfg, seed=13, replicas=3)
+    assert checkpointing.terminated_ns is None
+    assert refining.windows == checkpointing.windows == (0.0, 0.5, 1.0)
+    assert refining.estimate == checkpointing.estimate
+    assert refining.simulated_ns == checkpointing.simulated_ns == pytest.approx(0.4)
+    assert refining.checkpoint_values == [] and len(checkpointing.checkpoint_values) == 4

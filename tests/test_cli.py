@@ -3,21 +3,23 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from cli_invoke import invoke
 
-from fecampaign.campaign import CampaignMode, _slug
-from fecampaign.config import CampaignConfig, SweepPlan, save_config
+from fecampaign.campaign import CampaignMode, _slug, run_system
+from fecampaign.config import CampaignConfig, SweepPlan, load_config, save_config
 from fecampaign.engine import PilotConfig
-from fecampaign.errors import ContractError
+from fecampaign.errors import CampaignError, ContractError
 from fecampaign.campaign import SweepRung
 from fecampaign.protocols import AdaptiveConfig, ProtocolKind, ScheduleMode
 from fecampaign.reports import validation_csv
 from fecampaign.synth import ZERO_NOISE, CurvePreset, GroundTruthCurve, NoiseModel, SyntheticSystem
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 NAN, INF = float("nan"), float("inf")
 DELETE = object()  # a test_bad_field_fails_at_load value: remove the key
 SLOPE = GroundTruthCurve(CurvePreset.LINEAR, intercept=1.0, slope=2.0)
@@ -422,6 +424,56 @@ def test_every_command_keeps_the_partial_timeline(tmp_path, command, overrides, 
     events = [row.split(",")[1] for row in rows[1:]]
     assert "task_end" in events
     assert "campaign_end" not in events
+
+
+@pytest.mark.parametrize(
+    "command,config,seed,table,overhead_rows,failed",
+    [
+        # PTP1B L1-L2 finishes its three arms, then PTP1B L10-L12's REFERENCE arm fails
+        ("compare", "compare.json", 1, "comparison.csv", 3, "ptp1b-l10-l12_reference_timeline.csv"),
+        # PTP1B L1-L2 terminates, then MCL1 L32-L38 fails
+        ("term-report", "termination.json", 9, "termination.csv", 1,
+         "mcl1-l32-l38_adaptive_termination_timeline.csv"),
+    ],
+    ids=["compare", "term-report"],
+)
+def test_a_failed_command_keeps_its_finished_systems(tmp_path, command, config, seed, table, overhead_rows, failed):
+    cfg = load_config(ROOT / "configs" / config)
+    # 16,640 cores over a launcher cap of 5: tasks past the cap fail with probability 0.03
+    cfg = replace(cfg, pilot=replace(
+        cfg.pilot, total_cores=16_640, concurrency_cap=5, failure_probability_over_cap=0.03
+    ))
+    save_config(cfg, tmp_path / "probe.json")
+    out = tmp_path / "out"
+    result = invoke(command, "--config", tmp_path / "probe.json", "--seed", seed, "--out", out)
+    assert result.exit_code == 3
+    assert "failed twice" in result.stderr
+    assert sorted(p.name for p in out.iterdir()) == sorted([table, "overheads.csv", failed])
+    kept = {name: (out / name).read_text() for name in (table, "overheads.csv")}
+    assert len(kept[table].splitlines()) == 2
+    assert len(kept["overheads.csv"].splitlines()) == 1 + overhead_rows
+    # the kept files are what the command writes for the finished system alone
+    save_config(replace(cfg, systems=cfg.systems[:1]), tmp_path / "first.json")
+    alone = tmp_path / "alone"
+    assert invoke(command, "--config", tmp_path / "first.json", "--seed", seed, "--out", alone).exit_code == 0
+    assert kept == {name: (alone / name).read_text() for name in kept}
+
+
+def test_a_failed_run_keeps_its_finished_systems(tmp_path, monkeypatch):
+    def second_fails(system, mode, config):
+        if system.label == NOISY.label:
+            raise CampaignError("task failed twice")
+        return run_system(system, mode, config)
+
+    monkeypatch.setattr("fecampaign.cli.run_system", second_fails)
+    result = invoke("run", "--config", write_config(tmp_path, systems=(QUIET, NOISY)))
+    assert result.exit_code == 3
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "overheads.csv", "quiet-pair_nonadaptive.json", "quiet-pair_nonadaptive_timeline.csv",
+    ]
+    rows = (out / "overheads.csv").read_text().splitlines()
+    assert [row.split(",")[:3] for row in rows[1:]] == [["quiet-pair-nonadaptive", "Quiet Pair", "NONADAPTIVE"]]
 
 
 def test_negative_seed_override_is_a_config_error(tmp_path):
