@@ -14,7 +14,7 @@ import math
 import zlib
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .adaptive import AdaptiveQuadratureEvaluator, AdaptiveTerminationEvaluator, samples_per_substage
 from .engine import CampaignOutcome, PilotConfig, run_campaign
@@ -305,8 +305,9 @@ def run_sweep(
     pilot_defaults: PilotConfig,
     seed: int,
     replicas: int | None = None,
-) -> list[SweepRunResult]:
-    """Run a scaling ladder; each rung is an independent campaign.
+) -> Iterator[SweepRunResult]:
+    """Run a scaling ladder, yielding each rung's result as it finishes; each
+    rung is an independent campaign.
 
     Each protocol runs the scaling timesteps without analysis stages, with
     ``replicas`` (:func:`plan_sweep`) and, for TIES, 13 uniform windows.
@@ -315,7 +316,6 @@ def run_sweep(
     """
     cores = pilot_defaults.cores_per_task
     replicas, first = plan_sweep(kind, rungs, protocol_kind, replicas, cores)
-    results = []
     for i, rung in enumerate(rungs):
         pipelines = [first] if i == 0 else []  # the pipeline plan_sweep sized the rungs by
         pipelines += [
@@ -324,13 +324,10 @@ def run_sweep(
         ]
         pilot = replace(pilot_defaults, total_cores=rung.total_cores)
         outcome = run_campaign(pipelines, pilot, seed=seed + i)
-        results.append(
-            SweepRunResult(
-                run_id=f"{kind.lower()}-{i}-P{rung.n_protocols}-C{rung.total_cores}",
-                n_protocols=rung.n_protocols, total_cores=rung.total_cores, outcome=outcome,
-            )
+        yield SweepRunResult(
+            run_id=f"{kind.lower()}-{i}-P{rung.n_protocols}-C{rung.total_cores}",
+            n_protocols=rung.n_protocols, total_cores=rung.total_cores, outcome=outcome,
         )
-    return results
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ campaign failures and unexpected errors, a broken internal contract
 (``ContractError``) among them; nothing else.  On a campaign failure every
 command still writes the partial timeline of the campaign that failed:
 ``run``, ``compare`` and ``term-report`` to ``<slug>_<mode>_timeline.csv``,
-``sweep`` to ``sweep_<kind>_failed_timeline.csv``.  The other three rewrite
-their CSVs after each system, so those keep the systems that finished.
+``sweep`` to ``sweep_<kind>_failed_timeline.csv``.  Every command rewrites
+its CSVs after each system or rung, so those keep the ones that finished.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from . import reports
 from .campaign import (
     CampaignMode,
     SystemRunResult,
-    _slug,
     compare_system,
     plan_run,
     plan_sweep,
@@ -105,8 +104,7 @@ def _write_overheads(results: list[SystemRunResult], total_cores: int, out_dir: 
     """``overheads.csv``: one row per system run, with its ``system`` and ``mode``."""
     rows = []
     for res in results:
-        run_id = f"{_slug(res.system.label)}-{res.mode.value.lower()}"
-        row = overhead_row(run_id, 1, total_cores, res.outcome.overheads)
+        row = overhead_row(res.outcome.timeline.pipeline_ids[0], 1, total_cores, res.outcome.overheads)
         row["system"] = res.system.label
         row["mode"] = res.mode.value
         rows.append(row)
@@ -148,9 +146,10 @@ def run(args: argparse.Namespace) -> None:
 def sweep(args: argparse.Namespace) -> None:
     """Run the configured scaling ladder, one campaign per rung."""
     cfg, out_dir = _load(args, _require_sweep)
-    plan = cfg.sweep
-    with _partial_timeline(out_dir, f"sweep_{plan.kind.lower()}_failed"):
-        results = run_sweep(
+    plan, stem = cfg.sweep, f"sweep_{cfg.sweep.kind.lower()}"
+    rows = []
+    with _partial_timeline(out_dir, f"{stem}_failed"):
+        for r in run_sweep(
             kind=plan.kind,
             rungs=list(plan.rungs),
             protocol_kind=plan.protocol_kind,
@@ -158,14 +157,11 @@ def sweep(args: argparse.Namespace) -> None:
             pilot_defaults=cfg.pilot,
             seed=cfg.seed,
             replicas=plan.replicas,
-        )
-    rows = [
-        overhead_row(r.run_id, r.n_protocols, r.total_cores, r.outcome.overheads)
-        for r in results
-    ]
-    write_overhead_csv(rows, out_dir / f"sweep_{plan.kind.lower()}.csv")
+        ):
+            rows.append(overhead_row(r.run_id, r.n_protocols, r.total_cores, r.outcome.overheads))
+            write_overhead_csv(rows, out_dir / f"{stem}.csv")
     print(reports.table([reports.Column(c, itemgetter(c)) for c in OVERHEAD_COLUMNS], rows))
-    print(f"wrote sweep_{plan.kind.lower()}.csv to {out_dir}")
+    print(f"wrote {stem}.csv to {out_dir}")
 
 
 def compare(args: argparse.Namespace) -> None:

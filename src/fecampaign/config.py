@@ -172,10 +172,6 @@ def _encode(value: Any) -> Any:
     return value.value if isinstance(value, Enum) else value
 
 
-def curve_from_dict(obj: dict, path: str = "curve") -> GroundTruthCurve:
-    return _decode(GroundTruthCurve, obj, path)
-
-
 def config_to_dict(cfg: CampaignConfig) -> dict:
     return _encode(cfg)
 

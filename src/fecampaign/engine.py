@@ -12,8 +12,10 @@ Virtual-time accounting mirrors the four-way overhead split used in the
 reports:
 
 * framework: workflow compilation plus evaluator bookkeeping, modeled as
-  ``c1 * P + c2 * P^2`` for ``P`` protocol instances, charged up front;
-* runtime: per-task scheduling cost, ``c3`` per launched attempt;
+  ``FRAMEWORK_PER_PROTOCOL_S * P + FRAMEWORK_QUADRATIC_S * P^2`` for ``P``
+  protocol instances, charged up front;
+* runtime: per-task scheduling cost, ``RUNTIME_PER_TASK_S`` per launched
+  attempt;
 * launch: a fixed delay per launched attempt, plus all retry costs (the
   added delay and the retry generation's execution window -- relaunch
   cost is launcher overhead, not task execution);
@@ -87,45 +89,20 @@ class PilotConfig:
             raise ValidationError("pilot.walltime_s must be > 0")
 
 
-@dataclass(frozen=True)
-class OverheadModel:
-    """Coefficients of the modeled framework and runtime overheads."""
-
-    framework_per_protocol: float = 0.15
-    framework_quadratic: float = 0.015
-    runtime_per_task: float = 0.012
-
-    def __post_init__(self):
-        require_finite(self, "overhead")
-        # The event log is derived on the premise that the clock never runs
-        # backwards.
-        coefficients = (self.framework_per_protocol, self.framework_quadratic, self.runtime_per_task)
-        if not all(c >= 0.0 for c in coefficients):
-            raise ValidationError("overhead coefficients must be >= 0")
-
-    def framework_seconds(self, n_protocols: int) -> float:
-        return self.framework_per_protocol * n_protocols + self.framework_quadratic * n_protocols ** 2
+#: The cost model of the module docstring, read by ``run_campaign`` when it is called.
+FRAMEWORK_PER_PROTOCOL_S = 0.15
+FRAMEWORK_QUADRATIC_S = 0.015
+RUNTIME_PER_TASK_S = 0.012
+SECONDS_PER_TIMESTEP_CORE = 0.032  # 1 ms per timestep on a 32-core task
+ANALYSIS_SECONDS = 10.0
 
 
-@dataclass(frozen=True)
-class DurationModel:
-    """Maps a stage to the modeled execution time of each of its tasks.
-
-    Simulation tasks take ``timesteps * seconds_per_timestep_core / cores``
-    seconds; analysis tasks take a fixed time.  The default constant of
-    0.032 s*core/timestep gives 1 ms per timestep on a 32-core task.
-    """
-
-    seconds_per_timestep_core: float = 0.032
-    analysis_seconds: float = 10.0
-
-    def __post_init__(self):
-        require_finite(self, "duration")
-
-    def __call__(self, stage: Stage) -> float:
-        if stage.kind in ANALYSIS_KINDS:
-            return self.analysis_seconds
-        return stage.timesteps * self.seconds_per_timestep_core / stage.cores
+def task_seconds(stage: Stage) -> float:
+    """Each task's modeled execution time: ``timesteps * SECONDS_PER_TIMESTEP_CORE / cores``
+    for a simulation stage, ``ANALYSIS_SECONDS`` for an analysis stage."""
+    if stage.kind in ANALYSIS_KINDS:
+        return ANALYSIS_SECONDS
+    return stage.timesteps * SECONDS_PER_TIMESTEP_CORE / stage.cores
 
 
 def slots(pilot: PilotConfig) -> int:
@@ -399,21 +376,19 @@ def _split_hits(hits: list[int], slices: Sequence[Sequence[int]]) -> list[tuple[
 def run_campaign(
     pipelines: Sequence[Pipeline],
     pilot: PilotConfig,
-    duration_model: Callable[[Stage], float] | None = None,
+    duration_model: Callable[[Stage], float] = task_seconds,
     evaluator: Evaluator | None = None,
     seed: int = 0,
-    overhead_model: OverheadModel | None = None,
 ) -> CampaignOutcome:
     """Execute a campaign, a list of pipelines run side by side, on the simulated pilot.
 
-    ``duration_model`` is called once per stage slice of a wave, with the
-    stage.  Deterministic for a given seed.  Raises :class:`CampaignError` (with the partial timeline
-    attached) when the walltime is exceeded or a task fails twice.
+    ``duration_model`` (by default :func:`task_seconds`) is called once per
+    stage slice of a wave, with the stage.  Deterministic for a given seed.
+    Raises :class:`CampaignError` (with the partial timeline attached) when
+    the walltime is exceeded or a task fails twice.
     """
     import numpy as np  # imported where arrays are made: loading a config needs no numpy
 
-    durations = duration_model or DurationModel()
-    overheads = overhead_model or OverheadModel()
     n_protocols = len(pipelines)
     if n_protocols == 0:
         raise ContractError("campaign has no pipelines")
@@ -462,7 +437,7 @@ def run_campaign(
 
     # Framework overhead (compilation plus evaluator bookkeeping) is charged
     # up front from the protocol count.
-    timeline.framework_s = overheads.framework_seconds(n_protocols)
+    timeline.framework_s = FRAMEWORK_PER_PROTOCOL_S * n_protocols + FRAMEWORK_QUADRATIC_S * n_protocols ** 2
     clock += timeline.framework_s
 
     for k in range(n_protocols):
@@ -494,7 +469,7 @@ def run_campaign(
 
         # Scheduling (runtime overhead) and launch delays for the wave.
         width = sum(len(s.indices) for s in wave)
-        sched = overheads.runtime_per_task * width
+        sched = RUNTIME_PER_TASK_S * width
         timeline.runtime_s += sched
         clock += sched
         launch = pilot.launch_delay_per_task * width
@@ -523,7 +498,7 @@ def run_campaign(
             timeline.n_retries += len(hits)
 
         running = [s for s in wave if len(s.failed) < len(s.indices)]
-        run_times = [durations(s.stage) for s in running]
+        run_times = [duration_model(s.stage) for s in running]
         if not all(0.0 <= d < math.inf for d in run_times):
             raise fail("duration model returned a negative or non-finite duration", wave)
         window = max(run_times, default=0.0)

@@ -165,10 +165,10 @@ def test_criterion_05_adaptive_termination(termination_trio):
 def test_criterion_06_weak_and_strong_scaling():
     t0 = time.perf_counter()
     weak_cfg = load_config(CONFIG_DIR / "sweep_weak_ties.json")
-    weak = run_sweep(
+    weak = list(run_sweep(
         "WEAK", list(weak_cfg.sweep.rungs), ProtocolKind.TIES,
         weak_cfg.sweep.physical_system, weak_cfg.pilot, weak_cfg.seed,
-    )
+    ))
     ttx = [r.outcome.overheads.task_execution_time_s for r in weak]
     spread = (max(ttx) - min(ttx)) / min(ttx)
     assert spread <= 0.05
@@ -178,10 +178,10 @@ def test_criterion_06_weak_and_strong_scaling():
     assert [(r.n_protocols, r.total_cores) for r in rungs] == [
         (8, 16_640), (8, 8_320), (8, 4_160),
     ]
-    strong = run_sweep(
+    strong = list(run_sweep(
         "STRONG", rungs, ProtocolKind.TIES,
         strong_cfg.sweep.physical_system, strong_cfg.pilot, strong_cfg.seed,
-    )
+    ))
     s_ttx = [r.outcome.overheads.task_execution_time_s for r in strong]
     for measured, factor in zip(s_ttx, (1.0, 2.0, 4.0)):
         assert abs(measured / (s_ttx[0] * factor) - 1.0) <= 0.10
@@ -196,10 +196,10 @@ def test_criterion_06_weak_and_strong_scaling():
 
 def test_criterion_07_overhead_properties():
     ladder = [SweepRung(2, 1_600), SweepRung(4, 3_200), SweepRung(8, 6_400), SweepRung(16, 12_800)]
-    results = run_sweep(
+    results = list(run_sweep(
         "WEAK", ladder, ProtocolKind.ESMACS, "BRD4 ligand pair",
         pilot_defaults=PilotConfig(total_cores=1_600), seed=0,
-    )
+    ))
     for r in results:
         b = r.outcome.overheads
         assert b.total_time_to_completion_s == (

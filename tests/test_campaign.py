@@ -123,10 +123,10 @@ def test_compare_budget_equals_measured_nonadaptive_error():
 
 def test_weak_sweep_holds_ttx_flat():
     rungs = [SweepRung(2, 4_160), SweepRung(4, 8_320)]
-    results = run_sweep(
+    results = list(run_sweep(
         "WEAK", rungs, ProtocolKind.TIES, "demo pair",
         pilot_defaults=PilotConfig(total_cores=4_160), seed=3,
-    )
+    ))
     assert [r.run_id for r in results] == ["weak-0-P2-C4160", "weak-1-P4-C8320"]
     ttx = [r.outcome.overheads.task_execution_time_s for r in results]
     assert ttx[0] == pytest.approx(ttx[1])
@@ -161,8 +161,8 @@ def test_sweep_rungs_are_sized_at_the_task_bound():
     with pytest.raises(ValidationError, match=r"^config\.sweep\.rungs\[1\]\.n_protocols: rung 1 would run"):
         plan_sweep("WEAK", [SweepRung(fits, 2_080), SweepRung(fits + 1, 2_080)], ProtocolKind.TIES)
     with pytest.raises(ValidationError, match=r"^config\.sweep\.rungs\[0\]\.n_protocols"):
-        run_sweep("WEAK", [SweepRung(2**40, 2_080)], ProtocolKind.TIES, "demo pair",
-                  PilotConfig(total_cores=2_080), seed=3)
+        list(run_sweep("WEAK", [SweepRung(2**40, 2_080)], ProtocolKind.TIES, "demo pair",
+                       PilotConfig(total_cores=2_080), seed=3))
     with pytest.raises(ValidationError, match=r"^config\.sweep\.replicas: rung 0"):
         plan_sweep("WEAK", [SweepRung(1, 1_600)], ProtocolKind.ESMACS, replicas=MAX_SWEEP_TASKS // 4 + 1)
 

@@ -476,6 +476,26 @@ def test_a_failed_run_keeps_its_finished_systems(tmp_path, monkeypatch):
     assert [row.split(",")[:3] for row in rows[1:]] == [["quiet-pair-nonadaptive", "Quiet Pair", "NONADAPTIVE"]]
 
 
+def test_a_failed_sweep_keeps_its_finished_rungs(tmp_path):
+    cfg = load_config(ROOT / "configs" / "sweep_strong_ties.json")
+    # a launcher cap of 5: tasks past it fail with probability 0.01, and rung 1 fails one twice
+    pilot = replace(cfg.pilot, concurrency_cap=5, failure_probability_over_cap=0.01)
+    rungs = (SweepRung(1, 640), SweepRung(8, 16_640))
+    save_config(replace(cfg, pilot=pilot, sweep=replace(cfg.sweep, rungs=rungs)), tmp_path / "probe.json")
+    out = tmp_path / "out"
+    result = invoke("sweep", "--config", tmp_path / "probe.json", "--seed", 0, "--out", out)
+    assert result.exit_code == 3
+    assert "task strong-1-p" in result.stderr and "failed twice" in result.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["sweep_strong.csv", "sweep_strong_failed_timeline.csv"]
+    kept = (out / "sweep_strong.csv").read_text()
+    assert [row.split(",")[0] for row in kept.splitlines()] == ["run_id", "strong-0-P1-C640"]
+    # the kept row is what the sweep writes for rung 0 alone
+    save_config(replace(cfg, pilot=pilot, sweep=replace(cfg.sweep, rungs=rungs[:1])), tmp_path / "first.json")
+    alone = tmp_path / "alone"
+    assert invoke("sweep", "--config", tmp_path / "first.json", "--seed", 0, "--out", alone).exit_code == 0
+    assert kept == (alone / "sweep_strong.csv").read_text()
+
+
 def test_negative_seed_override_is_a_config_error(tmp_path):
     result = invoke("run", "--config", write_config(tmp_path), "--seed", "-3")
     assert result.exit_code == 2

@@ -13,7 +13,6 @@ from fecampaign.config import (
     SweepPlan,
     config_from_dict,
     config_to_dict,
-    curve_from_dict,
     load_config,
     save_config,
 )
@@ -216,10 +215,13 @@ def test_bad_initial_lambdas_are_located():
 
 
 def test_curve_rejects_keys_foreign_to_preset():
-    with pytest.raises(ValidationError, match="unknown keys"):
-        curve_from_dict({"preset": "GAUSS_BUMP", "value": 3.0})
-    with pytest.raises(ValidationError, match="preset"):
-        curve_from_dict({"preset": "WIGGLE"})
+    def one_system(curve):
+        return {"systems": [{"label": "A", "curve": curve}]}
+
+    with pytest.raises(ValidationError, match=r"^config\.systems\[0\]\.curve: unknown keys \['value'\]"):
+        config_from_dict(one_system({"preset": "GAUSS_BUMP", "value": 3.0}))
+    with pytest.raises(ValidationError, match=r"^config\.systems\[0\]\.curve\.preset must be one of"):
+        config_from_dict(one_system({"preset": "WIGGLE"}))
 
 
 def test_bad_system_entry_is_indexed():

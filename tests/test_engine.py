@@ -10,8 +10,6 @@ from timeline_oracle import TaskOutcome, csv_bytes, oracle_events, peak_concurre
 from fecampaign.campaign import SweepRung, compare_system, run_sweep, run_termination
 from fecampaign.config import CampaignConfig
 from fecampaign.engine import (
-    DurationModel,
-    OverheadModel,
     PilotConfig,
     StagePlan,
     measure_overheads,
@@ -19,6 +17,7 @@ from fecampaign.engine import (
     _split_hits,
     run_campaign,
     slots,
+    task_seconds,
     write_overhead_csv,
     write_timeline_csv,
 )
@@ -62,31 +61,17 @@ def test_generation_arithmetic(total_cores, expected_slots, expected_generations
 
 
 def test_duration_model():
-    model = DurationModel()
     sim = Stage("S4", StageKind.PRODUCTION, 2_000_000, 1, (0.5,), cores=32)
-    assert model(sim) == pytest.approx(2_000_000 * 0.032 / 32)
+    assert task_seconds(sim) == pytest.approx(2_000_000 * 0.032 / 32)
     analysis = Stage("S5", StageKind.ANALYSIS, 0, 1, None, cores=32)
-    assert model(analysis) == pytest.approx(10.0)
+    assert task_seconds(analysis) == pytest.approx(10.0)
 
 
-def test_overhead_model_framework_cost_is_quadratic():
-    model = OverheadModel()
-    assert model.framework_seconds(1) == pytest.approx(0.15 + 0.015)
-    assert model.framework_seconds(8) == pytest.approx(0.15 * 8 + 0.015 * 64)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"framework_per_protocol": -0.1},
-        {"framework_quadratic": -0.1},
-        {"runtime_per_task": float("nan")},
-        {"runtime_per_task": float("inf")},
-    ],
-)
-def test_overhead_model_rejects_negative_coefficients(kwargs):
-    with pytest.raises(ValidationError):
-        OverheadModel(**kwargs)
+def test_framework_cost_is_quadratic():
+    # 0.15 s per protocol plus 0.015 s per protocol squared
+    for n_protocols, expected_s in [(1, 0.165), (8, 2.16)]:
+        pipelines = pipelines_of_520_tasks()[:n_protocols]
+        assert run_campaign(pipelines, quiet_pilot(16_640)).timeline.framework_s == pytest.approx(expected_s)
 
 
 @pytest.mark.parametrize(
@@ -120,7 +105,7 @@ def test_full_width_single_generation():
 def test_peak_concurrency_counts_zero_duration_waves():
     # Tasks that start and end at the same time still ran together.
     pipeline = compile_protocol(ProtocolKind.TIES, "ties", 5)
-    outcome = run_campaign([pipeline], quiet_pilot(2_080), duration_model=DurationModel(0.0, 0.0), seed=1)
+    outcome = run_campaign([pipeline], quiet_pilot(2_080), duration_model=lambda stage: 0.0, seed=1)
     assert max(g.width for g in outcome.timeline.generations) == 65
     assert peak_concurrency(outcome.timeline) == 65
 
@@ -139,7 +124,7 @@ def test_overhead_accounting_without_failures():
     outcome = run_campaign(pipelines_of_520_tasks(), pilot, seed=0)
     tl = outcome.timeline
     assert tl.n_retries == 0
-    assert tl.framework_s == pytest.approx(OverheadModel().framework_seconds(8))
+    assert tl.framework_s == pytest.approx(2.16)
     assert tl.runtime_s == pytest.approx(0.012 * tl.n_attempts)
     assert tl.launch_s == pytest.approx(pilot.launch_delay_per_task * tl.n_attempts)
     # every wave runs identical 50 s tasks, so TTX is 4 generations of 50 s
@@ -448,7 +433,7 @@ def test_finished_runs_are_freed_at_refcount_zero():
         pilot = PilotConfig(total_cores=2_080, concurrency_cap=32, failure_probability_over_cap=1.0)
         # not pytest.raises: its ExceptionInfo would keep this frame, and so the timeline, in a cycle
         try:
-            run_sweep("WEAK", [SweepRung(1, 2_080)], ProtocolKind.TIES, "pair", pilot, seed=3)
+            list(run_sweep("WEAK", [SweepRung(1, 2_080)], ProtocolKind.TIES, "pair", pilot, seed=3))
         except CampaignError as exc:
             tl = exc.timeline
         assert tl.aborted_wave is not None

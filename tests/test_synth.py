@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fecampaign.adaptive import SyntheticSampler
-from fecampaign.engine import DurationModel, PilotConfig
+from fecampaign.engine import PilotConfig
 from fecampaign import synth
 from fecampaign.errors import ContractError, ValidationError
 from fecampaign.protocols import AdaptiveConfig, LambdaSchedule
@@ -126,7 +126,6 @@ def test_noise_model_validation():
 NON_FINITE_OWNERS = {
     "pilot.launch_delay_per_task": lambda v: PilotConfig(total_cores=64, launch_delay_per_task=v),
     "pilot.walltime_s": lambda v: PilotConfig(total_cores=64, walltime_s=v),
-    "duration.analysis_seconds": lambda v: DurationModel(analysis_seconds=v),
     "adaptive.termination_threshold": lambda v: AdaptiveConfig(termination_threshold=v),
     "adaptive.termination_tau_ns": lambda v: AdaptiveConfig(termination_tau_ns=v),
     "curve.intercept": lambda v: GroundTruthCurve(CurvePreset.LINEAR, intercept=v, slope=1.0),

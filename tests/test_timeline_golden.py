@@ -19,6 +19,7 @@ import hashlib
 import io
 import math
 import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -26,7 +27,6 @@ from fecampaign.campaign import CampaignMode, SweepRung, run_sweep, run_system
 from fecampaign import engine
 from fecampaign.config import CampaignConfig
 from fecampaign.engine import (
-    OverheadModel,
     PilotConfig,
     StagePlan,
     run_campaign,
@@ -88,8 +88,8 @@ def tied_times():
         total_cores=1_280, launch_delay_per_task=0.0, concurrency_cap=30,
         failure_probability_over_cap=0.2,
     )
-    overheads = OverheadModel(runtime_per_task=0.0)
-    return run_campaign(_mixed_pipelines(), pilot, seed=4, overhead_model=overheads).timeline
+    with mock.patch.object(engine, "RUNTIME_PER_TASK_S", 0.0):
+        return run_campaign(_mixed_pipelines(), pilot, seed=4).timeline
 
 
 def _partial_timeline(pipelines, pilot, seed, reason):
