@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Sequence
 
-from .engine import StagePlan
 from .errors import ContractError, ValidationError
 from .protocols import MD_TIMESTEP_PS, AdaptiveConfig, Pipeline, Stage, StageKind
 from .quadrature import (
@@ -169,7 +168,7 @@ class SyntheticSampler:
 
 def _equilibration_chain(pipeline: Pipeline, stage: Stage, cycle: int, lams) -> list[Stage]:
     """Copies of the pipeline's stages before its first production stage,
-    for new windows ``lams`` and as wide as ``stage``.  Plans insert stages
+    for new windows ``lams`` and as wide as ``stage``.  Stages are inserted
     only after a production stage, so the compiled pipeline holds them all."""
     chain = itertools.takewhile(lambda st: st.kind is not StageKind.PRODUCTION, pipeline.stages)
     return [
@@ -220,12 +219,12 @@ class AdaptiveQuadratureEvaluator:
         self.windows = tuple(p.lam for p in points)
         self.simulated_ns = simulated_ns
 
-    def on_stage_complete(self, pipeline: Pipeline, stage: Stage) -> StagePlan:
+    def on_stage_complete(self, pipeline: Pipeline, stage: Stage) -> list[Stage] | None:
         if self._pipeline_id not in (None, pipeline.id):
             raise ContractError(f"evaluator serves pipeline {self._pipeline_id}, not {pipeline.id}")
         self._pipeline_id = pipeline.id
         if stage.kind is not StageKind.PRODUCTION:
-            return StagePlan.proceed()
+            return []
         counts = self.substages_by_window
         for lam in sorted(stage.lambdas):
             counts[lam] = counts.get(lam, 0) + 1
@@ -245,10 +244,10 @@ class AdaptiveQuadratureEvaluator:
             ):
                 self._record(points, time_ns)
                 self.terminated_ns = time_ns
-                return StagePlan.terminate()
+                return None
         if cycle >= adaptive.production_substages:
             self._record(points, time_ns)
-            return StagePlan.proceed()
+            return []
         new_lams = [] if self.checkpoints else propose_refinements(
             points, adaptive.error_threshold_epsilon, max_total_windows=adaptive.max_total_windows
         )
@@ -257,7 +256,7 @@ class AdaptiveQuadratureEvaluator:
             f"{stage.label.split('.')[0]}.{cycle + 1}", StageKind.PRODUCTION, adaptive.substage_timesteps,
             stage.width, sorted(set(counts) | set(new_lams)), stage.cores,
         ))
-        return StagePlan.append(stages)
+        return stages
 
 
 class AdaptiveTerminationEvaluator(AdaptiveQuadratureEvaluator):

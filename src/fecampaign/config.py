@@ -34,7 +34,7 @@ from .synth import PRESET_PARAMETERS, CurvePreset, GroundTruthCurve, SyntheticSy
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Scale ladder for ``cmd_sweep``: what to run and at which sizes."""
+    """Scale ladder for ``cli.sweep``: what to run and at which sizes."""
 
     kind: str
     protocol_kind: ProtocolKind

@@ -23,7 +23,8 @@ reports:
   critical path through successful first-attempt waves.
 
 Total time to completion is the exact sum of the four categories, and
-equals the virtual clock at the final event.
+equals the virtual clock at the final event.  ``run_campaign`` builds one
+:class:`OverheadBreakdown` when a campaign completes; a failed one has none.
 
 A stage is a shape that pipelines share, so a task is an index into its
 stage's block, and a wave a list of slices of blocks, each carrying the
@@ -47,7 +48,6 @@ import math
 from collections.abc import Mapping
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
@@ -110,47 +110,17 @@ def slots(pilot: PilotConfig) -> int:
     return pilot.total_cores // pilot.cores_per_task
 
 
-class PlanKind(str, Enum):
-    CONTINUE = "CONTINUE"
-    APPEND = "APPEND"
-    TERMINATE = "TERMINATE"
-
-
-@dataclass(frozen=True)
-class StagePlan:
-    """Evaluator verdict after a stage completes."""
-
-    kind: PlanKind
-    stages: tuple[Stage, ...] = ()
-
-    @classmethod
-    def proceed(cls) -> "StagePlan":
-        return _CONTINUE
-
-    @classmethod
-    def append(cls, stages: Sequence[Stage]) -> "StagePlan":
-        if not stages:
-            raise ContractError("APPEND plan needs at least one stage")
-        return cls(PlanKind.APPEND, stages=tuple(stages))
-
-    @classmethod
-    def terminate(cls) -> "StagePlan":
-        return cls(PlanKind.TERMINATE)
-
-
-#: The plan is frozen, so every completed stage that goes on shares one.
-_CONTINUE = StagePlan(PlanKind.CONTINUE)
-
-
 class Evaluator(Protocol):
     """Hook invoked after every completed stage of every pipeline.
 
     It is handed the frozen pipeline as compiled, without the stages that
-    earlier plans appended, so it can act only through the plan it
-    returns, which applies to that pipeline.
+    earlier answers inserted, so it can act only through its answer, which
+    applies to that pipeline: an empty sequence goes on to the next stage,
+    a non-empty one is inserted after the completed stage, and ``None``
+    ends the pipeline (an evaluator that returns nothing ends it).
     """
 
-    def on_stage_complete(self, pipeline: Pipeline, stage: Stage) -> StagePlan: ...
+    def on_stage_complete(self, pipeline: Pipeline, stage: Stage) -> Sequence[Stage] | None: ...
 
 
 class TimelineEvent(NamedTuple):
@@ -261,8 +231,8 @@ class _Count:
 
 @dataclass
 class CampaignTimeline:
-    """Wave summaries and stage marks of one campaign, plus the aggregates
-    the accounting needs.
+    """Wave summaries and stage marks of one campaign, plus its framework
+    time (the ``framework_ready`` row) and attempt and retry counts.
 
     :func:`write_timeline_csv` is the only renderer of the event log.
     ``events`` and ``task_records`` are its row and task counts, sized
@@ -278,11 +248,7 @@ class CampaignTimeline:
     aborted_wave: GenerationSummary | None = None
     end_time_s: float = 0.0
     complete: bool = False
-    # accounting accumulators (seconds)
     framework_s: float = 0.0
-    runtime_s: float = 0.0
-    launch_s: float = 0.0
-    primary_exec_s: float = 0.0
     n_attempts: int = 0
     n_retries: int = 0
 
@@ -322,31 +288,19 @@ class OverheadBreakdown:
         )
 
 
-def measure_overheads(timeline: CampaignTimeline) -> OverheadBreakdown:
-    """Partition a completed campaign's virtual time into the four categories."""
-    if not timeline.complete:
-        raise ContractError("cannot measure overheads of an incomplete timeline")
-    return OverheadBreakdown(
-        task_execution_time_s=timeline.primary_exec_s,
-        framework_overhead_s=timeline.framework_s,
-        runtime_overhead_s=timeline.runtime_s,
-        launch_overhead_s=timeline.launch_s,
-    )
-
-
 @dataclass(frozen=True)
 class CampaignOutcome:
     timeline: CampaignTimeline
     overheads: OverheadBreakdown
 
 
-def _validate_plan(plan: StagePlan, pipeline_id: str, stages: Sequence[Stage]) -> None:
-    """Reject a plan for pipeline ``pipeline_id``, now running ``stages``, that
-    repeats a stage label or starts production at a window it never equilibrated."""
+def _validate_plan(plan: Sequence[Stage], pipeline_id: str, stages: Sequence[Stage]) -> None:
+    """Reject stages ``plan`` for pipeline ``pipeline_id``, now running ``stages``, that
+    repeat a stage label or start production at a window never equilibrated."""
     labels = {s.label for s in stages}
     known = {lam for s in stages for lam in s.lambdas or ()}
     introduced: set[float] = set()
-    for stage in plan.stages:
+    for stage in plan:
         if stage.label in labels:
             raise PlanRejectedError(f"plan for pipeline {pipeline_id} adds a stage it has: {stage.label}")
         labels.add(stage.label)
@@ -384,8 +338,9 @@ def run_campaign(
 
     ``duration_model`` (by default :func:`task_seconds`) is called once per
     stage slice of a wave, with the stage.  Deterministic for a given seed.
-    Raises :class:`CampaignError` (with the partial timeline attached) when
-    the walltime is exceeded or a task fails twice.
+    Returns the timeline and its four-way :class:`OverheadBreakdown`.
+    Raises :class:`CampaignError` (with the partial timeline attached, and no
+    overheads) when the walltime is exceeded or a task fails twice.
     """
     import numpy as np  # imported where arrays are made: loading a config needs no numpy
 
@@ -409,7 +364,7 @@ def run_campaign(
     clock = 0.0
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFA17]))
 
-    # Per pipeline index: its stages, which APPEND plans insert into, the
+    # Per pipeline index: its stages, which evaluator answers insert into, the
     # index of its current stage, the first not yet launched task of that
     # stage, and unfinished tasks of that stage, including those waiting for
     # a retry.
@@ -439,6 +394,7 @@ def run_campaign(
     # up front from the protocol count.
     timeline.framework_s = FRAMEWORK_PER_PROTOCOL_S * n_protocols + FRAMEWORK_QUADRATIC_S * n_protocols ** 2
     clock += timeline.framework_s
+    runtime_s = launch_s = execution_s = 0.0  # the other three categories, summed per wave
 
     for k in range(n_protocols):
         enter_stage(k)
@@ -470,14 +426,14 @@ def run_campaign(
         # Scheduling (runtime overhead) and launch delays for the wave.
         width = sum(len(s.indices) for s in wave)
         sched = RUNTIME_PER_TASK_S * width
-        timeline.runtime_s += sched
+        runtime_s += sched
         clock += sched
         launch = pilot.launch_delay_per_task * width
         if is_retry_wave:
             # Retries pay the launch delay twice: the regular one plus the
             # relaunch penalty.
             launch += pilot.launch_delay_per_task * width
-        timeline.launch_s += launch
+        launch_s += launch
         clock += launch
         timeline.n_attempts += width
 
@@ -509,9 +465,9 @@ def run_campaign(
         # The execution window of a retry generation is relaunch cost, not
         # task-execution time.
         if is_retry_wave:
-            timeline.launch_s += window
+            launch_s += window
         else:
-            timeline.primary_exec_s += window
+            execution_s += window
         clock += window
 
         if clock > pilot.walltime_s:
@@ -530,17 +486,15 @@ def run_campaign(
                 continue
             pid, stage = pipeline_ids[k], s.stage
             timeline.marks.append(TimelineEvent(clock, "stage_complete", "", pid, stage.label, index))
-            plan = StagePlan.proceed()
-            if evaluator is not None:
-                plan = evaluator.on_stage_complete(pipelines[k], stage)
-            if plan.kind is PlanKind.TERMINATE:  # the pipeline enters no further stage
+            plan = () if evaluator is None else evaluator.on_stage_complete(pipelines[k], stage)
+            if plan is None:  # the pipeline enters no further stage
                 timeline.marks.append(
                     TimelineEvent(clock, "pipeline_terminated", "", pid, stage.label, index)
                 )
                 continue
-            if plan.kind is PlanKind.APPEND:
+            if plan:
                 _validate_plan(plan, pid, stages[k])
-                stages[k][cursor[k] + 1:cursor[k] + 1] = plan.stages
+                stages[k][cursor[k] + 1:cursor[k] + 1] = plan
             cursor[k] += 1
             enter_stage(k)
         if len(ready) > entered:
@@ -548,7 +502,8 @@ def run_campaign(
 
     timeline.end_time_s = clock
     timeline.complete = True
-    return CampaignOutcome(timeline=timeline, overheads=measure_overheads(timeline))
+    overheads = OverheadBreakdown(execution_s, timeline.framework_s, runtime_s, launch_s)
+    return CampaignOutcome(timeline=timeline, overheads=overheads)
 
 
 #: Rows per write to the file, held three times over while it is made (as

@@ -37,7 +37,7 @@ class CampaignError(RuntimeError):
 
 
 class PlanRejectedError(CampaignError):
-    """An evaluator returned a stage plan the engine refused to apply."""
+    """An evaluator returned stages the engine refused to insert."""
 
 
 def require_finite(obj, subject: str) -> None:

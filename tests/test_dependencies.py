@@ -129,3 +129,5 @@ def test_package_import_loads_only_what_the_module_imports():
     assert loaded_after("fecampaign.reports", "fecampaign", "numpy") == [
         "fecampaign", "fecampaign.reports",
     ]
+    # An evaluator answers with stages, so adaptive needs no engine type.
+    assert "fecampaign.engine" not in loaded_after("fecampaign.adaptive", "fecampaign")

@@ -11,8 +11,6 @@ from fecampaign.campaign import SweepRung, compare_system, run_sweep, run_termin
 from fecampaign.config import CampaignConfig
 from fecampaign.engine import (
     PilotConfig,
-    StagePlan,
-    measure_overheads,
     overhead_row,
     _split_hits,
     run_campaign,
@@ -122,13 +120,14 @@ def test_time_to_completion_identity():
 def test_overhead_accounting_without_failures():
     pilot = quiet_pilot(4_160)
     outcome = run_campaign(pipelines_of_520_tasks(), pilot, seed=0)
-    tl = outcome.timeline
+    tl, b = outcome.timeline, outcome.overheads
     assert tl.n_retries == 0
     assert tl.framework_s == pytest.approx(2.16)
-    assert tl.runtime_s == pytest.approx(0.012 * tl.n_attempts)
-    assert tl.launch_s == pytest.approx(pilot.launch_delay_per_task * tl.n_attempts)
+    assert b.framework_overhead_s == tl.framework_s
+    assert b.runtime_overhead_s == pytest.approx(0.012 * tl.n_attempts)
+    assert b.launch_overhead_s == pytest.approx(pilot.launch_delay_per_task * tl.n_attempts)
     # every wave runs identical 50 s tasks, so TTX is 4 generations of 50 s
-    assert tl.primary_exec_s == pytest.approx(4 * 50.0)
+    assert b.task_execution_time_s == pytest.approx(4 * 50.0)
 
 
 def test_determinism_per_seed():
@@ -241,14 +240,15 @@ def test_failed_twice_names_the_task_of_its_own_pipeline():
 
 def test_retry_windows_are_launch_overhead_not_ttx():
     pilot = PilotConfig(total_cores=16_640)
-    tl = run_campaign(pipelines_of_520_tasks(), pilot, seed=0).timeline
+    outcome = run_campaign(pipelines_of_520_tasks(), pilot, seed=0)
+    tl = outcome.timeline
     primary = sum(g.exec_window_s for g in tl.generations if not g.is_retry)
     retry_exec = sum(g.exec_window_s for g in tl.generations if g.is_retry)
-    assert tl.primary_exec_s == pytest.approx(primary)
+    assert outcome.overheads.task_execution_time_s == pytest.approx(primary)
     # retries pay the launch delay twice and their execution window lands
     # in the launch bucket
     expected = pilot.launch_delay_per_task * (tl.n_attempts + tl.n_retries) + retry_exec
-    assert tl.launch_s == pytest.approx(expected)
+    assert outcome.overheads.launch_overhead_s == pytest.approx(expected)
 
 
 def test_walltime_violation_raises_with_partial_timeline():
@@ -258,14 +258,6 @@ def test_walltime_violation_raises_with_partial_timeline():
         run_campaign([pipeline], pilot, seed=0)
     assert err.value.timeline is not None
     assert not err.value.timeline.complete
-
-
-def test_measure_overheads_requires_completion():
-    pipeline = single_stage_ties("slow", timesteps=2_000_000)
-    with pytest.raises(CampaignError) as err:
-        run_campaign([pipeline], PilotConfig(total_cores=4_160, walltime_s=100.0), seed=0)
-    with pytest.raises(ContractError):
-        measure_overheads(err.value.timeline)
 
 
 def test_empty_graph_rejected():
@@ -312,11 +304,11 @@ class _OneShotEvaluator:
         self.pipeline = pipeline
         if len(self.calls) == 1:
             return self.plan
-        return StagePlan.proceed()
+        return ()
 
 
 def test_evaluator_terminate_cancels_remaining_stages():
-    ev = _OneShotEvaluator(StagePlan.terminate())
+    ev = _OneShotEvaluator(None)
     outcome = run_campaign([two_stage_pipeline()], quiet_pilot(4_160), evaluator=ev)
     tl = outcome.timeline
     assert mark_labels(tl, "two") == ["S1"]
@@ -327,7 +319,7 @@ def test_evaluator_terminate_cancels_remaining_stages():
 
 def test_evaluator_append_inserts_and_runs_stage():
     extra = Stage("S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
-    ev = _OneShotEvaluator(StagePlan.append([extra]))
+    ev = _OneShotEvaluator([extra])
     pipeline = two_stage_pipeline()
     outcome = run_campaign([pipeline], quiet_pilot(4_160), evaluator=ev)
     assert mark_labels(outcome.timeline, "two") == ["S1", "S1b", "S2"]
@@ -336,13 +328,13 @@ def test_evaluator_append_inserts_and_runs_stage():
 
 
 class _ScriptedEvaluator:
-    """Returns its plans in order, one per completed stage, then proceeds."""
+    """Returns its stage lists in order, one per completed stage, then goes on."""
 
     def __init__(self, *plans):
         self.plans = list(plans)
 
     def on_stage_complete(self, pipeline, stage):
-        return self.plans.pop(0) if self.plans else StagePlan.proceed()
+        return self.plans.pop(0) if self.plans else ()
 
 
 def test_production_accepted_at_window_added_by_earlier_plan():
@@ -350,7 +342,7 @@ def test_production_accepted_at_window_added_by_earlier_plan():
     # the first plan inserted.
     equil = Stage("S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5])
     prod = Stage("S1c", StageKind.PRODUCTION, 1_000, 2, [0.5])
-    ev = _ScriptedEvaluator(StagePlan.append([equil]), StagePlan.append([prod]))
+    ev = _ScriptedEvaluator([equil], [prod])
     outcome = run_campaign([two_stage_pipeline()], quiet_pilot(4_160), evaluator=ev)
     assert mark_labels(outcome.timeline, "two") == ["S1", "S1b", "S1c", "S2"]
     assert "two/S1c/l0.500/r0" in task_records(outcome.timeline)
@@ -358,14 +350,14 @@ def test_production_accepted_at_window_added_by_earlier_plan():
 
 def test_plan_rejected_for_unseen_production_lambda():
     rogue = Stage("S2b", StageKind.PRODUCTION, 1_000, 2, [0.111])
-    ev = _OneShotEvaluator(StagePlan.append([rogue]))
+    ev = _OneShotEvaluator([rogue])
     with pytest.raises(PlanRejectedError):
         run_campaign([two_stage_pipeline()], quiet_pilot(4_160), evaluator=ev)
 
 
 def test_plan_rejected_for_reused_task_id():
     dup = Stage("S1", StageKind.EQUILIBRATION, 1_000, 2, [0.0, 1.0])
-    ev = _OneShotEvaluator(StagePlan.append([dup]))
+    ev = _OneShotEvaluator([dup])
     with pytest.raises(PlanRejectedError):
         run_campaign([two_stage_pipeline()], quiet_pilot(4_160), evaluator=ev)
 
@@ -376,9 +368,21 @@ def test_stage_with_lambdas_that_round_together_is_rejected():
         Stage("S1b", StageKind.EQUILIBRATION, 1_000, 2, [0.5, 0.5004])
 
 
-def test_append_plan_requires_stages():
-    with pytest.raises(ContractError):
-        StagePlan.append([])
+class _GoOn:
+    def on_stage_complete(self, pipeline, stage):
+        return ()
+
+
+def test_empty_answer_goes_on_as_if_no_evaluator(tmp_path):
+    # Eight TIES protocols, 520 tasks a stage, on a pilot whose launcher fails some.
+    pipelines = [compile_protocol(ProtocolKind.TIES, f"t{i}", 5) for i in range(8)]
+    written = []
+    for ev in (None, _GoOn()):
+        outcome = run_campaign(pipelines, PilotConfig(total_cores=16_640), evaluator=ev, seed=0)
+        write_timeline_csv(outcome.timeline, tmp_path / "timeline.csv")
+        written.append((outcome.overheads, (tmp_path / "timeline.csv").read_bytes()))
+    assert outcome.timeline.n_retries > 0
+    assert written[0] == written[1]
 
 
 def test_timeline_csv_round_trip(tmp_path):

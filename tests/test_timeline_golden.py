@@ -28,7 +28,6 @@ from fecampaign import engine
 from fecampaign.config import CampaignConfig
 from fecampaign.engine import (
     PilotConfig,
-    StagePlan,
     run_campaign,
     write_timeline_csv,
 )
@@ -130,10 +129,10 @@ class _AppendOrTerminate:
                 "X1", StageKind.EQUILIBRATION, 700 + 50 * i, stage.width, stage.lambdas,
                 stage.cores,
             )
-            return StagePlan.append([extra])
+            return [extra]
         if stage.label == "S2" and i % 3 == 1:
-            return StagePlan.terminate()
-        return StagePlan.proceed()
+            return None
+        return ()
 
 
 def _reentry_pipelines():
