@@ -32,13 +32,12 @@ index of the pipeline it runs for.  The engine stores one
 :class:`GenerationSummary` per wave, the pipeline ids once per run and
 the few stage marks, and keeps no per-task record.  The event log exists
 only as the file :func:`write_timeline_csv` writes, its one renderer:
-one walk over the waves sets the event order and yields the task events
-as segments that share a time, and the writer joins each stage slice's
-rows from its pipeline's id and the id tails its stage shape shares, so
-writing holds no per-task id.  ``CampaignTimeline.events`` and
-``task_records`` are the row and task counts the benchmark reads, in
-closed form; the timeline holds no reference to itself, so it is freed
-when its last reference goes.
+one loop over the waves writes the events in order, joining each stage
+slice's rows of one event from its pipeline's id and the id tails its
+stage shape shares, so writing holds no per-task id.
+``CampaignTimeline.events`` and ``task_records`` are the row and task
+counts the benchmark reads, in closed form; the timeline holds no
+reference to itself, so it is freed when its last reference goes.
 """
 
 from __future__ import annotations
@@ -48,9 +47,8 @@ import math
 from collections.abc import Mapping
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
 
 from .errors import CampaignError, ContractError, PlanRejectedError, ValidationError, require_finite
 from .protocols import ANALYSIS_KINDS, Pipeline, Stage, StageKind
@@ -136,20 +134,14 @@ class TimelineEvent(NamedTuple):
 class _Slice:
     """Stage indices launched together in one wave (a range on a first
     attempt) for the pipeline at index ``pipeline`` of the campaign; all but
-    the ``failed`` ran until ``end_time_s``.  Slices are what the writer
-    renders: no per-task record is kept."""
+    the ``failed``, in ascending order, ran until ``end_time_s``.  Slices
+    are what the writer renders: no per-task record is kept."""
 
     stage: Stage
     pipeline: int
     indices: Sequence[int]
     failed: tuple[int, ...] = ()
     end_time_s: float = math.nan
-
-    def started(self) -> Sequence[int]:
-        if not self.failed:
-            return self.indices
-        failed = set(self.failed)
-        return [i for i in self.indices if i not in failed]
 
 
 @dataclass(frozen=True)
@@ -169,52 +161,6 @@ class GenerationSummary:
     @property
     def n_failed(self) -> int:
         return sum(len(s.failed) for s in self.slices)
-
-
-class _Segment(NamedTuple):
-    """A run of task events that share a time, an event name and a wave."""
-
-    time_s: float
-    event: str
-    parts: list[tuple[_Slice, Sequence[int]]]  # slice indices in launch order
-    generation: int
-
-
-def _launch_segments(gen: GenerationSummary) -> Iterator[_Segment]:
-    t = gen.submit_time_s
-    yield _Segment(t, "task_submit", [(s, s.indices) for s in gen.slices], gen.index)
-    yield _Segment(t, "task_fail", [(s, s.failed) for s in gen.slices if s.failed], gen.index)
-
-
-def _wave_walk(tl: "CampaignTimeline") -> Iterator[TimelineEvent | _Segment]:
-    """The event log in order: campaign and stage marks as they are, task
-    events as segments.
-
-    The virtual clock never decreases, so rendering the waves in order
-    yields the events sorted by time, ties in the order they happened.
-    A wave yields its submits, launch failures and starts at its submit
-    time, then its ends grouped by the stored end time, then the stage
-    marks of the barrier that follows.  Ends are sorted by the stored end
-    time, not by duration: two durations can round to the same
-    ``start + duration``, and a stable sort keeps launch order on ties.
-    """
-    yield TimelineEvent(0.0, "campaign_start", "", "", "", -1)
-    yield TimelineEvent(tl.framework_s, "framework_ready", "", "", "", -1)
-    marks = iter(tl.marks)
-    mark = next(marks, None)
-    for gen in tl.generations:
-        yield from _launch_segments(gen)
-        ran = [(s.end_time_s, (s, s.started())) for s in gen.slices if len(s.failed) < len(s.indices)]
-        yield _Segment(gen.submit_time_s, "task_start", [part for _, part in ran], gen.index)
-        for end_s, group in groupby(sorted(ran, key=itemgetter(0)), itemgetter(0)):
-            yield _Segment(end_s, "task_end", [part for _, part in group], gen.index)
-        while mark is not None and mark.generation == gen.index:
-            yield mark
-            mark = next(marks, None)
-    if tl.aborted_wave is not None:
-        yield from _launch_segments(tl.aborted_wave)
-    if tl.complete:
-        yield TimelineEvent(tl.end_time_s, "campaign_end", "", "", "", -1)
 
 
 class _Count:
@@ -322,7 +268,11 @@ def _split_hits(hits: list[int], slices: Sequence[Sequence[int]]) -> list[tuple[
     for indices in slices:
         lo, end = end, end + len(indices)
         j = bisect_left(hits, end, i)
-        split.append(tuple(indices[h - lo] for h in hits[i:j]))
+        if isinstance(indices, range):  # a first attempt: a hit maps by the slice's offset
+            off = indices.start - lo
+            split.append(tuple([h + off for h in hits[i:j]]))
+        else:
+            split.append(tuple([indices[h - lo] for h in hits[i:j]]))
         i = j
     return split
 
@@ -512,49 +462,92 @@ def run_campaign(
 _FLUSH_ROWS = 2048
 
 
+def _mark_row(ev: TimelineEvent) -> str:
+    return "{:.6f},{},{},{},{},{}\r\n".format(*ev)
+
+
 def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
-    """Write the event log with the stable column set.
+    """Write the event log with the stable column set, in one loop over the waves.
+
+    The virtual clock never decreases, so rendering the waves in order
+    writes the events sorted by time, ties in the order they happened.  A
+    wave writes its submits, launch failures and starts at its submit
+    time, then its ends grouped by the stored end time, then the stage
+    marks of the barrier that follows.  Ends are sorted by the stored end
+    time, not by duration: two durations can round to the same
+    ``start + duration``, and a stable sort keeps launch order on ties.
+    An aborted wave writes its submits and launch failures only.
 
     A task row is ``<time>,<event>,<pipeline><tail>,<pipeline>,<label>,<gen>``
     with the task's tail from its stage's shared ``id_tails``, so a stage
-    slice of a segment is one ``str.join`` of tails: no task id is formatted.
-    The header and the marks are text rows too: ``protocols._check_name``
-    rejects what ``csv`` would quote in ids and labels, so the bytes are
-    those of ``csv.writer`` over the events, one row each.  Rows, marks
-    included, collect across segments and go to the file as one string per
-    ``_FLUSH_ROWS``, so the writer holds the shapes' tails and at most a
+    slice's rows of one event are one ``str.join`` of tails: no task id is
+    formatted.  A slice's started tails are picked once and serve its start
+    and end rows; for a first-attempt slice, a range, they are the tuple
+    slices of its tails between its sorted failed indices.  The header and
+    the marks are text rows too: ``protocols._check_name`` rejects what
+    ``csv`` would quote in ids and labels, so the bytes are those of
+    ``csv.writer`` over the events, one row each.  Rows, marks included,
+    go to the file as one string per ``_FLUSH_ROWS``, checked after every
+    slice and mark, so the writer holds the shapes' tails and at most a
     flush.
     """
+    ids, aborted = timeline.pipeline_ids, timeline.aborted_wave
+    marks = iter(timeline.marks)
+    mark = next(marks, None)
     # "\r\n" is the line terminator of csv's default dialect
-    pieces, held = [",".join(TIMELINE_COLUMNS) + "\r\n"], 1
+    pieces = [
+        ",".join(TIMELINE_COLUMNS) + "\r\n",
+        _mark_row(TimelineEvent(0.0, "campaign_start", "", "", "", -1)),
+        _mark_row(TimelineEvent(timeline.framework_s, "framework_ready", "", "", "", -1)),
+    ]
+    held = len(pieces)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for rows, more in _row_pieces(timeline):
-            pieces += more
-            held += rows
-            if held >= _FLUSH_ROWS:
-                fh.write("".join(pieces))
-                pieces, held = [], 0
+        if held >= _FLUSH_ROWS:
+            fh.write("".join(pieces))
+            pieces, held = [], 0
+        for gen in timeline.generations + [aborted] * (aborted is not None):
+            at = f"{gen.submit_time_s:.6f},"
+            # (lead, pipeline id, row end, picked tails) per stage slice, in row order
+            submits, fails, ran = [], [], []
+            for s in gen.slices:
+                pid, tails, indices = ids[s.pipeline], s.stage.id_tails, s.indices
+                end = f",{pid},{s.stage.label},{gen.index}\r\n"
+                if isinstance(indices, range):
+                    picked = tails[indices.start:indices.stop]
+                else:
+                    picked = [tails[i] for i in indices]
+                submits.append((at + "task_submit,", pid, end, picked))
+                if s.failed:  # only a first attempt, a range, holds failures: a second one aborts
+                    fails.append((at + "task_fail,", pid, end, [tails[i] for i in s.failed]))
+                    lo, picked = indices.start, []
+                    for i in s.failed:
+                        picked += tails[lo:i]
+                        lo = i + 1
+                    picked += tails[lo:indices.stop]
+                if picked:
+                    ran.append((s.end_time_s, pid, end, picked))
+            parts = submits + fails
+            if gen is not aborted:
+                parts += [(at + "task_start,", pid, end, picked) for _, pid, end, picked in ran]
+                ran.sort(key=itemgetter(0))
+                parts += [(f"{t:.6f},task_end,", pid, end, picked) for t, pid, end, picked in ran]
+            for lead, pid, end, picked in parts:
+                head = lead + pid
+                pieces += (head, (end + head).join(picked), end)
+                held += len(picked)
+                if held >= _FLUSH_ROWS:
+                    fh.write("".join(pieces))
+                    pieces, held = [], 0
+            while mark is not None and mark.generation == gen.index:
+                pieces.append(_mark_row(mark))
+                held += 1
+                if held >= _FLUSH_ROWS:
+                    fh.write("".join(pieces))
+                    pieces, held = [], 0
+                mark = next(marks, None)
+        if timeline.complete:
+            pieces.append(_mark_row(TimelineEvent(timeline.end_time_s, "campaign_end", "", "", "", -1)))
         fh.write("".join(pieces))
-
-
-def _row_pieces(timeline: CampaignTimeline) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Each mark's row, and each stage slice's rows as three pieces, with their row counts."""
-    ids = timeline.pipeline_ids
-    for seg in _wave_walk(timeline):
-        if isinstance(seg, TimelineEvent):
-            yield 1, ("{:.6f},{},{},{},{},{}\r\n".format(*seg),)
-            continue
-        time_s, event, parts, generation = seg
-        lead = f"{time_s:.6f},{event},"
-        for s, indices in parts:
-            pid, stage, tails = ids[s.pipeline], s.stage, s.stage.id_tails
-            head = lead + pid
-            end = f",{pid},{stage.label},{generation}\r\n"
-            if isinstance(indices, range):
-                picked = tails[indices.start:indices.stop]
-            else:
-                picked = [tails[i] for i in indices]
-            yield len(picked), (head, (end + head).join(picked), end)
 
 
 def overhead_row(

@@ -54,6 +54,34 @@ def test_every_declared_dependency_is_imported():
     assert not unused, f"declared in pyproject.toml but never imported: {sorted(unused)}"
 
 
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports, anywhere in it, and never reads: ``__future__`` aside."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in read]
+
+
+def test_unused_import_check_flags_a_leftover():
+    assert unused_imports("from itertools import groupby, chain\nimport os.path as p\nchain()\n") == [
+        "groupby (line 1)", "p (line 2)",
+    ]
+    assert unused_imports("from __future__ import annotations\nimport os\nx: os.PathLike\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    # Deleting the last reader of a name leaves its import behind; nothing
+    # re-exports through the package, so an import no code reads is dead.
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
 def loaded_after(module: str, *tops: str) -> list[str]:
     """Modules under ``tops`` in ``sys.modules`` after a fresh interpreter imports ``module``."""
     env = dict(os.environ)

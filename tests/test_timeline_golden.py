@@ -4,13 +4,14 @@ Each case writes a timeline with ``write_timeline_csv`` and compares the
 SHA-256 of the file with a digest recorded from the event-list engine that
 sorted every stored event by time.  The cases cover a retry wave, an
 evaluator that terminates pipelines, event times that tie across waves,
-waves that cut stages while an evaluator appends and terminates, and each
-way a campaign aborts with a partial timeline.
+waves that cut stages while an evaluator appends and terminates, each
+way a campaign aborts with a partial timeline, and a strong sweep rung
+whose launch failures fall anywhere in its stage slices.
 
 The writer assembles rows as text from each stage shape's id tails.  An
 oracle test holds its bytes equal to ``csv.writer`` for every case, over
 events built per task and sorted by time (``timeline_oracle``), which
-shares no code with the engine's walk.
+shares no code with the writer's loop over the waves.
 Ids and labels that ``csv`` would quote are rejected when a stage is built.
 """
 
@@ -19,11 +20,12 @@ import hashlib
 import io
 import math
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
 
-from fecampaign.campaign import CampaignMode, SweepRung, run_sweep, run_system
+from fecampaign.campaign import CampaignMode, SweepRung, _sweep_pipeline, run_sweep, run_system
 from fecampaign import engine
 from fecampaign.config import CampaignConfig
 from fecampaign.engine import (
@@ -161,6 +163,14 @@ def ready_list_reentry():
     return run_campaign(_reentry_pipelines(), pilot, evaluator=_AppendOrTerminate(), seed=7).timeline
 
 
+def strong_retry():
+    # A strong sweep rung's shape: 16 TIES protocols on 500 slots, over the
+    # bundled 450-task launcher cap at the bundled failure rate, so waves
+    # cut stages, failures fall anywhere in a slice and retry waves follow.
+    pipelines = [_sweep_pipeline(ProtocolKind.TIES, f"strong-0-p{i}", 5, 32) for i in range(16)]
+    return run_campaign(pipelines, PilotConfig(total_cores=16_000), seed=1).timeline
+
+
 GOLDEN = {
     "retry_wave": (
         retry_wave,
@@ -191,6 +201,11 @@ GOLDEN = {
         ready_list_reentry,
         "d142161f192fe8b11ab5494a6841d0f7376359b279710c96437558d724017242",
     ),
+    # recorded from the writer that rendered each wave as segments of events
+    "strong_retry": (
+        strong_retry,
+        "a938313e46fe47be54552cebcec738ea0aa3e5a8d61c0dc00c987e6742a34661",
+    ),
 }
 
 
@@ -216,9 +231,45 @@ def test_writer_matches_csv_over_events(case, flush_rows, tmp_path, monkeypatch)
     path = tmp_path / "timeline.csv"
     write_timeline_csv(timeline, path)
     data = path.read_bytes()
-    # The per-task oracle shares no code with the wave walk, so an ordering
-    # bug in the walk fails here, not only against the frozen digests.
+    # The per-task oracle shares no code with the writer's loop, so an
+    # ordering bug in the loop fails here, not only against the frozen digests.
     assert data == csv_bytes(oracle_events(timeline))
+
+
+def _holed_timeline():
+    """One first-attempt wave whose slices, each cut from an 8-task stage at
+    indices 1-6, fail at no index, the first, the last, two adjacent ones,
+    all but one and all; their failures fill a retry wave."""
+    stage = Stage("S1", StageKind.MINIMIZATION, 1_000, 2, LambdaSchedule.uniform(4).lambdas)
+    holes = [(), (1,), (6,), (3, 4), (1, 2, 3, 5, 6), (1, 2, 3, 4, 5, 6)]
+    first = [engine._Slice(stage, k, range(1, 7), failed) for k, failed in enumerate(holes)]
+    for s, end in zip(first, (9.0, 8.0, 9.0, 7.5, 8.0, math.nan)):
+        s.end_time_s = end
+    retry = [engine._Slice(stage, k, failed, end_time_s=12.0) for k, failed in enumerate(holes) if failed]
+    return engine.CampaignTimeline(
+        pipeline_ids=tuple(f"h{k}" for k in range(len(holes))),
+        generations=[
+            engine.GenerationSummary(0, 2.5, tuple(first), False, 7.0),
+            engine.GenerationSummary(1, 9.5, tuple(retry), True, 2.5),
+        ],
+        end_time_s=12.0, complete=True, framework_s=1.0,
+        n_attempts=6 * 6 + 15, n_retries=15,
+    )
+
+
+@pytest.mark.parametrize("flush_rows", [engine._FLUSH_ROWS, 7, 1])
+def test_writer_skips_failed_indices_at_every_position(flush_rows, tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "_FLUSH_ROWS", flush_rows)
+    timeline = _holed_timeline()
+    path = tmp_path / "timeline.csv"
+    write_timeline_csv(timeline, path)
+    data = path.read_bytes()
+    assert data == csv_bytes(oracle_events(timeline))
+    assert len(timeline.events) == data.count(b"\n") - 1
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    for event in ("task_start", "task_end"):
+        ran = Counter(r[3] for r in rows if r[1] == event and r[5] == "0")
+        assert [ran[f"h{k}"] for k in range(6)] == [6, 5, 5, 4, 1, 0]
 
 
 def test_reentry_case_resumes_part_launched_stages():

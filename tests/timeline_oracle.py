@@ -1,11 +1,11 @@
-"""An event log built per task, independently of the engine's wave walk.
+"""An event log built per task, independently of the timeline writer.
 
-The engine derives its events from one walk over the waves that emits
-them already in order.  This oracle shares none of that walk: it lists
+The writer renders the events in one loop over the waves that writes
+them already in order.  This oracle shares none of that loop: it lists
 each task's events straight from the stored waves, the stage marks and
 the aborted wave, in the order they happened, and then stable-sorts them
 by time.  The engine's clock never runs backwards, so the sort is the
-rule the walk must reproduce; an ordering bug in the walk differs from
+rule the loop must reproduce; an ordering bug in the loop differs from
 it.  The per-task views the tests read (each task's attempts and
 outcome, and the peak concurrency) are built here too: the engine keeps
 no per-task record.
