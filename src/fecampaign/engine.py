@@ -268,11 +268,7 @@ def _split_hits(hits: list[int], slices: Sequence[Sequence[int]]) -> list[tuple[
     for indices in slices:
         lo, end = end, end + len(indices)
         j = bisect_left(hits, end, i)
-        if isinstance(indices, range):  # a first attempt: a hit maps by the slice's offset
-            off = indices.start - lo
-            split.append(tuple([h + off for h in hits[i:j]]))
-        else:
-            split.append(tuple([indices[h - lo] for h in hits[i:j]]))
+        split.append(tuple([indices[h - lo] for h in hits[i:j]]))
         i = j
     return split
 
@@ -487,27 +483,35 @@ def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
     the marks are text rows too: ``protocols._check_name`` rejects what
     ``csv`` would quote in ids and labels, so the bytes are those of
     ``csv.writer`` over the events, one row each.  Rows, marks included,
-    go to the file as one string per ``_FLUSH_ROWS``, checked after every
-    slice and mark, so the writer holds the shapes' tails and at most a
-    flush.
+    go to the file as one string per ``_FLUSH_ROWS``, checked in one place
+    after every mark and every slice's rows of one event, so the writer
+    holds the shapes' tails and at most a flush.
     """
     ids, aborted = timeline.pipeline_ids, timeline.aborted_wave
     marks = iter(timeline.marks)
     mark = next(marks, None)
+
+    def put(parts):
+        # a part is (head, row end, picked tails), a row head + tail + end per
+        # tail; a mark is a part of one row that is all head
+        nonlocal pieces, held
+        for head, end, picked in parts:
+            pieces += (head, (end + head).join(picked), end)
+            held += len(picked)
+            if held >= _FLUSH_ROWS:
+                fh.write("".join(pieces))
+                pieces, held = [], 0
+
     # "\r\n" is the line terminator of csv's default dialect
-    pieces = [
-        ",".join(TIMELINE_COLUMNS) + "\r\n",
-        _mark_row(TimelineEvent(0.0, "campaign_start", "", "", "", -1)),
-        _mark_row(TimelineEvent(timeline.framework_s, "framework_ready", "", "", "", -1)),
-    ]
-    held = len(pieces)
+    pieces, held = [",".join(TIMELINE_COLUMNS) + "\r\n"], 1
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if held >= _FLUSH_ROWS:
-            fh.write("".join(pieces))
-            pieces, held = [], 0
+        put([
+            (_mark_row(TimelineEvent(0.0, "campaign_start", "", "", "", -1)), "", ("",)),
+            (_mark_row(TimelineEvent(timeline.framework_s, "framework_ready", "", "", "", -1)), "", ("",)),
+        ])
         for gen in timeline.generations + [aborted] * (aborted is not None):
             at = f"{gen.submit_time_s:.6f},"
-            # (lead, pipeline id, row end, picked tails) per stage slice, in row order
+            # ran: (end time, pipeline id, row end, picked tails) per slice that started a task
             submits, fails, ran = [], [], []
             for s in gen.slices:
                 pid, tails, indices = ids[s.pipeline], s.stage.id_tails, s.indices
@@ -516,9 +520,9 @@ def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
                     picked = tails[indices.start:indices.stop]
                 else:
                     picked = [tails[i] for i in indices]
-                submits.append((at + "task_submit,", pid, end, picked))
+                submits.append((at + "task_submit," + pid, end, picked))
                 if s.failed:  # only a first attempt, a range, holds failures: a second one aborts
-                    fails.append((at + "task_fail,", pid, end, [tails[i] for i in s.failed]))
+                    fails.append((at + "task_fail," + pid, end, [tails[i] for i in s.failed]))
                     lo, picked = indices.start, []
                     for i in s.failed:
                         picked += tails[lo:i]
@@ -528,25 +532,15 @@ def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
                     ran.append((s.end_time_s, pid, end, picked))
             parts = submits + fails
             if gen is not aborted:
-                parts += [(at + "task_start,", pid, end, picked) for _, pid, end, picked in ran]
+                parts += [(at + "task_start," + pid, end, picked) for _, pid, end, picked in ran]
                 ran.sort(key=itemgetter(0))
-                parts += [(f"{t:.6f},task_end,", pid, end, picked) for t, pid, end, picked in ran]
-            for lead, pid, end, picked in parts:
-                head = lead + pid
-                pieces += (head, (end + head).join(picked), end)
-                held += len(picked)
-                if held >= _FLUSH_ROWS:
-                    fh.write("".join(pieces))
-                    pieces, held = [], 0
+                parts += [(f"{t:.6f},task_end," + pid, end, picked) for t, pid, end, picked in ran]
             while mark is not None and mark.generation == gen.index:
-                pieces.append(_mark_row(mark))
-                held += 1
-                if held >= _FLUSH_ROWS:
-                    fh.write("".join(pieces))
-                    pieces, held = [], 0
+                parts.append((_mark_row(mark), "", ("",)))
                 mark = next(marks, None)
+            put(parts)
         if timeline.complete:
-            pieces.append(_mark_row(TimelineEvent(timeline.end_time_s, "campaign_end", "", "", "", -1)))
+            put([(_mark_row(TimelineEvent(timeline.end_time_s, "campaign_end", "", "", "", -1)), "", ("",))])
         fh.write("".join(pieces))
 
 

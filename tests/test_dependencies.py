@@ -54,7 +54,6 @@ def test_every_declared_dependency_is_imported():
     assert not unused, f"declared in pyproject.toml but never imported: {sorted(unused)}"
 
 
-
 def unused_imports(source: str) -> list[str]:
     """Names a module imports, anywhere in it, and never reads: ``__future__`` aside."""
     tree = ast.parse(source)
@@ -81,6 +80,7 @@ def test_every_imported_name_is_used(path):
     # Deleting the last reader of a name leaves its import behind; nothing
     # re-exports through the package, so an import no code reads is dead.
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
 
 def loaded_after(module: str, *tops: str) -> list[str]:
     """Modules under ``tops`` in ``sys.modules`` after a fresh interpreter imports ``module``."""
