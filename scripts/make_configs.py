@@ -8,7 +8,7 @@ from pathlib import Path
 from fecampaign.campaign import CampaignMode, SweepRung
 from fecampaign.config import CampaignConfig, SweepPlan, save_config
 from fecampaign.engine import PilotConfig
-from fecampaign.protocols import AdaptiveConfig, ProtocolKind, ScheduleMode
+from fecampaign.protocols import AdaptiveConfig, ProtocolKind
 from fecampaign.synth import named_system, named_systems
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,7 +58,6 @@ def main() -> None:
     dump("sweep_weak_ties.json", CampaignConfig(
         seed=42,
         output_dir="out/sweep",
-        schedule_mode=ScheduleMode.SCALING,
         pilot=PilotConfig(total_cores=4160),
         sweep=SweepPlan(
             kind="WEAK",
@@ -71,7 +70,6 @@ def main() -> None:
     dump("sweep_strong_ties.json", CampaignConfig(
         seed=42,
         output_dir="out/sweep",
-        schedule_mode=ScheduleMode.SCALING,
         pilot=PilotConfig(total_cores=16640),
         sweep=SweepPlan(
             kind="STRONG",
@@ -84,7 +82,6 @@ def main() -> None:
     dump("sweep_weak_esmacs.json", CampaignConfig(
         seed=42,
         output_dir="out/sweep",
-        schedule_mode=ScheduleMode.SCALING,
         pilot=PilotConfig(total_cores=1600),
         sweep=SweepPlan(
             kind="WEAK",

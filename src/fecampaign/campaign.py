@@ -279,15 +279,17 @@ def plan_sweep(
     kind: str, rungs: Sequence[SweepRung], protocol_kind: ProtocolKind, replicas: int | None = None,
     cores_per_task: int = 32,
 ) -> tuple[int, Pipeline]:
-    """The replicas a sweep's protocols run (by default 25 for ESMACS, 5 for
-    TIES) and its first pipeline, whose tasks every protocol has: the one
-    owner of sweep size rules.  A rung runs ``n_protocols`` times those tasks,
-    at most :data:`MAX_SWEEP_TASKS`, or :class:`ValidationError` names the field.
+    """The replicas a sweep's protocols run (by default 25 for ESMACS, 5 for TIES) and its
+    first pipeline, whose tasks every protocol has: the one owner of rung rules, which a
+    sweep config checks when built.  A rung fits a task in its cores and runs ``n_protocols``
+    times those tasks, at most :data:`MAX_SWEEP_TASKS`, or :class:`ValidationError` names the field.
     """
     if replicas is None:
         replicas = 25 if protocol_kind is ProtocolKind.ESMACS else 5
     first = _sweep_pipeline(protocol_kind, f"{kind.lower()}-0-p0", replicas, cores_per_task)
     for i, rung in enumerate(rungs):
+        if rung.total_cores < cores_per_task:
+            raise ValidationError(f"config.sweep.rungs[{i}].total_cores must fit at least one task")
         if rung.n_protocols * first.n_tasks > MAX_SWEEP_TASKS:
             name = "replicas" if first.n_tasks > MAX_SWEEP_TASKS else f"rungs[{i}].n_protocols"
             raise ValidationError(

@@ -29,7 +29,6 @@ from .campaign import (
     SystemRunResult,
     compare_system,
     plan_run,
-    plan_sweep,
     run_label,
     run_sweep,
     run_system,
@@ -73,11 +72,9 @@ def _require_runs(cfg: CampaignConfig, *modes: CampaignMode) -> None:
 
 
 def _require_sweep(cfg: CampaignConfig) -> None:
-    """Size the sweep: a config whose rungs are too large fails here, naming its field."""
+    """A sweep reads the config's ``sweep`` section, whose rungs were sized at load."""
     if cfg.sweep is None:
         raise ValidationError("config.sweep section is required for the sweep command")
-    plan = cfg.sweep
-    plan_sweep(plan.kind, plan.rungs, plan.protocol_kind, plan.replicas, cfg.pilot.cores_per_task)
 
 
 def _load(

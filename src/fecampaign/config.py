@@ -9,7 +9,7 @@ A field without a default is required; an unknown or repeated key is an error.
 Errors name their field once, by full path: a dataclass's own check names
 it by its subject (``pilot.total_cores``), the decoder swaps in the path.
 Format special cases: a ``LambdaSchedule`` is a JSON array, a curve holds
-only its preset's parameters.
+only its preset's parameters, a sweep config (``sweep`` set) only ``SWEEP_KEYS``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cache
 from pathlib import Path
 from typing import Any
 
-from .campaign import CampaignMode, SweepRung, _slug
+from .campaign import CampaignMode, SweepRung, _slug, plan_sweep
 from .engine import PilotConfig
 from .errors import ValidationError, require_finite
 from .protocols import AdaptiveConfig, LambdaSchedule, ProtocolKind, ScheduleMode
@@ -32,9 +32,12 @@ from .stats import DEFAULT_DISCARD_FRACTION
 from .synth import PRESET_PARAMETERS, CurvePreset, GroundTruthCurve, SyntheticSystem
 
 
+SWEEP_KEYS = ("seed", "output_dir", "pilot", "sweep")  # what a sweep config holds: a sweep reads no more
+
+
 @dataclass(frozen=True)
 class SweepPlan:
-    """Scale ladder for ``cli.sweep``: what to run and at which sizes."""
+    """Scale ladder for ``cli.sweep``; a config holding one is a sweep config, its rungs sized at load."""
 
     kind: str
     protocol_kind: ProtocolKind
@@ -70,6 +73,8 @@ class CampaignConfig:
         # also guards the CLI's --seed override, which bypasses the loader
         if self.seed < 0:
             raise ValidationError(f"config.seed must be >= 0, got {self.seed}")
+        if self.seed >= 2**63:
+            raise ValidationError("config.seed must be a 64-bit integer")
         if self.replicas_per_window < 2:
             # a window's standard error is the spread of its replica means
             raise ValidationError("config.replicas_per_window must be >= 2")
@@ -84,9 +89,12 @@ class CampaignConfig:
                     f"config.systems[{j}].label {system.label!r} names the same output files "
                     f"as config.systems[{i}]"
                 )
-        for i, rung in enumerate(self.sweep.rungs if self.sweep else ()):
-            if rung.total_cores < self.pilot.cores_per_task:
-                raise ValidationError(f"config.sweep.rungs[{i}].total_cores must fit at least one task")
+        if (plan := self.sweep) is not None:
+            for f in (f for f in fields(self) if f.name not in SWEEP_KEYS):
+                default = f.default_factory() if f.default is MISSING else f.default
+                if getattr(self, f.name) != default:
+                    raise ValidationError(f"config.{f.name} is not read by a sweep")
+            plan_sweep(plan.kind, plan.rungs, plan.protocol_kind, plan.replicas, self.pilot.cores_per_task)
 
 
 @cache
@@ -128,6 +136,8 @@ def _decode(tp, value: Any, path: str):
         if tp is GroundTruthCurve and "preset" in value:
             preset = _decode(CurvePreset, value["preset"], f"{path}.preset")
             names, note = ("preset", *PRESET_PARAMETERS[preset]), f" for preset {preset.value}"
+        elif tp is CampaignConfig and value.get("sweep") is not None:
+            names, note = SWEEP_KEYS, " for a sweep config"
         unknown = set(value) - set(names)
         if unknown:
             raise ValidationError(f"{path}: unknown keys {sorted(unknown)}{note}")
@@ -166,7 +176,8 @@ def _encode(value: Any) -> Any:
     if isinstance(value, GroundTruthCurve):
         return {n: _encode(getattr(value, n)) for n in ("preset", *PRESET_PARAMETERS[value.preset])}
     if is_dataclass(value):
-        return {n: _encode(v) for n in _fields(type(value)) if (v := getattr(value, n)) is not None}
+        names = SWEEP_KEYS if isinstance(value, CampaignConfig) and value.sweep else _fields(type(value))
+        return {n: _encode(v) for n in names if (v := getattr(value, n)) is not None}
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
     return value.value if isinstance(value, Enum) else value

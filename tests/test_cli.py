@@ -10,7 +10,7 @@ import pytest
 from cli_invoke import invoke
 
 from fecampaign.campaign import CampaignMode, _slug, run_system
-from fecampaign.config import CampaignConfig, SweepPlan, load_config, save_config
+from fecampaign.config import SWEEP_KEYS, CampaignConfig, SweepPlan, load_config, save_config
 from fecampaign.engine import PilotConfig
 from fecampaign.errors import CampaignError, ContractError
 from fecampaign.campaign import SweepRung
@@ -28,16 +28,16 @@ NOISY = SyntheticSystem("Noisy Pair", SLOPE, NoiseModel(sigma=1.0, ar1_phi=0.5))
 
 
 def write_config(tmp_path, name="config.json", **overrides):
-    defaults = dict(
-        seed=5,
-        mode=CampaignMode.NONADAPTIVE,
-        output_dir=str(tmp_path / "out"),
-        pilot=PilotConfig(total_cores=2_080),
-        adaptive=AdaptiveConfig(error_threshold_epsilon=0.05, substage_timesteps=50_000),
-        systems=(QUIET,),
-        replicas_per_window=2,
-        schedule_mode=ScheduleMode.SCALING,
-    )
+    """A campaign config, or with ``sweep`` among ``overrides`` a sweep config."""
+    defaults = dict(seed=5, output_dir=str(tmp_path / "out"), pilot=PilotConfig(total_cores=2_080))
+    if "sweep" not in overrides:  # a sweep config holds only SWEEP_KEYS
+        defaults.update(
+            mode=CampaignMode.NONADAPTIVE,
+            adaptive=AdaptiveConfig(error_threshold_epsilon=0.05, substage_timesteps=50_000),
+            systems=(QUIET,),
+            replicas_per_window=2,
+            schedule_mode=ScheduleMode.SCALING,
+        )
     defaults.update(overrides)
     path = tmp_path / name
     save_config(CampaignConfig(**defaults), path)
@@ -573,11 +573,9 @@ def test_broken_contract_is_an_internal_fault(tmp_path, monkeypatch):
     ],
 )
 def test_bad_field_fails_at_load(tmp_path, keys, value, message):
-    plan = SweepPlan(
-        kind="WEAK", protocol_kind=ProtocolKind.TIES, physical_system="demo pair",
-        rungs=(SweepRung(2, 4_160),),
-    )
-    cfg_path = write_config(tmp_path, sweep=plan)
+    # a key a sweep config holds is probed through `sweep`, any other through `run`
+    sweep = keys[0] in SWEEP_KEYS
+    cfg_path = write_config(tmp_path, **({"sweep": WEAK_PLAN} if sweep else {}))
     obj = json.loads(cfg_path.read_text())
     target = obj
     for key in keys[:-1]:
@@ -587,9 +585,54 @@ def test_bad_field_fails_at_load(tmp_path, keys, value, message):
     else:
         target[keys[-1]] = value
     cfg_path.write_text(json.dumps(obj))
-    result = invoke("sweep", "--config", cfg_path)
+    result = invoke("sweep" if sweep else "run", "--config", cfg_path)
     assert result.exit_code == 2
     assert message in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "edit,key",
+    [
+        ({"replicas_per_window": 50}, "replicas_per_window"),
+        ({"mode": "ADAPTIVE_TERMINATION"}, "mode"),
+        ({"discard_fraction": 0.9}, "discard_fraction"),
+        ({"sample_interval_ps": 1000}, "sample_interval_ps"),
+        ({"adaptive": {"max_total_windows": 3}}, "adaptive"),
+        ({"schedule_mode": "PRODUCTION"}, "schedule_mode"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_a_sweep_config_holds_only_what_a_sweep_reads(tmp_path, edit, key):
+    # each edit once left sweep_weak.csv byte-identical, and the sweep exited 0
+    obj = json.loads((ROOT / "configs" / "sweep_weak_ties.json").read_text())
+    obj.update(edit)
+    (tmp_path / "probe.json").write_text(json.dumps(obj))
+    result = invoke("sweep", "--config", tmp_path / "probe.json", "--out", tmp_path / "out")
+    assert result.exit_code == 2
+    assert f"config: unknown keys ['{key}'] for a sweep config" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_campaign_config_with_a_sweep_is_a_sweep_config(tmp_path):
+    obj = json.loads((ROOT / "configs" / "compare.json").read_text())
+    obj["sweep"] = json.loads((ROOT / "configs" / "sweep_weak_ties.json").read_text())["sweep"]
+    (tmp_path / "probe.json").write_text(json.dumps(obj))
+    for command in ("compare", "sweep"):
+        result = invoke(command, "--config", tmp_path / "probe.json", "--out", tmp_path / "out")
+        assert result.exit_code == 2
+        assert "'mode'" in result.stderr and "'systems'" in result.stderr
+        assert "for a sweep config" in result.stderr
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_seed_override_past_64_bits_is_a_config_error(tmp_path, command):
+    # a config file's seed is held to 64 bits; --seed once skipped that rule and ran
+    cfg_path = write_config(tmp_path, **({"sweep": WEAK_PLAN} if command == "sweep" else {}))
+    result = invoke(command, "--config", cfg_path, "--seed", 2**63, "--out", tmp_path / "out")
+    assert result.exit_code == 2
+    assert "config.seed must be a 64-bit integer" in result.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -1,14 +1,16 @@
 import copy
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fecampaign.campaign import CampaignMode, SweepRung, _slug
+from fecampaign.campaign import MAX_SWEEP_TASKS, CampaignMode, SweepRung, _slug
 from fecampaign.config import (
+    SWEEP_KEYS,
     CampaignConfig,
     SweepPlan,
     config_from_dict,
@@ -49,17 +51,23 @@ def full_config():
             ("r", GroundTruthCurve(CurvePreset.RATIONAL, center=0.7, width=0.1, amplitude=-5.0)),
         ]
     )
+    return CampaignConfig(
+        seed=9, mode=CampaignMode.ADAPTIVE_TERMINATION, output_dir="elsewhere",
+        pilot=PilotConfig(total_cores=4_160, concurrency_cap=200),
+        adaptive=AdaptiveConfig(error_threshold_epsilon=0.3),
+        systems=systems,
+        replicas_per_window=3, sample_interval_ps=2.0, discard_fraction=0.2,
+        schedule_mode=ScheduleMode.SCALING,
+    )
+
+
+def full_sweep_config():
     sweep = SweepPlan(
         kind="STRONG", protocol_kind=ProtocolKind.TIES, physical_system="pair",
         rungs=(SweepRung(8, 16_640), SweepRung(8, 8_320)), replicas=7,
     )
     return CampaignConfig(
-        seed=9, mode=CampaignMode.ADAPTIVE_TERMINATION, output_dir="elsewhere",
-        pilot=PilotConfig(total_cores=4_160, concurrency_cap=200),
-        adaptive=AdaptiveConfig(error_threshold_epsilon=0.3),
-        systems=systems, sweep=sweep,
-        replicas_per_window=3, sample_interval_ps=2.0, discard_fraction=0.2,
-        schedule_mode=ScheduleMode.SCALING,
+        seed=9, output_dir="elsewhere", pilot=PilotConfig(total_cores=4_160, concurrency_cap=200), sweep=sweep,
     )
 
 
@@ -69,24 +77,51 @@ def test_round_trip_identity_default_config():
 
 
 def test_round_trip_identity_full_config():
-    cfg = full_config()
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    for cfg in (full_config(), full_sweep_config()):
+        assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
 def test_round_trip_survives_json_text(tmp_path):
-    cfg = full_config()
-    path = tmp_path / "c.json"
-    save_config(cfg, path)
-    assert load_config(path) == cfg
+    for cfg in (full_config(), full_sweep_config()):
+        path = tmp_path / "c.json"
+        save_config(cfg, path)
+        assert load_config(path) == cfg
 
 
 def test_saved_config_is_byte_stable(tmp_path):
-    cfg = full_config()
-    first = tmp_path / "a.json"
-    second = tmp_path / "b.json"
-    save_config(cfg, first)
-    save_config(load_config(first), second)
-    assert first.read_bytes() == second.read_bytes()
+    for cfg in (full_config(), full_sweep_config()):
+        first = tmp_path / "a.json"
+        second = tmp_path / "b.json"
+        save_config(cfg, first)
+        save_config(load_config(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+
+def test_a_sweep_config_saves_only_what_a_sweep_reads():
+    assert tuple(config_to_dict(full_sweep_config())) == SWEEP_KEYS
+
+
+def test_a_sweep_config_built_in_code_names_a_field_a_sweep_does_not_read():
+    plan = full_sweep_config().sweep
+    with pytest.raises(ValidationError, match=r"^config\.replicas_per_window is not read by a sweep$"):
+        CampaignConfig(sweep=plan, replicas_per_window=3)
+    with pytest.raises(ValidationError, match=r"^config\.adaptive is not read by a sweep$"):
+        CampaignConfig(sweep=plan, adaptive=AdaptiveConfig(max_total_windows=3))
+    with pytest.raises(ValidationError, match=r"^config\.mode is not read by a sweep$"):
+        replace(full_sweep_config(), mode=CampaignMode.REFERENCE)
+
+
+def test_load_config_sizes_the_sweep_rungs(tmp_path):
+    # A TIES protocol runs 4 stages x 13 windows x 5 replicas = 260 tasks.
+    obj = config_to_dict(full_sweep_config())
+    obj["sweep"]["replicas"] = 5
+    obj["sweep"]["rungs"] = [{"n_protocols": MAX_SWEEP_TASKS // 260, "total_cores": 2_080}]
+    (tmp_path / "fits.json").write_text(json.dumps(obj))
+    assert load_config(tmp_path / "fits.json").sweep.rungs[0].n_protocols == MAX_SWEEP_TASKS // 260
+    obj["sweep"]["rungs"].append({"n_protocols": MAX_SWEEP_TASKS // 260 + 1, "total_cores": 2_080})
+    (tmp_path / "over.json").write_text(json.dumps(obj))
+    with pytest.raises(ValidationError, match=r"^config\.sweep\.rungs\[1\]\.n_protocols: rung 1 would run"):
+        load_config(tmp_path / "over.json")
 
 
 #: In-bound values of each curve parameter; a curve draws those its preset reads.

@@ -35,7 +35,8 @@ EDGES = (0, -1, 1, 2, 0.5, 1e-9, 5e-324, 1e-300, 2**40, 2**63, 10**400, 1e300, 1
 
 def _first_system(name: str) -> dict:
     obj = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
-    obj["systems"] = obj["systems"][:1]
+    if "systems" in obj:  # a sweep config holds none
+        obj["systems"] = obj["systems"][:1]
     return obj
 
 
@@ -73,7 +74,7 @@ def check(name: str, edits) -> None:
         cfg = config_from_dict(obj)
         if cfg.sweep is not None:
             plan = cfg.sweep
-            replicas, _ = plan_sweep(plan.kind, plan.rungs, plan.protocol_kind, plan.replicas)
+            replicas, _ = plan_sweep(plan.kind, plan.rungs, plan.protocol_kind, plan.replicas, cfg.pilot.cores_per_task)
             # S1-S4, one task per replica, at each of the 13 windows for TIES
             windows = NONADAPTIVE_WINDOWS if plan.protocol_kind is ProtocolKind.TIES else 1
             per_protocol = 4 * replicas * windows
