@@ -27,13 +27,14 @@ holds both stop rules:
 
 The replica-mean matrix is the only way to a free energy;
 :meth:`SyntheticSampler.series` reads one replica's samples as a
-:class:`~fecampaign.stats.DuDlSeries`, for inspection and tests.
+:class:`~fecampaign.stats.DuDlSeries`, for inspection and tests.  A comparison
+grows both fixed-schedule arms' samplers full in one :func:`grow_samplers` call.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .errors import ContractError, ValidationError
 from .protocols import MD_TIMESTEP_PS, AdaptiveConfig, Pipeline, Stage, StageKind
@@ -85,8 +86,9 @@ class SyntheticSampler:
 
     Each window keeps one block: its replicas' generators and a
     ``(replicas x horizon)`` buffer, sized by the window's first request,
-    allocated when the window first grows (new windows that grow together
-    share one array) and generated only as far as a caller reads it.
+    allocated when the window first grows (new windows that grow together,
+    in one sampler or across one :func:`grow_samplers` call, share one
+    array) and generated only as far as a caller reads it.
     Growth continues the same streams, so a window's early samples never
     change as its series grows across sub-stages, regardless of when the
     window was created, and each prefix is bit-identical to a one-shot
@@ -103,41 +105,9 @@ class SyntheticSampler:
         self._drift = drift_curve(system.noise, horizon_samples, dt_ps)
         self._streams: dict[float, NoiseBlock] = {}
 
-    def _grow(self, requests: Iterable[tuple[float, int]], replicas: int) -> None:
-        """Grow each ``lambda`` window's block, which must hold ``replicas`` streams, to its length.
-
-        Every request is checked before any block is opened or grown, and the
-        new windows' blocks are opened in one call
-        (:func:`~fecampaign.synth.open_streams`).  Windows that grow by the
-        same number of samples share one AR(1) pass; when none of them holds
-        samples yet, that pass writes straight into their storage
-        (:func:`~fecampaign.synth.grow_streams`).
-        """
-        requests = list(requests)
-        for lam, n_samples in requests:
-            if n_samples > self.horizon_samples:
-                raise ContractError(
-                    f"requested {n_samples} samples beyond the {self.horizon_samples}-sample horizon"
-                )
-            block = self._streams.get(lam)
-            if block is not None and replicas > len(block.rngs):
-                raise ContractError(f"window {lam} holds {len(block.rngs)} replicas, not {replicas}")
-        new = [lam for lam, _ in requests if lam not in self._streams]
-        if new:
-            levels = [self.system.curve.evaluate(lam) for lam in new]
-            blocks = open_streams(levels, new, self.horizon_samples, self.seed, replicas)
-            self._streams.update(zip(new, blocks))
-        batches: dict[int, list[NoiseBlock]] = {}
-        for lam, n_samples in requests:
-            block = self._streams[lam]
-            if n_samples > block.fill:
-                batches.setdefault(n_samples - block.fill, []).append(block)
-        for n_new, blocks in batches.items():
-            grow_streams(self.system.noise, blocks, n_new, self._drift)
-
     def series(self, lam: float, replica: int, n_samples: int) -> DuDlSeries:
         lam = canonical_lambda(lam)
-        self._grow([(lam, n_samples)], replica + 1)
+        grow_samplers([(self, [(lam, n_samples)])], replica + 1)
         values = self._streams[lam].values[replica, :n_samples]
         values.flags.writeable = False
         return DuDlSeries(lam=lam, replica_index=replica, dt_ps=self.dt_ps, values=values)
@@ -156,7 +126,7 @@ class SyntheticSampler:
         if not 0.0 <= discard_fraction < 1.0:
             raise ContractError("discard_fraction must lie in [0, 1)")
         lengths = {canonical_lambda(lam): n for lam, n in lengths.items()}
-        self._grow(lengths.items(), replicas)
+        grow_samplers([(self, lengths.items())], replicas)
         lams = sorted(lengths)
         means = np.empty((len(lams), replicas))
         for row, lam in zip(means, lams):
@@ -164,6 +134,45 @@ class SyntheticSampler:
             k = int(discard_fraction * n)
             np.divide(self._streams[lam].values[:replicas, k:n].sum(axis=1), n - k, out=row)
         return lams, means
+
+
+def grow_samplers(requests: Sequence[tuple[SyntheticSampler, Collection]], replicas: int) -> None:
+    """Grow each sampler's ``(lambda, length)`` windows, which must hold ``replicas`` streams.
+
+    The samplers share one system and sample interval, so one noise model and drift.
+    Every request is checked, and every new window opened, before any is added or grown.
+    Windows that grow by the same number of samples share one AR(1) pass across samplers
+    (:func:`~fecampaign.synth.grow_streams`); new ones draw straight into one shared array.
+    """
+    first = requests[0][0]
+    for sampler, windows in requests:
+        if sampler.system != first.system or sampler.dt_ps != first.dt_ps:
+            raise ContractError("samplers grown together must share one system and dt_ps")
+        for lam, n in windows:
+            if n > sampler.horizon_samples:
+                raise ContractError(f"requested {n} samples beyond the {sampler.horizon_samples}-sample horizon")
+            block = sampler._streams.get(lam)
+            if block is not None and replicas > len(block.rngs):
+                raise ContractError(f"window {lam} holds {len(block.rngs)} replicas, not {replicas}")
+    opened = []
+    for sampler, windows in requests:
+        new = [lam for lam, _ in windows if lam not in sampler._streams]
+        if new:
+            levels = [sampler.system.curve.evaluate(lam) for lam in new]
+            blocks = open_streams(levels, new, sampler.horizon_samples, sampler.seed, replicas)
+            opened.append((sampler, new, blocks))
+    for sampler, new, blocks in opened:
+        sampler._streams.update(zip(new, blocks))
+    batches: dict[int, list[NoiseBlock]] = {}
+    for sampler, windows in requests:
+        for lam, n in windows:
+            block = sampler._streams[lam]
+            if n > block.fill:
+                batches.setdefault(n - block.fill, []).append(block)
+    # One system and dt_ps: the longest horizon's drift starts with every shorter one.
+    drift = max((sampler._drift for sampler, _ in requests), key=len)
+    for n_new, blocks in batches.items():
+        grow_streams(first.system.noise, blocks, n_new, drift)
 
 
 def _equilibration_chain(pipeline: Pipeline, stage: Stage, cycle: int, lams) -> list[Stage]:

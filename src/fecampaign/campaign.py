@@ -16,7 +16,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .adaptive import AdaptiveQuadratureEvaluator, AdaptiveTerminationEvaluator, samples_per_substage
+from .adaptive import (
+    AdaptiveQuadratureEvaluator, AdaptiveTerminationEvaluator, grow_samplers, samples_per_substage,
+)
 from .engine import CampaignOutcome, PilotConfig, run_campaign
 from .errors import CampaignError, ValidationError
 from .protocols import (
@@ -30,7 +32,7 @@ from .protocols import (
     StageKind,
     compile_protocol,
 )
-from .quadrature import FreeEnergyEstimate
+from .quadrature import FreeEnergyEstimate, canonical_lambda
 from .synth import SyntheticSystem
 
 if TYPE_CHECKING:  # config imports this module
@@ -153,16 +155,10 @@ def run_label(system: SyntheticSystem, mode: CampaignMode) -> str:
     return f"{_slug(system.label)}_{mode.value.lower()}"
 
 
-def run_system(
-    system: SyntheticSystem, mode: CampaignMode, config: CampaignConfig
-) -> SystemRunResult:
-    """Run one system through the engine in the given mode.
-
-    Every mode attaches the one evaluator to the run's one pipeline and reads
-    the result from what it holds once production ends.  Termination runs turn
-    its checkpoints on (:class:`AdaptiveTerminationEvaluator`); the others
-    refine or, on a fixed schedule, estimate once (:class:`AdaptiveQuadratureEvaluator`).
-    """
+def _build_arm(system: SyntheticSystem, mode: CampaignMode, config: CampaignConfig) -> tuple:
+    """A system run before it runs, ``(mode, pipeline, evaluator, data seed)``; its one
+    evaluator checkpoints in a termination run (:class:`AdaptiveTerminationEvaluator`) and
+    otherwise refines or, on a fixed schedule, estimates once (:class:`AdaptiveQuadratureEvaluator`)."""
     pipeline, adaptive = plan_run(system, mode, config)
     seed = data_seed(config.seed, system.label, mode)
     evaluator_cls = (
@@ -173,9 +169,15 @@ def run_system(
         system, adaptive, seed, dt_ps=config.sample_interval_ps,
         discard_fraction=config.discard_fraction,
     )
+    return mode, pipeline, evaluator, seed
 
+
+def _run_arm(system: SyntheticSystem, arm: tuple, pilot: PilotConfig) -> SystemRunResult:
+    """Run a built arm through the engine and read the result its evaluator holds
+    once production ends; a :class:`CampaignError` carries the run's label."""
+    mode, pipeline, evaluator, seed = arm
     try:
-        outcome = run_campaign([pipeline], config.pilot, evaluator=evaluator, seed=seed)
+        outcome = run_campaign([pipeline], pilot, evaluator=evaluator, seed=seed)
     except CampaignError as exc:
         exc.run_label = run_label(system, mode)
         raise
@@ -186,6 +188,11 @@ def run_system(
         outcome=outcome, terminated_ns=evaluator.terminated_ns,
         checkpoint_values=tuple(evaluator.checkpoint_values),
     )
+
+
+def run_system(system: SyntheticSystem, mode: CampaignMode, config: CampaignConfig) -> SystemRunResult:
+    """Run one system through the engine in the given mode: build its arm, then run it."""
+    return _run_arm(system, _build_arm(system, mode, config), config.pilot)
 
 
 @dataclass(frozen=True)
@@ -233,12 +240,22 @@ class SystemComparison:
 def compare_system(system: SyntheticSystem, config: CampaignConfig) -> SystemComparison:
     """The adaptive-vs-uniform experiment for one system.
 
+    Both fixed-schedule arms are built first, and all 78 of their windows grow
+    full in one :func:`~fecampaign.adaptive.grow_samplers` call (one array, one
+    AR(1) walk); each arm is dropped once run, freeing that array before the
+    adaptive arm starts.  The results equal :func:`run_system`'s.
+
     The adaptive error budget is set to the non-adaptive run's measured
     deviation from the dense reference (floored just above zero so the
     budget stays a valid threshold when the two coincide).
     """
-    reference = run_system(system, CampaignMode.REFERENCE, config)
-    nonadaptive = run_system(system, CampaignMode.NONADAPTIVE, config)
+    arms = [_build_arm(system, mode, config) for mode in (CampaignMode.REFERENCE, CampaignMode.NONADAPTIVE)]
+    grow_samplers([
+        (ev.sampler, [(canonical_lambda(lam), ev.sampler.horizon_samples) for lam in stage.lambdas])
+        for _, pipeline, ev, _ in arms for stage in pipeline.stages if stage.kind is StageKind.PRODUCTION
+    ], config.replicas_per_window)
+    reference = _run_arm(system, arms.pop(0), config.pilot)
+    nonadaptive = _run_arm(system, arms.pop(0), config.pilot)
     epsilon = max(
         abs(nonadaptive.estimate.delta_g - reference.estimate.delta_g), EPSILON_FLOOR
     )

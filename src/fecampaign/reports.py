@@ -8,9 +8,8 @@ Every report declares one list for the aligned text printed to standard
 output (``*_TABLE``) and one for its CSV (``*_CSV``); `table` and `to_csv`
 render any list.  A text cell may read two values, as "dG (err)" does.  To
 add a column, add one `Column` that reads the result to each rendering that
-shows it; a CSV's header tuple (``*_COLUMNS``) is read off its declaration.
-Cell formatting is deterministic, so re-running a seeded campaign reproduces
-both renderings byte for byte.
+shows it.  Cell formatting is deterministic, so re-running a seeded campaign
+reproduces both renderings byte for byte.
 """
 
 from __future__ import annotations
@@ -176,11 +175,6 @@ VALIDATION_CSV = (
     Column("experiment_err", lambda r: f"{r.experiment[1]:.2f}"),
     Column("within_error", lambda r: "true" if r.within_error else "false"),
 )
-
-COMPARISON_COLUMNS = tuple(c.header for c in COMPARISON_CSV)
-TERMINATION_COLUMNS = tuple(c.header for c in TERMINATION_CSV)
-VALIDATION_COLUMNS = tuple(c.header for c in VALIDATION_CSV)
-
 
 def render_comparison_table(rows: list[SystemComparison]) -> str:
     notes = [_MODEL_NOTE]

@@ -10,6 +10,7 @@ from fecampaign.adaptive import (
     AdaptiveQuadratureEvaluator,
     AdaptiveTerminationEvaluator,
     SyntheticSampler,
+    grow_samplers,
     samples_per_substage,
 )
 from fecampaign.engine import PilotConfig, run_campaign
@@ -80,6 +81,42 @@ def test_sampler_prefixes_are_stable():
     short = sampler.series(0.5, 0, 100)
     full = sampler.series(0.5, 0, 400)
     assert np.array_equal(short.values, full.values[:100])
+
+
+def test_samplers_grown_together_equal_samplers_grown_alone():
+    # Two seeds of one drifting system with different horizons: a fresh joint
+    # growth (one shared array), a joint continuing growth, then each to its
+    # own horizon.  Every window must match the same sampler grown alone and
+    # a one-shot series.
+    system = named_system("PTP1B L1-L2")
+    plans = ((3, 300, (0.0, 0.5, 1.0)), (4, 360, (0.25, 0.5)))
+    together = [SyntheticSampler(system, seed, 1.0, horizon) for seed, horizon, _ in plans]
+    alone = [SyntheticSampler(system, seed, 1.0, horizon) for seed, horizon, _ in plans]
+    for step in (120, 200, None):
+        grow = [[(lam, step or horizon) for lam in lams] for _, horizon, lams in plans]
+        grow_samplers(list(zip(together, grow)), 2)
+        for sampler, windows in zip(alone, grow):
+            grow_samplers([(sampler, windows)], 2)
+        if step == 120:
+            store = together[0]._streams[0.0].values.base
+            assert all(block.values.base is store for s in together for block in s._streams.values())
+    for (seed, horizon, lams), joint, single in zip(plans, together, alone):
+        for lam in lams:
+            for replica in range(2):
+                one_shot = SyntheticSampler(system, seed, 1.0, horizon).series(lam, replica, horizon)
+                assert joint.series(lam, replica, horizon).values.tobytes() == one_shot.values.tobytes()
+                assert single.series(lam, replica, horizon).values.tobytes() == one_shot.values.tobytes()
+
+
+@pytest.mark.parametrize("other", [
+    SyntheticSampler(named_system("TYK2 L7-L8"), 3, 1.0, 100),  # another system
+    SyntheticSampler(named_system("PTP1B L1-L2"), 3, 2.0, 100),  # another sample interval
+])
+def test_samplers_grown_together_share_system_and_interval(other):
+    sampler = SyntheticSampler(named_system("PTP1B L1-L2"), 3, 1.0, 100)
+    with pytest.raises(ContractError, match="one system and dt_ps"):
+        grow_samplers([(sampler, [(0.5, 10)]), (other, [(0.5, 10)])], 1)
+    assert sampler._streams == {} and other._streams == {}
 
 
 def test_sampler_rejects_requests_past_horizon():

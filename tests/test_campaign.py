@@ -1,8 +1,13 @@
+import gc
+import tracemalloc
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 from marks import mark_labels
 
-from fecampaign import config
+from fecampaign import adaptive, campaign, config
 from fecampaign.config import CampaignConfig
 from fecampaign.campaign import (
     EPSILON_FLOOR,
@@ -19,7 +24,7 @@ from fecampaign.campaign import (
     run_system,
     run_termination,
 )
-from fecampaign.engine import PilotConfig
+from fecampaign.engine import PilotConfig, write_timeline_csv
 from fecampaign.errors import ValidationError
 from fecampaign.protocols import (
     AdaptiveConfig,
@@ -119,6 +124,74 @@ def test_compare_budget_equals_measured_nonadaptive_error():
     assert cmp.epsilon == pytest.approx(gap)
     assert cmp.reference.n_windows == 65
     assert cmp.nonadaptive.n_windows == 13
+
+
+COMPARE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "compare.json"
+#: Bytes of the fixed arms' shared samples on ``compare.json``: 65 + 13 windows of
+#: 5 replicas, 4,000 samples each, rows padded to 4,008.
+FIXED_ARMS_STORE_BYTES = 390 * 4_008 * 8
+
+
+def spy_compare(monkeypatch, system, cfg):
+    """Run ``compare_system`` and return it, the ``grow_streams`` calls made
+    before the adaptive arm starts, as ``(rows, n_new, fresh)``, and whether
+    the first call's store was still alive (after ``gc.collect()``) then."""
+    calls, seen = [], {}
+    grow, run = adaptive.grow_streams, campaign.run_campaign
+
+    def spy_grow(noise, blocks, n_new, drift):
+        calls.append((sum(len(b.rngs) for b in blocks), n_new, all(b.fill == 0 for b in blocks)))
+        grow(noise, blocks, n_new, drift)
+        seen.setdefault("store", weakref.ref(blocks[0].values.base))
+
+    def spy_run(*args, **kwargs):
+        seen["runs"] = seen.get("runs", 0) + 1
+        if seen["runs"] == 3:  # the ADAPTIVE_QUADRATURE arm
+            gc.collect()
+            seen["fixed_calls"], seen["alive"] = list(calls), seen["store"]() is not None
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(adaptive, "grow_streams", spy_grow)
+    monkeypatch.setattr(campaign, "run_campaign", spy_run)
+    cmp = compare_system(system, cfg)
+    return cmp, seen["fixed_calls"], seen["alive"]
+
+
+@pytest.mark.parametrize("label", ["PTP1B L1-L2", "TYK2 L7-L8"])  # with and without drift
+def test_compare_fixed_arms_equal_their_own_runs(label, monkeypatch, tmp_path):
+    cfg = config.load_config(COMPARE_CONFIG)
+    system = next(s for s in cfg.systems if s.label == label)
+    cmp, fixed_calls, _ = spy_compare(monkeypatch, system, cfg)
+    assert fixed_calls == [(390, 4_000, True)]  # both fixed arms: one fresh walk
+    for mode, joint in ((CampaignMode.REFERENCE, cmp.reference), (CampaignMode.NONADAPTIVE, cmp.nonadaptive)):
+        alone = run_system(system, mode, cfg)
+        assert (joint.estimate, joint.windows) == (alone.estimate, alone.windows)
+        assert joint.outcome.overheads == alone.outcome.overheads
+        write_timeline_csv(joint.outcome.timeline, tmp_path / "joint.csv")
+        write_timeline_csv(alone.outcome.timeline, tmp_path / "alone.csv")
+        assert (tmp_path / "joint.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+def test_compare_frees_the_fixed_arms_store_before_the_adaptive_arm(monkeypatch):
+    cfg = config.load_config(COMPARE_CONFIG)
+    system = next(s for s in cfg.systems if s.label == "PTP1B L1-L2")
+    _, _, alive = spy_compare(monkeypatch, system, cfg)
+    assert not alive
+
+
+def test_compare_peaks_near_the_fixed_arms_store():
+    # Held past NONADAPTIVE, the store would overlap the adaptive arm's
+    # samples (up to 21 windows x 5 replicas x 4,000) and peak at about 1.19x.
+    cfg = config.load_config(COMPARE_CONFIG)
+    system = next(s for s in cfg.systems if s.label == "PTP1B L1-L2")
+    compare_system(system, cfg)  # lazy imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        compare_system(system, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * FIXED_ARMS_STORE_BYTES
 
 
 def test_weak_sweep_holds_ttx_flat():
