@@ -28,7 +28,6 @@ def main() -> None:
 
     dump("compare.json", CampaignConfig(
         seed=42,
-        mode=CampaignMode.ADAPTIVE_QUADRATURE,
         output_dir="out/compare",
         pilot=pilot,
         systems=all_systems,
@@ -36,7 +35,6 @@ def main() -> None:
 
     dump("termination.json", CampaignConfig(
         seed=42,
-        mode=CampaignMode.ADAPTIVE_TERMINATION,
         output_dir="out/termination",
         pilot=pilot,
         systems=(

@@ -32,7 +32,7 @@ from .protocols import (
     StageKind,
     compile_protocol,
 )
-from .quadrature import FreeEnergyEstimate, canonical_lambda
+from .quadrature import FreeEnergyEstimate
 from .synth import SyntheticSystem
 
 if TYPE_CHECKING:  # config imports this module
@@ -251,7 +251,7 @@ def compare_system(system: SyntheticSystem, config: CampaignConfig) -> SystemCom
     """
     arms = [_build_arm(system, mode, config) for mode in (CampaignMode.REFERENCE, CampaignMode.NONADAPTIVE)]
     grow_samplers([
-        (ev.sampler, [(canonical_lambda(lam), ev.sampler.horizon_samples) for lam in stage.lambdas])
+        (ev.sampler, [(lam, ev.sampler.horizon_samples) for lam in stage.lambdas])
         for _, pipeline, ev, _ in arms for stage in pipeline.stages if stage.kind is StageKind.PRODUCTION
     ], config.replicas_per_window)
     reference = _run_arm(system, arms.pop(0), config.pilot)

@@ -71,6 +71,13 @@ def _require_runs(cfg: CampaignConfig, *modes: CampaignMode) -> None:
         plan_run(cfg.systems[0], mode, cfg)
 
 
+def _require_report(cfg: CampaignConfig, command: str, *modes: CampaignMode) -> None:
+    """A report runs the modes it reports, so a config's ``mode`` is an error; then as ``_require_runs``."""
+    if cfg.mode is not None:
+        raise ValidationError(f"config.mode is not read by {command}")
+    _require_runs(cfg, *modes)
+
+
 def _require_sweep(cfg: CampaignConfig) -> None:
     """A sweep reads the config's ``sweep`` section, whose rungs were sized at load."""
     if cfg.sweep is None:
@@ -80,13 +87,13 @@ def _require_sweep(cfg: CampaignConfig) -> None:
 def _load(
     args: argparse.Namespace, require: Callable[[CampaignConfig], None]
 ) -> tuple[CampaignConfig, Path]:
-    """Load the config, apply ``--seed`` and ``--mode`` and ``require`` what the command
+    """Load the config, apply ``--seed`` and ``run``'s mode and ``require`` what the command
     reads of it, then create the output directory, so a rejected config leaves none."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "mode", None) is not None:
-        cfg = replace(cfg, mode=CampaignMode(args.mode))
+    if hasattr(args, "mode"):  # run: --mode, else the config's mode, else ADAPTIVE_QUADRATURE
+        cfg = replace(cfg, mode=CampaignMode(args.mode or cfg.mode or CampaignMode.ADAPTIVE_QUADRATURE))
     require(cfg)
     out, name = (args.out, "--out") if args.out is not None else (cfg.output_dir, "config.output_dir")
     return cfg, _out_dir(out, name)
@@ -164,7 +171,7 @@ def sweep(args: argparse.Namespace) -> None:
 def compare(args: argparse.Namespace) -> None:
     """Reference vs uniform vs adaptive quadrature for every system."""
     modes = (CampaignMode.REFERENCE, CampaignMode.NONADAPTIVE, CampaignMode.ADAPTIVE_QUADRATURE)
-    cfg, out_dir = _load(args, lambda cfg: _require_runs(cfg, *modes))
+    cfg, out_dir = _load(args, lambda cfg: _require_report(cfg, "compare", *modes))
     comparisons = []
     for system in cfg.systems:
         with _partial_timeline(out_dir):
@@ -186,7 +193,8 @@ def validate(args: argparse.Namespace) -> None:
 
 def term_report(args: argparse.Namespace) -> None:
     """Convergence-based early termination against the fixed 6 ns baseline."""
-    cfg, out_dir = _load(args, lambda cfg: _require_runs(cfg, CampaignMode.ADAPTIVE_TERMINATION))
+    mode = CampaignMode.ADAPTIVE_TERMINATION
+    cfg, out_dir = _load(args, lambda cfg: _require_report(cfg, "term-report", mode))
     runs = []
     for system in cfg.systems:
         with _partial_timeline(out_dir):

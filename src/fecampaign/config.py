@@ -5,7 +5,8 @@ keys are field names, in field order, and ``save_config`` output reloads to
 an equal config that re-saves byte for byte.  Int fields take 64-bit JSON
 integers, float fields JSON numbers (a boolean is neither), str fields
 strings; the dataclasses themselves reject NaN and Infinity.
-A field without a default is required; an unknown or repeated key is an error.
+A field without a default is required; an unknown or repeated key is an error,
+and so is ``null``: an unset field is an omitted key, as ``save_config`` writes it.
 Errors name their field once, by full path: a dataclass's own check names
 it by its subject (``pilot.total_cores``), the decoder swaps in the path.
 Format special cases: a ``LambdaSchedule`` is a JSON array, a curve holds
@@ -57,7 +58,7 @@ class SweepPlan:
 @dataclass(frozen=True)
 class CampaignConfig:
     seed: int = 42
-    mode: CampaignMode = CampaignMode.ADAPTIVE_QUADRATURE
+    mode: CampaignMode | None = None  # read by ``cli.run`` only, which defaults to ADAPTIVE_QUADRATURE
     output_dir: str = "out"
     pilot: PilotConfig = field(default_factory=lambda: PilotConfig(total_cores=2080))
     adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
@@ -116,9 +117,9 @@ def _build(cls, path: str, kwargs: dict):
 def _decode(tp, value: Any, path: str):
     """Decode one JSON value into annotation ``tp``, naming ``path`` on error."""
     origin = typing.get_origin(tp)
-    if origin in (types.UnionType, typing.Union):  # X | None
+    if origin in (types.UnionType, typing.Union):  # X | None: unset is an omitted key, not null
         (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
-        return None if value is None else _decode(tp, value, path)
+        return _decode(tp, value, path)
     if origin is tuple:
         if not isinstance(value, list):
             raise ValidationError(f"{path} must be a JSON array, got {value!r}")

@@ -28,9 +28,10 @@ equals the virtual clock at the final event.  ``run_campaign`` builds one
 
 A stage is a shape that pipelines share, so a task is an index into its
 stage's block, and a wave a list of slices of blocks, each carrying the
-index of the pipeline it runs for.  The engine stores one
-:class:`GenerationSummary` per wave, the pipeline ids once per run and
-the few stage marks, and keeps no per-task record.  The event log exists
+index of the pipeline it runs for.  A timeline is its waves and marks:
+one :class:`GenerationSummary` per wave, an aborted one last, the few
+stage marks and the pipeline ids once per run.  Its counts are derived
+from the waves, and no per-task record is kept.  The event log exists
 only as the file :func:`write_timeline_csv` writes, its one renderer:
 one loop over the waves writes the events in order, joining each stage
 slice's rows of one event from its pipeline's id and the id tails its
@@ -133,9 +134,10 @@ class TimelineEvent(NamedTuple):
 @dataclass(slots=True)
 class _Slice:
     """Stage indices launched together in one wave (a range on a first
-    attempt) for the pipeline at index ``pipeline`` of the campaign; all but
-    the ``failed``, in ascending order, ran until ``end_time_s``.  Slices
-    are what the writer renders: no per-task record is kept."""
+    attempt) for the pipeline at index ``pipeline`` of the campaign.  It ran
+    if and only if it has an end time (else NaN): all but the ``failed``, in
+    ascending order, ran until ``end_time_s``.  Slices are what the writer
+    renders: no per-task record is kept."""
 
     stage: Stage
     pipeline: int
@@ -146,43 +148,27 @@ class _Slice:
 
 @dataclass(frozen=True)
 class GenerationSummary:
-    """One wave: its stage slices in launch order, submitted together at one clock."""
+    """One wave: its stage slices in launch order, submitted together at one
+    clock.  Its generation number is its position in the timeline."""
 
-    index: int
     submit_time_s: float
     slices: tuple[_Slice, ...]
     is_retry: bool
-    exec_window_s: float = 0.0
 
     @property
     def width(self) -> int:
         return sum(len(s.indices) for s in self.slices)
 
-    @property
-    def n_failed(self) -> int:
-        return sum(len(s.failed) for s in self.slices)
-
-
-class _Count:
-    """A count read through ``len()``."""
-
-    __slots__ = ("_n",)
-
-    def __init__(self, n: int):
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
 
 @dataclass
 class CampaignTimeline:
-    """Wave summaries and stage marks of one campaign, plus its framework
-    time (the ``framework_ready`` row) and attempt and retry counts.
+    """The waves and stage marks of one campaign, plus its framework time
+    (the ``framework_ready`` row); the wave an abort interrupted after its
+    launch is the last, and every count is read off the waves.
 
     :func:`write_timeline_csv` is the only renderer of the event log.
-    ``events`` and ``task_records`` are its row and task counts, sized
-    objects that the benchmark reads through ``len()`` and nothing else.
+    ``events`` and ``task_records`` are its row and task counts, ranges
+    that the benchmark reads through ``len()`` and nothing else.
     """
 
     #: the campaign's pipeline ids, in list order, which a slice's ``pipeline`` indexes
@@ -190,25 +176,31 @@ class CampaignTimeline:
     generations: list[GenerationSummary] = field(default_factory=list)
     #: ``stage_complete`` and ``pipeline_terminated`` events, in order
     marks: list[TimelineEvent] = field(default_factory=list)
-    #: the wave an abort interrupted after its launch, never started
-    aborted_wave: GenerationSummary | None = None
     end_time_s: float = 0.0
     complete: bool = False
     framework_s: float = 0.0
-    n_attempts: int = 0
-    n_retries: int = 0
 
     @property
-    def events(self) -> _Count:
+    def n_attempts(self) -> int:
+        """Launched attempts: the widths of the waves."""
+        return sum(gen.width for gen in self.generations)
+
+    @property
+    def n_retries(self) -> int:
+        """Launch failures, each retried once (or aborting the campaign)."""
+        return sum(len(s.failed) for gen in self.generations for s in gen.slices)
+
+    @property
+    def events(self) -> range:
         """Rows the writer writes below the header, counted without rendering them."""
-        started = sum(gen.width - gen.n_failed for gen in self.generations)
-        return _Count(2 + self.n_attempts + self.n_retries + 2 * started + len(self.marks) + self.complete)
+        ran = [s for gen in self.generations for s in gen.slices if not math.isnan(s.end_time_s)]
+        started = sum(len(s.indices) - len(s.failed) for s in ran)
+        return range(2 + self.n_attempts + self.n_retries + 2 * started + len(self.marks) + self.complete)
 
     @property
-    def task_records(self) -> _Count:
-        """Distinct tasks launched: the widths of the non-retry waves, an aborted one included."""
-        waves = self.generations + [self.aborted_wave] * (self.aborted_wave is not None)
-        return _Count(sum(gen.width for gen in waves if not gen.is_retry))
+    def task_records(self) -> range:
+        """Distinct tasks launched: the widths of the first-attempt waves."""
+        return range(sum(gen.width for gen in self.generations if not gen.is_retry))
 
 
 @dataclass(frozen=True)
@@ -325,9 +317,8 @@ def run_campaign(
 
     def fail(message: str, aborted: list[_Slice] | None = None) -> CampaignError:
         timeline.end_time_s = clock
-        if aborted is not None:  # the wave that aborted, as launched
-            index = len(timeline.generations)
-            timeline.aborted_wave = GenerationSummary(index, clock, tuple(aborted), is_retry_wave)
+        if aborted is not None:  # the wave that aborted, as launched: its slices never end
+            timeline.generations.append(GenerationSummary(clock, tuple(aborted), is_retry_wave))
         return CampaignError(message, timeline=timeline)
 
     def enter_stage(k: int) -> None:
@@ -365,7 +356,7 @@ def run_campaign(
                     break
             del ready[: len(wave)]
             if wave and hi < stage.n_tasks:
-                ready.insert(0, k)  # part-launched: it leads the next wave
+                ready.insert(0, k)  # part-launched: it stays in pipeline order, ahead of those left
         if not wave:
             break
 
@@ -381,7 +372,6 @@ def run_campaign(
             launch += pilot.launch_delay_per_task * width
         launch_s += launch
         clock += launch
-        timeline.n_attempts += width
 
         # Launch failures: only generations wider than the launcher cap are
         # at risk, and then every task in the generation rolls the dice.
@@ -397,7 +387,6 @@ def run_campaign(
                 if failed:
                     s.failed = failed
                     retry_wave.append(_Slice(s.stage, s.pipeline, failed))
-            timeline.n_retries += len(hits)
 
         running = [s for s in wave if len(s.failed) < len(s.indices)]
         run_times = [duration_model(s.stage) for s in running]
@@ -405,7 +394,7 @@ def run_campaign(
             raise fail("duration model returned a negative or non-finite duration", wave)
         window = max(run_times, default=0.0)
         index = len(timeline.generations)
-        timeline.generations.append(GenerationSummary(index, clock, tuple(wave), is_retry_wave, window))
+        timeline.generations.append(GenerationSummary(clock, tuple(wave), is_retry_wave))
         for s, d in zip(running, run_times):
             s.end_time_s = clock + d
         # The execution window of a retry generation is relaunch cost, not
@@ -472,7 +461,9 @@ def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
     marks of the barrier that follows.  Ends are sorted by the stored end
     time, not by duration: two durations can round to the same
     ``start + duration``, and a stable sort keeps launch order on ties.
-    An aborted wave writes its submits and launch failures only.
+    A wave's generation number is its position.  A slice without an end
+    time writes no start or end rows, so an aborted wave, the last one,
+    writes its submits and launch failures only.
 
     A task row is ``<time>,<event>,<pipeline><tail>,<pipeline>,<label>,<gen>``
     with the task's tail from its stage's shared ``id_tails``, so a stage
@@ -487,7 +478,7 @@ def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
     after every mark and every slice's rows of one event, so the writer
     holds the shapes' tails and at most a flush.
     """
-    ids, aborted = timeline.pipeline_ids, timeline.aborted_wave
+    ids = timeline.pipeline_ids
     marks = iter(timeline.marks)
     mark = next(marks, None)
 
@@ -509,13 +500,13 @@ def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
             (_mark_row(TimelineEvent(0.0, "campaign_start", "", "", "", -1)), "", ("",)),
             (_mark_row(TimelineEvent(timeline.framework_s, "framework_ready", "", "", "", -1)), "", ("",)),
         ])
-        for gen in timeline.generations + [aborted] * (aborted is not None):
+        for index, gen in enumerate(timeline.generations):
             at = f"{gen.submit_time_s:.6f},"
             # ran: (end time, pipeline id, row end, picked tails) per slice that started a task
             submits, fails, ran = [], [], []
             for s in gen.slices:
                 pid, tails, indices = ids[s.pipeline], s.stage.id_tails, s.indices
-                end = f",{pid},{s.stage.label},{gen.index}\r\n"
+                end = f",{pid},{s.stage.label},{index}\r\n"
                 if isinstance(indices, range):
                     picked = tails[indices.start:indices.stop]
                 else:
@@ -528,14 +519,13 @@ def write_timeline_csv(timeline: CampaignTimeline, path) -> None:
                         picked += tails[lo:i]
                         lo = i + 1
                     picked += tails[lo:indices.stop]
-                if picked:
+                if not math.isnan(s.end_time_s):
                     ran.append((s.end_time_s, pid, end, picked))
             parts = submits + fails
-            if gen is not aborted:
-                parts += [(at + "task_start," + pid, end, picked) for _, pid, end, picked in ran]
-                ran.sort(key=itemgetter(0))
-                parts += [(f"{t:.6f},task_end," + pid, end, picked) for t, pid, end, picked in ran]
-            while mark is not None and mark.generation == gen.index:
+            parts += [(at + "task_start," + pid, end, picked) for _, pid, end, picked in ran]
+            ran.sort(key=itemgetter(0))
+            parts += [(f"{t:.6f},task_end," + pid, end, picked) for t, pid, end, picked in ran]
+            while mark is not None and mark.generation == index:
                 parts.append((_mark_row(mark), "", ("",)))
                 mark = next(marks, None)
             put(parts)

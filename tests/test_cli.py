@@ -27,17 +27,18 @@ QUIET = SyntheticSystem("Quiet Pair", SLOPE, ZERO_NOISE)
 NOISY = SyntheticSystem("Noisy Pair", SLOPE, NoiseModel(sigma=1.0, ar1_phi=0.5))
 
 
-def write_config(tmp_path, name="config.json", **overrides):
-    """A campaign config, or with ``sweep`` among ``overrides`` a sweep config."""
+def write_config(tmp_path, name="config.json", command="run", **overrides):
+    """A campaign config for ``command``, or with ``sweep`` among ``overrides`` a sweep config."""
     defaults = dict(seed=5, output_dir=str(tmp_path / "out"), pilot=PilotConfig(total_cores=2_080))
     if "sweep" not in overrides:  # a sweep config holds only SWEEP_KEYS
         defaults.update(
-            mode=CampaignMode.NONADAPTIVE,
             adaptive=AdaptiveConfig(error_threshold_epsilon=0.05, substage_timesteps=50_000),
             systems=(QUIET,),
             replicas_per_window=2,
             schedule_mode=ScheduleMode.SCALING,
         )
+        if command == "run":  # compare and term-report choose their own modes
+            defaults["mode"] = CampaignMode.NONADAPTIVE
     defaults.update(overrides)
     path = tmp_path / name
     save_config(CampaignConfig(**defaults), path)
@@ -68,6 +69,25 @@ def test_run_nonadaptive_outputs(tmp_path):
     header = (out / "overheads.csv").read_text().splitlines()[0]
     assert header.startswith("run_id,system,mode,n_protocols,total_cores,")
     assert "Quiet Pair: dG=2.0000" in result.output
+
+
+def test_run_mode_defaults_to_adaptive_quadrature(tmp_path):
+    result = invoke("run", "--config", write_config(tmp_path, mode=None))
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "out" / "quiet-pair_adaptive_quadrature.json").exists()
+
+
+@pytest.mark.parametrize("command,config", [("compare", "compare.json"), ("term-report", "termination.json")])
+def test_a_report_config_that_sets_mode_is_a_config_error(tmp_path, command, config):
+    # each report runs the modes it reports; a config's mode once exited 0 with byte-identical CSVs
+    obj = json.loads((ROOT / "configs" / config).read_text())
+    obj["mode"] = "REFERENCE"
+    (tmp_path / "probe.json").write_text(json.dumps(obj))
+    result = invoke(command, "--config", tmp_path / "probe.json", "--out", tmp_path / "out")
+    assert result.exit_code == 2
+    assert "Traceback" not in result.stderr
+    assert f"error: config.mode is not read by {command}" in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_mode_override(tmp_path):
@@ -239,7 +259,7 @@ def test_run_without_systems_is_a_config_error(tmp_path):
 
 @pytest.mark.parametrize("command", ["compare", "term-report"])
 def test_reports_without_systems_are_a_config_error(tmp_path, command):
-    cfg_path = write_config(tmp_path, systems=())
+    cfg_path = write_config(tmp_path, command=command, systems=())
     result = invoke(command, "--config", cfg_path)
     assert result.exit_code == 2
     assert "config.systems" in result.stderr
@@ -363,7 +383,7 @@ def knobs(**overrides):
 )
 def test_unplannable_run_fails_before_any_output(tmp_path, command, overrides, message, set_by):
     out = tmp_path / "o"
-    result = invoke(*command, "--config", write_config(tmp_path, **overrides), "--out", out)
+    result = invoke(*command, "--config", write_config(tmp_path, command=command[0], **overrides), "--out", out)
     assert result.exit_code == 2
     assert "Traceback" not in result.stderr
     assert message in result.stderr
@@ -380,7 +400,7 @@ def test_unplannable_run_fails_before_any_output(tmp_path, command, overrides, m
     ],
 )
 def test_field_the_command_never_reads_is_not_checked(tmp_path, command, overrides):
-    result = invoke(command, "--config", write_config(tmp_path, **overrides))
+    result = invoke(command, "--config", write_config(tmp_path, command=command, **overrides))
     assert result.exit_code == 0, result.stderr
 
 
@@ -414,7 +434,7 @@ WEAK_PLAN = SweepPlan(
 )
 def test_every_command_keeps_the_partial_timeline(tmp_path, command, overrides, partial):
     pilot = PilotConfig(total_cores=2_080, walltime_s=1.0)
-    result = invoke(command, "--config", write_config(tmp_path, pilot=pilot, **overrides))
+    result = invoke(command, "--config", write_config(tmp_path, command=command, pilot=pilot, **overrides))
     assert result.exit_code == 3
     assert "walltime" in result.stderr
     out = tmp_path / "out"
@@ -621,7 +641,7 @@ def test_a_campaign_config_with_a_sweep_is_a_sweep_config(tmp_path):
     for command in ("compare", "sweep"):
         result = invoke(command, "--config", tmp_path / "probe.json", "--out", tmp_path / "out")
         assert result.exit_code == 2
-        assert "'mode'" in result.stderr and "'systems'" in result.stderr
+        assert "'replicas_per_window'" in result.stderr and "'systems'" in result.stderr
         assert "for a sweep config" in result.stderr
         assert not (tmp_path / "out").exists()
 
@@ -661,7 +681,7 @@ def test_sweep_writes_ladder_csv(tmp_path):
 
 def test_term_report_outputs(tmp_path):
     constant = SyntheticSystem("Settled Pair", GroundTruthCurve(CurvePreset.CONSTANT, value=2.0), ZERO_NOISE)
-    cfg_path = write_config(tmp_path, systems=(constant,), adaptive=AdaptiveConfig())
+    cfg_path = write_config(tmp_path, command="term-report", systems=(constant,), adaptive=AdaptiveConfig())
     result = invoke("term-report", "--config", cfg_path)
     assert result.exit_code == 0, result.output
     lines = (tmp_path / "out" / "termination.csv").read_text().splitlines()
@@ -671,7 +691,7 @@ def test_term_report_outputs(tmp_path):
 
 
 def test_compare_outputs(tmp_path):
-    cfg_path = write_config(tmp_path)
+    cfg_path = write_config(tmp_path, command="compare")
     result = invoke("compare", "--config", cfg_path)
     assert result.exit_code == 0, result.output
     lines = (tmp_path / "out" / "comparison.csv").read_text().splitlines()

@@ -242,6 +242,20 @@ def test_bad_mode_value_is_located():
         config_from_dict({"mode": "SIDEWAYS"})
 
 
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        ({"mode": None}, "config.mode must be one of"),
+        ({"sweep": None}, "config.sweep must be a JSON object, got None"),
+    ],
+)
+def test_null_is_not_an_unset_field(obj, message):
+    # an unset field is an omitted key; a null sweep once loaded as unset
+    with pytest.raises(ValidationError, match="^" + re.escape(message)):
+        config_from_dict(obj)
+    assert config_from_dict({}) == CampaignConfig()
+
+
 def test_bad_initial_lambdas_are_located():
     obj = config_to_dict(CampaignConfig())
     obj["adaptive"]["initial_lambdas"] = [0.5]

@@ -233,7 +233,7 @@ def test_failed_twice_names_the_task_of_its_own_pipeline():
     tl = err.value.timeline
     submitted = {
         ev.task_id for ev in oracle_events(tl)
-        if ev.event == "task_submit" and ev.generation == tl.aborted_wave.index
+        if ev.event == "task_submit" and ev.generation == len(tl.generations) - 1
     }
     assert "t0/S1/l0.000/r0" in submitted
 
@@ -242,8 +242,13 @@ def test_retry_windows_are_launch_overhead_not_ttx():
     pilot = PilotConfig(total_cores=16_640)
     outcome = run_campaign(pipelines_of_520_tasks(), pilot, seed=0)
     tl = outcome.timeline
-    primary = sum(g.exec_window_s for g in tl.generations if not g.is_retry)
-    retry_exec = sum(g.exec_window_s for g in tl.generations if g.is_retry)
+    # a wave's execution window runs from its submit time to its last end
+    windows = [
+        max(s.end_time_s for s in g.slices if not math.isnan(s.end_time_s)) - g.submit_time_s
+        for g in tl.generations
+    ]
+    primary = sum(w for w, g in zip(windows, tl.generations) if not g.is_retry)
+    retry_exec = sum(w for w, g in zip(windows, tl.generations) if g.is_retry)
     assert outcome.overheads.task_execution_time_s == pytest.approx(primary)
     # retries pay the launch delay twice and their execution window lands
     # in the launch bucket
@@ -440,7 +445,7 @@ def test_finished_runs_are_freed_at_refcount_zero():
             list(run_sweep("WEAK", [SweepRung(1, 2_080)], ProtocolKind.TIES, "pair", pilot, seed=3))
         except CampaignError as exc:
             tl = exc.timeline
-        assert tl.aborted_wave is not None
+        assert all(math.isnan(s.end_time_s) for s in tl.generations[-1].slices)  # the aborted wave
         return tl
 
     cfg = CampaignConfig(

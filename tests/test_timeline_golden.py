@@ -218,6 +218,15 @@ def test_timeline_matches_frozen_digest(case, tmp_path):
     data = path.read_bytes()
     assert len(timeline.events) == data.count(b"\n") - 1
     assert hashlib.sha256(data).hexdigest() == digest
+    # the counts are read off the waves, so they are the rows the waves write
+    rows = list(csv.reader(io.StringIO(data.decode())))[1:]
+    events = Counter(r[1] for r in rows)
+    assert (timeline.n_attempts, timeline.n_retries) == (events["task_submit"], events["task_fail"])
+    last = Counter(r[1] for r in rows if r[5] == str(len(timeline.generations) - 1))
+    if case in ("failed_twice_abort", "bad_duration_abort"):  # the wave aborted after its launch never ran
+        assert last["task_submit"] > 0 and last["task_start"] == last["task_end"] == 0
+    elif case == "walltime_abort":  # the wave that overran the walltime ran
+        assert last["task_start"] == last["task_end"] > 0
 
 
 @pytest.mark.parametrize("flush_rows", [4096, engine._FLUSH_ROWS, 7, 1])
@@ -249,11 +258,10 @@ def _holed_timeline():
     return engine.CampaignTimeline(
         pipeline_ids=tuple(f"h{k}" for k in range(len(holes))),
         generations=[
-            engine.GenerationSummary(0, 2.5, tuple(first), False, 7.0),
-            engine.GenerationSummary(1, 9.5, tuple(retry), True, 2.5),
+            engine.GenerationSummary(2.5, tuple(first), False),
+            engine.GenerationSummary(9.5, tuple(retry), True),
         ],
         end_time_s=12.0, complete=True, framework_s=1.0,
-        n_attempts=6 * 6 + 15, n_retries=15,
     )
 
 
@@ -302,8 +310,7 @@ def test_each_write_holds_at_most_a_flush(case, monkeypatch):
     timeline = GOLDEN[case][0]()
     write_timeline_csv(timeline, "timeline.csv")
     assert "".join(writes).encode() == csv_bytes(oracle_events(timeline))
-    waves = timeline.generations + [timeline.aborted_wave] * (timeline.aborted_wave is not None)
-    widest = max(len(s.indices) for gen in waves for s in gen.slices)
+    widest = max(len(s.indices) for gen in timeline.generations for s in gen.slices)
     assert max(text.count("\n") for text in writes) <= 3 - 1 + widest
 
 

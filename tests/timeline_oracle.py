@@ -2,11 +2,12 @@
 
 The writer renders the events in one loop over the waves that writes
 them already in order.  This oracle shares none of that loop: it lists
-each task's events straight from the stored waves, the stage marks and
-the aborted wave, in the order they happened, and then stable-sorts them
-by time.  The engine's clock never runs backwards, so the sort is the
-rule the loop must reproduce; an ordering bug in the loop differs from
-it.  The per-task views the tests read (each task's attempts and
+each task's events straight from the stored waves and the stage marks,
+in the order they happened, and then stable-sorts them by time.  The
+engine's clock never runs backwards, so the sort is the rule the loop
+must reproduce; an ordering bug in the loop differs from it.  A slice
+ran, and has start and end events, if and only if it has an end time.
+The per-task views the tests read (each task's attempts and
 outcome, and the peak concurrency) are built here too: the engine keeps
 no per-task record.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from enum import Enum
 from typing import NamedTuple
 
@@ -39,21 +41,22 @@ def _task_events(timeline, time_s, event, s, indices, generation) -> list[Timeli
     return [TimelineEvent(time_s, event, task_id, pid, label, generation) for task_id in s.stage.task_ids(pid, indices)]
 
 
-def _wave_events(timeline, gen, ran: bool) -> list[TimelineEvent]:
-    """A wave's submits, launch failures and, if it ran, starts and ends,
-    in the order they happened: ends in launch order, each at its own time."""
-    t, g = gen.submit_time_s, gen.index
+def _wave_events(timeline, gen, g: int) -> list[TimelineEvent]:
+    """Generation ``g``'s submits, launch failures and the starts and ends
+    of its slices that ran (those with an end time), in the order they
+    happened: ends in launch order, each at its own time."""
+    t = gen.submit_time_s
     events = []
     for s in gen.slices:
         events += _task_events(timeline, t, "task_submit", s, s.indices, g)
     for s in gen.slices:
         events += _task_events(timeline, t, "task_fail", s, s.failed, g)
-    if ran:
-        started = [(s, [i for i in s.indices if i not in s.failed]) for s in gen.slices]
-        for s, indices in started:
-            events += _task_events(timeline, t, "task_start", s, indices, g)
-        for s, indices in started:
-            events += _task_events(timeline, s.end_time_s, "task_end", s, indices, g)
+    ran = [s for s in gen.slices if not math.isnan(s.end_time_s)]
+    started = [(s, [i for i in s.indices if i not in s.failed]) for s in ran]
+    for s, indices in started:
+        events += _task_events(timeline, t, "task_start", s, indices, g)
+    for s, indices in started:
+        events += _task_events(timeline, s.end_time_s, "task_end", s, indices, g)
     return events
 
 
@@ -63,12 +66,10 @@ def oracle_events(timeline) -> list[TimelineEvent]:
         TimelineEvent(0.0, "campaign_start", "", "", "", -1),
         TimelineEvent(timeline.framework_s, "framework_ready", "", "", "", -1),
     ]
-    for gen in timeline.generations:
-        events += _wave_events(timeline, gen, ran=True)
+    for g, gen in enumerate(timeline.generations):
+        events += _wave_events(timeline, gen, g)
         # a wave's stage marks fall at the barrier after its last end
-        events += [m for m in timeline.marks if m.generation == gen.index]
-    if timeline.aborted_wave is not None:
-        events += _wave_events(timeline, timeline.aborted_wave, ran=False)
+        events += [m for m in timeline.marks if m.generation == g]
     if timeline.complete:
         events.append(TimelineEvent(timeline.end_time_s, "campaign_end", "", "", "", -1))
     return sorted(events, key=lambda ev: ev.time_s)
@@ -76,9 +77,9 @@ def oracle_events(timeline) -> list[TimelineEvent]:
 
 def task_records(timeline) -> dict[str, TaskRecord]:
     """Each launched task's record by id, in submit order, from every
-    stored wave, the aborted one included."""
+    stored wave, an aborted one included."""
     records: dict[str, TaskRecord] = {}
-    for gen in timeline.generations + [timeline.aborted_wave] * (timeline.aborted_wave is not None):
+    for gen in timeline.generations:
         for s in gen.slices:
             failed = set(s.failed)
             pid = timeline.pipeline_ids[s.pipeline]
