@@ -14,7 +14,7 @@ import math
 import zlib
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .adaptive import (
     AdaptiveQuadratureEvaluator, AdaptiveTerminationEvaluator, grow_samplers, samples_per_substage,
@@ -66,8 +66,7 @@ def data_seed(campaign_seed: int, system_label: str, mode: CampaignMode) -> int:
     return (campaign_seed * 1_000_003 + h * 31 + _MODE_ORDINAL[mode]) % (2**31)
 
 
-@dataclass(frozen=True)
-class SystemRunResult:
+class SystemRunResult(NamedTuple):
     system: SyntheticSystem
     mode: CampaignMode
     estimate: FreeEnergyEstimate
@@ -195,8 +194,7 @@ def run_system(system: SyntheticSystem, mode: CampaignMode, config: CampaignConf
     return _run_arm(system, _build_arm(system, mode, config), config.pilot)
 
 
-@dataclass(frozen=True)
-class SystemComparison:
+class SystemComparison(NamedTuple):
     """REFERENCE / NONADAPTIVE / ADAPTIVE_QUADRATURE triplet for one system.
 
     Its last three properties are derived, not measured.
@@ -277,8 +275,7 @@ class SweepRung:
             raise ValidationError(f"rung.n_protocols must be >= 1, got {self.n_protocols}")
 
 
-@dataclass(frozen=True)
-class SweepRunResult:
+class SweepRunResult(NamedTuple):
     run_id: str
     n_protocols: int
     total_cores: int
@@ -349,8 +346,7 @@ def run_sweep(
         )
 
 
-@dataclass(frozen=True)
-class TerminationRunResult:
+class TerminationRunResult(NamedTuple):
     system: SyntheticSystem
     nonadaptive_ns: float
     adaptive_ns: float

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 from contextlib import contextmanager
 from dataclasses import replace
 from operator import itemgetter
@@ -244,6 +243,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except Exception as exc:
         if not isinstance(exc, CampaignError):  # anything unplanned also prints its traceback
+            import traceback  # loaded here only, so a command that succeeds never loads it
+
             traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -146,8 +146,7 @@ class _Slice:
     end_time_s: float = math.nan
 
 
-@dataclass(frozen=True)
-class GenerationSummary:
+class GenerationSummary(NamedTuple):
     """One wave: its stage slices in launch order, submitted together at one
     clock.  Its generation number is its position in the timeline."""
 
@@ -203,8 +202,7 @@ class CampaignTimeline:
         return range(sum(gen.width for gen in self.generations if not gen.is_retry))
 
 
-@dataclass(frozen=True)
-class OverheadBreakdown:
+class OverheadBreakdown(NamedTuple):
     """Four-way split of a campaign's virtual time.
 
     ``total_time_to_completion_s`` is by definition the exact sum of the
@@ -226,8 +224,7 @@ class OverheadBreakdown:
         )
 
 
-@dataclass(frozen=True)
-class CampaignOutcome:
+class CampaignOutcome(NamedTuple):
     timeline: CampaignTimeline
     overheads: OverheadBreakdown
 

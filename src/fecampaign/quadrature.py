@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ContractError
 
@@ -56,8 +56,7 @@ class WindowPoint:
             raise ContractError("window sem must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class IntervalError:
+class IntervalError(NamedTuple):
     """Error estimate for one interval between adjacent windows."""
 
     lo: float
@@ -67,8 +66,7 @@ class IntervalError:
     total: float
 
 
-@dataclass(frozen=True)
-class FreeEnergyEstimate:
+class FreeEnergyEstimate(NamedTuple):
     """Integrated free-energy difference with its propagated sampling error."""
 
     delta_g: float

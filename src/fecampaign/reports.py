@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -70,8 +69,7 @@ def termination_row(res: TerminationRunResult) -> TerminationRunResult:
     return res
 
 
-@dataclass(frozen=True)
-class ValidationRow:
+class ValidationRow(NamedTuple):
     """Calculated (quoted) vs published vs experimental relative binding strength."""
 
     system: str

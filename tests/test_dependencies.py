@@ -1,6 +1,9 @@
-"""The declared runtime dependencies are exactly what the package imports."""
+"""The declared runtime dependencies are exactly what the package imports, and
+importing the package loads and builds no more than its commands need."""
 
 import ast
+import dataclasses
+import importlib
 import os
 import re
 import subprocess
@@ -96,7 +99,9 @@ def loaded_after(module: str, *tops: str) -> list[str]:
     return ast.literal_eval(proc.stdout.strip())
 
 
-@pytest.mark.parametrize("package", ["scipy", "click", "numpy", "concurrent"])
+# `traceback` is imported by the error branch that prints one, so a command
+# that succeeds never loads it.
+@pytest.mark.parametrize("package", ["scipy", "click", "numpy", "concurrent", "traceback"])
 def test_cli_import_does_not_load(package):
     assert loaded_after("fecampaign.cli", package) == []
 
@@ -159,3 +164,54 @@ def test_package_import_loads_only_what_the_module_imports():
     ]
     # An evaluator answers with stages, so adaptive needs no engine type.
     assert "fecampaign.engine" not in loaded_after("fecampaign.adaptive", "fecampaign")
+
+
+#: The plain result records: NamedTuples, each with its dataclass fields in order.
+RECORDS = {
+    "campaign.SystemRunResult": (
+        "system", "mode", "estimate", "windows", "simulated_ns", "outcome", "terminated_ns", "checkpoint_values",
+    ),
+    "campaign.SystemComparison": ("system", "reference", "nonadaptive", "adaptive", "epsilon"),
+    "campaign.SweepRunResult": ("run_id", "n_protocols", "total_cores", "outcome"),
+    "campaign.TerminationRunResult": ("system", "nonadaptive_ns", "adaptive_ns", "decrease_pct", "result"),
+    "engine.GenerationSummary": ("submit_time_s", "slices", "is_retry"),
+    "engine.OverheadBreakdown": (
+        "task_execution_time_s", "framework_overhead_s", "runtime_overhead_s", "launch_overhead_s",
+    ),
+    "engine.CampaignOutcome": ("timeline", "overheads"),
+    "quadrature.IntervalError": ("lo", "hi", "discretization", "statistical", "total"),
+    "quadrature.FreeEnergyEstimate": ("delta_g", "stderr"),
+    "reports.ValidationRow": ("system", "calculated", "published", "experiment"),
+}
+
+
+def package_classes() -> dict[str, type]:
+    """``module.Class`` -> class, for every class a package module defines at its top level."""
+    classes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"fecampaign.{path.stem}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                classes[f"{path.stem}.{name}"] = obj
+    return classes
+
+
+def test_a_dataclass_checks_itself_or_is_mutated():
+    # A frozen dataclass that checks nothing is a plain record, and a
+    # NamedTuple builds in about a tenth of the import time.
+    dcs = {name: cls for name, cls in package_classes().items() if dataclasses.is_dataclass(cls)}
+    plain = [
+        name for name, cls in dcs.items()
+        if "__post_init__" not in vars(cls) and cls.__dataclass_params__.frozen
+    ]
+    assert plain == []
+    assert len(dcs) == 16, sorted(dcs)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_a_plain_record_is_a_named_tuple_with_its_fields(name):
+    cls = package_classes()[name]
+    assert issubclass(cls, tuple)
+    assert cls._fields == RECORDS[name]

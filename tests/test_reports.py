@@ -146,7 +146,7 @@ def test_termination_row_and_csv():
 def test_csv_quotes_a_label_that_needs_it():
     label = 'PTP1B L1-L2, pose "b"'
     system = replace(SYSTEM, label=label)
-    comparison = replace(stub_comparison(1.0, 1.5, 1.1, 9), system=system)
+    comparison = stub_comparison(1.0, 1.5, 1.1, 9)._replace(system=system)
     termination = TerminationRunResult(
         system=system, nonadaptive_ns=6.0, adaptive_ns=4.5, decrease_pct=25.0, result=None,
     )
