@@ -24,7 +24,6 @@ from .errors import CampaignError, ValidationError
 from .protocols import (
     MD_TIMESTEP_PS,
     NONADAPTIVE_WINDOWS,
-    AdaptiveConfig,
     LambdaSchedule,
     Pipeline,
     ProtocolKind,
@@ -81,19 +80,27 @@ class SystemRunResult(NamedTuple):
         return len(self.windows)
 
 
-def plan_run(
-    system: SyntheticSystem, mode: CampaignMode, config: CampaignConfig
-) -> tuple[Pipeline, AdaptiveConfig]:
-    """The pipeline a mode runs, alone in its campaign's list of pipelines, and its
-    evaluator's config: the one owner of sub-stage rules.
+class RunPlan(NamedTuple):
+    """A system run built and not yet run: its pipeline, the one evaluator that serves it, its data seed."""
+
+    system: SyntheticSystem
+    mode: CampaignMode
+    pipeline: Pipeline
+    evaluator: AdaptiveQuadratureEvaluator
+    seed: int
+
+
+def plan_run(system: SyntheticSystem, mode: CampaignMode, config: CampaignConfig) -> RunPlan:
+    """Build the run a mode makes of a system: the one owner of sub-stage rules.
 
     A fixed schedule stays a static protocol: its evaluator runs one production
     sub-stage as long as its production stage and never refines.  Termination
     runs ``6 ns / tau`` sub-stages of ``tau``, which must be a whole number of
-    MD timesteps.  Every sub-stage holds whole sample intervals, and the run's
-    samples (windows x replicas x horizon x 8 B) fit in :data:`MAX_SAMPLE_BYTES`.
-    A broken rule raises :class:`ValidationError` naming the field, and the
-    ones that set the sub-stage or the storage.
+    MD timesteps, and its evaluator checkpoints (:class:`AdaptiveTerminationEvaluator`).
+    Every sub-stage holds whole sample intervals, and the run's samples
+    (windows x replicas x horizon x 8 B) fit in :data:`MAX_SAMPLE_BYTES`.
+    A broken rule raises :class:`ValidationError` naming the field, and the ones that set
+    the sub-stage or the storage, so a command plans its runs before it makes its directory.
     """
     substage, adaptive, set_by = None, None, None
     if mode is CampaignMode.ADAPTIVE_QUADRATURE:
@@ -142,7 +149,11 @@ def plan_run(
             f"{MAX_SAMPLE_BYTES / 2**30:g} GiB bound, set by {sized_by}, "
             f"config.sample_interval_ps {dt} and config.replicas_per_window {replicas}"
         )
-    return pipeline, adaptive
+    seed = data_seed(config.seed, system.label, mode)
+    checkpoints = mode is CampaignMode.ADAPTIVE_TERMINATION
+    evaluator_cls = AdaptiveTerminationEvaluator if checkpoints else AdaptiveQuadratureEvaluator
+    evaluator = evaluator_cls(system, adaptive, seed, dt_ps=dt, discard_fraction=config.discard_fraction)
+    return RunPlan(system, mode, pipeline, evaluator, seed)
 
 
 def _slug(label: str) -> str:
@@ -154,27 +165,10 @@ def run_label(system: SyntheticSystem, mode: CampaignMode) -> str:
     return f"{_slug(system.label)}_{mode.value.lower()}"
 
 
-def _build_arm(system: SyntheticSystem, mode: CampaignMode, config: CampaignConfig) -> tuple:
-    """A system run before it runs, ``(mode, pipeline, evaluator, data seed)``; its one
-    evaluator checkpoints in a termination run (:class:`AdaptiveTerminationEvaluator`) and
-    otherwise refines or, on a fixed schedule, estimates once (:class:`AdaptiveQuadratureEvaluator`)."""
-    pipeline, adaptive = plan_run(system, mode, config)
-    seed = data_seed(config.seed, system.label, mode)
-    evaluator_cls = (
-        AdaptiveTerminationEvaluator if mode is CampaignMode.ADAPTIVE_TERMINATION
-        else AdaptiveQuadratureEvaluator
-    )
-    evaluator = evaluator_cls(
-        system, adaptive, seed, dt_ps=config.sample_interval_ps,
-        discard_fraction=config.discard_fraction,
-    )
-    return mode, pipeline, evaluator, seed
-
-
-def _run_arm(system: SyntheticSystem, arm: tuple, pilot: PilotConfig) -> SystemRunResult:
-    """Run a built arm through the engine and read the result its evaluator holds
-    once production ends; a :class:`CampaignError` carries the run's label."""
-    mode, pipeline, evaluator, seed = arm
+def run_plan(plan: RunPlan, pilot: PilotConfig) -> SystemRunResult:
+    """Run a planned system run through the engine and read the result its evaluator
+    holds once production ends; a :class:`CampaignError` carries the run's label."""
+    system, mode, pipeline, evaluator, seed = plan
     try:
         outcome = run_campaign([pipeline], pilot, evaluator=evaluator, seed=seed)
     except CampaignError as exc:
@@ -190,8 +184,8 @@ def _run_arm(system: SyntheticSystem, arm: tuple, pilot: PilotConfig) -> SystemR
 
 
 def run_system(system: SyntheticSystem, mode: CampaignMode, config: CampaignConfig) -> SystemRunResult:
-    """Run one system through the engine in the given mode: build its arm, then run it."""
-    return _run_arm(system, _build_arm(system, mode, config), config.pilot)
+    """Run one system through the engine in the given mode: plan the run, then run it."""
+    return run_plan(plan_run(system, mode, config), config.pilot)
 
 
 class SystemComparison(NamedTuple):
@@ -235,34 +229,36 @@ class SystemComparison(NamedTuple):
         return 100.0 * (1.0 - self.adaptive_error / self.nonadaptive_error)
 
 
+#: The runs of a comparison, in the order they run.
+COMPARISON_MODES = (CampaignMode.REFERENCE, CampaignMode.NONADAPTIVE, CampaignMode.ADAPTIVE_QUADRATURE)
+
+
 def compare_system(system: SyntheticSystem, config: CampaignConfig) -> SystemComparison:
-    """The adaptive-vs-uniform experiment for one system.
+    """The adaptive-vs-uniform experiment for one system: plan its three runs, then run them."""
+    return run_comparison([plan_run(system, mode, config) for mode in COMPARISON_MODES], config)
 
-    Both fixed-schedule arms are built first, and all 78 of their windows grow
-    full in one :func:`~fecampaign.adaptive.grow_samplers` call (one array, one
-    AR(1) walk); each arm is dropped once run, freeing that array before the
-    adaptive arm starts.  The results equal :func:`run_system`'s.
 
-    The adaptive error budget is set to the non-adaptive run's measured
-    deviation from the dense reference (floored just above zero so the
-    budget stays a valid threshold when the two coincide).
+def run_comparison(plans: list[RunPlan], config: CampaignConfig) -> SystemComparison:
+    """Run one system's :data:`COMPARISON_MODES` plans, popping each from ``plans`` as it runs.
+
+    All 78 windows of the fixed-schedule runs grow full in one :func:`~fecampaign.adaptive.grow_samplers`
+    call (one array, one AR(1) walk), freed once both have run, before the adaptive run starts.
+    The results equal :func:`run_system`'s.  Just before the adaptive run, its evaluator's error
+    budget is set to the non-adaptive run's measured deviation from the dense reference (floored
+    just above zero so it stays a valid threshold when the two coincide); the budget sets neither
+    the pipeline nor the sample storage.
     """
-    arms = [_build_arm(system, mode, config) for mode in (CampaignMode.REFERENCE, CampaignMode.NONADAPTIVE)]
     grow_samplers([
-        (ev.sampler, [(lam, ev.sampler.horizon_samples) for lam in stage.lambdas])
-        for _, pipeline, ev, _ in arms for stage in pipeline.stages if stage.kind is StageKind.PRODUCTION
+        (plan.evaluator.sampler, [(lam, plan.evaluator.sampler.horizon_samples) for lam in stage.lambdas])
+        for plan in plans[:2] for stage in plan.pipeline.stages if stage.kind is StageKind.PRODUCTION
     ], config.replicas_per_window)
-    reference = _run_arm(system, arms.pop(0), config.pilot)
-    nonadaptive = _run_arm(system, arms.pop(0), config.pilot)
-    epsilon = max(
-        abs(nonadaptive.estimate.delta_g - reference.estimate.delta_g), EPSILON_FLOOR
-    )
-    budgeted = replace(config, adaptive=replace(config.adaptive, error_threshold_epsilon=epsilon))
-    adaptive = run_system(system, CampaignMode.ADAPTIVE_QUADRATURE, budgeted)
-    return SystemComparison(
-        system=system, reference=reference, nonadaptive=nonadaptive,
-        adaptive=adaptive, epsilon=epsilon,
-    )
+    reference = run_plan(plans.pop(0), config.pilot)
+    nonadaptive = run_plan(plans.pop(0), config.pilot)
+    epsilon = max(abs(nonadaptive.estimate.delta_g - reference.estimate.delta_g), EPSILON_FLOOR)
+    evaluator = plans[0].evaluator
+    evaluator.adaptive = replace(evaluator.adaptive, error_threshold_epsilon=epsilon)
+    adaptive = run_plan(plans.pop(0), config.pilot)
+    return SystemComparison(reference.system, reference, nonadaptive, adaptive, epsilon)
 
 
 @dataclass(frozen=True)
@@ -354,12 +350,15 @@ class TerminationRunResult(NamedTuple):
     result: SystemRunResult
 
 
-def run_termination(system: SyntheticSystem, config: CampaignConfig) -> TerminationRunResult:
-    """Adaptive-termination run against the fixed 6.0 ns baseline."""
-    res = run_system(system, CampaignMode.ADAPTIVE_TERMINATION, config)
+def termination_result(res: SystemRunResult) -> TerminationRunResult:
+    """An adaptive-termination run against the fixed 6.0 ns baseline."""
     adaptive_ns = res.terminated_ns if res.terminated_ns is not None else TERMINATION_HORIZON_NS
     decrease = 100.0 * (TERMINATION_HORIZON_NS - adaptive_ns) / TERMINATION_HORIZON_NS
     return TerminationRunResult(
-        system=system, nonadaptive_ns=TERMINATION_HORIZON_NS,
-        adaptive_ns=adaptive_ns, decrease_pct=decrease, result=res,
+        res.system, nonadaptive_ns=TERMINATION_HORIZON_NS, adaptive_ns=adaptive_ns, decrease_pct=decrease, result=res,
     )
+
+
+def run_termination(system: SyntheticSystem, config: CampaignConfig) -> TerminationRunResult:
+    """Adaptive-termination run against the fixed 6.0 ns baseline: run it, then compare."""
+    return termination_result(run_system(system, CampaignMode.ADAPTIVE_TERMINATION, config))

@@ -9,6 +9,9 @@ command still writes the partial timeline of the campaign that failed:
 ``run``, ``compare`` and ``term-report`` to ``<slug>_<mode>_timeline.csv``,
 ``sweep`` to ``sweep_<kind>_failed_timeline.csv``.  Every command rewrites
 its CSVs after each system or rung, so those keep the ones that finished.
+``run``, ``compare`` and ``term-report`` plan every run, once, before they
+create the output directory, so a config that any run would reject exits 2
+and leaves none; each plan is dropped as it runs, freeing its samples.
 """
 
 from __future__ import annotations
@@ -20,18 +23,18 @@ from contextlib import contextmanager
 from dataclasses import replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable
 
 from . import reports
 from .campaign import (
+    COMPARISON_MODES,
     CampaignMode,
     SystemRunResult,
-    compare_system,
     plan_run,
+    run_comparison,
     run_label,
+    run_plan,
     run_sweep,
-    run_system,
-    run_termination,
+    termination_result,
 )
 from .config import CampaignConfig, load_config
 from .engine import OVERHEAD_COLUMNS, overhead_row, write_overhead_csv, write_timeline_csv
@@ -51,8 +54,12 @@ def _partial_timeline(out_dir: Path, stem: str | None = None):
         raise
 
 
-def _out_dir(path: str, name: str) -> Path:
-    """Create the output directory; a file in its way is a usage error naming ``name``."""
+def _out_dir(args: argparse.Namespace, cfg: CampaignConfig | None = None) -> Path:
+    """Create ``--out``, else the config's ``output_dir``; an empty path or a file
+    in its way is a usage error naming which."""
+    path, name = (args.out, "--out") if args.out is not None else (cfg.output_dir, "config.output_dir")
+    if not path:
+        raise ValidationError(f"{name} must not be empty")
     out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -61,41 +68,14 @@ def _out_dir(path: str, name: str) -> Path:
     return out_dir
 
 
-def _require_runs(cfg: CampaignConfig, *modes: CampaignMode) -> None:
-    """Plan the first system's run in each of ``modes``: a config that every
-    such run would reject fails here, naming its field."""
-    if not cfg.systems:
-        raise ValidationError("config.systems must list at least one system")
-    for mode in modes:
-        plan_run(cfg.systems[0], mode, cfg)
-
-
-def _require_report(cfg: CampaignConfig, command: str, *modes: CampaignMode) -> None:
-    """A report runs the modes it reports, so a config's ``mode`` is an error; then as ``_require_runs``."""
-    if cfg.mode is not None:
-        raise ValidationError(f"config.mode is not read by {command}")
-    _require_runs(cfg, *modes)
-
-
-def _require_sweep(cfg: CampaignConfig) -> None:
-    """A sweep reads the config's ``sweep`` section, whose rungs were sized at load."""
-    if cfg.sweep is None:
-        raise ValidationError("config.sweep section is required for the sweep command")
-
-
-def _load(
-    args: argparse.Namespace, require: Callable[[CampaignConfig], None]
-) -> tuple[CampaignConfig, Path]:
-    """Load the config, apply ``--seed`` and ``run``'s mode and ``require`` what the command
-    reads of it, then create the output directory, so a rejected config leaves none."""
+def _load(args: argparse.Namespace) -> CampaignConfig:
+    """Load the config and apply ``--seed`` and ``run``'s mode."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if hasattr(args, "mode"):  # run: --mode, else the config's mode, else ADAPTIVE_QUADRATURE
         cfg = replace(cfg, mode=CampaignMode(args.mode or cfg.mode or CampaignMode.ADAPTIVE_QUADRATURE))
-    require(cfg)
-    out, name = (args.out, "--out") if args.out is not None else (cfg.output_dir, "config.output_dir")
-    return cfg, _out_dir(out, name)
+    return cfg
 
 
 def _options(cfg: CampaignConfig) -> CampaignConfig:
@@ -116,14 +96,18 @@ def _write_overheads(results: list[SystemRunResult], total_cores: int, out_dir: 
 
 def run(args: argparse.Namespace) -> None:
     """Run every configured system in one campaign mode."""
-    cfg, out_dir = _load(args, lambda cfg: _require_runs(cfg, cfg.mode))
+    cfg = _load(args)
+    if not cfg.systems:
+        raise ValidationError("config.systems must list at least one system")
+    plans = [plan_run(system, cfg.mode, cfg) for system in cfg.systems]
+    out_dir = _out_dir(args, cfg)
     results = []
-    for system in cfg.systems:
-        label = run_label(system, cfg.mode)
+    while plans:
         with _partial_timeline(out_dir):
-            res = run_system(system, cfg.mode, cfg)
+            res = run_plan(plans.pop(0), cfg.pilot)
+        label = run_label(res.system, cfg.mode)
         result = {
-            "system": system.label,
+            "system": res.system.label,
             "mode": cfg.mode.value,
             "delta_g": res.estimate.delta_g,
             "stderr": res.estimate.stderr,
@@ -140,7 +124,7 @@ def run(args: argparse.Namespace) -> None:
         results.append(res)
         _write_overheads(results, cfg.pilot.total_cores, out_dir)
         print(
-            f"{system.label}: dG={res.estimate.delta_g:.4f} ({res.estimate.stderr:.4f}) "
+            f"{res.system.label}: dG={res.estimate.delta_g:.4f} ({res.estimate.stderr:.4f}) "
             f"windows={res.n_windows} simulated={res.simulated_ns:.1f} ns"
         )
     print(f"wrote {len(cfg.systems)} result file(s) to {out_dir}")
@@ -148,7 +132,10 @@ def run(args: argparse.Namespace) -> None:
 
 def sweep(args: argparse.Namespace) -> None:
     """Run the configured scaling ladder, one campaign per rung."""
-    cfg, out_dir = _load(args, _require_sweep)
+    cfg = _load(args)
+    if cfg.sweep is None:
+        raise ValidationError("config.sweep section is required for the sweep command")
+    out_dir = _out_dir(args, cfg)
     plan, stem = cfg.sweep, f"sweep_{cfg.sweep.kind.lower()}"
     rows = []
     with _partial_timeline(out_dir, f"{stem}_failed"):
@@ -169,12 +156,17 @@ def sweep(args: argparse.Namespace) -> None:
 
 def compare(args: argparse.Namespace) -> None:
     """Reference vs uniform vs adaptive quadrature for every system."""
-    modes = (CampaignMode.REFERENCE, CampaignMode.NONADAPTIVE, CampaignMode.ADAPTIVE_QUADRATURE)
-    cfg, out_dir = _load(args, lambda cfg: _require_report(cfg, "compare", *modes))
+    cfg = _load(args)
+    if cfg.mode is not None:
+        raise ValidationError("config.mode is not read by compare")
+    if not cfg.systems:
+        raise ValidationError("config.systems must list at least one system")
+    plans = [[plan_run(system, mode, cfg) for mode in COMPARISON_MODES] for system in cfg.systems]
+    out_dir = _out_dir(args, cfg)
     comparisons = []
-    for system in cfg.systems:
+    while plans:
         with _partial_timeline(out_dir):
-            comparisons.append(compare_system(system, cfg))
+            comparisons.append(run_comparison(plans.pop(0), cfg))
         (out_dir / "comparison.csv").write_text(reports.comparison_csv(comparisons), encoding="utf-8")
         arms = [res for c in comparisons for res in (c.reference, c.nonadaptive, c.adaptive)]
         _write_overheads(arms, cfg.pilot.total_cores, out_dir)
@@ -184,7 +176,7 @@ def compare(args: argparse.Namespace) -> None:
 
 def validate(args: argparse.Namespace) -> None:
     """Render the bundled ligand-transformation validation table."""
-    out_dir = _out_dir(args.out, "--out")
+    out_dir = _out_dir(args)
     print(reports.render_validation_table())
     (out_dir / "validation.csv").write_text(reports.validation_csv(), encoding="utf-8")
     print(f"wrote validation.csv to {out_dir}")
@@ -192,12 +184,17 @@ def validate(args: argparse.Namespace) -> None:
 
 def term_report(args: argparse.Namespace) -> None:
     """Convergence-based early termination against the fixed 6 ns baseline."""
-    mode = CampaignMode.ADAPTIVE_TERMINATION
-    cfg, out_dir = _load(args, lambda cfg: _require_report(cfg, "term-report", mode))
+    cfg = _load(args)
+    if cfg.mode is not None:
+        raise ValidationError("config.mode is not read by term-report")
+    if not cfg.systems:
+        raise ValidationError("config.systems must list at least one system")
+    plans = [plan_run(system, CampaignMode.ADAPTIVE_TERMINATION, cfg) for system in cfg.systems]
+    out_dir = _out_dir(args, cfg)
     runs = []
-    for system in cfg.systems:
+    while plans:
         with _partial_timeline(out_dir):
-            runs.append(run_termination(system, cfg))
+            runs.append(termination_result(run_plan(plans.pop(0), cfg.pilot)))
         (out_dir / "termination.csv").write_text(reports.termination_csv(runs), encoding="utf-8")
         _write_overheads([r.result for r in runs], cfg.pilot.total_cores, out_dir)
     print(reports.render_termination_table(runs))

@@ -27,7 +27,7 @@ class CampaignError(RuntimeError):
 
     Carries the partial timeline when one is available, and the
     ``<slug>_<mode>`` label of the system run that failed when
-    ``campaign.run_system`` raised it.  Mapped to CLI exit code 3.
+    ``campaign.run_plan`` raised it.  Mapped to CLI exit code 3.
     """
 
     def __init__(self, message: str, timeline=None):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from marks import mark_labels
 
-from fecampaign import adaptive, campaign, config
+from fecampaign import adaptive, campaign, cli, config
 from fecampaign.config import CampaignConfig
 from fecampaign.campaign import (
     EPSILON_FLOOR,
@@ -132,11 +132,12 @@ COMPARE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "compare.j
 FIXED_ARMS_STORE_BYTES = 390 * 4_008 * 8
 
 
-def spy_compare(monkeypatch, system, cfg):
-    """Run ``compare_system`` and return it, the ``grow_streams`` calls made
-    before the adaptive arm starts, as ``(rows, n_new, fresh)``, and whether
-    the first call's store was still alive (after ``gc.collect()``) then."""
-    calls, seen = [], {}
+def spy_compare(monkeypatch, compare):
+    """Call ``compare()`` and return its result and, for each adaptive arm it runs,
+    the ``grow_streams`` calls made since the previous adaptive arm ended, as
+    ``(rows, n_new, fresh)``, and whether the store of the first of them, the
+    fixed arms', was still alive (after ``gc.collect()``) when the arm started."""
+    calls, arms, seen = [], [], {"runs": 0}
     grow, run = adaptive.grow_streams, campaign.run_campaign
 
     def spy_grow(noise, blocks, n_new, drift):
@@ -145,23 +146,27 @@ def spy_compare(monkeypatch, system, cfg):
         seen.setdefault("store", weakref.ref(blocks[0].values.base))
 
     def spy_run(*args, **kwargs):
-        seen["runs"] = seen.get("runs", 0) + 1
-        if seen["runs"] == 3:  # the ADAPTIVE_QUADRATURE arm
-            gc.collect()
-            seen["fixed_calls"], seen["alive"] = list(calls), seen["store"]() is not None
-        return run(*args, **kwargs)
+        seen["runs"] += 1
+        if seen["runs"] % 3:  # a REFERENCE or NONADAPTIVE arm
+            return run(*args, **kwargs)
+        gc.collect()  # the ADAPTIVE_QUADRATURE arm
+        arms.append((list(calls), seen.pop("store")() is not None))
+        try:
+            return run(*args, **kwargs)
+        finally:
+            calls.clear()
+            seen.pop("store", None)
 
     monkeypatch.setattr(adaptive, "grow_streams", spy_grow)
     monkeypatch.setattr(campaign, "run_campaign", spy_run)
-    cmp = compare_system(system, cfg)
-    return cmp, seen["fixed_calls"], seen["alive"]
+    return compare(), arms
 
 
 @pytest.mark.parametrize("label", ["PTP1B L1-L2", "TYK2 L7-L8"])  # with and without drift
 def test_compare_fixed_arms_equal_their_own_runs(label, monkeypatch, tmp_path):
     cfg = config.load_config(COMPARE_CONFIG)
     system = next(s for s in cfg.systems if s.label == label)
-    cmp, fixed_calls, _ = spy_compare(monkeypatch, system, cfg)
+    cmp, [(fixed_calls, _)] = spy_compare(monkeypatch, lambda: compare_system(system, cfg))
     assert fixed_calls == [(390, 4_000, True)]  # both fixed arms: one fresh walk
     for mode, joint in ((CampaignMode.REFERENCE, cmp.reference), (CampaignMode.NONADAPTIVE, cmp.nonadaptive)):
         alone = run_system(system, mode, cfg)
@@ -172,11 +177,22 @@ def test_compare_fixed_arms_equal_their_own_runs(label, monkeypatch, tmp_path):
         assert (tmp_path / "joint.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
-def test_compare_frees_the_fixed_arms_store_before_the_adaptive_arm(monkeypatch):
+# The CLI plans every system's three runs before the first one runs, and
+# still frees each system's fixed arms' store before its adaptive arm.
+@pytest.mark.parametrize("path", ["compare_system", "cli"])
+def test_compare_frees_the_fixed_arms_store_before_the_adaptive_arm(path, monkeypatch, tmp_path):
     cfg = config.load_config(COMPARE_CONFIG)
     system = next(s for s in cfg.systems if s.label == "PTP1B L1-L2")
-    _, _, alive = spy_compare(monkeypatch, system, cfg)
-    assert not alive
+    compare = {
+        "compare_system": lambda: compare_system(system, cfg),
+        "cli": lambda: cli.main(["compare", "--config", str(COMPARE_CONFIG), "--out", str(tmp_path / "o")]),
+    }[path]
+    result, arms = spy_compare(monkeypatch, compare)
+    assert len(arms) == (len(cfg.systems) if path == "cli" else 1)
+    assert [alive for _, alive in arms] == [False] * len(arms)
+    assert [fixed_calls[0] for fixed_calls, _ in arms] == [(390, 4_000, True)] * len(arms)
+    if path == "cli":
+        assert result == 0
 
 
 def test_compare_peaks_near_the_fixed_arms_store():

@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 from cli_invoke import invoke
 
-from fecampaign.campaign import CampaignMode, _slug, run_system
+from fecampaign import campaign, cli
+from fecampaign.campaign import CampaignMode, _slug, plan_run, run_plan
 from fecampaign.config import SWEEP_KEYS, CampaignConfig, SweepPlan, load_config, save_config
 from fecampaign.engine import PilotConfig
-from fecampaign.errors import CampaignError, ContractError
+from fecampaign.errors import CampaignError, ContractError, ValidationError
 from fecampaign.campaign import SweepRung
 from fecampaign.protocols import AdaptiveConfig, ProtocolKind, ScheduleMode
 from fecampaign.reports import validation_csv
@@ -392,6 +393,78 @@ def test_unplannable_run_fails_before_any_output(tmp_path, command, overrides, m
     assert not out.exists()
 
 
+def spy_plans(monkeypatch, reject=None):
+    """Record each ``plan_run`` call as ``(system label, mode)``; planning system ``reject`` raises."""
+    calls = []
+
+    def spy(system, mode, config):
+        calls.append((system.label, mode))
+        if system.label == reject:
+            raise ValidationError(f"{system.label} is rejected at planning")
+        return plan_run(system, mode, config)
+
+    monkeypatch.setattr(campaign, "plan_run", spy)
+    monkeypatch.setattr(cli, "plan_run", spy)
+    return calls
+
+
+#: Each campaign command with a config of several systems, and the modes it runs.
+CAMPAIGN_COMMANDS = [
+    pytest.param("run", lambda tmp_path: write_config(tmp_path, systems=(QUIET, NOISY)),
+                 (CampaignMode.NONADAPTIVE,), id="run"),
+    pytest.param("compare", lambda tmp_path: ROOT / "configs" / "compare.json",
+                 (CampaignMode.REFERENCE, CampaignMode.NONADAPTIVE, CampaignMode.ADAPTIVE_QUADRATURE), id="compare"),
+    pytest.param("term-report", lambda tmp_path: ROOT / "configs" / "termination.json",
+                 (CampaignMode.ADAPTIVE_TERMINATION,), id="term-report"),
+]
+
+
+@pytest.mark.parametrize("command,config,modes", CAMPAIGN_COMMANDS)
+def test_a_command_plans_each_run_once(tmp_path, monkeypatch, command, config, modes):
+    # compare.json: 15 plans for 5 systems x 3 modes; termination.json: 3; run: one per system
+    calls = spy_plans(monkeypatch)
+    path = config(tmp_path)
+    result = invoke(command, "--config", path, "--out", tmp_path / "o")
+    assert result.exit_code == 0, result.stderr
+    assert calls == [(system.label, mode) for system in load_config(path).systems for mode in modes]
+
+
+@pytest.mark.parametrize("command,config,modes", CAMPAIGN_COMMANDS)
+def test_a_run_rejected_at_planning_runs_no_system(tmp_path, monkeypatch, command, config, modes):
+    path = config(tmp_path)
+    second = load_config(path).systems[1].label
+    spy_plans(monkeypatch, reject=second)
+    engine_runs = []
+    monkeypatch.setattr(campaign, "run_campaign", lambda *args, **kwargs: engine_runs.append(args))
+    out = tmp_path / "o"
+    result = invoke(command, "--config", path, "--out", out)
+    assert result.exit_code == 2
+    assert f"error: {second} is rejected at planning" in result.stderr
+    assert engine_runs == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,where,name",
+    [
+        ("run", "--out", "--out"),
+        ("run", "output_dir", "config.output_dir"),
+        ("validate", "--out", "--out"),
+    ],
+)
+def test_an_empty_output_path_is_a_usage_error(tmp_path, monkeypatch, command, where, name):
+    # Path("") is the current directory: the command would write its files there
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    config = ("--config", write_config(tmp_path, output_dir="" if where == "output_dir" else "out"))
+    args = (command, *(config if command == "run" else ()), *(("--out", "") if where == "--out" else ()))
+    result = invoke(*args)
+    assert result.exit_code == 2
+    assert f"error: {name} must not be empty" in result.stderr
+    assert list(work.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command,overrides",
     [
@@ -480,12 +553,12 @@ def test_a_failed_command_keeps_its_finished_systems(tmp_path, command, config, 
 
 
 def test_a_failed_run_keeps_its_finished_systems(tmp_path, monkeypatch):
-    def second_fails(system, mode, config):
-        if system.label == NOISY.label:
+    def second_fails(plan, pilot):
+        if plan.system.label == NOISY.label:
             raise CampaignError("task failed twice")
-        return run_system(system, mode, config)
+        return run_plan(plan, pilot)
 
-    monkeypatch.setattr("fecampaign.cli.run_system", second_fails)
+    monkeypatch.setattr("fecampaign.cli.run_plan", second_fails)
     result = invoke("run", "--config", write_config(tmp_path, systems=(QUIET, NOISY)))
     assert result.exit_code == 3
     out = tmp_path / "out"
@@ -527,7 +600,7 @@ def test_unplanned_exception_prints_traceback_and_exits_3(tmp_path, monkeypatch)
     def explode(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("fecampaign.cli.run_system", explode)
+    monkeypatch.setattr("fecampaign.cli.run_plan", explode)
     result = invoke("run", "--config", write_config(tmp_path))
     assert result.exit_code == 3
     assert "Traceback (most recent call last)" in result.stderr
@@ -539,7 +612,7 @@ def test_broken_contract_is_an_internal_fault(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ContractError("window mean must be finite")
 
-    monkeypatch.setattr("fecampaign.cli.run_system", broken)
+    monkeypatch.setattr("fecampaign.cli.run_plan", broken)
     result = invoke("run", "--config", write_config(tmp_path))
     assert result.exit_code == 3
     assert "Traceback (most recent call last)" in result.stderr

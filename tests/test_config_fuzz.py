@@ -89,7 +89,7 @@ def check(name: str, edits) -> None:
             CampaignMode.ADAPTIVE_TERMINATION: NONADAPTIVE_WINDOWS,
         }
         for mode, n_windows in windows.items():
-            _, adaptive = plan_run(cfg.systems[0], mode, cfg)
+            adaptive = plan_run(cfg.systems[0], mode, cfg).evaluator.adaptive
             per_substage = round(adaptive.substage_timesteps * MD_TIMESTEP_PS / cfg.sample_interval_ps)
             horizon = adaptive.production_substages * per_substage
             assert n_windows * cfg.replicas_per_window * horizon * 8 <= MAX_SAMPLE_BYTES, (mode, edits)
